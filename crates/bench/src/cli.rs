@@ -1,0 +1,166 @@
+//! The `repro` command line: one argument reader and one typed error for
+//! every reproduction.
+
+use std::error::Error;
+use std::fmt;
+use std::path::PathBuf;
+use std::str::FromStr;
+
+use multipod_topology::MultipodConfig;
+
+/// The flags after `repro <name>`. A flag is `--name value` or
+/// `--name=value`; flags an entry does not read are ignored.
+#[derive(Clone, Debug, Default)]
+pub struct Args {
+    argv: Vec<String>,
+    /// Set by `repro all` (never by a flag): entries that scale run the
+    /// small anchor configuration EXPERIMENTS.md summarizes.
+    pub(crate) summary: bool,
+}
+
+impl Args {
+    /// Wraps the arguments that follow the reproduction name.
+    pub fn new(argv: Vec<String>) -> Args {
+        Args {
+            argv,
+            summary: false,
+        }
+    }
+
+    /// The raw value of `--flag`, if given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let mut args = self.argv.iter();
+        while let Some(arg) = args.next() {
+            if arg == flag {
+                return args.next().map(String::as_str);
+            }
+            if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Whether the bare switch `--flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.argv.iter().any(|a| a == flag)
+    }
+
+    /// `--flag <path>` as a path.
+    pub fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// `--flag <integer>`, or `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// [`ReproError::BadFlag`] when the value does not parse.
+    pub fn parsed<T: FromStr>(&self, flag: &'static str, default: T) -> Result<T, ReproError> {
+        match self.value(flag) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| ReproError::BadFlag {
+                flag,
+                value: v.to_string(),
+            }),
+        }
+    }
+
+    /// `--mesh <WxH>` as a torus-wrapped mesh, or `default` (usually the
+    /// paper's 128×32 multipod).
+    ///
+    /// # Errors
+    ///
+    /// [`ReproError::BadMesh`] unless the spec is `WxH` with positive
+    /// integer extents.
+    pub fn mesh(&self, default: MultipodConfig) -> Result<MultipodConfig, ReproError> {
+        let Some(spec) = self.value("--mesh") else {
+            return Ok(default);
+        };
+        let extents = spec
+            .split_once('x')
+            .and_then(|(x, y)| Some((x.parse::<u32>().ok()?, y.parse::<u32>().ok()?)));
+        match extents {
+            Some((x, y)) if x > 0 && y > 0 => Ok(MultipodConfig::mesh(x, y, true)),
+            _ => Err(ReproError::BadMesh(spec.to_string())),
+        }
+    }
+}
+
+/// Why a `repro` invocation did not produce its result.
+///
+/// Not itself a [`std::error::Error`], so that `?` lifts every simulator
+/// error into [`ReproError::Failed`].
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum ReproError {
+    /// No reproduction name on the command line.
+    MissingName,
+    /// The name matches no row of [`crate::REPROS`].
+    UnknownRepro(String),
+    /// The name matches no workload of the model catalog.
+    UnknownBenchmark(String),
+    /// `--mesh` was not `WxH` with positive integer extents.
+    BadMesh(String),
+    /// A numeric flag's value did not parse.
+    BadFlag {
+        /// The flag as written on the command line.
+        flag: &'static str,
+        /// Its unparseable value.
+        value: String,
+    },
+    /// `--check-regression` on a reproduction with no regression gate.
+    NoRegressionGate(&'static str),
+    /// The simulation, or reading or writing a file, failed.
+    Failed(Box<dyn Error>),
+}
+
+impl ReproError {
+    /// A [`ReproError::Failed`] carrying a message.
+    pub fn failed(message: String) -> ReproError {
+        ReproError::Failed(message.into())
+    }
+
+    /// Whether the command line itself was wrong (exit 2 with usage)
+    /// rather than the run (exit 1).
+    pub fn is_usage(&self) -> bool {
+        !matches!(self, ReproError::Failed(_))
+    }
+}
+
+impl fmt::Display for ReproError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReproError::MissingName => write!(f, "no reproduction named"),
+            ReproError::UnknownRepro(name) => write!(f, "unknown reproduction '{name}'"),
+            ReproError::UnknownBenchmark(name) => {
+                let known: Vec<_> = multipod_models::catalog::all()
+                    .iter()
+                    .map(|w| w.name)
+                    .collect();
+                write!(
+                    f,
+                    "unknown benchmark '{name}'; one of: {}",
+                    known.join(", ")
+                )
+            }
+            ReproError::BadMesh(spec) => write!(
+                f,
+                "--mesh expects WxH with positive integer extents, got '{spec}'"
+            ),
+            ReproError::BadFlag { flag, value } => {
+                write!(f, "{flag} expects an integer, got '{value}'")
+            }
+            ReproError::NoRegressionGate(name) => {
+                write!(f, "'{name}' declares no --check-regression gate")
+            }
+            ReproError::Failed(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl<E: Error + 'static> From<E> for ReproError {
+    fn from(e: E) -> ReproError {
+        ReproError::Failed(Box::new(e))
+    }
+}

@@ -1,0 +1,206 @@
+//! The `repro` driver: dispatch over [`REPROS`] and the one
+//! implementation of every shared flag ([`usage`] lists them).
+
+use std::path::PathBuf;
+
+use serde_json::Value;
+
+use crate::repros::{find, Outcome, Replay, Repro, REPROS};
+use crate::{committed_measurement, write_profile, write_trace, Args, ReproError};
+
+/// The usage text: the command shape, the shared flags and every name.
+pub fn usage() -> String {
+    let names: Vec<_> = REPROS.iter().map(|r| r.name).collect();
+    format!(
+        "usage: repro <name|all|--list> [flags]
+  --mesh <WxH>               mesh instead of the 128x32 multipod (campaign rows)
+  --json <path>              where to write the row's BENCH_*.json envelope
+                             (default: its committed artifact)
+  --trace <path>             also export a Chrome trace
+  --profile <path>           also export a flight-recorder report
+  --check-determinism        run the row twice; fail unless text, envelope,
+                             domain report and recorded trace are identical
+  --check-regression <path>  fail if the row's gated measurement moved past
+                             its ceiling against a committed envelope
+  row flags: --steps --interval (faults, ckpt) --jobs --queries --seed (sched,
+             serve) --chips --buckets (overlap) --quick (auc)
+names: {}",
+        names.join(" ")
+    )
+}
+
+/// Runs `repro <argv...>`, printing to stdout; `Ok(false)` means a gate
+/// failed.
+///
+/// # Errors
+///
+/// A usage error ([`ReproError::is_usage`]) for a bad command line, or
+/// [`ReproError::Failed`] when the run or an export fails.
+pub fn run_cli(argv: Vec<String>) -> Result<bool, ReproError> {
+    let mut argv = argv.into_iter();
+    let name = argv.next().ok_or(ReproError::MissingName)?;
+    let args = Args::new(argv.collect());
+    match name.as_str() {
+        "--list" => {
+            for r in REPROS {
+                println!("{}", r.name);
+            }
+            Ok(true)
+        }
+        "all" => {
+            let (doc, replay) = run_all(&args)?;
+            println!("{}", serde_json::to_string_pretty(&doc)?);
+            for path in export(&replay, &args)? {
+                eprintln!("wrote {}", path.display());
+            }
+            Ok(true)
+        }
+        name => run_one(find(name)?, &args),
+    }
+}
+
+/// Runs every `in_all` row in its summary configuration and collects the
+/// sections into one document; also returns the first row's replay.
+///
+/// # Errors
+///
+/// The first row error.
+pub fn run_all(args: &Args) -> Result<(Value, Replay), ReproError> {
+    let mut args = args.clone();
+    args.summary = true;
+    let mut doc = Vec::new();
+    let mut replay = None;
+    for repro in REPROS {
+        if let Some(key) = repro.in_all {
+            let outcome = (repro.run)(&args)?;
+            doc.push((key.to_string(), outcome.section.unwrap_or(Value::Null)));
+            replay.get_or_insert(outcome.replay);
+        }
+    }
+    Ok((Value::Map(doc), replay.unwrap_or_default()))
+}
+
+fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
+    // Reject a gate the row does not declare before simulating anything.
+    let regression = match (args.value("--check-regression"), repro.regression) {
+        (None, _) => None,
+        (Some(_), None) => return Err(ReproError::NoRegressionGate(repro.name)),
+        (Some(committed), Some(gate)) => Some((committed, gate)),
+    };
+    let mut outcome = (repro.run)(args)?;
+    let mut deterministic = None;
+    if args.has("--check-determinism") {
+        let same = same(&outcome, &(repro.run)(args)?)?;
+        println!(
+            "determinism: {}",
+            if same {
+                "identical text, report and recorded trace"
+            } else {
+                "MISMATCH — the two runs differ"
+            }
+        );
+        deterministic = Some(same);
+    }
+    print!("{}", outcome.text);
+    let mut passed = deterministic != Some(false);
+    if let Some(report) = &mut outcome.report {
+        report.set_gate("deterministic", deterministic);
+        let json = args.value("--json").or(repro.artifact);
+        if let Some(path) = json {
+            report.write(path)?;
+        }
+        passed &= report.passed();
+    }
+    for path in export(&outcome.replay, args)? {
+        println!("wrote {}", path.display());
+    }
+    if let Some((committed, (measurement, max_ratio))) = regression {
+        passed &= within_ceiling(&outcome, committed, measurement, max_ratio)?;
+    }
+    Ok(passed)
+}
+
+/// Whether two runs agree on everything that must not move: the text,
+/// the envelope, the domain report, the flight report and the recorded
+/// events. The trace export is a pure function of those events, and they
+/// are compared directly because two serialized 128×32 campaign traces do
+/// not fit in memory side by side.
+fn same(a: &Outcome, b: &Outcome) -> Result<bool, ReproError> {
+    let envelope = |o: &Outcome| o.report.as_ref().map(serde_json::to_string).transpose();
+    let recorded = |o: &Outcome| match &o.replay {
+        Replay::Recorded(recorder, flight) => Some((recorder.events(), flight.clone())),
+        _ => None,
+    };
+    Ok(a.text == b.text
+        && a.witness == b.witness
+        && envelope(a)? == envelope(b)?
+        && recorded(a) == recorded(b))
+}
+
+/// Writes the `--trace` and `--profile` exports `replay` can provide and
+/// returns the paths written.
+fn export(replay: &Replay, args: &Args) -> Result<Vec<PathBuf>, ReproError> {
+    let mut written = Vec::new();
+    let (trace, profile) = (args.path("--trace"), args.path("--profile"));
+    match replay {
+        Replay::None => {}
+        Replay::Steps(reports) => {
+            if let Some(path) = trace {
+                write_trace(&path, reports)?;
+                written.push(path);
+            }
+            if let Some(path) = profile {
+                write_profile(&path, reports)?;
+                written.push(path);
+            }
+        }
+        Replay::Recorded(recorder, flight) => {
+            if let Some(path) = trace {
+                recorder.write_chrome_trace(&path)?;
+                written.push(path);
+            }
+            if let (Some(path), Some(flight)) = (profile, flight) {
+                flight.write_json(&path)?;
+                written.push(path);
+            }
+        }
+    }
+    Ok(written)
+}
+
+/// The `--check-regression` gate: the row's declared measurement against
+/// the same measurement of the committed envelope at `committed`.
+fn within_ceiling(
+    outcome: &Outcome,
+    committed: &str,
+    measurement: &str,
+    max_ratio: f64,
+) -> Result<bool, ReproError> {
+    let read = |doc: Option<Value>, whose: &str| {
+        doc.and_then(|v| v.as_f64()).ok_or_else(|| {
+            ReproError::failed(format!("{whose} report has no `{measurement}` measurement"))
+        })
+    };
+    let text = std::fs::read_to_string(committed)
+        .map_err(|e| ReproError::failed(format!("read {committed}: {e}")))?;
+    let prior = read(
+        committed_measurement(&serde_json::from_str(&text)?, measurement),
+        committed,
+    )?;
+    let current = read(
+        outcome
+            .report
+            .as_ref()
+            .and_then(|r| r.measured(measurement))
+            .cloned(),
+        "current",
+    )?;
+    let ceiling = prior * max_ratio;
+    println!(
+        "regression gate: {measurement} {current:.4} vs committed {prior:.4} (ceiling {ceiling:.4})"
+    );
+    if current > ceiling {
+        eprintln!("FAIL: {measurement} regressed past its ceiling");
+    }
+    Ok(current <= ceiling)
+}

@@ -1,24 +1,45 @@
-//! Shared helpers for the repro binaries and Criterion benches.
+//! The reproduction driver for the paper's evaluation.
 //!
-//! Every table and figure of the paper's evaluation has a `repro_*`
-//! binary (printing the same rows/series the paper reports, alongside the
-//! paper's published values) and a Criterion bench measuring the
-//! generator. [`paper`] records the published numbers so the binaries can
-//! print paper-vs-measured side by side; `EXPERIMENTS.md` is generated
-//! from the same data.
+//! Every table, figure and campaign is one row of [`REPROS`]; the `repro`
+//! binary runs `repro <name> [flags]` for one row and `repro all` for the
+//! JSON document behind EXPERIMENTS.md. A row computes its numbers once
+//! and renders them twice — the printed table and the JSON section — and
+//! the driver owns every shared flag (`--mesh`, `--json`, `--trace`,
+//! `--profile`, `--check-determinism`, `--check-regression`). [`paper`]
+//! records the published numbers so the tables print paper-vs-measured
+//! side by side.
+//!
+//! Host wall-clock questions belong to `benchmark/`, not here: apart from
+//! `repro auc` (whose subject *is* host time, §4.6) everything below is a
+//! function of simulated time and byte-reproducible.
 
-pub mod simcore;
+/// Appends one formatted line to a `String` (the printed half of an
+/// [`Outcome`]).
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
 
-use std::path::{Path, PathBuf};
+mod cli;
+mod driver;
+pub mod repros;
+
+use std::path::Path;
 use std::sync::Arc;
 
 use multipod_core::step::{record_step_telemetry, record_step_trace};
 use multipod_core::{presets, Executor, Preset, Report};
 use multipod_simnet::SimTime;
 use multipod_telemetry::{FlightReport, Telemetry};
-use multipod_topology::MultipodConfig;
 use multipod_trace::Recorder;
+use serde::Serialize;
 use serde_json::Value;
+
+pub use cli::{Args, ReproError};
+pub use driver::{run_all, run_cli, usage};
+pub use repros::{Outcome, Replay, Repro, REPROS};
 
 /// The paper's published values, used for side-by-side output.
 pub mod paper {
@@ -64,143 +85,82 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Runs a preset and returns its report.
-///
-/// # Panics
-///
-/// Panics if the preset's chip count does not form a valid slice — the
-/// catalog presets used by the repro binaries always do. Use
-/// [`Executor::run`] directly to handle the [`multipod_core::StepError`].
-pub fn run(preset: Preset) -> Report {
-    Executor::new(preset)
-        .run()
-        .expect("catalog presets define valid slices")
-}
-
 /// The preset for a named benchmark at a chip count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on unknown names.
-pub fn preset_by_name(name: &str, chips: u32) -> Preset {
-    match name {
+/// [`ReproError::UnknownBenchmark`] for a name outside the model catalog.
+pub fn preset_by_name(name: &str, chips: u32) -> Result<Preset, ReproError> {
+    Ok(match name {
         "ResNet-50" => presets::resnet50(chips),
         "BERT" => presets::bert(chips),
         "SSD" => presets::ssd(chips),
         "Transformer" => presets::transformer(chips),
         "MaskRCNN" => presets::maskrcnn(chips),
         "DLRM" => presets::dlrm(chips),
-        other => panic!("unknown benchmark '{other}'"),
-    }
+        other => return Err(ReproError::UnknownBenchmark(other.to_string())),
+    })
 }
 
-/// Parses a `--<name> <value>` (or `--<name>=<value>`) flag from the
-/// process arguments.
-pub fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next();
-        }
-        if let Some(v) = arg.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Parses a `--trace <path>` (or `--trace=<path>`) flag from the process
-/// arguments, for repro binaries that can export a Chrome trace.
-pub fn trace_flag() -> Option<PathBuf> {
-    arg_value("--trace").map(PathBuf::from)
-}
-
-/// Parses a `--profile <path>` (or `--profile=<path>`) flag, for repro
-/// binaries that can export a flight-recorder report.
-pub fn profile_flag() -> Option<PathBuf> {
-    arg_value("--profile").map(PathBuf::from)
-}
-
-/// Parses `--mesh <WxH>` into a [`MultipodConfig`], defaulting to
-/// `default` (usually the paper's 128×32 multipod).
+/// Runs the named benchmark's preset at a chip count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the spec is not `WxH` with integer extents.
-pub fn mesh_flag(default: MultipodConfig) -> MultipodConfig {
-    match arg_value("--mesh") {
-        None => default,
-        Some(spec) => {
-            let (x, y) = spec
-                .split_once('x')
-                .unwrap_or_else(|| panic!("--mesh expects WxH, got '{spec}'"));
-            MultipodConfig::mesh(
-                x.parse().expect("mesh width"),
-                y.parse().expect("mesh height"),
-                true,
-            )
-        }
-    }
+/// As [`preset_by_name`], or the [`multipod_core::StepError`] of a chip
+/// count that forms no valid slice.
+pub fn run_named(name: &str, chips: u32) -> Result<Report, ReproError> {
+    Ok(Executor::new(preset_by_name(name, chips)?).run()?)
 }
 
-/// Records a reference numeric 2-D gradient summation (an 8×8 slice,
-/// 4096 elements per chip, fixed seed) into `recorder`, so exported
-/// traces contain real per-link transfer events and collective-phase
-/// spans alongside the analytic step timelines.
-pub fn record_reference_summation(recorder: Arc<Recorder>) {
-    use multipod_collectives::{twod::two_dim_all_reduce, Precision};
-    use multipod_simnet::{Network, NetworkConfig};
-    use multipod_tensor::{Shape, TensorRng};
-    use multipod_topology::{Multipod, MultipodConfig};
-    let mut net = Network::new(
-        Multipod::new(MultipodConfig::mesh(8, 8, true)),
-        NetworkConfig::tpu_v3(),
-    );
-    net.set_trace_sink(recorder);
-    let mut rng = TensorRng::seed(17);
-    let inputs: Vec<_> = (0..net.mesh().num_chips())
-        .map(|_| rng.uniform(Shape::vector(4096), -1.0, 1.0))
-        .collect();
-    two_dim_all_reduce(&mut net, &inputs, Precision::F32, 1, None).expect("reference summation");
-}
-
-/// Writes a Chrome trace to `path`: the first `steps_each` steps of every
-/// report laid out back to back on the simulation track, followed by the
-/// reference numeric summation (real link events). Output is fully
-/// deterministic.
-pub fn write_trace(path: &Path, reports: &[&Report], steps_each: u64) -> std::io::Result<()> {
-    let recorder = Recorder::shared();
+/// Replays the first three steps of each report, back to back on the
+/// simulation track, through the trace and telemetry layers.
+pub fn replay_steps(reports: &[Report]) -> (Arc<Recorder>, Arc<Telemetry>) {
+    let (recorder, telemetry) = (Recorder::shared(), Telemetry::shared());
     let mut cursor = SimTime::ZERO;
     for report in reports {
-        for s in 0..steps_each.min(report.steps) {
-            cursor =
-                record_step_trace(recorder.as_ref(), &report.name, &report.step, s + 1, cursor);
-        }
-    }
-    record_reference_summation(recorder.clone());
-    recorder.write_chrome_trace(path)
-}
-
-/// Replays the first `steps_each` steps of each report through the trace
-/// and telemetry layers, profiles the result, and writes the flight
-/// report to `path`. Output is fully deterministic.
-pub fn write_profile(path: &Path, reports: &[&Report], steps_each: u64) -> std::io::Result<()> {
-    let recorder = Recorder::shared();
-    let telemetry = Telemetry::shared();
-    let mut cursor = SimTime::ZERO;
-    for report in reports {
-        for s in 0..steps_each.min(report.steps) {
+        for s in 0..3.min(report.steps) {
             cursor =
                 record_step_trace(recorder.as_ref(), &report.name, &report.step, s + 1, cursor);
             record_step_telemetry(&telemetry, &report.step);
         }
     }
+    (recorder, telemetry)
+}
+
+/// Writes a Chrome trace to `path`: [`replay_steps`] followed by a
+/// reference numeric 2-D gradient summation (an 8×8 slice, 4096 elements
+/// per chip, fixed seed), so the export carries real per-link transfer
+/// events and collective-phase spans alongside the analytic timelines.
+/// Output is fully deterministic.
+pub fn write_trace(path: &Path, reports: &[Report]) -> Result<(), ReproError> {
+    use multipod_collectives::{twod::two_dim_all_reduce, Precision};
+    use multipod_simnet::{Network, NetworkConfig};
+    use multipod_tensor::{Shape, TensorRng};
+    use multipod_topology::{Multipod, MultipodConfig};
+    let (recorder, _) = replay_steps(reports);
+    let mut net = Network::new(
+        Multipod::new(MultipodConfig::mesh(8, 8, true)),
+        NetworkConfig::tpu_v3(),
+    );
+    net.set_trace_sink(recorder.clone());
+    let mut rng = TensorRng::seed(17);
+    let inputs: Vec<_> = (0..net.mesh().num_chips())
+        .map(|_| rng.uniform(Shape::vector(4096), -1.0, 1.0))
+        .collect();
+    two_dim_all_reduce(&mut net, &inputs, Precision::F32, 1, None)?;
+    Ok(recorder.write_chrome_trace(path)?)
+}
+
+/// Profiles [`replay_steps`] and writes the flight report to `path`.
+/// Output is fully deterministic.
+pub fn write_profile(path: &Path, reports: &[Report]) -> Result<(), ReproError> {
+    let (recorder, telemetry) = replay_steps(reports);
     let flight = FlightReport {
         registry: telemetry.snapshot(),
         profile: multipod_telemetry::profile(&recorder.events()),
         drift: Vec::new(),
     };
-    flight.write_json(path)
+    Ok(flight.write_json(path)?)
 }
 
 /// The common envelope of every `BENCH_*.json` artifact: what ran, on
@@ -236,9 +196,9 @@ impl BenchReport {
         self
     }
 
-    /// Records a measured value (build with `serde_json::json!`).
-    pub fn measurement(mut self, name: impl Into<String>, value: Value) -> BenchReport {
-        self.measurements.push((name.into(), value));
+    /// Records a measured value.
+    pub fn measurement(mut self, name: impl Into<String>, value: impl Serialize) -> BenchReport {
+        self.measurements.push((name.into(), value.ser()));
         self
     }
 
@@ -255,19 +215,30 @@ impl BenchReport {
             .map(|(_, v)| v)
     }
 
+    /// Overwrites the value of a gate recorded earlier, keeping its
+    /// position (the driver fills `deterministic` in after comparing two
+    /// runs).
+    pub fn set_gate(&mut self, name: &str, pass: Option<bool>) {
+        if let Some((_, g)) = self.gates.iter_mut().find(|(k, _)| k == name) {
+            *g = pass;
+        }
+    }
+
     /// Writes the pretty-JSON rendering to `path` and echoes the path.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the file cannot be written.
-    pub fn write(&self, path: &str) {
-        let body = serde_json::to_string_pretty(self).expect("bench report json");
-        std::fs::write(path, body + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+    /// The I/O error of an unwritable `path`, with the path named.
+    pub fn write(&self, path: &str) -> Result<(), ReproError> {
+        let body = serde_json::to_string_pretty(self)?;
+        std::fs::write(path, body + "\n")
+            .map_err(|e| ReproError::failed(format!("write {path}: {e}")))?;
         println!("wrote {path}");
+        Ok(())
     }
 }
 
-impl serde::Serialize for BenchReport {
+impl Serialize for BenchReport {
     fn ser(&self) -> Value {
         Value::Map(vec![
             ("name".to_string(), Value::Str(self.name.clone())),
@@ -290,21 +261,16 @@ impl serde::Serialize for BenchReport {
     }
 }
 
-/// Reads a measurement from a committed `BENCH_*.json` document,
-/// accepting both the enveloped layout (`measurements.<name>`) and the
-/// pre-envelope layout (`<name>` at top level).
+/// Reads a measurement from a committed `BENCH_*.json` document.
 pub fn committed_measurement(doc: &Value, name: &str) -> Option<Value> {
-    doc.get("measurements")
-        .and_then(|m| m.get(name))
-        .or_else(|| doc.get(name))
-        .cloned()
+    doc.get("measurements")?.get(name).cloned()
 }
 
-/// Prints a markdown-ish table header.
-pub fn header(title: &str, columns: &[&str]) {
-    println!("\n== {title} ==");
-    println!("{}", columns.join(" | "));
-    println!("{}", vec!["---"; columns.len()].join(" | "));
+/// Appends a markdown-ish table header to `out`.
+pub fn header(out: &mut String, title: &str, columns: &[&str]) {
+    outln!(out, "\n== {title} ==");
+    outln!(out, "{}", columns.join(" | "));
+    outln!(out, "{}", vec!["---"; columns.len()].join(" | "));
 }
 
 #[cfg(test)]
@@ -319,9 +285,13 @@ mod tests {
 
     #[test]
     fn preset_lookup_runs() {
-        let r = run(preset_by_name("ResNet-50", 256));
+        let r = run_named("ResNet-50", 256).expect("catalog preset");
         assert_eq!(r.name, "ResNet-50");
         assert!(r.end_to_end_minutes() > 0.0);
+        assert!(matches!(
+            run_named("GPT-3", 256),
+            Err(ReproError::UnknownBenchmark(_))
+        ));
     }
 
     #[test]
@@ -334,7 +304,7 @@ mod tests {
         let report = BenchReport::new("collectives", "8x8", 64)
             .gate("bit_identical", true)
             .gate("deterministic", None)
-            .measurement("speedup", serde_json::json!(2.5));
+            .measurement("speedup", 2.5);
         assert!(report.passed());
         let json = serde_json::to_string_pretty(&report).expect("json");
         let reparsed: Value = serde_json::from_str(&json).expect("reparse");
@@ -345,23 +315,21 @@ mod tests {
         assert!(json.contains("\"name\": \"collectives\""));
         assert!(json.contains("\"deterministic\": null"));
         assert!(!BenchReport::new("x", "1x1", 1).gate("g", false).passed());
-        // Pre-envelope documents keep working for regression checks.
-        let old: Value = serde_json::from_str(r#"{"speedup": 3.0}"#).expect("old doc");
-        assert_eq!(
-            committed_measurement(&old, "speedup").and_then(|v| v.as_f64()),
-            Some(3.0)
-        );
+        let mut filled = report.clone();
+        filled.set_gate("deterministic", Some(false));
+        assert!(!filled.passed());
     }
 
     #[test]
     fn write_profile_emits_a_deterministic_flight_report() {
         let dir = std::env::temp_dir().join("multipod-bench-profile-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let report = run(preset_by_name("ResNet-50", 256));
+        let report = run_named("ResNet-50", 256).expect("catalog preset");
         let a = dir.join("a.json");
         let b = dir.join("b.json");
-        write_profile(&a, &[&report], 2).expect("write profile a");
-        write_profile(&b, &[&report], 2).expect("write profile b");
+        let reports = [report];
+        write_profile(&a, &reports).expect("write profile a");
+        write_profile(&b, &reports).expect("write profile b");
         let body_a = std::fs::read_to_string(&a).expect("read a");
         let body_b = std::fs::read_to_string(&b).expect("read b");
         assert_eq!(body_a, body_b, "profile export must be byte-identical");
@@ -370,6 +338,6 @@ mod tests {
             .get("profile")
             .and_then(|p| p.get("steps"))
             .and_then(|v| v.as_u64());
-        assert_eq!(steps, Some(2));
+        assert_eq!(steps, Some(3));
     }
 }

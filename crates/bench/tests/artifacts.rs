@@ -1,28 +1,19 @@
-//! The committed bench artifacts must exist and stay in the
-//! [`BenchReport`] envelope.
+//! The committed bench artifacts must exist, stay in the [`BenchReport`]
+//! envelope, and carry only gates that were checked and passed.
 //!
-//! Every `repro_*` binary that defaults its `--json` output to a
-//! repo-root `BENCH_*.json` commits that artifact as the reference for
-//! EXPERIMENTS.md and for CI regression checks. A missing artifact (a
-//! new repro binary landed without its artifact) or a stale format (the
-//! envelope changed without regenerating) fails here, in plain
-//! `cargo test`, before any CI regression step would silently compare
-//! against nothing.
+//! Every row of [`REPROS`] with an `artifact` commits that file at the
+//! repo root as the reference for EXPERIMENTS.md and for CI regression
+//! checks. A missing artifact (a new row landed without one), a stale
+//! format, or a gate committed unchecked fails here, in plain `cargo
+//! test`, before any CI regression step would silently compare against
+//! nothing.
+//!
+//! [`BenchReport`]: multipod_bench::BenchReport
 
 use std::path::{Path, PathBuf};
 
-/// Default artifacts of the repro binaries, kept in sync with the
-/// `--json` defaults in `crates/bench/src/bin/repro_*.rs`.
-const COMMITTED_ARTIFACTS: &[&str] = &[
-    "BENCH_ckpt.json",
-    "BENCH_collectives.json",
-    "BENCH_faults.json",
-    "BENCH_overlap.json",
-    "BENCH_profile.json",
-    "BENCH_sched.json",
-    "BENCH_serve.json",
-    "BENCH_simnet.json",
-];
+use multipod_bench::REPROS;
+use serde_json::Value;
 
 fn repo_root() -> PathBuf {
     // crates/bench -> repo root.
@@ -34,19 +25,18 @@ fn repo_root() -> PathBuf {
 }
 
 #[test]
-fn every_default_repro_artifact_is_committed_and_well_formed() {
+fn every_artifact_is_committed_well_formed_and_fully_gated() {
     let root = repo_root();
     let mut problems = Vec::new();
-    for name in COMMITTED_ARTIFACTS {
-        let path = root.join(name);
-        let text = match std::fs::read_to_string(&path) {
+    for name in REPROS.iter().filter_map(|r| r.artifact) {
+        let text = match std::fs::read_to_string(root.join(name)) {
             Ok(t) => t,
             Err(e) => {
                 problems.push(format!("{name}: missing ({e})"));
                 continue;
             }
         };
-        let doc: serde_json::Value = match serde_json::from_str(&text) {
+        let doc: Value = match serde_json::from_str(&text) {
             Ok(d) => d,
             Err(e) => {
                 problems.push(format!("{name}: not valid JSON ({e})"));
@@ -60,49 +50,35 @@ fn every_default_repro_artifact_is_committed_and_well_formed() {
                 problems.push(format!("{name}: stale format, missing `{key}`"));
             }
         }
-        if let Some(serde_json::Value::Map(gates)) = doc.get("gates") {
+        if let Some(Value::Map(gates)) = doc.get("gates") {
             for (gate, value) in gates {
-                // Unchecked gates serialize as null; checked ones must
-                // have passed when the artifact was generated.
-                if *value == serde_json::Value::Bool(false) {
-                    problems.push(format!("{name}: committed with failing gate `{gate}`"));
+                // An unchecked gate serializes as null: the artifact was
+                // generated without `--check-determinism`.
+                if *value != Value::Bool(true) {
+                    problems.push(format!("{name}: gate `{gate}` committed as {value:?}"));
                 }
             }
         }
     }
     assert!(
         problems.is_empty(),
-        "bench artifacts out of date — regenerate with the repro binaries:\n{}",
+        "bench artifacts out of date — regenerate with `repro <name> --check-determinism`:\n{}",
         problems.join("\n")
     );
 }
 
 #[test]
-fn artifact_list_matches_the_repro_binaries() {
-    // Every repro binary that defaults a BENCH_*.json output must be in
-    // COMMITTED_ARTIFACTS, and vice versa.
-    let bins = repo_root().join("crates/bench/src/bin");
-    let mut defaults = Vec::new();
-    for entry in std::fs::read_dir(&bins).expect("bin dir") {
-        let path = entry.expect("dir entry").path();
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        for line in src.lines() {
-            if let Some(start) = line.find("\"BENCH_") {
-                let rest = &line[start + 1..];
-                if let Some(end) = rest.find('"') {
-                    defaults.push(rest[..end].to_string());
-                }
-            }
-        }
-    }
-    defaults.sort();
-    defaults.dedup();
-    let mut expected: Vec<String> = COMMITTED_ARTIFACTS.iter().map(|s| s.to_string()).collect();
-    expected.sort();
+fn committed_artifacts_are_exactly_the_tables() {
+    let mut committed: Vec<String> = std::fs::read_dir(repo_root())
+        .expect("repo root")
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+        .collect();
+    committed.sort();
+    let mut declared: Vec<&str> = REPROS.iter().filter_map(|r| r.artifact).collect();
+    declared.sort_unstable();
     assert_eq!(
-        defaults, expected,
-        "repro binaries and COMMITTED_ARTIFACTS disagree — update the test list"
+        committed, declared,
+        "BENCH_*.json at the repo root and REPROS[..].artifact disagree"
     );
 }

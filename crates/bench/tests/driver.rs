@@ -1,0 +1,80 @@
+//! The `repro` driver: one table, typed command-line errors, and a
+//! byte-deterministic `repro all`.
+
+use std::collections::BTreeSet;
+use std::process::Command;
+
+use multipod_bench::{run_all, run_cli, Args, ReproError, REPROS};
+
+fn cli(argv: &[&str]) -> Result<bool, ReproError> {
+    run_cli(argv.iter().map(|a| a.to_string()).collect())
+}
+
+#[test]
+fn names_are_unique_and_list_prints_the_table() {
+    let names: Vec<&str> = REPROS.iter().map(|r| r.name).collect();
+    assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), names.len());
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--list")
+        .output()
+        .expect("run repro --list");
+    assert!(out.status.success());
+    let listed = String::from_utf8(out.stdout).expect("utf-8 names");
+    assert_eq!(listed.lines().collect::<Vec<_>>(), names);
+}
+
+#[test]
+fn bad_command_lines_are_typed_usage_errors() {
+    for (argv, expect) in [
+        (&[][..], "no reproduction named"),
+        (&["fig12"], "unknown reproduction 'fig12'"),
+        (&["faults", "--mesh", "4by4"], "--mesh expects WxH"),
+        (&["faults", "--mesh", "0x4"], "--mesh expects WxH"),
+        (
+            &["sched", "--mesh=4x4", "--jobs", "many"],
+            "--jobs expects an integer",
+        ),
+        (
+            &["table1", "--check-regression", "BENCH_overlap.json"],
+            "no --check-regression gate",
+        ),
+    ] {
+        let e = cli(argv).expect_err("bad command line");
+        assert!(e.is_usage(), "{argv:?}: {e}");
+        assert!(e.to_string().contains(expect), "{argv:?}: {e}");
+    }
+    assert!(matches!(cli(&["fig12"]), Err(ReproError::UnknownRepro(_))));
+    assert!(matches!(
+        cli(&["ckpt", "--mesh", "x"]),
+        Err(ReproError::BadMesh(_))
+    ));
+}
+
+#[test]
+fn a_usage_error_exits_2_and_lists_the_names() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("fig12")
+        .output()
+        .expect("run repro fig12");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 usage");
+    assert!(stderr.contains("unknown reproduction 'fig12'"), "{stderr}");
+    for r in REPROS {
+        assert!(stderr.contains(r.name), "usage omits {}", r.name);
+    }
+}
+
+#[test]
+fn repro_all_is_byte_deterministic_and_has_no_wall_clock_section() {
+    let render = || {
+        let (doc, _) = run_all(&Args::default()).expect("repro all");
+        serde_json::to_string_pretty(&doc).expect("json")
+    };
+    let first = render();
+    assert_eq!(first, render(), "repro all must be byte-identical");
+    let doc: serde_json::Value = serde_json::from_str(&first).expect("reparse");
+    assert!(doc.get("simnet").is_none());
+    for key in REPROS.iter().filter_map(|r| r.in_all) {
+        assert!(doc.get(key).is_some(), "missing section {key}");
+    }
+}

@@ -7,8 +7,6 @@
 //! returned time). They are the ground truth for the α–β models in
 //! [`crate::timing`] and for every property test.
 
-use std::sync::OnceLock;
-
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::{Network, SimTime};
@@ -84,45 +82,6 @@ fn validate(inputs: &[Tensor], ring: &Ring) -> Result<(), CollectiveError> {
     Ok(())
 }
 
-/// `true` once per process when `MULTIPOD_PARALLEL` is set to anything but
-/// `0`: payload snapshots are then quantized on scoped threads instead of
-/// in a serial loop.
-fn parallel_payloads_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("MULTIPOD_PARALLEL").is_ok_and(|v| v != "0"))
-}
-
-/// Quantizes every move's source chunk for one schedule step.
-///
-/// The moves within a step travel independent links and read distinct
-/// source chunks, so with `parallel` each snapshot runs on its own
-/// crossbeam scoped thread. Quantization is purely elementwise (including
-/// the chunked bf16 demotion kernel), so the parallel path is bit-identical
-/// to the serial one — only wall-clock changes.
-fn quantize_step(
-    step: &[ChunkMove],
-    chunks: &[Vec<Tensor>],
-    precision: Precision,
-    parallel: bool,
-) -> Vec<Tensor> {
-    if !parallel || step.len() < 2 {
-        return step
-            .iter()
-            .map(|mv| precision.quantize(&chunks[mv.from][mv.chunk]))
-            .collect();
-    }
-    let mut out: Vec<Option<Tensor>> = vec![None; step.len()];
-    // The vendored crossbeam stand-in never yields `Err` (a panicking
-    // child re-panics on join), so this expect is unreachable.
-    crossbeam::scope(|s| {
-        for (slot, mv) in out.iter_mut().zip(step) {
-            s.spawn(move |_| *slot = Some(precision.quantize(&chunks[mv.from][mv.chunk])));
-        }
-    })
-    .expect("scoped payload quantization joins");
-    out.into_iter().flatten().collect()
-}
-
 fn run_schedule(
     net: &mut Network,
     ring: &Ring,
@@ -131,31 +90,14 @@ fn run_schedule(
     precision: Precision,
     start: SimTime,
 ) -> Result<SimTime, CollectiveError> {
-    run_schedule_with(
-        net,
-        ring,
-        schedule,
-        chunks,
-        precision,
-        start,
-        parallel_payloads_enabled(),
-    )
-}
-
-fn run_schedule_with(
-    net: &mut Network,
-    ring: &Ring,
-    schedule: &Schedule,
-    chunks: &mut [Vec<Tensor>],
-    precision: Precision,
-    start: SimTime,
-    parallel: bool,
-) -> Result<SimTime, CollectiveError> {
     let members = ring.members();
     let mut t = start;
     for step in schedule.steps() {
         // Numerics first, on a snapshot, so concurrent moves are coherent.
-        let payloads = quantize_step(step, chunks, precision, parallel);
+        let payloads: Vec<Tensor> = step
+            .iter()
+            .map(|mv| precision.quantize(&chunks[mv.from][mv.chunk]))
+            .collect();
         for (mv, payload) in step.iter().zip(&payloads) {
             apply_move(chunks, mv, payload)?;
         }
@@ -717,49 +659,6 @@ mod tests {
             assert_eq!(o, &payload);
         }
         assert!(out.time > SimTime::ZERO);
-    }
-
-    #[test]
-    fn parallel_payload_path_is_bit_identical_to_serial() {
-        // Same schedule, same inputs, bf16 payloads (exercising the chunked
-        // demotion kernel on scoped threads): the crossbeam path must
-        // reproduce the serial path bit for bit, in data and in sim time.
-        let n = 8;
-        let (mut net_s, ring_s) = column_net(n as u32);
-        let (mut net_p, ring_p) = column_net(n as u32);
-        let ins = inputs(n, 1 << 10);
-        let schedule = Schedule::reduce_scatter(n, Direction::Forward);
-        let mut serial = flatten_chunks(&ins, n).unwrap();
-        let mut parallel = flatten_chunks(&ins, n).unwrap();
-        let t_s = run_schedule_with(
-            &mut net_s,
-            &ring_s,
-            &schedule,
-            &mut serial,
-            Precision::Bf16,
-            SimTime::ZERO,
-            false,
-        )
-        .unwrap();
-        let t_p = run_schedule_with(
-            &mut net_p,
-            &ring_p,
-            &schedule,
-            &mut parallel,
-            Precision::Bf16,
-            SimTime::ZERO,
-            true,
-        )
-        .unwrap();
-        assert_eq!(t_s.seconds().to_bits(), t_p.seconds().to_bits());
-        for (row_s, row_p) in serial.iter().zip(&parallel) {
-            for (c_s, c_p) in row_s.iter().zip(row_p) {
-                assert_eq!(
-                    c_s.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    c_p.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-            }
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   ring over all chips;
 //! * **bfloat16 summation payloads** (§3.3, §4.1, §4.3) vs f32;
 //! * **weight-update sharding** (§3.2) vs replicated updates (see also
-//!   `repro_wus`).
+//!   `repro wus`).
 
 use serde::{Deserialize, Serialize};
 

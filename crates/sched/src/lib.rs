@@ -20,7 +20,7 @@
 //! * [`SchedReport`] — utilization, queue-wait and preemption-overhead
 //!   distributions for a whole campaign, deterministic across reruns.
 //!
-//! The `repro_sched` bench drives a thousands-of-jobs campaign on the
+//! `repro sched` drives a thousands-of-jobs campaign on the
 //! 128×32 mesh and gates mean utilization and byte-identical reruns in
 //! CI.
 
@@ -34,6 +34,5 @@ mod slice;
 
 pub use error::SchedError;
 pub use job::{arrival_stream, ArrivalConfig, JobKind, JobSpec, ServiceSpec};
-pub use multipod_telemetry::DistSummary;
 pub use sched::{KindStats, PodScheduler, SchedConfig, SchedReport, ServiceStats};
 pub use slice::{Slice, SliceAllocator};

@@ -14,7 +14,7 @@
 //! the occupying job back to its last checkpoint.
 //!
 //! Every decision is deterministic, so a campaign re-run is byte-identical
-//! — the property `repro_sched --check-determinism` gates in CI.
+//! — the property `repro sched --check-determinism` gates in CI.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

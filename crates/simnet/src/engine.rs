@@ -1,26 +1,20 @@
-//! Deterministic discrete-event queues.
+//! A deterministic discrete-event queue.
 //!
-//! Two implementations share one contract (earliest time first, FIFO among
-//! ties, bit-stable across runs):
-//!
-//! * [`EventQueue`] — the production **calendar queue**: events hash into
-//!   time buckets of a fixed width, so schedule/pop are O(1) amortized
-//!   instead of the `O(log n)` sift of a binary heap. This is the queue
-//!   behind the simulator's hot loops (task-graph scheduling, the input
-//!   pipeline, and the `repro_simnet` event replay).
-//! * [`HeapEventQueue`] — the seed `BinaryHeap` queue, kept as the
-//!   observational reference: property tests assert the calendar queue
-//!   pops the exact same sequence, and `repro_simnet` uses it as the
-//!   baseline side of its speedup gate.
+//! [`EventQueue`] is a **calendar queue**: events hash into time buckets of
+//! a fixed width, so schedule/pop are O(1) amortized instead of the
+//! `O(log n)` sift of a binary heap. It is the queue behind the
+//! simulator's hot loops (task-graph scheduling, the input pipeline, the
+//! event replay of `tests/replay_golden.rs`). Its contract — earliest time
+//! first, FIFO among ties, bit-stable across runs — is pinned against the
+//! seed `BinaryHeap` queue, which survives as the oracle of this module's
+//! tests.
 //!
 //! Determinism matters more than raw speed: two events scheduled for the
 //! same instant pop in insertion order (a monotonic sequence number breaks
 //! ties), so simulation results are bit-stable regardless of how the
-//! events were bucketed or how the heap happened to be shaped by earlier
-//! traffic.
+//! events were bucketed by earlier traffic.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::SimTime;
 
@@ -467,103 +461,94 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-/// The seed binary-heap event queue: a min-heap with the same monotonic
-/// sequence number breaking same-instant ties FIFO.
-///
-/// Kept as the observational reference for [`EventQueue`]: the simnet
-/// property tests drive both queues through identical schedules and
-/// assert identical pop sequences, and `repro_simnet` measures the
-/// calendar queue's speedup against this implementation.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
-    seq: u64,
-    popped: u64,
-    max_depth: usize,
-}
-
-impl<T> HeapEventQueue<T> {
-    /// An empty queue.
-    pub fn new() -> HeapEventQueue<T> {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            popped: 0,
-            max_depth: 0,
-        }
-    }
-
-    /// Schedules `payload` at `time`.
-    pub fn schedule(&mut self, time: SimTime, payload: T) {
-        let entry = Entry {
-            time,
-            seq: self.seq,
-            payload,
-        };
-        self.seq += 1;
-        self.heap.push(Reverse(entry));
-        self.max_depth = self.max_depth.max(self.heap.len());
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let popped = self.heap.pop().map(|Reverse(e)| (e.time, e.payload));
-        if popped.is_some() {
-            self.popped += 1;
-        }
-        popped
-    }
-
-    /// Lifetime scheduling statistics.
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            scheduled: self.seq,
-            popped: self.popped,
-            max_depth: self.max_depth,
-            pending: self.heap.len(),
-        }
-    }
-
-    /// The time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Removes and returns every event scheduled for the earliest pending
-    /// instant, in insertion order.
-    pub fn pop_batch(&mut self) -> Option<(SimTime, Vec<T>)> {
-        let time = self.peek_time()?;
-        let mut batch = Vec::new();
-        while self.peek_time() == Some(time) {
-            // Invariant: peek just confirmed a pending event at `time`,
-            // so the pop cannot come back empty.
-            if let Some((_, payload)) = self.pop() {
-                batch.push(payload);
-            }
-        }
-        Some((time, batch))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for HeapEventQueue<T> {
-    fn default() -> Self {
-        HeapEventQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The seed binary-heap event queue — a min-heap with the same
+    /// monotonic sequence number breaking same-instant ties FIFO — kept as
+    /// the observational reference [`EventQueue`] must match pop for pop.
+    struct HeapEventQueue<T> {
+        heap: BinaryHeap<Reverse<Entry<T>>>,
+        seq: u64,
+        popped: u64,
+        max_depth: usize,
+    }
+
+    impl<T> HeapEventQueue<T> {
+        fn new() -> HeapEventQueue<T> {
+            HeapEventQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                popped: 0,
+                max_depth: 0,
+            }
+        }
+
+        fn schedule(&mut self, time: SimTime, payload: T) {
+            let entry = Entry {
+                time,
+                seq: self.seq,
+                payload,
+            };
+            self.seq += 1;
+            self.heap.push(Reverse(entry));
+            self.max_depth = self.max_depth.max(self.heap.len());
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, T)> {
+            let popped = self.heap.pop().map(|Reverse(e)| (e.time, e.payload));
+            if popped.is_some() {
+                self.popped += 1;
+            }
+            popped
+        }
+
+        fn stats(&self) -> QueueStats {
+            QueueStats {
+                scheduled: self.seq,
+                popped: self.popped,
+                max_depth: self.max_depth,
+                pending: self.heap.len(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The calendar queue is observationally equivalent to the
+        /// binary-heap reference: identical pop sequences (times and
+        /// payloads, FIFO ties included) under arbitrary interleaved
+        /// schedule/pop traffic at any timescale — from sub-bucket-width
+        /// spacings to multi-second gaps.
+        #[test]
+        fn calendar_queue_matches_heap_reference(
+            ops in prop::collection::vec((0u32..2000, prop::bool::ANY), 1..120),
+            scale in prop::sample::select(vec![1e-9f64, 1e-6, 1e-3, 0.5]),
+        ) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapEventQueue::new();
+            for (i, &(t, pop_after)) in ops.iter().enumerate() {
+                let time = SimTime::from_seconds(t as f64 * scale);
+                cal.schedule(time, i);
+                heap.schedule(time, i);
+                if pop_after {
+                    prop_assert_eq!(cal.pop(), heap.pop());
+                }
+            }
+            while let Some(expected) = heap.pop() {
+                prop_assert_eq!(cal.pop(), Some(expected));
+            }
+            prop_assert_eq!(cal.pop(), None);
+            prop_assert!(cal.is_empty());
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

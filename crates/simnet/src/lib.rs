@@ -28,7 +28,7 @@ mod engine;
 mod error;
 mod network;
 
-pub use engine::{EventQueue, HeapEventQueue, QueueStats};
+pub use engine::{EventQueue, QueueStats};
 pub use error::NetworkError;
 pub use network::{Network, NetworkConfig, Transfer};
 // `SimTime` moved down into `multipod-trace` (so trace events can be

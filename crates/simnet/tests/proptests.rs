@@ -1,6 +1,6 @@
 //! Property tests for the network simulator.
 
-use multipod_simnet::{EventQueue, HeapEventQueue, Network, NetworkConfig, SimTime};
+use multipod_simnet::{EventQueue, Network, NetworkConfig, SimTime};
 use multipod_topology::{ChipId, Multipod, MultipodConfig};
 use proptest::prelude::*;
 
@@ -102,32 +102,6 @@ proptest! {
             popped.push(payload);
         }
         prop_assert_eq!(popped.len(), times.len());
-    }
-
-    /// The calendar queue is observationally equivalent to the binary-heap
-    /// reference: identical pop sequences (times and payloads, FIFO ties
-    /// included) under arbitrary interleaved schedule/pop traffic at any
-    /// timescale — from sub-bucket-width spacings to multi-second gaps.
-    #[test]
-    fn calendar_queue_matches_heap_reference(
-        ops in prop::collection::vec((0u32..2000, prop::bool::ANY), 1..120),
-        scale in prop::sample::select(vec![1e-9f64, 1e-6, 1e-3, 0.5]),
-    ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        for (i, &(t, pop_after)) in ops.iter().enumerate() {
-            let time = SimTime::from_seconds(t as f64 * scale);
-            cal.schedule(time, i);
-            heap.schedule(time, i);
-            if pop_after {
-                prop_assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        while let Some(expected) = heap.pop() {
-            prop_assert_eq!(cal.pop(), Some(expected));
-        }
-        prop_assert_eq!(cal.pop(), None);
-        prop_assert!(cal.is_empty());
     }
 
     /// Failing or healing a link invalidates memoized routes and link

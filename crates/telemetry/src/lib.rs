@@ -18,7 +18,7 @@
 //!   drift.
 //!
 //! The [`report::FlightReport`] bundles all three into one JSON/text
-//! document (the "flight recorder"), which `repro_profile` gates in CI.
+//! document (the "flight recorder"), which `repro profile` gates in CI.
 //!
 //! ```
 //! use multipod_telemetry::{MetricId, Subsystem, Telemetry};
