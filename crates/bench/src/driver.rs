@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use serde_json::Value;
 
 use crate::repros::{find, Outcome, Replay, Repro, REPROS};
-use crate::{committed_measurement, write_profile, write_trace, Args, ReproError};
+use crate::{committed_measurement, flight_report, write_profile, write_trace, Args, ReproError};
 
 /// The usage text: the command shape, the shared flags and every name.
 pub fn usage() -> String {
@@ -128,7 +128,9 @@ fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
 fn same(a: &Outcome, b: &Outcome) -> Result<bool, ReproError> {
     let envelope = |o: &Outcome| o.report.as_ref().map(serde_json::to_string).transpose();
     let recorded = |o: &Outcome| match &o.replay {
-        Replay::Recorded(recorder, flight) => Some((recorder.events(), flight.clone())),
+        Replay::Recorded(recorder, telemetry, drift) => {
+            Some((recorder.events(), telemetry.snapshot(), drift.clone()))
+        }
         _ => None,
     };
     Ok(a.text == b.text
@@ -154,13 +156,13 @@ fn export(replay: &Replay, args: &Args) -> Result<Vec<PathBuf>, ReproError> {
                 written.push(path);
             }
         }
-        Replay::Recorded(recorder, flight) => {
+        Replay::Recorded(recorder, telemetry, drift) => {
             if let Some(path) = trace {
                 recorder.write_chrome_trace(&path)?;
                 written.push(path);
             }
-            if let (Some(path), Some(flight)) = (profile, flight) {
-                flight.write_json(&path)?;
+            if let Some(path) = profile {
+                flight_report(recorder, telemetry, drift.clone()).write_json(&path)?;
                 written.push(path);
             }
         }

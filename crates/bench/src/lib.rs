@@ -29,10 +29,10 @@ pub mod repros;
 use std::path::Path;
 use std::sync::Arc;
 
-use multipod_core::step::{record_step_telemetry, record_step_trace};
+use multipod_core::step::record_step;
 use multipod_core::{presets, Executor, Preset, Report};
 use multipod_simnet::SimTime;
-use multipod_telemetry::{FlightReport, Telemetry};
+use multipod_telemetry::{DriftReport, FlightReport, Obs, Telemetry};
 use multipod_trace::Recorder;
 use serde::Serialize;
 use serde_json::Value;
@@ -112,16 +112,21 @@ pub fn run_named(name: &str, chips: u32) -> Result<Report, ReproError> {
     Ok(Executor::new(preset_by_name(name, chips)?).run()?)
 }
 
+/// A fresh recorder and registry, and the one handle that feeds both.
+pub(crate) fn observed() -> (Arc<Recorder>, Arc<Telemetry>, Obs) {
+    let (recorder, telemetry) = (Recorder::shared(), Telemetry::shared());
+    let obs = Obs::new(Some(recorder.clone()), Some(telemetry.clone()));
+    (recorder, telemetry, obs)
+}
+
 /// Replays the first three steps of each report, back to back on the
 /// simulation track, through the trace and telemetry layers.
 pub fn replay_steps(reports: &[Report]) -> (Arc<Recorder>, Arc<Telemetry>) {
-    let (recorder, telemetry) = (Recorder::shared(), Telemetry::shared());
+    let (recorder, telemetry, obs) = observed();
     let mut cursor = SimTime::ZERO;
     for report in reports {
         for s in 0..3.min(report.steps) {
-            cursor =
-                record_step_trace(recorder.as_ref(), &report.name, &report.step, s + 1, cursor);
-            record_step_telemetry(&telemetry, &report.step);
+            cursor = record_step(&obs, &report.name, &report.step, s + 1, cursor);
         }
     }
     (recorder, telemetry)
@@ -142,7 +147,7 @@ pub fn write_trace(path: &Path, reports: &[Report]) -> Result<(), ReproError> {
         Multipod::new(MultipodConfig::mesh(8, 8, true)),
         NetworkConfig::tpu_v3(),
     );
-    net.set_trace_sink(recorder.clone());
+    net.set_obs(Obs::new(Some(recorder.clone()), None));
     let mut rng = TensorRng::seed(17);
     let inputs: Vec<_> = (0..net.mesh().num_chips())
         .map(|_| rng.uniform(Shape::vector(4096), -1.0, 1.0))
@@ -155,12 +160,21 @@ pub fn write_trace(path: &Path, reports: &[Report]) -> Result<(), ReproError> {
 /// Output is fully deterministic.
 pub fn write_profile(path: &Path, reports: &[Report]) -> Result<(), ReproError> {
     let (recorder, telemetry) = replay_steps(reports);
-    let flight = FlightReport {
+    Ok(flight_report(&recorder, &telemetry, Vec::new()).write_json(path)?)
+}
+
+/// The flight report of a recorded run: the registry as it stands, the
+/// critical-path profile of the recorded spans, and `drift`.
+pub(crate) fn flight_report(
+    recorder: &Recorder,
+    telemetry: &Telemetry,
+    drift: Vec<DriftReport>,
+) -> FlightReport {
+    FlightReport {
         registry: telemetry.snapshot(),
         profile: multipod_telemetry::profile(&recorder.events()),
-        drift: Vec::new(),
-    };
-    Ok(flight.write_json(path)?)
+        drift,
+    }
 }
 
 /// The common envelope of every `BENCH_*.json` artifact: what ran, on

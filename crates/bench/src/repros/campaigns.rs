@@ -3,19 +3,16 @@
 //! paper's 128×32 machine unless `--mesh` overrides, records its Chrome
 //! trace while it runs, and fills a `BENCH_*.json` envelope.
 
-use std::sync::Arc;
-
 use multipod_ckpt::{interval_curve, run_rollback_campaign, young_daly_interval, RollbackConfig};
 use multipod_faults::{run_campaign, CampaignConfig, FaultPlan};
 use multipod_sched::{PodScheduler, SchedConfig};
 use multipod_serve::{ServeCampaign, ServeCampaignConfig};
 use multipod_simnet::SimTime;
 use multipod_topology::{ChipId, Multipod, MultipodConfig};
-use multipod_trace::{Recorder, TraceSink};
 use serde_json::json;
 
 use super::{Outcome, Replay};
-use crate::{Args, BenchReport, ReproError};
+use crate::{observed, Args, BenchReport, ReproError};
 
 /// Mean mesh utilization the scheduling and serving campaigns must keep.
 const UTILIZATION_FLOOR: f64 = 0.70;
@@ -79,8 +76,8 @@ pub fn faults(args: &Args) -> Result<Outcome, ReproError> {
         1,
         2.0,
     );
-    let recorder = Recorder::shared();
-    let faulty = run_campaign(&config, &plan, Some(recorder.clone() as Arc<dyn TraceSink>))?;
+    let (recorder, telemetry, obs) = observed();
+    let faulty = run_campaign(&config, &plan, Some(obs))?;
 
     outln!(
         text,
@@ -137,7 +134,7 @@ pub fn faults(args: &Args) -> Result<Outcome, ReproError> {
     Ok(Outcome {
         text,
         report: Some(report),
-        replay: Replay::Recorded(recorder, None),
+        replay: Replay::Recorded(recorder, telemetry, Vec::new()),
         ..Default::default()
     })
 }
@@ -182,9 +179,8 @@ pub fn ckpt(args: &Args) -> Result<Outcome, ReproError> {
         SimTime::from_seconds(fault_at),
         victim(&mesh, 1.min(mesh.x_len() - 1)),
     );
-    let recorder = Recorder::shared();
-    let faulty =
-        run_rollback_campaign(&config, &plan, Some(recorder.clone() as Arc<dyn TraceSink>))?;
+    let (recorder, telemetry, obs) = observed();
+    let faulty = run_rollback_campaign(&config, &plan, Some(obs))?;
 
     let mean_save_seconds = clean.save_seconds / clean.checkpoints_saved as f64;
     let mtbf_seconds = faulty.total_seconds / faulty.rollbacks.max(1) as f64;
@@ -319,7 +315,7 @@ pub fn ckpt(args: &Args) -> Result<Outcome, ReproError> {
             "young_daly_optimal_interval_seconds": optimal_interval,
         })),
         report: Some(report),
-        replay: Replay::Recorded(recorder, None),
+        replay: Replay::Recorded(recorder, telemetry, Vec::new()),
         witness: serde_json::to_string(&faulty)?,
     })
 }
@@ -366,9 +362,9 @@ pub fn sched(args: &Args) -> Result<Outcome, ReproError> {
                 victim(&mesh, mesh.x_len() / 2),
             )
     };
-    let recorder = Recorder::shared();
+    let (recorder, telemetry, obs) = observed();
     let mut scheduler = PodScheduler::new(config);
-    scheduler.set_trace_sink(recorder.clone() as Arc<dyn TraceSink>);
+    scheduler.set_obs(obs);
     let report = scheduler.run_with_faults(&plan)?;
 
     outln!(
@@ -465,7 +461,7 @@ pub fn sched(args: &Args) -> Result<Outcome, ReproError> {
             "preemption_overhead_mean_seconds": report.preemption_overhead.mean,
         })),
         report: Some(bench),
-        replay: Replay::Recorded(recorder, None),
+        replay: Replay::Recorded(recorder, telemetry, Vec::new()),
         witness: serde_json::to_string(&report)?,
     })
 }
@@ -501,9 +497,9 @@ pub fn serve(args: &Args) -> Result<Outcome, ReproError> {
         seed
     );
 
-    let recorder = Recorder::shared();
+    let (recorder, telemetry, obs) = observed();
     let mut campaign = ServeCampaign::new(config);
-    campaign.set_trace_sink(recorder.clone() as Arc<dyn TraceSink>);
+    campaign.set_obs(obs);
     let report = campaign.run()?;
     let (dlrm, rl, sched) = (&report.dlrm, &report.rl, &report.sched);
 
@@ -609,7 +605,7 @@ pub fn serve(args: &Args) -> Result<Outcome, ReproError> {
             "rl_learner_throughput": rl.learner_throughput,
         })),
         report: Some(bench),
-        replay: Replay::Recorded(recorder, None),
+        replay: Replay::Recorded(recorder, telemetry, Vec::new()),
         witness: serde_json::to_string(&report)?,
     })
 }

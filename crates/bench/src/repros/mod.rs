@@ -10,7 +10,7 @@ mod studies;
 use std::sync::Arc;
 
 use multipod_core::Report;
-use multipod_telemetry::FlightReport;
+use multipod_telemetry::{DriftReport, Telemetry};
 use multipod_trace::Recorder;
 use serde_json::Value;
 
@@ -25,9 +25,10 @@ pub enum Replay {
     /// Analytic step timelines, replayed through the trace and telemetry
     /// layers on demand.
     Steps(Vec<Report>),
-    /// The events a campaign recorded while it ran and, for the profile
-    /// campaign, the flight report computed from them.
-    Recorded(Arc<Recorder>, Option<FlightReport>),
+    /// What a campaign recorded while it ran — events and metrics — and,
+    /// for the profile campaign, its α–β drift checks. `--profile` builds
+    /// the flight report from these on demand.
+    Recorded(Arc<Recorder>, Arc<Telemetry>, Vec<DriftReport>),
 }
 
 /// Everything one run of a reproduction produced; the driver decides what

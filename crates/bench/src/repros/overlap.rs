@@ -16,11 +16,10 @@ use multipod_core::step::{step_breakdown, StepOptions};
 use multipod_models::{catalog, Workload};
 use multipod_simnet::SimTime;
 use multipod_taskgraph::Resource;
-use multipod_trace::Recorder;
 use serde_json::{json, Value};
 
 use super::{Outcome, Replay};
-use crate::{Args, BenchReport, ReproError};
+use crate::{observed, Args, BenchReport, ReproError};
 
 /// A 4×-scaled BERT (1.34B params, same architecture ratios) with the
 /// per-core batch trimmed to 4. At 4096 chips the stock 334M-parameter
@@ -136,10 +135,8 @@ pub fn overlap(args: &Args) -> Result<Outcome, ReproError> {
             ),
         );
 
-    let recorder = Recorder::shared();
-    overlapped
-        .schedule
-        .record_trace(recorder.as_ref(), SimTime::ZERO);
+    let (recorder, telemetry, obs) = observed();
+    overlapped.schedule.record(&obs, SimTime::ZERO);
     Ok(Outcome {
         text,
         section: Some(json!({
@@ -152,7 +149,7 @@ pub fn overlap(args: &Args) -> Result<Outcome, ReproError> {
             "overlap_ratio": overlapped.overlap_ratio(),
         })),
         report: Some(report),
-        replay: Replay::Recorded(recorder, None),
+        replay: Replay::Recorded(recorder, telemetry, Vec::new()),
         ..Default::default()
     })
 }

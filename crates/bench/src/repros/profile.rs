@@ -22,8 +22,7 @@ use multipod_collectives::{ring, Precision};
 use multipod_core::{presets, Executor};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_telemetry::{
-    check_drift, collective_samples, fit_alpha_beta, FlightReport, MetricId, StepDecomposition,
-    Subsystem,
+    check_drift, collective_samples, fit_alpha_beta, MetricId, Obs, StepDecomposition, Subsystem,
 };
 use multipod_tensor::{Shape, TensorRng};
 use multipod_topology::{Multipod, MultipodConfig};
@@ -32,7 +31,7 @@ use serde::Serialize;
 use serde_json::{json, Value};
 
 use super::{Outcome, Replay};
-use crate::{replay_steps, Args, BenchReport, ReproError};
+use crate::{flight_report, replay_steps, Args, BenchReport, ReproError};
 
 /// Fractional drift tolerance for the α–β fit vs the analytic model.
 const DRIFT_TOLERANCE: f64 = 0.15;
@@ -59,7 +58,7 @@ pub fn profile(args: &Args) -> Result<Outcome, ReproError> {
     // elements per chip to split across the Y rings, the X chains, and
     // the bidirectional lanes of each.
     let mut net = Network::new(Multipod::new(cfg.clone()), NetworkConfig::tpu_v3());
-    net.set_telemetry(telemetry.clone());
+    net.set_obs(Obs::new(None, Some(telemetry.clone())));
     let mut rng = TensorRng::seed(17);
     let elems = 4 * mesh.x_len() as usize * mesh.y_len() as usize;
     let inputs: Vec<_> = (0..chips)
@@ -71,8 +70,10 @@ pub fn profile(args: &Args) -> Result<Outcome, ReproError> {
     // so its collective spans stay out of the step profiles.
     let ring_recorder = Recorder::shared();
     let mut ring_net = Network::new(Multipod::new(cfg), NetworkConfig::tpu_v3());
-    ring_net.set_telemetry(telemetry.clone());
-    ring_net.set_trace_sink(ring_recorder.clone());
+    ring_net.set_obs(Obs::new(
+        Some(ring_recorder.clone()),
+        Some(telemetry.clone()),
+    ));
     let y_ring = ring_net.mesh().y_ring(0);
     let n = y_ring.len();
     let mut ring_cursor = SimTime::ZERO;
@@ -111,11 +112,7 @@ pub fn profile(args: &Args) -> Result<Outcome, ReproError> {
         ));
     }
 
-    let flight = FlightReport {
-        registry: telemetry.snapshot(),
-        profile: multipod_telemetry::profile(&recorder.events()),
-        drift,
-    };
+    let flight = flight_report(&recorder, &telemetry, drift);
     let profile = &flight.profile;
     let counter = |name| {
         flight
@@ -181,7 +178,7 @@ pub fn profile(args: &Args) -> Result<Outcome, ReproError> {
     Ok(Outcome {
         text,
         report: Some(report),
-        replay: Replay::Recorded(recorder, Some(flight)),
+        replay: Replay::Recorded(recorder, telemetry, flight.drift),
         ..Default::default()
     })
 }

@@ -78,3 +78,38 @@ fn repro_all_is_byte_deterministic_and_has_no_wall_clock_section() {
         assert!(doc.get(key).is_some(), "missing section {key}");
     }
 }
+
+#[test]
+fn profile_flag_writes_a_campaign_flight_report_with_metrics() {
+    let dir = std::env::temp_dir().join("multipod-bench-driver-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (json, profile) = (path("sched.json"), path("sched.profile.json"));
+    let argv = [
+        "sched",
+        "--mesh",
+        "32x32",
+        "--jobs",
+        "200",
+        "--json",
+        &json,
+        "--profile",
+        &profile,
+    ];
+    assert!(cli(&argv).expect("repro sched"), "gates must pass");
+    let body = std::fs::read_to_string(&profile).expect("flight report written");
+    let flight: serde_json::Value = serde_json::from_str(&body).expect("flight json");
+    let counter = |name: &str| {
+        flight
+            .get("registry")
+            .and_then(|r| r.get("counters"))
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_u64())
+    };
+    assert_eq!(counter("pod.arrivals"), Some(200));
+    assert_eq!(counter("pod.jobs_completed"), Some(200));
+    assert!(
+        counter("simnet.transfers") > Some(0),
+        "ckpt traffic metered"
+    );
+}

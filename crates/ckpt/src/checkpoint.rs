@@ -327,52 +327,39 @@ pub fn save_checkpoint(
         ici_seconds = ici_seconds.max(gathered - start);
         pcie_seconds = pcie_seconds.max(streamed - gathered);
         finish = finish.max(streamed);
-        if let Some(sink) = net.trace_sink() {
-            sink.record_span(
-                SpanEvent::new(
-                    Track::Host { host: host.host.0 },
-                    SpanCategory::Checkpoint,
-                    "ckpt-save-host",
-                    start,
-                    streamed,
-                )
-                .with_arg("bytes", host_bytes as f64)
-                .with_arg("shards", host.shards.len() as f64),
-            );
-        }
-    }
-    if let Some(sink) = net.trace_sink() {
-        sink.record_span(
+        net.obs().span(|| {
             SpanEvent::new(
-                Track::Sim,
+                Track::Host { host: host.host.0 },
                 SpanCategory::Checkpoint,
-                "ckpt-save",
+                "ckpt-save-host",
                 start,
-                finish,
+                streamed,
             )
-            .with_arg("step", bundle.step as f64)
-            .with_arg("bytes", total_bytes as f64)
-            .with_arg("shards", placement.num_shards as f64)
-            .with_arg("hosts", placement.num_hosts() as f64),
-        );
+            .with_arg("bytes", host_bytes as f64)
+            .with_arg("shards", host.shards.len() as f64)
+        });
     }
+    net.obs().span(|| {
+        SpanEvent::new(
+            Track::Sim,
+            SpanCategory::Checkpoint,
+            "ckpt-save",
+            start,
+            finish,
+        )
+        .with_arg("step", bundle.step as f64)
+        .with_arg("bytes", total_bytes as f64)
+        .with_arg("shards", placement.num_shards as f64)
+        .with_arg("hosts", placement.num_hosts() as f64)
+    });
 
-    if let Some(telemetry) = net.telemetry() {
-        telemetry.inc_counter(MetricId::new(Subsystem::Ckpt, "saves"), 1);
-        telemetry.inc_counter(MetricId::new(Subsystem::Ckpt, "saved_bytes"), total_bytes);
-        telemetry.observe(
-            MetricId::new(Subsystem::Ckpt, "save_seconds"),
-            finish - start,
-        );
-        telemetry.observe(
-            MetricId::new(Subsystem::Ckpt, "save_ici_seconds"),
-            ici_seconds,
-        );
-        telemetry.observe(
-            MetricId::new(Subsystem::Ckpt, "save_pcie_seconds"),
-            pcie_seconds,
-        );
-    }
+    let id = |name| MetricId::new(Subsystem::Ckpt, name);
+    let obs = net.obs();
+    obs.count(id("saves"), 1);
+    obs.count(id("saved_bytes"), total_bytes);
+    obs.observe(id("save_seconds"), finish - start);
+    obs.observe(id("save_ici_seconds"), ici_seconds);
+    obs.observe(id("save_pcie_seconds"), pcie_seconds);
 
     let hashes: Vec<u64> = shards.iter().map(ShardData::hash).collect();
     let manifest = Manifest::new(bundle.step, placement, bundle.slot_lens(), &hashes);
@@ -501,18 +488,16 @@ pub fn restore_checkpoint(
         total_bytes += bytes;
         pcie_seconds = pcie_seconds.max(up);
         ingest_finish = ingest_finish.max(routed);
-        if let Some(sink) = net.trace_sink() {
-            sink.record_span(
-                SpanEvent::new(
-                    Track::Host { host },
-                    SpanCategory::Checkpoint,
-                    "ckpt-restore-host",
-                    start,
-                    routed,
-                )
-                .with_arg("bytes", bytes as f64),
-            );
-        }
+        net.obs().span(|| {
+            SpanEvent::new(
+                Track::Host { host },
+                SpanCategory::Checkpoint,
+                "ckpt-restore-host",
+                start,
+                routed,
+            )
+            .with_arg("bytes", bytes as f64)
+        });
     }
     let finish = if live.len() >= 2 {
         let ring = Ring::new(live.clone(), false, 1);
@@ -522,39 +507,25 @@ pub fn restore_checkpoint(
     } else {
         ingest_finish
     };
-    if let Some(sink) = net.trace_sink() {
-        sink.record_span(
-            SpanEvent::new(
-                Track::Sim,
-                SpanCategory::Checkpoint,
-                "ckpt-restore",
-                start,
-                finish,
-            )
-            .with_arg("step", manifest.step as f64)
-            .with_arg("bytes", total_bytes as f64)
-            .with_arg("target_shards", target.num_shards as f64),
-        );
-    }
-    if let Some(telemetry) = net.telemetry() {
-        telemetry.inc_counter(MetricId::new(Subsystem::Ckpt, "restores"), 1);
-        telemetry.inc_counter(
-            MetricId::new(Subsystem::Ckpt, "restored_bytes"),
-            total_bytes,
-        );
-        telemetry.observe(
-            MetricId::new(Subsystem::Ckpt, "restore_seconds"),
-            finish - start,
-        );
-        telemetry.observe(
-            MetricId::new(Subsystem::Ckpt, "restore_pcie_seconds"),
-            pcie_seconds,
-        );
-        telemetry.observe(
-            MetricId::new(Subsystem::Ckpt, "restore_broadcast_seconds"),
-            finish - ingest_finish,
-        );
-    }
+    net.obs().span(|| {
+        SpanEvent::new(
+            Track::Sim,
+            SpanCategory::Checkpoint,
+            "ckpt-restore",
+            start,
+            finish,
+        )
+        .with_arg("step", manifest.step as f64)
+        .with_arg("bytes", total_bytes as f64)
+        .with_arg("target_shards", target.num_shards as f64)
+    });
+    let id = |name| MetricId::new(Subsystem::Ckpt, name);
+    let obs = net.obs();
+    obs.count(id("restores"), 1);
+    obs.count(id("restored_bytes"), total_bytes);
+    obs.observe(id("restore_seconds"), finish - start);
+    obs.observe(id("restore_pcie_seconds"), pcie_seconds);
+    obs.observe(id("restore_broadcast_seconds"), finish - ingest_finish);
     Ok(RestoreOutcome {
         bundle,
         finish,
@@ -567,10 +538,10 @@ pub fn restore_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     use multipod_optim::{Optimizer, SgdMomentum};
     use multipod_simnet::NetworkConfig;
+    use multipod_telemetry::Obs;
     use multipod_tensor::{Shape, TensorRng};
     use multipod_topology::{Multipod, MultipodConfig};
     use multipod_trace::{Recorder, TraceEvent};
@@ -656,7 +627,7 @@ mod tests {
     fn save_and_restore_emit_checkpoint_spans() {
         let recorder = Recorder::shared();
         let mut net = network(MultipodConfig::mesh(4, 4, true));
-        net.set_trace_sink(recorder.clone() as Arc<dyn multipod_trace::TraceSink>);
+        net.set_obs(Obs::new(Some(recorder.clone()), None));
         let placement = ShardPlacement::plan(net.mesh(), &[], 64).unwrap();
         let (bundle, _) = warm_bundle(64, 16);
         let pcie = PcieCost::criteo();
@@ -682,7 +653,7 @@ mod tests {
     fn save_and_restore_record_telemetry() {
         let telemetry = multipod_telemetry::Telemetry::shared();
         let mut net = network(MultipodConfig::mesh(4, 4, true));
-        net.set_telemetry(telemetry.clone());
+        net.set_obs(Obs::new(None, Some(telemetry.clone())));
         let placement = ShardPlacement::plan(net.mesh(), &[], 64).unwrap();
         let (bundle, _) = warm_bundle(64, 16);
         let pcie = PcieCost::criteo();

@@ -15,17 +15,16 @@
 //! (its gradient depends only on `w`), which is precisely what makes the
 //! time difference the interesting measurement.
 
-use std::sync::Arc;
-
 use serde::Serialize;
 
 use multipod_collectives::CollectiveError;
 use multipod_core::trainer::{DataParallelTrainer, FaultPolicy, RecoveryMode};
 use multipod_optim::{LrSchedule, SgdMomentum};
 use multipod_simnet::SimTime;
+use multipod_telemetry::{MetricId, Obs, Subsystem};
 use multipod_tensor::{Shape, Tensor, TensorRng};
 use multipod_topology::MultipodConfig;
-use multipod_trace::{SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use multipod_faults::{FaultDriver, FaultPlan};
 
@@ -132,7 +131,7 @@ pub struct RollbackReport {
 pub fn run_rollback_campaign(
     config: &RollbackConfig,
     plan: &FaultPlan,
-    sink: Option<Arc<dyn TraceSink>>,
+    obs: Option<Obs>,
 ) -> Result<RollbackReport, CkptError> {
     let policy = FaultPolicy {
         recovery: RecoveryMode::Rollback,
@@ -147,9 +146,8 @@ pub fn run_rollback_campaign(
     if config.bf16_gradients {
         trainer = trainer.with_bf16_gradients();
     }
-    if let Some(sink) = sink.clone() {
-        trainer.set_trace_sink(sink);
-    }
+    let obs = obs.unwrap_or_default();
+    trainer.set_obs(obs.clone());
     let n = trainer.replicas();
     let mut rng = TensorRng::seed(config.seed);
     let target = rng.uniform(Shape::vector(config.elems), -1.0, 1.0);
@@ -202,15 +200,13 @@ pub fn run_rollback_campaign(
                 if replayed {
                     replayed_steps += 1;
                 }
-                if let Some(sink) = &sink {
-                    sink.record_span(
-                        SpanEvent::new(Track::Sim, SpanCategory::Step, "campaign-step", now, end)
-                            .with_arg("step", stats.step as f64)
-                            .with_arg("replayed", f64::from(u8::from(replayed)))
-                            .with_arg("dead_replicas", stats.dead_replicas as f64)
-                            .with_arg("degraded", f64::from(u8::from(stats.degraded))),
-                    );
-                }
+                obs.span(|| {
+                    SpanEvent::new(Track::Sim, SpanCategory::Step, "campaign-step", now, end)
+                        .with_arg("step", stats.step as f64)
+                        .with_arg("replayed", f64::from(u8::from(replayed)))
+                        .with_arg("dead_replicas", stats.dead_replicas as f64)
+                        .with_arg("degraded", f64::from(u8::from(stats.degraded)))
+                });
                 let loss = {
                     let err = w.sub(&target)?;
                     let norm = f64::from(err.norm2());
@@ -249,15 +245,7 @@ pub fn run_rollback_campaign(
                 // restore the last checkpoint onto the survivor mesh and
                 // replay the window since it.
                 rollbacks += 1;
-                if let Some(telemetry) = trainer.network().telemetry() {
-                    telemetry.inc_counter(
-                        multipod_telemetry::MetricId::new(
-                            multipod_telemetry::Subsystem::Ckpt,
-                            "rollbacks",
-                        ),
-                        1,
-                    );
-                }
+                obs.count(MetricId::new(Subsystem::Ckpt, "rollbacks"), 1);
                 if rollbacks > max_rollbacks {
                     return Err(CkptError::Network(err));
                 }
@@ -277,20 +265,18 @@ pub fn run_rollback_campaign(
                     .restore_optimizer(trainer.optimizer_mut(), n)?;
                 trainer.rollback_to(restored.bundle.step);
                 replay_until = failed_at;
-                if let Some(sink) = &sink {
-                    sink.record_span(
-                        SpanEvent::new(
-                            Track::Sim,
-                            SpanCategory::Checkpoint,
-                            "rollback",
-                            now,
-                            restored.finish,
-                        )
-                        .with_arg("failed_at_step", failed_at as f64)
-                        .with_arg("restored_step", restored.bundle.step as f64)
-                        .with_arg("survivor_shards", survivor.num_shards as f64),
-                    );
-                }
+                obs.span(|| {
+                    SpanEvent::new(
+                        Track::Sim,
+                        SpanCategory::Checkpoint,
+                        "rollback",
+                        now,
+                        restored.finish,
+                    )
+                    .with_arg("failed_at_step", failed_at as f64)
+                    .with_arg("restored_step", restored.bundle.step as f64)
+                    .with_arg("survivor_shards", survivor.num_shards as f64)
+                });
                 restore_seconds += restored.finish - now;
                 now = restored.finish;
             }
@@ -341,7 +327,9 @@ mod tests {
         let t = SimTime::from_seconds(clean.steps[4].start_seconds + 1e-9);
         let plan = FaultPlan::new().chip_down(t, ChipId(5));
         let recorder = Recorder::shared();
-        let faulty = run_rollback_campaign(&config, &plan, Some(recorder.clone())).unwrap();
+        let telemetry = multipod_telemetry::Telemetry::shared();
+        let obs = Obs::new(Some(recorder.clone()), Some(telemetry.clone()));
+        let faulty = run_rollback_campaign(&config, &plan, Some(obs)).unwrap();
 
         assert_eq!(faulty.rollbacks, 1);
         assert!(faulty.replayed_steps >= 1, "the lost window must replay");
@@ -369,6 +357,12 @@ mod tests {
             })
             .count();
         assert_eq!(rollback_spans, 1);
+        // …and as registry counters that agree with the report.
+        let snap = telemetry.snapshot();
+        let count = |name| snap.counter(&MetricId::new(Subsystem::Ckpt, name));
+        assert_eq!(count("rollbacks"), faulty.rollbacks as u64);
+        assert_eq!(count("restores"), faulty.rollbacks as u64);
+        assert_eq!(count("saves"), faulty.checkpoints_saved as u64);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use multipod_topology::ChipId;
 use multipod_trace::{SpanCategory, SpanEvent};
 
 use crate::ring::CollectiveOutput;
-use crate::{chip_track, emit_span, CollectiveError, Precision};
+use crate::{chip_track, CollectiveError, Precision};
 
 /// All-to-all over `chips`: participant `i` supplies `inputs[i]`, a
 /// tensor whose axis 0 splits into `n` equal blocks; block `j` of
@@ -71,8 +71,7 @@ pub fn all_to_all(
         net.parallel_transfers(&messages, start)?
     };
     if !messages.is_empty() {
-        emit_span(
-            net,
+        net.obs().span(|| {
             SpanEvent::new(
                 chip_track(net, chips[0]),
                 SpanCategory::Collective,
@@ -81,8 +80,8 @@ pub fn all_to_all(
                 time,
             )
             .with_bytes(messages.len() as u64 * block_bytes)
-            .with_arg("members", n as f64),
-        );
+            .with_arg("members", n as f64)
+        });
     }
 
     // Numerics: participant j receives block j from everyone.

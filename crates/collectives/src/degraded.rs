@@ -14,7 +14,7 @@ use multipod_topology::{Multipod, Ring};
 use multipod_trace::{SpanCategory, SpanEvent};
 
 use crate::ring::{self, CollectiveOutput};
-use crate::{chip_track, emit_span, CollectiveError, Precision};
+use crate::{chip_track, CollectiveError, Precision};
 
 /// How far a ring's routing has strayed from the healthy-mesh plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -105,8 +105,7 @@ pub fn all_reduce_graceful(
     let degradation = ring_degradation(net.mesh(), ring)?;
     let output = ring::all_reduce(net, ring, inputs, precision, start)?;
     if let Some(d) = degradation {
-        emit_span(
-            net,
+        net.obs().span(|| {
             SpanEvent::new(
                 chip_track(net, ring.members()[0]),
                 SpanCategory::Fault,
@@ -115,8 +114,8 @@ pub fn all_reduce_graceful(
                 output.time,
             )
             .with_arg("broken_edges", d.broken_edges as f64)
-            .with_arg("extra_hops", d.extra_hops as f64),
-        );
+            .with_arg("extra_hops", d.extra_hops as f64)
+        });
     }
     Ok(Graceful {
         output,
@@ -192,11 +191,12 @@ mod tests {
 
     #[test]
     fn degraded_collective_emits_a_fault_span() {
+        use multipod_telemetry::Obs;
         use multipod_trace::{Recorder, SpanCategory, TraceEvent};
         let mesh = Multipod::new(MultipodConfig::mesh(2, 4, true));
         let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
         let recorder = Recorder::shared();
-        net.set_trace_sink(recorder.clone());
+        net.set_obs(Obs::new(Some(recorder.clone()), None));
         let ring = net.mesh().y_ring(0);
         let wrap_a = *ring.members().last().unwrap();
         let wrap_b = ring.members()[0];

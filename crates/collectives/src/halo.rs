@@ -18,7 +18,7 @@ use multipod_topology::ChipId;
 use multipod_trace::{SpanCategory, SpanEvent};
 
 use crate::ring::CollectiveOutput;
-use crate::{chip_track, emit_span, CollectiveError, Precision};
+use crate::{chip_track, CollectiveError, Precision};
 
 /// Exchanges `halo` boundary slices along `axis` between consecutive
 /// parts placed on `chips`, returning each part padded with its
@@ -99,8 +99,7 @@ pub fn halo_exchange(
         outputs.push(padded);
     }
     if n > 1 && halo > 0 {
-        emit_span(
-            net,
+        net.obs().span(|| {
             SpanEvent::new(
                 chip_track(net, chips[0]),
                 SpanCategory::Collective,
@@ -109,8 +108,8 @@ pub fn halo_exchange(
                 finish,
             )
             .with_bytes(2 * (n as u64 - 1) * halo_bytes)
-            .with_arg("members", n as f64),
-        );
+            .with_arg("members", n as f64)
+        });
     }
     Ok(CollectiveOutput {
         outputs,

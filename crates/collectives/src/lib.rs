@@ -70,9 +70,29 @@ pub(crate) fn chip_track(
     }
 }
 
-/// Records `span` on the network's trace sink, if one is attached.
-pub(crate) fn emit_span(net: &multipod_simnet::Network, span: multipod_trace::SpanEvent) {
-    if let Some(sink) = net.trace_sink() {
-        sink.record_span(span);
+/// Emits a collective span on the ring's first member, skipping trivial
+/// (sub-2-member) rings that do no communication.
+pub(crate) fn emit_ring_span(
+    net: &multipod_simnet::Network,
+    ring: &multipod_topology::Ring,
+    category: multipod_trace::SpanCategory,
+    name: &str,
+    start: multipod_simnet::SimTime,
+    end: multipod_simnet::SimTime,
+    bytes: u64,
+) {
+    if ring.len() < 2 {
+        return;
     }
+    net.obs().span(|| {
+        multipod_trace::SpanEvent::new(
+            chip_track(net, ring.members()[0]),
+            category,
+            name,
+            start,
+            end,
+        )
+        .with_bytes(bytes)
+        .with_arg("members", ring.len() as f64)
+    });
 }

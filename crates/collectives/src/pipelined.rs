@@ -19,37 +19,10 @@
 
 use multipod_simnet::{Network, SimTime};
 use multipod_topology::Ring;
-use multipod_trace::{SpanCategory, SpanEvent};
+use multipod_trace::SpanCategory;
 
 use crate::ring::Direction;
-use crate::{chip_track, emit_span, CollectiveError, Precision, Schedule};
-
-/// Emits a pipelined-collective span on the ring's first member.
-fn emit_pipelined_span(
-    net: &Network,
-    ring: &Ring,
-    category: SpanCategory,
-    name: &str,
-    start: SimTime,
-    end: SimTime,
-    bytes: u64,
-) {
-    if ring.len() < 2 || net.trace_sink().is_none() {
-        return;
-    }
-    emit_span(
-        net,
-        SpanEvent::new(
-            chip_track(net, ring.members()[0]),
-            category,
-            name,
-            start,
-            end,
-        )
-        .with_bytes(bytes)
-        .with_arg("members", ring.len() as f64),
-    );
-}
+use crate::{emit_ring_span, CollectiveError, Precision, Schedule};
 
 /// Times a pipelined reduce-scatter of `elems` elements on `ring`.
 ///
@@ -66,7 +39,7 @@ pub fn reduce_scatter_time(
 ) -> Result<SimTime, CollectiveError> {
     let schedule = Schedule::reduce_scatter(ring.len(), direction);
     let t = run_pipelined(net, ring, &schedule, elems, precision, start)?;
-    emit_pipelined_span(
+    emit_ring_span(
         net,
         ring,
         SpanCategory::CollectivePhase,
@@ -93,7 +66,7 @@ pub fn all_gather_time(
 ) -> Result<SimTime, CollectiveError> {
     let schedule = Schedule::all_gather(ring.len(), direction);
     let t = run_pipelined(net, ring, &schedule, elems, precision, start)?;
-    emit_pipelined_span(
+    emit_ring_span(
         net,
         ring,
         SpanCategory::CollectivePhase,
@@ -126,7 +99,7 @@ pub fn all_reduce_time(
     let ag = Schedule::all_gather(n, direction);
     let done = run_pipelined_from(net, ring, &ag, elems, precision, &per_member)?;
     let t = done.into_iter().fold(start, SimTime::max);
-    emit_pipelined_span(
+    emit_ring_span(
         net,
         ring,
         SpanCategory::Collective,

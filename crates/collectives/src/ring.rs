@@ -12,32 +12,9 @@ use serde::{Deserialize, Serialize};
 use multipod_simnet::{Network, SimTime};
 use multipod_tensor::{Shape, Tensor};
 use multipod_topology::{ChipId, Ring};
-use multipod_trace::{SpanCategory, SpanEvent};
+use multipod_trace::SpanCategory;
 
-use crate::{chip_track, emit_span, ChunkMove, CollectiveError, Precision, Schedule};
-
-/// Emits a collective span on the ring's first member, skipping trivial
-/// (sub-2-member) rings that do no communication.
-fn emit_ring_span(
-    net: &Network,
-    ring: &Ring,
-    category: SpanCategory,
-    name: &str,
-    start: SimTime,
-    end: SimTime,
-    bytes: u64,
-) {
-    if ring.len() < 2 || net.trace_sink().is_none() {
-        return;
-    }
-    let track = chip_track(net, ring.members()[0]);
-    emit_span(
-        net,
-        SpanEvent::new(track, category, name, start, end)
-            .with_bytes(bytes)
-            .with_arg("members", ring.len() as f64),
-    );
-}
+use crate::{emit_ring_span, ChunkMove, CollectiveError, Precision, Schedule};
 
 /// Travel direction around a ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -21,12 +21,12 @@ use serde::{Deserialize, Serialize};
 use multipod_simnet::{Network, SimTime};
 use multipod_telemetry::{MetricId, Subsystem};
 use multipod_tensor::Tensor;
-use multipod_topology::ChipId;
+use multipod_topology::{ChipId, Ring};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::ring::{self, Direction};
 use crate::timing::RingCosts;
-use crate::{emit_span, CollectiveError, Precision, Schedule};
+use crate::{CollectiveError, Precision, Schedule};
 
 /// Per-phase breakdown of a 2-D all-reduce, seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -83,6 +83,7 @@ pub fn two_dim_all_reduce(
     model_stride: u32,
     mut shard_update: Option<ShardUpdateFn<'_>>,
 ) -> Result<TwoDimOutput, CollectiveError> {
+    use RingOp::{Gather, Scatter};
     let mesh = net.mesh().clone();
     if inputs.len() != mesh.num_chips() {
         return Err(CollectiveError::ParticipantMismatch {
@@ -91,234 +92,83 @@ pub fn two_dim_all_reduce(
         });
     }
     let shape = inputs[0].shape().clone();
-    let x_len = mesh.x_len();
     let y_len = mesh.y_len();
+    let mesh = &mesh;
+    let y_rings = || (0..mesh.x_len()).map(|x| mesh.y_ring(x));
+    let x_rings = || {
+        (0..y_len).flat_map(move |y| {
+            (0..model_stride).map(move |offset| mesh.x_line_strided(y, offset, model_stride))
+        })
+    };
 
-    // Phase 1: reduce-scatter along every Y ring (all columns concurrent).
-    let mut y_shards: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut phase_end = SimTime::ZERO;
-    for x in 0..x_len {
-        let ring_y = mesh.y_ring(x);
-        let col_inputs: Vec<Tensor> = ring_y
-            .members()
-            .iter()
-            .map(|c| inputs[c.index()].clone())
-            .collect();
-        let rs = ring::reduce_scatter(
-            net,
-            &ring_y,
-            &col_inputs,
-            precision,
-            Direction::Forward,
-            SimTime::ZERO,
-        )?;
-        for (member, shard) in ring_y.members().iter().zip(rs.shards) {
-            y_shards[member.index()] = Some(shard);
-        }
-        phase_end = phase_end.max(rs.time);
-    }
-    let y_rs_end = phase_end;
-
-    // Phase 2: reduce-scatter along X (strided over model peers).
-    let mut x_shards: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut x_rs_end = y_rs_end;
-    for y in 0..y_len {
-        for offset in 0..model_stride {
-            let ring_x = mesh.x_line_strided(y, offset, model_stride);
-            if ring_x.len() < 2 {
-                for &member in ring_x.members() {
-                    x_shards[member.index()] = y_shards[member.index()].clone();
-                }
-                continue;
-            }
-            // Invariant, not input-dependent: phase 1 filled `y_shards` for
-            // every chip (each chip is in exactly one Y ring), so this
-            // cannot fire for any caller-supplied payload.
-            let row_inputs: Vec<Tensor> = ring_x
-                .members()
-                .iter()
-                .map(|c| {
-                    y_shards[c.index()]
-                        .clone()
-                        .expect("phase 1 filled every y shard")
-                })
-                .collect();
-            let rs = ring::reduce_scatter(
-                net,
-                &ring_x,
-                &row_inputs,
-                precision,
-                Direction::Forward,
-                y_rs_end,
-            )?;
-            for (i, member) in ring_x.members().iter().enumerate() {
-                x_shards[member.index()] = Some(rs.shards[i].clone());
-            }
-            x_rs_end = x_rs_end.max(rs.time);
-        }
-    }
-
-    // Phase 3: the shard owner updates its slice (weight-update sharding).
+    // One tensor per chip, rewritten in place by each phase. Phases 1–2
+    // reduce-scatter along Y (all columns concurrent) then X (strided over
+    // model peers); phase 3 lets each shard owner update its slice
+    // (weight-update sharding); phases 4a–4b all-gather along X then Y.
+    let mut state = inputs.to_vec();
+    let start = SimTime::ZERO;
+    let y_rs_end = phase(net, y_rings(), &mut state, Scatter, precision, start)?;
+    let x_rs_end = phase(net, x_rings(), &mut state, Scatter, precision, y_rs_end)?;
     if let Some(update) = shard_update.as_mut() {
         for chip in mesh.chips() {
-            if let Some(shard) = x_shards[chip.index()].as_mut() {
-                update(chip, shard);
-            }
+            update(chip, &mut state[chip.index()]);
         }
     }
-
-    // Phase 4a: all-gather along X.
-    let mut x_full: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut x_ag_end = x_rs_end;
-    for y in 0..y_len {
-        for offset in 0..model_stride {
-            let ring_x = mesh.x_line_strided(y, offset, model_stride);
-            if ring_x.len() < 2 {
-                for &member in ring_x.members() {
-                    x_full[member.index()] = x_shards[member.index()].clone();
-                }
-                continue;
-            }
-            // Invariant: phase 2 filled `x_shards` for every chip (falling
-            // back to the Y shard on sub-2-member rings).
-            let shards: Vec<Tensor> = ring_x
-                .members()
-                .iter()
-                .map(|c| {
-                    x_shards[c.index()]
-                        .clone()
-                        .expect("phase 2 filled every x shard")
-                })
-                .collect();
-            let ag = ring::all_gather(
-                net,
-                &ring_x,
-                &shards,
-                precision,
-                Direction::Forward,
-                x_rs_end,
-            )?;
-            for (i, member) in ring_x.members().iter().enumerate() {
-                x_full[member.index()] = Some(ag.outputs[i].clone());
-            }
-            x_ag_end = x_ag_end.max(ag.time);
-        }
-    }
-
-    // Phase 4b: all-gather along Y.
-    let mut outputs: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut y_ag_end = x_ag_end;
-    for x in 0..x_len {
-        let ring_y = mesh.y_ring(x);
-        if ring_y.len() < 2 {
-            for &member in ring_y.members() {
-                outputs[member.index()] = x_full[member.index()].clone();
-            }
-            continue;
-        }
-        // Invariant: phase 4a filled `x_full` for every chip.
-        let shards: Vec<Tensor> = ring_y
-            .members()
-            .iter()
-            .map(|c| {
-                x_full[c.index()]
-                    .clone()
-                    .expect("phase 4a filled every x payload")
-            })
-            .collect();
-        let ag = ring::all_gather(
-            net,
-            &ring_y,
-            &shards,
-            precision,
-            Direction::Forward,
-            x_ag_end,
-        )?;
-        for (i, member) in ring_y.members().iter().enumerate() {
-            outputs[member.index()] = Some(ag.outputs[i].clone());
-        }
-        y_ag_end = y_ag_end.max(ag.time);
-    }
+    let x_ag_end = phase(net, x_rings(), &mut state, Gather, precision, x_rs_end)?;
+    let y_ag_end = phase(net, y_rings(), &mut state, Gather, precision, x_ag_end)?;
 
     // Machine-wide phase spans on the simulation track, with the α/β
     // attribution the analytic model assigns to each phase. The same
-    // per-phase numbers flow into the telemetry registry when attached.
-    if net.trace_sink().is_some() || net.telemetry().is_some() {
+    // per-phase numbers flow into the metrics registry when attached.
+    let obs = net.obs();
+    if !obs.is_off() {
         let elems = inputs[0].len();
         let x_elems = elems.div_ceil(y_len.max(1) as usize);
-        let y_costs = RingCosts::from_ring(net, &mesh.y_ring(0), 1)?;
-        let x_costs =
-            RingCosts::from_ring(net, &mesh.x_line_strided(0, 0, model_stride), model_stride)?;
+        let (y_costs, x_costs) = ring_costs(net, model_stride)?;
         let phase = |name: &str, s: SimTime, e: SimTime, costs: &RingCosts, phase_elems: usize| {
             let alpha = costs.phase_alpha_seconds();
             let beta = costs.phase_beta_seconds(phase_elems, precision, false);
             let bytes = precision.wire_bytes(phase_elems);
-            if net.trace_sink().is_some() {
-                emit_span(
-                    net,
-                    SpanEvent::new(Track::Sim, SpanCategory::CollectivePhase, name, s, e)
-                        .with_bytes(bytes)
-                        .with_arg("alpha_seconds", alpha)
-                        .with_arg("beta_seconds", beta),
-                );
-            }
-            if let Some(telemetry) = net.telemetry() {
-                telemetry.observe(
-                    MetricId::labeled(Subsystem::Collectives, "phase_seconds", name),
-                    e - s,
-                );
-                telemetry.inc_counter(
-                    MetricId::labeled(Subsystem::Collectives, "phase_bytes", name),
-                    bytes,
-                );
-                telemetry.observe(
-                    MetricId::labeled(Subsystem::Collectives, "model_alpha_seconds", name),
-                    alpha,
-                );
-                telemetry.observe(
-                    MetricId::labeled(Subsystem::Collectives, "model_beta_seconds", name),
-                    beta,
-                );
+            obs.span(|| {
+                SpanEvent::new(Track::Sim, SpanCategory::CollectivePhase, name, s, e)
+                    .with_bytes(bytes)
+                    .with_arg("alpha_seconds", alpha)
+                    .with_arg("beta_seconds", beta)
+            });
+            if let Some(metrics) = obs.metrics() {
+                let id = |metric| MetricId::labeled(Subsystem::Collectives, metric, name);
+                metrics.observe(id("phase_seconds"), e - s);
+                metrics.inc_counter(id("phase_bytes"), bytes);
+                metrics.observe(id("model_alpha_seconds"), alpha);
+                metrics.observe(id("model_beta_seconds"), beta);
             }
         };
         phase("y-reduce-scatter", SimTime::ZERO, y_rs_end, &y_costs, elems);
         phase("x-reduce-scatter", y_rs_end, x_rs_end, &x_costs, x_elems);
         phase("x-all-gather", x_rs_end, x_ag_end, &x_costs, x_elems);
         phase("y-all-gather", x_ag_end, y_ag_end, &y_costs, elems);
-        if net.trace_sink().is_some() {
-            emit_span(
-                net,
-                SpanEvent::new(
-                    Track::Sim,
-                    SpanCategory::Collective,
-                    "2d-all-reduce",
-                    SimTime::ZERO,
-                    y_ag_end,
-                )
-                .with_bytes(precision.wire_bytes(elems))
-                .with_arg("model_stride", model_stride as f64),
-            );
-        }
-        if let Some(telemetry) = net.telemetry() {
-            telemetry.inc_counter(MetricId::new(Subsystem::Collectives, "all_reduces"), 1);
-            telemetry.observe(
-                MetricId::new(Subsystem::Collectives, "all_reduce_seconds"),
-                y_ag_end - SimTime::ZERO,
-            );
-        }
-    }
-
-    // The per-chip fill is an invariant of the phase structure; the final
-    // reshape back to the caller's shape surfaces typed rather than
-    // panicking on a pathological tensor state.
-    let mut reshaped: Vec<Tensor> = Vec::with_capacity(outputs.len());
-    for t in outputs {
-        reshaped.push(
-            t.expect("phase 4b filled every output")
-                .reshape(shape.clone())?,
+        obs.span(|| {
+            SpanEvent::new(
+                Track::Sim,
+                SpanCategory::Collective,
+                "2d-all-reduce",
+                SimTime::ZERO,
+                y_ag_end,
+            )
+            .with_bytes(precision.wire_bytes(elems))
+            .with_arg("model_stride", model_stride as f64)
+        });
+        obs.count(MetricId::new(Subsystem::Collectives, "all_reduces"), 1);
+        obs.observe(
+            MetricId::new(Subsystem::Collectives, "all_reduce_seconds"),
+            y_ag_end - SimTime::ZERO,
         );
     }
-    let outputs = reshaped;
+
+    let outputs = state
+        .into_iter()
+        .map(|t| t.reshape(shape.clone()))
+        .collect::<Result<Vec<Tensor>, _>>()?;
     Ok(TwoDimOutput {
         outputs,
         time: y_ag_end,
@@ -329,6 +179,57 @@ pub fn two_dim_all_reduce(
             y_all_gather: y_ag_end - x_ag_end,
         },
     })
+}
+
+/// The ring collective one phase of [`two_dim_all_reduce`] runs.
+#[derive(Clone, Copy)]
+enum RingOp {
+    /// [`ring::reduce_scatter`]: each member keeps one reduced shard.
+    Scatter,
+    /// [`ring::all_gather`]: each member ends with every shard.
+    Gather,
+}
+
+/// Runs `op` over every ring of one phase, all issued at `start`, replacing
+/// each member's tensor in `state` (chip-id order) with its result, and
+/// returns when the slowest ring finishes. Rings run in iteration order, so
+/// the order fixes link contention and trace order. A ring of fewer than
+/// two members communicates nothing: its tensor passes through untouched.
+fn phase(
+    net: &mut Network,
+    rings: impl Iterator<Item = Ring>,
+    state: &mut [Tensor],
+    op: RingOp,
+    precision: Precision,
+    start: SimTime,
+) -> Result<SimTime, CollectiveError> {
+    let mut end = start;
+    for ring in rings {
+        if ring.len() < 2 {
+            continue;
+        }
+        let members: Vec<Tensor> = ring
+            .members()
+            .iter()
+            .map(|c| state[c.index()].clone())
+            .collect();
+        let forward = Direction::Forward;
+        let (results, time) = match op {
+            RingOp::Scatter => {
+                let rs = ring::reduce_scatter(net, &ring, &members, precision, forward, start)?;
+                (rs.shards, rs.time)
+            }
+            RingOp::Gather => {
+                let ag = ring::all_gather(net, &ring, &members, precision, forward, start)?;
+                (ag.outputs, ag.time)
+            }
+        };
+        for (member, result) in ring.members().iter().zip(results) {
+            state[member.index()] = result;
+        }
+        end = end.max(time);
+    }
+    Ok(end)
 }
 
 /// The index of the (flattened) payload chunk that `chip` owns between
@@ -373,18 +274,34 @@ pub fn two_dim_all_reduce_time(
     precision: Precision,
     model_stride: u32,
 ) -> Result<TwoDimBreakdown, CollectiveError> {
+    let (y_costs, x_costs) = ring_costs(net, model_stride)?;
+    Ok(breakdown(net, &y_costs, &x_costs, elems, precision))
+}
+
+/// α–β costs of the Y ring and of the `model_stride`-strided X line.
+fn ring_costs(net: &Network, model_stride: u32) -> Result<(RingCosts, RingCosts), CollectiveError> {
     let mesh = net.mesh();
     let y_costs = RingCosts::from_ring(net, &mesh.y_ring(0), 1)?;
     let x_ring = mesh.x_line_strided(0, 0, model_stride);
     let x_costs = RingCosts::from_ring(net, &x_ring, model_stride)?;
-    let y_len = mesh.y_len() as usize;
-    let x_elems = elems.div_ceil(y_len.max(1));
-    Ok(TwoDimBreakdown {
+    Ok((y_costs, x_costs))
+}
+
+/// One Y-then-X pass over `elems` elements on bidirectional rings.
+fn breakdown(
+    net: &Network,
+    y_costs: &RingCosts,
+    x_costs: &RingCosts,
+    elems: usize,
+    precision: Precision,
+) -> TwoDimBreakdown {
+    let x_elems = elems.div_ceil(net.mesh().y_len().max(1) as usize);
+    TwoDimBreakdown {
         y_reduce_scatter: y_costs.reduce_scatter_time(elems, precision, true),
         x_reduce_scatter: x_costs.reduce_scatter_time(x_elems, precision, true),
         x_all_gather: x_costs.all_gather_time(x_elems, precision, true),
         y_all_gather: y_costs.all_gather_time(elems, precision, true),
-    })
+    }
 }
 
 /// Splits `elems` into `buckets` near-equal chunks: the first
@@ -424,22 +341,10 @@ pub fn bucketed_two_dim_all_reduce_time(
     model_stride: u32,
     buckets: usize,
 ) -> Result<Vec<TwoDimBreakdown>, CollectiveError> {
-    let mesh = net.mesh();
-    let y_costs = RingCosts::from_ring(net, &mesh.y_ring(0), 1)?;
-    let x_ring = mesh.x_line_strided(0, 0, model_stride);
-    let x_costs = RingCosts::from_ring(net, &x_ring, model_stride)?;
-    let y_len = mesh.y_len() as usize;
+    let (y_costs, x_costs) = ring_costs(net, model_stride)?;
     Ok(bucket_sizes(elems, buckets)
         .into_iter()
-        .map(|bucket_elems| {
-            let x_elems = bucket_elems.div_ceil(y_len.max(1));
-            TwoDimBreakdown {
-                y_reduce_scatter: y_costs.reduce_scatter_time(bucket_elems, precision, true),
-                x_reduce_scatter: x_costs.reduce_scatter_time(x_elems, precision, true),
-                x_all_gather: x_costs.all_gather_time(x_elems, precision, true),
-                y_all_gather: y_costs.all_gather_time(bucket_elems, precision, true),
-            }
-        })
+        .map(|bucket_elems| breakdown(net, &y_costs, &x_costs, bucket_elems, precision))
         .collect())
 }
 

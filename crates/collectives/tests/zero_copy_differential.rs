@@ -103,7 +103,10 @@ fn twod_all_reduce_bf16_matches_seed_golden() {
 fn chrome_trace_export_matches_seed_bytes() {
     let mut net = torus(4, 4);
     let recorder = Recorder::shared();
-    net.set_trace_sink(recorder.clone() as Arc<dyn TraceSink>);
+    net.set_obs(multipod_telemetry::Obs::new(
+        Some(recorder.clone() as Arc<dyn TraceSink>),
+        None,
+    ));
     let ins = random_inputs(16, 256, 7);
     twod::two_dim_all_reduce(&mut net, &ins, Precision::F32, 1, None).unwrap();
     let text = serde_json::to_string(&recorder.chrome_trace().unwrap()).unwrap();

@@ -84,41 +84,6 @@ impl Executor {
         }
     }
 
-    /// Simulates the run and records a span timeline of its first steps
-    /// (up to `traced_steps`) into `sink`, laid out back to back in
-    /// simulated time via [`crate::step::record_step_trace`].
-    pub fn run_traced(
-        &self,
-        sink: &dyn multipod_trace::TraceSink,
-        traced_steps: u64,
-    ) -> Result<Report, StepError> {
-        let report = self.run()?;
-        let mut t = multipod_simnet::SimTime::ZERO;
-        for s in 0..traced_steps.min(report.steps) {
-            t = crate::step::record_step_trace(sink, &report.name, &report.step, s + 1, t);
-        }
-        Ok(report)
-    }
-
-    /// Like [`Executor::run_traced`], but also records each traced step's
-    /// time breakdown into `telemetry`, so one call feeds both the
-    /// critical-path profiler (via the span timeline) and the metrics
-    /// registry.
-    pub fn run_observed(
-        &self,
-        sink: &dyn multipod_trace::TraceSink,
-        telemetry: &multipod_telemetry::Telemetry,
-        traced_steps: u64,
-    ) -> Result<Report, StepError> {
-        let report = self.run()?;
-        let mut t = multipod_simnet::SimTime::ZERO;
-        for s in 0..traced_steps.min(report.steps) {
-            t = crate::step::record_step_trace(sink, &report.name, &report.step, s + 1, t);
-            crate::step::record_step_telemetry(telemetry, &report.step);
-        }
-        Ok(report)
-    }
-
     /// Simulates the run.
     pub fn run(&self) -> Result<Report, StepError> {
         let p = &self.preset;

@@ -38,5 +38,5 @@ mod executor;
 pub use executor::{Executor, Preset, Report};
 pub use overlap::{CheckpointOverlap, OverlapConfig, OverlappedStep};
 pub use scaling::SweepError;
-pub use step::{record_step_telemetry, record_step_trace, StepBreakdown, StepError, StepOptions};
+pub use step::{record_step, StepBreakdown, StepError, StepOptions};
 pub use trainer::{DataParallelTrainer, FaultPolicy, RecoveryMode, TrainStepStats};

@@ -24,9 +24,9 @@ use multipod_input::host_pipeline::HostPipelineConfig;
 use multipod_models::{ModelError, TpuV3, Workload};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_taskgraph::TaskGraphError;
-use multipod_telemetry::{MetricId, Subsystem, Telemetry};
+use multipod_telemetry::{MetricId, Obs, Subsystem};
 use multipod_topology::{Multipod, MultipodConfig, CHIPS_PER_HOST};
-use multipod_trace::{SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::graphs;
 
@@ -342,88 +342,67 @@ fn input_stall(
     (host_input_time(workload, chips, batch, options) - device_time).max(0.0)
 }
 
-/// Records `breakdown` as a sequential span timeline on the simulation
-/// track, starting at `start`: step phases for compute and model-parallel
-/// communication, collective phases for the four 2-D summation halves, an
-/// optimizer span for the weight update, and an input span for any host
-/// stall, all wrapped in one step span named `name`. Returns the step's
-/// end time so successive steps can be laid out back to back.
-pub fn record_step_trace(
-    sink: &dyn TraceSink,
+/// Records one step on `obs`, starting at `start`, and returns the step's
+/// end time so successive steps can be laid out back to back. The sink
+/// gets `breakdown` as a sequential span timeline on the simulation track:
+/// step phases for compute and model-parallel communication, collective
+/// phases for the four 2-D summation halves, an optimizer span for the
+/// weight update, and an input span for any host stall, all wrapped in one
+/// step span named `name`. The registry gets a step counter and the
+/// matching per-phase histograms.
+pub fn record_step(
+    obs: &Obs,
     name: &str,
     breakdown: &StepBreakdown,
     step_index: u64,
     start: SimTime,
 ) -> SimTime {
-    let mut t = start;
-    let mut phase = |category: SpanCategory, label: &str, seconds: f64| {
-        if seconds <= 0.0 {
-            return;
-        }
-        let end = t + seconds;
-        sink.record_span(SpanEvent::new(Track::Sim, category, label, t, end));
-        t = end;
-    };
-    phase(SpanCategory::StepPhase, "compute", breakdown.compute);
-    phase(
-        SpanCategory::StepPhase,
-        "model-parallel-comm",
-        breakdown.model_parallel_comm,
-    );
+    use SpanCategory::{CollectivePhase, Input, Optimizer, StepPhase};
     let g = &breakdown.gradient_comm;
-    phase(
-        SpanCategory::CollectivePhase,
-        "y-reduce-scatter",
-        g.y_reduce_scatter,
-    );
-    phase(
-        SpanCategory::CollectivePhase,
-        "x-reduce-scatter",
-        g.x_reduce_scatter,
-    );
-    phase(
-        SpanCategory::CollectivePhase,
-        "x-all-gather",
-        g.x_all_gather,
-    );
-    phase(
-        SpanCategory::CollectivePhase,
-        "y-all-gather",
-        g.y_all_gather,
-    );
-    phase(
-        SpanCategory::Optimizer,
-        "weight-update",
-        breakdown.weight_update,
-    );
-    phase(SpanCategory::StepPhase, "embedding", breakdown.embedding);
-    phase(SpanCategory::Input, "input-stall", breakdown.input_stall);
-    let end = t;
-    sink.record_span(
+    let phases = [
+        (StepPhase, "compute", breakdown.compute),
+        (
+            StepPhase,
+            "model-parallel-comm",
+            breakdown.model_parallel_comm,
+        ),
+        (CollectivePhase, "y-reduce-scatter", g.y_reduce_scatter),
+        (CollectivePhase, "x-reduce-scatter", g.x_reduce_scatter),
+        (CollectivePhase, "x-all-gather", g.x_all_gather),
+        (CollectivePhase, "y-all-gather", g.y_all_gather),
+        (Optimizer, "weight-update", breakdown.weight_update),
+        (StepPhase, "embedding", breakdown.embedding),
+        (Input, "input-stall", breakdown.input_stall),
+    ];
+    let mut end = start;
+    for (category, label, seconds) in phases {
+        if seconds > 0.0 {
+            let phase_start = end;
+            end = phase_start + seconds;
+            obs.span(|| SpanEvent::new(Track::Sim, category, label, phase_start, end));
+        }
+    }
+    obs.span(|| {
         SpanEvent::new(Track::Sim, SpanCategory::Step, name, start, end)
             .with_arg("step", step_index as f64)
-            .with_arg("allreduce_share", breakdown.all_reduce_fraction()),
-    );
+            .with_arg("allreduce_share", breakdown.all_reduce_fraction())
+    });
+    if let Some(metrics) = obs.metrics() {
+        metrics.inc_counter(MetricId::new(Subsystem::Core, "steps"), 1);
+        let observe = |name: &'static str, seconds: f64| {
+            if seconds > 0.0 {
+                metrics.observe(MetricId::new(Subsystem::Core, name), seconds);
+            }
+        };
+        observe("compute_seconds", breakdown.compute);
+        observe("model_parallel_comm_seconds", breakdown.model_parallel_comm);
+        observe("gradient_comm_seconds", g.total());
+        observe("weight_update_seconds", breakdown.weight_update);
+        observe("embedding_seconds", breakdown.embedding);
+        observe("input_stall_seconds", breakdown.input_stall);
+        observe("step_seconds", breakdown.total());
+    }
     end
-}
-
-/// Records one step's time breakdown into the telemetry registry —
-/// per-phase histograms plus a step counter, mirroring the spans
-/// [`record_step_trace`] lays out.
-pub fn record_step_telemetry(telemetry: &Telemetry, breakdown: &StepBreakdown) {
-    telemetry.inc_counter(MetricId::new(Subsystem::Core, "steps"), 1);
-    let observe = |name: &'static str, seconds: f64| {
-        if seconds > 0.0 {
-            telemetry.observe(MetricId::new(Subsystem::Core, name), seconds);
-        }
-    };
-    observe("compute_seconds", breakdown.compute);
-    observe("model_parallel_comm_seconds", breakdown.model_parallel_comm);
-    observe("gradient_comm_seconds", breakdown.gradient_comm.total());
-    observe("weight_update_seconds", breakdown.weight_update);
-    observe("embedding_seconds", breakdown.embedding);
-    observe("input_stall_seconds", breakdown.input_stall);
-    observe("step_seconds", breakdown.total());
 }
 
 /// Devices per replica and replica count at a chip count (convenience for

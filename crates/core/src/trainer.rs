@@ -26,7 +26,6 @@
 //! ```
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +38,10 @@ use multipod_collectives::{CollectiveError, Precision};
 use multipod_optim::{LayerStats, LrSchedule, Optimizer, StateKey};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_taskgraph::{Resource, TaskGraph, TaskKind, TaskSchedule};
+use multipod_telemetry::Obs;
 use multipod_tensor::Tensor;
 use multipod_topology::{ChipId, MultipodConfig, Ring};
-use multipod_trace::{SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::step::StepError;
 
@@ -157,15 +157,11 @@ impl<O: Optimizer> DataParallelTrainer<O> {
         self.net.mesh().num_chips()
     }
 
-    /// Attaches a trace sink to the trainer's network: subsequent steps
-    /// record link transfers, collective phases and step spans into it.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.net.set_trace_sink(sink);
-    }
-
-    /// Detaches the trace sink, restoring zero-overhead stepping.
-    pub fn clear_trace_sink(&mut self) {
-        self.net.clear_trace_sink();
+    /// Attaches an observability handle to the trainer's network:
+    /// subsequent steps record link transfers, collective phases and step
+    /// spans through it. `Obs::default()` restores zero-overhead stepping.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.net.set_obs(obs);
     }
 
     /// The simulated network the trainer steps on.
@@ -261,19 +257,17 @@ impl<O: Optimizer> DataParallelTrainer<O> {
                     } else {
                         self.survivor_step(weights, local_grads, start)?
                     };
-                    if let Some(sink) = self.net.trace_sink() {
-                        sink.record_span(
-                            SpanEvent::new(
-                                Track::Sim,
-                                SpanCategory::Step,
-                                "train-step",
-                                SimTime::ZERO,
-                                time,
-                            )
-                            .with_arg("step", (self.step + 1) as f64)
-                            .with_arg("lr", lr as f64),
-                        );
-                    }
+                    self.net.obs().span(|| {
+                        SpanEvent::new(
+                            Track::Sim,
+                            SpanCategory::Step,
+                            "train-step",
+                            SimTime::ZERO,
+                            time,
+                        )
+                        .with_arg("step", (self.step + 1) as f64)
+                        .with_arg("lr", lr as f64)
+                    });
                     self.step += 1;
                     return Ok(TrainStepStats {
                         comm_seconds: time.seconds(),
@@ -383,8 +377,8 @@ impl<O: Optimizer> DataParallelTrainer<O> {
         let count = newly.len();
         for chip in newly {
             self.dead.insert(chip.index());
-            if let Some(sink) = self.net.trace_sink() {
-                sink.record_span(SpanEvent::new(
+            self.net.obs().span(|| {
+                SpanEvent::new(
                     Track::Chip {
                         pod: self.net.mesh().pod_of(chip),
                         chip: chip.0,
@@ -393,8 +387,8 @@ impl<O: Optimizer> DataParallelTrainer<O> {
                     "replica-lost",
                     at,
                     at,
-                ));
-            }
+                )
+            });
         }
         count
     }
@@ -462,13 +456,12 @@ impl<O: Optimizer> DataParallelTrainer<O> {
     }
 
     fn emit_sim_fault(&self, name: &str, start: SimTime, end: SimTime, args: &[(&str, f64)]) {
-        if let Some(sink) = self.net.trace_sink() {
-            let mut span = SpanEvent::new(Track::Sim, SpanCategory::Fault, name, start, end);
-            for &(key, value) in args {
-                span = span.with_arg(key, value);
-            }
-            sink.record_span(span);
-        }
+        self.net.obs().span(|| {
+            args.iter().fold(
+                SpanEvent::new(Track::Sim, SpanCategory::Fault, name, start, end),
+                |span, &(key, value)| span.with_arg(key, value),
+            )
+        });
     }
 
     /// The fault-free dataflow: 2-D gradient summation with the sharded
@@ -526,25 +519,23 @@ impl<O: Optimizer> DataParallelTrainer<O> {
             return Err(e.into());
         }
         *weights = out.outputs[0].clone().reshape(weights.shape().clone())?;
-        if let Some(sink) = self.net.trace_sink() {
+        self.net.obs().span(|| {
             // The sharded optimizer update runs at the shard owners
             // between the reduce and broadcast halves; the driver models
             // it as instantaneous in simulated time.
             let update_at = SimTime::from_seconds(
                 out.breakdown.y_reduce_scatter + out.breakdown.x_reduce_scatter,
             );
-            sink.record_span(
-                SpanEvent::new(
-                    Track::Sim,
-                    SpanCategory::Optimizer,
-                    "sharded-weight-update",
-                    update_at,
-                    update_at,
-                )
-                .with_arg("shards", n as f64)
-                .with_arg("lr", lr as f64),
-            );
-        }
+            SpanEvent::new(
+                Track::Sim,
+                SpanCategory::Optimizer,
+                "sharded-weight-update",
+                update_at,
+                update_at,
+            )
+            .with_arg("shards", n as f64)
+            .with_arg("lr", lr as f64)
+        });
         // `two_dim_all_reduce` times its phases from SimTime::ZERO; shift
         // by the step's (backoff-delayed) start.
         Ok(start + out.time.seconds())
@@ -732,7 +723,7 @@ mod tests {
             LrSchedule::Constant { lr: 0.1 },
         );
         let recorder = Recorder::shared();
-        trainer.set_trace_sink(recorder.clone());
+        trainer.set_obs(Obs::new(Some(recorder.clone()), None));
         let mut w = Tensor::fill(Shape::vector(16), 1.0);
         let grads = vec![Tensor::fill(Shape::vector(16), 0.5); 4];
         let stats = trainer.step(&mut w, &grads).unwrap();
@@ -761,7 +752,7 @@ mod tests {
         assert!((step_total.total_seconds - stats.comm_seconds).abs() < 1e-12);
 
         // Detaching restores the silent path.
-        trainer.clear_trace_sink();
+        trainer.set_obs(Obs::default());
         let before = recorder.len();
         trainer.step(&mut w, &grads).unwrap();
         assert_eq!(recorder.len(), before, "detached sink must see nothing");
@@ -803,7 +794,7 @@ mod tests {
             LrSchedule::Constant { lr: 0.1 },
         );
         let recorder = Recorder::shared();
-        trainer.set_trace_sink(recorder.clone());
+        trainer.set_obs(Obs::new(Some(recorder.clone()), None));
         let lost = trainer.network_mut().mesh().chips().nth(5).unwrap();
         trainer.network_mut().fail_chip(lost, SimTime::ZERO);
 
@@ -865,7 +856,7 @@ mod tests {
             ..FaultPolicy::default()
         });
         let recorder = Recorder::shared();
-        trainer.set_trace_sink(recorder.clone());
+        trainer.set_obs(Obs::new(Some(recorder.clone()), None));
         let lost = trainer.network_mut().mesh().chips().nth(5).unwrap();
         trainer.network_mut().fail_chip(lost, SimTime::ZERO);
 

@@ -7,17 +7,16 @@
 //! network — is deterministic, so a campaign is an experiment that can be
 //! re-run to byte-identical traces.
 
-use std::sync::Arc;
-
 use serde::Serialize;
 
 use multipod_collectives::CollectiveError;
 use multipod_core::trainer::{DataParallelTrainer, FaultPolicy};
 use multipod_optim::{LrSchedule, SgdMomentum};
 use multipod_simnet::SimTime;
+use multipod_telemetry::Obs;
 use multipod_tensor::{Shape, Tensor, TensorRng};
 use multipod_topology::MultipodConfig;
-use multipod_trace::{SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::driver::FaultDriver;
 use crate::plan::FaultPlan;
@@ -121,7 +120,7 @@ fn mean<'a>(steps: impl Iterator<Item = &'a StepReport>) -> Option<f64> {
 }
 
 /// Runs `plan` against a training loop described by `config`, recording
-/// spans on `sink` when one is given.
+/// through `obs` when one is given.
 ///
 /// Faults apply at step boundaries: before each step, every plan event
 /// whose time has passed is applied to the network; the trainer then
@@ -137,7 +136,7 @@ fn mean<'a>(steps: impl Iterator<Item = &'a StepReport>) -> Option<f64> {
 pub fn run_campaign(
     config: &CampaignConfig,
     plan: &FaultPlan,
-    sink: Option<Arc<dyn TraceSink>>,
+    obs: Option<Obs>,
 ) -> Result<CampaignReport, CollectiveError> {
     let mut trainer = DataParallelTrainer::new(
         config.mesh.clone(),
@@ -148,9 +147,8 @@ pub fn run_campaign(
     if config.bf16_gradients {
         trainer = trainer.with_bf16_gradients();
     }
-    if let Some(sink) = sink.clone() {
-        trainer.set_trace_sink(sink);
-    }
+    let obs = obs.unwrap_or_default();
+    trainer.set_obs(obs.clone());
     let n = trainer.replicas();
     let mut rng = TensorRng::seed(config.seed);
     let target = rng.uniform(Shape::vector(config.elems), -1.0, 1.0);
@@ -169,7 +167,7 @@ pub fn run_campaign(
         let compute_seconds = config.host_seconds_per_step * slowdown;
         let step_seconds = stats.comm_seconds.max(compute_seconds);
         let end = now + step_seconds;
-        if let Some(sink) = &sink {
+        if let Some(sink) = obs.sink() {
             sink.record_span(
                 SpanEvent::new(Track::Sim, SpanCategory::Step, "campaign-step", now, end)
                     .with_arg("step", stats.step as f64)

@@ -88,12 +88,10 @@ impl FaultDriver {
 }
 
 fn emit_host_fault(net: &Network, host: u32, name: &'static str, at: SimTime, slowdown: f64) {
-    if let Some(sink) = net.trace_sink() {
-        sink.record_span(
-            SpanEvent::new(Track::Host { host }, SpanCategory::Fault, name, at, at)
-                .with_arg("slowdown", slowdown),
-        );
-    }
+    net.obs().span(|| {
+        SpanEvent::new(Track::Host { host }, SpanCategory::Fault, name, at, at)
+            .with_arg("slowdown", slowdown)
+    });
 }
 
 #[cfg(test)]

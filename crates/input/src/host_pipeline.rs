@@ -11,8 +11,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use multipod_telemetry::{MetricId, Subsystem, Telemetry};
-use multipod_trace::{SimTime, SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_telemetry::{MetricId, Obs, Subsystem};
+use multipod_trace::{SimTime, SpanCategory, SpanEvent, Track};
 
 use crate::InputError;
 
@@ -142,47 +142,19 @@ pub fn simulate_run(
         step_time,
         steps,
         seed,
-        None,
-        None,
+        &Obs::default(),
     )
 }
 
-/// [`simulate_run`] with an optional trace sink: each host's per-step
-/// input work becomes an input span on that host's track (spans that
-/// overrun the step deadline carry a `stall_seconds` argument).
-///
-/// # Errors
-///
-/// See [`simulate_run`].
-pub fn simulate_run_traced(
-    config: &HostPipelineConfig,
-    hosts: usize,
-    samples_per_host: usize,
-    step_time: f64,
-    steps: usize,
-    seed: u64,
-    sink: Option<&dyn TraceSink>,
-) -> Result<InputStats, InputError> {
-    simulate_run_observed(
-        config,
-        hosts,
-        samples_per_host,
-        step_time,
-        steps,
-        seed,
-        sink,
-        None,
-    )
-}
-
-/// [`simulate_run_traced`] plus an optional telemetry sink recording
+/// [`simulate_run`] recording on `obs`. The sink gets each host's per-step
+/// input work as an input span on that host's track (spans that overrun
+/// the step deadline carry a `stall_seconds` argument); the registry gets
 /// per-step stall histograms, stalled-step counters, and the sustained
 /// host throughput gauge.
 ///
 /// # Errors
 ///
 /// See [`simulate_run`].
-#[allow(clippy::too_many_arguments)]
 pub fn simulate_run_observed(
     config: &HostPipelineConfig,
     hosts: usize,
@@ -190,8 +162,7 @@ pub fn simulate_run_observed(
     step_time: f64,
     steps: usize,
     seed: u64,
-    sink: Option<&dyn TraceSink>,
-    telemetry: Option<&Telemetry>,
+    obs: &Obs,
 ) -> Result<InputStats, InputError> {
     if hosts == 0 || steps == 0 || samples_per_host == 0 {
         return Err(InputError::EmptyRun {
@@ -243,19 +214,17 @@ pub fn simulate_run_observed(
                 *stall = producer_clock - deadline;
                 consumer_clock = producer_clock;
             }
-            if let Some(sink) = sink {
-                sink.record_span(
-                    SpanEvent::new(
-                        Track::Host { host: h as u32 },
-                        SpanCategory::Input,
-                        "step-input",
-                        SimTime::from_seconds(step_start),
-                        SimTime::from_seconds(consumer_clock),
-                    )
-                    .with_arg("step", s as f64)
-                    .with_arg("stall_seconds", *stall),
-                );
-            }
+            obs.span(|| {
+                SpanEvent::new(
+                    Track::Host { host: h as u32 },
+                    SpanCategory::Input,
+                    "step-input",
+                    SimTime::from_seconds(step_start),
+                    SimTime::from_seconds(consumer_clock),
+                )
+                .with_arg("step", s as f64)
+                .with_arg("stall_seconds", *stall)
+            });
         }
         throughput_acc += produced_total as f64 / consumer_clock.max(1e-12);
     }
@@ -270,12 +239,10 @@ pub fn simulate_run_observed(
         if step_stall > 0.0 {
             stalled_steps += 1;
         }
-        if let Some(telemetry) = telemetry {
-            telemetry.observe(
-                MetricId::new(Subsystem::Input, "step_stall_seconds"),
-                step_stall,
-            );
-        }
+        obs.observe(
+            MetricId::new(Subsystem::Input, "step_stall_seconds"),
+            step_stall,
+        );
     }
     let stats = InputStats {
         mean_stall: total_stall / steps as f64,
@@ -283,17 +250,15 @@ pub fn simulate_run_observed(
         stalled_fraction: stalled_steps as f64 / steps as f64,
         host_throughput: throughput_acc / hosts as f64,
     };
-    if let Some(telemetry) = telemetry {
-        telemetry.inc_counter(MetricId::new(Subsystem::Input, "steps"), steps as u64);
-        telemetry.inc_counter(
-            MetricId::new(Subsystem::Input, "stalled_steps"),
-            stalled_steps as u64,
-        );
-        telemetry.set_gauge(
-            MetricId::new(Subsystem::Input, "host_throughput_samples_per_second"),
-            stats.host_throughput,
-        );
-    }
+    obs.count(MetricId::new(Subsystem::Input, "steps"), steps as u64);
+    obs.count(
+        MetricId::new(Subsystem::Input, "stalled_steps"),
+        stalled_steps as u64,
+    );
+    obs.gauge(
+        MetricId::new(Subsystem::Input, "host_throughput_samples_per_second"),
+        stats.host_throughput,
+    );
     Ok(stats)
 }
 
@@ -427,11 +392,16 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_stall_metrics() {
+    fn observed_run_records_host_spans_and_stall_metrics() {
         let cfg = HostPipelineConfig::compressed_imagenet();
-        let telemetry = Telemetry::new();
-        let stats =
-            simulate_run_observed(&cfg, 8, 32, 1.0e-3, 100, 7, None, Some(&telemetry)).unwrap();
+        let (recorder, telemetry) = (
+            multipod_trace::Recorder::shared(),
+            multipod_telemetry::Telemetry::shared(),
+        );
+        let obs = Obs::new(Some(recorder.clone()), Some(telemetry.clone()));
+        let stats = simulate_run_observed(&cfg, 8, 32, 1.0e-3, 100, 7, &obs).unwrap();
+        assert_eq!(stats, simulate_run(&cfg, 8, 32, 1.0e-3, 100, 7).unwrap());
+        assert_eq!(recorder.len(), 8 * 100, "one input span per host per step");
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter(&MetricId::new(Subsystem::Input, "steps")), 100);
         let stalled = snap.counter(&MetricId::new(Subsystem::Input, "stalled_steps"));

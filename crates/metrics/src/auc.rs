@@ -14,7 +14,7 @@
 //!   records, multiple materialized passes — the "popular python
 //!   library" stand-in;
 //! * [`auc_fast`] — the paper's recipe: chunked multithreaded sort
-//!   (crossbeam scoped threads) + k-way merge + a single fused
+//!   (`std::thread::scope` threads) + k-way merge + a single fused
 //!   accumulation pass.
 
 /// Exact AUC by sorting scores ascending and summing positive ranks
@@ -83,12 +83,12 @@ pub fn auc_fast(scores: &[f32], labels: &[bool], threads: usize) -> f64 {
     let chunk = n.div_ceil(threads);
     // Sort chunk index slices in parallel.
     let mut chunks: Vec<Vec<u32>> = Vec::with_capacity(threads);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut idx: Vec<u32> = (lo as u32..hi as u32).collect();
                     idx.sort_unstable_by(|&a, &b| {
                         scores[a as usize].total_cmp(&scores[b as usize])
@@ -103,8 +103,7 @@ pub fn auc_fast(scores: &[f32], labels: &[bool], threads: usize) -> f64 {
                 chunks.push(sorted);
             }
         }
-    })
-    .expect("crossbeam scope");
+    });
 
     // Parallel pairwise merging: log2(threads) rounds, each merging
     // chunk pairs in scoped threads.
@@ -118,16 +117,15 @@ pub fn auc_fast(scores: &[f32], labels: &[bool], threads: usize) -> f64 {
                 None => next.push(a),
             }
         }
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = work
                 .into_iter()
-                .map(|(a, b)| scope.spawn(move |_| merge_sorted(&a, &b, scores)))
+                .map(|(a, b)| scope.spawn(move || merge_sorted(&a, &b, scores)))
                 .collect();
             for h in handles {
                 next.push(h.join().expect("merge thread"));
             }
-        })
-        .expect("crossbeam scope");
+        });
         chunks = next;
     }
     let merged = chunks.pop().unwrap_or_default();

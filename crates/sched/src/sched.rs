@@ -17,7 +17,6 @@
 //! — the property `repro sched --check-determinism` gates in CI.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -29,10 +28,10 @@ use multipod_core::StepOptions;
 use multipod_faults::{FaultAction, FaultPlan};
 use multipod_optim::{Optimizer, SgdMomentum};
 use multipod_simnet::{EventQueue, Network, NetworkConfig, SimTime};
-use multipod_telemetry::{DistSummary, MetricId, Subsystem, Telemetry};
+use multipod_telemetry::{DistSummary, MetricId, Obs, Subsystem};
 use multipod_tensor::{Shape, Tensor};
 use multipod_topology::{ChipId, Multipod, MultipodConfig};
-use multipod_trace::{SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::job::{arrival_stream, ArrivalConfig, JobKind, JobSpec, ServiceSpec};
 use crate::slice::{Slice, SliceAllocator};
@@ -263,8 +262,7 @@ pub struct PodScheduler {
     /// Memoized per-shape checkpoint pricing networks.
     shape_cache: BTreeMap<(u32, u32), ShapeCtx>,
     pcie: PcieCost,
-    telemetry: Option<Arc<Telemetry>>,
-    trace: Option<Arc<dyn TraceSink>>,
+    obs: Obs,
     // Utilization accounting.
     clock: SimTime,
     busy_area: f64,
@@ -296,8 +294,7 @@ impl PodScheduler {
             step_cache: BTreeMap::new(),
             shape_cache: BTreeMap::new(),
             pcie: PcieCost::criteo(),
-            telemetry: None,
-            trace: None,
+            obs: Obs::default(),
             clock: SimTime::ZERO,
             busy_area: 0.0,
             live_area: 0.0,
@@ -314,38 +311,29 @@ impl PodScheduler {
         }
     }
 
-    /// Attaches a telemetry registry: queue waits, preemption overheads
-    /// and checkpoint costs flow into `pod.*` metrics.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Attaches a trace sink: job lifecycle spans (`Sched` category) and
-    /// the checkpoint traffic of every preemption are recorded.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.trace = Some(sink);
+    /// Attaches the observability handle. Its sink gets job lifecycle
+    /// spans (`Sched` category) and the checkpoint traffic of every
+    /// preemption; its registry gets queue waits, preemption overheads and
+    /// checkpoint costs as `pod.*` metrics.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     fn observe(&self, name: &'static str, value: f64) {
-        if let Some(t) = &self.telemetry {
-            t.observe(MetricId::new(Subsystem::Pod, name), value);
-        }
+        self.obs.observe(MetricId::new(Subsystem::Pod, name), value);
     }
 
     fn count(&self, name: &'static str, by: u64) {
-        if let Some(t) = &self.telemetry {
-            t.inc_counter(MetricId::new(Subsystem::Pod, name), by);
-        }
+        self.obs.count(MetricId::new(Subsystem::Pod, name), by);
     }
 
     fn span(&self, name: &'static str, start: SimTime, end: SimTime, args: &[(&str, f64)]) {
-        if let Some(sink) = &self.trace {
-            let mut span = SpanEvent::new(Track::Sim, SpanCategory::Sched, name, start, end);
-            for &(k, v) in args {
-                span = span.with_arg(k, v);
-            }
-            sink.record_span(span);
-        }
+        self.obs.span(|| {
+            args.iter().fold(
+                SpanEvent::new(Track::Sim, SpanCategory::Sched, name, start, end),
+                |span, &(k, v)| span.with_arg(k, v),
+            )
+        });
     }
 
     /// Advances the utilization integrals to `now`.
@@ -376,12 +364,7 @@ impl PodScheduler {
             let mesh = Multipod::new(MultipodConfig::mesh(shape.0, shape.1, false));
             let placement = ShardPlacement::plan(&mesh, &[], self.config.state_elems)?;
             let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
-            if let Some(sink) = &self.trace {
-                net.set_trace_sink(sink.clone());
-            }
-            if let Some(t) = &self.telemetry {
-                net.set_telemetry(t.clone());
-            }
+            net.set_obs(self.obs.clone());
             self.shape_cache.insert(shape, ShapeCtx { net, placement });
         }
         Ok(self.shape_cache.get_mut(&shape).expect("just inserted"))
@@ -564,12 +547,10 @@ impl PodScheduler {
         } else {
             0.0
         };
-        if let Some(t) = &self.telemetry {
-            t.set_gauge(
-                MetricId::new(Subsystem::Pod, "mean_utilization"),
-                mean_utilization,
-            );
-        }
+        self.obs.gauge(
+            MetricId::new(Subsystem::Pod, "mean_utilization"),
+            mean_utilization,
+        );
 
         let mut per_kind = Vec::new();
         for kind in [
@@ -1202,5 +1183,56 @@ mod tests {
         // The mesh shrank, so utilization accounting saw 1023 live chips
         // after the fault.
         assert!(report.makespan_seconds >= clean_report.makespan_seconds);
+    }
+
+    #[test]
+    fn registry_counts_agree_with_the_report() {
+        use multipod_telemetry::Telemetry;
+        // One fault inside the service's slice (it migrates), one inside a
+        // training slice (the job is killed back to its checkpoint), on a
+        // stream busy enough to preempt.
+        let config = with_service(fitted_config(60, 11), "dlrm-serve", 256);
+        let plan = FaultPlan::new()
+            .chip_down(SimTime::from_seconds(0.05), ChipId(0))
+            .chip_down(SimTime::from_seconds(0.06), ChipId(33 * 16));
+        let telemetry = Telemetry::shared();
+        let mut sched = PodScheduler::new(config);
+        sched.set_obs(Obs::new(None, Some(telemetry.clone())));
+        let report = sched.run_with_faults(&plan).expect("campaign");
+        assert!(report.preemptions > 0 && report.fault_kills > 0);
+        assert_eq!(report.services[0].migrations, 1);
+
+        let snap = telemetry.snapshot();
+        let count = |name| snap.counter(&MetricId::new(Subsystem::Pod, name));
+        let observed = |name| {
+            snap.histogram(&MetricId::new(Subsystem::Pod, name))
+                .map_or(0, |h| h.count)
+        };
+        assert_eq!(count("arrivals"), report.jobs);
+        assert_eq!(count("jobs_completed"), report.completed);
+        assert_eq!(count("preemptions"), report.preemptions);
+        assert_eq!(count("fault_kills"), report.fault_kills);
+        assert_eq!(count("restores"), report.restores);
+        assert_eq!(count("chip_faults"), 2);
+        assert_eq!(count("service_placements"), 1);
+        assert_eq!(count("service_faults"), 1);
+        assert_eq!(count("service_migrations"), 1);
+        assert_eq!(observed("queue_wait_seconds"), report.queue_wait.count);
+        assert_eq!(
+            observed("preemption_overhead_seconds"),
+            report.preemption_overhead.count
+        );
+        assert_eq!(observed("preempt_save_seconds"), report.preemptions);
+        assert_eq!(observed("restore_seconds"), report.restores);
+        assert_eq!(
+            snap.gauge(&MetricId::new(Subsystem::Pod, "mean_utilization")),
+            Some(report.mean_utilization)
+        );
+        // The preemption checkpoints ran on networks carrying the same
+        // handle, so their traffic is metered too.
+        assert_eq!(
+            snap.counter(&MetricId::new(Subsystem::Ckpt, "restores")),
+            report.restores
+        );
     }
 }

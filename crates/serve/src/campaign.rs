@@ -8,14 +8,11 @@
 //! parameterize the serving simulations, so displacement (faults,
 //! migrations) feeds straight into serving capacity.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use multipod_sched::{PodScheduler, SchedConfig, SchedReport, ServiceSpec};
-use multipod_telemetry::Telemetry;
+use multipod_telemetry::Obs;
 use multipod_topology::MultipodConfig;
-use multipod_trace::TraceSink;
 
 use crate::dlrm::{DlrmServeConfig, DlrmServeReport, DlrmServer};
 use crate::rl::{RlServeConfig, RlServeReport, RlServer};
@@ -75,8 +72,7 @@ pub struct ServeCampaignReport {
 /// Runs training and both serving workloads co-scheduled on one mesh.
 pub struct ServeCampaign {
     config: ServeCampaignConfig,
-    telemetry: Option<Arc<Telemetry>>,
-    trace: Option<Arc<dyn TraceSink>>,
+    obs: Obs,
 }
 
 impl ServeCampaign {
@@ -84,19 +80,14 @@ impl ServeCampaign {
     pub fn new(config: ServeCampaignConfig) -> ServeCampaign {
         ServeCampaign {
             config,
-            telemetry: None,
-            trace: None,
+            obs: Obs::default(),
         }
     }
 
-    /// Attaches a telemetry registry, shared by scheduler and servers.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Attaches a trace sink, shared by scheduler and servers.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.trace = Some(sink);
+    /// Attaches the observability handle the scheduler and both servers
+    /// share.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Runs the campaign, then each serving workload on the slice the
@@ -115,12 +106,7 @@ impl ServeCampaign {
             });
         }
         let mut scheduler = PodScheduler::new(self.config.sched.clone());
-        if let Some(t) = &self.telemetry {
-            scheduler.set_telemetry(t.clone());
-        }
-        if let Some(sink) = &self.trace {
-            scheduler.set_trace_sink(sink.clone());
-        }
+        scheduler.set_obs(self.obs.clone());
         let sched_report = scheduler.run()?;
 
         let granted = |i: usize| -> Result<MultipodConfig, ServeError> {
@@ -137,23 +123,13 @@ impl ServeCampaign {
         let mut dlrm_config = self.config.dlrm.clone();
         dlrm_config.slice = granted(0)?;
         let mut dlrm = DlrmServer::new(dlrm_config);
-        if let Some(t) = &self.telemetry {
-            dlrm.set_telemetry(t.clone());
-        }
-        if let Some(sink) = &self.trace {
-            dlrm.set_trace_sink(sink.clone());
-        }
+        dlrm.set_obs(self.obs.clone());
         let dlrm_report = dlrm.run()?;
 
         let mut rl_config = self.config.rl.clone();
         rl_config.slice = granted(1)?;
         let mut rl = RlServer::new(rl_config);
-        if let Some(t) = &self.telemetry {
-            rl.set_telemetry(t.clone());
-        }
-        if let Some(sink) = &self.trace {
-            rl.set_trace_sink(sink.clone());
-        }
+        rl.set_obs(self.obs.clone());
         let rl_report = rl.run()?;
 
         Ok(ServeCampaignReport {
@@ -214,5 +190,59 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn registry_counts_agree_with_the_reports() {
+        use multipod_telemetry::{MetricId, Subsystem, Telemetry};
+        use multipod_trace::{Recorder, TraceEvent};
+        let (recorder, telemetry) = (Recorder::shared(), Telemetry::shared());
+        let mut campaign = ServeCampaign::new(small());
+        campaign.set_obs(Obs::new(Some(recorder.clone()), Some(telemetry.clone())));
+        let report = campaign.run().expect("campaign");
+        assert_eq!(
+            report,
+            ServeCampaign::new(small()).run().expect("unobserved"),
+            "observing must not change the outcome"
+        );
+
+        let snap = telemetry.snapshot();
+        let count = |sub, name| snap.counter(&MetricId::new(sub, name));
+        let observed = |name| {
+            snap.histogram(&MetricId::new(Subsystem::Serve, name))
+                .map_or(0, |h| h.count)
+        };
+        let gauge = |name| snap.gauge(&MetricId::new(Subsystem::Serve, name));
+        let (dlrm, rl) = (&report.dlrm, &report.rl);
+        assert_eq!(count(Subsystem::Serve, "requests"), dlrm.requests);
+        assert_eq!(count(Subsystem::Serve, "batches"), dlrm.batches);
+        assert_eq!(observed("latency_seconds"), dlrm.requests);
+        assert_eq!(gauge("cache_hit_rate"), Some(dlrm.cache_hit_rate));
+        assert_eq!(gauge("achieved_qps"), Some(dlrm.achieved_qps));
+        // Lookup, all-to-all and dense: three released tasks per batch.
+        assert_eq!(count(Subsystem::Sched, "tasks"), 3 * dlrm.batches);
+        assert_eq!(count(Subsystem::Serve, "param_broadcasts"), rl.broadcasts);
+        assert_eq!(observed("actor_round_seconds"), rl.rounds);
+        assert_eq!(gauge("learner_throughput"), Some(rl.learner_throughput));
+        // The scheduler shares the handle…
+        assert_eq!(
+            count(Subsystem::Pod, "jobs_completed"),
+            report.sched.completed
+        );
+        // …and the RL network meters its transfers without tracing them:
+        // every recorded link event is the scheduler's checkpoint traffic.
+        assert!(count(Subsystem::Simnet, "transfers") >= 2 * rl.rounds);
+        let links = |r: &Recorder| {
+            let events = r.events();
+            events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Link(_)))
+                .count()
+        };
+        let sched_only = Recorder::shared();
+        let mut scheduler = PodScheduler::new(small().sched);
+        scheduler.set_obs(Obs::new(Some(sched_only.clone()), None));
+        scheduler.run().expect("scheduler alone");
+        assert_eq!(links(&recorder), links(&sched_only));
     }
 }

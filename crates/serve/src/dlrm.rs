@@ -15,17 +15,14 @@
 //! the host/ICI/MXU pipeline to drain, and per-request latency decomposes
 //! exactly into batch-wait / queue / lookup / all-to-all / dense.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use multipod_embedding::{EmbeddingCache, EmbeddingSpec, Placement, ShardedEmbedding};
 use multipod_models::{catalog, TpuV3};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_taskgraph::{Resource, TaskGraph, TaskKind};
-use multipod_telemetry::{DistSummary, MetricId, Subsystem, Telemetry};
+use multipod_telemetry::{DistSummary, MetricId, Obs, Subsystem};
 use multipod_topology::{Multipod, MultipodConfig};
-use multipod_trace::TraceSink;
 
 use crate::batch::{assemble, BatchingConfig};
 use crate::stream::{query_stream, QueryStreamConfig};
@@ -114,8 +111,7 @@ pub struct DlrmServeReport {
 /// The DLRM serving replica simulator.
 pub struct DlrmServer {
     config: DlrmServeConfig,
-    telemetry: Option<Arc<Telemetry>>,
-    trace: Option<Arc<dyn TraceSink>>,
+    obs: Obs,
 }
 
 impl DlrmServer {
@@ -123,20 +119,15 @@ impl DlrmServer {
     pub fn new(config: DlrmServeConfig) -> DlrmServer {
         DlrmServer {
             config,
-            telemetry: None,
-            trace: None,
+            obs: Obs::default(),
         }
     }
 
-    /// Attaches a telemetry registry (`serve.*` metrics).
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Attaches a trace sink: every batch's lookup/all-to-all/dense span
-    /// lands on the `Serve` category.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.trace = Some(sink);
+    /// Attaches the observability handle: every batch's
+    /// lookup/all-to-all/dense span lands on the sink's `Serve` category,
+    /// `serve.*` and task-schedule metrics in the registry.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Runs the stream to completion. Deterministic: the same config
@@ -221,9 +212,7 @@ impl DlrmServer {
         }
 
         let schedule = graph.run();
-        if let Some(sink) = &self.trace {
-            schedule.record_trace(sink.as_ref(), SimTime::ZERO);
-        }
+        schedule.record(&self.obs, SimTime::ZERO);
 
         // Decompose every request's latency into the five phases.
         let mut latencies = Vec::with_capacity(requests.len());
@@ -240,9 +229,8 @@ impl DlrmServer {
                 means.all_to_all += aa.end - lk.end;
                 means.dense += de.end - aa.end;
                 let latency = de.end - arrival;
-                if let Some(t) = &self.telemetry {
-                    t.observe(MetricId::new(Subsystem::Serve, "latency_seconds"), latency);
-                }
+                self.obs
+                    .observe(MetricId::new(Subsystem::Serve, "latency_seconds"), latency);
                 latencies.push(latency);
             }
         }
@@ -267,18 +255,11 @@ impl DlrmServer {
             achieved_qps: requests.len() as f64 / makespan.max(f64::MIN_POSITIVE),
             makespan_seconds: makespan,
         };
-        if let Some(t) = &self.telemetry {
-            t.set_gauge(
-                MetricId::new(Subsystem::Serve, "cache_hit_rate"),
-                report.cache_hit_rate,
-            );
-            t.set_gauge(
-                MetricId::new(Subsystem::Serve, "achieved_qps"),
-                report.achieved_qps,
-            );
-            t.inc_counter(MetricId::new(Subsystem::Serve, "requests"), report.requests);
-            t.inc_counter(MetricId::new(Subsystem::Serve, "batches"), report.batches);
-        }
+        let id = |name| MetricId::new(Subsystem::Serve, name);
+        self.obs.gauge(id("cache_hit_rate"), report.cache_hit_rate);
+        self.obs.gauge(id("achieved_qps"), report.achieved_qps);
+        self.obs.count(id("requests"), report.requests);
+        self.obs.count(id("batches"), report.batches);
         Ok(report)
     }
 }

@@ -11,17 +11,15 @@
 //! Events interleave on one sim-time queue and transfers reserve links
 //! in pop order, so the whole co-located timeline is deterministic.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use multipod_core::step::step_breakdown;
 use multipod_core::StepOptions;
 use multipod_models::{catalog, TpuV3};
 use multipod_simnet::{EventQueue, Network, NetworkConfig, SimTime};
-use multipod_telemetry::{DistSummary, MetricId, Subsystem, Telemetry};
+use multipod_telemetry::{DistSummary, MetricId, Obs, Subsystem};
 use multipod_topology::{ChipId, Multipod, MultipodConfig};
-use multipod_trace::{SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::ServeError;
 
@@ -102,8 +100,7 @@ enum RlEvent {
 /// The co-located actor–learner simulator.
 pub struct RlServer {
     config: RlServeConfig,
-    telemetry: Option<Arc<Telemetry>>,
-    trace: Option<Arc<dyn TraceSink>>,
+    obs: Obs,
 }
 
 impl RlServer {
@@ -111,20 +108,14 @@ impl RlServer {
     pub fn new(config: RlServeConfig) -> RlServer {
         RlServer {
             config,
-            telemetry: None,
-            trace: None,
+            obs: Obs::default(),
         }
     }
 
-    /// Attaches a telemetry registry (`serve.*` metrics).
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Attaches a trace sink: actor rounds and broadcasts land on the
-    /// `Serve` category.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.trace = Some(sink);
+    /// Attaches the observability handle: actor rounds and broadcasts land
+    /// on the sink's `Serve` category, `serve.*` metrics in the registry.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Runs actors and learner to completion on the shared slice.
@@ -162,9 +153,7 @@ impl RlServer {
         let learner_corner = chips[0];
         let actor_chips: Vec<ChipId> = chips[self.config.learner_chips as usize..].to_vec();
         let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
-        if let Some(t) = &self.telemetry {
-            net.set_telemetry(t.clone());
-        }
+        net.set_obs(self.obs.metrics_only());
 
         // Throughput-bound learner step: the analytic step model on the
         // learner's sub-slice.
@@ -210,21 +199,19 @@ impl RlServer {
                     )?;
                     let finish = reply.finish;
                     latencies.push(finish - now);
-                    if let Some(t) = &self.telemetry {
-                        t.observe(
-                            MetricId::new(Subsystem::Serve, "actor_round_seconds"),
-                            finish - now,
-                        );
-                    }
-                    if let Some(sink) = &self.trace {
-                        sink.record_span(SpanEvent::new(
+                    self.obs.observe(
+                        MetricId::new(Subsystem::Serve, "actor_round_seconds"),
+                        finish - now,
+                    );
+                    self.obs.span(|| {
+                        SpanEvent::new(
                             Track::Sim,
                             SpanCategory::Serve,
                             "rl-actor-round",
                             now,
                             finish,
-                        ));
-                    }
+                        )
+                    });
                     makespan = makespan.max(finish);
                     if round + 1 < self.config.actor_rounds {
                         queue.schedule(
@@ -257,15 +244,15 @@ impl RlServer {
                         .map(|&c| (learner_corner, c, self.config.param_bytes))
                         .collect();
                     let end = net.parallel_transfers(&messages, now)?;
-                    if let Some(sink) = &self.trace {
-                        sink.record_span(SpanEvent::new(
+                    self.obs.span(|| {
+                        SpanEvent::new(
                             Track::Sim,
                             SpanCategory::Serve,
                             "rl-param-broadcast",
                             now,
                             end,
-                        ));
-                    }
+                        )
+                    });
                     broadcasts += 1;
                     learner_done = learner_done.max(end);
                     makespan = makespan.max(end);
@@ -287,16 +274,14 @@ impl RlServer {
                 / learner_done.seconds().max(f64::MIN_POSITIVE),
             makespan_seconds: makespan.seconds(),
         };
-        if let Some(t) = &self.telemetry {
-            t.set_gauge(
-                MetricId::new(Subsystem::Serve, "learner_throughput"),
-                report.learner_throughput,
-            );
-            t.inc_counter(
-                MetricId::new(Subsystem::Serve, "param_broadcasts"),
-                broadcasts,
-            );
-        }
+        self.obs.gauge(
+            MetricId::new(Subsystem::Serve, "learner_throughput"),
+            report.learner_throughput,
+        );
+        self.obs.count(
+            MetricId::new(Subsystem::Serve, "param_broadcasts"),
+            broadcasts,
+        );
         Ok(report)
     }
 }

@@ -10,7 +10,9 @@
 //!   the host input-pipeline simulator).
 //! * [`Network`] — a cut-through, per-directed-link occupancy model over a
 //!   [`multipod_topology::Multipod`], used to time every message the
-//!   collective schedules issue.
+//!   collective schedules issue. It also owns the run's observability
+//!   handle ([`Network::obs`], a `multipod_telemetry::Obs`, off by
+//!   default): whatever instruments through a network reads it there.
 //!
 //! ```
 //! use multipod_topology::{Multipod, MultipodConfig, ChipId};

@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use multipod_telemetry::{MetricId, Subsystem, Telemetry};
+use multipod_telemetry::{MetricId, Obs, Subsystem};
 use multipod_topology::{ChipId, LinkClass, Multipod, Route, TopologyError};
-use multipod_trace::{LinkTransferEvent, SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_trace::{LinkTransferEvent, SpanCategory, SpanEvent, Track};
 
 use crate::{NetworkError, SimTime};
 
@@ -121,7 +121,7 @@ impl LinkTable {
 /// mutation, so a stale path can never time a transfer.
 #[derive(Debug)]
 struct CachedPath {
-    route: Arc<Route>,
+    route: Route,
     /// Interned directed-link ids, in route order.
     links: Vec<u32>,
     /// `Σ hop_latency × class multiplier`, accumulated in route order
@@ -153,14 +153,9 @@ pub struct Network {
     /// Memoized mesh-preferred routes keyed by `(from, to)`, shared by
     /// handle so a cache hit never copies the hop vector.
     route_cache: HashMap<(u32, u32), Arc<CachedPath>>,
-    /// Memoized caller-supplied routes (see [`Network::transfer_along`]),
-    /// keyed by endpoints; multiple distinct routes between the same pair
-    /// coexist and are matched by hop-vector equality.
-    along_cache: HashMap<(u32, u32), Vec<Arc<CachedPath>>>,
     /// The [`Multipod::version`] the cached state was computed against.
     mesh_version: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-    telemetry: Option<Arc<Telemetry>>,
+    obs: Obs,
 }
 
 impl fmt::Debug for Network {
@@ -170,8 +165,7 @@ impl fmt::Debug for Network {
             .field("config", &self.config)
             .field("links", &self.links)
             .field("cached_routes", &self.route_cache.len())
-            .field("traced", &self.sink.is_some())
-            .field("observed", &self.telemetry.is_some())
+            .field("obs", &self.obs)
             .finish()
     }
 }
@@ -185,46 +179,24 @@ impl Network {
             config,
             links: LinkTable::default(),
             route_cache: HashMap::new(),
-            along_cache: HashMap::new(),
             mesh_version,
-            sink: None,
-            telemetry: None,
+            obs: Obs::default(),
         }
     }
 
-    /// Attaches a trace sink; every subsequent transfer emits one
-    /// [`LinkTransferEvent`] per traversed directed link.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.sink = Some(sink);
+    /// Attaches the observability handle: every subsequent transfer emits
+    /// one [`LinkTransferEvent`] per traversed directed link to its sink
+    /// and its queueing delay, serialization time and byte counts to its
+    /// registry. `Obs::default()` restores the zero-overhead path.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
-    /// Detaches the trace sink, restoring the zero-overhead path.
-    pub fn clear_trace_sink(&mut self) {
-        self.sink = None;
-    }
-
-    /// The attached sink, if any — collective schedules reuse it for their
-    /// phase spans so one recorder sees the whole run.
-    pub fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.sink.as_ref()
-    }
-
-    /// Attaches a telemetry sink; every subsequent transfer records its
-    /// per-link queueing delay, serialization time, and byte counts into
-    /// the metrics registry.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Detaches the telemetry sink, restoring the zero-overhead path.
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry = None;
-    }
-
-    /// The attached telemetry sink, if any — collective schedules reuse it
-    /// for their per-phase α/β metrics so one registry sees the whole run.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    /// The attached handle — everything that instruments through a
+    /// network (collectives, checkpoints, faults, the trainer) reads it
+    /// from here so one recorder and one registry see the whole run.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     fn classify(&self, class: LinkClass, from: ChipId, to: ChipId) -> multipod_trace::LinkClass {
@@ -240,14 +212,6 @@ impl Network {
             }
             LinkClass::TorusWrap => multipod_trace::LinkClass::WrapY,
             LinkClass::CrossPodOptical => multipod_trace::LinkClass::CrossPod,
-        }
-    }
-
-    /// The trace classification of the directed link `from → to`.
-    pub fn trace_link_class(&self, from: ChipId, to: ChipId) -> multipod_trace::LinkClass {
-        match self.mesh.link_between(from, to) {
-            Some(class) => self.classify(class, from, to),
-            None => multipod_trace::LinkClass::Unknown,
         }
     }
 
@@ -275,20 +239,18 @@ impl Network {
     pub fn sync_topology(&mut self) {
         if self.mesh_version != self.mesh.version() {
             self.route_cache.clear();
-            self.along_cache.clear();
             self.links.reset_free();
             self.mesh_version = self.mesh.version();
         }
     }
 
     fn emit_fault_span(&self, name: &str, at: SimTime, args: &[(&str, f64)]) {
-        if let Some(sink) = &self.sink {
-            let mut span = SpanEvent::new(Track::Sim, SpanCategory::Fault, name, at, at);
-            for &(key, value) in args {
-                span = span.with_arg(key, value);
-            }
-            sink.record_span(span);
-        }
+        self.obs.span(|| {
+            args.iter().fold(
+                SpanEvent::new(Track::Sim, SpanCategory::Fault, name, at, at),
+                |span, &(key, value)| span.with_arg(key, value),
+            )
+        });
     }
 
     /// Fails the undirected link `a — b` at sim time `at`.
@@ -378,7 +340,7 @@ impl Network {
     ///
     /// [`NetworkError::Route`] when the route traverses a pair of chips
     /// with no live link between them (stale route on a mutated mesh).
-    fn build_path(&mut self, route: Arc<Route>) -> Result<CachedPath, NetworkError> {
+    fn build_path(&mut self, route: Route) -> Result<CachedPath, NetworkError> {
         let hops = route.num_hops();
         let mut links = Vec::with_capacity(hops);
         let mut trace_classes = Vec::with_capacity(hops);
@@ -418,7 +380,7 @@ impl Network {
             self.links.free[id as usize] = busy_until;
             self.links.bytes[id as usize] += bytes;
         }
-        if let Some(sink) = &self.sink {
+        if let Some(sink) = self.obs.sink() {
             // Cut-through: the message holds every link of the route for
             // the same serialization window, so each hop gets the same
             // [depart, busy_until] occupancy the contention model charged.
@@ -433,7 +395,7 @@ impl Network {
                 });
             }
         }
-        if let Some(telemetry) = &self.telemetry {
+        if let Some(telemetry) = self.obs.metrics() {
             telemetry.inc_counter(MetricId::new(Subsystem::Simnet, "transfers"), 1);
             telemetry.inc_counter(
                 MetricId::new(Subsystem::Simnet, "link_hops"),
@@ -490,64 +452,9 @@ impl Network {
         let path = match self.route_cache.get(&(from.0, to.0)) {
             Some(path) => Arc::clone(path),
             None => {
-                let route = Arc::new(self.mesh.route(from, to)?);
+                let route = self.mesh.route(from, to)?;
                 let path = Arc::new(self.build_path(route)?);
                 self.route_cache.insert((from.0, to.0), Arc::clone(&path));
-                path
-            }
-        };
-        Ok(self.reserve(&path, bytes, start))
-    }
-
-    /// Times a message along a caller-supplied route.
-    ///
-    /// The route is memoized on first use (keyed by its endpoints,
-    /// disambiguated by hop-vector equality), so repeated collective
-    /// phases over the same explicit routes reuse the interned link state
-    /// just like [`Network::transfer`].
-    ///
-    /// An empty route (zero hops) is a zero-cost fast path completing at
-    /// `start`.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetworkError::Route`] when the route traverses chips with no
-    ///   live link between them (it no longer matches the topology).
-    /// * [`NetworkError::EmptyTransfer`] when `bytes == 0` over a
-    ///   non-empty route.
-    pub fn transfer_along(
-        &mut self,
-        route: &Route,
-        bytes: u64,
-        start: SimTime,
-    ) -> Result<Transfer, NetworkError> {
-        self.sync_topology();
-        if route.num_hops() == 0 {
-            return Ok(Transfer {
-                finish: start,
-                num_hops: 0,
-                bytes,
-            });
-        }
-        let from = route.chips[0];
-        let to = route.chips[route.chips.len() - 1];
-        if bytes == 0 {
-            return Err(NetworkError::EmptyTransfer { from, to });
-        }
-        let key = (from.0, to.0);
-        let cached = self
-            .along_cache
-            .get(&key)
-            .and_then(|paths| paths.iter().find(|p| p.route.chips == route.chips))
-            .map(Arc::clone);
-        let path = match cached {
-            Some(path) => path,
-            None => {
-                let path = Arc::new(self.build_path(Arc::new(route.clone()))?);
-                self.along_cache
-                    .entry(key)
-                    .or_default()
-                    .push(Arc::clone(&path));
                 path
             }
         };
@@ -726,26 +633,6 @@ mod tests {
             .transfer(ChipId(0), ChipId(1), 1000, SimTime::ZERO)
             .unwrap();
         assert!((t.finish.seconds() - n.uncontended_time(1, 1000)).abs() < 1e-15);
-        // Same contract along an explicit route.
-        let route = n.mesh().route(ChipId(0), ChipId(2)).unwrap();
-        let err = n.transfer_along(&route, 0, SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, NetworkError::EmptyTransfer { .. }));
-    }
-
-    #[test]
-    fn empty_route_is_a_zero_cost_fast_path() {
-        let mut n = net(2, 2);
-        let route = Route {
-            chips: vec![ChipId(3)],
-        };
-        // Even with zero bytes: an empty route has nothing to reserve, so
-        // it completes at `start` instead of erroring or emitting NaN
-        // occupancy.
-        let t = n
-            .transfer_along(&route, 0, SimTime::from_seconds(2.0))
-            .unwrap();
-        assert_eq!(t.finish, SimTime::from_seconds(2.0));
-        assert_eq!(t.num_hops, 0);
     }
 
     #[test]
@@ -770,40 +657,6 @@ mod tests {
             .unwrap();
         assert!((t.finish.seconds() - n.uncontended_time(1, 1000)).abs() < 1e-15);
         assert_eq!(n.link_traffic(ChipId(2), ChipId(3)), 1000);
-    }
-
-    #[test]
-    fn stale_route_is_a_typed_error_not_a_panic() {
-        let mesh = Multipod::new(MultipodConfig::mesh(3, 3, false));
-        let mut n = Network::new(mesh, NetworkConfig::tpu_v3());
-        let a = n.mesh().chip_at(Coord::new(0, 0));
-        let far = n.mesh().chip_at(Coord::new(2, 2));
-        // A route that jumps between non-adjacent chips never matches the
-        // topology.
-        let bogus = Route {
-            chips: vec![a, far],
-        };
-        let err = n.transfer_along(&bogus, 100, SimTime::ZERO).unwrap_err();
-        assert!(err.is_no_route());
-    }
-
-    #[test]
-    fn transfer_along_memoizes_distinct_routes_per_endpoint_pair() {
-        let mut n = net(3, 3);
-        let direct = n.mesh().route(ChipId(0), ChipId(4)).unwrap();
-        // A second, distinct route between the same endpoints.
-        let detour = Route {
-            chips: vec![ChipId(0), ChipId(3), ChipId(4)],
-        };
-        for _ in 0..3 {
-            let a = n.transfer_along(&direct, 1000, SimTime::ZERO).unwrap();
-            let b = n.transfer_along(&detour, 1000, SimTime::ZERO).unwrap();
-            assert_eq!(a.num_hops, direct.num_hops());
-            assert_eq!(b.num_hops, 2);
-            n.reset();
-        }
-        // Both variants share the endpoint key in the memo table.
-        assert_eq!(n.along_cache[&(0, 4)].len(), 2);
     }
 
     #[test]
@@ -841,7 +694,7 @@ mod tests {
         use multipod_trace::Recorder;
         let mut n = net(4, 1);
         let recorder = Recorder::shared();
-        n.set_trace_sink(recorder.clone());
+        n.set_obs(Obs::new(Some(recorder.clone()), None));
         n.transfer(ChipId(0), ChipId(2), 70_000_000, SimTime::ZERO)
             .unwrap();
         // Cut-through: both hops of 0→1→2 are held for the same 1 ms
@@ -853,7 +706,7 @@ mod tests {
             assert_eq!(link.class, multipod_trace::LinkClass::MeshX);
             assert!((link.busy_seconds - 1e-3).abs() < 1e-9);
         }
-        n.clear_trace_sink();
+        n.set_obs(Obs::default());
         n.transfer(ChipId(0), ChipId(1), 1000, SimTime::ZERO)
             .unwrap();
         assert_eq!(recorder.len(), 2, "detached sink must see nothing");
@@ -862,8 +715,8 @@ mod tests {
     #[test]
     fn telemetry_sees_transfers_and_queueing_delay() {
         let mut n = net(4, 1);
-        let telemetry = Telemetry::shared();
-        n.set_telemetry(telemetry.clone());
+        let telemetry = multipod_telemetry::Telemetry::shared();
+        n.set_obs(Obs::new(None, Some(telemetry.clone())));
         // Two back-to-back messages over the same link: the second queues
         // behind the first's serialization window.
         n.transfer(ChipId(0), ChipId(1), 70_000, SimTime::ZERO)
@@ -889,7 +742,7 @@ mod tests {
         assert_eq!(delay.count, 2);
         assert_eq!(delay.min, 0.0, "first message sees a free link");
         assert!(delay.max > 0.0, "second message must queue");
-        n.clear_telemetry();
+        n.set_obs(Obs::default());
         n.transfer(ChipId(0), ChipId(1), 1000, SimTime::ZERO)
             .unwrap();
         assert_eq!(
@@ -927,7 +780,7 @@ mod tests {
         let mesh = Multipod::new(MultipodConfig::mesh(3, 3, false));
         let mut n = Network::new(mesh, NetworkConfig::tpu_v3());
         let recorder = Recorder::shared();
-        n.set_trace_sink(recorder.clone());
+        n.set_obs(Obs::new(Some(recorder.clone()), None));
         let a = n.mesh().chip_at(Coord::new(0, 0));
         let x_next = n.mesh().chip_at(Coord::new(1, 0));
         n.fail_link(a, x_next, SimTime::from_seconds(1.0));
@@ -953,7 +806,7 @@ mod tests {
         let mesh = Multipod::new(MultipodConfig::mesh(3, 3, false));
         let mut n = Network::new(mesh, NetworkConfig::tpu_v3());
         let recorder = Recorder::shared();
-        n.set_trace_sink(recorder.clone());
+        n.set_obs(Obs::new(Some(recorder.clone()), None));
         let victim = n.mesh().chip_at(Coord::new(1, 1));
         n.fail_chip(victim, SimTime::ZERO);
         assert!(n.mesh().is_isolated(victim));

@@ -5,8 +5,8 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::{EventQueue, SimTime};
-use multipod_telemetry::{MetricId, Subsystem, Telemetry};
-use multipod_trace::{SpanCategory, SpanEvent, TraceSink, Track};
+use multipod_telemetry::{MetricId, Obs, Subsystem};
+use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::graph::TaskGraph;
 use crate::task::{Resource, TaskId, TaskKind};
@@ -189,65 +189,67 @@ impl TaskSchedule {
         self.busy_seconds(Resource::Ici)
     }
 
-    /// Records every task as a span starting at `base`, on the simulation
-    /// track, and returns `base + makespan` so successive steps can be
-    /// laid out back to back. Concurrent tasks produce overlapping spans,
-    /// which is exactly what the telemetry critical-path profiler's
-    /// `overlap_fraction` measures.
-    pub fn record_trace(&self, sink: &dyn TraceSink, base: SimTime) -> SimTime {
-        for t in &self.tasks {
-            if t.seconds <= 0.0 {
-                continue;
+    /// Records the schedule on `obs` and returns `base + makespan` so
+    /// successive steps can be laid out back to back. The sink gets every
+    /// task as a span starting at `base` on the simulation track —
+    /// concurrent tasks produce overlapping spans, which is exactly what
+    /// the critical-path profiler's `overlap_fraction` measures; the
+    /// registry gets a task counter, per-resource busy-time histograms and
+    /// the makespan.
+    pub fn record(&self, obs: &Obs, base: SimTime) -> SimTime {
+        if let Some(sink) = obs.sink() {
+            for t in self.tasks.iter().filter(|t| t.seconds > 0.0) {
+                sink.record_span(SpanEvent::new(
+                    Track::Sim,
+                    span_category(t.kind),
+                    t.kind.label(),
+                    base + t.start.seconds(),
+                    base + t.end.seconds(),
+                ));
             }
-            let category = match t.kind {
-                TaskKind::ReduceScatter { .. } | TaskKind::AllGather { .. } => {
-                    SpanCategory::CollectivePhase
+        }
+        if let Some(metrics) = obs.metrics() {
+            metrics.inc_counter(
+                MetricId::new(Subsystem::Sched, "tasks"),
+                self.tasks.len() as u64,
+            );
+            for r in Resource::ALL {
+                let busy = self.busy_seconds(r);
+                if busy > 0.0 {
+                    metrics.observe(
+                        MetricId::labeled(Subsystem::Sched, "resource_busy_seconds", r.label()),
+                        busy,
+                    );
                 }
-                TaskKind::OptimizerShardUpdate { .. } => SpanCategory::Optimizer,
-                TaskKind::InputFetch => SpanCategory::Input,
-                TaskKind::CheckpointSave { .. } => SpanCategory::Checkpoint,
-                TaskKind::ServeLookup { .. }
-                | TaskKind::ServeAllToAll { .. }
-                | TaskKind::ServeDense { .. } => SpanCategory::Serve,
-                TaskKind::Serial { phase } => match phase {
-                    crate::task::SerialPhase::GradientComm => SpanCategory::CollectivePhase,
-                    crate::task::SerialPhase::WeightUpdate => SpanCategory::Optimizer,
-                    crate::task::SerialPhase::InputStall => SpanCategory::Input,
-                    _ => SpanCategory::StepPhase,
-                },
-                _ => SpanCategory::StepPhase,
-            };
-            sink.record_span(SpanEvent::new(
-                Track::Sim,
-                category,
-                t.kind.label(),
-                base + t.start.seconds(),
-                base + t.end.seconds(),
-            ));
+            }
+            metrics.observe(
+                MetricId::new(Subsystem::Sched, "makespan_seconds"),
+                self.makespan.seconds(),
+            );
         }
         base + self.makespan.seconds()
     }
+}
 
-    /// Records the schedule into the telemetry registry: a task counter,
-    /// per-resource busy-time histograms, and the makespan.
-    pub fn record_telemetry(&self, telemetry: &Telemetry) {
-        telemetry.inc_counter(
-            MetricId::new(Subsystem::Sched, "tasks"),
-            self.tasks.len() as u64,
-        );
-        for r in Resource::ALL {
-            let busy = self.busy_seconds(r);
-            if busy > 0.0 {
-                telemetry.observe(
-                    MetricId::labeled(Subsystem::Sched, "resource_busy_seconds", r.label()),
-                    busy,
-                );
-            }
+/// The trace category a task's span is filed under.
+fn span_category(kind: TaskKind) -> SpanCategory {
+    match kind {
+        TaskKind::ReduceScatter { .. } | TaskKind::AllGather { .. } => {
+            SpanCategory::CollectivePhase
         }
-        telemetry.observe(
-            MetricId::new(Subsystem::Sched, "makespan_seconds"),
-            self.makespan.seconds(),
-        );
+        TaskKind::OptimizerShardUpdate { .. } => SpanCategory::Optimizer,
+        TaskKind::InputFetch => SpanCategory::Input,
+        TaskKind::CheckpointSave { .. } => SpanCategory::Checkpoint,
+        TaskKind::ServeLookup { .. }
+        | TaskKind::ServeAllToAll { .. }
+        | TaskKind::ServeDense { .. } => SpanCategory::Serve,
+        TaskKind::Serial { phase } => match phase {
+            crate::task::SerialPhase::GradientComm => SpanCategory::CollectivePhase,
+            crate::task::SerialPhase::WeightUpdate => SpanCategory::Optimizer,
+            crate::task::SerialPhase::InputStall => SpanCategory::Input,
+            _ => SpanCategory::StepPhase,
+        },
+        _ => SpanCategory::StepPhase,
     }
 }
 

@@ -332,10 +332,9 @@ impl Serialize for Registry {
 
 /// Shared, thread-safe handle the subsystems write metrics through.
 ///
-/// The simulator threads its `Arc<Telemetry>` through `Network`,
-/// the executor, and the input pipeline; each hook site locks briefly,
-/// records, and unlocks. [`Telemetry::snapshot`] clones the registry out
-/// for reporting.
+/// Instrumented code reaches it through the [`crate::Obs`] handle it
+/// carries; each hook site locks briefly, records, and unlocks.
+/// [`Telemetry::snapshot`] clones the registry out for reporting.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     inner: Mutex<Registry>,

@@ -8,8 +8,9 @@
 //! * [`SimTime`] — simulated seconds, the clock every event is stamped
 //!   with (re-exported by `multipod-simnet`; this crate is the bottom of
 //!   the stack so even the network can emit events).
-//! * [`TraceSink`] — the hook instrumented components call. The default is
-//!   no sink at all (an `Option` left `None`), so untraced runs pay only a
+//! * [`TraceSink`] — the hook instrumented components call, reached
+//!   through the one `multipod_telemetry::Obs` handle they carry. The
+//!   default handle holds no sink at all, so untraced runs pay only a
 //!   branch; [`NoopSink`] exists when an object is required, and
 //!   [`Recorder`] appends every event in deterministic order.
 //! * [`MetricsRegistry`] — serde-serializable counters, gauges, and

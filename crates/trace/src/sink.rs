@@ -10,10 +10,10 @@ use crate::metrics::MetricsRegistry;
 
 /// Receiver for trace events.
 ///
-/// Instrumented code holds an `Option<Arc<dyn TraceSink>>` that defaults to
-/// `None`, so the untraced hot path pays only a branch — no allocation, no
-/// virtual call. [`NoopSink`] exists for call sites that want a sink object
-/// unconditionally.
+/// Instrumented code reaches its sink through the `multipod_telemetry::Obs`
+/// handle it carries, which holds none by default, so the untraced hot
+/// path pays only a branch — no allocation, no virtual call. [`NoopSink`]
+/// exists for call sites that want a sink object unconditionally.
 pub trait TraceSink: Send + Sync {
     /// Records one link-occupancy event.
     fn record_link(&self, event: LinkTransferEvent);

@@ -14,6 +14,7 @@
 use multipod::collectives::twod::two_dim_all_reduce;
 use multipod::collectives::Precision;
 use multipod::simnet::{Network, NetworkConfig};
+use multipod::telemetry::Obs;
 use multipod::tensor::{Shape, Tensor, TensorRng};
 use multipod::topology::{Multipod, MultipodConfig};
 use multipod::trace::{chrome_trace_with_metrics, write_json, Recorder, TraceEvent};
@@ -33,7 +34,7 @@ fn main() {
     // Attach a recorder: every link transfer and collective phase from
     // here on is captured with its simulated time window.
     let recorder = Recorder::shared();
-    net.set_trace_sink(recorder.clone());
+    net.set_obs(Obs::new(Some(recorder.clone()), None));
 
     // One gradient tensor per chip (4096 elements, so the payload shards
     // evenly through both the 32-member Y rings and the 128-member X

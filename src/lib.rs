@@ -26,6 +26,9 @@
 //!   step-time breakdowns and end-to-end benchmark times.
 //! * [`trace`] — sim-time tracing: typed events, per-link utilization
 //!   metrics and Chrome-trace (Perfetto) export of any simulated run.
+//! * [`telemetry`] — the [`telemetry::Obs`] handle that attaches a trace
+//!   recorder and/or a typed metrics registry to a run, plus the
+//!   critical-path profiler and flight report over what they captured.
 //! * [`faults`] — deterministic fault campaigns: sim-time-scheduled link
 //!   outages, chip loss and straggler windows replayed against the
 //!   network, with graceful degradation (detours, replica drop with
@@ -57,6 +60,7 @@ pub use multipod_metrics as metrics;
 pub use multipod_models as models;
 pub use multipod_optim as optim;
 pub use multipod_simnet as simnet;
+pub use multipod_telemetry as telemetry;
 pub use multipod_tensor as tensor;
 pub use multipod_topology as topology;
 pub use multipod_trace as trace;

@@ -2,14 +2,13 @@
 //! between collective phases, and the scripted acceptance campaign (wrap
 //! outage + straggler, chip loss with replica drop and retry).
 
-use std::sync::Arc;
-
 use multipod::collectives::{ring, Precision};
 use multipod::faults::{run_campaign, CampaignConfig, FaultPlan};
 use multipod::simnet::{Network, NetworkConfig, SimTime};
+use multipod::telemetry::Obs;
 use multipod::tensor::{Shape, Tensor, TensorRng};
 use multipod::topology::{Coord, Multipod, MultipodConfig};
-use multipod::trace::{Recorder, TraceSink};
+use multipod::trace::Recorder;
 
 fn demo_4x4() -> CampaignConfig {
     CampaignConfig::demo(MultipodConfig::mesh(4, 4, true))
@@ -35,7 +34,7 @@ fn same_plan_yields_byte_identical_trace_export() {
     );
     let export = || {
         let recorder = Recorder::shared();
-        run_campaign(&config, &plan, Some(recorder.clone() as Arc<dyn TraceSink>))
+        run_campaign(&config, &plan, Some(Obs::new(Some(recorder.clone()), None)))
             .expect("campaign completes");
         chrome_export(&recorder)
     };
@@ -142,7 +141,7 @@ fn scripted_wrap_outage_campaign_meets_acceptance() {
     let t2 = SimTime::from_seconds(clean.steps[5].start_seconds);
     let plan = FaultPlan::wrap_outage_with_straggler(&mesh, 0, t1, t2, 1, 2.0);
     let recorder = Recorder::shared();
-    let faulty = run_campaign(&config, &plan, Some(recorder.clone() as Arc<dyn TraceSink>))
+    let faulty = run_campaign(&config, &plan, Some(Obs::new(Some(recorder.clone()), None)))
         .expect("campaign completes training");
 
     assert_eq!(
@@ -187,7 +186,7 @@ fn chip_loss_campaign_retries_drops_replica_and_traces_it() {
     let plan =
         FaultPlan::new().chip_down(SimTime::from_seconds(clean.steps[2].start_seconds), victim);
     let recorder = Recorder::shared();
-    let faulty = run_campaign(&config, &plan, Some(recorder.clone() as Arc<dyn TraceSink>))
+    let faulty = run_campaign(&config, &plan, Some(Obs::new(Some(recorder.clone()), None)))
         .expect("campaign survives the chip loss");
 
     assert_eq!(faulty.steps.last().unwrap().dead_replicas, 1);

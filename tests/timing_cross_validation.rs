@@ -7,6 +7,7 @@ use multipod::collectives::timing::RingCosts;
 use multipod::collectives::twod::{two_dim_all_reduce, two_dim_all_reduce_time};
 use multipod::collectives::{ring, Precision};
 use multipod::simnet::{Network, NetworkConfig, SimTime};
+use multipod::telemetry::{Obs, Telemetry};
 use multipod::tensor::{Shape, Tensor, TensorRng};
 use multipod::topology::{ChipId, Multipod, MultipodConfig};
 use multipod::trace::{LinkClass, Recorder, SpanCategory};
@@ -137,7 +138,7 @@ fn recorder_link_bytes_match_analytic_ring_counts() {
     let n = 4u64;
     let mut network = net(4, 4);
     let recorder = Recorder::shared();
-    network.set_trace_sink(recorder.clone());
+    network.set_obs(Obs::new(Some(recorder.clone()), None));
     let ins = inputs(16, elems, 9);
     two_dim_all_reduce(&mut network, &ins, Precision::F32, 1, None).unwrap();
 
@@ -178,7 +179,7 @@ fn link_utilization_matches_alpha_beta_within_one_percent() {
     let elems = 1 << 12;
     let mut network = net(4, 4);
     let recorder = Recorder::shared();
-    network.set_trace_sink(recorder.clone());
+    network.set_obs(Obs::new(Some(recorder.clone()), None));
     let ins = inputs(16, elems, 11);
     two_dim_all_reduce(&mut network, &ins, Precision::F32, 1, None).unwrap();
 
@@ -217,7 +218,7 @@ fn recorder_sees_collective_and_phase_spans() {
     let elems = 1 << 10;
     let mut network = net(4, 4);
     let recorder = Recorder::shared();
-    network.set_trace_sink(recorder.clone());
+    network.set_obs(Obs::new(Some(recorder.clone()), None));
     let ins = inputs(16, elems, 13);
     two_dim_all_reduce(&mut network, &ins, Precision::F32, 1, None).unwrap();
 
@@ -242,9 +243,9 @@ fn recorder_sees_collective_and_phase_spans() {
     assert_eq!(count(SpanCategory::CollectivePhase, "all-gather"), 8);
 }
 
-/// Attaching a sink must not perturb the simulation: identical outputs and
-/// identical finish time with and without tracing (NoopSink-by-absence is
-/// the zero-overhead default).
+/// Attaching observability must not perturb the simulation: identical
+/// outputs and identical finish time with a sink, a registry, or both as
+/// with the off-by-default handle.
 #[test]
 fn tracing_does_not_perturb_simulated_time() {
     let elems = 1 << 12;
@@ -253,13 +254,19 @@ fn tracing_does_not_perturb_simulated_time() {
     let mut plain = net(4, 4);
     let untraced = two_dim_all_reduce(&mut plain, &ins, Precision::F32, 1, None).unwrap();
 
-    let mut traced_net = net(4, 4);
-    traced_net.set_trace_sink(Recorder::shared());
-    let traced = two_dim_all_reduce(&mut traced_net, &ins, Precision::F32, 1, None).unwrap();
-
-    assert_eq!(untraced.time, traced.time);
-    assert_eq!(untraced.outputs, traced.outputs);
-    assert_eq!(untraced.breakdown, traced.breakdown);
+    for obs in [
+        Obs::new(Some(Recorder::shared()), None),
+        Obs::new(None, Some(Telemetry::shared())),
+        Obs::new(Some(Recorder::shared()), Some(Telemetry::shared())),
+    ] {
+        let mut observed_net = net(4, 4);
+        observed_net.set_obs(obs.clone());
+        let observed =
+            two_dim_all_reduce(&mut observed_net, &ins, Precision::F32, 1, None).unwrap();
+        assert_eq!(untraced.time, observed.time, "{obs:?}");
+        assert_eq!(untraced.outputs, observed.outputs, "{obs:?}");
+        assert_eq!(untraced.breakdown, observed.breakdown, "{obs:?}");
+    }
 }
 
 /// The Chrome export is deterministic (byte-identical across identical
@@ -269,7 +276,7 @@ fn chrome_trace_export_round_trips_and_is_deterministic() {
     let run = || {
         let mut network = net(2, 4);
         let recorder = Recorder::shared();
-        network.set_trace_sink(recorder.clone());
+        network.set_obs(Obs::new(Some(recorder.clone()), None));
         let ins = inputs(8, 256, 3);
         two_dim_all_reduce(&mut network, &ins, Precision::F32, 1, None).unwrap();
         recorder.chrome_trace().expect("chrome trace serializes")
