@@ -26,6 +26,8 @@ pub enum CollectiveError {
         /// Required divisor.
         parts: usize,
     },
+    /// A schedule was requested for a ring of zero members.
+    EmptyRing,
     /// A ring cost model was asked for with a contention factor of zero
     /// (at least one concurrent offset ring must use the links).
     ZeroContentionFactor,
@@ -48,6 +50,7 @@ impl fmt::Display for CollectiveError {
             CollectiveError::IndivisiblePayload { elems, parts } => {
                 write!(f, "payload of {elems} elements not divisible by {parts}")
             }
+            CollectiveError::EmptyRing => write!(f, "ring has no members"),
             CollectiveError::ZeroContentionFactor => {
                 write!(f, "contention factor must be >= 1")
             }

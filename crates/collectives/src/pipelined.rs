@@ -37,8 +37,8 @@ pub fn reduce_scatter_time(
     direction: Direction,
     start: SimTime,
 ) -> Result<SimTime, CollectiveError> {
-    let schedule = Schedule::reduce_scatter(ring.len(), direction);
-    let t = run_pipelined(net, ring, &schedule, elems, precision, start)?;
+    let schedule = Schedule::reduce_scatter(ring.len(), direction)?;
+    let t = run_pipelined(net, ring, schedule, elems, precision, start)?;
     emit_ring_span(
         net,
         ring,
@@ -64,8 +64,8 @@ pub fn all_gather_time(
     direction: Direction,
     start: SimTime,
 ) -> Result<SimTime, CollectiveError> {
-    let schedule = Schedule::all_gather(ring.len(), direction);
-    let t = run_pipelined(net, ring, &schedule, elems, precision, start)?;
+    let schedule = Schedule::all_gather(ring.len(), direction)?;
+    let t = run_pipelined(net, ring, schedule, elems, precision, start)?;
     emit_ring_span(
         net,
         ring,
@@ -94,10 +94,10 @@ pub fn all_reduce_time(
     // Chain per member, not through a global barrier: each member starts
     // gathering as soon as its own shard is reduced.
     let n = ring.len();
-    let rs = Schedule::reduce_scatter(n, direction);
-    let per_member = run_pipelined_from(net, ring, &rs, elems, precision, &vec![start; n])?;
-    let ag = Schedule::all_gather(n, direction);
-    let done = run_pipelined_from(net, ring, &ag, elems, precision, &per_member)?;
+    let rs = Schedule::reduce_scatter(n, direction)?;
+    let per_member = run_pipelined_from(net, ring, rs, elems, precision, &vec![start; n])?;
+    let ag = Schedule::all_gather(n, direction)?;
+    let done = run_pipelined_from(net, ring, ag, elems, precision, &per_member)?;
     let t = done.into_iter().fold(start, SimTime::max);
     emit_ring_span(
         net,
@@ -114,12 +114,12 @@ pub fn all_reduce_time(
 fn run_pipelined(
     net: &mut Network,
     ring: &Ring,
-    schedule: &Schedule,
+    schedule: Schedule,
     elems: usize,
     precision: Precision,
     start: SimTime,
 ) -> Result<SimTime, CollectiveError> {
-    let starts = vec![start; ring.len().max(1)];
+    let starts = vec![start; ring.len()];
     let done = run_pipelined_from(net, ring, schedule, elems, precision, &starts)?;
     Ok(done.into_iter().fold(start, SimTime::max))
 }
@@ -130,7 +130,7 @@ fn run_pipelined(
 fn run_pipelined_from(
     net: &mut Network,
     ring: &Ring,
-    schedule: &Schedule,
+    schedule: Schedule,
     elems: usize,
     precision: Precision,
     starts: &[SimTime],
@@ -145,11 +145,15 @@ fn run_pipelined_from(
     let chunk_bytes = precision.wire_bytes(elems / n);
     let members = ring.members();
     // done[i] = when member i finished receiving its chunk for the
-    // current step (before step 0: the member's own start time).
+    // current step (before step 0: the member's own start time); prev is
+    // the same for the step before. Every member receives exactly once per
+    // step, so a step overwrites all of `done` and the two buffers can
+    // simply trade places.
     let mut done = starts.to_vec();
-    for step in schedule.steps() {
-        let prev = done.clone();
-        for mv in step {
+    let mut prev = done.clone();
+    for s in 0..schedule.num_steps() {
+        std::mem::swap(&mut prev, &mut done);
+        for mv in schedule.step(s) {
             // A member may send its step-s chunk once it has finished its
             // own step-(s−1) receive; the receiver must also be done with
             // its previous step (single in-flight receive per member).

@@ -1,20 +1,28 @@
 //! Numeric ring collectives.
 //!
-//! These functions execute ring collectives **for real**: tensor chunks move
-//! between ring members step by step, reductions happen elementwise, and
-//! every message is timed on the simulated network (so link contention —
-//! e.g. a peer-hopping ring crossing occupied links — shows up in the
+//! These functions execute ring collectives **for real**: payload chunks
+//! move between ring members step by step, reductions happen elementwise,
+//! and every message is timed on the simulated network (so link contention
+//! — e.g. a peer-hopping ring crossing occupied links — shows up in the
 //! returned time). They are the ground truth for the α–β models in
 //! [`crate::timing`] and for every property test.
+//!
+//! One ring call runs over one flat `f32` arena laid out
+//! `[member][chunk][elem]`: a chunk is an offset range, a move is a slice
+//! kernel between two ranges, and the [`Schedule`] that drives it is
+//! arithmetic — nothing is allocated per step, per move or per chunk.
+//! [`Tensor`]s exist only at the function boundary, one per member.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::{Network, SimTime};
-use multipod_tensor::{Shape, Tensor};
+use multipod_tensor::{kernels, Bf16, Shape, Tensor};
 use multipod_topology::{ChipId, Ring};
 use multipod_trace::SpanCategory;
 
-use crate::{emit_ring_span, ChunkMove, CollectiveError, Precision, Schedule};
+use crate::{emit_ring_span, CollectiveError, Precision, Schedule};
 
 /// Travel direction around a ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,69 +67,69 @@ fn validate(inputs: &[Tensor], ring: &Ring) -> Result<(), CollectiveError> {
     Ok(())
 }
 
-fn run_schedule(
+/// Runs `schedule` over `arena`, the whole ring's payload laid out
+/// `[member][chunk][elem]` (`n` rows of `n` equal chunks), and returns when
+/// the last step's slowest message lands. A reduce move is an `axpy`
+/// between two chunk ranges, a gather move a copy; a bf16 wire rounds the
+/// payload through one reused scratch chunk, leaving the sender's own copy
+/// unrounded. Each step's numerics run first, then all of its messages are
+/// issued concurrently.
+fn run_ring(
     net: &mut Network,
     ring: &Ring,
-    schedule: &Schedule,
-    chunks: &mut [Vec<Tensor>],
+    schedule: Schedule,
+    arena: &mut [f32],
     precision: Precision,
     start: SimTime,
 ) -> Result<SimTime, CollectiveError> {
     let members = ring.members();
+    let row = arena.len() / members.len();
+    let chunk_elems = row / members.len();
+    let bytes = precision.wire_bytes(chunk_elems);
+    let mut wire = vec![0.0f32; chunk_elems];
+    let mut msgs: Vec<(ChipId, ChipId, u64)> = Vec::with_capacity(members.len());
     let mut t = start;
-    for step in schedule.steps() {
-        // Numerics first, on a snapshot, so concurrent moves are coherent.
-        let payloads: Vec<Tensor> = step
-            .iter()
-            .map(|mv| precision.quantize(&chunks[mv.from][mv.chunk]))
-            .collect();
-        for (mv, payload) in step.iter().zip(&payloads) {
-            apply_move(chunks, mv, payload)?;
+    for s in 0..schedule.num_steps() {
+        msgs.clear();
+        for mv in schedule.step(s) {
+            // All moves of a step are concurrent: each must read its
+            // source as it stood when the step began. No snapshot is
+            // needed because the chunk a member receives is never the one
+            // it sends in the same step, so no source range is written
+            // during the step and moves can be applied in place, in order.
+            debug_assert_ne!(schedule.sent_by(mv.to, s).chunk, mv.chunk);
+            let at = mv.chunk * chunk_elems;
+            let (src, dst) = src_dst(arena, mv.from * row + at, mv.to * row + at, chunk_elems);
+            let payload: &[f32] = match precision {
+                Precision::F32 => src,
+                Precision::Bf16 => {
+                    wire.copy_from_slice(src);
+                    Bf16::quantize_slice(&mut wire);
+                    &wire
+                }
+            };
+            if mv.reduce {
+                kernels::axpy(dst, 1.0, payload);
+            } else {
+                dst.copy_from_slice(payload);
+            }
+            msgs.push((members[mv.from], members[mv.to], bytes));
         }
-        // Then timing: all moves in a step are concurrent.
-        let msgs: Vec<(ChipId, ChipId, u64)> = step
-            .iter()
-            .map(|mv| {
-                (
-                    members[mv.from],
-                    members[mv.to],
-                    precision.wire_bytes(chunks[mv.from][mv.chunk].len()),
-                )
-            })
-            .collect();
         t = net.parallel_transfers(&msgs, t)?;
     }
     Ok(t)
 }
 
-fn apply_move(
-    chunks: &mut [Vec<Tensor>],
-    mv: &ChunkMove,
-    payload: &Tensor,
-) -> Result<(), CollectiveError> {
-    if mv.reduce {
-        // In-place accumulate; the destination chunk is uniquely owned
-        // (flatten_chunks materialized it), so no copy-on-write detach.
-        chunks[mv.to][mv.chunk].axpy(1.0, payload)?;
+/// `arena[src..src + len]` shared and `arena[dst..dst + len]` mutable; the
+/// two ranges must not overlap.
+fn src_dst(arena: &mut [f32], src: usize, dst: usize, len: usize) -> (&[f32], &mut [f32]) {
+    if src < dst {
+        let (lo, hi) = arena.split_at_mut(dst);
+        (&lo[src..src + len], &mut hi[..len])
     } else {
-        // Move by handle: an O(1) refcount bump, not a payload copy.
-        chunks[mv.to][mv.chunk] = payload.clone();
+        let (lo, hi) = arena.split_at_mut(src);
+        (&hi[..len], &mut lo[dst..dst + len])
     }
-    Ok(())
-}
-
-fn flatten_chunks(inputs: &[Tensor], n: usize) -> Result<Vec<Vec<Tensor>>, CollectiveError> {
-    let elems = inputs[0].len();
-    if n == 0 || !elems.is_multiple_of(n) {
-        return Err(CollectiveError::IndivisiblePayload { elems, parts: n });
-    }
-    inputs
-        .iter()
-        .map(|t| {
-            let flat = t.clone().reshape(Shape::vector(t.len()))?;
-            flat.split(0, n).map_err(CollectiveError::from)
-        })
-        .collect()
 }
 
 /// Ring reduce-scatter: after the call, member `i` holds the elementwise
@@ -141,25 +149,29 @@ pub fn reduce_scatter(
 ) -> Result<ScatterOutput, CollectiveError> {
     validate(inputs, ring)?;
     let n = ring.len();
-    let mut chunks = flatten_chunks(inputs, n)?;
-    let schedule = Schedule::reduce_scatter(n, direction);
-    let time = run_schedule(net, ring, &schedule, &mut chunks, precision, start)?;
-    emit_ring_span(
-        net,
-        ring,
-        SpanCategory::CollectivePhase,
-        "reduce-scatter",
-        start,
-        time,
-        precision.wire_bytes(inputs[0].len()),
-    );
+    let schedule = Schedule::reduce_scatter(n, direction)?;
+    let elems = inputs[0].len();
+    if !elems.is_multiple_of(n) {
+        return Err(CollectiveError::IndivisiblePayload { elems, parts: n });
+    }
+    let chunk_elems = elems / n;
+    // A member's flat payload *is* its `[chunk][elem]` row.
+    let mut arena = Vec::with_capacity(n * elems);
+    for input in inputs {
+        arena.extend_from_slice(input.data());
+    }
+    let time = run_ring(net, ring, schedule, &mut arena, precision, start)?;
+    let (phase, bytes) = (SpanCategory::CollectivePhase, precision.wire_bytes(elems));
+    emit_ring_span(net, ring, phase, "reduce-scatter", start, time, bytes);
     let chunk_of_member: Vec<usize> = (0..n).map(|i| schedule.owned_chunk(i)).collect();
-    // Take the owned shard out of each member's chunk row by handle; the
-    // remaining (stale) chunks are dropped without copying.
-    let shards = chunks
-        .into_iter()
-        .zip(&chunk_of_member)
-        .map(|(mut row, &owned)| row.swap_remove(owned))
+    // Cut each member's owned shard out of its row; the rest is stale.
+    let shards = chunk_of_member
+        .iter()
+        .enumerate()
+        .map(|(i, &owned)| {
+            let at = i * elems + owned * chunk_elems;
+            Tensor::from_slice(&arena[at..at + chunk_elems])
+        })
         .collect();
     Ok(ScatterOutput {
         shards,
@@ -172,6 +184,11 @@ pub fn reduce_scatter(
 /// [`Schedule::owned_chunk`]`(i)`; every member ends with the concatenation
 /// of all chunks in payload order.
 ///
+/// On a lossless wire ([`Precision::F32`]) every member ends with the same
+/// bits, so the outputs are handles to one buffer (copy-on-write: mutating
+/// one detaches it). A bf16 wire leaves each chunk's owner with its
+/// unrounded copy, so those outputs differ per member and stay separate.
+///
 /// # Errors
 ///
 /// Fails on participant/shape mismatches or unroutable messages.
@@ -183,34 +200,7 @@ pub fn all_gather(
     direction: Direction,
     start: SimTime,
 ) -> Result<CollectiveOutput, CollectiveError> {
-    validate(shards, ring)?;
-    let n = ring.len();
-    let schedule = Schedule::all_gather(n, direction);
-    let chunk_elems = shards[0].len();
-    // Pre-place each member's shard at its owned chunk slot. Flattening a
-    // shard to its own element count cannot change the count, but any
-    // tensor failure surfaces as a typed error rather than a panic.
-    let mut chunks: Vec<Vec<Tensor>> = Vec::with_capacity(n);
-    for (i, shard) in shards.iter().enumerate() {
-        let mut row = vec![Tensor::zeros(Shape::vector(chunk_elems)); n];
-        row[schedule.owned_chunk(i)] = shard.clone().reshape(Shape::vector(chunk_elems))?;
-        chunks.push(row);
-    }
-    let time = run_schedule(net, ring, &schedule, &mut chunks, precision, start)?;
-    emit_ring_span(
-        net,
-        ring,
-        SpanCategory::CollectivePhase,
-        "all-gather",
-        start,
-        time,
-        precision.wire_bytes(n * chunk_elems),
-    );
-    let outputs = chunks
-        .into_iter()
-        .map(|row| Tensor::concat(&row, 0).map_err(CollectiveError::from))
-        .collect::<Result<Vec<Tensor>, CollectiveError>>()?;
-    Ok(CollectiveOutput { outputs, time })
+    gather(net, ring, shards, precision, direction, start, false)
 }
 
 /// Ring all-gather where member `i` contributes the `i`-th chunk of the
@@ -229,26 +219,51 @@ pub fn all_gather_ordered(
     direction: Direction,
     start: SimTime,
 ) -> Result<CollectiveOutput, CollectiveError> {
+    gather(net, ring, shards, precision, direction, start, true)
+}
+
+/// The all-gather behind both public flavours. Member `i`'s shard travels
+/// as schedule chunk `owned_chunk(i)`; `member_order` permutes each output
+/// row back to member-index order.
+fn gather(
+    net: &mut Network,
+    ring: &Ring,
+    shards: &[Tensor],
+    precision: Precision,
+    direction: Direction,
+    start: SimTime,
+    member_order: bool,
+) -> Result<CollectiveOutput, CollectiveError> {
+    validate(shards, ring)?;
     let n = ring.len();
-    let raw = all_gather(net, ring, shards, precision, direction, start)?;
-    if n < 2 {
-        return Ok(raw);
+    let schedule = Schedule::all_gather(n, direction)?;
+    let chunk_elems = shards[0].len();
+    let row = n * chunk_elems;
+    let mut arena = vec![0.0f32; n * row];
+    for (i, shard) in shards.iter().enumerate() {
+        let at = i * row + schedule.owned_chunk(i) * chunk_elems;
+        arena[at..at + chunk_elems].copy_from_slice(shard.data());
     }
-    // `all_gather` places member i's shard at schedule-chunk
-    // owned_chunk(i); permute chunks back to member-index order.
-    let schedule = Schedule::all_gather(n, direction);
-    let mut outputs = Vec::with_capacity(raw.outputs.len());
-    for t in raw.outputs {
-        let chunks = t.split(0, n)?;
-        let ordered: Vec<Tensor> = (0..n)
-            .map(|m| chunks[schedule.owned_chunk(m)].clone())
-            .collect();
-        outputs.push(Tensor::concat(&ordered, 0)?);
-    }
-    Ok(CollectiveOutput {
-        outputs,
-        time: raw.time,
-    })
+    let time = run_ring(net, ring, schedule, &mut arena, precision, start)?;
+    let (phase, bytes) = (SpanCategory::CollectivePhase, precision.wire_bytes(row));
+    emit_ring_span(net, ring, phase, "all-gather", start, time, bytes);
+    let output_of = |i: usize| {
+        let gathered = &arena[i * row..(i + 1) * row];
+        if !member_order {
+            return Tensor::from_slice(gathered);
+        }
+        let mut data = Vec::with_capacity(row);
+        for m in 0..n {
+            let at = schedule.owned_chunk(m) * chunk_elems;
+            data.extend_from_slice(&gathered[at..at + chunk_elems]);
+        }
+        Tensor::new(Shape::vector(row), data)
+    };
+    let outputs = match precision {
+        Precision::F32 => vec![output_of(0); n],
+        Precision::Bf16 => (0..n).map(output_of).collect(),
+    };
+    Ok(CollectiveOutput { outputs, time })
 }
 
 /// Unidirectional ring all-reduce: reduce-scatter followed by all-gather.
@@ -301,54 +316,29 @@ pub fn all_reduce(
     validate(inputs, ring)?;
     let n = ring.len();
     let elems = inputs[0].len();
-    if n < 2 || !elems.is_multiple_of(2 * n) {
-        let out =
-            all_reduce_unidirectional(net, ring, inputs, precision, Direction::Forward, start)?;
-        emit_ring_span(
-            net,
-            ring,
-            SpanCategory::Collective,
-            "all-reduce",
-            start,
-            out.time,
-            precision.wire_bytes(elems),
-        );
-        return Ok(out);
-    }
-    let shape = inputs[0].shape().clone();
-    // `validate` + the divisibility gate above make these tensor ops
-    // well-formed; errors still propagate typed instead of panicking.
-    // Each half moves into its lane by handle — no intermediate clones.
-    let mut first: Vec<Tensor> = Vec::with_capacity(inputs.len());
-    let mut second: Vec<Tensor> = Vec::with_capacity(inputs.len());
-    for t in inputs {
-        let flat = t.clone().reshape(Shape::vector(elems))?;
-        let mut parts = flat.split(0, 2)?.into_iter();
-        let (Some(a), Some(b)) = (parts.next(), parts.next()) else {
-            return Err(CollectiveError::IndivisiblePayload { elems, parts: 2 });
+    let forward = Direction::Forward;
+    let out = if n < 2 || !elems.is_multiple_of(2 * n) {
+        all_reduce_unidirectional(net, ring, inputs, precision, forward, start)?
+    } else {
+        let lane = |half: Range<usize>| -> Vec<Tensor> {
+            let cut = |t: &Tensor| Tensor::from_slice(&t.data()[half.clone()]);
+            inputs.iter().map(cut).collect()
         };
-        first.push(a);
-        second.push(b);
-    }
-    let lane_a =
-        all_reduce_unidirectional(net, ring, &first, precision, Direction::Forward, start)?;
-    let lane_b =
-        all_reduce_unidirectional(net, ring, &second, precision, Direction::Backward, start)?;
-    let time = lane_a.time.max(lane_b.time);
-    let mut outputs = Vec::with_capacity(lane_a.outputs.len());
-    for (a, b) in lane_a.outputs.into_iter().zip(lane_b.outputs) {
-        outputs.push(Tensor::concat(&[a, b], 0)?.reshape(shape.clone())?);
-    }
-    emit_ring_span(
-        net,
-        ring,
-        SpanCategory::Collective,
-        "all-reduce",
-        start,
-        time,
-        precision.wire_bytes(elems),
-    );
-    Ok(CollectiveOutput { outputs, time })
+        let (lo, hi) = (lane(0..elems / 2), lane(elems / 2..elems));
+        let backward = Direction::Backward;
+        let lo = all_reduce_unidirectional(net, ring, &lo, precision, forward, start)?;
+        let hi = all_reduce_unidirectional(net, ring, &hi, precision, backward, start)?;
+        let time = lo.time.max(hi.time);
+        let shape = inputs[0].shape();
+        let mut outputs = Vec::with_capacity(n);
+        for (lo, hi) in lo.outputs.into_iter().zip(hi.outputs) {
+            outputs.push(Tensor::concat(&[lo, hi], 0)?.reshape(shape.clone())?);
+        }
+        CollectiveOutput { outputs, time }
+    };
+    let (whole, bytes) = (SpanCategory::Collective, precision.wire_bytes(elems));
+    emit_ring_span(net, ring, whole, "all-reduce", start, out.time, bytes);
+    Ok(out)
 }
 
 /// Relays a tensor from `root` around the ring (non-pipelined; the
@@ -392,20 +382,237 @@ pub fn broadcast(
         }
         t = fwd_t.max(bwd_t);
     }
-    emit_ring_span(
-        net,
-        ring,
-        SpanCategory::Collective,
-        "broadcast",
-        start,
-        t,
-        bytes,
-    );
+    let whole = SpanCategory::Collective;
+    emit_ring_span(net, ring, whole, "broadcast", start, t, bytes);
     let quantized = precision.quantize(payload);
     Ok(CollectiveOutput {
         outputs: vec![quantized; n],
         time: t,
     })
+}
+
+#[cfg(test)]
+/// The seed executor — every chunk of every member its own heap
+/// [`Tensor`], a quantized snapshot per step — kept as the observational
+/// reference the arena executor is tested against: same output bits, same
+/// times, same trace events.
+pub(crate) mod oracle {
+    use super::*;
+    use crate::ChunkMove;
+
+    fn run_schedule(
+        net: &mut Network,
+        ring: &Ring,
+        schedule: Schedule,
+        chunks: &mut [Vec<Tensor>],
+        precision: Precision,
+        start: SimTime,
+    ) -> Result<SimTime, CollectiveError> {
+        let members = ring.members();
+        let mut t = start;
+        for s in 0..schedule.num_steps() {
+            let step: Vec<ChunkMove> = schedule.step(s).collect();
+            // Numerics first, on a snapshot, so concurrent moves are coherent.
+            let payloads: Vec<Tensor> = step
+                .iter()
+                .map(|mv| precision.quantize(&chunks[mv.from][mv.chunk]))
+                .collect();
+            for (mv, payload) in step.iter().zip(&payloads) {
+                apply_move(chunks, mv, payload)?;
+            }
+            // Then timing: all moves in a step are concurrent.
+            let msgs: Vec<(ChipId, ChipId, u64)> = step
+                .iter()
+                .map(|mv| {
+                    (
+                        members[mv.from],
+                        members[mv.to],
+                        precision.wire_bytes(chunks[mv.from][mv.chunk].len()),
+                    )
+                })
+                .collect();
+            t = net.parallel_transfers(&msgs, t)?;
+        }
+        Ok(t)
+    }
+
+    fn apply_move(
+        chunks: &mut [Vec<Tensor>],
+        mv: &ChunkMove,
+        payload: &Tensor,
+    ) -> Result<(), CollectiveError> {
+        if mv.reduce {
+            chunks[mv.to][mv.chunk].axpy(1.0, payload)?;
+        } else {
+            chunks[mv.to][mv.chunk] = payload.clone();
+        }
+        Ok(())
+    }
+
+    fn flatten_chunks(inputs: &[Tensor], n: usize) -> Result<Vec<Vec<Tensor>>, CollectiveError> {
+        let elems = inputs[0].len();
+        if n == 0 || !elems.is_multiple_of(n) {
+            return Err(CollectiveError::IndivisiblePayload { elems, parts: n });
+        }
+        inputs
+            .iter()
+            .map(|t| {
+                let flat = t.clone().reshape(Shape::vector(t.len()))?;
+                flat.split(0, n).map_err(CollectiveError::from)
+            })
+            .collect()
+    }
+
+    pub(crate) fn reduce_scatter(
+        net: &mut Network,
+        ring: &Ring,
+        inputs: &[Tensor],
+        precision: Precision,
+        direction: Direction,
+        start: SimTime,
+    ) -> Result<ScatterOutput, CollectiveError> {
+        validate(inputs, ring)?;
+        let n = ring.len();
+        let mut chunks = flatten_chunks(inputs, n)?;
+        let schedule = Schedule::reduce_scatter(n, direction)?;
+        let time = run_schedule(net, ring, schedule, &mut chunks, precision, start)?;
+        let bytes = precision.wire_bytes(inputs[0].len());
+        let phase = SpanCategory::CollectivePhase;
+        emit_ring_span(net, ring, phase, "reduce-scatter", start, time, bytes);
+        let chunk_of_member: Vec<usize> = (0..n).map(|i| schedule.owned_chunk(i)).collect();
+        let shards = chunks
+            .into_iter()
+            .zip(&chunk_of_member)
+            .map(|(mut row, &owned)| row.swap_remove(owned))
+            .collect();
+        Ok(ScatterOutput {
+            shards,
+            chunk_of_member,
+            time,
+        })
+    }
+
+    pub(crate) fn all_gather(
+        net: &mut Network,
+        ring: &Ring,
+        shards: &[Tensor],
+        precision: Precision,
+        direction: Direction,
+        start: SimTime,
+    ) -> Result<CollectiveOutput, CollectiveError> {
+        validate(shards, ring)?;
+        let n = ring.len();
+        let schedule = Schedule::all_gather(n, direction)?;
+        let chunk_elems = shards[0].len();
+        let mut chunks: Vec<Vec<Tensor>> = Vec::with_capacity(n);
+        for (i, shard) in shards.iter().enumerate() {
+            let mut row = vec![Tensor::zeros(Shape::vector(chunk_elems)); n];
+            row[schedule.owned_chunk(i)] = shard.clone().reshape(Shape::vector(chunk_elems))?;
+            chunks.push(row);
+        }
+        let time = run_schedule(net, ring, schedule, &mut chunks, precision, start)?;
+        let bytes = precision.wire_bytes(n * chunk_elems);
+        let phase = SpanCategory::CollectivePhase;
+        emit_ring_span(net, ring, phase, "all-gather", start, time, bytes);
+        let outputs = chunks
+            .into_iter()
+            .map(|row| Tensor::concat(&row, 0).map_err(CollectiveError::from))
+            .collect::<Result<Vec<Tensor>, CollectiveError>>()?;
+        Ok(CollectiveOutput { outputs, time })
+    }
+
+    pub(crate) fn all_gather_ordered(
+        net: &mut Network,
+        ring: &Ring,
+        shards: &[Tensor],
+        precision: Precision,
+        direction: Direction,
+        start: SimTime,
+    ) -> Result<CollectiveOutput, CollectiveError> {
+        let n = ring.len();
+        let raw = all_gather(net, ring, shards, precision, direction, start)?;
+        if n < 2 {
+            return Ok(raw);
+        }
+        let schedule = Schedule::all_gather(n, direction)?;
+        let mut outputs = Vec::with_capacity(raw.outputs.len());
+        for t in raw.outputs {
+            let chunks = t.split(0, n)?;
+            let ordered: Vec<Tensor> = (0..n)
+                .map(|m| chunks[schedule.owned_chunk(m)].clone())
+                .collect();
+            outputs.push(Tensor::concat(&ordered, 0)?);
+        }
+        Ok(CollectiveOutput {
+            outputs,
+            time: raw.time,
+        })
+    }
+
+    fn all_reduce_unidirectional(
+        net: &mut Network,
+        ring: &Ring,
+        inputs: &[Tensor],
+        precision: Precision,
+        direction: Direction,
+        start: SimTime,
+    ) -> Result<CollectiveOutput, CollectiveError> {
+        let rs = reduce_scatter(net, ring, inputs, precision, direction, start)?;
+        let ag = all_gather(net, ring, &rs.shards, precision, direction, rs.time)?;
+        let shape = inputs[0].shape().clone();
+        let outputs = ag
+            .outputs
+            .into_iter()
+            .map(|t| t.reshape(shape.clone()).map_err(CollectiveError::from))
+            .collect::<Result<Vec<Tensor>, CollectiveError>>()?;
+        Ok(CollectiveOutput {
+            outputs,
+            time: ag.time,
+        })
+    }
+
+    pub(crate) fn all_reduce(
+        net: &mut Network,
+        ring: &Ring,
+        inputs: &[Tensor],
+        precision: Precision,
+        start: SimTime,
+    ) -> Result<CollectiveOutput, CollectiveError> {
+        validate(inputs, ring)?;
+        let n = ring.len();
+        let elems = inputs[0].len();
+        let bytes = precision.wire_bytes(elems);
+        let whole = SpanCategory::Collective;
+        if n < 2 || !elems.is_multiple_of(2 * n) {
+            let forward = Direction::Forward;
+            let out = all_reduce_unidirectional(net, ring, inputs, precision, forward, start)?;
+            emit_ring_span(net, ring, whole, "all-reduce", start, out.time, bytes);
+            return Ok(out);
+        }
+        let shape = inputs[0].shape().clone();
+        let mut first: Vec<Tensor> = Vec::with_capacity(inputs.len());
+        let mut second: Vec<Tensor> = Vec::with_capacity(inputs.len());
+        for t in inputs {
+            let flat = t.clone().reshape(Shape::vector(elems))?;
+            let mut parts = flat.split(0, 2)?.into_iter();
+            let (Some(a), Some(b)) = (parts.next(), parts.next()) else {
+                return Err(CollectiveError::IndivisiblePayload { elems, parts: 2 });
+            };
+            first.push(a);
+            second.push(b);
+        }
+        let lane_a =
+            all_reduce_unidirectional(net, ring, &first, precision, Direction::Forward, start)?;
+        let lane_b =
+            all_reduce_unidirectional(net, ring, &second, precision, Direction::Backward, start)?;
+        let time = lane_a.time.max(lane_b.time);
+        let mut outputs = Vec::with_capacity(lane_a.outputs.len());
+        for (a, b) in lane_a.outputs.into_iter().zip(lane_b.outputs) {
+            outputs.push(Tensor::concat(&[a, b], 0)?.reshape(shape.clone())?);
+        }
+        emit_ring_span(net, ring, whole, "all-reduce", start, time, bytes);
+        Ok(CollectiveOutput { outputs, time })
+    }
 }
 
 #[cfg(test)]
@@ -646,5 +853,132 @@ mod tests {
         let out = all_reduce(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
         assert_eq!(out.outputs[0], ins[0]);
         assert_eq!(out.time, SimTime::ZERO);
+    }
+
+    #[test]
+    fn f32_gather_outputs_are_one_buffer_and_bf16_ones_are_not() {
+        let (mut net, ring) = column_net(4);
+        let shards = inputs(4, 3);
+        let fwd = Direction::Forward;
+        let f32_out =
+            all_gather(&mut net, &ring, &shards, Precision::F32, fwd, SimTime::ZERO).unwrap();
+        let bf16_out = all_gather(
+            &mut net,
+            &ring,
+            &shards,
+            Precision::Bf16,
+            fwd,
+            SimTime::ZERO,
+        )
+        .unwrap();
+        for i in 1..4 {
+            assert!(f32_out.outputs[i].shares_storage(&f32_out.outputs[0]));
+            assert!(!bf16_out.outputs[i].shares_storage(&bf16_out.outputs[0]));
+        }
+        // Copy-on-write: writing through one handle detaches it.
+        let mut outputs = f32_out.outputs;
+        let before = outputs[1].clone();
+        outputs[0].data_mut()[0] = -1.0;
+        assert_eq!(outputs[1], before);
+        assert_ne!(outputs[0], before);
+    }
+
+    mod differential {
+        use super::*;
+        use multipod_tensor::TensorRng;
+        use multipod_trace::{Recorder, TraceEvent, TraceSink};
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        /// What a ring call leaves behind: output shapes and bits, shard
+        /// placement (for a reduce-scatter), completion time, and every
+        /// recorded event.
+        type Observed = (Vec<(Shape, Vec<u32>)>, Vec<usize>, SimTime, Vec<TraceEvent>);
+
+        fn observe<T>(
+            n: usize,
+            call: impl FnOnce(&mut Network, &Ring) -> Result<T, CollectiveError>,
+            parts: impl FnOnce(T) -> (Vec<Tensor>, Vec<usize>, SimTime),
+        ) -> Observed {
+            let (mut net, ring) = column_net(n as u32);
+            let recorder = Recorder::shared();
+            let sink = recorder.clone() as Arc<dyn TraceSink>;
+            net.set_obs(multipod_telemetry::Obs::new(Some(sink), None));
+            let (tensors, placement, time) = parts(call(&mut net, &ring).unwrap());
+            let bits = tensors
+                .iter()
+                .map(|t| {
+                    let bits = t.data().iter().map(|v| v.to_bits()).collect();
+                    (t.shape().clone(), bits)
+                })
+                .collect();
+            (bits, placement, time, recorder.events())
+        }
+
+        fn full(out: CollectiveOutput) -> (Vec<Tensor>, Vec<usize>, SimTime) {
+            (out.outputs, Vec::new(), out.time)
+        }
+
+        fn scattered(out: ScatterOutput) -> (Vec<Tensor>, Vec<usize>, SimTime) {
+            (out.shards, out.chunk_of_member, out.time)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The arena executor is bit-invisible next to the seed
+            /// executor: same output bits (bf16 owner-keeps-unrounded
+            /// included), same times, same trace events, for every public
+            /// ring collective it backs.
+            #[test]
+            fn arena_executor_matches_the_seed_executor(
+                n in 1usize..10,
+                k in 1usize..4,
+                forward in any::<bool>(),
+                bf16 in any::<bool>(),
+                seed in 0u64..10_000,
+            ) {
+                let dir = if forward { Direction::Forward } else { Direction::Backward };
+                let precision = if bf16 { Precision::Bf16 } else { Precision::F32 };
+                let mut rng = TensorRng::seed(seed);
+                let ins: Vec<Tensor> = (0..n)
+                    .map(|_| rng.uniform(Shape::of(&[2 * n, k]), -8.0, 8.0))
+                    .collect();
+                let t0 = SimTime::ZERO;
+
+                let new = observe(
+                    n, |net, ring| reduce_scatter(net, ring, &ins, precision, dir, t0), scattered,
+                );
+                let old = observe(
+                    n, |net, ring| oracle::reduce_scatter(net, ring, &ins, precision, dir, t0),
+                    scattered,
+                );
+                prop_assert!(n < 2 || !new.3.is_empty(), "transfers must be recorded");
+                prop_assert_eq!(new, old);
+
+                let shards = &ins[..];
+                let new = observe(
+                    n, |net, ring| all_gather(net, ring, shards, precision, dir, t0), full,
+                );
+                let old = observe(
+                    n, |net, ring| oracle::all_gather(net, ring, shards, precision, dir, t0), full,
+                );
+                prop_assert_eq!(new, old);
+
+                let new = observe(
+                    n, |net, ring| all_gather_ordered(net, ring, shards, precision, dir, t0), full,
+                );
+                let old = observe(
+                    n, |net, ring| oracle::all_gather_ordered(net, ring, shards, precision, dir, t0),
+                    full,
+                );
+                prop_assert_eq!(new, old);
+
+                let new = observe(n, |net, ring| all_reduce(net, ring, &ins, precision, t0), full);
+                let old =
+                    observe(n, |net, ring| oracle::all_reduce(net, ring, &ins, precision, t0), full);
+                prop_assert_eq!(new, old);
+            }
+        }
     }
 }

@@ -241,20 +241,16 @@ fn phase(
 ///
 /// Panics when `model_stride` does not divide the mesh X extent.
 pub fn shard_index(mesh: &multipod_topology::Multipod, chip: ChipId, model_stride: u32) -> usize {
-    let c = mesh.coord_of(chip);
-    let y_len = mesh.y_len() as usize;
-    let y_chunk = if y_len < 2 {
-        0
-    } else {
-        Schedule::reduce_scatter(y_len, Direction::Forward).owned_chunk(c.y as usize)
+    // What `two_dim_all_reduce`'s forward reduce-scatters leave member
+    // `i` of an `n`-ring holding (chunk 0 of 1 when the ring is trivial).
+    let owned = |n: usize, i: usize| {
+        Schedule::reduce_scatter(n, Direction::Forward).map_or(0, |s| s.owned_chunk(i))
     };
+    let c = mesh.coord_of(chip);
     assert_eq!(mesh.x_len() % model_stride, 0, "stride must divide x_len");
     let x_members = (mesh.x_len() / model_stride) as usize;
-    if x_members < 2 {
-        return y_chunk;
-    }
-    let x_idx = (c.x / model_stride) as usize;
-    let x_chunk = Schedule::reduce_scatter(x_members, Direction::Forward).owned_chunk(x_idx);
+    let y_chunk = owned(mesh.y_len() as usize, c.y as usize);
+    let x_chunk = owned(x_members, (c.x / model_stride) as usize);
     y_chunk * x_members + x_chunk
 }
 
@@ -441,6 +437,129 @@ mod tests {
         };
         two_dim_all_reduce(&mut net, &ins, Precision::F32, 1, Some(&mut check)).unwrap();
         assert_eq!(seen.len(), n);
+    }
+
+    #[test]
+    fn shard_index_agrees_with_the_owner_the_executor_observes() {
+        // Every chip contributes the ramp 0, 1, 2, …, so position `p` of a
+        // replica group's sum is `group × p` exactly and a shard's first
+        // element names where in the payload it was cut from.
+        for (x, y, stride) in [(4u32, 4u32, 1u32), (8, 2, 1), (8, 4, 2)] {
+            let mut net = setup(x, y);
+            let mesh = net.mesh().clone();
+            let shards = (y * x / stride) as usize;
+            let group = (mesh.num_chips() / stride as usize) as f32;
+            let elems = 3 * shards;
+            let ramp = Tensor::new(Shape::vector(elems), (0..elems).map(|p| p as f32).collect());
+            let ins = vec![ramp; mesh.num_chips()];
+            let mut seen = vec![0u32; shards];
+            let mut check = |chip: ChipId, shard: &mut Tensor| {
+                assert_eq!(shard.len(), elems / shards);
+                let observed = (shard.data()[0] / group) as usize / shard.len();
+                assert_eq!(shard_index(&mesh, chip, stride), observed, "chip {chip}");
+                seen[observed] += 1;
+            };
+            two_dim_all_reduce(&mut net, &ins, Precision::F32, stride, Some(&mut check)).unwrap();
+            // One owner per shard in each of the `stride` replica groups.
+            assert!(
+                seen.iter().all(|&owners| owners == stride),
+                "{x}x{y}/{stride}"
+            );
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn f32_outputs_are_identical_and_shared_along_y() {
+        let mut net = setup(8, 4);
+        let mesh = net.mesh().clone();
+        let ins = random_inputs(mesh.num_chips(), 128, 21);
+        let mut outputs = two_dim_all_reduce(&mut net, &ins, Precision::F32, 1, None)
+            .unwrap()
+            .outputs;
+        for o in &outputs {
+            assert_eq!(bits(o), bits(&outputs[0]));
+        }
+        let column: Vec<usize> = mesh.y_ring(3).members().iter().map(|c| c.index()).collect();
+        for &i in &column[1..] {
+            assert!(outputs[i].shares_storage(&outputs[column[0]]));
+        }
+        // Copy-on-write: a write through one handle detaches it and is
+        // invisible to its ring-mates.
+        let before = bits(&outputs[column[1]]);
+        outputs[column[0]].data_mut()[0] += 1.0;
+        assert!(!outputs[column[0]].shares_storage(&outputs[column[1]]));
+        for &i in &column[1..] {
+            assert_eq!(bits(&outputs[i]), before);
+        }
+    }
+
+    /// The 2-D schedule driven through the seed ring executor.
+    fn oracle_two_dim(
+        net: &mut Network,
+        inputs: &[Tensor],
+        precision: Precision,
+    ) -> (Vec<Tensor>, SimTime) {
+        let mesh = net.mesh().clone();
+        let y_rings: Vec<Ring> = (0..mesh.x_len()).map(|x| mesh.y_ring(x)).collect();
+        let x_rings: Vec<Ring> = (0..mesh.y_len()).map(|y| mesh.x_line(y)).collect();
+        let mut state = inputs.to_vec();
+        let mut t = SimTime::ZERO;
+        let fwd = Direction::Forward;
+        for (rings, scatter) in [
+            (&y_rings, true),
+            (&x_rings, true),
+            (&x_rings, false),
+            (&y_rings, false),
+        ] {
+            let mut end = t;
+            for ring in rings {
+                let members: Vec<Tensor> = ring
+                    .members()
+                    .iter()
+                    .map(|c| state[c.index()].clone())
+                    .collect();
+                let (results, time) = if scatter {
+                    let rs = ring::oracle::reduce_scatter(net, ring, &members, precision, fwd, t);
+                    let rs = rs.unwrap();
+                    (rs.shards, rs.time)
+                } else {
+                    let ag = ring::oracle::all_gather(net, ring, &members, precision, fwd, t);
+                    let ag = ag.unwrap();
+                    (ag.outputs, ag.time)
+                };
+                for (member, result) in ring.members().iter().zip(results) {
+                    state[member.index()] = result;
+                }
+                end = end.max(time);
+            }
+            t = end;
+        }
+        (state, t)
+    }
+
+    #[test]
+    fn bf16_outputs_match_the_seed_executor_bit_for_bit() {
+        // Until the owner-rounding fix lands on purpose, a shard's owner
+        // keeps its unrounded f32 sum while its peers receive the rounded
+        // copy — so bf16 outputs differ per chip, exactly as the seed's did.
+        let ins = random_inputs(32, 128, 22);
+        let mut net = setup(8, 4);
+        let out = two_dim_all_reduce(&mut net, &ins, Precision::Bf16, 1, None).unwrap();
+        let (want, want_time) = oracle_two_dim(&mut setup(8, 4), &ins, Precision::Bf16);
+        assert_eq!(out.time, want_time);
+        let mut distinct = false;
+        for (got, want) in out.outputs.iter().zip(&want) {
+            assert_eq!(bits(got), bits(want));
+            distinct |= got != &out.outputs[0];
+        }
+        assert!(
+            distinct,
+            "bf16 owners keep unrounded sums, so chips must differ"
+        );
     }
 
     #[test]
