@@ -9,8 +9,30 @@
 //! same access sequence — so hit rate is monotone in capacity.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const NIL: usize = usize::MAX;
+
+/// A multiply-rotate hasher for the `(table, row)` keys. They come from
+/// the simulation's own seeded streams, never from outside the program,
+/// so SipHash's resistance to crafted collisions buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(b as usize));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn finish(&self) -> u64 {
+        // A multiply mixes upwards only; the map indexes by the low bits.
+        self.0.rotate_left(26)
+    }
+}
 
 /// One arena slot of the recency list.
 #[derive(Clone, Debug)]
@@ -27,7 +49,7 @@ struct Node {
 #[derive(Clone, Debug, Default)]
 pub struct LruCache {
     capacity: usize,
-    map: HashMap<(usize, usize), usize>,
+    map: HashMap<(usize, usize), usize, BuildHasherDefault<KeyHasher>>,
     nodes: Vec<Node>,
     /// Most recently used.
     head: usize,
@@ -43,7 +65,7 @@ impl LruCache {
     pub fn new(capacity: usize) -> LruCache {
         LruCache {
             capacity,
-            map: HashMap::new(),
+            map: HashMap::default(),
             nodes: Vec::with_capacity(capacity.min(1 << 20)),
             head: NIL,
             tail: NIL,

@@ -8,6 +8,15 @@ use multipod_topology::TopologyError;
 /// Why an embedding operation was rejected.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EmbeddingError {
+    /// A placement with no tables has no embedding dimension.
+    NoTables,
+    /// The placement was planned for a mesh of another size.
+    ChipCountMismatch {
+        /// Chips the placement was planned for.
+        placement: usize,
+        /// Chips in the network's mesh.
+        mesh: usize,
+    },
     /// DLRM tables must share one embedding dimension.
     DimMismatch {
         /// Offending table index.
@@ -63,6 +72,10 @@ pub enum EmbeddingError {
 impl fmt::Display for EmbeddingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            EmbeddingError::NoTables => write!(f, "the placement holds no tables"),
+            EmbeddingError::ChipCountMismatch { placement, mesh } => {
+                write!(f, "planned for {placement} chips, but the mesh has {mesh}")
+            }
             EmbeddingError::DimMismatch {
                 table,
                 dim,

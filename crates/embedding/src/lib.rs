@@ -13,9 +13,9 @@
 //! This crate implements all three for real: [`Placement`] decides where
 //! each table lives, [`ShardedEmbedding`] executes distributed lookups
 //! over the simulated mesh (row-partitioned tables answer remote lookups
-//! via an all-to-all exchange that is timed on the network), and
-//! [`masked_self_interaction`] computes the masked feature
-//! self-interaction.
+//! via an all-to-all timed on the network; no table is materialised, and
+//! [`ShardedEmbedding::price`] skips the gather), and
+//! [`masked_self_interaction`] computes the masked feature self-interaction.
 //!
 //! ```
 //! use multipod_embedding::{EmbeddingSpec, Placement};
@@ -39,4 +39,4 @@ pub use cache::{EmbeddingCache, LruCache};
 pub use error::EmbeddingError;
 pub use interaction::{masked_self_interaction, InteractionOutput};
 pub use placement::{EmbeddingSpec, Placement, TablePlacement};
-pub use sharded::{EvalAccumulator, LookupOutcome, ShardedEmbedding};
+pub use sharded::{EvalAccumulator, LookupCost, LookupOutcome, ShardedEmbedding};

@@ -67,6 +67,11 @@ impl Placement {
         }
     }
 
+    /// Chips the placement was planned for.
+    pub fn chips(&self) -> usize {
+        self.chips
+    }
+
     /// Number of tables.
     pub fn num_tables(&self) -> usize {
         self.specs.len()

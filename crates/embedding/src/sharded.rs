@@ -1,12 +1,25 @@
 //! Distributed embedding lookup over the simulated mesh.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use multipod_simnet::{Network, SimTime};
-use multipod_tensor::{Shape, Tensor, TensorRng};
+use multipod_tensor::{Shape, Tensor};
 use multipod_topology::ChipId;
 
-use crate::{EmbeddingCache, EmbeddingError, Placement, TablePlacement};
+use crate::{EmbeddingCache, EmbeddingError, Placement};
+
+/// The traffic half of a [`LookupOutcome`]: what a lookup step costs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LookupCost {
+    /// Completion time of the all-to-all exchange.
+    pub time: SimTime,
+    /// Remote rows fetched (crossed the mesh).
+    pub remote_rows: usize,
+    /// Local rows (replicated tables or locally owned rows).
+    pub local_rows: usize,
+    /// Remote rows served from the home chip's cache (no mesh traffic).
+    pub cache_hits: usize,
+}
 
 /// The result of one distributed lookup step.
 #[derive(Clone, Debug)]
@@ -23,46 +36,77 @@ pub struct LookupOutcome {
     pub cache_hits: usize,
 }
 
+/// SplitMix64's finalizer: a bijective avalanche of one word.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The initial value of one table element, in `[-0.1, 0.1)`: a hash of its
+/// coordinates, so any row costs O(dim) and none needs the rows before it.
+fn value(seed: u64, table: usize, row: usize, col: usize) -> f32 {
+    let bits = mix(mix(mix(mix(seed) ^ table as u64) ^ row as u64) ^ col as u64);
+    // The top 24 bits are exact in an f32 mantissa.
+    -0.1 + 0.2 * ((bits >> 40) as f32 / (1u32 << 24) as f32)
+}
+
+/// Folds packed `owner · chips + home` keys into one bulk message per pair,
+/// in ascending `(owner, home)` order: transfers are reserved in message
+/// order, so contention resolution — and thus timing — depends on it.
+fn messages(keys: &mut [u64], chips: u64, row_bytes: u64) -> Vec<(ChipId, ChipId, u64)> {
+    keys.sort_unstable();
+    // Sized for one message per key: a collect would re-grow per batch.
+    let mut out = Vec::with_capacity(keys.len());
+    out.extend(keys.chunk_by(|a, b| a == b).map(|run| {
+        let (owner, home) = (run[0] / chips, run[0] % chips);
+        let bytes = run.len() as u64 * row_bytes;
+        (ChipId(owner as u32), ChipId(home as u32), bytes)
+    }));
+    out
+}
+
 /// Embedding tables distributed across the chips of a mesh.
 ///
 /// Each partitioned table's rows live on their owning chip; a batch lookup
 /// routes each remote request to the owner and the responses back — the
 /// all-to-all the paper's DLRM step pays on both the forward lookup and
 /// the backward scatter-update.
+///
+/// No table is materialised: a row is a pure function of `(seed, table,
+/// row)` until a scatter-update writes it into the sparse overlay.
 #[derive(Debug)]
 pub struct ShardedEmbedding {
     placement: Placement,
-    /// `tables[t]` holds the *full* table (storage is simulated by the
-    /// placement; numerics use the logical values).
-    tables: Vec<Tensor>,
+    seed: u64,
+    updated: HashMap<(usize, usize), Vec<f32>>,
     dim: usize,
 }
 
 impl ShardedEmbedding {
-    /// Initializes tables deterministically from a seed.
+    /// Initializes tables deterministically from a seed, in O(tables) time.
     ///
     /// # Errors
     ///
+    /// [`EmbeddingError::NoTables`] for an empty placement and
     /// [`EmbeddingError::DimMismatch`] when tables disagree on dimension
     /// (the DLRM layout requires one uniform embedding dim).
     pub fn init(placement: Placement, seed: u64) -> Result<ShardedEmbedding, EmbeddingError> {
+        if placement.num_tables() == 0 {
+            return Err(EmbeddingError::NoTables);
+        }
         let dim = placement.spec(0).dim;
-        let mut rng = TensorRng::seed(seed);
-        let mut tables = Vec::with_capacity(placement.num_tables());
-        for t in 0..placement.num_tables() {
-            let spec = placement.spec(t);
-            if spec.dim != dim {
-                return Err(EmbeddingError::DimMismatch {
-                    table: t,
-                    dim: spec.dim,
-                    expected: dim,
-                });
-            }
-            tables.push(rng.uniform(Shape::of(&[spec.rows, spec.dim]), -0.1, 0.1));
+        if let Some(t) = (1..placement.num_tables()).find(|&t| placement.spec(t).dim != dim) {
+            return Err(EmbeddingError::DimMismatch {
+                table: t,
+                dim: placement.spec(t).dim,
+                expected: dim,
+            });
         }
         Ok(ShardedEmbedding {
             placement,
-            tables,
+            seed,
+            updated: HashMap::new(),
             dim,
         })
     }
@@ -79,19 +123,25 @@ impl ShardedEmbedding {
     /// [`EmbeddingError::TableOutOfRange`] / [`EmbeddingError::RowOutOfRange`]
     /// when the request falls outside the placement.
     pub fn row(&self, table: usize, row: usize) -> Result<Tensor, EmbeddingError> {
-        if table >= self.tables.len() {
-            return Err(EmbeddingError::TableOutOfRange {
-                table,
-                tables: self.tables.len(),
-            });
+        let tables = self.placement.num_tables();
+        if table >= tables {
+            return Err(EmbeddingError::TableOutOfRange { table, tables });
         }
         let rows = self.placement.spec(table).rows;
         if row >= rows {
             return Err(EmbeddingError::RowOutOfRange { table, row, rows });
         }
-        let dim = self.dim;
-        let data = self.tables[table].data()[row * dim..(row + 1) * dim].to_vec();
-        Ok(Tensor::new(Shape::vector(dim), data))
+        let data = self.values(table, row).collect();
+        Ok(Tensor::new(Shape::vector(self.dim), data))
+    }
+
+    /// The current values of one (in-range) row.
+    fn values(&self, table: usize, row: usize) -> impl Iterator<Item = f32> + '_ {
+        let updated = self.updated.get(&(table, row));
+        (0..self.dim).map(move |col| match updated {
+            Some(values) => values[col],
+            None => value(self.seed, table, row, col),
+        })
     }
 
     /// Executes a batch lookup: `indices[sample][table]` selects one row
@@ -101,30 +151,27 @@ impl ShardedEmbedding {
     ///
     /// # Errors
     ///
-    /// [`EmbeddingError::ArityMismatch`] when a sample does not carry one
-    /// index per table, [`EmbeddingError::RowOutOfRange`] when an index
-    /// falls outside its table, and [`EmbeddingError::Network`] when a
-    /// response message cannot be routed.
+    /// Same conditions as [`ShardedEmbedding::price`].
     pub fn lookup(
         &self,
         net: &mut Network,
         indices: &[Vec<usize>],
         start: SimTime,
     ) -> Result<LookupOutcome, EmbeddingError> {
-        self.lookup_impl(net, indices, start, None)
+        let cost = self.price(net, indices, start, None)?;
+        Ok(self.gather(indices, cost))
     }
 
     /// Like [`ShardedEmbedding::lookup`], but consults a per-home-chip
     /// [`EmbeddingCache`] first: a remote row found in its sample's home
-    /// cache is served locally (counted in
-    /// [`LookupOutcome::cache_hits`]) and generates no mesh traffic; a
-    /// miss pays the all-to-all and installs the row. This is the serving
-    /// path — training lookups bypass the cache because scatter-updates
-    /// would invalidate it every step.
+    /// cache is served locally (counted in [`LookupOutcome::cache_hits`])
+    /// and generates no mesh traffic; a miss pays the all-to-all and
+    /// installs the row. Training lookups bypass the cache because
+    /// scatter-updates would invalidate it every step.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ShardedEmbedding::lookup`].
+    /// Same conditions as [`ShardedEmbedding::price`].
     pub fn lookup_cached(
         &self,
         net: &mut Network,
@@ -132,89 +179,94 @@ impl ShardedEmbedding {
         start: SimTime,
         cache: &mut EmbeddingCache,
     ) -> Result<LookupOutcome, EmbeddingError> {
-        self.lookup_impl(net, indices, start, Some(cache))
+        let cost = self.price(net, indices, start, Some(cache))?;
+        Ok(self.gather(indices, cost))
     }
 
-    fn lookup_impl(
+    /// The traffic half of a lookup, without the numeric gather: places
+    /// every row, probes `cache` (when given) for the remote ones, and
+    /// times one bulk response message per `(owner, home)` pair — the
+    /// batched all-to-all of the optimized input path. This is the serving
+    /// path, which never reads an embedding value.
+    ///
+    /// # Errors
+    ///
+    /// [`EmbeddingError::ChipCountMismatch`] when the placement was planned
+    /// for another mesh size, [`EmbeddingError::ArityMismatch`] /
+    /// [`EmbeddingError::RowOutOfRange`] when a sample does not carry one
+    /// in-range index per table, and [`EmbeddingError::Network`] when a
+    /// response message cannot be routed.
+    pub fn price<S: AsRef<[usize]>>(
         &self,
         net: &mut Network,
-        indices: &[Vec<usize>],
+        indices: &[S],
         start: SimTime,
         mut cache: Option<&mut EmbeddingCache>,
-    ) -> Result<LookupOutcome, EmbeddingError> {
-        let chips: Vec<ChipId> = net.mesh().chips().collect();
-        let n_chips = chips.len();
-        let batch = indices.len();
-        let tables = self.placement.num_tables();
-        let row_bytes = (self.dim * 4) as u64;
-
-        // Gather the numeric result and the per-(src,dst) traffic matrix.
-        let mut out = Vec::with_capacity(batch * tables * self.dim);
-        // BTreeMap so the all-to-all issues in a deterministic order —
-        // contention resolution, and thus timing, depends on it.
-        let mut traffic: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        let mut remote_rows = 0usize;
-        let mut local_rows = 0usize;
-        let mut cache_hits = 0usize;
-        for (sample, row_ids) in indices.iter().enumerate() {
-            if row_ids.len() != tables {
-                return Err(EmbeddingError::ArityMismatch {
-                    sample,
-                    got: row_ids.len(),
-                    tables,
-                });
-            }
-            let home = sample % n_chips;
+    ) -> Result<LookupCost, EmbeddingError> {
+        let (placement, mesh) = (self.placement.chips(), net.mesh().num_chips());
+        if placement != mesh {
+            return Err(EmbeddingError::ChipCountMismatch { placement, mesh });
+        }
+        let chips = mesh;
+        // One packed `owner · chips + home` key per remote row.
+        let mut remote = Vec::with_capacity(indices.len() * self.placement.num_tables());
+        let (mut local_rows, mut cache_hits) = (0usize, 0usize);
+        for (sample, row_ids) in indices.iter().map(AsRef::as_ref).enumerate() {
+            self.check_sample(sample, row_ids)?;
+            let home = sample % chips;
             for (t, &row) in row_ids.iter().enumerate() {
-                let spec = self.placement.spec(t);
-                if row >= spec.rows {
-                    return Err(EmbeddingError::RowOutOfRange {
-                        table: t,
-                        row,
-                        rows: spec.rows,
-                    });
-                }
-                out.extend_from_slice(&self.tables[t].data()[row * self.dim..(row + 1) * self.dim]);
-                match self.placement_kind(t) {
-                    TablePlacement::Replicated => local_rows += 1,
-                    TablePlacement::RowPartitioned => {
-                        let owner = self.placement.owner_of(t, row);
-                        if owner == home {
-                            local_rows += 1;
-                        } else if let Some(c) = cache.as_deref_mut() {
-                            if c.access(home, t, row) {
-                                cache_hits += 1;
-                            } else {
-                                remote_rows += 1;
-                                *traffic.entry((owner, home)).or_insert(0) += row_bytes;
-                            }
-                        } else {
-                            remote_rows += 1;
-                            *traffic.entry((owner, home)).or_insert(0) += row_bytes;
-                        }
-                    }
+                let owner = self.placement.owner_of(t, row);
+                if self.placement.is_replicated(t) || owner == home {
+                    local_rows += 1;
+                } else if cache.as_deref_mut().is_some_and(|c| c.access(home, t, row)) {
+                    cache_hits += 1;
+                } else {
+                    remote.push((owner * chips + home) as u64);
                 }
             }
         }
-
-        // Time the response traffic as one bulk message per (owner, home)
-        // pair — the batched all-to-all of the optimized input path.
-        let messages: Vec<(ChipId, ChipId, u64)> = traffic
-            .into_iter()
-            .map(|((src, dst), bytes)| (chips[src], chips[dst], bytes))
-            .collect();
-        let time = if messages.is_empty() {
-            start
-        } else {
-            net.parallel_transfers(&messages, start)?
-        };
-        Ok(LookupOutcome {
-            embeddings: Tensor::new(Shape::of(&[batch, tables * self.dim]), out),
-            time,
-            remote_rows,
+        let messages = messages(&mut remote, chips as u64, (self.dim * 4) as u64);
+        Ok(LookupCost {
+            time: net.parallel_transfers(&messages, start)?,
+            remote_rows: remote.len(),
             local_rows,
             cache_hits,
         })
+    }
+
+    /// One index per table, each inside its table.
+    fn check_sample(&self, sample: usize, row_ids: &[usize]) -> Result<(), EmbeddingError> {
+        let tables = self.placement.num_tables();
+        if row_ids.len() != tables {
+            return Err(EmbeddingError::ArityMismatch {
+                sample,
+                got: row_ids.len(),
+                tables,
+            });
+        }
+        for (table, &row) in row_ids.iter().enumerate() {
+            let rows = self.placement.spec(table).rows;
+            if row >= rows {
+                return Err(EmbeddingError::RowOutOfRange { table, row, rows });
+            }
+        }
+        Ok(())
+    }
+
+    /// The numeric half of a lookup over already-checked `indices`.
+    fn gather(&self, indices: &[Vec<usize>], cost: LookupCost) -> LookupOutcome {
+        let width = self.placement.num_tables() * self.dim;
+        let mut out = Vec::with_capacity(indices.len() * width);
+        for (t, &row) in indices.iter().flat_map(|ids| ids.iter().enumerate()) {
+            out.extend(self.values(t, row));
+        }
+        LookupOutcome {
+            embeddings: Tensor::new(Shape::of(&[indices.len(), width]), out),
+            time: cost.time,
+            remote_rows: cost.remote_rows,
+            local_rows: cost.local_rows,
+            cache_hits: cost.cache_hits,
+        }
     }
 
     /// Applies a sparse gradient update: each looked-up row receives
@@ -225,15 +277,15 @@ impl ShardedEmbedding {
     /// # Errors
     ///
     /// [`EmbeddingError::GradShapeMismatch`] when the gradient tensor's
-    /// shape disagrees with the lookup layout.
+    /// shape disagrees with the lookup layout; nothing is applied then, nor
+    /// when the indices fail [`ShardedEmbedding::price`]'s checks.
     pub fn scatter_update(
         &mut self,
         indices: &[Vec<usize>],
         grads: &Tensor,
         lr: f32,
     ) -> Result<(), EmbeddingError> {
-        let tables = self.placement.num_tables();
-        let dim = self.dim;
+        let (tables, seed, dim) = (self.placement.num_tables(), self.seed, self.dim);
         if grads.shape().dims() != [indices.len(), tables * dim] {
             return Err(EmbeddingError::GradShapeMismatch {
                 got: grads.shape().dims().to_vec(),
@@ -241,25 +293,21 @@ impl ShardedEmbedding {
             });
         }
         for (sample, row_ids) in indices.iter().enumerate() {
+            self.check_sample(sample, row_ids)?;
+        }
+        for (sample, row_ids) in indices.iter().enumerate() {
             for (t, &row) in row_ids.iter().enumerate() {
-                let g = &grads.data()
-                    [sample * tables * dim + t * dim..sample * tables * dim + (t + 1) * dim];
-                let table = &mut self.tables[t];
-                let base = row * dim;
-                for (i, &gv) in g.iter().enumerate() {
-                    table.data_mut()[base + i] -= lr * gv;
+                let g = &grads.data()[(sample * tables + t) * dim..][..dim];
+                let values = self
+                    .updated
+                    .entry((t, row))
+                    .or_insert_with(|| (0..dim).map(|col| value(seed, t, row, col)).collect());
+                for (v, &gv) in values.iter_mut().zip(g) {
+                    *v -= lr * gv;
                 }
             }
         }
         Ok(())
-    }
-
-    fn placement_kind(&self, t: usize) -> TablePlacement {
-        if self.placement.is_replicated(t) {
-            TablePlacement::Replicated
-        } else {
-            TablePlacement::RowPartitioned
-        }
     }
 }
 
@@ -309,12 +357,48 @@ impl EvalAccumulator {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::EmbeddingSpec;
     use multipod_simnet::NetworkConfig;
     use multipod_topology::{Multipod, MultipodConfig};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The aggregation `price` replaced: one `BTreeMap` insert per remote
+    /// row, messages issued in the map's iteration order.
+    fn messages_oracle(pairs: &[(usize, usize)], row_bytes: u64) -> Vec<(ChipId, ChipId, u64)> {
+        let mut traffic: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for &pair in pairs {
+            *traffic.entry(pair).or_insert(0) += row_bytes;
+        }
+        traffic
+            .into_iter()
+            .map(|((src, dst), bytes)| (ChipId(src as u32), ChipId(dst as u32), bytes))
+            .collect()
+    }
+
+    proptest! {
+        /// Sort-and-merge yields the oracle's messages: same pairs, same
+        /// byte totals, same issue order.
+        #[test]
+        fn messages_equal_the_btreemap_oracle(
+            chips in 1usize..24,
+            picks in prop::collection::vec((0usize..24, 0usize..24), 0..300),
+            row_bytes in 1u64..513,
+        ) {
+            let pairs: Vec<(usize, usize)> =
+                picks.iter().map(|&(o, h)| (o % chips, h % chips)).collect();
+            let mut keys: Vec<u64> =
+                pairs.iter().map(|&(o, h)| (o * chips + h) as u64).collect();
+            prop_assert_eq!(
+                messages(&mut keys, chips as u64, row_bytes),
+                messages_oracle(&pairs, row_bytes)
+            );
+        }
+    }
 
     fn setup() -> (Network, ShardedEmbedding) {
         let mesh = Multipod::new(MultipodConfig::mesh(4, 1, false));
@@ -482,6 +566,38 @@ mod tests {
         let grads = Tensor::zeros(Shape::of(&[2, 3]));
         let err = emb.scatter_update(&[vec![0, 0], vec![0, 0]], &grads, 0.1);
         assert!(matches!(err, Err(EmbeddingError::GradShapeMismatch { .. })));
+        // An update no lookup could have produced is rejected whole.
+        let grads = Tensor::fill(Shape::of(&[2, 8]), 1.0);
+        let err = emb.scatter_update(&[vec![0, 0], vec![0, 5000]], &grads, 0.1);
+        assert!(matches!(
+            err,
+            Err(EmbeddingError::RowOutOfRange { row: 5000, .. })
+        ));
+        assert_eq!(emb.row(1, 0).unwrap(), setup().1.row(1, 0).unwrap());
+    }
+
+    #[test]
+    fn empty_placement_is_a_typed_error() {
+        let err = ShardedEmbedding::init(Placement::plan(&[], 4, 0), 1);
+        assert!(matches!(err, Err(EmbeddingError::NoTables)));
+    }
+
+    #[test]
+    fn placement_for_another_mesh_is_a_typed_error() {
+        let (mut net, _) = setup();
+        let specs = [EmbeddingSpec { rows: 4096, dim: 4 }];
+        for planned in [2, 8] {
+            let emb = ShardedEmbedding::init(Placement::plan(&specs, planned, 0), 1).unwrap();
+            // Row 4095 lives on the placement's last chip.
+            let err = emb.lookup(&mut net, &[vec![4095]], SimTime::ZERO);
+            assert_eq!(
+                err.err(),
+                Some(EmbeddingError::ChipCountMismatch {
+                    placement: planned,
+                    mesh: 4
+                })
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,32 @@
 //! Property tests for the embedding substrate.
 
-use multipod_embedding::{masked_self_interaction, EmbeddingSpec, Placement, ShardedEmbedding};
+use multipod_embedding::{
+    masked_self_interaction, EmbeddingCache, EmbeddingSpec, LruCache, Placement, ShardedEmbedding,
+};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
+use multipod_tensor::{Shape, Tensor};
 use multipod_topology::{Multipod, MultipodConfig};
 use proptest::prelude::*;
+
+/// A small deterministic index source for the batch generators below.
+fn lcg(seed: u64) -> impl FnMut(usize) -> usize {
+    let mut r = seed;
+    move |m| {
+        r = r
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (r >> 33) as usize % m
+    }
+}
+
+/// Every row of every table, in table-major order.
+fn all_rows(emb: &ShardedEmbedding) -> Vec<Vec<f32>> {
+    let placement = emb.placement();
+    (0..placement.num_tables())
+        .flat_map(|t| (0..placement.spec(t).rows).map(move |r| (t, r)))
+        .map(|(t, r)| emb.row(t, r).unwrap().data().to_vec())
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -65,11 +88,7 @@ proptest! {
         let emb = ShardedEmbedding::init(placement, seed).unwrap();
         let mesh = Multipod::new(MultipodConfig::mesh(2, 2, true));
         let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
-        let mut r = seed;
-        let mut next = |m: usize| {
-            r = r.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (r >> 33) as usize % m
-        };
+        let mut next = lcg(seed);
         let indices: Vec<Vec<usize>> =
             (0..batch).map(|_| vec![next(32), next(500)]).collect();
         let out = emb.lookup(&mut net, &indices, SimTime::ZERO).unwrap();
@@ -88,11 +107,146 @@ proptest! {
         );
     }
 
+    /// A row is a pure function of `(seed, table, row)`: two instances
+    /// agree, values lie in `[-0.1, 0.1)`, lookups change nothing, and a
+    /// scatter-update moves exactly the touched rows, by `-lr · g`.
+    #[test]
+    fn rows_are_a_pure_function_until_updated(
+        seed in 0u64..10_000,
+        batch in 1usize..12,
+        lr in 0.01f32..1.0,
+    ) {
+        let specs = [EmbeddingSpec { rows: 40, dim: 3 }, EmbeddingSpec { rows: 300, dim: 3 }];
+        let plan = || Placement::plan(&specs, 4, 1 << 9);
+        let mut emb = ShardedEmbedding::init(plan(), seed).unwrap();
+        let before = all_rows(&emb);
+        prop_assert_eq!(&before, &all_rows(&ShardedEmbedding::init(plan(), seed).unwrap()));
+        prop_assert!(before.iter().flatten().all(|v| (-0.1..0.1).contains(v)));
+        let other = ShardedEmbedding::init(plan(), seed + 1).unwrap();
+        prop_assert!(emb.row(1, 0).unwrap() != other.row(1, 0).unwrap());
+
+        let mut next = lcg(seed);
+        // A tiny row universe, so batches revisit rows.
+        let indices: Vec<Vec<usize>> = (0..batch).map(|_| vec![next(40), next(8)]).collect();
+        let mesh = Multipod::new(MultipodConfig::mesh(2, 2, true));
+        let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
+        emb.lookup(&mut net, &indices, SimTime::ZERO).unwrap();
+        prop_assert_eq!(&before, &all_rows(&emb));
+
+        let grads: Vec<f32> = (0..batch * 6).map(|_| next(2001) as f32 / 1000.0 - 1.0).collect();
+        let grads = Tensor::new(Shape::of(&[batch, 6]), grads);
+        emb.scatter_update(&indices, &grads, lr).unwrap();
+        let mut expect = before;
+        for (s, row_ids) in indices.iter().enumerate() {
+            for (t, &row) in row_ids.iter().enumerate() {
+                let g = &grads.data()[s * 6 + t * 3..s * 6 + (t + 1) * 3];
+                for (v, &gv) in expect[t * 40 + row].iter_mut().zip(g) {
+                    *v -= lr * gv;
+                }
+            }
+        }
+        prop_assert_eq!(&expect, &all_rows(&emb));
+    }
+
+    /// Pricing a batch is the lookup minus the gather: same completion
+    /// time and row counts, same cache state, and the same bytes on every
+    /// directed link, with and without a cache, over random meshes,
+    /// placements and batches.
+    #[test]
+    fn price_equals_lookup_without_the_gather(
+        (x, y, wrap) in (1u32..5, 1u32..5, any::<bool>()),
+        rows in prop::collection::vec(1usize..600, 1..5),
+        budget in prop::sample::select(vec![0u64, 1 << 11, 1 << 30]),
+        cache_rows in prop::sample::select(vec![None, Some(0usize), Some(2), Some(64)]),
+        batch in 0usize..40,
+        seed in 0u64..10_000,
+    ) {
+        let chips = (x * y) as usize;
+        let specs: Vec<EmbeddingSpec> =
+            rows.iter().map(|&rows| EmbeddingSpec { rows, dim: 2 }).collect();
+        let emb = ShardedEmbedding::init(Placement::plan(&specs, chips, budget), seed).unwrap();
+        let net = || Network::new(
+            Multipod::new(MultipodConfig::mesh(x, y, wrap)),
+            NetworkConfig::tpu_v3(),
+        );
+        let (mut net_l, mut net_p) = (net(), net());
+        let mut cache_l = cache_rows.map(|c| EmbeddingCache::new(chips, c));
+        let mut cache_p = cache_l.clone();
+        let mut next = lcg(seed);
+        let mut start = SimTime::ZERO;
+        // Two batches back to back: the second meets warm caches and
+        // links still reserved by the first.
+        for _ in 0..2 {
+            // At most 16 distinct rows per table, spread over its owners.
+            let indices: Vec<Vec<usize>> = (0..batch)
+                .map(|_| rows.iter().map(|&r| next(r.min(16)) * (r / r.min(16))).collect())
+                .collect();
+            let looked = match cache_l.as_mut() {
+                Some(c) => emb.lookup_cached(&mut net_l, &indices, start, c),
+                None => emb.lookup(&mut net_l, &indices, start),
+            }.unwrap();
+            let priced = emb.price(&mut net_p, &indices, start, cache_p.as_mut()).unwrap();
+            prop_assert_eq!(priced.time, looked.time);
+            prop_assert_eq!(priced.remote_rows, looked.remote_rows);
+            prop_assert_eq!(priced.local_rows, looked.local_rows);
+            prop_assert_eq!(priced.cache_hits, looked.cache_hits);
+            prop_assert_eq!(
+                priced.remote_rows + priced.local_rows + priced.cache_hits,
+                batch * rows.len()
+            );
+            start = looked.time;
+        }
+        if let (Some(l), Some(p)) = (&cache_l, &cache_p) {
+            prop_assert_eq!((l.hits(), l.misses()), (p.hits(), p.misses()));
+        }
+        for from in net_l.mesh().chips() {
+            for to in net_l.mesh().chips() {
+                prop_assert_eq!(net_l.link_traffic(from, to), net_p.link_traffic(from, to));
+            }
+        }
+    }
+
+    /// `LruCache` behaves exactly like the obvious model — a recency-
+    /// ordered `Vec` — whatever hashes its keys: same hit sequence, same
+    /// occupancy, same counters.
+    #[test]
+    fn lru_matches_a_naive_model(
+        accesses in prop::collection::vec((0usize..4, 0usize..48), 1..400),
+    ) {
+        for capacity in [0usize, 1, 3, 64] {
+            let mut cache = LruCache::new(capacity);
+            // Least recently used first.
+            let mut model: Vec<(usize, usize)> = Vec::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for &key in &accesses {
+                let hit = match model.iter().position(|&k| k == key) {
+                    Some(at) => {
+                        model.remove(at);
+                        true
+                    }
+                    None => {
+                        if model.len() == capacity && capacity > 0 {
+                            model.remove(0);
+                        }
+                        false
+                    }
+                };
+                if capacity > 0 {
+                    model.push(key);
+                }
+                if hit { hits += 1 } else { misses += 1 }
+                prop_assert_eq!(cache.access(key.0, key.1), hit);
+                prop_assert_eq!(cache.len(), model.len());
+            }
+            prop_assert_eq!((cache.hits(), cache.misses()), (hits, misses));
+        }
+    }
+
     /// The masked interaction layout always carries exactly the
     /// lower-triangle values and zeros elsewhere.
     #[test]
     fn masked_interaction_layout(batch in 1usize..6, tables in 2usize..7, seed in 0u64..1000) {
-        use multipod_tensor::{Shape, TensorRng};
+        use multipod_tensor::TensorRng;
         let dim = 2usize;
         let mut rng = TensorRng::seed(seed);
         let feats = rng.uniform(Shape::of(&[batch, tables * dim]), -1.0, 1.0);

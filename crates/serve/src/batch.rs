@@ -34,7 +34,7 @@ impl BatchingConfig {
 }
 
 /// One dispatched batch.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Batch {
     /// Indices into the request log, in arrival order.
     pub requests: Vec<usize>,
@@ -75,7 +75,12 @@ pub fn assemble(requests: &[Request], config: &BatchingConfig) -> Result<Vec<Bat
     }
     let cap = config.max_batch_samples;
     let mut batches: Vec<Batch> = Vec::new();
-    let mut open: Option<Batch> = None;
+    // The accumulating batch; nothing is open while it holds no request.
+    let mut open = Batch::default();
+    let mut close = |open: &mut Batch, dispatch: SimTime| {
+        open.dispatch = dispatch;
+        batches.push(std::mem::take(open));
+    };
     for (i, r) in requests.iter().enumerate() {
         let n = r.samples.len();
         if n > cap {
@@ -87,39 +92,24 @@ pub fn assemble(requests: &[Request], config: &BatchingConfig) -> Result<Vec<Bat
         }
         // Close the open batch if its window expired before this arrival,
         // or if this request does not fit (it then waits out its window).
-        if let Some(b) = &mut open {
-            let deadline = b.opened_at + config.window_seconds;
-            if r.arrival >= deadline || b.samples + n > cap {
-                b.dispatch = deadline;
-                batches.push(open.take().expect("open batch"));
-            }
+        let deadline = open.opened_at + config.window_seconds;
+        if !open.requests.is_empty() && (r.arrival >= deadline || open.samples + n > cap) {
+            close(&mut open, deadline);
         }
-        match &mut open {
-            None => {
-                open = Some(Batch {
-                    requests: vec![i],
-                    samples: n,
-                    opened_at: r.arrival,
-                    // Placeholder; set on close.
-                    dispatch: r.arrival,
-                });
-            }
-            Some(b) => {
-                b.requests.push(i);
-                b.samples += n;
-            }
+        if open.requests.is_empty() {
+            open.opened_at = r.arrival;
         }
+        open.requests.push(i);
+        open.samples += n;
         // A full batch dispatches immediately on the filling arrival.
-        let b = open.as_mut().expect("just opened");
-        if b.samples == cap {
-            b.dispatch = r.arrival;
-            batches.push(open.take().expect("open batch"));
+        if open.samples == cap {
+            close(&mut open, r.arrival);
         }
     }
-    if let Some(mut b) = open {
+    if !open.requests.is_empty() {
         // The stream ended; the replica still waits out the window.
-        b.dispatch = b.opened_at + config.window_seconds;
-        batches.push(b);
+        let deadline = open.opened_at + config.window_seconds;
+        close(&mut open, deadline);
     }
     Ok(batches)
 }

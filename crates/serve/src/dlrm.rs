@@ -171,17 +171,17 @@ impl DlrmServer {
         let mut graph = TaskGraph::new();
         let mut stages = Vec::with_capacity(batches.len());
         for (i, b) in batches.iter().enumerate() {
-            let indices: Vec<Vec<usize>> = b
+            let indices: Vec<&Vec<usize>> = b
                 .requests
                 .iter()
-                .flat_map(|&r| requests[r].samples.iter().cloned())
+                .flat_map(|&r| &requests[r].samples)
                 .collect();
-            let outcome = emb.lookup_cached(&mut net, &indices, SimTime::ZERO, &mut cache)?;
+            let cost = emb.price(&mut net, &indices, SimTime::ZERO, Some(&mut cache))?;
             net.reset();
-            remote_rows += outcome.remote_rows as u64;
-            let all_to_all_s = outcome.time.seconds();
+            remote_rows += cost.remote_rows as u64;
+            let all_to_all_s = cost.time.seconds();
             let local_row_bytes =
-                ((outcome.local_rows + outcome.cache_hits) * dim * 4) as f64 / chips as f64;
+                ((cost.local_rows + cost.cache_hits) * dim * 4) as f64 / chips as f64;
             let lookup_s = LOOKUP_OVERHEAD_SECONDS + local_row_bytes / tpu.hbm_bandwidth;
             let per_core_batch = (b.samples as f64 / chips as f64).max(1.0);
             let eff = workload.efficiency.at(per_core_batch)?;
