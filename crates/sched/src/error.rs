@@ -6,10 +6,11 @@ use std::fmt;
 use multipod_ckpt::CkptError;
 use multipod_core::StepError;
 use multipod_optim::OptimError;
-use multipod_topology::TopologyError;
+use multipod_topology::{ChipId, TopologyError};
 
 /// A scheduling campaign failed.
 #[derive(Debug)]
+#[non_exhaustive]
 pub enum SchedError {
     /// A job asked for more chips than the mesh has, or a chip count no
     /// rectangular power-of-two slice can cover.
@@ -43,6 +44,20 @@ pub enum SchedError {
         /// Chips the service reserves.
         chips: u32,
     },
+    /// The fault plan kills a chip the mesh does not have.
+    FaultOffMesh {
+        /// The chip the plan names.
+        chip: ChipId,
+        /// Chips on the mesh (valid ids are `0..chips`).
+        chips: u32,
+    },
+    /// A campaign parameter was out of range.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for SchedError {
@@ -69,6 +84,12 @@ impl fmt::Display for SchedError {
                     f,
                     "service '{service}' reserves {chips} chips: no slice fits the mesh"
                 )
+            }
+            SchedError::FaultOffMesh { chip, chips } => {
+                write!(f, "fault plan kills {chip:?}: the mesh has {chips} chips")
+            }
+            SchedError::InvalidConfig { field, value } => {
+                write!(f, "config field '{field}' is out of range: {value}")
             }
         }
     }

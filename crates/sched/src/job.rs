@@ -15,7 +15,7 @@ use multipod_models::{catalog, Workload};
 use multipod_simnet::SimTime;
 
 /// What a job runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum JobKind {
     /// BERT pre-training (LAMB, large slices).
     Bert,

@@ -23,6 +23,15 @@
 //! `repro sched` drives a thousands-of-jobs campaign on the
 //! 128×32 mesh and gates mean utilization and byte-identical reruns in
 //! CI.
+//!
+//! A scheduler runs one campaign; running it again does not compile:
+//!
+//! ```compile_fail,E0382
+//! # use multipod_sched::{PodScheduler, SchedConfig};
+//! # let config = SchedConfig::demo(multipod_topology::MultipodConfig::mesh(32, 32, true), 20, 1);
+//! let scheduler = PodScheduler::new(config);
+//! let (first, again) = (scheduler.run(), scheduler.run());
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,10 +13,14 @@
 //! was saved, the PR 4 elastic-restart guarantee. Chip-loss faults kill
 //! the occupying job back to its last checkpoint.
 //!
+//! A job exists once, as a row of the job table, and its lifecycle is
+//! that row's [`Phase`]; the table is the only per-job state there is.
+//!
 //! Every decision is deterministic, so a campaign re-run is byte-identical
 //! — the property `repro sched --check-determinism` gates in CI.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::mem;
 
 use serde::{Deserialize, Serialize};
 
@@ -37,8 +41,9 @@ use crate::job::{arrival_stream, ArrivalConfig, JobKind, JobSpec, ServiceSpec};
 use crate::slice::{Slice, SliceAllocator};
 use crate::SchedError;
 
-/// Job ids at or above this value belong to service reservations, not
-/// stream jobs (stream ids are dense from 0, far below this).
+/// Allocator owner ids at or above this value belong to service
+/// reservations, not stream jobs (stream ids are dense from 0, far below
+/// this).
 const SERVICE_ID_BASE: u64 = 1 << 48;
 
 /// Campaign parameters.
@@ -131,18 +136,20 @@ pub struct SchedReport {
     pub services: Vec<ServiceStats>,
 }
 
-/// Events driving the scheduler's sim-time loop.
+/// Events driving the scheduler's sim-time loop. A `usize` is a row of the
+/// job table; only the arrival handler creates rows.
 #[derive(Clone, Debug)]
 enum Event {
-    /// Job `index` of the stream arrives.
-    Arrival(usize),
-    /// A running job finished its remaining steps. Stale completions
-    /// (after a preemption or fault kill) are filtered by `token`.
-    Completion { job: u64, token: u64 },
+    /// The next job of the stream arrives.
+    Arrival(JobSpec),
+    /// A running job finished its remaining steps. Live only while the
+    /// job is [`Phase::Running`] with this `token`; a preemption or fault
+    /// kill in between leaves it stale.
+    Completion { job: usize, token: u64 },
     /// Preemption saves finished; the victims' slices free up.
-    SliceFreed { victims: Vec<u64> },
-    /// Chip-loss fault `index` of the plan fires.
-    Fault(usize),
+    SliceFreed { victims: Vec<usize> },
+    /// A chip of the fault plan dies.
+    Fault(ChipId),
 }
 
 /// A job's mutable model state: the "real training" the checkpoint
@@ -203,23 +210,59 @@ impl JobModel {
     }
 }
 
-/// Runtime state of one job.
-struct JobRun {
+/// Where a job is in its lifecycle. Two containment invariants hang on
+/// it (`PodScheduler::consistent` checks both after every event in debug
+/// builds): exactly the `Queued` jobs are in `pending`, and exactly the
+/// `Running` and `Draining` jobs own allocator cells.
+enum Phase {
+    /// Waiting in `pending` since `since`.
+    Queued { since: SimTime },
+    /// On a slice, stepping toward its scheduled `Completion`.
+    Running(Running),
+    /// Preempted: still on its slice while the checkpoint save streams
+    /// out; the round's `SliceFreed` requeues it.
+    Draining,
+    /// Ran every step.
+    Done { at: SimTime },
+}
+
+/// A dispatched job's slice occupancy.
+struct Running {
+    slice: Slice,
+    started: SimTime,
+    /// When the restore (if any) finished and stepping began.
+    compute_from: SimTime,
+    step_seconds: f64,
+    /// Matches the one `Completion` event that may finish this run.
+    token: u64,
+}
+
+/// One row of the job table; the row index is the job's `spec.id`.
+struct Job {
     spec: JobSpec,
     model: JobModel,
     steps_done: u64,
     /// Last checkpoint (from a preemption save), if any.
     ckpt: Option<Checkpoint>,
-    /// When the job last entered the queue.
-    enqueued_at: SimTime,
     /// Whether in-memory state was lost (fault kill) and the next
     /// dispatch must restart from the last checkpoint or from scratch.
     lost_state: bool,
-    /// Set while a preemption save is streaming out of the slice.
-    draining: bool,
-    preemptions: u64,
+    /// Cost of a preemption save whose restore has not happened yet; the
+    /// two together are one preemption-overhead sample.
+    unpaired_save: Option<f64>,
     queue_waits: Vec<f64>,
-    completed_at: Option<SimTime>,
+    phase: Phase,
+}
+
+impl Job {
+    /// Trains the model forward to `steps_done == target`.
+    fn advance_to(&mut self, target: u64) -> Result<(), SchedError> {
+        for s in self.steps_done..target {
+            self.model.advance(&self.spec, s)?;
+        }
+        self.steps_done = target;
+        Ok(())
+    }
 }
 
 /// Runtime state of one long-lived service reservation.
@@ -231,16 +274,6 @@ struct ServiceRun {
     migrations: u64,
 }
 
-/// A dispatched job's slice occupancy.
-struct Running {
-    slice: Slice,
-    started: SimTime,
-    /// When the restore (if any) finished and stepping began.
-    compute_from: SimTime,
-    step_seconds: f64,
-    token: u64,
-}
-
 /// Per-(shape, elems) checkpoint pricing context: a slice-shaped network
 /// and placement, reused across every save/restore of that shape.
 struct ShapeCtx {
@@ -248,17 +281,23 @@ struct ShapeCtx {
     placement: ShardPlacement,
 }
 
-/// The multi-tenant pod scheduler.
+/// The multi-tenant pod scheduler. One value runs one campaign:
+/// [`PodScheduler::run`] consumes it.
 pub struct PodScheduler {
     config: SchedConfig,
+    /// Chips on the mesh, dead or alive.
+    mesh_chips: u32,
     allocator: SliceAllocator,
-    jobs: BTreeMap<u64, JobRun>,
-    running: BTreeMap<u64, Running>,
+    /// The sim-time event loop's future.
+    queue: EventQueue<Event>,
+    /// The job table, in arrival order.
+    jobs: Vec<Job>,
+    /// The `Queued` rows of `jobs`, in the last round's queue order.
+    pending: Vec<usize>,
     services: Vec<ServiceRun>,
-    pending: Vec<u64>,
     tenant_usage: BTreeMap<u32, f64>,
-    /// Memoized per-(kind chips) step seconds.
-    step_cache: BTreeMap<(&'static str, u32), f64>,
+    /// Memoized per-(kind, chips) step seconds.
+    step_cache: BTreeMap<(JobKind, u32), f64>,
     /// Memoized per-shape checkpoint pricing networks.
     shape_cache: BTreeMap<(u32, u32), ShapeCtx>,
     pcie: PcieCost,
@@ -272,12 +311,9 @@ pub struct PodScheduler {
     preemptions: u64,
     fault_kills: u64,
     restores: u64,
-    restores_identical: bool,
     save_seconds: f64,
     restore_seconds: f64,
     preempt_overheads: Vec<f64>,
-    /// Per-job pending restore cost attributed on re-dispatch.
-    pending_restore_overhead: BTreeMap<u64, f64>,
 }
 
 impl PodScheduler {
@@ -285,11 +321,12 @@ impl PodScheduler {
     pub fn new(config: SchedConfig) -> PodScheduler {
         let mesh = Multipod::new(config.mesh.clone());
         PodScheduler {
+            mesh_chips: mesh.num_chips() as u32,
             allocator: SliceAllocator::new(&mesh),
-            jobs: BTreeMap::new(),
-            running: BTreeMap::new(),
-            services: Vec::new(),
+            queue: EventQueue::new(),
+            jobs: Vec::new(),
             pending: Vec::new(),
+            services: Vec::new(),
             tenant_usage: BTreeMap::new(),
             step_cache: BTreeMap::new(),
             shape_cache: BTreeMap::new(),
@@ -302,11 +339,9 @@ impl PodScheduler {
             preemptions: 0,
             fault_kills: 0,
             restores: 0,
-            restores_identical: true,
             save_seconds: 0.0,
             restore_seconds: 0.0,
             preempt_overheads: Vec::new(),
-            pending_restore_overhead: BTreeMap::new(),
             config,
         }
     }
@@ -349,61 +384,54 @@ impl PodScheduler {
     /// Simulated seconds of one step of `kind` on a `chips` slice,
     /// memoized across the campaign.
     fn step_seconds(&mut self, kind: JobKind, chips: u32) -> Result<f64, SchedError> {
-        let key = (kind.label(), chips);
-        if let Some(&s) = self.step_cache.get(&key) {
+        if let Some(&s) = self.step_cache.get(&(kind, chips)) {
             return Ok(s);
         }
-        let breakdown = step_breakdown(&kind.workload(), chips, &StepOptions::default())?;
-        let s = breakdown.total();
-        self.step_cache.insert(key, s);
+        let s = step_breakdown(&kind.workload(), chips, &StepOptions::default())?.total();
+        self.step_cache.insert((kind, chips), s);
         Ok(s)
     }
 
     fn shape_ctx(&mut self, shape: (u32, u32)) -> Result<&mut ShapeCtx, SchedError> {
-        if !self.shape_cache.contains_key(&shape) {
-            let mesh = Multipod::new(MultipodConfig::mesh(shape.0, shape.1, false));
-            let placement = ShardPlacement::plan(&mesh, &[], self.config.state_elems)?;
-            let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
-            net.set_obs(self.obs.clone());
-            self.shape_cache.insert(shape, ShapeCtx { net, placement });
+        match self.shape_cache.entry(shape) {
+            Entry::Occupied(ctx) => Ok(ctx.into_mut()),
+            Entry::Vacant(slot) => {
+                let mesh = Multipod::new(MultipodConfig::mesh(shape.0, shape.1, false));
+                let placement = ShardPlacement::plan(&mesh, &[], self.config.state_elems)?;
+                let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
+                net.set_obs(self.obs.clone());
+                Ok(slot.insert(ShapeCtx { net, placement }))
+            }
         }
-        Ok(self.shape_cache.get_mut(&shape).expect("just inserted"))
     }
 
     /// Queue order: priority, then fair-share usage (lighter tenants
     /// first), then arrival, then id — a total order, so scheduling is
     /// deterministic.
     fn queue_order(&mut self) {
-        let usage = &self.tenant_usage;
         let jobs = &self.jobs;
-        self.pending.sort_by(|a, b| {
-            let ja = &jobs[a];
-            let jb = &jobs[b];
-            let ua = usage.get(&ja.spec.tenant).copied().unwrap_or(0.0);
-            let ub = usage.get(&jb.spec.tenant).copied().unwrap_or(0.0);
-            ja.spec
-                .priority
-                .cmp(&jb.spec.priority)
-                .then(ua.total_cmp(&ub))
-                .then(ja.spec.arrival.cmp(&jb.spec.arrival))
-                .then(a.cmp(b))
+        let usage = &self.tenant_usage;
+        let used = |spec: &JobSpec| usage.get(&spec.tenant).copied().unwrap_or(0.0);
+        self.pending.sort_by(|&a, &b| {
+            let (ja, jb) = (&jobs[a].spec, &jobs[b].spec);
+            ja.priority
+                .cmp(&jb.priority)
+                .then(used(ja).total_cmp(&used(jb)))
+                .then(ja.arrival.cmp(&jb.arrival))
+                .then(a.cmp(&b))
         });
     }
 
-    /// Runs the campaign to completion.
+    /// Runs the campaign to completion, consuming the scheduler: its
+    /// clock, tenant bills and service placements belong to one campaign.
     ///
     /// # Errors
     ///
-    /// [`SchedError`] when a job can never fit the mesh, the checkpoint
+    /// [`SchedError`] when the arrival gap is not a positive finite
+    /// number, a job or service can never fit the mesh, the checkpoint
     /// layer fails, or a restore is not bit-identical.
-    pub fn run(&mut self) -> Result<SchedReport, SchedError> {
-        let stream = arrival_stream(&self.config.arrivals);
-        // Pre-validate every job's shape so impossible requests surface
-        // as typed errors before the campaign starts.
-        for spec in &stream {
-            self.allocator.shapes_for(spec.id, spec.chips)?;
-        }
-        self.run_stream(stream, &FaultPlan::new())
+    pub fn run(self) -> Result<SchedReport, SchedError> {
+        self.run_with_faults(&FaultPlan::new())
     }
 
     /// Runs the campaign with a chip-loss fault plan (link faults and
@@ -411,33 +439,40 @@ impl PodScheduler {
     ///
     /// # Errors
     ///
-    /// As [`PodScheduler::run`].
-    pub fn run_with_faults(&mut self, plan: &FaultPlan) -> Result<SchedReport, SchedError> {
-        let stream = arrival_stream(&self.config.arrivals);
-        for spec in &stream {
-            self.allocator.shapes_for(spec.id, spec.chips)?;
+    /// As [`PodScheduler::run`], plus [`SchedError::FaultOffMesh`] when
+    /// the plan kills a chip the mesh does not have.
+    pub fn run_with_faults(mut self, plan: &FaultPlan) -> Result<SchedReport, SchedError> {
+        // Everything the configuration alone can get wrong surfaces as a
+        // typed error before the campaign starts.
+        let gap = self.config.arrivals.mean_interarrival_seconds;
+        if !(gap.is_finite() && gap > 0.0) {
+            return Err(SchedError::InvalidConfig {
+                field: "arrivals.mean_interarrival_seconds",
+                value: gap,
+            });
         }
-        self.run_stream(stream, plan)
-    }
-
-    fn run_stream(
-        &mut self,
-        stream: Vec<JobSpec>,
-        faults: &FaultPlan,
-    ) -> Result<SchedReport, SchedError> {
+        for spec in arrival_stream(&self.config.arrivals) {
+            self.allocator.shapes_for(spec.id, spec.chips)?;
+            self.queue.schedule(spec.arrival, Event::Arrival(spec));
+        }
+        for fault in plan.events() {
+            if let FaultAction::ChipDown { chip } = fault.action {
+                if chip.0 >= self.mesh_chips {
+                    return Err(SchedError::FaultOffMesh {
+                        chip,
+                        chips: self.mesh_chips,
+                    });
+                }
+                self.queue.schedule(fault.at, Event::Fault(chip));
+            }
+        }
         // Service reservations claim their slices before the first job
         // arrives — they are the highest-priority tenants on the mesh.
         for (i, spec) in self.config.services.clone().into_iter().enumerate() {
             let id = SERVICE_ID_BASE + i as u64;
-            let slice = self.allocator.allocate(id, spec.chips).map_err(|_| {
-                SchedError::ServiceUnplaceable {
-                    service: spec.name.clone(),
-                    chips: spec.chips,
-                }
-            })?;
-            let Some(slice) = slice else {
+            let Ok(Some(slice)) = self.allocator.allocate(id, spec.chips) else {
                 return Err(SchedError::ServiceUnplaceable {
-                    service: spec.name.clone(),
+                    service: spec.name,
                     chips: spec.chips,
                 });
             };
@@ -449,55 +484,15 @@ impl PodScheduler {
             });
         }
 
-        let mut queue: EventQueue<Event> = EventQueue::new();
-        for (i, spec) in stream.iter().enumerate() {
-            queue.schedule(spec.arrival, Event::Arrival(i));
-        }
-        let fault_chips: Vec<(SimTime, ChipId)> = faults
-            .events()
-            .iter()
-            .filter_map(|e| match e.action {
-                FaultAction::ChipDown { chip } => Some((e.at, chip)),
-                _ => None,
-            })
-            .collect();
-        for (i, (at, _)) in fault_chips.iter().enumerate() {
-            queue.schedule(*at, Event::Fault(i));
-        }
-
-        while let Some((now, event)) = queue.pop() {
+        while let Some((now, event)) = self.queue.pop() {
             self.advance_clock(now);
             match event {
-                Event::Arrival(i) => {
-                    let spec = stream[i].clone();
-                    self.count("arrivals", 1);
-                    let id = spec.id;
-                    let model = JobModel::fresh(&spec, self.config.state_elems, self.config.lr);
-                    self.jobs.insert(
-                        id,
-                        JobRun {
-                            spec,
-                            model,
-                            steps_done: 0,
-                            ckpt: None,
-                            enqueued_at: now,
-                            lost_state: false,
-                            draining: false,
-                            preemptions: 0,
-                            queue_waits: Vec::new(),
-                            completed_at: None,
-                        },
-                    );
-                    self.pending.push(id);
-                    self.schedule_round(now, &mut queue)?;
-                }
+                Event::Arrival(spec) => self.admit(spec, now),
                 Event::Completion { job, token } => {
-                    let valid = self.running.get(&job).is_some_and(|r| r.token == token);
-                    if !valid {
+                    if !matches!(&self.jobs[job].phase, Phase::Running(r) if r.token == token) {
                         continue;
                     }
                     self.complete_job(job, now)?;
-                    self.schedule_round(now, &mut queue)?;
                 }
                 Event::SliceFreed { victims } => {
                     for v in victims {
@@ -505,53 +500,54 @@ impl PodScheduler {
                         // draining victim; it could even be running again
                         // on a new slice by now. Only release slices of
                         // jobs still draining.
-                        let Some(run) = self.jobs.get_mut(&v) else {
-                            continue;
-                        };
-                        if !run.draining {
-                            continue;
+                        if matches!(self.jobs[v].phase, Phase::Draining) {
+                            self.jobs[v].phase = Phase::Queued { since: now };
+                            self.allocator.free(v as u64);
+                            self.pending.push(v);
                         }
-                        run.draining = false;
-                        run.enqueued_at = now;
-                        self.allocator.free(v);
-                        self.pending.push(v);
                     }
-                    self.schedule_round(now, &mut queue)?;
                 }
-                Event::Fault(i) => {
-                    let (_, chip) = fault_chips[i];
-                    self.handle_fault(chip, now)?;
-                    self.schedule_round(now, &mut queue)?;
-                }
+                Event::Fault(chip) => self.handle_fault(chip, now),
             }
+            self.schedule_round(now)?;
+            #[cfg(debug_assertions)]
+            debug_assert!(self.consistent(), "job table out of step at {now:?}");
         }
 
-        // Drain any jobs still draining at the end (their SliceFreed
-        // event fired; pending jobs that never fit again simply report
-        // as uncompleted).
-        let end = self.clock;
-        let completed: u64 = self
-            .jobs
-            .values()
-            .filter(|j| j.completed_at.is_some())
-            .count() as u64;
-        let queue_wait = DistSummary::of(
-            self.jobs
-                .values()
-                .flat_map(|j| j.queue_waits.clone())
-                .collect(),
-        );
-        let preemption_overhead = DistSummary::of(self.preempt_overheads.clone());
-        let mean_utilization = if self.live_area > 0.0 {
-            self.busy_area / self.live_area
-        } else {
-            0.0
-        };
+        let report = self.report();
         self.obs.gauge(
             MetricId::new(Subsystem::Pod, "mean_utilization"),
-            mean_utilization,
+            report.mean_utilization,
         );
+        Ok(report)
+    }
 
+    /// The arrival handler: the one place a job-table row is created.
+    fn admit(&mut self, spec: JobSpec, now: SimTime) {
+        debug_assert_eq!(spec.id, self.jobs.len() as u64, "ids are row indexes");
+        self.count("arrivals", 1);
+        self.pending.push(self.jobs.len());
+        self.jobs.push(Job {
+            model: JobModel::fresh(&spec, self.config.state_elems, self.config.lr),
+            spec,
+            steps_done: 0,
+            ckpt: None,
+            lost_state: false,
+            unpaired_save: None,
+            queue_waits: Vec::new(),
+            phase: Phase::Queued { since: now },
+        });
+    }
+
+    /// The campaign's report: a function of the job table and the
+    /// tallies. Jobs still queued at the end (they never fit again) simply
+    /// report as uncompleted.
+    fn report(&self) -> SchedReport {
+        let of_kind = |kind| self.jobs.iter().filter(move |j| j.spec.kind == kind);
+        let turnaround = |j: &Job| match j.phase {
+            Phase::Done { at } => Some(at - j.spec.arrival),
+            _ => None,
+        };
         let mut per_kind = Vec::new();
         for kind in [
             JobKind::Eval,
@@ -559,36 +555,36 @@ impl PodScheduler {
             JobKind::Resnet50,
             JobKind::Dlrm,
         ] {
-            let of_kind: Vec<&JobRun> =
-                self.jobs.values().filter(|j| j.spec.kind == kind).collect();
-            if of_kind.is_empty() {
+            let jobs = of_kind(kind).count() as u64;
+            if jobs == 0 {
                 continue;
             }
-            let waits: Vec<f64> = of_kind.iter().flat_map(|j| j.queue_waits.clone()).collect();
-            let turnarounds: Vec<f64> = of_kind
-                .iter()
-                .filter_map(|j| j.completed_at.map(|c| c - j.spec.arrival))
-                .collect();
+            let turnarounds: Vec<f64> = of_kind(kind).filter_map(turnaround).collect();
             per_kind.push(KindStats {
                 kind: kind.label().to_string(),
-                jobs: of_kind.len() as u64,
-                completed: of_kind.iter().filter(|j| j.completed_at.is_some()).count() as u64,
-                mean_queue_wait_seconds: mean(&waits),
+                jobs,
+                completed: turnarounds.len() as u64,
+                mean_queue_wait_seconds: mean(&queue_waits(of_kind(kind))),
                 mean_turnaround_seconds: mean(&turnarounds),
             });
         }
-
-        Ok(SchedReport {
+        SchedReport {
             jobs: self.jobs.len() as u64,
-            completed,
+            completed: self.jobs.iter().filter_map(turnaround).count() as u64,
             preemptions: self.preemptions,
             fault_kills: self.fault_kills,
             restores: self.restores,
-            restores_bit_identical: self.restores_identical,
-            makespan_seconds: end.seconds(),
-            mean_utilization,
-            queue_wait,
-            preemption_overhead,
+            // A restore that is not bit-identical aborts the campaign with
+            // `RestoreMismatch`, so a report exists only if every one was.
+            restores_bit_identical: true,
+            makespan_seconds: self.clock.seconds(),
+            mean_utilization: if self.live_area > 0.0 {
+                self.busy_area / self.live_area
+            } else {
+                0.0
+            },
+            queue_wait: DistSummary::of(queue_waits(self.jobs.iter())),
+            preemption_overhead: DistSummary::of(self.preempt_overheads.clone()),
             save_seconds: self.save_seconds,
             restore_seconds: self.restore_seconds,
             per_kind,
@@ -602,17 +598,13 @@ impl PodScheduler {
                     migrations: s.migrations,
                 })
                 .collect(),
-        })
+        }
     }
 
     /// One scheduling round: dispatch every pending job that fits (in
     /// queue order, smaller jobs backfilling behind blocked big ones),
     /// then consider one preemption for the highest-priority blocked job.
-    fn schedule_round(
-        &mut self,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) -> Result<(), SchedError> {
+    fn schedule_round(&mut self, now: SimTime) -> Result<(), SchedError> {
         // Displaced services re-place before any job is considered: a
         // serving reservation outranks every job priority.
         for i in 0..self.services.len() {
@@ -621,152 +613,133 @@ impl PodScheduler {
             }
             let id = SERVICE_ID_BASE + i as u64;
             let chips = self.services[i].spec.chips;
-            match self.allocator.allocate(id, chips)? {
-                Some(slice) => {
-                    let svc = &mut self.services[i];
-                    svc.slice = Some(slice);
-                    svc.migrations += 1;
-                    self.count("service_migrations", 1);
-                    self.span(
-                        "service-migrate",
-                        now,
-                        now,
-                        &[("service", i as f64), ("chips", f64::from(chips))],
-                    );
-                }
-                None => self.try_preempt_for_service(i, now, queue)?,
+            if let Some(slice) = self.allocator.allocate(id, chips)? {
+                let svc = &mut self.services[i];
+                svc.slice = Some(slice);
+                svc.migrations += 1;
+                self.count("service_migrations", 1);
+                self.span(
+                    "service-migrate",
+                    now,
+                    now,
+                    &[("service", i as f64), ("chips", f64::from(chips))],
+                );
+            } else if !self.preempt_to_fit(id, chips, None, now)?
+                && !self.jobs.iter().any(|j| matches!(j.phase, Phase::Draining))
+            {
+                // Nothing (left) to preempt and no draining victim of an
+                // earlier round about to free space: the mesh genuinely
+                // cannot host the reservation any more.
+                return Err(SchedError::ServiceUnplaceable {
+                    service: self.services[i].spec.name.clone(),
+                    chips,
+                });
             }
         }
         self.queue_order();
-        let order: Vec<u64> = self.pending.clone();
         let mut blocked_shapes: Vec<u32> = Vec::new();
-        let mut first_blocked: Option<u64> = None;
-        for id in order {
-            let run = &self.jobs[&id];
-            if run.draining {
-                continue;
-            }
-            let chips = run.spec.chips;
-            if blocked_shapes.contains(&chips) {
-                if first_blocked.is_none() {
-                    first_blocked = Some(id);
+        let queued = mem::take(&mut self.pending);
+        self.pending.reserve(queued.len());
+        for job in queued {
+            let chips = self.jobs[job].spec.chips;
+            if !blocked_shapes.contains(&chips) {
+                if let Some(slice) = self.allocator.allocate(job as u64, chips)? {
+                    self.dispatch(job, slice, now)?;
+                    continue;
                 }
-                continue;
+                blocked_shapes.push(chips);
             }
-            match self.allocator.allocate(id, chips)? {
-                Some(slice) => {
-                    self.pending.retain(|&p| p != id);
-                    self.dispatch(id, slice, now, queue)?;
-                }
-                None => {
-                    blocked_shapes.push(chips);
-                    if first_blocked.is_none() {
-                        first_blocked = Some(id);
-                    }
-                }
-            }
+            self.pending.push(job);
         }
-        if let Some(id) = first_blocked {
-            self.try_preempt_for(id, now, queue)?;
+        // What is left is blocked, most urgent first.
+        if let Some(&job) = self.pending.first() {
+            let spec = &self.jobs[job].spec;
+            self.preempt_to_fit(job as u64, spec.chips, Some(spec.priority), now)?;
         }
         Ok(())
     }
 
-    /// Dispatches `job` onto `slice`: restore its checkpoint if needed,
-    /// then schedule its completion.
-    fn dispatch(
-        &mut self,
-        job: u64,
-        slice: Slice,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) -> Result<(), SchedError> {
-        let (kind, chips, enqueued_at, needs_restore, lost_state) = {
-            let run = &self.jobs[&job];
-            (
-                run.spec.kind,
-                run.spec.chips,
-                run.enqueued_at,
-                run.ckpt.is_some() && (run.preemptions > 0 || run.lost_state),
-                run.lost_state,
-            )
+    /// Dispatches queued `job` onto `slice`: restore its checkpoint if
+    /// it has one, then schedule its completion.
+    fn dispatch(&mut self, job: usize, slice: Slice, now: SimTime) -> Result<(), SchedError> {
+        let j = &self.jobs[job];
+        let (kind, chips) = (j.spec.kind, j.spec.chips);
+        let Phase::Queued { since } = j.phase else {
+            return Ok(()); // `pending` holds only queued jobs
         };
-        let wait = now - enqueued_at;
+        let wait = now - since;
         self.observe("queue_wait_seconds", wait);
         self.span(
             "job-queued",
-            enqueued_at,
+            since,
             now,
             &[("job", job as f64), ("chips", f64::from(chips))],
         );
 
         let step_seconds = self.step_seconds(kind, chips)?;
         let mut compute_from = now;
-
-        if needs_restore {
-            let restore_cost = self.restore_job(job, slice.shape(), now)?;
+        // Only a preemption save writes a checkpoint, and every dispatch
+        // after one — requeued or fault-killed — resumes from it.
+        if let Some(ckpt) = self.jobs[job].ckpt.clone() {
+            let restore_cost = self.restore_job(job, &ckpt, slice.shape(), now)?;
             compute_from = now + restore_cost;
             // Preemption overhead per event: this restore plus the save
             // that evicted the job.
-            if let Some(save_cost) = self.pending_restore_overhead.remove(&job) {
+            if let Some(save_cost) = self.jobs[job].unpaired_save.take() {
                 let overhead = save_cost + restore_cost;
                 self.preempt_overheads.push(overhead);
                 self.observe("preemption_overhead_seconds", overhead);
             }
-        } else if lost_state {
+        } else if self.jobs[job].lost_state {
             // Fault-killed with no checkpoint: restart from scratch.
-            let (spec, elems, lr) = {
-                let run = &self.jobs[&job];
-                (run.spec.clone(), self.config.state_elems, self.config.lr)
-            };
-            let run = self.jobs.get_mut(&job).expect("job exists");
-            run.model = JobModel::fresh(&spec, elems, lr);
-            run.steps_done = 0;
-            run.lost_state = false;
+            let j = &mut self.jobs[job];
+            j.model = JobModel::fresh(&j.spec, self.config.state_elems, self.config.lr);
+            j.steps_done = 0;
+            j.lost_state = false;
         }
 
-        let run = self.jobs.get_mut(&job).expect("job exists");
-        run.queue_waits.push(wait);
-        let remaining = run.spec.steps.saturating_sub(run.steps_done);
         self.next_token += 1;
         let token = self.next_token;
+        let j = &mut self.jobs[job];
+        j.queue_waits.push(wait);
+        let remaining = j.spec.steps.saturating_sub(j.steps_done);
         let finish = compute_from + step_seconds * remaining as f64;
-        self.running.insert(
-            job,
-            Running {
-                slice,
-                started: now,
-                compute_from,
-                step_seconds,
-                token,
-            },
-        );
-        queue.schedule(finish, Event::Completion { job, token });
+        j.phase = Phase::Running(Running {
+            slice,
+            started: now,
+            compute_from,
+            step_seconds,
+            token,
+        });
+        self.queue
+            .schedule(finish, Event::Completion { job, token });
         Ok(())
     }
 
-    /// Completes `job` at `now`: advance its model through the steps it
-    /// ran, bill its tenant, free the slice.
-    fn complete_job(&mut self, job: u64, now: SimTime) -> Result<(), SchedError> {
-        let running = self
-            .running
-            .remove(&job)
-            .expect("completion for running job");
-        let (spec, steps_from) = {
-            let run = &self.jobs[&job];
-            (run.spec.clone(), run.steps_done)
+    /// Takes `job` off the clock at `now` and moves it to `next`. If it
+    /// was running, its tenant is billed the chip-seconds since dispatch
+    /// and the occupancy it held is returned; the slice itself stays
+    /// allocated until the caller frees it.
+    fn stop(&mut self, job: usize, now: SimTime, next: Phase) -> Option<Running> {
+        let j = &mut self.jobs[job];
+        let Phase::Running(running) = mem::replace(&mut j.phase, next) else {
+            return None;
         };
-        {
-            let run = self.jobs.get_mut(&job).expect("job exists");
-            for s in steps_from..spec.steps {
-                run.model.advance(&spec, s)?;
-            }
-            run.steps_done = spec.steps;
-            run.completed_at = Some(now);
-        }
-        *self.tenant_usage.entry(spec.tenant).or_insert(0.0) +=
-            f64::from(spec.chips) * (now - running.started);
-        self.allocator.free(job);
+        *self.tenant_usage.entry(j.spec.tenant).or_insert(0.0) +=
+            f64::from(j.spec.chips) * (now - running.started);
+        Some(running)
+    }
+
+    /// Completes running `job` at `now`: advance its model through the
+    /// steps it ran, bill its tenant, free the slice.
+    fn complete_job(&mut self, job: usize, now: SimTime) -> Result<(), SchedError> {
+        let Some(running) = self.stop(job, now, Phase::Done { at: now }) else {
+            return Ok(());
+        };
+        let j = &mut self.jobs[job];
+        j.advance_to(j.spec.steps)?;
+        let (chips, steps) = (j.spec.chips, j.spec.steps);
+        self.allocator.free(job as u64);
         self.count("jobs_completed", 1);
         self.span(
             "job-run",
@@ -774,152 +747,85 @@ impl PodScheduler {
             now,
             &[
                 ("job", job as f64),
-                ("chips", f64::from(spec.chips)),
-                ("steps", spec.steps as f64),
+                ("chips", f64::from(chips)),
+                ("steps", steps as f64),
             ],
         );
         Ok(())
     }
 
-    /// Considers preempting lower-priority running jobs so the blocked
-    /// `job` can fit. Victims checkpoint; their slices free when the
-    /// slowest save completes.
-    fn try_preempt_for(
+    /// Preempts running jobs so that `chips` for `claimant` (an allocator
+    /// owner id) fit. Candidates are the running jobs of strictly lower
+    /// priority than `outranks` — every running job for `None`, a service
+    /// — taken cheapest first (lowest priority, then latest started, then
+    /// highest id: a total order) and freed on a trial copy of the
+    /// allocator until the claim fits. Exactly that prefix checkpoints;
+    /// the slices free together when the slowest save completes. Returns
+    /// whether a victim set was found.
+    fn preempt_to_fit(
         &mut self,
-        job: u64,
+        claimant: u64,
+        chips: u32,
+        outranks: Option<u8>,
         now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) -> Result<(), SchedError> {
-        let (priority, chips) = {
-            let run = &self.jobs[&job];
-            (run.spec.priority, run.spec.chips)
-        };
-        // Victims: strictly lower-priority running jobs, cheapest
-        // (latest-started, lowest-priority) first. Deterministic order.
-        let mut candidates: Vec<u64> = self
-            .running
-            .keys()
-            .copied()
-            .filter(|id| self.jobs[id].spec.priority > priority)
+    ) -> Result<bool, SchedError> {
+        let mut candidates: Vec<(u8, SimTime, usize)> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .filter_map(|(id, j)| match &j.phase {
+                Phase::Running(r) if outranks.is_none_or(|p| j.spec.priority > p) => {
+                    Some((j.spec.priority, r.started, id))
+                }
+                _ => None,
+            })
             .collect();
         if candidates.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
-        candidates.sort_by(|a, b| {
-            let ja = &self.jobs[a];
-            let jb = &self.jobs[b];
-            jb.spec
-                .priority
-                .cmp(&ja.spec.priority)
-                .then(self.running[b].started.cmp(&self.running[a].started))
-                .then(b.cmp(a))
-        });
-        // Free victims hypothetically until the blocked job fits.
+        candidates.sort_by(|a, b| b.cmp(a));
         let mut trial = self.allocator.clone();
         let mut victims = Vec::new();
-        for v in candidates {
-            trial.free(v);
+        for (_, _, v) in candidates {
+            trial.free(v as u64);
             victims.push(v);
-            if trial.allocate(job, chips)?.is_some() {
-                // Enough space: preempt exactly this set.
+            if trial.allocate(claimant, chips)?.is_some() {
                 let mut latest = now;
                 for &v in &victims {
-                    let free_at = self.preempt(v, now)?;
-                    latest = latest.max(free_at);
+                    latest = latest.max(self.preempt(v, now)?);
                 }
-                queue.schedule(latest, Event::SliceFreed { victims });
-                return Ok(());
+                self.queue.schedule(latest, Event::SliceFreed { victims });
+                return Ok(true);
             }
         }
-        Ok(())
-    }
-
-    /// Preempts running jobs so a displaced service can re-place. Every
-    /// running job is a candidate (services outrank all priorities),
-    /// cheapest victims first, exactly as [`PodScheduler::try_preempt_for`].
-    fn try_preempt_for_service(
-        &mut self,
-        svc: usize,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) -> Result<(), SchedError> {
-        let id = SERVICE_ID_BASE + svc as u64;
-        let chips = self.services[svc].spec.chips;
-        let mut candidates: Vec<u64> = self.running.keys().copied().collect();
-        candidates.sort_by(|a, b| {
-            let ja = &self.jobs[a];
-            let jb = &self.jobs[b];
-            jb.spec
-                .priority
-                .cmp(&ja.spec.priority)
-                .then(self.running[b].started.cmp(&self.running[a].started))
-                .then(b.cmp(a))
-        });
-        let mut trial = self.allocator.clone();
-        let mut victims = Vec::new();
-        for v in candidates {
-            trial.free(v);
-            victims.push(v);
-            if trial.allocate(id, chips)?.is_some() {
-                let mut latest = now;
-                for &v in &victims {
-                    let free_at = self.preempt(v, now)?;
-                    latest = latest.max(free_at);
-                }
-                queue.schedule(latest, Event::SliceFreed { victims });
-                return Ok(());
-            }
-        }
-        // Nothing (left) to preempt. Draining victims from an earlier
-        // round will free space shortly; otherwise the mesh genuinely
-        // cannot host the reservation any more.
-        if self.jobs.values().any(|j| j.draining) {
-            return Ok(());
-        }
-        Err(SchedError::ServiceUnplaceable {
-            service: self.services[svc].spec.name.clone(),
-            chips,
-        })
+        Ok(false)
     }
 
     /// Preempts running `job` at `now`: advance its model for the steps
     /// that completed, save a real sharded checkpoint on its slice, and
-    /// mark it draining until the save finishes. Returns when its slice
+    /// leave it draining until the save finishes. Returns when its slice
     /// frees.
-    fn preempt(&mut self, job: u64, now: SimTime) -> Result<SimTime, SchedError> {
-        let running = self.running.remove(&job).expect("preempting a running job");
-        let spec = self.jobs[&job].spec.clone();
-        // Whole steps completed before the preemption hit.
-        let ran = if now > running.compute_from {
-            ((now - running.compute_from) / running.step_seconds).floor() as u64
-        } else {
-            0
+    fn preempt(&mut self, job: usize, now: SimTime) -> Result<SimTime, SchedError> {
+        let Some(running) = self.stop(job, now, Phase::Draining) else {
+            return Ok(now);
         };
-        let (bundle, steps_done) = {
-            let run = self.jobs.get_mut(&job).expect("job exists");
-            let target = (run.steps_done + ran).min(spec.steps);
-            for s in run.steps_done..target {
-                run.model.advance(&spec, s)?;
-            }
-            run.steps_done = target;
-            (run.model.bundle(target)?, target)
-        };
-        let shape = running.slice.shape();
+        // Whole steps completed before the preemption hit (none if it hit
+        // while the restore was still streaming in).
+        let elapsed = now - running.compute_from;
+        let ran = (elapsed / running.step_seconds).floor().max(0.0) as u64;
+        let j = &mut self.jobs[job];
+        let steps_done = j.steps_done.saturating_add(ran).min(j.spec.steps);
+        j.advance_to(steps_done)?;
+        let bundle = j.model.bundle(steps_done)?;
         let pcie = self.pcie;
-        let ctx = self.shape_ctx(shape)?;
+        let ctx = self.shape_ctx(running.slice.shape())?;
         let outcome = save_checkpoint(&mut ctx.net, &ctx.placement, &bundle, &pcie, now)?;
         let save_cost = outcome.finish - now;
-        {
-            let run = self.jobs.get_mut(&job).expect("job exists");
-            run.ckpt = Some(outcome.checkpoint);
-            run.draining = true;
-            run.preemptions += 1;
-        }
-        *self.tenant_usage.entry(spec.tenant).or_insert(0.0) +=
-            f64::from(spec.chips) * (now - running.started);
+        let j = &mut self.jobs[job];
+        j.ckpt = Some(outcome.checkpoint);
+        j.unpaired_save = Some(save_cost);
         self.preemptions += 1;
         self.save_seconds += save_cost;
-        self.pending_restore_overhead.insert(job, save_cost);
         self.count("preemptions", 1);
         self.observe("preempt_save_seconds", save_cost);
         self.span(
@@ -935,35 +841,30 @@ impl PodScheduler {
         Ok(outcome.finish)
     }
 
-    /// Restores `job`'s checkpoint onto a slice of `shape`, verifying the
+    /// Restores `job` from `ckpt` onto a slice of `shape`, verifying the
     /// restored bundle is bit-identical to the saved state. Returns the
     /// restore's simulated cost in seconds.
     fn restore_job(
         &mut self,
-        job: u64,
+        job: usize,
+        ckpt: &Checkpoint,
         shape: (u32, u32),
         now: SimTime,
     ) -> Result<f64, SchedError> {
-        let ckpt = self.jobs[&job]
-            .ckpt
-            .clone()
-            .expect("restore_job requires a checkpoint");
         let pcie = self.pcie;
         let ctx = self.shape_ctx(shape)?;
-        let outcome = restore_checkpoint(&mut ctx.net, &ctx.placement, &ckpt, &pcie, now)?;
+        let outcome = restore_checkpoint(&mut ctx.net, &ctx.placement, ckpt, &pcie, now)?;
         let cost = outcome.finish - now;
-        let run = self.jobs.get_mut(&job).expect("job exists");
+        let j = &mut self.jobs[job];
         // The PR 4 guarantee, enforced per event: restoring onto the new
-        // slice must reproduce the saved state bit for bit.
-        let expected = run.model.bundle(run.steps_done)?;
-        let identical = outcome.bundle == expected || run.lost_state;
-        run.model.load(&outcome.bundle)?;
-        run.steps_done = outcome.bundle.step;
-        run.lost_state = false;
-        if !identical {
-            self.restores_identical = false;
-            return Err(SchedError::RestoreMismatch { job });
+        // slice must reproduce the saved state bit for bit. (After a fault
+        // kill the in-memory state it would be compared with is gone.)
+        if !j.lost_state && outcome.bundle != j.model.bundle(j.steps_done)? {
+            return Err(SchedError::RestoreMismatch { job: j.spec.id });
         }
+        j.model.load(&outcome.bundle)?;
+        j.steps_done = outcome.bundle.step;
+        j.lost_state = false;
         self.restores += 1;
         self.restore_seconds += cost;
         self.count("restores", 1);
@@ -971,20 +872,19 @@ impl PodScheduler {
         Ok(cost)
     }
 
-    /// A chip dies at `now`: the allocator marks it dead; the occupying
-    /// job (if any) is killed back to its last checkpoint and requeued.
-    fn handle_fault(&mut self, chip: ChipId, now: SimTime) -> Result<(), SchedError> {
-        let victim = self.allocator.mark_dead(chip);
+    /// A chip dies at `now`: the allocator marks it dead and whatever
+    /// held it loses the rest of its slice. A service is left displaced
+    /// for the next scheduling round to re-place (preempting training work
+    /// if the mesh is full); a job — running or draining — is killed back
+    /// to its last checkpoint and requeued.
+    fn handle_fault(&mut self, chip: ChipId, now: SimTime) {
         self.count("chip_faults", 1);
-        let Some(job) = victim else {
-            return Ok(());
+        let Some(owner) = self.allocator.mark_dead(chip) else {
+            return;
         };
-        if job >= SERVICE_ID_BASE {
-            // A service lost a chip: release the rest of its slice and
-            // mark it displaced; the next scheduling round re-places it
-            // (preempting training work if the mesh is full).
-            let svc = (job - SERVICE_ID_BASE) as usize;
-            self.allocator.free(job);
+        self.allocator.free(owner);
+        if owner >= SERVICE_ID_BASE {
+            let svc = (owner - SERVICE_ID_BASE) as usize;
             self.services[svc].slice = None;
             self.count("service_faults", 1);
             self.span(
@@ -993,13 +893,11 @@ impl PodScheduler {
                 now,
                 &[("service", svc as f64), ("chip", chip.index() as f64)],
             );
-            return Ok(());
+            return;
         }
+        let job = owner as usize;
         // In-flight progress since the last checkpoint is lost.
-        if let Some(running) = self.running.remove(&job) {
-            let spec = self.jobs[&job].spec.clone();
-            *self.tenant_usage.entry(spec.tenant).or_insert(0.0) +=
-                f64::from(spec.chips) * (now - running.started);
+        if let Some(running) = self.stop(job, now, Phase::Queued { since: now }) {
             self.span(
                 "job-fault-kill",
                 running.started,
@@ -1007,23 +905,44 @@ impl PodScheduler {
                 &[("job", job as f64), ("chip", chip.index() as f64)],
             );
         }
-        self.allocator.free(job);
-        let run = self.jobs.get_mut(&job).expect("job exists");
-        if run.completed_at.is_some() {
-            return Ok(());
-        }
-        run.lost_state = true;
+        let j = &mut self.jobs[job];
+        j.lost_state = true;
         // Roll the step counter back to the last durable state.
-        run.steps_done = run.ckpt.as_ref().map_or(0, |c| c.manifest.step);
-        run.enqueued_at = now;
-        run.draining = false;
-        if !self.pending.contains(&job) {
-            self.pending.push(job);
-        }
+        j.steps_done = j.ckpt.as_ref().map_or(0, |c| c.manifest.step);
+        self.pending.push(job);
         self.fault_kills += 1;
         self.count("fault_kills", 1);
-        Ok(())
     }
+
+    /// The containment invariants of [`Phase`], plus token uniqueness: no
+    /// two running jobs wait on the same `Completion`.
+    #[cfg(debug_assertions)]
+    fn consistent(&self) -> bool {
+        use std::collections::BTreeSet;
+        let placed = |i: usize| self.services[i].slice.map(|_| SERVICE_ID_BASE + i as u64);
+        let mut on_mesh: BTreeSet<u64> = (0..self.services.len()).filter_map(placed).collect();
+        let (mut queued, mut tokens) = (BTreeSet::new(), BTreeSet::new());
+        let mut ok = true;
+        for (id, j) in self.jobs.iter().enumerate() {
+            ok &= match &j.phase {
+                Phase::Queued { .. } => queued.insert(id),
+                Phase::Running(r) => on_mesh.insert(id as u64) && tokens.insert(r.token),
+                Phase::Draining => on_mesh.insert(id as u64),
+                Phase::Done { .. } => true,
+            };
+        }
+        let owners: BTreeSet<u64> = (0..self.mesh_chips)
+            .filter_map(|c| self.allocator.owner(ChipId(c)))
+            .collect();
+        ok && owners == on_mesh
+            && self.pending.len() == queued.len()
+            && self.pending.iter().all(|p| queued.contains(p))
+    }
+}
+
+/// Every queue wait of `jobs`, in table order then dispatch order.
+fn queue_waits<'a>(jobs: impl Iterator<Item = &'a Job>) -> Vec<f64> {
+    jobs.flat_map(|j| j.queue_waits.iter().copied()).collect()
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -1066,7 +985,7 @@ mod tests {
         // 16x8 = 128 chips; the heavy stream asks for up to 512-chip
         // BERT slices, which can never fit — those surface as typed
         // errors up front.
-        let mut sched = PodScheduler::new(shrunk_stream_config(50, 3));
+        let sched = PodScheduler::new(shrunk_stream_config(50, 3));
         match sched.run() {
             Err(SchedError::UnplaceableJob { chips, .. }) => assert!(chips > 128),
             other => panic!("expected UnplaceableJob, got {:?}", other.map(|r| r.jobs)),
@@ -1090,7 +1009,7 @@ mod tests {
 
     #[test]
     fn campaign_runs_and_reports() {
-        let mut sched = PodScheduler::new(fitted_config(60, 11));
+        let sched = PodScheduler::new(fitted_config(60, 11));
         let report = sched.run().expect("campaign");
         assert_eq!(report.jobs, 60);
         assert_eq!(report.completed, 60, "all jobs fit a 1024-chip mesh");
@@ -1106,7 +1025,7 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let run = || {
-            let mut sched = PodScheduler::new(fitted_config(60, 11));
+            let sched = PodScheduler::new(fitted_config(60, 11));
             sched.run().expect("campaign")
         };
         assert_eq!(run(), run());
@@ -1123,7 +1042,7 @@ mod tests {
     #[test]
     fn service_reservation_holds_chips_for_the_whole_campaign() {
         let config = with_service(fitted_config(60, 11), "dlrm-serve", 256);
-        let mut sched = PodScheduler::new(config);
+        let sched = PodScheduler::new(config);
         let report = sched.run().expect("campaign");
         assert_eq!(report.services.len(), 1);
         let svc = &report.services[0];
@@ -1139,7 +1058,7 @@ mod tests {
     #[test]
     fn oversized_service_is_a_typed_error() {
         let config = with_service(fitted_config(10, 1), "too-big", 2048);
-        let mut sched = PodScheduler::new(config);
+        let sched = PodScheduler::new(config);
         assert!(matches!(
             sched.run(),
             Err(SchedError::ServiceUnplaceable { chips: 2048, .. })
@@ -1152,7 +1071,7 @@ mod tests {
         // (0,0) is inside its slice.
         let config = with_service(fitted_config(40, 5), "dlrm-serve", 256);
         let plan = FaultPlan::new().chip_down(SimTime::from_seconds(0.05), ChipId(0));
-        let mut sched = PodScheduler::new(config);
+        let sched = PodScheduler::new(config);
         let report = sched.run_with_faults(&plan).expect("campaign");
         let svc = &report.services[0];
         assert_eq!(svc.migrations, 1, "the fault displaced the service once");
@@ -1164,19 +1083,52 @@ mod tests {
     fn campaign_with_service_is_deterministic() {
         let run = || {
             let config = with_service(fitted_config(60, 11), "dlrm-serve", 128);
-            let mut sched = PodScheduler::new(config);
+            let sched = PodScheduler::new(config);
             sched.run().expect("campaign")
         };
         assert_eq!(run(), run());
     }
 
     #[test]
+    fn fault_plan_off_the_mesh_is_a_typed_error() {
+        // 32x32 has chips 0..1024; the parent indexed the allocator's
+        // cells with 5000 and panicked.
+        let plan = FaultPlan::new().chip_down(SimTime::from_seconds(0.01), ChipId(5000));
+        assert!(matches!(
+            PodScheduler::new(fitted_config(10, 1)).run_with_faults(&plan),
+            Err(SchedError::FaultOffMesh {
+                chip: ChipId(5000),
+                chips: 1024
+            })
+        ));
+        // The last chip on the mesh is still a legal victim.
+        let plan = FaultPlan::new().chip_down(SimTime::from_seconds(0.01), ChipId(1023));
+        let report = PodScheduler::new(fitted_config(10, 1)).run_with_faults(&plan);
+        assert_eq!(report.expect("campaign").completed, 10);
+    }
+
+    #[test]
+    fn unusable_arrival_gap_is_a_typed_error() {
+        for gap in [f64::NAN, f64::INFINITY, 0.0, -0.004] {
+            let mut config = fitted_config(10, 1);
+            config.arrivals.mean_interarrival_seconds = gap;
+            match PodScheduler::new(config).run() {
+                Err(SchedError::InvalidConfig { field, value }) => {
+                    assert_eq!(field, "arrivals.mean_interarrival_seconds");
+                    assert!(value.is_nan() == gap.is_nan() && (gap.is_nan() || value == gap));
+                }
+                other => panic!("gap {gap}: got {:?}", other.map(|r| r.jobs)),
+            }
+        }
+    }
+
+    #[test]
     fn chip_fault_kills_and_recovers_the_job() {
         let config = fitted_config(40, 5);
-        let mut clean = PodScheduler::new(config.clone());
+        let clean = PodScheduler::new(config.clone());
         let clean_report = clean.run().expect("clean campaign");
         let plan = FaultPlan::new().chip_down(SimTime::from_seconds(0.01), ChipId(33));
-        let mut faulty = PodScheduler::new(config);
+        let faulty = PodScheduler::new(config);
         let report = faulty.run_with_faults(&plan).expect("faulty campaign");
         assert_eq!(report.completed, clean_report.completed);
         assert!(report.restores_bit_identical);

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use multipod_topology::{ChipId, Coord, Multipod};
+use multipod_topology::{ChipId, Multipod};
 
 use crate::SchedError;
 
@@ -91,16 +91,6 @@ impl SliceAllocator {
 
     fn idx(&self, x: u32, y: u32) -> usize {
         (y * self.x_len + x) as usize
-    }
-
-    /// Mesh width.
-    pub fn x_len(&self) -> u32 {
-        self.x_len
-    }
-
-    /// Mesh height.
-    pub fn y_len(&self) -> u32 {
-        self.y_len
     }
 
     /// Candidate `(w, h)` shapes for a slice of `chips`, most-square
@@ -184,17 +174,6 @@ impl SliceAllocator {
         Ok(None)
     }
 
-    /// Whether a slice of `chips` could be allocated right now, without
-    /// allocating it.
-    pub fn would_fit(&self, job: u64, chips: u32) -> Result<bool, SchedError> {
-        for (w, h) in self.shapes_for(job, chips)? {
-            if self.find_anchor(w, h).is_some() {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
     /// Frees every cell `job` occupies (dead cells stay dead). Returns
     /// the number of chips released.
     pub fn free(&mut self, job: u64) -> u32 {
@@ -218,14 +197,6 @@ impl SliceAllocator {
         match previous {
             Cell::Busy(job) => Some(job),
             _ => None,
-        }
-    }
-
-    /// The mesh coordinate of a cell index, for fault bookkeeping.
-    pub fn coord_of(&self, chip: ChipId) -> Coord {
-        Coord {
-            x: chip.index() as u32 % self.x_len,
-            y: chip.index() as u32 / self.x_len,
         }
     }
 

@@ -6,11 +6,16 @@
 //!   dead one, no matter how arrivals, completions and faults interleave;
 //! * preempting a job with a real checkpoint save and elastically
 //!   restoring it — possibly onto a different slice shape — is
-//!   bit-identical, end to end, for arbitrary campaigns.
+//!   bit-identical, end to end, for arbitrary campaigns;
+//! * chip loss at any moment, beside a service reservation or not, leaves
+//!   a campaign that still ends, deterministically, with every dispatch,
+//!   restore and preemption-overhead sample accounted for.
 
 use std::collections::BTreeMap;
 
-use multipod_sched::{ArrivalConfig, PodScheduler, SchedConfig, SliceAllocator};
+use multipod_faults::FaultPlan;
+use multipod_sched::{ArrivalConfig, PodScheduler, SchedConfig, ServiceSpec, SliceAllocator};
+use multipod_simnet::SimTime;
 use multipod_topology::{ChipId, Multipod, MultipodConfig};
 use proptest::prelude::*;
 
@@ -139,7 +144,7 @@ proptest! {
             lr: 0.05,
         };
         let run = || {
-            let mut sched = PodScheduler::new(config.clone());
+            let sched = PodScheduler::new(config.clone());
             sched.run().unwrap()
         };
         let a = run();
@@ -153,5 +158,59 @@ proptest! {
         );
         let b = run();
         prop_assert_eq!(a, b);
+    }
+
+    /// The same preemption-heavy campaigns under random chip loss (0–4
+    /// on-mesh chips, dying inside the arrival window) and with or without
+    /// a service reservation: the campaign always ends without an error,
+    /// reruns byte-identically, and its counts stay within what the
+    /// lifecycle allows — a job is dispatched at most once per arrival
+    /// plus once per preemption or kill, restores only follow one of those,
+    /// and an overhead sample needs the save of a preemption.
+    #[test]
+    fn campaigns_survive_random_chip_loss(
+        seed in 0u64..1_000,
+        jobs in 20u32..60,
+        faults in proptest::collection::vec((0.0f64..1.0, 0u32..1024), 0..5),
+        with_service in proptest::bool::ANY,
+    ) {
+        let mut config = SchedConfig {
+            mesh: MultipodConfig::mesh(32, 32, true),
+            arrivals: ArrivalConfig {
+                jobs,
+                seed,
+                mean_interarrival_seconds: 0.002,
+                tenants: 4,
+            },
+            services: Vec::new(),
+            // A displaced service preempts even 512-chip slices, and a
+            // save needs at least one element per chip.
+            state_elems: 512,
+            lr: 0.05,
+        };
+        if with_service {
+            // 128 chips: four dead chips cannot poison all sixteen 16×8
+            // and 8×16 anchors, so the reservation stays placeable.
+            config.services.push(ServiceSpec { name: "serve".to_string(), chips: 128 });
+        }
+        let window = 0.002 * f64::from(jobs);
+        let plan = faults.iter().fold(FaultPlan::new(), |plan, &(frac, chip)| {
+            plan.chip_down(SimTime::from_seconds(frac * window), ChipId(chip))
+        });
+        let run = || PodScheduler::new(config.clone()).run_with_faults(&plan);
+        let a = match run() {
+            Ok(report) => report,
+            Err(e) => return Err(TestCaseError::fail(format!("campaign failed: {e}"))),
+        };
+        let jobs = u64::from(jobs);
+        prop_assert!(a.restores_bit_identical);
+        prop_assert!(a.completed <= jobs && a.fault_kills <= faults.len() as u64);
+        // (Dead chips can leave a 512-chip job with no slice that will
+        // ever fit; it ends the campaign queued, never dispatched.)
+        prop_assert!(a.completed <= a.queue_wait.count);
+        prop_assert!(a.queue_wait.count <= jobs + a.preemptions + a.fault_kills);
+        prop_assert!(a.restores <= a.preemptions + a.fault_kills);
+        prop_assert!(a.preemption_overhead.count <= a.preemptions);
+        prop_assert_eq!(Some(a), run().ok());
     }
 }

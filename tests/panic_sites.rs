@@ -1,0 +1,82 @@
+//! ROADMAP 5(a)'s panic tally as a ratchet: source files that have
+//! reached zero non-test panic sites stay there.
+//!
+//! The part of each listed file above its first `#[cfg(test)]` (all of it
+//! when there is none) may not call `.expect(`, `.unwrap()`, `panic!(`,
+//! `unreachable!(`, `todo!(` or a release-mode `assert*!(`;
+//! `debug_assert*!` is allowed (it documents an invariant and costs
+//! release builds nothing), and so is anything inside a comment. A PR that
+//! brings another file to zero adds it to `CLEAN`.
+
+const CLEAN: &[(&str, &str)] = &[
+    (
+        "crates/sched/src/sched.rs",
+        include_str!("../crates/sched/src/sched.rs"),
+    ),
+    (
+        "crates/sched/src/slice.rs",
+        include_str!("../crates/sched/src/slice.rs"),
+    ),
+    (
+        "crates/sched/src/job.rs",
+        include_str!("../crates/sched/src/job.rs"),
+    ),
+    (
+        "crates/sched/src/error.rs",
+        include_str!("../crates/sched/src/error.rs"),
+    ),
+    (
+        "crates/collectives/src/schedule.rs",
+        include_str!("../crates/collectives/src/schedule.rs"),
+    ),
+    (
+        "crates/serve/src/batch.rs",
+        include_str!("../crates/serve/src/batch.rs"),
+    ),
+];
+
+const PANICS: &[&str] = &[
+    ".expect(",
+    ".unwrap()",
+    "panic!(",
+    "unreachable!(",
+    "todo!(",
+    "assert!(",
+    "assert_eq!(",
+    "assert_ne!(",
+];
+
+/// `(line number, line)` of every panic site in the non-test part of
+/// `source`.
+fn panic_sites(source: &str) -> Vec<(usize, &str)> {
+    source
+        .lines()
+        .enumerate()
+        .take_while(|(_, line)| line.trim() != "#[cfg(test)]")
+        .filter(|(_, line)| {
+            let code = line.split("//").next().unwrap_or("");
+            let code = code.replace("debug_assert", "");
+            PANICS.iter().any(|p| code.contains(p))
+        })
+        .map(|(i, line)| (i + 1, line))
+        .collect()
+}
+
+#[test]
+fn clean_files_stay_free_of_panic_sites() {
+    let mut found = Vec::new();
+    for (path, source) in CLEAN {
+        for (line, text) in panic_sites(source) {
+            found.push(format!("{path}:{line}: {}", text.trim()));
+        }
+    }
+    assert!(found.is_empty(), "panic sites:\n{}", found.join("\n"));
+}
+
+#[test]
+fn the_scan_sees_what_it_should() {
+    let source = "fn f() {\n    x.unwrap();\n    debug_assert!(ok);\n    // y.expect(\"no\")\n    \
+                  assert_eq!(a, b);\n}\n#[cfg(test)]\nmod tests { fn g() { panic!(\"fine\") } }\n";
+    let lines: Vec<usize> = panic_sites(source).into_iter().map(|(l, _)| l).collect();
+    assert_eq!(lines, [2, 5]);
+}
