@@ -126,22 +126,29 @@ impl RepresentativeModel {
             .expect("representative graph partitions")
     }
 
-    /// Per-step model-parallel bytes sent by one core, for one sample.
-    pub fn comm_bytes_per_core_per_sample(&self, parts: usize) -> f64 {
-        let program = self.partition(parts);
-        program.comm_stats().bytes_per_core as f64
+    /// [`Self::comm_bytes_per_core_per_sample`] and
+    /// [`Self::collectives_per_step`], read off one partitioned program.
+    pub(crate) fn comm_per_step(&self, parts: usize) -> (f64, f64) {
+        let stats = self.partition(parts).comm_stats();
+        let bytes = stats.bytes_per_core as f64
             * self.profile.layers as f64
             * self.profile.channel_mult as f64
-            * self.profile.fwd_bwd_mult
+            * self.profile.fwd_bwd_mult;
+        let collectives = stats.total_collectives() as f64
+            * self.profile.layers as f64
+            * self.profile.fwd_bwd_mult;
+        (bytes, collectives)
+    }
+
+    /// Per-step model-parallel bytes sent by one core, for one sample.
+    pub fn comm_bytes_per_core_per_sample(&self, parts: usize) -> f64 {
+        self.comm_per_step(parts).0
     }
 
     /// Per-step collective count on the critical path (per sample batch,
     /// not per sample — collectives batch over the replica's samples).
     pub fn collectives_per_step(&self, parts: usize) -> f64 {
-        let program = self.partition(parts);
-        program.comm_stats().total_collectives() as f64
-            * self.profile.layers as f64
-            * self.profile.fwd_bwd_mult
+        self.comm_per_step(parts).1
     }
 
     /// Per-core compute FLOPs for one sample (through the partitioned

@@ -83,11 +83,10 @@ pub fn speedup_curve(
             // Tile communication: bytes and collective count from the
             // partitioned program.
             let comm = if cores > 1 {
-                let bytes = rep.comm_bytes_per_core_per_sample(cores as usize)
-                    * per_replica_batch
-                    * workload.grad_precision.bytes() as f64
-                    / 4.0;
-                let collectives = rep.collectives_per_step(cores as usize);
+                let (bytes_per_sample, collectives) = rep.comm_per_step(cores as usize);
+                let bytes =
+                    bytes_per_sample * per_replica_batch * workload.grad_precision.bytes() as f64
+                        / 4.0;
                 collectives * (cfg.message_overhead + cfg.hop_latency) + bytes / cfg.link_bandwidth
             } else {
                 0.0

@@ -223,7 +223,6 @@ pub fn step_breakdown_on(
     let net = Network::new(mesh, net_config);
 
     let batch = workload.global_batch(chips);
-    let cores_per_replica = workload.parallelism.cores_per_replica();
     let stride = effective_stride(workload, net.mesh());
 
     // MXU compute: utilization follows the per-replica batch, discounted
@@ -259,8 +258,6 @@ pub fn step_breakdown_on(
         compute + model_parallel_comm + gradient_comm.total() + weight_update + embedding;
     let input_stall = input_stall(workload, chips, batch, device_time, options);
 
-    let _ = cores_per_replica;
-
     Ok(StepBreakdown {
         compute,
         model_parallel_comm,
@@ -279,11 +276,9 @@ fn model_comm_time(workload: &Workload, net: &Network, batch: u32, chips: u32) -
     let cores = chips as u64 * 2;
     let replicas = (cores / cores_per_replica as u64).max(1);
     let samples_per_replica = (batch as f64 / replicas as f64).max(1.0);
-    let bytes_per_core = rep.comm_bytes_per_core_per_sample(cores_per_replica)
-        * samples_per_replica
-        * workload.grad_precision.bytes() as f64
-        / 4.0;
-    let collectives = rep.collectives_per_step(cores_per_replica);
+    let (bytes_per_sample, collectives) = rep.comm_per_step(cores_per_replica);
+    let bytes_per_core =
+        bytes_per_sample * samples_per_replica * workload.grad_precision.bytes() as f64 / 4.0;
     let cfg = net.config();
     // Within-tile rings run over adjacent chips; both cores of a chip
     // share its links.

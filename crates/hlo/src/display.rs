@@ -9,8 +9,7 @@
 
 use std::fmt;
 
-use crate::graph::HloGraph;
-use crate::op::Op;
+use crate::graph::{HloGraph, Op};
 use crate::program::{ComputeOp, Instr, PartitionedProgram};
 use crate::sharding::Sharding;
 
@@ -22,48 +21,23 @@ fn sharding_suffix(s: Option<Sharding>) -> String {
     }
 }
 
+/// `name(operands…, attrs…)` — the one call syntax of graph nodes and
+/// program instructions (`%i` / `vi` come from the ids' `Debug`).
+fn call(name: &str, operands: &[impl fmt::Debug], attrs: &[String]) -> String {
+    let mut args: Vec<String> = operands.iter().map(|o| format!("{o:?}")).collect();
+    args.extend_from_slice(attrs);
+    format!("{name}({})", args.join(", "))
+}
+
 impl fmt::Display for HloGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for id in self.node_ids() {
-            let op = self.op(id);
             let shape = self.shape(id);
             let ann = sharding_suffix(self.annotation(id));
-            let body = match op {
+            let body = match self.op(id) {
                 Op::Parameter { name } => format!("parameter \"{name}\""),
                 Op::Constant { .. } => "constant".to_string(),
-                Op::MatMul { lhs, rhs } => format!("matmul({lhs:?}, {rhs:?})"),
-                Op::Conv2dSame { input, kernel } => {
-                    format!("conv2d_same({input:?}, {kernel:?})")
-                }
-                Op::Add { lhs, rhs } => format!("add({lhs:?}, {rhs:?})"),
-                Op::Mul { lhs, rhs } => format!("mul({lhs:?}, {rhs:?})"),
-                Op::Relu { input } => format!("relu({input:?})"),
-                Op::ReluGrad { input, upstream } => {
-                    format!("relu_grad({input:?}, {upstream:?})")
-                }
-                Op::ReduceSum { input, axis } => {
-                    format!("reduce_sum({input:?}, axis={axis})")
-                }
-                Op::Gather { input, indices } => format!("gather({input:?}, {indices:?})"),
-                Op::TopK { input, k } => format!("top_k({input:?}, k={k})"),
-                Op::Transpose { input } => format!("transpose({input:?})"),
-                Op::BroadcastAxis {
-                    input,
-                    axis,
-                    extent,
-                } => format!("broadcast_axis({input:?}, axis={axis}, extent={extent})"),
-                Op::Rot180 { input } => format!("rot180({input:?})"),
-                Op::ConvKernelGrad {
-                    input,
-                    upstream,
-                    kh,
-                    kw,
-                } => format!("conv_kernel_grad({input:?}, {upstream:?}, {kh}x{kw})"),
-                Op::ScatterAdd {
-                    indices,
-                    upstream,
-                    rows,
-                } => format!("scatter_add({indices:?}, {upstream:?}, rows={rows})"),
+                Op::Apply { kind, operands } => call(kind.name(), operands, &kind.attrs()),
             };
             writeln!(f, "{id:?} = {body} : {shape}{ann}")?;
         }
@@ -77,66 +51,43 @@ impl fmt::Display for PartitionedProgram {
         for instr in self.instrs() {
             let out = instr.out();
             let shape = &self.shapes[out.0];
+            let attr = |name: &str, value: &usize| format!("{name}={value}");
             let body = match instr {
                 Instr::Compute { op, .. } => match op {
                     ComputeOp::Feed { name, sharding } => {
                         format!("feed \"{name}\"{}", sharding_suffix(Some(*sharding)))
                     }
                     ComputeOp::Constant { .. } => "constant".to_string(),
-                    ComputeOp::MatMul { lhs, rhs } => format!("matmul({lhs:?}, {rhs:?})"),
-                    ComputeOp::ConvSame { input, kernel } => {
-                        format!("conv2d_same({input:?}, {kernel:?})")
+                    ComputeOp::Apply { kind, operands } => {
+                        call(kind.name(), operands, &kind.attrs())
+                    }
+                    ComputeOp::SliceAxis { input, axis } => {
+                        call("slice_axis", &[input], &[attr("axis", axis)])
                     }
                     ComputeOp::ConvHalo {
                         input,
                         kernel,
                         valid_axis,
-                    } => format!("conv_halo({input:?}, {kernel:?}, valid_axis={valid_axis})"),
-                    ComputeOp::Add { lhs, rhs } => format!("add({lhs:?}, {rhs:?})"),
-                    ComputeOp::Mul { lhs, rhs } => format!("mul({lhs:?}, {rhs:?})"),
-                    ComputeOp::Relu { input } => format!("relu({input:?})"),
-                    ComputeOp::ReluGrad { input, upstream } => {
-                        format!("relu_grad({input:?}, {upstream:?})")
-                    }
-                    ComputeOp::ReduceSum { input, axis } => {
-                        format!("reduce_sum({input:?}, axis={axis})")
-                    }
-                    ComputeOp::SliceAxis { input, axis } => {
-                        format!("slice_axis({input:?}, axis={axis})")
-                    }
-                    ComputeOp::Gather { input, indices } => {
-                        format!("gather({input:?}, {indices:?})")
-                    }
+                    } => call(
+                        "conv_halo",
+                        &[input, kernel],
+                        &[attr("valid_axis", valid_axis)],
+                    ),
                     ComputeOp::GatherPartial { input, indices } => {
-                        format!("gather_partial[onehot-matmul]({input:?}, {indices:?})")
+                        call("gather_partial[onehot-matmul]", &[input, indices], &[])
                     }
-                    ComputeOp::TopK { input, k } => format!("top_k({input:?}, k={k})"),
-                    ComputeOp::Transpose { input } => format!("transpose({input:?})"),
-                    ComputeOp::BroadcastAxis {
-                        input,
-                        axis,
-                        extent,
-                    } => format!("broadcast_axis({input:?}, axis={axis}, extent={extent})"),
-                    ComputeOp::Rot180 { input } => format!("rot180({input:?})"),
-                    ComputeOp::ConvKernelGrad {
-                        input,
-                        upstream,
-                        kh,
-                        kw,
-                    } => format!("conv_kernel_grad({input:?}, {upstream:?}, {kh}x{kw})"),
-                    ComputeOp::ScatterAdd {
-                        indices,
-                        upstream,
-                        rows,
-                    } => format!("scatter_add({indices:?}, {upstream:?}, rows={rows})"),
                 },
-                Instr::AllReduce { input, .. } => format!("ALL-REDUCE({input:?})"),
+                Instr::AllReduce { input, .. } => call("ALL-REDUCE", &[input], &[]),
                 Instr::AllGather { input, axis, .. } => {
-                    format!("ALL-GATHER({input:?}, axis={axis})")
+                    call("ALL-GATHER", &[input], &[attr("axis", axis)])
                 }
                 Instr::HaloExchange {
                     input, axis, halo, ..
-                } => format!("HALO-EXCHANGE({input:?}, axis={axis}, halo={halo})"),
+                } => call(
+                    "HALO-EXCHANGE",
+                    &[input],
+                    &[attr("axis", axis), attr("halo", halo)],
+                ),
             };
             writeln!(f, "{out:?} = {body} : {shape}")?;
         }

@@ -3,13 +3,14 @@
 use std::error::Error;
 use std::fmt;
 
-use multipod_tensor::Shape;
+use multipod_tensor::{Shape, TensorError};
 
 use crate::graph::NodeId;
 use crate::sharding::Sharding;
 
 /// Error raised by HLO graph construction, partitioning or execution.
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub enum HloError {
     /// Operand shapes are incompatible for the op.
     ShapeMismatch {
@@ -50,6 +51,32 @@ pub enum HloError {
     },
     /// A collective failed during partitioned execution.
     Collective(String),
+    /// A tensor kernel rejected its operands (a feed that does not tile,
+    /// per-core outputs that do not concatenate).
+    Tensor(TensorError),
+    /// A gather / scatter-add index named a row the table does not have.
+    IndexOutOfRange {
+        /// The op that read the index.
+        op: &'static str,
+        /// The (rounded) index.
+        index: usize,
+        /// Rows of the table.
+        rows: usize,
+    },
+    /// A program was executed on a tile of the wrong width.
+    TileWidth {
+        /// Cores the program was partitioned for.
+        parts: usize,
+        /// Chips in the tile it was given.
+        tile: usize,
+    },
+    /// An output index past the program's outputs.
+    UnknownOutput {
+        /// The requested output.
+        index: usize,
+        /// How many outputs the program has.
+        outputs: usize,
+    },
 }
 
 impl fmt::Display for HloError {
@@ -75,11 +102,34 @@ impl fmt::Display for HloError {
                 write!(f, "cannot partition node {node:?}: {reason}")
             }
             HloError::Collective(msg) => write!(f, "collective failed: {msg}"),
+            HloError::Tensor(e) => write!(f, "tensor kernel failed: {e}"),
+            HloError::IndexOutOfRange { op, index, rows } => {
+                write!(f, "{op} index {index} out of range ({rows} rows)")
+            }
+            HloError::TileWidth { parts, tile } => {
+                write!(f, "a {parts}-core program cannot run on a {tile}-chip tile")
+            }
+            HloError::UnknownOutput { index, outputs } => {
+                write!(f, "output {index} of a program with {outputs} outputs")
+            }
         }
     }
 }
 
-impl Error for HloError {}
+impl Error for HloError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            HloError::Tensor(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<TensorError> for HloError {
+    fn from(e: TensorError) -> Self {
+        HloError::Tensor(e)
+    }
+}
 
 impl From<multipod_collectives::CollectiveError> for HloError {
     fn from(e: multipod_collectives::CollectiveError) -> Self {

@@ -12,8 +12,8 @@ use std::collections::HashMap;
 
 use multipod_tensor::Tensor;
 
-use crate::graph::{HloBuilder, HloGraph, NodeId};
-use crate::op::Op;
+use crate::graph::{HloBuilder, HloGraph, NodeId, Op};
+use crate::op::OpKind;
 use crate::HloError;
 
 /// A graph extended with its backward pass.
@@ -68,70 +68,69 @@ pub fn gradients(
         let Some(&g) = adjoint.get(&node) else {
             continue;
         };
-        let op = graph.op(node).clone();
-        match op {
-            Op::Parameter { .. } | Op::Constant { .. } => {}
-            Op::MatMul { lhs, rhs } => {
+        // Leaves end a path: there is nothing to push an adjoint into.
+        let Op::Apply { kind, operands } = graph.op(node) else {
+            continue;
+        };
+        // The operands in the order the `OpKind` variant docs name them.
+        let (x, y) = kind.pair(operands);
+        match *kind {
+            OpKind::MatMul => {
                 // dA = G·Bᵀ ; dB = Aᵀ·G.
-                let bt = b.transpose(rhs)?;
+                let bt = b.transpose(y)?;
                 let da = b.matmul(g, bt)?;
-                accumulate(&mut b, &mut adjoint, lhs, da)?;
-                let at = b.transpose(lhs)?;
+                accumulate(&mut b, &mut adjoint, x, da)?;
+                let at = b.transpose(x)?;
                 let db = b.matmul(at, g)?;
-                accumulate(&mut b, &mut adjoint, rhs, db)?;
+                accumulate(&mut b, &mut adjoint, y, db)?;
             }
-            Op::Conv2dSame { input, kernel } => {
-                let (kh, kw) = {
-                    let ks = graph.shape(kernel);
-                    (ks.dim(0), ks.dim(1))
-                };
-                let flipped = b.rot180(kernel)?;
+            OpKind::Conv2dSame => {
+                let (kh, kw) = (graph.shape(y).dim(0), graph.shape(y).dim(1));
+                let flipped = b.rot180(y)?;
                 let dx = b.conv2d_same(g, flipped)?;
-                accumulate(&mut b, &mut adjoint, input, dx)?;
-                let dk = b.conv_kernel_grad(input, g, kh, kw)?;
-                accumulate(&mut b, &mut adjoint, kernel, dk)?;
+                accumulate(&mut b, &mut adjoint, x, dx)?;
+                let dk = b.conv_kernel_grad(x, g, kh, kw)?;
+                accumulate(&mut b, &mut adjoint, y, dk)?;
             }
-            Op::Add { lhs, rhs } => {
-                accumulate(&mut b, &mut adjoint, lhs, g)?;
-                accumulate(&mut b, &mut adjoint, rhs, g)?;
+            OpKind::Add => {
+                accumulate(&mut b, &mut adjoint, x, g)?;
+                accumulate(&mut b, &mut adjoint, y, g)?;
             }
-            Op::Mul { lhs, rhs } => {
-                let dl = b.mul(g, rhs)?;
-                accumulate(&mut b, &mut adjoint, lhs, dl)?;
-                let dr = b.mul(g, lhs)?;
-                accumulate(&mut b, &mut adjoint, rhs, dr)?;
+            OpKind::Mul => {
+                let dl = b.mul(g, y)?;
+                accumulate(&mut b, &mut adjoint, x, dl)?;
+                let dr = b.mul(g, x)?;
+                accumulate(&mut b, &mut adjoint, y, dr)?;
             }
-            Op::Relu { input } => {
-                let dx = b.relu_grad(input, g)?;
-                accumulate(&mut b, &mut adjoint, input, dx)?;
+            OpKind::Relu => {
+                let dx = b.relu_grad(x, g)?;
+                accumulate(&mut b, &mut adjoint, x, dx)?;
             }
-            Op::ReduceSum { input, axis } => {
-                let extent = graph.shape(input).dim(axis);
-                let dx = b.broadcast_axis(g, axis, extent)?;
-                accumulate(&mut b, &mut adjoint, input, dx)?;
+            OpKind::ReduceSum { axis } => {
+                let dx = b.broadcast_axis(g, axis, graph.shape(x).dim(axis))?;
+                accumulate(&mut b, &mut adjoint, x, dx)?;
             }
-            Op::Gather { input, indices } => {
-                let rows = graph.shape(input).dim(0);
-                let dt = b.scatter_add(indices, g, rows)?;
-                accumulate(&mut b, &mut adjoint, input, dt)?;
-                // Indices are integer-valued: no gradient.
+            OpKind::Gather => {
+                // `y`, the indices, is integer-valued: no gradient.
+                let dt = b.scatter_add(y, g, graph.shape(x).dim(0))?;
+                accumulate(&mut b, &mut adjoint, x, dt)?;
             }
-            Op::Transpose { input } => {
+            OpKind::Transpose => {
                 let dx = b.transpose(g)?;
-                accumulate(&mut b, &mut adjoint, input, dx)?;
+                accumulate(&mut b, &mut adjoint, x, dx)?;
             }
-            Op::BroadcastAxis { input, axis, .. } => {
+            OpKind::BroadcastAxis { axis, .. } => {
                 let dx = b.reduce_sum(g, axis)?;
-                accumulate(&mut b, &mut adjoint, input, dx)?;
+                accumulate(&mut b, &mut adjoint, x, dx)?;
             }
-            Op::TopK { .. }
-            | Op::ReluGrad { .. }
-            | Op::Rot180 { .. }
-            | Op::ConvKernelGrad { .. }
-            | Op::ScatterAdd { .. } => {
+            OpKind::TopK { .. }
+            | OpKind::ReluGrad
+            | OpKind::Rot180
+            | OpKind::ConvKernelGrad { .. }
+            | OpKind::ScatterAdd { .. } => {
                 return Err(HloError::Unpartitionable {
                     node,
-                    reason: format!("op {op:?} is not differentiable"),
+                    reason: format!("op {} is not differentiable", kind.name()),
                 });
             }
         }

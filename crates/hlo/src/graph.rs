@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use multipod_tensor::{Shape, Tensor};
 
-use crate::op::Op;
+use crate::op::OpKind;
 use crate::sharding::Sharding;
 use crate::HloError;
 
@@ -19,6 +19,28 @@ impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "%{}", self.0)
     }
+}
+
+/// What a graph node is: a leaf, or an [`OpKind`] applied to earlier nodes.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum Op {
+    /// A named graph input.
+    Parameter {
+        /// Feed name.
+        name: String,
+    },
+    /// An embedded constant.
+    Constant {
+        /// The value.
+        value: Tensor,
+    },
+    /// `kind` applied to `operands` (positional, `kind.arity()` of them).
+    Apply {
+        /// What is computed.
+        kind: OpKind,
+        /// What it is computed from.
+        operands: Vec<NodeId>,
+    },
 }
 
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -82,7 +104,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for incompatible operands.
     pub fn matmul(&mut self, lhs: NodeId, rhs: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::MatMul { lhs, rhs })
+        self.apply(OpKind::MatMul, &[lhs, rhs])
     }
 
     /// Same-padded 2-D convolution.
@@ -91,7 +113,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for incompatible operands.
     pub fn conv2d_same(&mut self, input: NodeId, kernel: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::Conv2dSame { input, kernel })
+        self.apply(OpKind::Conv2dSame, &[input, kernel])
     }
 
     /// Elementwise addition.
@@ -100,7 +122,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for incompatible operands.
     pub fn add(&mut self, lhs: NodeId, rhs: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::Add { lhs, rhs })
+        self.apply(OpKind::Add, &[lhs, rhs])
     }
 
     /// Elementwise ReLU.
@@ -109,7 +131,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::UnknownNode`] for a bad operand id.
     pub fn relu(&mut self, input: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::Relu { input })
+        self.apply(OpKind::Relu, &[input])
     }
 
     /// Sum reduction over `axis`.
@@ -118,7 +140,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for a bad axis.
     pub fn reduce_sum(&mut self, input: NodeId, axis: usize) -> Result<NodeId, HloError> {
-        self.infer(Op::ReduceSum { input, axis })
+        self.apply(OpKind::ReduceSum { axis }, &[input])
     }
 
     /// Row gather by a rank-1 index tensor (§4.5's ROIAlign pattern).
@@ -127,7 +149,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for bad ranks.
     pub fn gather(&mut self, input: NodeId, indices: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::Gather { input, indices })
+        self.apply(OpKind::Gather, &[input, indices])
     }
 
     /// The `k` largest values of a rank-1 input, descending.
@@ -136,7 +158,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] when `k` exceeds the input.
     pub fn top_k(&mut self, input: NodeId, k: usize) -> Result<NodeId, HloError> {
-        self.infer(Op::TopK { input, k })
+        self.apply(OpKind::TopK { k }, &[input])
     }
 
     /// Rank-2 transpose.
@@ -145,7 +167,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for non-rank-2 inputs.
     pub fn transpose(&mut self, input: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::Transpose { input })
+        self.apply(OpKind::Transpose, &[input])
     }
 
     /// Elementwise product.
@@ -154,7 +176,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for mismatched shapes.
     pub fn mul(&mut self, lhs: NodeId, rhs: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::Mul { lhs, rhs })
+        self.apply(OpKind::Mul, &[lhs, rhs])
     }
 
     /// The ReLU VJP `upstream ⊙ (input > 0)`.
@@ -163,7 +185,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for mismatched shapes.
     pub fn relu_grad(&mut self, input: NodeId, upstream: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::ReluGrad { input, upstream })
+        self.apply(OpKind::ReluGrad, &[input, upstream])
     }
 
     /// Inserts `axis` with `extent` copies (ReduceSum VJP).
@@ -177,11 +199,7 @@ impl HloBuilder {
         axis: usize,
         extent: usize,
     ) -> Result<NodeId, HloError> {
-        self.infer(Op::BroadcastAxis {
-            input,
-            axis,
-            extent,
-        })
+        self.apply(OpKind::BroadcastAxis { axis, extent }, &[input])
     }
 
     /// 180° kernel rotation.
@@ -190,7 +208,7 @@ impl HloBuilder {
     ///
     /// Returns [`HloError::ShapeMismatch`] for non-rank-2 inputs.
     pub fn rot180(&mut self, input: NodeId) -> Result<NodeId, HloError> {
-        self.infer(Op::Rot180 { input })
+        self.apply(OpKind::Rot180, &[input])
     }
 
     /// The conv-kernel VJP for a `kh×kw` same-padded convolution.
@@ -205,12 +223,7 @@ impl HloBuilder {
         kh: usize,
         kw: usize,
     ) -> Result<NodeId, HloError> {
-        self.infer(Op::ConvKernelGrad {
-            input,
-            upstream,
-            kh,
-            kw,
-        })
+        self.apply(OpKind::ConvKernelGrad { kh, kw }, &[input, upstream])
     }
 
     /// The gather VJP: scatter-adds `upstream` rows into a `rows`-row
@@ -225,11 +238,7 @@ impl HloBuilder {
         upstream: NodeId,
         rows: usize,
     ) -> Result<NodeId, HloError> {
-        self.infer(Op::ScatterAdd {
-            indices,
-            upstream,
-            rows,
-        })
+        self.apply(OpKind::ScatterAdd { rows }, &[indices, upstream])
     }
 
     /// Seeds a builder with an existing graph's nodes (used by the
@@ -271,14 +280,16 @@ impl HloBuilder {
         })
     }
 
-    fn infer(&mut self, op: Op) -> Result<NodeId, HloError> {
-        let mut shapes = Vec::new();
-        for id in op.operands() {
+    /// Appends `kind` applied to `operands`, shape-checked.
+    fn apply(&mut self, kind: OpKind, operands: &[NodeId]) -> Result<NodeId, HloError> {
+        let mut shapes = Vec::with_capacity(operands.len());
+        for &id in operands {
             let node = self.nodes.get(id.0).ok_or(HloError::UnknownNode(id))?;
             shapes.push(&node.shape);
         }
-        let shape = op.infer_shape(&shapes)?;
-        Ok(self.push(op, shape, None))
+        let shape = kind.infer_shape(&shapes)?;
+        let operands = operands.to_vec();
+        Ok(self.push(Op::Apply { kind, operands }, shape, None))
     }
 
     fn push(&mut self, op: Op, shape: Shape, sharding: Option<Sharding>) -> NodeId {
@@ -332,16 +343,15 @@ impl HloGraph {
 
     /// Total forward FLOPs of the unpartitioned graph.
     pub fn total_flops(&self) -> u64 {
-        self.node_ids()
-            .map(|id| {
-                let node = &self.nodes[id.0];
-                let shapes: Vec<&Shape> = node
-                    .op
-                    .operands()
-                    .iter()
-                    .map(|o| &self.nodes[o.0].shape)
-                    .collect();
-                node.op.flops(&shapes, &node.shape)
+        self.nodes
+            .iter()
+            .map(|node| match &node.op {
+                Op::Parameter { .. } | Op::Constant { .. } => 0,
+                Op::Apply { kind, operands } => {
+                    let shapes: Vec<&Shape> =
+                        operands.iter().map(|o| &self.nodes[o.0].shape).collect();
+                    kind.flops(&shapes, &node.shape)
+                }
             })
             .sum()
     }
@@ -351,7 +361,8 @@ impl HloGraph {
     ///
     /// # Errors
     ///
-    /// Fails on missing feeds or feed-shape mismatches.
+    /// Fails on missing feeds, feed-shape mismatches, or a gather /
+    /// scatter-add index that names a row its table does not have.
     pub fn evaluate(&self, feeds: &HashMap<String, Tensor>) -> Result<Vec<Tensor>, HloError> {
         let mut values: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
@@ -370,10 +381,9 @@ impl HloGraph {
                     t.clone()
                 }
                 Op::Constant { value } => value.clone(),
-                op => {
-                    let operands: Vec<&Tensor> =
-                        op.operands().iter().map(|o| &values[o.0]).collect();
-                    op.evaluate(&operands)
+                Op::Apply { kind, operands } => {
+                    let operands: Vec<&Tensor> = operands.iter().map(|o| &values[o.0]).collect();
+                    kind.evaluate(&operands)?
                 }
             };
             values.push(value);

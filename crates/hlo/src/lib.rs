@@ -9,12 +9,19 @@
 //!
 //! This crate rebuilds that pipeline end to end:
 //!
-//! * [`HloGraph`] / [`HloBuilder`] — a small dataflow IR with shape
-//!   inference, FLOP accounting and a reference interpreter.
+//! * [`OpKind`] — the op vocabulary: what each of the 14 ops computes,
+//!   with its shape rule, FLOP formula, numeric kernel and printed name
+//!   defined once and shared by the graph and the partitioned program.
+//! * [`HloGraph`] / [`HloBuilder`] — a small dataflow IR whose nodes are
+//!   leaves or an [`OpKind`] applied to earlier nodes ([`Op`]), with
+//!   eager shape inference, FLOP accounting and a reference interpreter.
 //! * [`Sharding`] — replicated or 1-D tiled placements.
 //! * [`SpmdPartitioner`] — rewrites an annotated graph into a single
 //!   [`PartitionedProgram`] whose collectives run on the simulated
-//!   multipod; compile cost is independent of the partition count.
+//!   multipod; compile cost is independent of the partition count. Its
+//!   compute instructions ([`ComputeOp`]) are the same kinds applied to
+//!   per-core values, plus the few locals only a partitioner emits
+//!   (tiled feeds, free slices, halo convolutions, onehot gathers).
 //! * [`MpmdPartitioner`] — the MLPerf v0.6 baseline that compiles one
 //!   program *per core* (compile cost ∝ cores) and cannot express
 //!   weight-update sharding (§4.4).
@@ -26,6 +33,9 @@
 //!
 //! The partitioned program is executed numerically and its outputs are
 //! verified against the reference interpreter in this crate's tests.
+//! Construction, partitioning, execution and output assembly fail with a
+//! typed [`HloError`]; only the by-id accessors (`HloGraph::shape`,
+//! `PartitionedProgram::value_shape`, …) index, and say so.
 //!
 //! ```
 //! use multipod_hlo::{HloBuilder, Sharding, SpmdPartitioner};
@@ -54,9 +64,9 @@ mod spmd;
 
 pub use error::HloError;
 pub use grad::{gradients, GradientGraph};
-pub use graph::{HloBuilder, HloGraph, NodeId};
+pub use graph::{HloBuilder, HloGraph, NodeId, Op};
 pub use mpmd::MpmdPartitioner;
-pub use op::Op;
+pub use op::OpKind;
 pub use program::{CommStats, ComputeOp, Instr, PartitionedProgram, ValueId};
 pub use sharding::Sharding;
 pub use spmd::{CommunicationOpt, GatherStrategy, SpmdPartitioner};

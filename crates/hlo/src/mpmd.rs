@@ -15,8 +15,8 @@
 //! SPMD rewrite machinery for supported graphs) but reports those
 //! scalability limits faithfully.
 
-use crate::graph::HloGraph;
-use crate::op::Op;
+use crate::graph::{HloGraph, Op};
+use crate::op::OpKind;
 use crate::program::PartitionedProgram;
 use crate::sharding::Sharding;
 use crate::spmd::SpmdPartitioner;
@@ -31,11 +31,9 @@ pub struct MpmdPartitioner {
 impl MpmdPartitioner {
     /// A partitioner for `parts`-way spatial partitioning.
     ///
-    /// # Panics
-    ///
-    /// Panics when `parts` is zero.
+    /// A zero `parts` is rejected with a typed error by
+    /// [`MpmdPartitioner::partition`] rather than panicking here.
     pub fn new(parts: usize) -> MpmdPartitioner {
-        assert!(parts > 0, "parts must be positive");
         MpmdPartitioner { parts }
     }
 
@@ -52,18 +50,21 @@ impl MpmdPartitioner {
     /// # Errors
     ///
     /// Fails for annotations MPMD cannot express and for anything the
-    /// underlying rewrite rejects.
+    /// underlying rewrite rejects (a zero part count included).
     pub fn partition(&self, graph: &HloGraph) -> Result<PartitionedProgram, HloError> {
         // Feature sharding check: any matmul whose lhs is split on the
         // contracting axis or rhs split at all is out of scope for the
         // spatial partitioner.
         for id in graph.node_ids() {
-            if let Op::MatMul { lhs, rhs } = graph.op(id) {
-                let lhs_sharded_contracting = matches!(
-                    graph.annotation(*lhs),
-                    Some(Sharding::Split { axis: 1, .. })
-                );
-                let rhs_sharded = matches!(graph.annotation(*rhs), Some(Sharding::Split { .. }));
+            if let Op::Apply {
+                kind: OpKind::MatMul,
+                operands,
+            } = graph.op(id)
+            {
+                let (lhs, rhs) = (operands[0], operands[1]);
+                let lhs_sharded_contracting =
+                    matches!(graph.annotation(lhs), Some(Sharding::Split { axis: 1, .. }));
+                let rhs_sharded = matches!(graph.annotation(rhs), Some(Sharding::Split { .. }));
                 if lhs_sharded_contracting || rhs_sharded {
                     return Err(HloError::Unpartitionable {
                         node: id,

@@ -7,11 +7,11 @@ use serde::{Deserialize, Serialize};
 
 use multipod_collectives::{halo, ring, Precision};
 use multipod_simnet::{Network, SimTime};
-use multipod_tensor::{Shape, Tensor};
+use multipod_tensor::{Shape, Tensor, TensorError};
 use multipod_topology::{ChipId, Ring};
 
 use crate::graph::NodeId;
-use crate::op;
+use crate::op::{self, OpKind};
 use crate::sharding::Sharding;
 use crate::HloError;
 
@@ -25,7 +25,11 @@ impl fmt::Debug for ValueId {
     }
 }
 
-/// Local (per-core) compute operations of the partitioned program.
+/// Local (per-core) compute operations of the partitioned program: an
+/// [`OpKind`] applied to earlier values — the same kind, rule and kernel
+/// as in the graph, on per-core shapes — a constant, or one of the four
+/// locals only a partitioner emits (`Feed`, `SliceAxis`, `ConvHalo`,
+/// `GatherPartial`), which no graph can contain.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ComputeOp {
     /// Reads a parameter feed; execution splits the global tensor
@@ -41,19 +45,22 @@ pub enum ComputeOp {
         /// The value.
         value: Tensor,
     },
-    /// Local (possibly partial) matmul.
-    MatMul {
-        /// Left operand.
-        lhs: ValueId,
-        /// Right operand.
-        rhs: ValueId,
+    /// `kind` applied to `operands`, locally (a matmul may be partial, a
+    /// reduction a per-core partial sum; the collective that completes
+    /// it is a separate [`Instr`]).
+    Apply {
+        /// What is computed.
+        kind: OpKind,
+        /// What it is computed from.
+        operands: Vec<ValueId>,
     },
-    /// Same-padded convolution on a fully replicated input.
-    ConvSame {
-        /// Input image.
+    /// Core `i` takes tile `i` along `axis` of a replicated value
+    /// (a communication-free reshard).
+    SliceAxis {
+        /// Replicated input.
         input: ValueId,
-        /// Kernel.
-        kernel: ValueId,
+        /// Axis to tile.
+        axis: usize,
     },
     /// Convolution on a halo-padded tile: *valid* along `valid_axis`
     /// (the halo already carries the neighbour rows), *same*-padded along
@@ -66,40 +73,6 @@ pub enum ComputeOp {
         /// The spatially partitioned axis.
         valid_axis: usize,
     },
-    /// Elementwise addition.
-    Add {
-        /// Left operand.
-        lhs: ValueId,
-        /// Right operand.
-        rhs: ValueId,
-    },
-    /// Elementwise ReLU.
-    Relu {
-        /// Input.
-        input: ValueId,
-    },
-    /// Local sum reduction over `axis`.
-    ReduceSum {
-        /// Input.
-        input: ValueId,
-        /// Axis to reduce.
-        axis: usize,
-    },
-    /// Core `i` takes tile `i` along `axis` of a replicated value
-    /// (a communication-free reshard).
-    SliceAxis {
-        /// Replicated input.
-        input: ValueId,
-        /// Axis to tile.
-        axis: usize,
-    },
-    /// Local row gather from a replicated (or column-sharded) table.
-    Gather {
-        /// The table.
-        input: ValueId,
-        /// Replicated rank-1 indices.
-        indices: ValueId,
-    },
     /// The onehot-matmul rewrite of a gather over a row-partitioned
     /// table (§4.5): each core contributes the rows it owns (zeros
     /// elsewhere), computed as a dense partial matmul on the MXU; an
@@ -109,66 +82,6 @@ pub enum ComputeOp {
         input: ValueId,
         /// Replicated rank-1 *global* row indices.
         indices: ValueId,
-    },
-    /// Local top-k of a rank-1 value.
-    TopK {
-        /// Input.
-        input: ValueId,
-        /// Values to keep.
-        k: usize,
-    },
-    /// Rank-2 transpose.
-    Transpose {
-        /// Input.
-        input: ValueId,
-    },
-    /// Elementwise product.
-    Mul {
-        /// Left operand.
-        lhs: ValueId,
-        /// Right operand.
-        rhs: ValueId,
-    },
-    /// ReLU VJP.
-    ReluGrad {
-        /// Forward input.
-        input: ValueId,
-        /// Upstream gradient.
-        upstream: ValueId,
-    },
-    /// Axis insertion (ReduceSum VJP).
-    BroadcastAxis {
-        /// Input.
-        input: ValueId,
-        /// Inserted axis.
-        axis: usize,
-        /// New extent.
-        extent: usize,
-    },
-    /// Kernel rotation (conv-input VJP helper).
-    Rot180 {
-        /// Input kernel.
-        input: ValueId,
-    },
-    /// Conv-kernel VJP.
-    ConvKernelGrad {
-        /// Forward image.
-        input: ValueId,
-        /// Upstream gradient.
-        upstream: ValueId,
-        /// Kernel height.
-        kh: usize,
-        /// Kernel width.
-        kw: usize,
-    },
-    /// Gather VJP (scatter-add into a zero table).
-    ScatterAdd {
-        /// Row indices.
-        indices: ValueId,
-        /// Upstream gradient.
-        upstream: ValueId,
-        /// Table rows.
-        rows: usize,
     },
 }
 
@@ -323,33 +236,19 @@ impl PartitionedProgram {
         let shape = |v: &ValueId| &self.shapes[v.0];
         match op {
             ComputeOp::Feed { .. } | ComputeOp::Constant { .. } | ComputeOp::SliceAxis { .. } => 0,
-            // A plain gather is data movement (no MXU FLOPs) — the §4.5
-            // problem. The onehot rewrite is a dense [k × rows_local] ×
-            // [rows_local × d] matmul.
-            ComputeOp::Gather { .. } => 0,
+            ComputeOp::Apply { kind, operands } => {
+                let shapes: Vec<&Shape> = operands.iter().map(shape).collect();
+                kind.flops(&shapes, shape(&out))
+            }
+            ComputeOp::ConvHalo { input, kernel, .. } => {
+                OpKind::Conv2dSame.flops(&[shape(input), shape(kernel)], shape(&out))
+            }
+            // Unlike a plain gather (data movement, no MXU FLOPs — the
+            // §4.5 problem) the onehot rewrite is a dense
+            // [k × rows_local] × [rows_local × d] matmul.
             ComputeOp::GatherPartial { input, indices } => {
-                2 * shape(indices).len() as u64 * (shape(input).dim(0) * shape(input).dim(1)) as u64
+                2 * (shape(indices).len() * shape(input).len()) as u64
             }
-            ComputeOp::TopK { input, .. } => shape(input).len() as u64,
-            ComputeOp::Transpose { .. }
-            | ComputeOp::Rot180 { .. }
-            | ComputeOp::BroadcastAxis { .. } => 0,
-            ComputeOp::Mul { lhs, .. } => shape(lhs).len() as u64,
-            ComputeOp::ReluGrad { input, .. } => shape(input).len() as u64,
-            ComputeOp::ConvKernelGrad { input, kh, kw, .. } => {
-                2 * shape(input).len() as u64 * (*kh * *kw) as u64
-            }
-            ComputeOp::ScatterAdd { upstream, .. } => shape(upstream).len() as u64,
-            ComputeOp::MatMul { lhs, rhs } => {
-                2 * (shape(lhs).dim(0) * shape(lhs).dim(1)) as u64 * shape(rhs).dim(1) as u64
-            }
-            ComputeOp::ConvSame { kernel, .. } | ComputeOp::ConvHalo { kernel, .. } => {
-                2 * self.shapes[out.0].len() as u64
-                    * (shape(kernel).dim(0) * shape(kernel).dim(1)) as u64
-            }
-            ComputeOp::Add { lhs, .. } => shape(lhs).len() as u64,
-            ComputeOp::Relu { input } => shape(input).len() as u64,
-            ComputeOp::ReduceSum { input, .. } => shape(input).len() as u64,
         }
     }
 
@@ -388,15 +287,22 @@ impl PartitionedProgram {
     ///
     /// # Errors
     ///
-    /// Fails on missing/misshapen feeds or collective failures.
+    /// Fails on a tile whose width is not the program's part count, on
+    /// missing/misshapen feeds, on a gather / scatter-add index past its
+    /// table, or on collective failures.
     pub fn execute(
         &self,
         net: &mut Network,
         feeds: &HashMap<String, Tensor>,
         tile: &[ChipId],
     ) -> Result<(Vec<Vec<Tensor>>, SimTime), HloError> {
-        assert_eq!(tile.len(), self.parts, "tile width must equal parts");
         let n = self.parts;
+        if tile.len() != n {
+            return Err(HloError::TileWidth {
+                parts: n,
+                tile: tile.len(),
+            });
+        }
         let ring = Ring::new(tile.to_vec(), false, 1);
         // values[v][core]
         let mut values: Vec<Vec<Tensor>> = Vec::with_capacity(self.instrs.len());
@@ -450,15 +356,14 @@ impl PartitionedProgram {
                     out.outputs
                         .into_iter()
                         .map(|flat| {
-                            let tiles: Vec<Tensor> = flat
-                                .split(0, n)
-                                .expect("gathered tiles")
+                            let tiles = flat
+                                .split(0, n)?
                                 .into_iter()
-                                .map(|c| c.reshape(tile_shape.clone()).expect("tile reshape"))
-                                .collect();
-                            Tensor::concat(&tiles, *axis).expect("tile concat")
+                                .map(|c| c.reshape(tile_shape.clone()))
+                                .collect::<Result<Vec<_>, _>>()?;
+                            Ok(Tensor::concat(&tiles, *axis)?)
                         })
-                        .collect()
+                        .collect::<Result<_, HloError>>()?
                 }
                 Instr::HaloExchange {
                     input, axis, halo, ..
@@ -483,185 +388,73 @@ impl PartitionedProgram {
         n: usize,
     ) -> Result<Vec<Tensor>, HloError> {
         let val = |v: &ValueId| &values[v.0];
-        Ok(match op {
+        match op {
             ComputeOp::Feed { name, sharding } => {
                 let global = feeds
                     .get(name)
                     .ok_or_else(|| HloError::MissingFeed(name.clone()))?;
-                match sharding {
+                Ok(match sharding {
                     Sharding::Replicated => vec![global.clone(); n],
-                    Sharding::Split { axis, parts } => global
-                        .split(*axis, *parts)
-                        .map_err(|e| HloError::Collective(e.to_string()))?,
-                }
+                    Sharding::Split { axis, parts } => global.split(*axis, *parts)?,
+                })
             }
-            ComputeOp::Constant { value } => vec![value.clone(); n],
-            ComputeOp::MatMul { lhs, rhs } => (0..n)
-                .map(|c| val(lhs)[c].matmul(&val(rhs)[c]).expect("validated matmul"))
+            ComputeOp::Constant { value } => Ok(vec![value.clone(); n]),
+            ComputeOp::Apply { kind, operands } => (0..n)
+                .map(|c| {
+                    let operands: Vec<&Tensor> = operands.iter().map(|v| &val(v)[c]).collect();
+                    kind.evaluate(&operands)
+                })
                 .collect(),
-            ComputeOp::ConvSame { input, kernel } => (0..n)
-                .map(|c| op::conv2d_same(&val(input)[c], &val(kernel)[c]))
+            ComputeOp::SliceAxis { input, axis } => (0..n)
+                .map(|c| Ok(val(input)[c].split(*axis, n)?.swap_remove(c)))
                 .collect(),
             ComputeOp::ConvHalo {
                 input,
                 kernel,
                 valid_axis,
-            } => (0..n)
-                .map(|c| conv2d_mixed(&val(input)[c], &val(kernel)[c], *valid_axis))
-                .collect(),
-            ComputeOp::Add { lhs, rhs } => (0..n)
-                .map(|c| {
-                    val(lhs)[c]
-                        .add(&val(rhs)[c])
-                        .map_err(|e| HloError::Collective(e.to_string()))
-                })
-                .collect::<Result<_, _>>()?,
-            ComputeOp::Relu { input } => {
-                (0..n).map(|c| val(input)[c].map(|v| v.max(0.0))).collect()
+            } => {
+                let valid = [*valid_axis == 0, *valid_axis == 1];
+                Ok((0..n)
+                    .map(|c| op::conv2d(&val(input)[c], &val(kernel)[c], valid))
+                    .collect())
             }
-            ComputeOp::ReduceSum { input, axis } => (0..n)
-                .map(|c| op::reduce_sum(&val(input)[c], *axis))
-                .collect(),
-            ComputeOp::SliceAxis { input, axis } => {
-                let full = val(input);
+            ComputeOp::GatherPartial { input, indices } => {
+                let rows_local = val(input)[0].shape().dim(0);
                 (0..n)
                     .map(|c| {
-                        full[c]
-                            .split(*axis, n)
-                            .map(|tiles| tiles[c].clone())
-                            .map_err(|e| HloError::Collective(e.to_string()))
+                        let (table, idx) = (&val(input)[c], &val(indices)[c]);
+                        op::gather_partial(table, idx, c * rows_local, n * rows_local)
                     })
-                    .collect::<Result<_, _>>()?
-            }
-            ComputeOp::Gather { input, indices } => (0..n)
-                .map(|c| crate::op::gather_rows(&val(input)[c], &val(indices)[c]))
-                .collect(),
-            ComputeOp::GatherPartial { input, indices } => {
-                let tables = val(input);
-                let idx = val(indices);
-                let rows_local = tables[0].shape().dim(0);
-                (0..n)
-                    .map(|c| gather_partial(&tables[c], &idx[c], c * rows_local))
                     .collect()
             }
-            ComputeOp::TopK { input, k } => (0..n)
-                .map(|c| crate::op::top_k(&val(input)[c], *k))
-                .collect(),
-            ComputeOp::Transpose { input } => (0..n)
-                .map(|c| crate::op::transpose2(&val(input)[c]))
-                .collect(),
-            ComputeOp::Mul { lhs, rhs } => (0..n)
-                .map(|c| {
-                    val(lhs)[c]
-                        .mul(&val(rhs)[c])
-                        .map_err(|e| HloError::Collective(e.to_string()))
-                })
-                .collect::<Result<_, _>>()?,
-            ComputeOp::ReluGrad { input, upstream } => (0..n)
-                .map(|c| crate::op::relu_grad(&val(input)[c], &val(upstream)[c]))
-                .collect(),
-            ComputeOp::BroadcastAxis {
-                input,
-                axis,
-                extent,
-            } => (0..n)
-                .map(|c| crate::op::broadcast_axis(&val(input)[c], *axis, *extent))
-                .collect(),
-            ComputeOp::Rot180 { input } => {
-                (0..n).map(|c| crate::op::rot180(&val(input)[c])).collect()
-            }
-            ComputeOp::ConvKernelGrad {
-                input,
-                upstream,
-                kh,
-                kw,
-            } => (0..n)
-                .map(|c| crate::op::conv_kernel_grad(&val(input)[c], &val(upstream)[c], *kh, *kw))
-                .collect(),
-            ComputeOp::ScatterAdd {
-                indices,
-                upstream,
-                rows,
-            } => (0..n)
-                .map(|c| crate::op::scatter_add(&val(indices)[c], &val(upstream)[c], *rows))
-                .collect(),
-        })
+        }
     }
 
     /// Reassembles per-core outputs of output index `idx` into the global
     /// tensor: concatenation of tiles for split outputs, the (identical)
     /// replica for replicated outputs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `idx` is out of range or tiles cannot be concatenated.
-    pub fn assemble_output(&self, idx: usize, per_core: &[Tensor]) -> Tensor {
-        let value = self.outputs[idx];
+    /// Fails when `idx` is out of range or the tiles cannot be
+    /// concatenated.
+    pub fn assemble_output(&self, idx: usize, per_core: &[Tensor]) -> Result<Tensor, HloError> {
+        let value = self.outputs.get(idx).ok_or(HloError::UnknownOutput {
+            index: idx,
+            outputs: self.outputs.len(),
+        })?;
         match self.shardings[value.0] {
-            Sharding::Replicated => per_core[0].clone(),
-            Sharding::Split { axis, .. } => {
-                Tensor::concat(per_core, axis).expect("assemble split output")
+            Sharding::Replicated => {
+                per_core
+                    .first()
+                    .cloned()
+                    .ok_or(HloError::Tensor(TensorError::EmptyInput {
+                        op: "assemble_output",
+                    }))
             }
+            Sharding::Split { axis, .. } => Ok(Tensor::concat(per_core, axis)?),
         }
     }
-}
-
-/// The per-core half of the onehot-matmul gather: rows this core owns
-/// contribute their values; remote rows contribute zeros (the partial
-/// product of `onehot[k, rows_local] × table[rows_local, d]`).
-fn gather_partial(table_shard: &Tensor, indices: &Tensor, row_offset: usize) -> Tensor {
-    let rows_local = table_shard.shape().dim(0);
-    let cols = table_shard.shape().dim(1);
-    let mut out = vec![0.0f32; indices.len() * cols];
-    for (i, &raw) in indices.data().iter().enumerate() {
-        let r = raw.round() as usize;
-        if r >= row_offset && r < row_offset + rows_local {
-            let local = r - row_offset;
-            out[i * cols..(i + 1) * cols]
-                .copy_from_slice(&table_shard.data()[local * cols..(local + 1) * cols]);
-        }
-    }
-    Tensor::new(Shape::of(&[indices.len(), cols]), out)
-}
-
-/// Convolution that is *valid* along `valid_axis` (halo rows already
-/// present) and *same* (zero-padded) along the other axis.
-pub(crate) fn conv2d_mixed(input: &Tensor, kernel: &Tensor, valid_axis: usize) -> Tensor {
-    let (h, w) = (input.shape().dim(0), input.shape().dim(1));
-    let (kh, kw) = (kernel.shape().dim(0), kernel.shape().dim(1));
-    let (ph, pw) = (kh / 2, kw / 2);
-    let (oh, ow) = if valid_axis == 0 {
-        (h + 1 - kh, w)
-    } else {
-        (h, w + 1 - kw)
-    };
-    let mut out = vec![0.0f32; oh * ow];
-    for i in 0..oh {
-        for j in 0..ow {
-            let mut acc = 0.0f32;
-            for a in 0..kh {
-                for b in 0..kw {
-                    let (ii, jj) = if valid_axis == 0 {
-                        (
-                            i as isize + a as isize,
-                            j as isize + b as isize - pw as isize,
-                        )
-                    } else {
-                        (
-                            i as isize + a as isize - ph as isize,
-                            j as isize + b as isize,
-                        )
-                    };
-                    if ii >= 0 && (ii as usize) < h && jj >= 0 && (jj as usize) < w {
-                        acc +=
-                            input.data()[ii as usize * w + jj as usize] * kernel.data()[a * kw + b];
-                    }
-                }
-            }
-            out[i * ow + j] = acc;
-        }
-    }
-    Tensor::new(Shape::of(&[oh, ow]), out)
 }
 
 #[cfg(test)]
@@ -670,12 +463,13 @@ mod tests {
 
     #[test]
     fn conv2d_mixed_matches_same_on_interior() {
-        // A mixed conv over a tile padded with true neighbour rows equals
-        // the same-padded conv restricted to the tile (checked end-to-end
-        // in the partitioner tests); here check shapes and a hand case.
+        // A conv that is valid along the axis of a tile padded with true
+        // neighbour rows equals the same-padded conv restricted to the
+        // tile (checked end-to-end in the partitioner tests); here check
+        // shapes and a hand case.
         let input = Tensor::new(Shape::of(&[4, 2]), vec![1., 2., 3., 4., 5., 6., 7., 8.]);
         let k = Tensor::new(Shape::of(&[3, 1]), vec![1., 1., 1.]);
-        let out = conv2d_mixed(&input, &k, 0);
+        let out = op::conv2d(&input, &k, [true, false]);
         assert_eq!(out.shape().dims(), &[2, 2]);
         // Row i of output sums rows i..i+3 of input.
         assert_eq!(out.data(), &[9.0, 12.0, 15.0, 18.0]);
@@ -691,7 +485,10 @@ mod tests {
         assert!(i.is_collective());
         let c = Instr::Compute {
             out: ValueId(0),
-            op: ComputeOp::Relu { input: ValueId(1) },
+            op: ComputeOp::Apply {
+                kind: OpKind::Relu,
+                operands: vec![ValueId(1)],
+            },
         };
         assert!(!c.is_collective());
     }

@@ -20,8 +20,8 @@ use std::collections::HashMap;
 
 use multipod_tensor::Shape;
 
-use crate::graph::{HloGraph, NodeId};
-use crate::op::Op;
+use crate::graph::{HloGraph, NodeId, Op};
+use crate::op::OpKind;
 use crate::program::{ComputeOp, Instr, PartitionedProgram, ValueId};
 use crate::sharding::Sharding;
 use crate::HloError;
@@ -58,6 +58,8 @@ pub struct SpmdPartitioner {
     gather: GatherStrategy,
 }
 
+/// The program under construction; every table has one entry per value.
+#[derive(Default)]
 struct Emitter {
     instrs: Vec<Instr>,
     shapes: Vec<Shape>,
@@ -71,13 +73,13 @@ impl Emitter {
         instr_of: impl FnOnce(ValueId) -> Instr,
         shape: Shape,
         sharding: Sharding,
-        global: Shape,
+        global: &Shape,
     ) -> ValueId {
         let out = ValueId(self.shapes.len());
         self.instrs.push(instr_of(out));
         self.shapes.push(shape);
         self.shardings.push(sharding);
-        self.global_shapes.push(global);
+        self.global_shapes.push(global.clone());
         out
     }
 
@@ -86,9 +88,42 @@ impl Emitter {
         op: ComputeOp,
         shape: Shape,
         sharding: Sharding,
-        global: Shape,
+        global: &Shape,
     ) -> ValueId {
         self.push(|out| Instr::Compute { out, op }, shape, sharding, global)
+    }
+
+    /// `kind` applied locally to `operands` as they are; the per-core
+    /// shape is the kind's own shape rule on the operands' per-core shapes.
+    fn apply(
+        &mut self,
+        kind: OpKind,
+        operands: &[ValueId],
+        sharding: Sharding,
+        global: &Shape,
+    ) -> Result<ValueId, HloError> {
+        let shapes: Vec<&Shape> = operands.iter().map(|v| &self.shapes[v.0]).collect();
+        let shape = kind.infer_shape(&shapes)?;
+        let operands = operands.to_vec();
+        Ok(self.compute(ComputeOp::Apply { kind, operands }, shape, sharding, global))
+    }
+
+    /// Reshards every operand to replicated and computes `kind` once,
+    /// globally, on every core: always correct, never cheap. This is all
+    /// [`CommunicationOpt::Naive`] does, and the optimized rule of the
+    /// kinds that have no sharded fast path.
+    fn apply_replicated(
+        &mut self,
+        node: NodeId,
+        kind: OpKind,
+        operands: &[ValueId],
+        global: &Shape,
+    ) -> Result<ValueId, HloError> {
+        let replicated = operands
+            .iter()
+            .map(|&v| self.reshard(v, Sharding::Replicated, node))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.apply(kind, &replicated, Sharding::Replicated, global)
     }
 
     fn all_reduce(&mut self, input: ValueId) -> ValueId {
@@ -98,7 +133,7 @@ impl Emitter {
             |out| Instr::AllReduce { out, input },
             shape,
             Sharding::Replicated,
-            global,
+            &global,
         )
     }
 
@@ -111,14 +146,10 @@ impl Emitter {
         }
         let global = self.global_shapes[value.0].clone();
         match (from, to) {
-            (Sharding::Replicated, Sharding::Split { axis, parts }) => {
-                let local = Sharding::split(axis, parts).local_shape(&global)?;
-                Ok(self.compute(
-                    ComputeOp::SliceAxis { input: value, axis },
-                    local,
-                    to,
-                    global,
-                ))
+            (Sharding::Replicated, Sharding::Split { axis, .. }) => {
+                let local = to.local_shape(&global)?;
+                let slice = ComputeOp::SliceAxis { input: value, axis };
+                Ok(self.compute(slice, local, to, &global))
             }
             (Sharding::Split { axis, .. }, Sharding::Replicated) => Ok(self.push(
                 |out| Instr::AllGather {
@@ -128,7 +159,7 @@ impl Emitter {
                 },
                 global.clone(),
                 Sharding::Replicated,
-                global,
+                &global,
             )),
             (Sharding::Split { .. }, Sharding::Split { .. }) => {
                 let replicated = self.reshard(value, Sharding::Replicated, node)?;
@@ -139,6 +170,24 @@ impl Emitter {
                 reason: format!("cannot reshard {from:?} to {to:?}"),
             }),
         }
+    }
+
+    /// Aligns two elementwise operands onto a common sharding (slicing a
+    /// replicated side for free, resharding on disagreement), returning
+    /// the aligned value ids.
+    fn align_elementwise(
+        &mut self,
+        node: NodeId,
+        mut l: ValueId,
+        mut r: ValueId,
+    ) -> Result<(ValueId, ValueId), HloError> {
+        match (self.shardings[l.0], self.shardings[r.0]) {
+            (a, b) if a == b => {}
+            // `s` is a split: equal shardings matched above.
+            (Sharding::Replicated, s) => l = self.reshard(l, s, node)?,
+            (s @ Sharding::Split { .. }, _) => r = self.reshard(r, s, node)?,
+        }
+        Ok((l, r))
     }
 }
 
@@ -183,60 +232,47 @@ impl SpmdPartitioner {
         if self.parts == 0 {
             return Err(HloError::InvalidPartCount);
         }
-        let mut em = Emitter {
-            instrs: Vec::new(),
-            shapes: Vec::new(),
-            shardings: Vec::new(),
-            global_shapes: Vec::new(),
-        };
+        let mut em = Emitter::default();
         let mut value_of_node: HashMap<NodeId, ValueId> = HashMap::new();
 
         for id in graph.node_ids() {
-            let op = graph.op(id).clone();
-            let global_shape = graph.shape(id).clone();
-            let value = match &op {
+            let global = graph.shape(id);
+            let value = match graph.op(id) {
                 Op::Parameter { name } => {
                     let sharding = graph.annotation(id).unwrap_or(Sharding::Replicated);
-                    sharding.validate(&global_shape, self.parts)?;
-                    let local = sharding.local_shape(&global_shape)?;
-                    em.compute(
-                        ComputeOp::Feed {
-                            name: name.clone(),
-                            sharding,
-                        },
-                        local,
+                    sharding.validate(global, self.parts)?;
+                    let feed = ComputeOp::Feed {
+                        name: name.clone(),
                         sharding,
-                        global_shape.clone(),
-                    )
+                    };
+                    em.compute(feed, sharding.local_shape(global)?, sharding, global)
                 }
-                Op::Constant { value } => em.compute(
-                    ComputeOp::Constant {
-                        value: value.clone(),
-                    },
-                    global_shape.clone(),
-                    Sharding::Replicated,
-                    global_shape.clone(),
-                ),
-                _ => {
+                Op::Constant { value } => {
+                    let value = value.clone();
+                    let constant = ComputeOp::Constant { value };
+                    em.compute(constant, global.clone(), Sharding::Replicated, global)
+                }
+                Op::Apply { kind, operands } => {
                     let operands: Vec<ValueId> =
-                        op.operands().iter().map(|o| value_of_node[o]).collect();
+                        operands.iter().map(|o| value_of_node[o]).collect();
                     match self.comm_opt {
                         CommunicationOpt::Optimized => {
-                            self.emit_optimized(&mut em, id, &op, &operands, &global_shape)?
+                            self.emit_optimized(&mut em, id, *kind, &operands, global)?
                         }
                         CommunicationOpt::Naive => {
-                            self.emit_naive(&mut em, id, &op, &operands, &global_shape)?
+                            em.apply_replicated(id, *kind, &operands, global)?
                         }
                     }
                 }
             };
-            // Honour an explicit output annotation.
+            // Honour an explicit output annotation (a no-op for a
+            // parameter, which is fed the way it is annotated).
             let value = match graph.annotation(id) {
-                Some(want) if !matches!(op, Op::Parameter { .. }) => {
-                    want.validate(&global_shape, self.parts)?;
+                Some(want) => {
+                    want.validate(global, self.parts)?;
                     em.reshard(value, want, id)?
                 }
-                _ => value,
+                None => value,
             };
             value_of_node.insert(id, value);
         }
@@ -254,210 +290,57 @@ impl SpmdPartitioner {
         })
     }
 
+    /// The per-kind partition rules: how each op propagates its operands'
+    /// shardings and which collective it needs where they cross.
     fn emit_optimized(
         &self,
         em: &mut Emitter,
         id: NodeId,
-        op: &Op,
+        kind: OpKind,
         operands: &[ValueId],
         global: &Shape,
     ) -> Result<ValueId, HloError> {
-        match op {
-            Op::MatMul { .. } => self.emit_matmul(em, id, operands, global),
-            Op::Conv2dSame { .. } => self.emit_conv(em, id, operands, global),
-            Op::Gather { .. } => self.emit_gather(em, id, operands, global),
-            Op::TopK { k, .. } => self.emit_topk(em, id, operands, global, *k),
-            Op::Add { .. } => {
-                let (mut l, mut r) = (operands[0], operands[1]);
-                let (sl, sr) = (em.shardings[l.0], em.shardings[r.0]);
-                let out_sharding = match (sl, sr) {
-                    (a, b) if a == b => a,
-                    (Sharding::Replicated, s @ Sharding::Split { .. }) => {
-                        l = em.reshard(l, s, id)?;
-                        s
-                    }
-                    (s @ Sharding::Split { .. }, Sharding::Replicated) => {
-                        r = em.reshard(r, s, id)?;
-                        s
-                    }
-                    (s @ Sharding::Split { .. }, Sharding::Split { .. }) => {
-                        r = em.reshard(r, s, id)?;
-                        s
-                    }
-                    _ => unreachable!("covered above"),
-                };
-                let shape = em.shapes[l.0].clone();
-                Ok(em.compute(
-                    ComputeOp::Add { lhs: l, rhs: r },
-                    shape,
-                    out_sharding,
-                    global.clone(),
-                ))
+        let input = operands[0];
+        match kind {
+            OpKind::MatMul => self.emit_matmul(em, id, operands, global),
+            OpKind::Conv2dSame => self.emit_conv(em, id, operands, global),
+            OpKind::Gather => self.emit_gather(em, id, operands, global),
+            OpKind::TopK { k } => self.emit_topk(em, id, input, global, k),
+            // Elementwise: the output inherits the (aligned) sharding.
+            OpKind::Relu => em.apply(kind, operands, em.shardings[input.0], global),
+            OpKind::Add | OpKind::Mul | OpKind::ReluGrad => {
+                let (l, r) = em.align_elementwise(id, operands[0], operands[1])?;
+                em.apply(kind, &[l, r], em.shardings[l.0], global)
             }
-            Op::Relu { .. } => {
-                let input = operands[0];
-                let shape = em.shapes[input.0].clone();
-                let sharding = em.shardings[input.0];
-                Ok(em.compute(ComputeOp::Relu { input }, shape, sharding, global.clone()))
-            }
-            Op::Transpose { .. } => {
-                let input = operands[0];
-                let local = em.shapes[input.0].clone();
-                let out_local = Shape::of(&[local.dim(1), local.dim(0)]);
+            OpKind::Transpose => {
                 let sharding = match em.shardings[input.0] {
                     Sharding::Replicated => Sharding::Replicated,
                     Sharding::Split { axis, parts } => Sharding::split(1 - axis, parts),
                 };
-                Ok(em.compute(
-                    ComputeOp::Transpose { input },
-                    out_local,
-                    sharding,
-                    global.clone(),
-                ))
+                em.apply(kind, operands, sharding, global)
             }
-            Op::Mul { .. } => {
-                let (l, r) = self.align_elementwise(em, id, operands[0], operands[1])?;
-                let shape = em.shapes[l.0].clone();
-                let sharding = em.shardings[l.0];
-                Ok(em.compute(
-                    ComputeOp::Mul { lhs: l, rhs: r },
-                    shape,
-                    sharding,
-                    global.clone(),
-                ))
+            OpKind::ReduceSum { axis } => {
+                let (sharding, partial) = match em.shardings[input.0] {
+                    // Reducing over the split axis: local partials, then
+                    // all-reduce.
+                    Sharding::Split { axis: s, .. } if s == axis => (Sharding::Replicated, true),
+                    Sharding::Split { axis: s, parts } => (
+                        Sharding::split(if axis < s { s - 1 } else { s }, parts),
+                        false,
+                    ),
+                    Sharding::Replicated => (Sharding::Replicated, false),
+                };
+                let sum = em.apply(kind, operands, sharding, global)?;
+                Ok(if partial { em.all_reduce(sum) } else { sum })
             }
-            Op::ReluGrad { .. } => {
-                let (l, r) = self.align_elementwise(em, id, operands[0], operands[1])?;
-                let shape = em.shapes[l.0].clone();
-                let sharding = em.shardings[l.0];
-                Ok(em.compute(
-                    ComputeOp::ReluGrad {
-                        input: l,
-                        upstream: r,
-                    },
-                    shape,
-                    sharding,
-                    global.clone(),
-                ))
-            }
-            // Gradient bookkeeping ops without a sharded fast path:
-            // replicate inputs, compute once (always correct; the paper's
-            // partitioner has bespoke rules we do not need for fidelity).
-            Op::BroadcastAxis { axis, extent, .. } => {
-                let input = em.reshard(operands[0], Sharding::Replicated, id)?;
-                Ok(em.compute(
-                    ComputeOp::BroadcastAxis {
-                        input,
-                        axis: *axis,
-                        extent: *extent,
-                    },
-                    global.clone(),
-                    Sharding::Replicated,
-                    global.clone(),
-                ))
-            }
-            Op::Rot180 { .. } => {
-                let input = em.reshard(operands[0], Sharding::Replicated, id)?;
-                Ok(em.compute(
-                    ComputeOp::Rot180 { input },
-                    global.clone(),
-                    Sharding::Replicated,
-                    global.clone(),
-                ))
-            }
-            Op::ConvKernelGrad { kh, kw, .. } => {
-                let input = em.reshard(operands[0], Sharding::Replicated, id)?;
-                let upstream = em.reshard(operands[1], Sharding::Replicated, id)?;
-                Ok(em.compute(
-                    ComputeOp::ConvKernelGrad {
-                        input,
-                        upstream,
-                        kh: *kh,
-                        kw: *kw,
-                    },
-                    global.clone(),
-                    Sharding::Replicated,
-                    global.clone(),
-                ))
-            }
-            Op::ScatterAdd { rows, .. } => {
-                let indices = em.reshard(operands[0], Sharding::Replicated, id)?;
-                let upstream = em.reshard(operands[1], Sharding::Replicated, id)?;
-                Ok(em.compute(
-                    ComputeOp::ScatterAdd {
-                        indices,
-                        upstream,
-                        rows: *rows,
-                    },
-                    global.clone(),
-                    Sharding::Replicated,
-                    global.clone(),
-                ))
-            }
-            Op::ReduceSum { axis, .. } => {
-                let input = operands[0];
-                let sharding = em.shardings[input.0];
-                let local_in = em.shapes[input.0].clone();
-                let local_out = Op::ReduceSum {
-                    input: NodeId(0),
-                    axis: *axis,
-                }
-                .infer_shape(&[&local_in])?;
-                match sharding {
-                    Sharding::Split { axis: s, .. } if s == *axis => {
-                        // Reducing over the split axis: local partials,
-                        // then all-reduce.
-                        let partial = em.compute(
-                            ComputeOp::ReduceSum { input, axis: *axis },
-                            local_out,
-                            Sharding::Replicated,
-                            global.clone(),
-                        );
-                        Ok(em.all_reduce(partial))
-                    }
-                    Sharding::Split { axis: s, parts } => {
-                        let s_after = if *axis < s { s - 1 } else { s };
-                        Ok(em.compute(
-                            ComputeOp::ReduceSum { input, axis: *axis },
-                            local_out,
-                            Sharding::split(s_after, parts),
-                            global.clone(),
-                        ))
-                    }
-                    Sharding::Replicated => Ok(em.compute(
-                        ComputeOp::ReduceSum { input, axis: *axis },
-                        local_out,
-                        Sharding::Replicated,
-                        global.clone(),
-                    )),
-                }
-            }
-            Op::Parameter { .. } | Op::Constant { .. } => unreachable!("leaves handled earlier"),
+            // Gradient bookkeeping ops without a sharded fast path (the
+            // paper's partitioner has bespoke rules we do not need for
+            // fidelity).
+            OpKind::BroadcastAxis { .. }
+            | OpKind::Rot180
+            | OpKind::ConvKernelGrad { .. }
+            | OpKind::ScatterAdd { .. } => em.apply_replicated(id, kind, operands, global),
         }
-    }
-
-    /// Aligns two elementwise operands onto a common sharding (slicing a
-    /// replicated side for free, resharding on disagreement), returning
-    /// the aligned value ids.
-    fn align_elementwise(
-        &self,
-        em: &mut Emitter,
-        id: NodeId,
-        mut l: ValueId,
-        mut r: ValueId,
-    ) -> Result<(ValueId, ValueId), HloError> {
-        let (sl, sr) = (em.shardings[l.0], em.shardings[r.0]);
-        match (sl, sr) {
-            (a, b) if a == b => {}
-            (Sharding::Replicated, s @ Sharding::Split { .. }) => {
-                l = em.reshard(l, s, id)?;
-            }
-            (s @ Sharding::Split { .. }, _) => {
-                r = em.reshard(r, s, id)?;
-            }
-            _ => unreachable!("covered above"),
-        }
-        Ok((l, r))
     }
 
     fn emit_gather(
@@ -467,57 +350,29 @@ impl SpmdPartitioner {
         operands: &[ValueId],
         global: &Shape,
     ) -> Result<ValueId, HloError> {
-        let (table, mut indices) = (operands[0], operands[1]);
-        indices = em.reshard(indices, Sharding::Replicated, id)?;
-        let k = em.shapes[indices.0].dim(0);
+        let table = operands[0];
+        let indices = em.reshard(operands[1], Sharding::Replicated, id)?;
+        // A local gather from the table as this core holds it.
+        let gather = |em: &mut Emitter, table, sharding| {
+            em.apply(OpKind::Gather, &[table, indices], sharding, global)
+        };
         match em.shardings[table.0] {
-            Sharding::Replicated => Ok(em.compute(
-                ComputeOp::Gather {
-                    input: table,
-                    indices,
-                },
-                global.clone(),
-                Sharding::Replicated,
-                global.clone(),
-            )),
+            Sharding::Replicated => gather(em, table, Sharding::Replicated),
             // Column-sharded table: rows are whole on every core, so the
             // gather is local and the output inherits the column split.
-            Sharding::Split { axis: 1, parts } => {
-                let local = Shape::of(&[k, em.shapes[table.0].dim(1)]);
-                Ok(em.compute(
-                    ComputeOp::Gather {
-                        input: table,
-                        indices,
-                    },
-                    local,
-                    Sharding::split(1, parts),
-                    global.clone(),
-                ))
-            }
+            s @ Sharding::Split { axis: 1, .. } => gather(em, table, s),
             // Row-partitioned table: the interesting §4.5 case.
             Sharding::Split { axis: 0, .. } => match self.gather {
                 GatherStrategy::AllGather => {
-                    let replicated = em.reshard(table, Sharding::Replicated, id)?;
-                    Ok(em.compute(
-                        ComputeOp::Gather {
-                            input: replicated,
-                            indices,
-                        },
-                        global.clone(),
-                        Sharding::Replicated,
-                        global.clone(),
-                    ))
+                    let table = em.reshard(table, Sharding::Replicated, id)?;
+                    gather(em, table, Sharding::Replicated)
                 }
                 GatherStrategy::OneHotMatMul => {
-                    let partial = em.compute(
-                        ComputeOp::GatherPartial {
-                            input: table,
-                            indices,
-                        },
-                        global.clone(),
-                        Sharding::Replicated,
-                        global.clone(),
-                    );
+                    let onehot = ComputeOp::GatherPartial {
+                        input: table,
+                        indices,
+                    };
+                    let partial = em.compute(onehot, global.clone(), Sharding::Replicated, global);
                     Ok(em.all_reduce(partial))
                 }
             },
@@ -532,18 +387,13 @@ impl SpmdPartitioner {
         &self,
         em: &mut Emitter,
         id: NodeId,
-        operands: &[ValueId],
+        input: ValueId,
         global: &Shape,
         k: usize,
     ) -> Result<ValueId, HloError> {
-        let input = operands[0];
+        let kind = OpKind::TopK { k };
         match em.shardings[input.0] {
-            Sharding::Replicated => Ok(em.compute(
-                ComputeOp::TopK { input, k },
-                Shape::vector(k),
-                Sharding::Replicated,
-                global.clone(),
-            )),
+            Sharding::Replicated => em.apply(kind, &[input], Sharding::Replicated, global),
             Sharding::Split { axis: 0, parts } => {
                 let local_len = em.shapes[input.0].dim(0);
                 if k > local_len {
@@ -554,19 +404,11 @@ impl SpmdPartitioner {
                 }
                 // Local candidates → all-gather → final top-k (the
                 // distributed top-k rewrite the paper added to XLA, §4.5).
-                let candidates = em.compute(
-                    ComputeOp::TopK { input, k },
-                    Shape::vector(k),
-                    Sharding::split(0, parts),
-                    Shape::vector(k * parts),
-                );
+                let all_candidates = Shape::vector(k * parts);
+                let candidates =
+                    em.apply(kind, &[input], Sharding::split(0, parts), &all_candidates)?;
                 let gathered = em.reshard(candidates, Sharding::Replicated, id)?;
-                Ok(em.compute(
-                    ComputeOp::TopK { input: gathered, k },
-                    Shape::vector(k),
-                    Sharding::Replicated,
-                    global.clone(),
-                ))
+                em.apply(kind, &[gathered], Sharding::Replicated, global)
             }
             s => Err(HloError::Unpartitionable {
                 node: id,
@@ -582,85 +424,50 @@ impl SpmdPartitioner {
         operands: &[ValueId],
         global: &Shape,
     ) -> Result<ValueId, HloError> {
-        let (mut lhs, mut rhs) = (operands[0], operands[1]);
-        let (sl, sr) = (em.shardings[lhs.0], em.shardings[rhs.0]);
-        let parts = self.parts;
-        let matmul_shape = |em: &Emitter, l: ValueId, r: ValueId| {
-            Shape::of(&[em.shapes[l.0].dim(0), em.shapes[r.0].dim(1)])
-        };
-        match (sl, sr) {
+        let (lhs, rhs) = (operands[0], operands[1]);
+        let (replicated, parts) = (Sharding::Replicated, self.parts);
+        // The operands as the local matmul reads them, and the sharding
+        // of its output — `None` for partial sums an all-reduce completes.
+        let (lhs, rhs, out) = match (em.shardings[lhs.0], em.shardings[rhs.0]) {
             // Contracting dimension split on both sides: partial matmul
             // followed by an all-reduce over the tile (§3.1).
-            (Sharding::Split { axis: 1, .. }, Sharding::Split { axis: 0, .. }) => {
-                let shape = matmul_shape(em, lhs, rhs);
-                let partial = em.compute(
-                    ComputeOp::MatMul { lhs, rhs },
-                    shape,
-                    Sharding::Replicated,
-                    global.clone(),
-                );
-                Ok(em.all_reduce(partial))
-            }
+            (Sharding::Split { axis: 1, .. }, Sharding::Split { axis: 0, .. }) => (lhs, rhs, None),
             // Row (batch/spatial) split: replicate the weights.
             (Sharding::Split { axis: 0, .. }, _) => {
-                rhs = em.reshard(rhs, Sharding::Replicated, id)?;
-                let shape = matmul_shape(em, lhs, rhs);
-                Ok(em.compute(
-                    ComputeOp::MatMul { lhs, rhs },
-                    shape,
-                    Sharding::split(0, parts),
-                    global.clone(),
-                ))
+                let rhs = em.reshard(rhs, replicated, id)?;
+                (lhs, rhs, Some(Sharding::split(0, parts)))
             }
             // Output-feature split: replicate the activations.
             (_, Sharding::Split { axis: 1, .. }) => {
-                lhs = em.reshard(lhs, Sharding::Replicated, id)?;
-                let shape = matmul_shape(em, lhs, rhs);
-                Ok(em.compute(
-                    ComputeOp::MatMul { lhs, rhs },
-                    shape,
-                    Sharding::split(1, parts),
-                    global.clone(),
-                ))
+                let lhs = em.reshard(lhs, replicated, id)?;
+                (lhs, rhs, Some(Sharding::split(1, parts)))
             }
             // One-sided contracting split: slice the other side locally
             // (communication-free) and take the partial-sum path.
             (Sharding::Split { axis: 1, .. }, Sharding::Replicated) => {
-                rhs = em.reshard(rhs, Sharding::split(0, parts), id)?;
-                let shape = matmul_shape(em, lhs, rhs);
-                let partial = em.compute(
-                    ComputeOp::MatMul { lhs, rhs },
-                    shape,
-                    Sharding::Replicated,
-                    global.clone(),
-                );
-                Ok(em.all_reduce(partial))
+                (lhs, em.reshard(rhs, Sharding::split(0, parts), id)?, None)
             }
             (Sharding::Replicated, Sharding::Split { axis: 0, .. }) => {
-                lhs = em.reshard(lhs, Sharding::split(1, parts), id)?;
-                let shape = matmul_shape(em, lhs, rhs);
-                let partial = em.compute(
-                    ComputeOp::MatMul { lhs, rhs },
-                    shape,
-                    Sharding::Replicated,
-                    global.clone(),
-                );
-                Ok(em.all_reduce(partial))
+                (em.reshard(lhs, Sharding::split(1, parts), id)?, rhs, None)
             }
-            (Sharding::Replicated, Sharding::Replicated) => {
-                let shape = matmul_shape(em, lhs, rhs);
-                Ok(em.compute(
-                    ComputeOp::MatMul { lhs, rhs },
-                    shape,
-                    Sharding::Replicated,
-                    global.clone(),
-                ))
+            (Sharding::Replicated, Sharding::Replicated) => (lhs, rhs, Some(replicated)),
+            (from, to) => {
+                return Err(HloError::Unpartitionable {
+                    node: id,
+                    reason: format!("matmul with shardings {from:?} × {to:?}"),
+                })
             }
-            (from, to) => Err(HloError::Unpartitionable {
-                node: id,
-                reason: format!("matmul with shardings {from:?} × {to:?}"),
-            }),
-        }
+        };
+        let product = em.apply(
+            OpKind::MatMul,
+            &[lhs, rhs],
+            out.unwrap_or(replicated),
+            global,
+        )?;
+        Ok(match out {
+            Some(_) => product,
+            None => em.all_reduce(product),
+        })
     }
 
     fn emit_conv(
@@ -670,22 +477,19 @@ impl SpmdPartitioner {
         operands: &[ValueId],
         global: &Shape,
     ) -> Result<ValueId, HloError> {
-        let (input, mut kernel) = (operands[0], operands[1]);
-        kernel = em.reshard(kernel, Sharding::Replicated, id)?;
-        let kernel_shape = em.shapes[kernel.0].clone();
+        let input = operands[0];
+        let kernel = em.reshard(operands[1], Sharding::Replicated, id)?;
+        let tile_shape = em.shapes[input.0].clone();
         match em.shardings[input.0] {
-            Sharding::Replicated => {
-                let shape = em.shapes[input.0].clone();
-                Ok(em.compute(
-                    ComputeOp::ConvSame { input, kernel },
-                    shape,
-                    Sharding::Replicated,
-                    global.clone(),
-                ))
-            }
+            Sharding::Replicated => em.apply(
+                OpKind::Conv2dSame,
+                &[input, kernel],
+                Sharding::Replicated,
+                global,
+            ),
             Sharding::Split { axis, parts } if axis < 2 => {
-                let tile_shape = em.shapes[input.0].clone();
-                let halo = kernel_shape.dim(axis) / 2;
+                let split = Sharding::split(axis, parts);
+                let halo = em.shapes[kernel.0].dim(axis) / 2;
                 let conv_input = if halo > 0 {
                     let padded = tile_shape.with_dim(axis, tile_shape.dim(axis) + 2 * halo);
                     em.push(
@@ -696,111 +500,24 @@ impl SpmdPartitioner {
                             halo,
                         },
                         padded,
-                        Sharding::split(axis, parts),
-                        global.clone(),
+                        split,
+                        global,
                     )
                 } else {
                     input
                 };
-                Ok(em.compute(
-                    ComputeOp::ConvHalo {
-                        input: conv_input,
-                        kernel,
-                        valid_axis: axis,
-                    },
-                    tile_shape,
-                    Sharding::split(axis, parts),
-                    global.clone(),
-                ))
+                let conv = ComputeOp::ConvHalo {
+                    input: conv_input,
+                    kernel,
+                    valid_axis: axis,
+                };
+                Ok(em.compute(conv, tile_shape, split, global))
             }
             s => Err(HloError::Unpartitionable {
                 node: id,
                 reason: format!("conv input sharding {s:?}"),
             }),
         }
-    }
-
-    fn emit_naive(
-        &self,
-        em: &mut Emitter,
-        id: NodeId,
-        op: &Op,
-        operands: &[ValueId],
-        global: &Shape,
-    ) -> Result<ValueId, HloError> {
-        // Reshard everything to replicated, compute globally.
-        let replicated: Vec<ValueId> = operands
-            .iter()
-            .map(|&v| em.reshard(v, Sharding::Replicated, id))
-            .collect::<Result<_, _>>()?;
-        let compute = match op {
-            Op::MatMul { .. } => ComputeOp::MatMul {
-                lhs: replicated[0],
-                rhs: replicated[1],
-            },
-            Op::Conv2dSame { .. } => ComputeOp::ConvSame {
-                input: replicated[0],
-                kernel: replicated[1],
-            },
-            Op::Add { .. } => ComputeOp::Add {
-                lhs: replicated[0],
-                rhs: replicated[1],
-            },
-            Op::Relu { .. } => ComputeOp::Relu {
-                input: replicated[0],
-            },
-            Op::ReduceSum { axis, .. } => ComputeOp::ReduceSum {
-                input: replicated[0],
-                axis: *axis,
-            },
-            Op::Gather { .. } => ComputeOp::Gather {
-                input: replicated[0],
-                indices: replicated[1],
-            },
-            Op::TopK { k, .. } => ComputeOp::TopK {
-                input: replicated[0],
-                k: *k,
-            },
-            Op::Transpose { .. } => ComputeOp::Transpose {
-                input: replicated[0],
-            },
-            Op::Mul { .. } => ComputeOp::Mul {
-                lhs: replicated[0],
-                rhs: replicated[1],
-            },
-            Op::ReluGrad { .. } => ComputeOp::ReluGrad {
-                input: replicated[0],
-                upstream: replicated[1],
-            },
-            Op::BroadcastAxis { axis, extent, .. } => ComputeOp::BroadcastAxis {
-                input: replicated[0],
-                axis: *axis,
-                extent: *extent,
-            },
-            Op::Rot180 { .. } => ComputeOp::Rot180 {
-                input: replicated[0],
-            },
-            Op::ConvKernelGrad { kh, kw, .. } => ComputeOp::ConvKernelGrad {
-                input: replicated[0],
-                upstream: replicated[1],
-                kh: *kh,
-                kw: *kw,
-            },
-            Op::ScatterAdd { rows, .. } => ComputeOp::ScatterAdd {
-                indices: replicated[0],
-                upstream: replicated[1],
-                rows: *rows,
-            },
-            Op::Parameter { .. } | Op::Constant { .. } => {
-                unreachable!("leaves handled earlier")
-            }
-        };
-        Ok(em.compute(
-            compute,
-            global.clone(),
-            Sharding::Replicated,
-            global.clone(),
-        ))
     }
 }
 
@@ -838,7 +555,7 @@ mod tests {
         let (mut net, tile) = tile_net(program.num_parts() as u32);
         let (outputs, _t) = program.execute(&mut net, feed_map, &tile).unwrap();
         for (i, per_core) in outputs.iter().enumerate() {
-            let assembled = program.assemble_output(i, per_core);
+            let assembled = program.assemble_output(i, per_core).unwrap();
             assert!(
                 assembled.max_abs_diff(&reference[i]) < 1e-3,
                 "output {i} mismatch: {:?} vs {:?}",

@@ -67,7 +67,7 @@ fn partitioned_backward_matches_reference_gradients() {
     let tile: Vec<ChipId> = net.mesh().chips().collect();
     let (outs, _) = program.execute(&mut net, &f, &tile).unwrap();
     for (o, per_core) in outs.iter().enumerate() {
-        let assembled = program.assemble_output(o, per_core);
+        let assembled = program.assemble_output(o, per_core).unwrap();
         assert!(
             assembled.max_abs_diff(&reference[o]) < 1e-2,
             "output {o} diverged by {}",
@@ -102,9 +102,9 @@ fn partitioned_training_converges() {
         ]);
         let (outs, _) = program.execute(&mut net, &f, &tile).unwrap();
         net.reset();
-        let loss = program.assemble_output(0, &outs[0]).data()[0];
-        let dw1 = program.assemble_output(1, &outs[1]);
-        let dw2 = program.assemble_output(2, &outs[2]);
+        let loss = program.assemble_output(0, &outs[0]).unwrap().data()[0];
+        let dw1 = program.assemble_output(1, &outs[1]).unwrap();
+        let dw2 = program.assemble_output(2, &outs[2]).unwrap();
         first_loss.get_or_insert(loss);
         last_loss = loss;
         w1.axpy(-0.02, &dw1).unwrap();
@@ -146,7 +146,7 @@ fn spatial_conv_backward_partitions_and_matches() {
     let tile: Vec<ChipId> = net.mesh().chips().collect();
     let (outs, _) = program.execute(&mut net, &f, &tile).unwrap();
     for (o, per_core) in outs.iter().enumerate() {
-        let assembled = program.assemble_output(o, per_core);
+        let assembled = program.assemble_output(o, per_core).unwrap();
         assert!(
             assembled.max_abs_diff(&reference[o]) < 1e-3,
             "output {o} diverged"

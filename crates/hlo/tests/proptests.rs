@@ -124,7 +124,7 @@ proptest! {
         let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
         let tile: Vec<ChipId> = net.mesh().chips().collect();
         let (outs, _) = program.execute(&mut net, &feed_map, &tile).unwrap();
-        let assembled = program.assemble_output(0, &outs[0]);
+        let assembled = program.assemble_output(0, &outs[0]).unwrap();
         prop_assert!(
             assembled.max_abs_diff(&reference[0]) < 1e-3,
             "layers={layers:?} parts={parts} naive={naive} diff={}",

@@ -76,9 +76,9 @@ fn main() {
         let (outs, t) = program.execute(&mut net, &feeds, &tile).expect("step");
         net.reset();
         comm += t.seconds();
-        let loss_now = program.assemble_output(0, &outs[0]).data()[0];
-        let dw1 = program.assemble_output(1, &outs[1]);
-        let dw2 = program.assemble_output(2, &outs[2]);
+        let loss_now = program.assemble_output(0, &outs[0]).unwrap().data()[0];
+        let dw1 = program.assemble_output(1, &outs[1]).unwrap();
+        let dw2 = program.assemble_output(2, &outs[2]).unwrap();
         let lr = schedule.at(step);
         w1_data.axpy(-lr, &dw1).unwrap();
         w2_data.axpy(-lr, &dw2).unwrap();

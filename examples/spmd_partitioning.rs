@@ -57,7 +57,7 @@ fn main() {
     let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
     let tile: Vec<ChipId> = net.mesh().chips().collect();
     let (outputs, comm_time) = program.execute(&mut net, &feeds, &tile).unwrap();
-    let assembled = program.assemble_output(0, &outputs[0]);
+    let assembled = program.assemble_output(0, &outputs[0]).unwrap();
     let reference = graph.evaluate(&feeds).unwrap();
     let err = assembled.max_abs_diff(&reference[0]);
     println!("  partitioned == reference? max |error| = {err:.2e}");
@@ -92,7 +92,7 @@ fn main() {
         NetworkConfig::tpu_v3(),
     );
     let (outputs, _) = conv_program.execute(&mut net2, &feeds, &tile).unwrap();
-    let assembled = conv_program.assemble_output(0, &outputs[0]);
+    let assembled = conv_program.assemble_output(0, &outputs[0]).unwrap();
     let reference = conv_graph.evaluate(&feeds).unwrap();
     let err = assembled.max_abs_diff(&reference[0]);
     println!("  partitioned == reference? max |error| = {err:.2e}");

@@ -134,7 +134,7 @@ fn feature_sharded_forward_plus_peer_gradient_ring() {
         per_tile_outputs.push(outs[0].clone());
     }
     for outs in &per_tile_outputs {
-        let assembled = program.assemble_output(0, outs);
+        let assembled = program.assemble_output(0, outs).unwrap();
         assert!(assembled.max_abs_diff(&reference[0]) < 1e-4);
     }
 

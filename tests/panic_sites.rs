@@ -33,6 +33,46 @@ const CLEAN: &[(&str, &str)] = &[
         "crates/serve/src/batch.rs",
         include_str!("../crates/serve/src/batch.rs"),
     ),
+    (
+        "crates/hlo/src/display.rs",
+        include_str!("../crates/hlo/src/display.rs"),
+    ),
+    (
+        "crates/hlo/src/error.rs",
+        include_str!("../crates/hlo/src/error.rs"),
+    ),
+    (
+        "crates/hlo/src/grad.rs",
+        include_str!("../crates/hlo/src/grad.rs"),
+    ),
+    (
+        "crates/hlo/src/graph.rs",
+        include_str!("../crates/hlo/src/graph.rs"),
+    ),
+    (
+        "crates/hlo/src/lib.rs",
+        include_str!("../crates/hlo/src/lib.rs"),
+    ),
+    (
+        "crates/hlo/src/mpmd.rs",
+        include_str!("../crates/hlo/src/mpmd.rs"),
+    ),
+    (
+        "crates/hlo/src/op.rs",
+        include_str!("../crates/hlo/src/op.rs"),
+    ),
+    (
+        "crates/hlo/src/program.rs",
+        include_str!("../crates/hlo/src/program.rs"),
+    ),
+    (
+        "crates/hlo/src/sharding.rs",
+        include_str!("../crates/hlo/src/sharding.rs"),
+    ),
+    (
+        "crates/hlo/src/spmd.rs",
+        include_str!("../crates/hlo/src/spmd.rs"),
+    ),
 ];
 
 const PANICS: &[&str] = &[
