@@ -1,13 +1,11 @@
 //! Cut-through network timing with per-directed-link occupancy.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use multipod_telemetry::{MetricId, Obs, Subsystem};
-use multipod_topology::{ChipId, LinkClass, Multipod, Route, TopologyError};
+use multipod_topology::{ChipId, LinkClass, Multipod, TopologyError};
 use multipod_trace::{LinkTransferEvent, SpanCategory, SpanEvent, Track};
 
 use crate::{NetworkError, SimTime};
@@ -70,65 +68,151 @@ pub struct Transfer {
     pub bytes: u64,
 }
 
-/// Dense per-directed-link occupancy state.
+/// Marks an empty [`PairTable`] slot.
+const EMPTY: u64 = u64::MAX;
+
+/// The table key of the ordered chip pair `from → to`. Self-pairs never
+/// reach a table (a self-transfer returns before the lookup, a self-link
+/// does not exist), which leaves `u64::MAX` free to mark an empty slot.
+fn pair_key(from: u32, to: u32) -> u64 {
+    debug_assert!(from != to, "self-pair {from} has no table key");
+    u64::from(from) << 32 | u64::from(to)
+}
+
+/// The one map of this module: chip pairs to dense `u32` ids, open
+/// addressing over a power-of-two slot vector, linear probing from a
+/// Fibonacci-hashed home slot.
+///
+/// A slot is 16 bytes and carries its key, so a hit at home — the warm
+/// `transfer` — reads one cache line; there is no separate control-byte
+/// array and no SipHash. Nothing is ever removed: the route index is
+/// dropped whole on a topology mutation and the link interner only grows,
+/// so there are no tombstones. The table grows before it passes 7/8 full,
+/// so every probe sequence ends at an empty slot.
+#[derive(Clone, Debug, Default)]
+struct PairTable {
+    slots: Vec<(u64, u32)>,
+    len: usize,
+}
+
+impl PairTable {
+    /// Where probing for `key` starts among `slots` (a power of two ≥ 2)
+    /// slots: the top `log2(slots)` bits of the multiplicative hash.
+    fn home(key: u64, slots: usize) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    /// The slot holding `key`, or else the empty slot that ends its probe
+    /// run (where it would be added). The table must have slots.
+    fn probe(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = PairTable::home(key, self.slots.len());
+        while self.slots[slot].0 != key && self.slots[slot].0 != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    fn get(&self, key: u64) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let (found, id) = self.slots[self.probe(key)];
+        (found == key).then_some(id)
+    }
+
+    /// Adds `key`, which must be absent.
+    fn insert(&mut self, key: u64, id: u32) {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            let doubled = vec![(EMPTY, 0); (self.slots.len() * 2).max(16)];
+            for (key, id) in std::mem::replace(&mut self.slots, doubled) {
+                if key != EMPTY {
+                    let slot = self.probe(key);
+                    self.slots[slot] = (key, id);
+                }
+            }
+        }
+        let slot = self.probe(key);
+        self.slots[slot] = (key, id);
+        self.len += 1;
+    }
+}
+
+/// Dense per-directed-link state.
 ///
 /// Directed links are interned lazily into small integer ids the first
-/// time a route touches them, so the per-transfer hot loop indexes flat
-/// vectors instead of hashing `(from, to)` pairs three times per hop.
-/// The interner survives topology mutations (chip ids are stable), which
-/// keeps cumulative byte counters alive across fault campaigns exactly
-/// like the old per-pair hash map did.
+/// time a route touches them, so the per-transfer hot loop indexes one
+/// flat vector instead of hashing `(from, to)` pairs per hop. The
+/// interner survives topology mutations (chip ids are stable, and so is
+/// a link's class), which keeps cumulative byte counters alive across
+/// fault campaigns.
 #[derive(Clone, Debug, Default)]
 struct LinkTable {
-    ids: HashMap<(u32, u32), u32>,
-    /// Directed endpoints per id, for reverse lookups.
+    ids: PairTable,
+    /// Directed endpoints per id, for reverse lookups and the trace sink.
     endpoints: Vec<(u32, u32)>,
-    /// When each link next becomes free. `SimTime::ZERO` means idle —
-    /// equivalent to the link being absent from the old map, since every
-    /// departure time is already `≥ start + overhead ≥ 0`.
-    free: Vec<SimTime>,
-    /// Cumulative bytes carried, across resets.
-    bytes: Vec<u64>,
+    /// Trace classification per id, for the trace sink.
+    classes: Vec<multipod_trace::LinkClass>,
+    /// Per id: when the link next becomes free, and the cumulative bytes
+    /// it has carried across resets — side by side because a reservation
+    /// writes both. `SimTime::ZERO` means idle: every departure time is
+    /// already `≥ start + overhead ≥ 0`.
+    occupancy: Vec<(SimTime, u64)>,
 }
 
 impl LinkTable {
-    fn intern(&mut self, from: u32, to: u32) -> u32 {
-        let next = self.endpoints.len() as u32;
-        let id = *self.ids.entry((from, to)).or_insert(next);
-        if id == next {
-            self.endpoints.push((from, to));
-            self.free.push(SimTime::ZERO);
-            self.bytes.push(0);
+    fn intern(&mut self, from: u32, to: u32, class: multipod_trace::LinkClass) -> u32 {
+        let key = pair_key(from, to);
+        if let Some(id) = self.ids.get(key) {
+            return id;
         }
+        let id = self.endpoints.len() as u32;
+        self.ids.insert(key, id);
+        self.endpoints.push((from, to));
+        self.classes.push(class);
+        self.occupancy.push((SimTime::ZERO, 0));
         id
     }
 
     fn reset_free(&mut self) {
-        self.free.fill(SimTime::ZERO);
+        for (free, _) in &mut self.occupancy {
+            *free = SimTime::ZERO;
+        }
     }
 
     fn clear_bytes(&mut self) {
-        self.bytes.fill(0);
+        for (_, bytes) in &mut self.occupancy {
+            *bytes = 0;
+        }
     }
 }
 
-/// A fully memoized route: the hop vector plus everything the timing
-/// loop would otherwise recompute per transfer — interned link ids, the
-/// route-order latency sum, and per-hop trace classes.
-///
-/// Valid only for the [`Multipod::version`] it was built against;
-/// [`Network::sync_topology`] drops every cached path on any topology
-/// mutation, so a stale path can never time a transfer.
-#[derive(Debug)]
-struct CachedPath {
-    route: Route,
-    /// Interned directed-link ids, in route order.
-    links: Vec<u32>,
+/// A memoized route: where its interned link ids sit in
+/// [`RouteStore::hops`], plus the one figure the timing loop would
+/// otherwise recompute per transfer.
+#[derive(Clone, Copy, Debug)]
+struct Path {
     /// `Σ hop_latency × class multiplier`, accumulated in route order
     /// (bit-identical to summing over `Route::link_classes`).
     latency: f64,
-    /// Per-hop trace classification, for the trace sink.
-    trace_classes: Vec<multipod_trace::LinkClass>,
+    start: u32,
+    len: u32,
+}
+
+/// Every memoized mesh-preferred route, in three flat vectors.
+///
+/// `paths` and `hops` fill in first-use order, so a lockstep collective
+/// that repeats its first pass walks both sequentially. Valid only for
+/// the [`Multipod::version`] it was built against:
+/// [`Network::sync_topology`] drops the whole store on any topology
+/// mutation, so a stale path can never time a transfer.
+#[derive(Clone, Debug, Default)]
+struct RouteStore {
+    /// `(from, to)` → index into `paths`.
+    index: PairTable,
+    paths: Vec<Path>,
+    /// Interned directed-link ids of every path, each in route order.
+    hops: Vec<u32>,
 }
 
 /// The simulated interconnect: a [`Multipod`] plus per-directed-link
@@ -141,18 +225,16 @@ struct CachedPath {
 /// contention between overlapping transfers (e.g. peer-hopping gradient
 /// rings crossing model-parallel tiles, §3.3).
 ///
-/// Repeated collective phases hit the memoized [`CachedPath`] state: after
-/// the first iteration over a route, a transfer is one hash lookup plus a
-/// walk over dense occupancy vectors — no route recomputation, no per-hop
-/// adjacency queries, no allocation.
+/// Repeated collective phases hit the memoized [`RouteStore`]: after the
+/// first iteration over a route, a transfer is one table probe plus a
+/// walk over the dense occupancy vector — no route recomputation, no
+/// per-hop adjacency queries, no allocation.
 #[derive(Clone)]
 pub struct Network {
     mesh: Multipod,
     config: NetworkConfig,
     links: LinkTable,
-    /// Memoized mesh-preferred routes keyed by `(from, to)`, shared by
-    /// handle so a cache hit never copies the hop vector.
-    route_cache: HashMap<(u32, u32), Arc<CachedPath>>,
+    routes: RouteStore,
     /// The [`Multipod::version`] the cached state was computed against.
     mesh_version: u64,
     obs: Obs,
@@ -163,8 +245,8 @@ impl fmt::Debug for Network {
         f.debug_struct("Network")
             .field("mesh", &self.mesh)
             .field("config", &self.config)
-            .field("links", &self.links)
-            .field("cached_routes", &self.route_cache.len())
+            .field("links", &self.links.endpoints.len())
+            .field("cached_routes", &self.routes.paths.len())
             .field("obs", &self.obs)
             .finish()
     }
@@ -178,7 +260,7 @@ impl Network {
             mesh,
             config,
             links: LinkTable::default(),
-            route_cache: HashMap::new(),
+            routes: RouteStore::default(),
             mesh_version,
             obs: Obs::default(),
         }
@@ -238,7 +320,7 @@ impl Network {
     /// [`Network::mesh_mut`] never observe stale routing.
     pub fn sync_topology(&mut self) {
         if self.mesh_version != self.mesh.version() {
-            self.route_cache.clear();
+            self.routes = RouteStore::default();
             self.links.reset_free();
             self.mesh_version = self.mesh.version();
         }
@@ -308,8 +390,11 @@ impl Network {
 
     /// Cumulative bytes carried by the directed link `from → to`.
     pub fn link_traffic(&self, from: ChipId, to: ChipId) -> u64 {
-        match self.links.ids.get(&(from.0, to.0)) {
-            Some(&id) => self.links.bytes[id as usize],
+        if from == to {
+            return 0;
+        }
+        match self.links.ids.get(pair_key(from.0, to.0)) {
+            Some(id) => self.links.occupancy[id as usize].1,
             None => 0,
         }
     }
@@ -321,7 +406,7 @@ impl Network {
     pub fn traffic_by_dimension(&self) -> (u64, u64) {
         let mut x = 0u64;
         let mut y = 0u64;
-        for (&(from, to), &bytes) in self.links.endpoints.iter().zip(&self.links.bytes) {
+        for (&(from, to), &(_, bytes)) in self.links.endpoints.iter().zip(&self.links.occupancy) {
             let a = self.mesh.coord_of(ChipId(from));
             let b = self.mesh.coord_of(ChipId(to));
             if a.y == b.y {
@@ -333,62 +418,70 @@ impl Network {
         (x, y)
     }
 
-    /// Builds the memoized form of `route`: interned link ids, the
-    /// route-order latency sum, and trace classes.
+    /// Routes `from → to` on the current mesh and memoizes the result under
+    /// `key`: link ids (interned as they are met) appended to the flat hop
+    /// arena, and the route-order latency sum.
     ///
     /// # Errors
     ///
-    /// [`NetworkError::Route`] when the route traverses a pair of chips
-    /// with no live link between them (stale route on a mutated mesh).
-    fn build_path(&mut self, route: Route) -> Result<CachedPath, NetworkError> {
-        let hops = route.num_hops();
-        let mut links = Vec::with_capacity(hops);
-        let mut trace_classes = Vec::with_capacity(hops);
+    /// [`NetworkError::Route`] when no route exists, or when the route
+    /// traverses a pair of chips with no live link between them.
+    fn intern_route(&mut self, from: ChipId, to: ChipId, key: u64) -> Result<Path, NetworkError> {
+        let route = self.mesh.route(from, to)?;
+        let start = self.routes.hops.len();
         let mut latency = 0.0f64;
         for w in route.chips.windows(2) {
-            let class = self
-                .mesh
-                .link_between(w[0], w[1])
-                .ok_or(NetworkError::Route(TopologyError::NoRoute {
+            let Some(class) = self.mesh.link_between(w[0], w[1]) else {
+                self.routes.hops.truncate(start);
+                return Err(NetworkError::Route(TopologyError::NoRoute {
                     from: w[0],
                     to: w[1],
-                }))?;
+                }));
+            };
             latency += self.config.hop_latency * class.latency_multiplier();
-            trace_classes.push(self.classify(class, w[0], w[1]));
-            links.push(self.links.intern(w[0].0, w[1].0));
+            let trace_class = self.classify(class, w[0], w[1]);
+            let id = self.links.intern(w[0].0, w[1].0, trace_class);
+            self.routes.hops.push(id);
         }
-        Ok(CachedPath {
-            route,
-            links,
+        let path = Path {
             latency,
-            trace_classes,
-        })
+            start: start as u32,
+            len: route.num_hops() as u32,
+        };
+        let id = self.routes.paths.len() as u32;
+        self.routes.index.insert(key, id);
+        self.routes.paths.push(path);
+        Ok(path)
     }
 
     /// The timing hot loop: reserves every link of a memoized path for
     /// one message and returns the transfer outcome. Touches only dense
     /// vectors — no hashing, no allocation.
-    fn reserve(&mut self, path: &CachedPath, bytes: u64, start: SimTime) -> Transfer {
+    fn reserve(&mut self, path: Path, bytes: u64, start: SimTime) -> Transfer {
+        let links = &self.routes.hops[path.start as usize..][..path.len as usize];
+        let occupancy = &mut self.links.occupancy;
         let serialization = bytes as f64 / self.config.link_bandwidth;
         let mut depart = start + self.config.message_overhead;
-        for &id in &path.links {
-            depart = depart.max(self.links.free[id as usize]);
+        for &id in links {
+            depart = depart.max(occupancy[id as usize].0);
         }
         let finish = depart + path.latency + serialization;
         let busy_until = depart + serialization;
-        for &id in &path.links {
-            self.links.free[id as usize] = busy_until;
-            self.links.bytes[id as usize] += bytes;
+        for &id in links {
+            let (free, carried) = &mut occupancy[id as usize];
+            *free = busy_until;
+            *carried += bytes;
         }
         if let Some(sink) = self.obs.sink() {
             // Cut-through: the message holds every link of the route for
             // the same serialization window, so each hop gets the same
             // [depart, busy_until] occupancy the contention model charged.
-            for (i, w) in path.route.chips.windows(2).enumerate() {
+            for &id in links {
+                let (src, dst) = self.links.endpoints[id as usize];
                 sink.record_link(LinkTransferEvent {
-                    src: w[0].0,
-                    dst: w[1].0,
-                    class: path.trace_classes[i],
+                    src,
+                    dst,
+                    class: self.links.classes[id as usize],
                     bytes,
                     start: depart,
                     end: busy_until,
@@ -399,7 +492,7 @@ impl Network {
             telemetry.inc_counter(MetricId::new(Subsystem::Simnet, "transfers"), 1);
             telemetry.inc_counter(
                 MetricId::new(Subsystem::Simnet, "link_hops"),
-                path.links.len() as u64,
+                u64::from(path.len),
             );
             telemetry.inc_counter(MetricId::new(Subsystem::Simnet, "payload_bytes"), bytes);
             // Queueing delay: how long the head flit waited for occupied
@@ -415,7 +508,7 @@ impl Network {
         }
         Transfer {
             finish,
-            num_hops: path.links.len(),
+            num_hops: path.len as usize,
             bytes,
         }
     }
@@ -449,16 +542,12 @@ impl Network {
         if bytes == 0 {
             return Err(NetworkError::EmptyTransfer { from, to });
         }
-        let path = match self.route_cache.get(&(from.0, to.0)) {
-            Some(path) => Arc::clone(path),
-            None => {
-                let route = self.mesh.route(from, to)?;
-                let path = Arc::new(self.build_path(route)?);
-                self.route_cache.insert((from.0, to.0), Arc::clone(&path));
-                path
-            }
+        let key = pair_key(from.0, to.0);
+        let path = match self.routes.index.get(key) {
+            Some(id) => self.routes.paths[id as usize],
+            None => self.intern_route(from, to, key)?,
         };
-        Ok(self.reserve(&path, bytes, start))
+        Ok(self.reserve(path, bytes, start))
     }
 
     /// Issues a batch of transfers at the same instant and returns the time
@@ -505,14 +594,418 @@ impl Network {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::HashMap;
+
     use multipod_topology::{Coord, MultipodConfig};
+    use multipod_trace::{Recorder, TraceEvent};
+    use proptest::prelude::*;
+
+    use super::*;
 
     fn net(x: u32, y: u32) -> Network {
         Network::new(
             Multipod::new(MultipodConfig::mesh(x, y, true)),
             NetworkConfig::tpu_v3(),
         )
+    }
+
+    /// The layout `Network` had before the flat store — a SipHash map from
+    /// chip pair to a per-route `Vec` of link ids, links interned through
+    /// a second map, occupancy in two parallel vectors — kept as the
+    /// observational reference [`Network`] must match call for call.
+    struct MapNetwork {
+        mesh: Multipod,
+        config: NetworkConfig,
+        link_ids: HashMap<(u32, u32), u32>,
+        free: Vec<SimTime>,
+        bytes: Vec<u64>,
+        routes: HashMap<(u32, u32), (Vec<u32>, f64)>,
+        mesh_version: u64,
+    }
+
+    impl MapNetwork {
+        fn new(mesh: Multipod, config: NetworkConfig) -> MapNetwork {
+            MapNetwork {
+                mesh_version: mesh.version(),
+                mesh,
+                config,
+                link_ids: HashMap::new(),
+                free: Vec::new(),
+                bytes: Vec::new(),
+                routes: HashMap::new(),
+            }
+        }
+
+        fn sync_topology(&mut self) {
+            if self.mesh_version != self.mesh.version() {
+                self.routes.clear();
+                self.free.fill(SimTime::ZERO);
+                self.mesh_version = self.mesh.version();
+            }
+        }
+
+        fn build_path(&mut self, from: ChipId, to: ChipId) -> Result<(), NetworkError> {
+            let route = self.mesh.route(from, to)?;
+            let mut links = Vec::new();
+            let mut latency = 0.0f64;
+            for w in route.chips.windows(2) {
+                let class = self
+                    .mesh
+                    .link_between(w[0], w[1])
+                    .ok_or(NetworkError::Route(TopologyError::NoRoute {
+                        from: w[0],
+                        to: w[1],
+                    }))?;
+                latency += self.config.hop_latency * class.latency_multiplier();
+                let next = self.free.len() as u32;
+                let id = *self.link_ids.entry((w[0].0, w[1].0)).or_insert(next);
+                if id == next {
+                    self.free.push(SimTime::ZERO);
+                    self.bytes.push(0);
+                }
+                links.push(id);
+            }
+            self.routes.insert((from.0, to.0), (links, latency));
+            Ok(())
+        }
+
+        fn transfer(
+            &mut self,
+            from: ChipId,
+            to: ChipId,
+            bytes: u64,
+            start: SimTime,
+        ) -> Result<Transfer, NetworkError> {
+            self.sync_topology();
+            if from == to {
+                return Ok(Transfer {
+                    finish: start,
+                    num_hops: 0,
+                    bytes,
+                });
+            }
+            if bytes == 0 {
+                return Err(NetworkError::EmptyTransfer { from, to });
+            }
+            if !self.routes.contains_key(&(from.0, to.0)) {
+                self.build_path(from, to)?;
+            }
+            let (links, latency) = &self.routes[&(from.0, to.0)];
+            let serialization = bytes as f64 / self.config.link_bandwidth;
+            let mut depart = start + self.config.message_overhead;
+            for &id in links {
+                depart = depart.max(self.free[id as usize]);
+            }
+            for &id in links {
+                self.free[id as usize] = depart + serialization;
+                self.bytes[id as usize] += bytes;
+            }
+            Ok(Transfer {
+                finish: depart + *latency + serialization,
+                num_hops: links.len(),
+                bytes,
+            })
+        }
+
+        fn parallel_transfers(
+            &mut self,
+            messages: &[(ChipId, ChipId, u64)],
+            start: SimTime,
+        ) -> Result<SimTime, NetworkError> {
+            let mut finish = start;
+            for &(from, to, bytes) in messages {
+                if bytes != 0 {
+                    finish = finish.max(self.transfer(from, to, bytes, start)?.finish);
+                }
+            }
+            Ok(finish)
+        }
+
+        fn link_traffic(&self, from: ChipId, to: ChipId) -> u64 {
+            let id = self.link_ids.get(&(from.0, to.0));
+            id.map_or(0, |&id| self.bytes[id as usize])
+        }
+
+        fn traffic_by_dimension(&self) -> (u64, u64) {
+            let (mut x, mut y) = (0u64, 0u64);
+            for (&(from, to), &id) in &self.link_ids {
+                let same_row =
+                    self.mesh.coord_of(ChipId(from)).y == self.mesh.coord_of(ChipId(to)).y;
+                *(if same_row { &mut x } else { &mut y }) += self.bytes[id as usize];
+            }
+            (x, y)
+        }
+    }
+
+    /// One of `chip`'s live neighbours, if it has any left.
+    fn live_neighbour(mesh: &Multipod, chip: ChipId, pick: usize) -> Option<ChipId> {
+        let near = mesh.neighbors(chip);
+        near.get(pick % near.len().max(1)).map(|&(other, _)| other)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The flat store is observationally equivalent to the map-based
+        /// reference: identical `Transfer`s to the bit, identical errors,
+        /// identical per-link and per-dimension traffic, under arbitrary
+        /// interleavings of transfers, batches, resets and faults on
+        /// two-pod meshes from 4×4 to 16×8.
+        #[test]
+        fn flat_store_matches_map_reference(
+            shape in prop::sample::select(vec![(2u32, 4u32), (4, 4), (4, 8), (8, 8)]),
+            torus_y in prop::bool::ANY,
+            ops in prop::collection::vec(
+                (0u32..14, 0usize..1000, 0usize..1000, 0u64..3_000_000, 0u32..500),
+                1..100,
+            ),
+        ) {
+            let config = MultipodConfig {
+                pods: 2,
+                pod_x_len: shape.0,
+                pod_y_len: shape.1,
+                torus_y,
+            };
+            let pristine = Multipod::new(config);
+            let chips = pristine.num_chips();
+            let mut flat = Network::new(pristine.clone(), NetworkConfig::tpu_v3());
+            let mut map = MapNetwork::new(pristine.clone(), NetworkConfig::tpu_v3());
+            for &(kind, a_sel, b_sel, bytes, micros) in &ops {
+                let a = ChipId((a_sel % chips) as u32);
+                let b = ChipId((b_sel % chips) as u32);
+                let at = SimTime::from_seconds(f64::from(micros) * 1e-6);
+                match kind {
+                    // Any pair (self-transfers and multi-hop included), any
+                    // size (zero included).
+                    0..=3 => prop_assert_eq!(
+                        flat.transfer(a, b, bytes, at),
+                        map.transfer(a, b, bytes, at)
+                    ),
+                    // One hop to a live neighbour: the ring-collective case.
+                    4..=6 => {
+                        if let Some(b) = live_neighbour(flat.mesh(), a, b_sel) {
+                            prop_assert_eq!(
+                                flat.transfer(a, b, bytes, at),
+                                map.transfer(a, b, bytes, at)
+                            );
+                        }
+                    }
+                    7 | 8 => {
+                        let batch: Vec<_> = (0..2 + bytes as usize % 7)
+                            .map(|i| {
+                                let from = ChipId(((a_sel + 3 * i) % chips) as u32);
+                                let to = ChipId(((b_sel + 5 * i) % chips) as u32);
+                                (from, to, bytes * (i as u64 % 3))
+                            })
+                            .collect();
+                        prop_assert_eq!(
+                            flat.parallel_transfers(&batch, at),
+                            map.parallel_transfers(&batch, at)
+                        );
+                    }
+                    9 => {
+                        flat.reset();
+                        map.free.fill(SimTime::ZERO);
+                    }
+                    10 => {
+                        flat.clear_traffic_stats();
+                        map.bytes.fill(0);
+                    }
+                    11 => {
+                        if let Some(b) = live_neighbour(flat.mesh(), a, b_sel) {
+                            flat.fail_link(a, b, at);
+                            map.mesh.fail_link(a, b);
+                        }
+                    }
+                    12 => {
+                        let failed = flat.mesh().failed_links();
+                        if let Some(&(a, b)) = failed.get(a_sel % failed.len().max(1)) {
+                            flat.heal_link(a, b, at);
+                            map.mesh.heal_link(a, b);
+                        }
+                    }
+                    _ => {
+                        flat.fail_chip(a, at);
+                        map.mesh.fail_chip(a);
+                    }
+                }
+                prop_assert_eq!(flat.traffic_by_dimension(), map.traffic_by_dimension());
+            }
+            for link in pristine.links() {
+                prop_assert_eq!(
+                    flat.link_traffic(link.from, link.to),
+                    map.link_traffic(link.from, link.to)
+                );
+            }
+        }
+    }
+
+    /// `0x9E37_79B9_7F4A_7C15⁻¹ mod 2⁶⁴`, by Newton iteration: the key
+    /// whose multiplicative hash is `hash` is `hash × inverse`.
+    fn key_hashing_to(hash: u64) -> u64 {
+        let m = 0x9E37_79B9_7F4A_7C15u64;
+        let mut inverse = m;
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inverse)));
+        }
+        assert_eq!(m.wrapping_mul(inverse), 1);
+        hash.wrapping_mul(inverse)
+    }
+
+    #[test]
+    fn table_growth_keeps_every_key_reachable() {
+        let mut table = PairTable::default();
+        assert_eq!(table.get(pair_key(0, 1)), None, "empty table");
+        let key = |i: u32| pair_key(i, i.wrapping_mul(7919) ^ 0x5555_5555);
+        for i in 0..5000u32 {
+            table.insert(key(i), i);
+            if i % 257 == 0 {
+                assert!((0..=i).all(|j| table.get(key(j)) == Some(j)), "at {i}");
+            }
+        }
+        assert!(table.slots.len() >= 16 << 6, "{} slots", table.slots.len());
+        assert!(table.slots.len().is_power_of_two());
+        assert!((0..5000).all(|j| table.get(key(j)) == Some(j)));
+        assert!((5000..6000).all(|j| table.get(key(j)).is_none()));
+    }
+
+    #[test]
+    fn keys_sharing_one_home_slot_all_resolve() {
+        // Equal top 20 hash bits: one home slot in every table of up to
+        // 2²⁰ slots, so the whole set is a single linear-probe run (which
+        // wraps round the end of the slot vector: the home is the last
+        // slot).
+        let key = |j: u64| key_hashing_to(0xFFFF_F000_0000_0000 | j << 8);
+        let mut table = PairTable::default();
+        for j in 0..200 {
+            table.insert(key(j), j as u32);
+        }
+        let slots = table.slots.len();
+        assert!((0..200).all(|j| PairTable::home(key(j), slots) == slots - 1));
+        assert!((0..200).all(|j| table.get(key(j)) == Some(j as u32)));
+        assert!((200..400).all(|j| table.get(key(j)).is_none()));
+    }
+
+    #[test]
+    fn absent_key_lookup_terminates_at_maximum_load() {
+        let mut table = PairTable::default();
+        let key = |i: u32| pair_key(i + 1, 0);
+        let mut next = 0u32;
+        for _ in 0..8 {
+            // Fill to the brim: one more insertion would double the table.
+            while (table.len + 1) * 8 <= table.slots.len() * 7 || table.slots.is_empty() {
+                table.insert(key(next), next);
+                next += 1;
+            }
+            assert!(table.len * 8 <= table.slots.len() * 7, "never above 7/8");
+            let empty = table.slots.iter().filter(|s| s.0 == EMPTY).count();
+            assert_eq!(empty, table.slots.len() - table.len);
+            assert!(empty >= table.slots.len() / 8);
+            assert!((next..next + 1000).all(|i| table.get(key(i)).is_none()));
+            let slots = table.slots.len();
+            table.insert(key(next), next);
+            next += 1;
+            assert_eq!(table.slots.len(), 2 * slots, "grows exactly at the brim");
+        }
+    }
+
+    #[test]
+    fn link_ids_and_byte_counters_survive_invalidation() {
+        let mut n = net(8, 8);
+        let pairs: Vec<(ChipId, ChipId)> = (0..64u32)
+            .map(|i| (ChipId(i), ChipId((i * 13 + 5) % 64)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        for &(a, b) in &pairs {
+            n.transfer(a, b, 100, SimTime::ZERO).unwrap();
+        }
+        let endpoints = n.links.endpoints.clone();
+        let traffic: Vec<u64> = n.links.occupancy.iter().map(|o| o.1).collect();
+        assert_eq!(n.routes.paths.len(), pairs.len());
+        // A mutation far from every route above drops the whole route
+        // store and all occupancy, but not the interner.
+        n.fail_link(ChipId(0), ChipId(1), SimTime::ZERO);
+        n.heal_link(ChipId(0), ChipId(1), SimTime::ZERO);
+        assert!(n.routes.paths.is_empty() && n.routes.hops.is_empty());
+        assert!(n.links.occupancy.iter().all(|o| o.0 == SimTime::ZERO));
+        for &(a, b) in &pairs {
+            n.transfer(a, b, 100, SimTime::ZERO).unwrap();
+        }
+        assert_eq!(n.links.endpoints, endpoints, "same pairs, same ids");
+        for (id, &(from, to)) in endpoints.iter().enumerate() {
+            assert_eq!(n.links.ids.get(pair_key(from, to)), Some(id as u32));
+            assert_eq!(n.link_traffic(ChipId(from), ChipId(to)), 2 * traffic[id]);
+        }
+        assert_eq!(n.link_traffic(ChipId(3), ChipId(3)), 0, "no self-link");
+    }
+
+    #[test]
+    fn sink_events_follow_the_topology_hop_by_hop() {
+        // Two 4×4 pods with Y wrap; each case crosses something the link
+        // table must classify by itself: the pod boundary, the Y wrap, a
+        // detour round a failed link.
+        let mut n = Network::new(
+            Multipod::new(MultipodConfig {
+                pods: 2,
+                pod_x_len: 4,
+                pod_y_len: 4,
+                torus_y: true,
+            }),
+            NetworkConfig::tpu_v3(),
+        );
+        let at = |x, y| n.mesh().chip_at(Coord::new(x, y));
+        let (pod_a, pod_b) = (at(2, 1), at(6, 2));
+        let (top, bottom) = (at(1, 0), at(1, 3));
+        let (blocked_from, blocked_to) = (at(0, 0), at(1, 0));
+        let cases = [
+            (pod_a, pod_b, Some(multipod_trace::LinkClass::CrossPod)),
+            (top, bottom, Some(multipod_trace::LinkClass::WrapY)),
+            (blocked_from, at(2, 1), None),
+        ];
+        n.fail_link(blocked_from, blocked_to, SimTime::ZERO);
+        for (from, to, must_cross) in cases {
+            // Twice: the cold call interns the route, the warm one reads it.
+            for _ in 0..2 {
+                let recorder = Recorder::shared();
+                n.set_obs(Obs::new(Some(recorder.clone()), None));
+                let sent = n.transfer(from, to, 4096, SimTime::ZERO).unwrap();
+                let route = n.mesh().route(from, to).unwrap();
+                assert_eq!(sent.num_hops, route.num_hops());
+                let seen: Vec<_> = recorder
+                    .events()
+                    .into_iter()
+                    .map(|e| match e {
+                        TraceEvent::Link(l) => (l.src, l.dst, l.class),
+                        TraceEvent::Span(s) => panic!("unexpected span {s:?}"),
+                    })
+                    .collect();
+                let expect: Vec<_> = route
+                    .chips
+                    .windows(2)
+                    .map(|w| {
+                        let class = n.mesh().link_between(w[0], w[1]).unwrap();
+                        (w[0].0, w[1].0, n.classify(class, w[0], w[1]))
+                    })
+                    .collect();
+                assert_eq!(seen, expect);
+                assert!(must_cross.iter().all(|c| seen.iter().any(|s| s.2 == *c)));
+                let failed = (blocked_from.0, blocked_to.0);
+                assert!(seen.iter().all(|s| (s.0, s.1) != failed));
+            }
+        }
+    }
+
+    #[test]
+    fn debug_rendering_is_counts_not_tables() {
+        let mut n = net(32, 32);
+        for i in 0..1024u32 {
+            n.transfer(ChipId(i), ChipId((i * 37 + 11) % 1024), 64, SimTime::ZERO)
+                .unwrap();
+        }
+        let text = format!("{n:?}");
+        assert!(text.len() < 1024, "{} bytes: {text}", text.len());
+        assert!(text.contains(&format!("links: {}", n.links.endpoints.len())));
+        assert!(text.contains(&format!("cached_routes: {}", n.routes.paths.len())));
     }
 
     #[test]

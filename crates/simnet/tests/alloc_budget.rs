@@ -1,0 +1,114 @@
+//! Allocation budget of `Network::transfer`.
+//!
+//! Memoized routes live in three flat vectors and one open-addressed
+//! table, so a warm transfer allocates nothing, and interning a route may
+//! only ever cost a vector doubling — never a heap block of its own.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use multipod_simnet::{Network, NetworkConfig, SimTime};
+use multipod_topology::{ChipId, Multipod, MultipodConfig};
+
+thread_local! {
+    /// Allocations made by this thread; per-thread so the harness's other
+    /// threads cannot leak into a measurement.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and only bumps a counter beside it.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with `layout`, i.e. from
+        // `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn count(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Every ring-neighbour pair of the 2-D gradient summation: each chip to
+/// its successor on its Y ring, then to its successor on its X line.
+fn ring_neighbours(mesh: &Multipod) -> Vec<(ChipId, ChipId)> {
+    let mut rings: Vec<_> = (0..mesh.x_len()).map(|x| mesh.y_ring(x)).collect();
+    rings.extend((0..mesh.y_len()).map(|y| mesh.x_line(y)));
+    let mut pairs = Vec::new();
+    for ring in &rings {
+        let members = ring.members();
+        for (i, &from) in members.iter().enumerate() {
+            pairs.push((from, members[(i + 1) % members.len()]));
+        }
+    }
+    pairs
+}
+
+#[test]
+fn warm_transfers_allocate_nothing() {
+    let mesh = Multipod::new(MultipodConfig::mesh(32, 32, true));
+    let pairs = ring_neighbours(&mesh);
+    let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
+    for &(from, to) in &pairs {
+        net.transfer(from, to, 4096, SimTime::ZERO).unwrap();
+    }
+    net.reset();
+    let mut at = SimTime::ZERO;
+    let allocs = count(|| {
+        for &(from, to) in pairs.iter().cycle().take(1_000_000) {
+            at = net.transfer(from, to, 4096, at).unwrap().finish;
+        }
+    });
+    assert_eq!(allocs, 0, "over 1 M warm transfers");
+}
+
+#[test]
+fn interning_routes_costs_vector_doublings_only() {
+    let mesh = Multipod::new(MultipodConfig::mesh(256, 64, true));
+    let pairs = ring_neighbours(&mesh);
+    assert_eq!(pairs.len(), 32_768);
+    // `Multipod::route` hands back an owned `Route`; that temporary is the
+    // topology layer's cost, counted here so it can be taken off below.
+    let routing = count(|| {
+        for &(from, to) in &pairs {
+            mesh.route(from, to).unwrap();
+        }
+    });
+    let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
+    let interning = count(|| {
+        for &(from, to) in &pairs {
+            net.transfer(from, to, 4096, SimTime::ZERO).unwrap();
+        }
+    });
+    assert!(
+        interning - routing < 200,
+        "{interning} allocations interning {} routes, {routing} of them inside Multipod::route",
+        pairs.len()
+    );
+}

@@ -30,6 +30,22 @@ const CLEAN: &[(&str, &str)] = &[
         include_str!("../crates/collectives/src/schedule.rs"),
     ),
     (
+        "crates/simnet/src/engine.rs",
+        include_str!("../crates/simnet/src/engine.rs"),
+    ),
+    (
+        "crates/simnet/src/error.rs",
+        include_str!("../crates/simnet/src/error.rs"),
+    ),
+    (
+        "crates/simnet/src/lib.rs",
+        include_str!("../crates/simnet/src/lib.rs"),
+    ),
+    (
+        "crates/simnet/src/network.rs",
+        include_str!("../crates/simnet/src/network.rs"),
+    ),
+    (
         "crates/serve/src/batch.rs",
         include_str!("../crates/serve/src/batch.rs"),
     ),
