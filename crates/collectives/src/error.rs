@@ -28,6 +28,14 @@ pub enum CollectiveError {
     },
     /// A schedule was requested for a ring of zero members.
     EmptyRing,
+    /// A model-parallel stride that is zero or does not divide the mesh X
+    /// extent: there is no set of strided X rings covering every chip.
+    InvalidModelStride {
+        /// Stride supplied.
+        stride: u32,
+        /// Mesh X extent.
+        x_len: u32,
+    },
     /// A ring cost model was asked for with a contention factor of zero
     /// (at least one concurrent offset ring must use the links).
     ZeroContentionFactor,
@@ -51,6 +59,9 @@ impl fmt::Display for CollectiveError {
                 write!(f, "payload of {elems} elements not divisible by {parts}")
             }
             CollectiveError::EmptyRing => write!(f, "ring has no members"),
+            CollectiveError::InvalidModelStride { stride, x_len } => {
+                write!(f, "model stride {stride} does not divide x extent {x_len}")
+            }
             CollectiveError::ZeroContentionFactor => {
                 write!(f, "contention factor must be >= 1")
             }

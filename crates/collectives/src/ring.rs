@@ -7,11 +7,22 @@
 //! returned time). They are the ground truth for the α–β models in
 //! [`crate::timing`] and for every property test.
 //!
-//! One ring call runs over one flat `f32` arena laid out
+//! A reduce-scatter runs over one flat `f32` arena laid out
 //! `[member][chunk][elem]`: a chunk is an offset range, a move is a slice
 //! kernel between two ranges, and the [`Schedule`] that drives it is
-//! arithmetic — nothing is allocated per step, per move or per chunk.
-//! [`Tensor`]s exist only at the function boundary, one per member.
+//! arithmetic — nothing is allocated per step, per move or per chunk. An
+//! all-gather moves no payload at all: every member provably ends with the
+//! same row, so the row is assembled once, shared by `n` handles, and the
+//! schedule is only *timed* — message for message as if the chunks had
+//! moved. [`Tensor`]s exist only at the function boundary.
+//!
+//! A bf16 wire rounds in two places. A reduce move rounds the payload it
+//! sends and leaves the sender's partial sum alone, so a reduce-scatter
+//! shard (and a weight update applied to it) is an f32 sum of rounded
+//! contributions. An all-gather rounds the whole row where it is
+//! assembled — the owner's own chunk included — so every replica leaves
+//! with the same bits; rounding is idempotent, so re-rounding per hop
+//! would change nothing.
 
 use std::ops::Range;
 
@@ -67,13 +78,39 @@ fn validate(inputs: &[Tensor], ring: &Ring) -> Result<(), CollectiveError> {
     Ok(())
 }
 
-/// Runs `schedule` over `arena`, the whole ring's payload laid out
-/// `[member][chunk][elem]` (`n` rows of `n` equal chunks), and returns when
-/// the last step's slowest message lands. A reduce move is an `axpy`
-/// between two chunk ranges, a gather move a copy; a bf16 wire rounds the
-/// payload through one reused scratch chunk, leaving the sender's own copy
-/// unrounded. Each step's numerics run first, then all of its messages are
-/// issued concurrently.
+/// Issues every step of `schedule` on the network — each member's one
+/// `bytes`-sized message per step, all of a step concurrent, a step
+/// starting when the previous one's slowest message lands — and returns
+/// when the last step has landed. This is all of a ring collective the
+/// simulated network sees, whatever happens to the payload.
+fn time_schedule(
+    net: &mut Network,
+    ring: &Ring,
+    schedule: Schedule,
+    bytes: u64,
+    start: SimTime,
+) -> Result<SimTime, CollectiveError> {
+    let members = ring.members();
+    let mut msgs: Vec<(ChipId, ChipId, u64)> = Vec::with_capacity(members.len());
+    let mut t = start;
+    for s in 0..schedule.num_steps() {
+        msgs.clear();
+        msgs.extend(
+            schedule
+                .step(s)
+                .map(|mv| (members[mv.from], members[mv.to], bytes)),
+        );
+        t = net.parallel_transfers(&msgs, t)?;
+    }
+    Ok(t)
+}
+
+/// Runs the reduce-scatter `schedule` over `arena`, the whole ring's
+/// payload laid out `[member][chunk][elem]` (`n` rows of `n` equal
+/// chunks), and returns when the last step's slowest message lands. A move
+/// is an `axpy` between two chunk ranges; a bf16 wire rounds the payload
+/// through one reused scratch chunk, leaving the sender's own partial sum
+/// unrounded.
 fn run_ring(
     net: &mut Network,
     ring: &Ring,
@@ -82,15 +119,12 @@ fn run_ring(
     precision: Precision,
     start: SimTime,
 ) -> Result<SimTime, CollectiveError> {
-    let members = ring.members();
-    let row = arena.len() / members.len();
-    let chunk_elems = row / members.len();
+    let row = arena.len() / ring.len();
+    let chunk_elems = row / ring.len();
     let bytes = precision.wire_bytes(chunk_elems);
+    let end = time_schedule(net, ring, schedule, bytes, start)?;
     let mut wire = vec![0.0f32; chunk_elems];
-    let mut msgs: Vec<(ChipId, ChipId, u64)> = Vec::with_capacity(members.len());
-    let mut t = start;
     for s in 0..schedule.num_steps() {
-        msgs.clear();
         for mv in schedule.step(s) {
             // All moves of a step are concurrent: each must read its
             // source as it stood when the step began. No snapshot is
@@ -108,16 +142,10 @@ fn run_ring(
                     &wire
                 }
             };
-            if mv.reduce {
-                kernels::axpy(dst, 1.0, payload);
-            } else {
-                dst.copy_from_slice(payload);
-            }
-            msgs.push((members[mv.from], members[mv.to], bytes));
+            kernels::axpy(dst, 1.0, payload);
         }
-        t = net.parallel_transfers(&msgs, t)?;
     }
-    Ok(t)
+    Ok(end)
 }
 
 /// `arena[src..src + len]` shared and `arena[dst..dst + len]` mutable; the
@@ -184,10 +212,12 @@ pub fn reduce_scatter(
 /// [`Schedule::owned_chunk`]`(i)`; every member ends with the concatenation
 /// of all chunks in payload order.
 ///
-/// On a lossless wire ([`Precision::F32`]) every member ends with the same
-/// bits, so the outputs are handles to one buffer (copy-on-write: mutating
-/// one detaches it). A bf16 wire leaves each chunk's owner with its
-/// unrounded copy, so those outputs differ per member and stay separate.
+/// Every member ends with the same bits on either wire, so the outputs are
+/// handles to one buffer (copy-on-write: mutating one detaches it). A bf16
+/// wire rounds every chunk — the one a member contributed itself included:
+/// the all-gather boundary is where replicas must come to agree, while the
+/// shards going in (a reduce-scatter's f32 sums, a weight update's result)
+/// stay as precise as their owner computed them.
 ///
 /// # Errors
 ///
@@ -222,9 +252,10 @@ pub fn all_gather_ordered(
     gather(net, ring, shards, precision, direction, start, true)
 }
 
-/// The all-gather behind both public flavours. Member `i`'s shard travels
-/// as schedule chunk `owned_chunk(i)`; `member_order` permutes each output
-/// row back to member-index order.
+/// The all-gather behind both public flavours: one row, assembled once.
+/// Member `i`'s shard lands at chunk `i` when `member_order`, else at the
+/// chunk it travels as, `owned_chunk(i)`; the schedule's messages are
+/// issued for their timing only.
 fn gather(
     net: &mut Network,
     ring: &Ring,
@@ -238,32 +269,26 @@ fn gather(
     let n = ring.len();
     let schedule = Schedule::all_gather(n, direction)?;
     let chunk_elems = shards[0].len();
-    let row = n * chunk_elems;
-    let mut arena = vec![0.0f32; n * row];
+    let mut row = vec![0.0f32; n * chunk_elems];
     for (i, shard) in shards.iter().enumerate() {
-        let at = i * row + schedule.owned_chunk(i) * chunk_elems;
-        arena[at..at + chunk_elems].copy_from_slice(shard.data());
+        let chunk = match member_order {
+            true => i,
+            false => schedule.owned_chunk(i),
+        };
+        row[chunk * chunk_elems..][..chunk_elems].copy_from_slice(shard.data());
     }
-    let time = run_ring(net, ring, schedule, &mut arena, precision, start)?;
-    let (phase, bytes) = (SpanCategory::CollectivePhase, precision.wire_bytes(row));
+    if precision == Precision::Bf16 {
+        Bf16::quantize_slice(&mut row);
+    }
+    let chunk_bytes = precision.wire_bytes(chunk_elems);
+    let time = time_schedule(net, ring, schedule, chunk_bytes, start)?;
+    let (phase, bytes) = (SpanCategory::CollectivePhase, chunk_bytes * n as u64);
     emit_ring_span(net, ring, phase, "all-gather", start, time, bytes);
-    let output_of = |i: usize| {
-        let gathered = &arena[i * row..(i + 1) * row];
-        if !member_order {
-            return Tensor::from_slice(gathered);
-        }
-        let mut data = Vec::with_capacity(row);
-        for m in 0..n {
-            let at = schedule.owned_chunk(m) * chunk_elems;
-            data.extend_from_slice(&gathered[at..at + chunk_elems]);
-        }
-        Tensor::new(Shape::vector(row), data)
-    };
-    let outputs = match precision {
-        Precision::F32 => vec![output_of(0); n],
-        Precision::Bf16 => (0..n).map(output_of).collect(),
-    };
-    Ok(CollectiveOutput { outputs, time })
+    let gathered = Tensor::new(Shape::vector(row.len()), row);
+    Ok(CollectiveOutput {
+        outputs: vec![gathered; n],
+        time,
+    })
 }
 
 /// Unidirectional ring all-reduce: reduce-scatter followed by all-gather.
@@ -505,7 +530,7 @@ pub(crate) mod oracle {
         let schedule = Schedule::all_gather(n, direction)?;
         let chunk_elems = shards[0].len();
         let mut chunks: Vec<Vec<Tensor>> = Vec::with_capacity(n);
-        for (i, shard) in shards.iter().enumerate() {
+        for (i, shard) in shards.iter().map(|s| precision.quantize(s)).enumerate() {
             let mut row = vec![Tensor::zeros(Shape::vector(chunk_elems)); n];
             row[schedule.owned_chunk(i)] = shard.clone().reshape(Shape::vector(chunk_elems))?;
             chunks.push(row);
@@ -856,31 +881,64 @@ mod tests {
     }
 
     #[test]
-    fn f32_gather_outputs_are_one_buffer_and_bf16_ones_are_not() {
+    fn gather_outputs_are_one_buffer_on_either_wire() {
         let (mut net, ring) = column_net(4);
         let shards = inputs(4, 3);
         let fwd = Direction::Forward;
-        let f32_out =
-            all_gather(&mut net, &ring, &shards, Precision::F32, fwd, SimTime::ZERO).unwrap();
-        let bf16_out = all_gather(
-            &mut net,
-            &ring,
-            &shards,
-            Precision::Bf16,
-            fwd,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        for i in 1..4 {
-            assert!(f32_out.outputs[i].shares_storage(&f32_out.outputs[0]));
-            assert!(!bf16_out.outputs[i].shares_storage(&bf16_out.outputs[0]));
+        for precision in [Precision::F32, Precision::Bf16] {
+            let mut outputs = all_gather(&mut net, &ring, &shards, precision, fwd, SimTime::ZERO)
+                .unwrap()
+                .outputs;
+            for i in 1..4 {
+                assert!(outputs[i].shares_storage(&outputs[0]), "{precision:?}");
+            }
+            // Copy-on-write: writing through one handle detaches it.
+            let before = outputs[1].clone();
+            outputs[0].data_mut()[0] = -1.0;
+            assert_eq!(outputs[1], before);
+            assert_ne!(outputs[0], before);
         }
-        // Copy-on-write: writing through one handle detaches it.
-        let mut outputs = f32_out.outputs;
-        let before = outputs[1].clone();
-        outputs[0].data_mut()[0] = -1.0;
-        assert_eq!(outputs[1], before);
-        assert_ne!(outputs[0], before);
+    }
+
+    /// `outputs` are one answer: handles to member 0's buffer, or its bits.
+    fn assert_replicas_agree(outputs: &[Tensor], what: &str) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for (i, o) in outputs.iter().enumerate() {
+            assert!(
+                o.shares_storage(&outputs[0]) || bits(o) == bits(&outputs[0]),
+                "{what}: member {i} disagrees with member 0"
+            );
+        }
+    }
+
+    #[test]
+    fn bf16_replicas_agree_after_every_full_payload_collective() {
+        use multipod_tensor::TensorRng;
+        let t0 = SimTime::ZERO;
+        let bf16 = Precision::Bf16;
+        for n in [1usize, 2, 5, 8] {
+            let (mut net, ring) = column_net(n as u32);
+            let mut rng = TensorRng::seed(n as u64);
+            // Values that bf16 cannot hold, so an unrounded copy would show.
+            let ins: Vec<Tensor> = (0..n)
+                .map(|_| rng.uniform(Shape::vector(2 * n * 3), -8.0, 8.0))
+                .collect();
+            let rounded = bf16.quantize(&ins[0]);
+            assert_ne!(rounded, ins[0]);
+            for dir in [Direction::Forward, Direction::Backward] {
+                let what = format!("n={n} {dir:?}");
+                let out = all_gather(&mut net, &ring, &ins, bf16, dir, t0).unwrap();
+                assert_replicas_agree(&out.outputs, &format!("all_gather {what}"));
+                let out = all_gather_ordered(&mut net, &ring, &ins, bf16, dir, t0).unwrap();
+                assert_replicas_agree(&out.outputs, &format!("all_gather_ordered {what}"));
+                // Index order: member 0's own shard leads, and it is rounded.
+                assert_eq!(&out.outputs[0].data()[..ins[0].len()], rounded.data());
+                let out = all_reduce_unidirectional(&mut net, &ring, &ins, bf16, dir, t0).unwrap();
+                assert_replicas_agree(&out.outputs, &format!("all_reduce_unidirectional {what}"));
+            }
+            let out = all_reduce(&mut net, &ring, &ins, bf16, t0).unwrap();
+            assert_replicas_agree(&out.outputs, &format!("all_reduce n={n}"));
+        }
     }
 
     mod differential {
@@ -927,9 +985,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// The arena executor is bit-invisible next to the seed
-            /// executor: same output bits (bf16 owner-keeps-unrounded
-            /// included), same times, same trace events, for every public
-            /// ring collective it backs.
+            /// executor: same output bits (an all-gather assembled once
+            /// equals `n(n−1)` chunks moved hop by hop), same times, same
+            /// trace events, for every public ring collective it backs.
             #[test]
             fn arena_executor_matches_the_seed_executor(
                 n in 1usize..10,

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use multipod_simnet::{Network, SimTime};
 use multipod_telemetry::{MetricId, Subsystem};
 use multipod_tensor::Tensor;
-use multipod_topology::{ChipId, Ring};
+use multipod_topology::{ChipId, Multipod, Ring};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::ring::{self, Direction};
@@ -72,10 +72,15 @@ pub struct TwoDimOutput {
 /// parallelism; `k > 1` makes the X-phase rings hop over model peers so
 /// that only same-shard chips reduce together.
 ///
+/// All chips of a replica group end with bit-identical outputs on either
+/// wire, and the chips of one Y ring share storage (see
+/// [`ring::all_gather`]).
+///
 /// # Errors
 ///
-/// Fails when `inputs.len()` differs from the chip count, payloads do not
-/// divide evenly across ring members, or shapes disagree.
+/// Fails when `model_stride` is zero or does not divide the mesh X extent,
+/// `inputs.len()` differs from the chip count, payloads do not divide
+/// evenly across ring members, or shapes disagree.
 pub fn two_dim_all_reduce(
     net: &mut Network,
     inputs: &[Tensor],
@@ -85,6 +90,7 @@ pub fn two_dim_all_reduce(
 ) -> Result<TwoDimOutput, CollectiveError> {
     use RingOp::{Gather, Scatter};
     let mesh = net.mesh().clone();
+    check_stride(&mesh, model_stride)?;
     if inputs.len() != mesh.num_chips() {
         return Err(CollectiveError::ParticipantMismatch {
             inputs: inputs.len(),
@@ -237,21 +243,40 @@ fn phase(
 /// slice of `payload.split(0, shards)` a weight-update closure receives.
 /// Total shards = `y_len × (x_len / model_stride)`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `model_stride` does not divide the mesh X extent.
-pub fn shard_index(mesh: &multipod_topology::Multipod, chip: ChipId, model_stride: u32) -> usize {
+/// [`CollectiveError::InvalidModelStride`] when `model_stride` is zero or
+/// does not divide the mesh X extent.
+pub fn shard_index(
+    mesh: &Multipod,
+    chip: ChipId,
+    model_stride: u32,
+) -> Result<usize, CollectiveError> {
+    check_stride(mesh, model_stride)?;
     // What `two_dim_all_reduce`'s forward reduce-scatters leave member
     // `i` of an `n`-ring holding (chunk 0 of 1 when the ring is trivial).
     let owned = |n: usize, i: usize| {
         Schedule::reduce_scatter(n, Direction::Forward).map_or(0, |s| s.owned_chunk(i))
     };
     let c = mesh.coord_of(chip);
-    assert_eq!(mesh.x_len() % model_stride, 0, "stride must divide x_len");
     let x_members = (mesh.x_len() / model_stride) as usize;
     let y_chunk = owned(mesh.y_len() as usize, c.y as usize);
     let x_chunk = owned(x_members, (c.x / model_stride) as usize);
-    y_chunk * x_members + x_chunk
+    Ok(y_chunk * x_members + x_chunk)
+}
+
+/// A model-parallel tile width must cut the X extent into whole tiles:
+/// zero would leave no X rings at all (the X phases silently skipped), a
+/// non-divisor has no strided line.
+fn check_stride(mesh: &Multipod, model_stride: u32) -> Result<(), CollectiveError> {
+    let x_len = mesh.x_len();
+    if model_stride == 0 || !x_len.is_multiple_of(model_stride) {
+        return Err(CollectiveError::InvalidModelStride {
+            stride: model_stride,
+            x_len,
+        });
+    }
+    Ok(())
 }
 
 /// α–β time for the 2-D all-reduce of `elems` gradient elements per
@@ -262,8 +287,10 @@ pub fn shard_index(mesh: &multipod_topology::Multipod, chip: ChipId, model_strid
 ///
 /// # Errors
 ///
-/// See [`RingCosts::from_ring`]: an unroutable ring hop (degraded mesh) or
-/// a zero contention factor surfaces as a typed [`CollectiveError`].
+/// [`CollectiveError::InvalidModelStride`] when `model_stride` is zero or
+/// does not divide the mesh X extent. Otherwise see
+/// [`RingCosts::from_ring`]: an unroutable ring hop (degraded mesh)
+/// surfaces as a typed [`CollectiveError`].
 pub fn two_dim_all_reduce_time(
     net: &Network,
     elems: usize,
@@ -277,6 +304,7 @@ pub fn two_dim_all_reduce_time(
 /// α–β costs of the Y ring and of the `model_stride`-strided X line.
 fn ring_costs(net: &Network, model_stride: u32) -> Result<(RingCosts, RingCosts), CollectiveError> {
     let mesh = net.mesh();
+    check_stride(mesh, model_stride)?;
     let y_costs = RingCosts::from_ring(net, &mesh.y_ring(0), 1)?;
     let x_ring = mesh.x_line_strided(0, 0, model_stride);
     let x_costs = RingCosts::from_ring(net, &x_ring, model_stride)?;
@@ -328,8 +356,7 @@ pub fn bucket_sizes(elems: usize, buckets: usize) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// See [`RingCosts::from_ring`]: an unroutable ring hop (degraded mesh)
-/// or a zero contention factor surfaces as a typed [`CollectiveError`].
+/// See [`two_dim_all_reduce_time`].
 pub fn bucketed_two_dim_all_reduce_time(
     net: &Network,
     elems: usize,
@@ -428,7 +455,7 @@ mod tests {
         let expected = reference.split(0, n).unwrap();
         let mut seen = std::collections::HashSet::new();
         let mut check = |chip: ChipId, shard: &mut Tensor| {
-            let idx = shard_index(&mesh, chip, 1);
+            let idx = shard_index(&mesh, chip, 1).unwrap();
             assert!(
                 shard.max_abs_diff(&expected[idx]) < 1e-4,
                 "chip {chip} does not own shard {idx}"
@@ -456,7 +483,8 @@ mod tests {
             let mut check = |chip: ChipId, shard: &mut Tensor| {
                 assert_eq!(shard.len(), elems / shards);
                 let observed = (shard.data()[0] / group) as usize / shard.len();
-                assert_eq!(shard_index(&mesh, chip, stride), observed, "chip {chip}");
+                let named = shard_index(&mesh, chip, stride).unwrap();
+                assert_eq!(named, observed, "chip {chip}");
                 seen[observed] += 1;
             };
             two_dim_all_reduce(&mut net, &ins, Precision::F32, stride, Some(&mut check)).unwrap();
@@ -543,23 +571,86 @@ mod tests {
 
     #[test]
     fn bf16_outputs_match_the_seed_executor_bit_for_bit() {
-        // Until the owner-rounding fix lands on purpose, a shard's owner
-        // keeps its unrounded f32 sum while its peers receive the rounded
-        // copy — so bf16 outputs differ per chip, exactly as the seed's did.
+        // A gather rounds the owner's own shard as it places it, so every
+        // chip ends with the same bits — and they are the bits the seed
+        // executor gets by moving every chunk hop by hop.
         let ins = random_inputs(32, 128, 22);
         let mut net = setup(8, 4);
         let out = two_dim_all_reduce(&mut net, &ins, Precision::Bf16, 1, None).unwrap();
         let (want, want_time) = oracle_two_dim(&mut setup(8, 4), &ins, Precision::Bf16);
         assert_eq!(out.time, want_time);
-        let mut distinct = false;
         for (got, want) in out.outputs.iter().zip(&want) {
             assert_eq!(bits(got), bits(want));
-            distinct |= got != &out.outputs[0];
+            assert_eq!(bits(got), bits(&out.outputs[0]), "replicas must agree");
         }
-        assert!(
-            distinct,
-            "bf16 owners keep unrounded sums, so chips must differ"
-        );
+    }
+
+    #[test]
+    fn bf16_replica_groups_agree_bit_for_bit_and_share_storage_along_y() {
+        // 8 wide, stride 2: even-x and odd-x chips are separate replica
+        // groups, each of which must leave with one answer.
+        let mut net = setup(8, 4);
+        let mesh = net.mesh().clone();
+        let ins = random_inputs(mesh.num_chips(), 128, 23);
+        let out = two_dim_all_reduce(&mut net, &ins, Precision::Bf16, 2, None).unwrap();
+        for chip in mesh.chips() {
+            // Chips (0, 0) and (1, 0) lead the two groups.
+            let first = (mesh.coord_of(chip).x % 2) as usize;
+            assert_eq!(
+                bits(&out.outputs[chip.index()]),
+                bits(&out.outputs[first]),
+                "chip {chip} against its group's first"
+            );
+        }
+        assert_ne!(bits(&out.outputs[0]), bits(&out.outputs[1]));
+        for x in 0..mesh.x_len() {
+            let column = mesh.y_ring(x);
+            let first = &out.outputs[column.members()[0].index()];
+            for chip in column.members() {
+                assert!(out.outputs[chip.index()].shares_storage(first), "{chip}");
+            }
+        }
+    }
+
+    #[test]
+    fn bf16_replicas_agree_after_a_sharded_weight_update() {
+        // WUS on a bf16 wire: the owner updates its f32 shard, and the
+        // broadcast half must still hand every chip the same weights.
+        let mut net = setup(4, 4);
+        let n = net.mesh().num_chips();
+        let ins = random_inputs(n, 64, 24);
+        let reference = Tensor::sum_all(&ins).unwrap().scale(2.0);
+        let mut update = |_chip: ChipId, shard: &mut Tensor| {
+            *shard = shard.scale(2.0);
+        };
+        let out =
+            two_dim_all_reduce(&mut net, &ins, Precision::Bf16, 1, Some(&mut update)).unwrap();
+        for o in &out.outputs {
+            assert_eq!(bits(o), bits(&out.outputs[0]));
+        }
+        assert!(out.outputs[0].max_abs_diff(&reference) < 0.25);
+    }
+
+    #[test]
+    fn model_stride_must_divide_the_x_extent() {
+        let mut net = setup(8, 2);
+        let mesh = net.mesh().clone();
+        let ins = random_inputs(mesh.num_chips(), 32, 25);
+        for stride in [0u32, 3, 16] {
+            let bad = CollectiveError::InvalidModelStride { stride, x_len: 8 };
+            let numeric = two_dim_all_reduce(&mut net, &ins, Precision::F32, stride, None);
+            assert_eq!(numeric.unwrap_err(), bad);
+            let timed = two_dim_all_reduce_time(&net, 1 << 10, Precision::F32, stride);
+            assert_eq!(timed.unwrap_err(), bad);
+            let bucketed =
+                bucketed_two_dim_all_reduce_time(&net, 1 << 10, Precision::F32, stride, 4);
+            assert_eq!(bucketed.unwrap_err(), bad);
+            assert_eq!(shard_index(&mesh, ChipId(0), stride).unwrap_err(), bad);
+        }
+        for stride in [1u32, 2, 4, 8] {
+            assert!(two_dim_all_reduce(&mut net, &ins, Precision::F32, stride, None).is_ok());
+            assert!(shard_index(&mesh, ChipId(5), stride).is_ok());
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Allocation budget of the numeric ring executor.
 //!
-//! One ring call works in a single arena, so its allocation count may grow
-//! with the ring size `n` (one output tensor per member) but never with
-//! the `n(n−1)` chunk moves or the `n²` chunks. This is the regression
-//! guard behind the ledger's `host.allocs_per_op`.
+//! A reduce-scatter works in a single arena, so its allocation count may
+//! grow with the ring size `n` (one shard per member) but never with the
+//! `n(n−1)` chunk moves or the `n²` chunks. An all-gather assembles one
+//! row and hands out `n` handles to it: its count does not grow with `n`
+//! at all, and its bytes are the row, not `n` rows. This is the regression
+//! guard behind the ledger's `host.allocs_per_op` and `alloc_mb_per_op`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,30 +16,37 @@ use multipod_tensor::{Shape, Tensor};
 use multipod_topology::{Multipod, MultipodConfig};
 
 thread_local! {
-    /// Allocations made by this thread; per-thread so the harness's other
-    /// threads cannot leak into a measurement.
+    /// Allocations made by this thread, and the bytes they asked for;
+    /// per-thread so the harness's other threads cannot leak into a
+    /// measurement.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged and only bumps a counter beside it.
+// unchanged and only bumps two counters beside it.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        record(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        record(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        record(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,9 +63,16 @@ static GLOBAL: Counting = Counting;
 
 const CHUNK: usize = 64;
 
+/// What one call allocated: how many times, and how many bytes in all.
+#[derive(Clone, Copy, Debug)]
+struct Allocated {
+    calls: u64,
+    bytes: u64,
+}
+
 /// Allocations of one reduce-scatter and of one all-gather on an `n`-ring
 /// with `CHUNK`-element chunks, routes already warm.
-fn allocs(n: usize, precision: Precision) -> (u64, u64) {
+fn allocs(n: usize, precision: Precision) -> (Allocated, Allocated) {
     let mesh = Multipod::new(MultipodConfig::mesh(1, n as u32, true));
     let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
     let ring_y = net.mesh().y_ring(0);
@@ -65,9 +81,12 @@ fn allocs(n: usize, precision: Precision) -> (u64, u64) {
         .map(|i| Tensor::fill(Shape::vector(n * CHUNK), 1.0 + i as f32))
         .collect();
     let count = |f: &mut dyn FnMut()| {
-        let before = ALLOCS.with(Cell::get);
+        let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
         f();
-        ALLOCS.with(Cell::get) - before
+        Allocated {
+            calls: ALLOCS.with(Cell::get) - before.0,
+            bytes: BYTES.with(Cell::get) - before.1,
+        }
     };
     // Warm-up pass: fills the route cache and grows the network's tables.
     let rs = ring::reduce_scatter(&mut net, &ring_y, &ins, precision, fwd, SimTime::ZERO).unwrap();
@@ -84,23 +103,43 @@ fn allocs(n: usize, precision: Precision) -> (u64, u64) {
 
 #[test]
 fn ring_call_allocations_are_linear_in_ring_size() {
-    // Doubling n doubles the members (outputs) but quadruples the chunks
+    // Doubling n doubles the members (shards) but quadruples the chunks
     // and the moves: anything allocated per chunk or per move breaks
     // `allocs(2n) ≤ 2·allocs(n) + c`.
     const SLACK: u64 = 16;
     for precision in [Precision::F32, Precision::Bf16] {
-        let (scatter_8, gather_8) = allocs(8, precision);
-        let (scatter_16, gather_16) = allocs(16, precision);
+        let (scatter_8, _) = allocs(8, precision);
+        let (scatter_16, _) = allocs(16, precision);
         assert!(
-            scatter_16 <= 2 * scatter_8 + SLACK,
-            "{precision:?} reduce-scatter: {scatter_8} allocations at n=8, {scatter_16} at n=16"
-        );
-        assert!(
-            gather_16 <= 2 * gather_8 + SLACK,
-            "{precision:?} all-gather: {gather_8} allocations at n=8, {gather_16} at n=16"
+            scatter_16.calls <= 2 * scatter_8.calls + SLACK,
+            "{precision:?} reduce-scatter: {scatter_8:?} at n=8, {scatter_16:?} at n=16"
         );
         // And in absolute terms: a handful per member, not per chunk (n²).
-        assert!(scatter_16 <= 4 * 16 + SLACK, "{scatter_16}");
-        assert!(gather_16 <= 4 * 16 + SLACK, "{gather_16}");
+        assert!(scatter_16.calls <= 4 * 16 + SLACK, "{scatter_16:?}");
+    }
+}
+
+#[test]
+fn an_all_gather_allocates_one_row_whatever_the_ring_size() {
+    // The payload is assembled once and shared. A handle is a `Tensor`
+    // in the output vector plus its one-extent shape; nothing else may be
+    // allocated per member, and no payload bytes beyond the one row.
+    const SLACK: u64 = 8;
+    for precision in [Precision::F32, Precision::Bf16] {
+        for n in [8u64, 16] {
+            let (_, gather) = allocs(n as usize, precision);
+            assert!(
+                gather.calls <= n + SLACK,
+                "{precision:?} all-gather at n={n}: {gather:?}"
+            );
+            let row = n * CHUNK as u64 * 4;
+            let handle = (size_of::<Tensor>() + size_of::<usize>()) as u64;
+            // A second row of headroom covers the per-step message list
+            // and the `Arc` header — never a row per member.
+            assert!(
+                gather.bytes <= 2 * row + n * handle,
+                "{precision:?} all-gather at n={n}: {gather:?} against a {row}-byte row"
+            );
+        }
     }
 }

@@ -95,7 +95,11 @@ fn twod_all_reduce_bf16_matches_seed_golden() {
     let mut net = torus(4, 4);
     let ins = random_inputs(16, 256, 7);
     let out = twod::two_dim_all_reduce(&mut net, &ins, Precision::Bf16, 1, None).unwrap();
-    assert_eq!(hash_tensors(&out.outputs), 0x5a60_304b_71c9_fe0f);
+    // Re-pinned once, on purpose, from the seed's 0x5a60_304b_71c9_fe0f:
+    // a shard's owner used to keep its unrounded f32 copy, so the 16 chips
+    // disagreed. This is the hash of 16 copies of the row that 15 of the 16
+    // seed chips held at every element — derived from the seed's own outputs.
+    assert_eq!(hash_tensors(&out.outputs), 0x1036_bdc3_8e17_9725);
     assert_eq!(out.time.seconds().to_bits(), 0x3f09_2c4a_a932_e87e);
 }
 

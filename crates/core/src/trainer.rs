@@ -493,15 +493,21 @@ impl<O: Optimizer> DataParallelTrainer<O> {
 
         // Phase B: the simulated 2-D summation; each shard owner applies
         // its slice of the update before the broadcast half. The owner's
-        // slice index comes from the schedule itself, so this stays
-        // correct under bf16 payload quantization.
+        // slice index comes from the schedule itself, and the owner's f32
+        // result is rounded with everyone else's copy where the broadcast
+        // half assembles it, so on a bf16 wire every replica still leaves
+        // with the same weights.
         let optimizer = &self.optimizer;
-        let mesh = self.net.mesh().clone();
+        let mesh = self.net.mesh();
+        let shard_of: Vec<usize> = mesh
+            .chips()
+            .map(|chip| shard_index(mesh, chip, 1))
+            .collect::<Result<_, _>>()?;
         // The apply callback cannot return an error through the collective;
         // capture the first failure and surface it after the reduce.
         let mut apply_err: Option<multipod_optim::OptimError> = None;
-        let mut apply = |chip, shard: &mut Tensor| {
-            let s = shard_index(&mesh, chip, 1);
+        let mut apply = |chip: ChipId, shard: &mut Tensor| {
+            let s = shard_of[chip.index()];
             let mut w_shard = w_shards[s].clone();
             if let Err(e) = optimizer.apply(&mut w_shard, &updates[s], global) {
                 apply_err.get_or_insert(e);
@@ -518,6 +524,13 @@ impl<O: Optimizer> DataParallelTrainer<O> {
         if let Some(e) = apply_err {
             return Err(e.into());
         }
+        debug_assert!(
+            out.outputs.iter().all(|o| {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                o.shares_storage(&out.outputs[0]) || bits(o) == bits(&out.outputs[0])
+            }),
+            "replicas must leave the summation with identical weights"
+        );
         *weights = out.outputs[0].clone().reshape(weights.shape().clone())?;
         self.net.obs().span(|| {
             // The sharded optimizer update runs at the shard owners
@@ -682,6 +695,33 @@ mod tests {
             let grads = vec![g; n];
             trainer.step(&mut w, &grads).unwrap();
         }
+        let err = w.sub(&target).unwrap().norm2() / target.norm2();
+        assert!(err < 0.15, "relative error {err}");
+    }
+
+    #[test]
+    fn bf16_replicas_stay_in_step_on_a_4x4_mesh() {
+        // Each healthy step `debug_assert!`s that all 16 replicas left the
+        // summation with the same bits. Seen from outside: the weights the
+        // trainer keeps are chip 0's, and chip 0 owns one shard of them —
+        // which must have been rounded like every shard it received.
+        let n = 16usize;
+        let elems = 64usize;
+        let mut rng = TensorRng::seed(8);
+        let target = rng.uniform(Shape::vector(elems), -1.0, 1.0);
+        let mut w = Tensor::zeros(Shape::vector(elems));
+        let mut trainer = DataParallelTrainer::new(
+            MultipodConfig::mesh(4, 4, true),
+            SgdMomentum::new(1.0, 0.0),
+            LrSchedule::Constant { lr: 0.5 },
+        )
+        .with_bf16_gradients();
+        for step in 0..5 {
+            let g = w.sub(&target).unwrap().scale(1.0 / n as f32);
+            trainer.step(&mut w, &vec![g; n]).unwrap();
+            assert_eq!(w, w.to_bf16_precision(), "step {step}");
+        }
+        // Five halvings of the error, less what the bf16 wire loses.
         let err = w.sub(&target).unwrap().norm2() / target.norm2();
         assert!(err < 0.15, "relative error {err}");
     }

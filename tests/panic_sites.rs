@@ -26,8 +26,48 @@ const CLEAN: &[(&str, &str)] = &[
         include_str!("../crates/sched/src/error.rs"),
     ),
     (
+        "crates/collectives/src/alltoall.rs",
+        include_str!("../crates/collectives/src/alltoall.rs"),
+    ),
+    (
+        "crates/collectives/src/degraded.rs",
+        include_str!("../crates/collectives/src/degraded.rs"),
+    ),
+    (
+        "crates/collectives/src/error.rs",
+        include_str!("../crates/collectives/src/error.rs"),
+    ),
+    (
+        "crates/collectives/src/halo.rs",
+        include_str!("../crates/collectives/src/halo.rs"),
+    ),
+    (
+        "crates/collectives/src/lib.rs",
+        include_str!("../crates/collectives/src/lib.rs"),
+    ),
+    (
+        "crates/collectives/src/pipelined.rs",
+        include_str!("../crates/collectives/src/pipelined.rs"),
+    ),
+    (
+        "crates/collectives/src/precision.rs",
+        include_str!("../crates/collectives/src/precision.rs"),
+    ),
+    (
+        "crates/collectives/src/ring.rs",
+        include_str!("../crates/collectives/src/ring.rs"),
+    ),
+    (
         "crates/collectives/src/schedule.rs",
         include_str!("../crates/collectives/src/schedule.rs"),
+    ),
+    (
+        "crates/collectives/src/timing.rs",
+        include_str!("../crates/collectives/src/timing.rs"),
+    ),
+    (
+        "crates/collectives/src/twod.rs",
+        include_str!("../crates/collectives/src/twod.rs"),
     ),
     (
         "crates/simnet/src/engine.rs",
