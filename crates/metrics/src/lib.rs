@@ -11,16 +11,9 @@
 //!   reference, a deliberately allocation-heavy "interpreter-style"
 //!   baseline standing in for the 60 s/py implementation, and the paper's
 //!   multithreaded-sort + fused-pass implementation (2 s-class).
-//! * [`bleu`] — corpus BLEU for the Transformer's WMT target, with
-//!   additive per-worker statistics (the distributed-eval property §3.4
-//!   relies on).
-//! * [`detection`] — COCO-style IoU matching and mAP for the SSD and
-//!   MaskRCNN targets.
 //! * [`placement`] — where eval runs: TF's coordinator process vs JAX's
 //!   round-robin over workers (§4.4's COCO eval discussion).
 
 pub mod accuracy;
 pub mod auc;
-pub mod bleu;
-pub mod detection;
 pub mod placement;

@@ -1,8 +1,6 @@
 //! Property tests for the evaluation metrics.
 
 use multipod_metrics::auc::{auc_bruteforce, auc_exact, auc_fast, auc_naive};
-use multipod_metrics::bleu::{corpus_bleu, BleuStats};
-use multipod_metrics::detection::{average_precision, coco_map, iou, Detection};
 use proptest::prelude::*;
 
 fn arb_scores_labels() -> impl Strategy<Value = (Vec<f32>, Vec<bool>)> {
@@ -37,74 +35,5 @@ proptest! {
         let base = auc_exact(&scores, &labels);
         let transformed: Vec<f32> = scores.iter().map(|&s| s * 3.0 + 1.0).collect();
         prop_assert!((auc_exact(&transformed, &labels) - base).abs() < 1e-9);
-    }
-
-    /// BLEU statistics are additive: any split of the corpus across
-    /// workers scores identically to the pooled corpus (§3.4).
-    #[test]
-    fn bleu_stats_are_additive(
-        sentences in prop::collection::vec(
-            (prop::collection::vec(0u32..20, 4..12), prop::collection::vec(0u32..20, 4..12)),
-            2..10,
-        ),
-        split in 1usize..9,
-    ) {
-        let candidates: Vec<Vec<u32>> = sentences.iter().map(|(c, _)| c.clone()).collect();
-        let references: Vec<Vec<u32>> = sentences.iter().map(|(_, r)| r.clone()).collect();
-        let pooled = corpus_bleu(&candidates, &references);
-        let cut = split.min(sentences.len() - 1);
-        let mut w0 = BleuStats::default();
-        for i in 0..cut {
-            w0.accumulate(&candidates[i], &references[i]);
-        }
-        let mut w1 = BleuStats::default();
-        for i in cut..sentences.len() {
-            w1.accumulate(&candidates[i], &references[i]);
-        }
-        w0.merge(&w1);
-        prop_assert!((w0.score() - pooled).abs() < 1e-12);
-    }
-
-    /// IoU is symmetric, bounded, and 1 only for identical boxes.
-    #[test]
-    fn iou_properties(
-        ax in 0.0f32..10.0, ay in 0.0f32..10.0, aw in 0.1f32..5.0, ah in 0.1f32..5.0,
-        bx in 0.0f32..10.0, by in 0.0f32..10.0, bw in 0.1f32..5.0, bh in 0.1f32..5.0,
-    ) {
-        let a = [ax, ay, ax + aw, ay + ah];
-        let b = [bx, by, bx + bw, by + bh];
-        let v = iou(a, b);
-        prop_assert!((0.0..=1.0 + 1e-6).contains(&v));
-        prop_assert!((v - iou(b, a)).abs() < 1e-6);
-        prop_assert!((iou(a, a) - 1.0).abs() < 1e-6);
-    }
-
-    /// AP is monotone in the IoU threshold and mAP sits between AP@0.95
-    /// and AP@0.5.
-    #[test]
-    fn ap_monotone_in_threshold(
-        boxes in prop::collection::vec((0.0f32..8.0, 0.0f32..8.0, 0.5f32..3.0, 0.5f32..3.0, 0.0f32..0.9), 1..8),
-    ) {
-        let gts: Vec<Vec<[f32; 4]>> = vec![boxes
-            .iter()
-            .map(|&(x, y, w, h, _)| [x, y, x + w, y + h])
-            .collect()];
-        // Detections: the ground truth jittered by each box's jitter.
-        let dets: Vec<Vec<Detection>> = vec![boxes
-            .iter()
-            .map(|&(x, y, w, h, j)| Detection {
-                bbox: [x + j, y, x + w + j, y + h],
-                score: 1.0 - j,
-            })
-            .collect()];
-        let mut prev = f64::INFINITY;
-        for t in [0.5f32, 0.65, 0.8, 0.95] {
-            let ap = average_precision(&dets, &gts, t);
-            prop_assert!(ap <= prev + 1e-9, "AP rose from {prev} to {ap} at {t}");
-            prev = ap;
-        }
-        let map = coco_map(&dets, &gts);
-        prop_assert!(map <= average_precision(&dets, &gts, 0.5) + 1e-9);
-        prop_assert!(map >= average_precision(&dets, &gts, 0.95) - 1e-9);
     }
 }

@@ -6,8 +6,8 @@
 //! rings that traverse intermediate chips. This crate provides:
 //!
 //! * [`SimTime`] — simulated seconds.
-//! * [`EventQueue`] — a deterministic discrete-event queue (also used by
-//!   the host input-pipeline simulator).
+//! * [`EventQueue`] — a deterministic discrete-event queue (also under
+//!   the task-graph list scheduler, the pod scheduler and the RL server).
 //! * [`Network`] — a cut-through, per-directed-link occupancy model over a
 //!   [`multipod_topology::Multipod`], used to time every message the
 //!   collective schedules issue. It also owns the run's observability

@@ -1,13 +1,15 @@
-//! Allocation budget of `Network::transfer`.
+//! Allocation budgets of `Network::transfer` and `EventQueue`.
 //!
 //! Memoized routes live in three flat vectors and one open-addressed
 //! table, so a warm transfer allocates nothing, and interning a route may
-//! only ever cost a vector doubling — never a heap block of its own.
+//! only ever cost a vector doubling — never a heap block of its own. The
+//! queue keeps one FIFO per pending instant, so an event costs no block of
+//! its own either: an instant pays its FIFO's doublings and a map slot.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use multipod_simnet::{Network, NetworkConfig, SimTime};
+use multipod_simnet::{EventQueue, Network, NetworkConfig, SimTime};
 use multipod_topology::{ChipId, Multipod, MultipodConfig};
 
 thread_local! {
@@ -111,4 +113,43 @@ fn interning_routes_costs_vector_doublings_only() {
         "{interning} allocations interning {} routes, {routing} of them inside Multipod::route",
         pairs.len()
     );
+}
+
+/// The replay's shape: every event of one instant is popped and scheduled
+/// again one instant later.
+#[test]
+fn lockstep_instants_allocate_per_instant_not_per_event() {
+    const EVENTS: u32 = 4096;
+    const INSTANTS: u32 = 16;
+    let mut q = EventQueue::new();
+    for event in 0..EVENTS {
+        q.schedule(SimTime::ZERO, event);
+    }
+    let allocs = count(|| {
+        for _ in 0..EVENTS * INSTANTS {
+            let (at, event) = q.pop().unwrap();
+            q.schedule(at + 1.0e-6, event);
+        }
+    });
+    assert_eq!(q.len(), EVENTS as usize);
+    assert!(
+        allocs <= 32 * u64::from(INSTANTS),
+        "{allocs} allocations over {INSTANTS} instants of {EVENTS} events"
+    );
+}
+
+/// `paper_sweep`'s shape: the list scheduler builds a queue per step and
+/// never holds more than two events in it.
+#[test]
+fn a_two_event_queue_costs_at_most_four_allocations() {
+    let mut drained = (None, None);
+    let allocs = count(|| {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_seconds(2.0), 'b');
+        q.schedule(SimTime::from_seconds(1.0), 'a');
+        drained = (q.pop(), q.pop_batch());
+    });
+    assert_eq!(drained.0, Some((SimTime::from_seconds(1.0), 'a')));
+    assert_eq!(drained.1, Some((SimTime::from_seconds(2.0), vec!['b'])));
+    assert!(allocs <= 4, "{allocs} allocations");
 }

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.seconds(), 1.5e-3);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, Serialize, Deserialize)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -30,6 +30,12 @@ impl SimTime {
     ///
     /// Panics if `seconds` is NaN or negative.
     pub fn from_seconds(seconds: f64) -> SimTime {
+        // `-0.0` passes the range check; adding `0.0` turns it into `+0.0`
+        // and changes no other value, so one instant has one bit pattern.
+        SimTime::checked(seconds + 0.0)
+    }
+
+    fn checked(seconds: f64) -> SimTime {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
             "SimTime must be finite and non-negative, got {seconds}"
@@ -64,19 +70,34 @@ impl SimTime {
 
 // SimTime construction rejects NaN, so the order is total; total_cmp
 // keeps that guarantee panic-free even if a NaN ever slipped through.
-impl Eq for SimTime {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
+// `==`, `partial_cmp` and `cmp` are all this one comparison, so a map or
+// heap keyed by `SimTime` never disagrees with `==` about what a tie is.
 impl Ord for SimTime {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 
+impl PartialOrd for SimTime {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SimTime {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for SimTime {}
+
 impl Add<f64> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: f64) -> SimTime {
-        SimTime::from_seconds(self.0 + rhs)
+        // No `-0.0` to fold here: a sum rounds to `-0.0` only when both
+        // addends are `-0.0`, and `self` never is.
+        SimTime::checked(self.0 + rhs)
     }
 }
 
@@ -131,6 +152,18 @@ mod tests {
         assert_eq!(t - SimTime::from_seconds(0.25), 0.5);
         assert_eq!(t.millis(), 750.0);
         assert_eq!(SimTime::from_seconds(2e-6).micros(), 2.0);
+    }
+
+    #[test]
+    fn negative_zero_is_zero() {
+        use std::cmp::Ordering;
+        let z = SimTime::from_seconds(-0.0);
+        assert_eq!(z.seconds().to_bits(), SimTime::ZERO.seconds().to_bits());
+        assert!(z == SimTime::ZERO);
+        assert_eq!(z.partial_cmp(&SimTime::ZERO), Some(Ordering::Equal));
+        assert_eq!(z.cmp(&SimTime::ZERO), Ordering::Equal);
+        let sum = SimTime::ZERO + -0.0;
+        assert_eq!(sum.seconds().to_bits(), SimTime::ZERO.seconds().to_bits());
     }
 
     #[test]
