@@ -10,7 +10,7 @@
 
 use multipod_simnet::{Network, SimTime};
 use multipod_tensor::Tensor;
-use multipod_topology::{Multipod, Ring};
+use multipod_topology::{ChipId, Multipod, Ring};
 use multipod_trace::{SpanCategory, SpanEvent};
 
 use crate::ring::{self, CollectiveOutput};
@@ -43,8 +43,21 @@ impl<T> Graceful<T> {
     }
 }
 
-/// Compares every logical ring edge's current route against the route of a
-/// fully healed copy of `mesh`.
+/// Hops of the `from → to` route on a mesh with no failed link: the
+/// torus-aware Manhattan distance, since a healthy route is shortest.
+fn healthy_hops(mesh: &Multipod, from: ChipId, to: ChipId) -> usize {
+    let (a, b) = (mesh.coord_of(from), mesh.coord_of(to));
+    let dy = a.y.abs_diff(b.y);
+    let dy = if mesh.torus_y() {
+        dy.min(mesh.y_len() - dy)
+    } else {
+        dy
+    };
+    (a.x.abs_diff(b.x) + dy) as usize
+}
+
+/// Compares every logical ring edge's current route against the route it
+/// would take were every link of `mesh` up.
 ///
 /// Returns `Ok(None)` when every edge routes at its healthy hop count,
 /// `Ok(Some(..))` when at least one edge detours.
@@ -60,8 +73,6 @@ pub fn ring_degradation(
     if ring.len() < 2 {
         return Ok(None);
     }
-    let mut healthy = mesh.clone();
-    healthy.heal_all_links();
     let mut degradation = Degradation::default();
     let members = ring.members();
     let n = members.len();
@@ -71,11 +82,9 @@ pub fn ring_degradation(
     for i in 0..n {
         let from = members[i];
         let to = members[(i + 1) % n];
-        let actual = mesh.route(from, to)?.num_hops();
-        let nominal = healthy
-            .route(from, to)
-            .map(|r| r.num_hops())
-            .unwrap_or(actual);
+        let mut actual = 0;
+        mesh.for_each_hop(from, to, |_, _, _| actual += 1)?;
+        let nominal = healthy_hops(mesh, from, to);
         if actual > nominal {
             degradation.broken_edges += 1;
             degradation.extra_hops += actual - nominal;
@@ -129,6 +138,72 @@ mod tests {
     use multipod_simnet::NetworkConfig;
     use multipod_tensor::Shape;
     use multipod_topology::{Multipod, MultipodConfig};
+    use proptest::prelude::*;
+
+    /// `ring_degradation` as it was: a healed clone of the mesh routes
+    /// every edge a second time to learn its healthy hop count.
+    fn clone_and_heal_degradation(
+        mesh: &Multipod,
+        ring: &Ring,
+    ) -> Result<Option<Degradation>, CollectiveError> {
+        if ring.len() < 2 {
+            return Ok(None);
+        }
+        let mut healthy = mesh.clone();
+        healthy.heal_all_links();
+        let mut degradation = Degradation::default();
+        let members = ring.members();
+        let n = members.len();
+        for i in 0..n {
+            let from = members[i];
+            let to = members[(i + 1) % n];
+            let actual = mesh.route(from, to)?.num_hops();
+            let nominal = healthy
+                .route(from, to)
+                .map(|r| r.num_hops())
+                .unwrap_or(actual);
+            if actual > nominal {
+                degradation.broken_edges += 1;
+                degradation.extra_hops += actual - nominal;
+            }
+        }
+        Ok((degradation.broken_edges > 0).then_some(degradation))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On random failed-link sets, every Y ring, X line and strided
+        /// X line (whose edges are multi-hop, and whose wrap edge crosses
+        /// the whole line) degrades exactly as the clone-and-heal version
+        /// says — or fails with the same error.
+        #[test]
+        fn degradation_matches_the_clone_and_heal_version(
+            x_len in 1u32..9,
+            y_len in 1u32..9,
+            torus_y in any::<bool>(),
+            failed in prop::collection::vec(0usize..10_000, 0..6),
+        ) {
+            let mut mesh = Multipod::new(MultipodConfig::mesh(x_len, y_len, torus_y));
+            let links = mesh.links();
+            for sel in failed {
+                if let Some(link) = links.get(sel % links.len().max(1)) {
+                    mesh.fail_link(link.from, link.to);
+                }
+            }
+            let mut rings: Vec<Ring> = (0..x_len).map(|x| mesh.y_ring(x)).collect();
+            rings.extend((0..y_len).map(|y| mesh.x_line(y)));
+            if x_len % 2 == 0 {
+                rings.extend((0..y_len).map(|y| mesh.x_line_strided(y, 1, 2)));
+            }
+            for ring in &rings {
+                prop_assert_eq!(
+                    ring_degradation(&mesh, ring),
+                    clone_and_heal_degradation(&mesh, ring)
+                );
+            }
+        }
+    }
 
     fn column_net(y: u32) -> (Network, Ring) {
         let mesh = Multipod::new(MultipodConfig::mesh(1, y, true));

@@ -73,12 +73,11 @@ impl RingCosts {
         }
         let mesh = net.mesh();
         let path_latency = |a, b| -> Result<f64, CollectiveError> {
-            let route = mesh.route(a, b)?;
-            Ok(route
-                .link_classes(mesh)
-                .iter()
-                .map(|c| cfg.hop_latency * c.latency_multiplier())
-                .sum())
+            let mut latency = 0.0;
+            mesh.for_each_hop(a, b, |_, _, class| {
+                latency += cfg.hop_latency * class.latency_multiplier();
+            })?;
+            Ok(latency)
         };
         let members = ring.members();
         let mut worst_step = 0.0f64;
@@ -264,6 +263,23 @@ mod tests {
             RingCosts::from_ring(&n, &ring, 1),
             Err(CollectiveError::Network(_))
         ));
+    }
+
+    #[test]
+    fn ring_naming_an_off_mesh_chip_is_a_typed_error_not_a_panic() {
+        use multipod_simnet::NetworkError;
+        use multipod_topology::{ChipId, Ring, TopologyError};
+        let n = net(MultipodConfig::mesh(4, 4, true));
+        let ring = Ring::new(vec![ChipId(0), ChipId(1), ChipId(99)], false, 1);
+        assert_eq!(
+            RingCosts::from_ring(&n, &ring, 1),
+            Err(CollectiveError::Network(NetworkError::Route(
+                TopologyError::ChipOutOfRange {
+                    chip: ChipId(99),
+                    num_chips: 16,
+                }
+            )))
+        );
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! grow with the ring size `n` (one shard per member) but never with the
 //! `n(n−1)` chunk moves or the `n²` chunks. An all-gather assembles one
 //! row and hands out `n` handles to it: its count does not grow with `n`
-//! at all, and its bytes are the row, not `n` rows. This is the regression
-//! guard behind the ledger's `host.allocs_per_op` and `alloc_mb_per_op`.
+//! at all, and its bytes are the row, not `n` rows. The α–β cost model
+//! walks its rings hop by hop and keeps only sums, so it allocates nothing
+//! of its own. This is the regression guard behind the ledger's
+//! `host.allocs_per_op` and `alloc_mb_per_op`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use multipod_collectives::timing::RingCosts;
+use multipod_collectives::twod::two_dim_all_reduce_time;
 use multipod_collectives::{ring, Precision};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_tensor::{Shape, Tensor};
@@ -70,6 +74,15 @@ struct Allocated {
     bytes: u64,
 }
 
+fn count(f: &mut dyn FnMut()) -> Allocated {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    f();
+    Allocated {
+        calls: ALLOCS.with(Cell::get) - before.0,
+        bytes: BYTES.with(Cell::get) - before.1,
+    }
+}
+
 /// Allocations of one reduce-scatter and of one all-gather on an `n`-ring
 /// with `CHUNK`-element chunks, routes already warm.
 fn allocs(n: usize, precision: Precision) -> (Allocated, Allocated) {
@@ -80,14 +93,6 @@ fn allocs(n: usize, precision: Precision) -> (Allocated, Allocated) {
     let ins: Vec<Tensor> = (0..n)
         .map(|i| Tensor::fill(Shape::vector(n * CHUNK), 1.0 + i as f32))
         .collect();
-    let count = |f: &mut dyn FnMut()| {
-        let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
-        f();
-        Allocated {
-            calls: ALLOCS.with(Cell::get) - before.0,
-            bytes: BYTES.with(Cell::get) - before.1,
-        }
-    };
     // Warm-up pass: fills the route cache and grows the network's tables.
     let rs = ring::reduce_scatter(&mut net, &ring_y, &ins, precision, fwd, SimTime::ZERO).unwrap();
     ring::all_gather(&mut net, &ring_y, &rs.shards, precision, fwd, rs.time).unwrap();
@@ -142,4 +147,31 @@ fn an_all_gather_allocates_one_row_whatever_the_ring_size() {
             );
         }
     }
+}
+
+#[test]
+fn pricing_a_ring_allocates_nothing() {
+    // 4096 one-hop edges and a wrap edge routed back across the mesh.
+    let net = Network::new(
+        Multipod::new(MultipodConfig::multipod(4)),
+        NetworkConfig::tpu_v3(),
+    );
+    let snake = net.mesh().snake_ring();
+    let priced = count(&mut || {
+        RingCosts::from_ring(&net, &snake, 1).unwrap();
+    });
+    assert_eq!(priced.calls, 0, "{priced:?}");
+}
+
+#[test]
+fn pricing_the_two_dim_summation_allocates_its_two_rings_only() {
+    let net = Network::new(
+        Multipod::new(MultipodConfig::multipod(4)),
+        NetworkConfig::tpu_v3(),
+    );
+    let priced = count(&mut || {
+        two_dim_all_reduce_time(&net, 1 << 20, Precision::F32, 4).unwrap();
+    });
+    // The member vectors of the Y ring and of the strided X line.
+    assert!(priced.calls <= 4, "{priced:?}");
 }

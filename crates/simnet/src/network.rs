@@ -5,7 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use multipod_telemetry::{MetricId, Obs, Subsystem};
-use multipod_topology::{ChipId, LinkClass, Multipod, TopologyError};
+use multipod_topology::{ChipId, LinkClass, Multipod};
 use multipod_trace::{LinkTransferEvent, SpanCategory, SpanEvent, Track};
 
 use crate::{NetworkError, SimTime};
@@ -193,7 +193,7 @@ impl LinkTable {
 #[derive(Clone, Copy, Debug)]
 struct Path {
     /// `Σ hop_latency × class multiplier`, accumulated in route order
-    /// (bit-identical to summing over `Route::link_classes`).
+    /// from `0.0` — the same adds `RingCosts::from_ring` makes.
     latency: f64,
     start: u32,
     len: u32,
@@ -252,6 +252,25 @@ impl fmt::Debug for Network {
     }
 }
 
+/// The trace's name for the link `from → to` of class `class`: it tells
+/// the two mesh dimensions apart, which the topology's classes do not.
+fn trace_class(
+    mesh: &Multipod,
+    class: LinkClass,
+    from: ChipId,
+    to: ChipId,
+) -> multipod_trace::LinkClass {
+    match class {
+        // Ids are row-major: X neighbours share `id / x_len`.
+        LinkClass::IntraPod if from.0 / mesh.x_len() == to.0 / mesh.x_len() => {
+            multipod_trace::LinkClass::MeshX
+        }
+        LinkClass::IntraPod => multipod_trace::LinkClass::MeshY,
+        LinkClass::TorusWrap => multipod_trace::LinkClass::WrapY,
+        LinkClass::CrossPodOptical => multipod_trace::LinkClass::CrossPod,
+    }
+}
+
 impl Network {
     /// Builds a quiescent network over `mesh`.
     pub fn new(mesh: Multipod, config: NetworkConfig) -> Network {
@@ -279,22 +298,6 @@ impl Network {
     /// from here so one recorder and one registry see the whole run.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    fn classify(&self, class: LinkClass, from: ChipId, to: ChipId) -> multipod_trace::LinkClass {
-        match class {
-            LinkClass::IntraPod => {
-                let a = self.mesh.coord_of(from);
-                let b = self.mesh.coord_of(to);
-                if a.y == b.y {
-                    multipod_trace::LinkClass::MeshX
-                } else {
-                    multipod_trace::LinkClass::MeshY
-                }
-            }
-            LinkClass::TorusWrap => multipod_trace::LinkClass::WrapY,
-            LinkClass::CrossPodOptical => multipod_trace::LinkClass::CrossPod,
-        }
     }
 
     /// The underlying topology.
@@ -418,39 +421,42 @@ impl Network {
         (x, y)
     }
 
-    /// Routes `from → to` on the current mesh and memoizes the result under
+    /// Walks `from → to` on the current mesh and memoizes the result under
     /// `key`: link ids (interned as they are met) appended to the flat hop
     /// arena, and the route-order latency sum.
     ///
     /// # Errors
     ///
-    /// [`NetworkError::Route`] when no route exists, or when the route
-    /// traverses a pair of chips with no live link between them.
+    /// [`NetworkError::Route`] when no route exists or an endpoint is off
+    /// the mesh; the store is left as it was.
     fn intern_route(&mut self, from: ChipId, to: ChipId, key: u64) -> Result<Path, NetworkError> {
-        let route = self.mesh.route(from, to)?;
-        let start = self.routes.hops.len();
+        let Network {
+            mesh,
+            config,
+            links,
+            routes,
+            ..
+        } = self;
+        let start = routes.hops.len();
         let mut latency = 0.0f64;
-        for w in route.chips.windows(2) {
-            let Some(class) = self.mesh.link_between(w[0], w[1]) else {
-                self.routes.hops.truncate(start);
-                return Err(NetworkError::Route(TopologyError::NoRoute {
-                    from: w[0],
-                    to: w[1],
-                }));
-            };
-            latency += self.config.hop_latency * class.latency_multiplier();
-            let trace_class = self.classify(class, w[0], w[1]);
-            let id = self.links.intern(w[0].0, w[1].0, trace_class);
-            self.routes.hops.push(id);
+        let walked = mesh.for_each_hop(from, to, |a, b, class| {
+            latency += config.hop_latency * class.latency_multiplier();
+            routes
+                .hops
+                .push(links.intern(a.0, b.0, trace_class(mesh, class, a, b)));
+        });
+        if let Err(e) = walked {
+            routes.hops.truncate(start);
+            return Err(e.into());
         }
         let path = Path {
             latency,
             start: start as u32,
-            len: route.num_hops() as u32,
+            len: (routes.hops.len() - start) as u32,
         };
-        let id = self.routes.paths.len() as u32;
-        self.routes.index.insert(key, id);
-        self.routes.paths.push(path);
+        let id = routes.paths.len() as u32;
+        routes.index.insert(key, id);
+        routes.paths.push(path);
         Ok(path)
     }
 
@@ -596,7 +602,7 @@ impl Network {
 mod tests {
     use std::collections::HashMap;
 
-    use multipod_topology::{Coord, MultipodConfig};
+    use multipod_topology::{Coord, MultipodConfig, TopologyError};
     use multipod_trace::{Recorder, TraceEvent};
     use proptest::prelude::*;
 
@@ -984,7 +990,7 @@ mod tests {
                     .windows(2)
                     .map(|w| {
                         let class = n.mesh().link_between(w[0], w[1]).unwrap();
-                        (w[0].0, w[1].0, n.classify(class, w[0], w[1]))
+                        (w[0].0, w[1].0, trace_class(n.mesh(), class, w[0], w[1]))
                     })
                     .collect();
                 assert_eq!(seen, expect);
@@ -1163,6 +1169,29 @@ mod tests {
         // X-first is blocked at the first hop; Y-then-X succeeds.
         let t = n.transfer(a, dst, 1000, SimTime::ZERO).unwrap();
         assert_eq!(t.num_hops, 2);
+    }
+
+    #[test]
+    fn off_mesh_chip_is_a_typed_error_and_interns_nothing() {
+        let mut n = net(4, 4);
+        let off_mesh = NetworkError::Route(TopologyError::ChipOutOfRange {
+            chip: ChipId(99),
+            num_chips: 16,
+        });
+        assert_eq!(
+            n.transfer(ChipId(0), ChipId(99), 8, SimTime::ZERO),
+            Err(off_mesh.clone())
+        );
+        assert_eq!(
+            n.transfer(ChipId(99), ChipId(0), 8, SimTime::ZERO),
+            Err(off_mesh.clone())
+        );
+        let batch = [(ChipId(0), ChipId(1), 8), (ChipId(2), ChipId(99), 8)];
+        assert_eq!(n.parallel_transfers(&batch, SimTime::ZERO), Err(off_mesh));
+        // Only the batch's good message left anything behind.
+        assert_eq!(n.routes.paths.len(), 1);
+        assert_eq!(n.routes.hops.len(), 1);
+        assert_eq!(n.links.endpoints, vec![(0, 1)]);
     }
 
     #[test]

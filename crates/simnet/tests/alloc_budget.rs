@@ -95,13 +95,6 @@ fn interning_routes_costs_vector_doublings_only() {
     let mesh = Multipod::new(MultipodConfig::mesh(256, 64, true));
     let pairs = ring_neighbours(&mesh);
     assert_eq!(pairs.len(), 32_768);
-    // `Multipod::route` hands back an owned `Route`; that temporary is the
-    // topology layer's cost, counted here so it can be taken off below.
-    let routing = count(|| {
-        for &(from, to) in &pairs {
-            mesh.route(from, to).unwrap();
-        }
-    });
     let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
     let interning = count(|| {
         for &(from, to) in &pairs {
@@ -109,8 +102,8 @@ fn interning_routes_costs_vector_doublings_only() {
         }
     });
     assert!(
-        interning - routing < 200,
-        "{interning} allocations interning {} routes, {routing} of them inside Multipod::route",
+        interning < 200,
+        "{interning} allocations interning {} routes",
         pairs.len()
     );
 }

@@ -87,124 +87,353 @@ impl Route {
     pub fn num_hops(&self) -> usize {
         self.chips.len().saturating_sub(1)
     }
+}
 
-    /// The link classes along the route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if consecutive chips on the route are not adjacent in `mesh`
-    /// (which indicates the route was computed for a different topology).
-    pub fn link_classes(&self, mesh: &Multipod) -> Vec<LinkClass> {
-        self.chips
-            .windows(2)
-            .map(|w| {
-                mesh.link_between(w[0], w[1])
-                    .expect("route traverses non-adjacent chips")
-            })
-            .collect()
+/// The ways a walk may order itself, as `(x_first, long_y)`, in the order
+/// they are tried: both dimension orders with the shorter Y direction,
+/// then both the long way around the torus (a failed wrap link must not
+/// partition a column).
+const WALK_ORDERS: [(bool, bool); 4] = [(true, false), (false, false), (true, true), (false, true)];
+
+/// One dimension-ordered walk between two on-mesh coordinates. It holds
+/// everything a hop is computed from, so no step goes back to the mesh.
+struct Walk {
+    x_len: u32,
+    y_len: u32,
+    pod_x_len: u32,
+    torus_y: bool,
+    src: Coord,
+    dst: Coord,
+}
+
+impl Walk {
+    /// Walks `src → dst` in the given order, handing `hop` every step —
+    /// the chip left, the chip entered, and the class of the link between
+    /// them — until it returns `false`. Returns whether `dst` was reached.
+    fn run(
+        &self,
+        (x_first, long_y): (bool, bool),
+        mut hop: impl FnMut(ChipId, ChipId, LinkClass) -> bool,
+    ) -> bool {
+        let mut cur = self.src;
+        if x_first {
+            if !self.walk_x(&mut cur, &mut hop) {
+                return false;
+            }
+            self.walk_y(&mut cur, long_y, &mut hop)
+        } else {
+            if !self.walk_y(&mut cur, long_y, &mut hop) {
+                return false;
+            }
+            self.walk_x(&mut cur, &mut hop)
+        }
+    }
+
+    fn walk_x(
+        &self,
+        cur: &mut Coord,
+        hop: &mut impl FnMut(ChipId, ChipId, LinkClass) -> bool,
+    ) -> bool {
+        let row = cur.y * self.x_len;
+        while cur.x != self.dst.x {
+            let next_x = if self.dst.x > cur.x {
+                cur.x + 1
+            } else {
+                cur.x - 1
+            };
+            // X neighbours straddle a pod boundary exactly when the higher
+            // of the two is a pod's first column.
+            let class = if cur.x.max(next_x) % self.pod_x_len == 0 {
+                LinkClass::CrossPodOptical
+            } else {
+                LinkClass::IntraPod
+            };
+            if !hop(ChipId(row + cur.x), ChipId(row + next_x), class) {
+                return false;
+            }
+            cur.x = next_x;
+        }
+        true
+    }
+
+    fn walk_y(
+        &self,
+        cur: &mut Coord,
+        long_y: bool,
+        hop: &mut impl FnMut(ChipId, ChipId, LinkClass) -> bool,
+    ) -> bool {
+        // Pick the direction once (recomputing per hop would oscillate
+        // when walking the long way around).
+        let go_down = if self.torus_y {
+            let up_dist = (cur.y + self.y_len - self.dst.y) % self.y_len;
+            let down_dist = (self.dst.y + self.y_len - cur.y) % self.y_len;
+            (down_dist <= up_dist) != long_y
+        } else {
+            self.dst.y > cur.y
+        };
+        while cur.y != self.dst.y {
+            // Off a torus the walk never leaves `0..y_len`, so only a
+            // torus step can land on either wrap below.
+            let next_y = if go_down {
+                if cur.y + 1 == self.y_len {
+                    0
+                } else {
+                    cur.y + 1
+                }
+            } else if cur.y == 0 {
+                self.y_len - 1
+            } else {
+                cur.y - 1
+            };
+            let class = if cur.y.abs_diff(next_y) == 1 {
+                LinkClass::IntraPod
+            } else {
+                LinkClass::TorusWrap
+            };
+            let (prev, next) = (cur.y * self.x_len + cur.x, next_y * self.x_len + cur.x);
+            if !hop(ChipId(prev), ChipId(next), class) {
+                return false;
+            }
+            cur.y = next_y;
+        }
+        true
     }
 }
 
 impl Multipod {
-    /// Computes the dimension-ordered (X then Y) route between two chips,
-    /// using the shorter torus direction along Y and honouring the sparse
-    /// visibility rule (every intermediate turn happens at the row/column
-    /// intersection).
+    /// Visits every hop of the route between two chips, in order, as
+    /// `visit(previous chip, next chip, class of the link between them)`
+    /// — the one way to ask a question of a path (its chips, its length,
+    /// its latency) without materializing it.
     ///
-    /// When a link on the primary route has failed, the Y-then-X detour is
-    /// tried.
+    /// The route is dimension-ordered (X then Y), uses the shorter torus
+    /// direction along Y and honours the sparse visibility rule (every
+    /// intermediate turn happens at the row/column intersection). When a
+    /// link on it has failed, the Y-then-X detour is tried, then both
+    /// orders the long way around the torus.
+    ///
+    /// The order is settled before the first hop is visited, so on `Err`
+    /// nothing has been visited. Settling it takes a dry walk per order
+    /// tried, asking [`Multipod::link_between`] of every hop; only a
+    /// failed link can block a walk, so a mesh without failed links takes
+    /// the first order unprobed.
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::NoRoute`] when both dimension orders are
-    /// blocked by failed links.
-    pub fn route(&self, from: ChipId, to: ChipId) -> Result<Route, TopologyError> {
-        if from == to {
-            return Ok(Route { chips: vec![from] });
-        }
-        // Try both dimension orders with the shortest Y direction, then
-        // fall back to the long way around the torus (a failed wrap link
-        // must not partition a column).
-        self.route_dim_order(from, to, true, false)
-            .or_else(|_| self.route_dim_order(from, to, false, false))
-            .or_else(|_| self.route_dim_order(from, to, true, true))
-            .or_else(|_| self.route_dim_order(from, to, false, true))
-            .map_err(|_| TopologyError::NoRoute { from, to })
-    }
-
-    /// Route with an explicit dimension order (`x_first` or Y first) and
-    /// Y-direction choice (`long_y` walks against the shorter torus
-    /// direction).
-    fn route_dim_order(
+    /// Returns [`TopologyError::ChipOutOfRange`] when either endpoint is
+    /// not a chip of this mesh, and [`TopologyError::NoRoute`] when every
+    /// order is blocked by failed links.
+    pub fn for_each_hop(
         &self,
         from: ChipId,
         to: ChipId,
-        x_first: bool,
-        long_y: bool,
-    ) -> Result<Route, TopologyError> {
-        let mut chips = vec![from];
-        let mut cur = self.coord_of(from);
-        let dst = self.coord_of(to);
-        let walk_x = |chips: &mut Vec<ChipId>, cur: &mut Coord| -> Result<(), TopologyError> {
-            while cur.x != dst.x {
-                let next_x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-                let next = self.chip_at(Coord::new(next_x, cur.y));
-                let prev = self.chip_at(*cur);
-                if self.link_between(prev, next).is_none() {
-                    return Err(TopologyError::NoRoute { from, to });
-                }
-                chips.push(next);
-                cur.x = next_x;
+        mut visit: impl FnMut(ChipId, ChipId, LinkClass),
+    ) -> Result<(), TopologyError> {
+        let num_chips = self.num_chips();
+        for chip in [from, to] {
+            if chip.index() >= num_chips {
+                return Err(TopologyError::ChipOutOfRange { chip, num_chips });
             }
-            Ok(())
-        };
-        let walk_y = |this: &Multipod,
-                      chips: &mut Vec<ChipId>,
-                      cur: &mut Coord|
-         -> Result<(), TopologyError> {
-            // Pick the direction once (recomputing per hop would
-            // oscillate when walking the long way around).
-            let up_dist = (cur.y + this.y_len() - dst.y) % this.y_len();
-            let down_dist = (dst.y + this.y_len() - cur.y) % this.y_len();
-            let prefer_down = down_dist <= up_dist;
-            let go_down = if long_y { !prefer_down } else { prefer_down };
-            while cur.y != dst.y {
-                let next_y = if !this.torus_y() {
-                    if dst.y > cur.y {
-                        cur.y + 1
-                    } else {
-                        cur.y - 1
-                    }
-                } else if go_down {
-                    (cur.y + 1) % this.y_len()
-                } else {
-                    (cur.y + this.y_len() - 1) % this.y_len()
-                };
-                let next = this.chip_at(Coord::new(cur.x, next_y));
-                let prev = this.chip_at(*cur);
-                if this.link_between(prev, next).is_none() {
-                    return Err(TopologyError::NoRoute { from, to });
-                }
-                chips.push(next);
-                cur.y = next_y;
-            }
-            Ok(())
-        };
-        if x_first {
-            walk_x(&mut chips, &mut cur)?;
-            walk_y(self, &mut chips, &mut cur)?;
-        } else {
-            walk_y(self, &mut chips, &mut cur)?;
-            walk_x(&mut chips, &mut cur)?;
         }
+        let walk = Walk {
+            x_len: self.x_len(),
+            y_len: self.y_len(),
+            pod_x_len: self.config().pod_x_len,
+            torus_y: self.torus_y(),
+            src: self.coord_of(from),
+            dst: self.coord_of(to),
+        };
+        let order = if self.failed_links().is_empty() {
+            WALK_ORDERS[0]
+        } else {
+            WALK_ORDERS
+                .into_iter()
+                .find(|&order| walk.run(order, |a, b, _| self.link_between(a, b).is_some()))
+                .ok_or(TopologyError::NoRoute { from, to })?
+        };
+        walk.run(order, |a, b, class| {
+            visit(a, b, class);
+            true
+        });
+        Ok(())
+    }
+
+    /// The route between two chips as [`Multipod::for_each_hop`] walks
+    /// it, collected.
+    ///
+    /// # Errors
+    ///
+    /// See [`Multipod::for_each_hop`].
+    pub fn route(&self, from: ChipId, to: ChipId) -> Result<Route, TopologyError> {
+        let mut chips = vec![from];
+        self.for_each_hop(from, to, |_, next, _| chips.push(next))?;
         Ok(Route { chips })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::MultipodConfig;
+
+    /// The routing `Multipod::route` did before the walker, kept as its
+    /// oracle: one materialized attempt per order, each hop re-deriving
+    /// coordinates and asking `link_between`.
+    impl Multipod {
+        fn route_cascade(&self, from: ChipId, to: ChipId) -> Result<Route, TopologyError> {
+            if from == to {
+                return Ok(Route { chips: vec![from] });
+            }
+            self.route_dim_order(from, to, true, false)
+                .or_else(|_| self.route_dim_order(from, to, false, false))
+                .or_else(|_| self.route_dim_order(from, to, true, true))
+                .or_else(|_| self.route_dim_order(from, to, false, true))
+                .map_err(|_| TopologyError::NoRoute { from, to })
+        }
+
+        /// Route with an explicit dimension order (`x_first` or Y first)
+        /// and Y-direction choice (`long_y` walks against the shorter
+        /// torus direction).
+        fn route_dim_order(
+            &self,
+            from: ChipId,
+            to: ChipId,
+            x_first: bool,
+            long_y: bool,
+        ) -> Result<Route, TopologyError> {
+            let mut chips = vec![from];
+            let mut cur = self.coord_of(from);
+            let dst = self.coord_of(to);
+            let walk_x = |chips: &mut Vec<ChipId>, cur: &mut Coord| -> Result<(), TopologyError> {
+                while cur.x != dst.x {
+                    let next_x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
+                    let next = self.chip_at(Coord::new(next_x, cur.y));
+                    let prev = self.chip_at(*cur);
+                    if self.link_between(prev, next).is_none() {
+                        return Err(TopologyError::NoRoute { from, to });
+                    }
+                    chips.push(next);
+                    cur.x = next_x;
+                }
+                Ok(())
+            };
+            let walk_y = |this: &Multipod,
+                          chips: &mut Vec<ChipId>,
+                          cur: &mut Coord|
+             -> Result<(), TopologyError> {
+                // Pick the direction once (recomputing per hop would
+                // oscillate when walking the long way around).
+                let up_dist = (cur.y + this.y_len() - dst.y) % this.y_len();
+                let down_dist = (dst.y + this.y_len() - cur.y) % this.y_len();
+                let prefer_down = down_dist <= up_dist;
+                let go_down = if long_y { !prefer_down } else { prefer_down };
+                while cur.y != dst.y {
+                    let next_y = if !this.torus_y() {
+                        if dst.y > cur.y {
+                            cur.y + 1
+                        } else {
+                            cur.y - 1
+                        }
+                    } else if go_down {
+                        (cur.y + 1) % this.y_len()
+                    } else {
+                        (cur.y + this.y_len() - 1) % this.y_len()
+                    };
+                    let next = this.chip_at(Coord::new(cur.x, next_y));
+                    let prev = this.chip_at(*cur);
+                    if this.link_between(prev, next).is_none() {
+                        return Err(TopologyError::NoRoute { from, to });
+                    }
+                    chips.push(next);
+                    cur.y = next_y;
+                }
+                Ok(())
+            };
+            if x_first {
+                walk_x(&mut chips, &mut cur)?;
+                walk_y(self, &mut chips, &mut cur)?;
+            } else {
+                walk_y(self, &mut chips, &mut cur)?;
+                walk_x(&mut chips, &mut cur)?;
+            }
+            Ok(Route { chips })
+        }
+    }
+
+    /// The link classes the walker reports along `from → to`.
+    fn link_classes(m: &Multipod, from: ChipId, to: ChipId) -> Vec<LinkClass> {
+        let mut classes = Vec::new();
+        m.for_each_hop(from, to, |_, _, class| classes.push(class))
+            .unwrap();
+        classes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On every ordered pair of a mesh with up to three failed links
+        /// and a failed chip, the walker visits exactly the cascade's
+        /// chips (or fails with its `NoRoute`), each hop starts where the
+        /// last one ended, and each class it computes is the one
+        /// `link_between` reports — so every hop it emits is live.
+        #[test]
+        fn walker_matches_the_materializing_cascade(
+            pods in 1u32..3,
+            pod_x_len in 1u32..10,
+            pod_y_len in 1u32..10,
+            torus_y in any::<bool>(),
+            failed in prop::collection::vec(0usize..10_000, 0..4),
+            dead_chip in prop::collection::vec(0usize..10_000, 0..2),
+        ) {
+            let mut m = Multipod::new(MultipodConfig { pods, pod_x_len, pod_y_len, torus_y });
+            let links = m.links();
+            for sel in failed {
+                if let Some(link) = links.get(sel % links.len().max(1)) {
+                    m.fail_link(link.from, link.to);
+                }
+            }
+            for sel in dead_chip {
+                m.fail_chip(ChipId((sel % m.num_chips()) as u32));
+            }
+            for from in m.chips() {
+                for to in m.chips() {
+                    let mut chips = vec![from];
+                    let walked = m.for_each_hop(from, to, |prev, next, class| {
+                        assert_eq!(chips.last(), Some(&prev));
+                        assert_eq!(m.link_between(prev, next), Some(class));
+                        chips.push(next);
+                    });
+                    match m.route_cascade(from, to) {
+                        Ok(route) => {
+                            prop_assert_eq!(walked, Ok(()));
+                            prop_assert_eq!(chips, route.chips);
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(walked, Err(e));
+                            prop_assert_eq!(chips, vec![from], "hops visited before {:?}", walked);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn off_mesh_endpoints_are_typed_errors_not_panics() {
+        let m = Multipod::new(MultipodConfig::mesh(4, 4, true));
+        let out_of_range = |chip| TopologyError::ChipOutOfRange {
+            chip,
+            num_chips: 16,
+        };
+        for (from, to, bad) in [(0, 99, 99), (16, 0, 16), (99, 99, 99)] {
+            let (from, to) = (ChipId(from), ChipId(to));
+            assert_eq!(m.route(from, to), Err(out_of_range(ChipId(bad))));
+            let walked = m.for_each_hop(from, to, |_, _, _| panic!("visited a hop"));
+            assert_eq!(walked, Err(out_of_range(ChipId(bad))));
+        }
+    }
 
     #[test]
     fn sparse_tables_fit_on_the_multipod_dense_do_not() {
@@ -236,7 +465,7 @@ mod tests {
         let to = m.chip_at(Coord::new(5, 6));
         let r = m.route(from, to).unwrap();
         // Adjacency along the whole route.
-        let classes = r.link_classes(&m);
+        let classes = link_classes(&m, from, to);
         assert_eq!(classes.len(), r.num_hops());
         // X distance 4 + torus-Y distance min(5, 3)=3.
         assert_eq!(r.num_hops(), 4 + 3);
@@ -249,7 +478,7 @@ mod tests {
         let to = m.chip_at(Coord::new(0, 7));
         let r = m.route(from, to).unwrap();
         assert_eq!(r.num_hops(), 1);
-        assert_eq!(r.link_classes(&m), vec![LinkClass::TorusWrap]);
+        assert_eq!(link_classes(&m, from, to), vec![LinkClass::TorusWrap]);
     }
 
     #[test]
@@ -302,8 +531,7 @@ mod tests {
         let m = Multipod::new(MultipodConfig::multipod(2));
         let from = m.chip_at(Coord::new(30, 0));
         let to = m.chip_at(Coord::new(34, 0));
-        let r = m.route(from, to).unwrap();
-        let classes = r.link_classes(&m);
+        let classes = link_classes(&m, from, to);
         assert_eq!(
             classes
                 .iter()

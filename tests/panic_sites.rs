@@ -40,7 +40,6 @@ const KNOWN: &[(&str, usize)] = &[
     ("crates/topology/src/chip.rs", 1),
     ("crates/topology/src/mesh.rs", 4),
     ("crates/topology/src/rings.rs", 10),
-    ("crates/topology/src/routing.rs", 1),
     ("crates/trace/src/time.rs", 1),
 ];
 
