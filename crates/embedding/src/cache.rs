@@ -63,15 +63,33 @@ impl LruCache {
     /// A cache holding at most `capacity` rows. Zero capacity disables
     /// caching (every access misses and nothing is stored).
     pub fn new(capacity: usize) -> LruCache {
+        let mut cache = LruCache::with_room(capacity, 0);
+        cache.nodes.reserve_exact(capacity.min(1 << 20));
+        cache
+    }
+
+    /// A cache of `capacity` rows whose map and arena are sized up front
+    /// for `room` of them: while it holds no more, it allocates nothing.
+    pub(crate) fn with_room(capacity: usize, room: usize) -> LruCache {
+        let room = room.min(capacity);
         LruCache {
             capacity,
-            map: HashMap::default(),
-            nodes: Vec::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(room, Default::default()),
+            nodes: Vec::with_capacity(room),
             head: NIL,
             tail: NIL,
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Forgets every row, keeping the allocation and the hit/miss
+    /// counters.
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Rows currently cached.
@@ -190,13 +208,79 @@ impl EmbeddingCache {
 
     /// Hit rate over every access so far (0 when nothing was accessed).
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits();
-        let total = hits + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
+        hit_rate(self.hits(), self.misses())
+    }
+}
+
+/// `hits / (hits + misses)`, 0 when nothing was accessed.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let total = hits + misses;
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
+}
+
+/// Every cache outcome of a query stream, from
+/// [`ShardedEmbedding::replay_caches`](crate::ShardedEmbedding::replay_caches):
+/// one hit bit per `(sample, table)` position of the flattened stream.
+#[derive(Clone, Debug)]
+pub struct CacheReplay {
+    tables: usize,
+    bits: Vec<u64>,
+    hits: u64,
+    misses: u64,
+}
+
+impl CacheReplay {
+    /// No hits yet over `samples × tables` positions.
+    pub(crate) fn new(samples: usize, tables: usize) -> CacheReplay {
+        CacheReplay {
+            tables,
+            bits: vec![0; (samples * tables).div_ceil(64)],
+            hits: 0,
+            misses: 0,
         }
+    }
+
+    /// Records the outcome of the probe at `(sample, table)`.
+    pub(crate) fn record(&mut self, sample: usize, table: usize, hit: bool) {
+        let at = sample * self.tables + table;
+        self.bits[at / 64] |= u64::from(hit) << (at % 64);
+    }
+
+    /// Takes the hit/miss totals of the cache that produced the outcomes.
+    pub(crate) fn set_totals(&mut self, cache: &LruCache) {
+        (self.hits, self.misses) = (cache.hits(), cache.misses());
+    }
+
+    /// Whether the remote row at `(sample, table)` — `sample` indexing the
+    /// flattened stream — was served from its home host's cache. Local
+    /// rows and positions outside the stream never hit.
+    pub fn hit(&self, sample: usize, table: usize) -> bool {
+        let at = sample * self.tables + table;
+        table < self.tables
+            && self
+                .bits
+                .get(at / 64)
+                .is_some_and(|w| w >> (at % 64) & 1 == 1)
+    }
+
+    /// Remote rows served from a cache.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Remote rows that missed (and crossed the mesh).
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Hit rate over every remote row (0 when there were none), computed
+    /// as [`EmbeddingCache::hit_rate`] computes it.
+    pub fn hit_rate(&self) -> f64 {
+        hit_rate(self.hits, self.misses)
     }
 }
 
@@ -236,6 +320,21 @@ mod tests {
         assert!(!c.access(0, 1));
         assert_eq!(c.len(), 0);
         assert_eq!(c.misses(), 2);
+    }
+
+    #[test]
+    fn clear_forgets_rows_but_keeps_counters() {
+        let mut c = LruCache::new(2);
+        c.access(0, 1);
+        c.access(0, 2);
+        assert!(c.access(0, 1));
+        c.clear();
+        assert!(c.is_empty());
+        assert!(!c.access(0, 1), "a cleared cache holds nothing");
+        c.access(0, 2);
+        c.access(0, 3); // evicts 1: recency restarted at the clear
+        assert!(!c.access(0, 1));
+        assert_eq!((c.hits(), c.misses()), (1, 6));
     }
 
     #[test]

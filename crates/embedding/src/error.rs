@@ -51,6 +51,22 @@ pub enum EmbeddingError {
         /// Tables in the placement.
         tables: usize,
     },
+    /// A batch's range of samples reaches past the stream's end.
+    BatchOutOfRange {
+        /// Offending batch index.
+        batch: usize,
+        /// Where its range ends.
+        end: usize,
+        /// Samples in the stream.
+        samples: usize,
+    },
+    /// An evaluation step needs one label per prediction.
+    LengthMismatch {
+        /// Predictions supplied.
+        predictions: usize,
+        /// Labels supplied.
+        labels: usize,
+    },
     /// A scatter-update gradient does not match the lookup layout.
     GradShapeMismatch {
         /// Gradient dims supplied.
@@ -98,6 +114,18 @@ impl fmt::Display for EmbeddingError {
                 f,
                 "sample {sample} carries {got} indices, expected one per table ({tables})"
             ),
+            EmbeddingError::BatchOutOfRange {
+                batch,
+                end,
+                samples,
+            } => write!(
+                f,
+                "batch {batch} ends at sample {end}, past the stream's {samples}"
+            ),
+            EmbeddingError::LengthMismatch {
+                predictions,
+                labels,
+            } => write!(f, "{predictions} predictions but {labels} labels"),
             EmbeddingError::GradShapeMismatch { got, expected } => {
                 write!(
                     f,

@@ -13,8 +13,10 @@
 //! This crate implements all three for real: [`Placement`] decides where
 //! each table lives, [`ShardedEmbedding`] executes distributed lookups
 //! over the simulated mesh (row-partitioned tables answer remote lookups
-//! via an all-to-all timed on the network; no table is materialised, and
-//! [`ShardedEmbedding::price`] skips the gather), and
+//! via an all-to-all timed on the network; no table is materialised,
+//! [`ShardedEmbedding::price`] skips the gather, and
+//! [`ShardedEmbedding::replay_caches`] settles a whole serving stream's
+//! per-host cache outcomes ahead of pricing it), and
 //! [`masked_self_interaction`] computes the masked feature self-interaction.
 //!
 //! ```
@@ -35,7 +37,7 @@ mod interaction;
 mod placement;
 mod sharded;
 
-pub use cache::{EmbeddingCache, LruCache};
+pub use cache::{CacheReplay, EmbeddingCache, LruCache};
 pub use error::EmbeddingError;
 pub use interaction::{masked_self_interaction, InteractionOutput};
 pub use placement::{EmbeddingSpec, Placement, TablePlacement};

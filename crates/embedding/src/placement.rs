@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::EmbeddingError;
+
 /// Size description of one categorical feature's table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EmbeddingSpec {
@@ -97,14 +99,24 @@ impl Placement {
 
     /// The chip owning row `row` of table `t` (for partitioned tables).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `t` or `row` is out of range.
-    pub fn owner_of(&self, t: usize, row: usize) -> usize {
-        let spec = self.specs[t];
-        assert!(row < spec.rows, "row out of range");
-        let rows_per_chip = spec.rows.div_ceil(self.chips);
-        row / rows_per_chip
+    /// [`EmbeddingError::TableOutOfRange`] / [`EmbeddingError::RowOutOfRange`]
+    /// when `t` or `row` is out of range.
+    pub fn owner_of(&self, t: usize, row: usize) -> Result<usize, EmbeddingError> {
+        let tables = self.specs.len();
+        let spec = self
+            .specs
+            .get(t)
+            .ok_or(EmbeddingError::TableOutOfRange { table: t, tables })?;
+        if row >= spec.rows {
+            return Err(EmbeddingError::RowOutOfRange {
+                table: t,
+                row,
+                rows: spec.rows,
+            });
+        }
+        Ok(row / spec.rows.div_ceil(self.chips))
     }
 
     /// Rows of table `t` stored on `chip`.
@@ -202,9 +214,29 @@ mod tests {
     fn owner_matches_row_ranges() {
         let p = Placement::plan(&criteo_like(), 8, 0);
         for &row in &[0usize, 1, 4_999_999, 5_000_000, 39_999_999] {
-            let owner = p.owner_of(3, row);
+            let owner = p.owner_of(3, row).unwrap();
             assert!(p.rows_on_chip(3, owner).contains(&row));
         }
+    }
+
+    #[test]
+    fn owner_of_out_of_range_is_a_typed_error() {
+        let p = Placement::plan(&criteo_like(), 8, 0);
+        assert_eq!(
+            p.owner_of(5, 0),
+            Err(EmbeddingError::TableOutOfRange {
+                table: 5,
+                tables: 5
+            })
+        );
+        assert_eq!(
+            p.owner_of(0, 10),
+            Err(EmbeddingError::RowOutOfRange {
+                table: 0,
+                row: 10,
+                rows: 10
+            })
+        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Distributed embedding lookup over the simulated mesh.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use multipod_simnet::{Network, SimTime};
 use multipod_tensor::{Shape, Tensor};
 use multipod_topology::ChipId;
 
-use crate::{EmbeddingCache, EmbeddingError, Placement};
+use crate::{CacheReplay, EmbeddingCache, EmbeddingError, LruCache, Placement};
 
 /// The traffic half of a [`LookupOutcome`]: what a lookup step costs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -64,6 +65,12 @@ fn messages(keys: &mut [u64], chips: u64, row_bytes: u64) -> Vec<(ChipId, ChipId
         (ChipId(owner as u32), ChipId(home as u32), bytes)
     }));
     out
+}
+
+/// The chip serving sample `sample` of a batch: samples are owned by
+/// chips round-robin.
+fn home_of(sample: usize, chips: usize) -> usize {
+    sample % chips
 }
 
 /// Embedding tables distributed across the chips of a mesh.
@@ -158,7 +165,7 @@ impl ShardedEmbedding {
         indices: &[Vec<usize>],
         start: SimTime,
     ) -> Result<LookupOutcome, EmbeddingError> {
-        let cost = self.price(net, indices, start, None)?;
+        let cost = self.price(net, indices, start, |_, _, _, _| false)?;
         Ok(self.gather(indices, cost))
     }
 
@@ -179,15 +186,22 @@ impl ShardedEmbedding {
         start: SimTime,
         cache: &mut EmbeddingCache,
     ) -> Result<LookupOutcome, EmbeddingError> {
-        let cost = self.price(net, indices, start, Some(cache))?;
+        let cost = self.price(net, indices, start, |_, home, t, row| {
+            cache.access(home, t, row)
+        })?;
         Ok(self.gather(indices, cost))
     }
 
     /// The traffic half of a lookup, without the numeric gather: places
-    /// every row, probes `cache` (when given) for the remote ones, and
-    /// times one bulk response message per `(owner, home)` pair — the
+    /// every row, asks `cached(sample, home, table, row)` whether each
+    /// remote one is served from its home chip's cache, and times one bulk
+    /// response message per `(owner, home)` pair for the rest — the
     /// batched all-to-all of the optimized input path. This is the serving
     /// path, which never reads an embedding value.
+    ///
+    /// `cached` is asked once per remote row, in sample order and within a
+    /// sample in table order: a stateful cache (`EmbeddingCache::access`)
+    /// sees exactly the probes a per-batch lookup makes.
     ///
     /// # Errors
     ///
@@ -196,13 +210,17 @@ impl ShardedEmbedding {
     /// [`EmbeddingError::RowOutOfRange`] when a sample does not carry one
     /// in-range index per table, and [`EmbeddingError::Network`] when a
     /// response message cannot be routed.
-    pub fn price<S: AsRef<[usize]>>(
+    pub fn price<S, F>(
         &self,
         net: &mut Network,
         indices: &[S],
         start: SimTime,
-        mut cache: Option<&mut EmbeddingCache>,
-    ) -> Result<LookupCost, EmbeddingError> {
+        mut cached: F,
+    ) -> Result<LookupCost, EmbeddingError>
+    where
+        S: AsRef<[usize]>,
+        F: FnMut(usize, usize, usize, usize) -> bool,
+    {
         let (placement, mesh) = (self.placement.chips(), net.mesh().num_chips());
         if placement != mesh {
             return Err(EmbeddingError::ChipCountMismatch { placement, mesh });
@@ -213,15 +231,12 @@ impl ShardedEmbedding {
         let (mut local_rows, mut cache_hits) = (0usize, 0usize);
         for (sample, row_ids) in indices.iter().map(AsRef::as_ref).enumerate() {
             self.check_sample(sample, row_ids)?;
-            let home = sample % chips;
+            let home = home_of(sample, chips);
             for (t, &row) in row_ids.iter().enumerate() {
-                let owner = self.placement.owner_of(t, row);
-                if self.placement.is_replicated(t) || owner == home {
-                    local_rows += 1;
-                } else if cache.as_deref_mut().is_some_and(|c| c.access(home, t, row)) {
-                    cache_hits += 1;
-                } else {
-                    remote.push((owner * chips + home) as u64);
+                match self.remote_owner(t, row, home)? {
+                    None => local_rows += 1,
+                    Some(_) if cached(sample, home, t, row) => cache_hits += 1,
+                    Some(owner) => remote.push((owner * chips + home) as u64),
                 }
             }
         }
@@ -232,6 +247,93 @@ impl ShardedEmbedding {
             local_rows,
             cache_hits,
         })
+    }
+
+    /// Runs every home host's exact LRU of `rows_per_host` rows over a
+    /// whole query stream and records each remote row's outcome, so that
+    /// `price(.., |s, _, t, _| replay.hit(base + s, t))` on each batch
+    /// (`base` its first flat sample) times exactly what per-batch probing
+    /// of an [`EmbeddingCache`] in stream order would.
+    ///
+    /// `samples` is the flattened stream and `batches` its batches, as
+    /// ranges of `samples` in pricing order; a sample's home is its index
+    /// within its batch modulo the chip count. A host sees only its own
+    /// samples, so the hosts are replayed one after the other through one
+    /// [`LruCache`], cleared between hosts: each host's probes stay in
+    /// stream order (batches in order, its samples ascending within a
+    /// batch, tables ascending within a sample), and at most one host's
+    /// rows are ever held.
+    ///
+    /// # Errors
+    ///
+    /// [`EmbeddingError::BatchOutOfRange`] when a batch's range leaves
+    /// `samples`; otherwise, checking samples in stream order, the error
+    /// the first failing `price` call would return
+    /// ([`EmbeddingError::ArityMismatch`] /
+    /// [`EmbeddingError::RowOutOfRange`], the sample counted within its
+    /// batch). Nothing is probed then.
+    pub fn replay_caches<S: AsRef<[usize]>>(
+        &self,
+        samples: &[S],
+        batches: &[Range<usize>],
+        rows_per_host: usize,
+    ) -> Result<CacheReplay, EmbeddingError> {
+        let (chips, tables) = (self.placement.chips(), self.placement.num_tables());
+        for (batch, range) in batches.iter().enumerate() {
+            let members = samples
+                .get(range.clone())
+                .ok_or(EmbeddingError::BatchOutOfRange {
+                    batch,
+                    end: range.end,
+                    samples: samples.len(),
+                })?;
+            for (sample, row_ids) in members.iter().enumerate() {
+                self.check_sample(sample, row_ids.as_ref())?;
+            }
+        }
+        // Host 0 makes the most probes: one per table for every `chips`-th
+        // sample of each batch, starting with the first.
+        let most_probes = tables
+            * batches
+                .iter()
+                .map(|b| b.len().div_ceil(chips))
+                .sum::<usize>();
+        let mut lru = LruCache::with_room(rows_per_host, most_probes);
+        let mut replay = CacheReplay::new(samples.len(), tables);
+        for host in 0..chips {
+            lru.clear();
+            for range in batches {
+                // Every `chips`-th sample of the batch, from the first one
+                // homed on `host`.
+                for sample in (range.start + host..range.end).step_by(chips) {
+                    let home = home_of(sample - range.start, chips);
+                    debug_assert_eq!(home, host);
+                    for (t, &row) in samples[sample].as_ref().iter().enumerate() {
+                        if self.remote_owner(t, row, home)?.is_some() {
+                            replay.record(sample, t, lru.access(t, row));
+                        }
+                    }
+                }
+            }
+        }
+        replay.set_totals(&lru);
+        Ok(replay)
+    }
+
+    /// The chip `home` fetches row `row` of table `t` from, or `None` when
+    /// the row is local to `home`: its table is replicated or `home` owns
+    /// the row.
+    fn remote_owner(
+        &self,
+        t: usize,
+        row: usize,
+        home: usize,
+    ) -> Result<Option<usize>, EmbeddingError> {
+        if self.placement.is_replicated(t) {
+            return Ok(None);
+        }
+        let owner = self.placement.owner_of(t, row)?;
+        Ok((owner != home).then_some(owner))
     }
 
     /// One index per table, each inside its table.
@@ -328,10 +430,25 @@ impl EvalAccumulator {
     }
 
     /// Accumulates one on-device inference step (no host traffic).
-    pub fn accumulate(&mut self, predictions: &[f32], labels: &[bool]) {
-        assert_eq!(predictions.len(), labels.len());
+    ///
+    /// # Errors
+    ///
+    /// [`EmbeddingError::LengthMismatch`] unless there is one label per
+    /// prediction; nothing is accumulated then.
+    pub fn accumulate(
+        &mut self,
+        predictions: &[f32],
+        labels: &[bool],
+    ) -> Result<(), EmbeddingError> {
+        if predictions.len() != labels.len() {
+            return Err(EmbeddingError::LengthMismatch {
+                predictions: predictions.len(),
+                labels: labels.len(),
+            });
+        }
         self.predictions.extend_from_slice(predictions);
         self.labels.extend_from_slice(labels);
+        Ok(())
     }
 
     /// Drains the accumulated results to the host (one transfer for many
@@ -606,7 +723,7 @@ mod tests {
         for step in 0..64 {
             let preds = vec![step as f32; 128];
             let labels = vec![step % 2 == 0; 128];
-            acc.accumulate(&preds, &labels);
+            acc.accumulate(&preds, &labels).unwrap();
         }
         assert_eq!(acc.buffered(), 64 * 128);
         assert_eq!(acc.host_transfers(), 0);
@@ -615,5 +732,84 @@ mod tests {
         assert_eq!(l.len(), 64 * 128);
         assert_eq!(acc.host_transfers(), 1);
         assert_eq!(acc.buffered(), 0);
+    }
+
+    #[test]
+    fn eval_step_without_one_label_per_prediction_is_a_typed_error() {
+        let mut acc = EvalAccumulator::new();
+        assert_eq!(
+            acc.accumulate(&[0.5; 3], &[true; 2]),
+            Err(EmbeddingError::LengthMismatch {
+                predictions: 3,
+                labels: 2
+            })
+        );
+        assert_eq!(acc.buffered(), 0);
+    }
+
+    #[test]
+    fn replay_serves_what_per_batch_probing_serves() {
+        let (_, emb) = setup();
+        // Two batches of eight: table-1 row 0 is remote for homes 1..3.
+        let samples = vec![vec![0usize, 0]; 16];
+        let replay = emb.replay_caches(&samples, &[0..8, 8..16], 64).unwrap();
+        // Homes 1..3 each carry two samples a batch: the first sample of
+        // the first batch misses, every later one hits.
+        let hits: Vec<bool> = (0..16).map(|s| replay.hit(s, 1)).collect();
+        let first_batch = [false, false, false, false, false, true, true, true];
+        let second_batch = [false, true, true, true, false, true, true, true];
+        assert_eq!(hits, [first_batch, second_batch].concat());
+        assert!((0..16).all(|s| !replay.hit(s, 0)), "table 0 is replicated");
+        assert_eq!((replay.hits(), replay.misses()), (9, 3));
+        assert_eq!(replay.hit_rate(), 0.75);
+        // Positions outside the stream read as misses.
+        assert!(!replay.hit(16, 1) && !replay.hit(0, 2));
+    }
+
+    #[test]
+    fn replay_rejects_what_the_first_failing_price_would() {
+        let (mut net, emb) = setup();
+        let mut samples = vec![vec![0usize, 0]; 6];
+        samples[4] = vec![0, 5000];
+        let batches = [0..3, 3..6];
+        let err = emb.replay_caches(&samples, &batches, 64).unwrap_err();
+        let first_failing = batches
+            .iter()
+            .find_map(|b| {
+                emb.price(
+                    &mut net,
+                    &samples[b.clone()],
+                    SimTime::ZERO,
+                    |_, _, _, _| false,
+                )
+                .err()
+            })
+            .unwrap();
+        assert_eq!(err, first_failing);
+        assert_eq!(
+            err,
+            EmbeddingError::RowOutOfRange {
+                table: 1,
+                row: 5000,
+                rows: 4096
+            }
+        );
+        samples[4] = vec![0];
+        assert_eq!(
+            emb.replay_caches(&samples, &batches, 64).unwrap_err(),
+            EmbeddingError::ArityMismatch {
+                sample: 1,
+                got: 1,
+                tables: 2
+            }
+        );
+        assert_eq!(
+            emb.replay_caches(&samples, &[0..3, 3..7], 64).unwrap_err(),
+            EmbeddingError::BatchOutOfRange {
+                batch: 1,
+                end: 7,
+                samples: 6
+            }
+        );
     }
 }

@@ -46,7 +46,7 @@ proptest! {
         }
         prop_assert_eq!(covered, rows);
         for probe in [0, rows / 2, rows - 1] {
-            let owner = placement.owner_of(0, probe);
+            let owner = placement.owner_of(0, probe).unwrap();
             prop_assert!(placement.rows_on_chip(0, owner).contains(&probe));
         }
     }
@@ -185,7 +185,12 @@ proptest! {
                 Some(c) => emb.lookup_cached(&mut net_l, &indices, start, c),
                 None => emb.lookup(&mut net_l, &indices, start),
             }.unwrap();
-            let priced = emb.price(&mut net_p, &indices, start, cache_p.as_mut()).unwrap();
+            let priced = match cache_p.as_mut() {
+                Some(c) => emb.price(&mut net_p, &indices, start, |_, home, t, row| {
+                    c.access(home, t, row)
+                }),
+                None => emb.price(&mut net_p, &indices, start, |_, _, _, _| false),
+            }.unwrap();
             prop_assert_eq!(priced.time, looked.time);
             prop_assert_eq!(priced.remote_rows, looked.remote_rows);
             prop_assert_eq!(priced.local_rows, looked.local_rows);
@@ -202,6 +207,93 @@ proptest! {
         for from in net_l.mesh().chips() {
             for to in net_l.mesh().chips() {
                 prop_assert_eq!(net_l.link_traffic(from, to), net_p.link_traffic(from, to));
+            }
+        }
+    }
+
+    /// Replaying the caches host by host over a whole stream serves the
+    /// same remote rows as probing an `EmbeddingCache` batch by batch in
+    /// stream order — the same outcome at every position, the same totals
+    /// — and pricing each batch from the replay times what pricing it
+    /// against the live cache does, down to the bytes on every directed
+    /// link. Batches may hold more samples than there are chips (one host
+    /// serves several samples of a batch), and up to 24 distinct rows per
+    /// table against capacities of at most 64 make the caches evict.
+    #[test]
+    fn replayed_caches_equal_per_batch_probing(
+        (x, y, wrap) in (1u32..6, 1u32..6, any::<bool>()),
+        rows in prop::collection::vec(1usize..600, 1..5),
+        budget in prop::sample::select(vec![0u64, 1 << 11, 1 << 30]),
+        capacity in prop::sample::select(vec![0usize, 1, 2, 64]),
+        lens in prop::collection::vec(0usize..60, 1..6),
+        seed in 0u64..10_000,
+    ) {
+        let chips = (x * y) as usize;
+        let specs: Vec<EmbeddingSpec> =
+            rows.iter().map(|&rows| EmbeddingSpec { rows, dim: 2 }).collect();
+        let emb = ShardedEmbedding::init(Placement::plan(&specs, chips, budget), seed).unwrap();
+        let placement = emb.placement();
+        let mut next = lcg(seed);
+        let samples: Vec<Vec<usize>> = (0..lens.iter().sum())
+            .map(|_| rows.iter().map(|&r| next(r.min(24)) * (r / r.min(24))).collect())
+            .collect();
+        let batches: Vec<std::ops::Range<usize>> = lens
+            .iter()
+            .scan(0, |at, &len| {
+                *at += len;
+                Some(*at - len..*at)
+            })
+            .collect();
+        let replay = emb.replay_caches(&samples, &batches, capacity).unwrap();
+
+        let mut probed = EmbeddingCache::new(chips, capacity);
+        for batch in &batches {
+            for (s, row_ids) in samples[batch.clone()].iter().enumerate() {
+                let home = s % chips;
+                for (t, &row) in row_ids.iter().enumerate() {
+                    let remote = !placement.is_replicated(t)
+                        && placement.owner_of(t, row).unwrap() != home;
+                    let hit = remote && probed.access(home, t, row);
+                    prop_assert_eq!(
+                        replay.hit(batch.start + s, t),
+                        hit,
+                        "sample {} table {}",
+                        batch.start + s,
+                        t
+                    );
+                }
+            }
+        }
+        prop_assert_eq!((replay.hits(), replay.misses()), (probed.hits(), probed.misses()));
+        prop_assert_eq!(replay.hit_rate(), probed.hit_rate());
+
+        let net = || Network::new(
+            Multipod::new(MultipodConfig::mesh(x, y, wrap)),
+            NetworkConfig::tpu_v3(),
+        );
+        let (mut net_live, mut net_replay) = (net(), net());
+        let mut live = EmbeddingCache::new(chips, capacity);
+        let mut start = SimTime::ZERO;
+        // Back to back: each batch meets links the previous one reserved.
+        for batch in &batches {
+            let indices = &samples[batch.clone()];
+            let from_live = emb
+                .price(&mut net_live, indices, start, |_, home, t, row| live.access(home, t, row))
+                .unwrap();
+            let from_replay = emb
+                .price(&mut net_replay, indices, start, |s, _, t, _| {
+                    replay.hit(batch.start + s, t)
+                })
+                .unwrap();
+            prop_assert_eq!(from_replay, from_live);
+            start = from_live.time;
+        }
+        for from in net_live.mesh().chips() {
+            for to in net_live.mesh().chips() {
+                prop_assert_eq!(
+                    net_live.link_traffic(from, to),
+                    net_replay.link_traffic(from, to)
+                );
             }
         }
     }

@@ -17,15 +17,15 @@
 
 use serde::{Deserialize, Serialize};
 
-use multipod_embedding::{EmbeddingCache, EmbeddingSpec, Placement, ShardedEmbedding};
+use multipod_embedding::{EmbeddingSpec, LookupCost, Placement, ShardedEmbedding};
 use multipod_models::{catalog, TpuV3};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_taskgraph::{Resource, TaskGraph, TaskKind};
 use multipod_telemetry::{DistSummary, MetricId, Obs, Subsystem};
 use multipod_topology::{Multipod, MultipodConfig};
 
-use crate::batch::{assemble, BatchingConfig};
-use crate::stream::{query_stream, QueryStreamConfig};
+use crate::batch::{assemble, Batch, BatchingConfig};
+use crate::stream::{query_stream, QueryStreamConfig, Request};
 use crate::ServeError;
 
 /// Fixed host-side cost per batch lookup: probe the cache, build the
@@ -108,6 +108,70 @@ pub struct DlrmServeReport {
     pub makespan_seconds: f64,
 }
 
+/// The mesh of a serving slice.
+///
+/// # Errors
+///
+/// [`ServeError::InvalidConfig`] on field `slice`, carrying the chips the
+/// slice describes, when an extent is zero.
+pub(crate) fn slice_mesh(slice: &MultipodConfig) -> Result<Multipod, ServeError> {
+    Multipod::try_new(slice.clone()).map_err(|_| ServeError::InvalidConfig {
+        field: "slice",
+        value: f64::from(slice.pods) * f64::from(slice.pod_x_len) * f64::from(slice.pod_y_len),
+    })
+}
+
+/// Every batch's lookup cost, in batch order, and the caches' totals.
+struct Priced {
+    costs: Vec<LookupCost>,
+    cache_hits: u64,
+    cache_hit_rate: f64,
+}
+
+/// How a run prices its batches: `(embedding, slice network, request
+/// log, batches, cache rows per host)`.
+type PriceBatches =
+    fn(&ShardedEmbedding, &mut Network, &[Request], &[Batch], usize) -> Result<Priced, ServeError>;
+
+/// Prices every batch in two passes over the whole stream: the hosts'
+/// caches are replayed first (a host sees only its own samples, so one
+/// host at a time), then each batch's all-to-all is timed from the
+/// recorded outcomes.
+fn price_batches(
+    emb: &ShardedEmbedding,
+    net: &mut Network,
+    requests: &[Request],
+    batches: &[Batch],
+    rows_per_host: usize,
+) -> Result<Priced, ServeError> {
+    let mut samples: Vec<&[usize]> = Vec::with_capacity(batches.iter().map(|b| b.samples).sum());
+    let mut ranges = Vec::with_capacity(batches.len());
+    for b in batches {
+        let start = samples.len();
+        samples.extend(
+            b.requests
+                .iter()
+                .flat_map(|&r| requests[r].samples.iter().map(Vec::as_slice)),
+        );
+        ranges.push(start..samples.len());
+    }
+    let replay = emb.replay_caches(&samples, &ranges, rows_per_host)?;
+    let mut costs = Vec::with_capacity(batches.len());
+    for range in &ranges {
+        let base = range.start;
+        let indices = &samples[range.clone()];
+        costs.push(emb.price(net, indices, SimTime::ZERO, |s, _, t, _| {
+            replay.hit(base + s, t)
+        })?);
+        net.reset();
+    }
+    Ok(Priced {
+        costs,
+        cache_hits: replay.hits(),
+        cache_hit_rate: replay.hit_rate(),
+    })
+}
+
 /// The DLRM serving replica simulator.
 pub struct DlrmServer {
     config: DlrmServeConfig,
@@ -138,10 +202,15 @@ impl DlrmServer {
     /// [`ServeError`] when the stream, batching policy, slice or
     /// embedding layout is invalid.
     pub fn run(&self) -> Result<DlrmServeReport, ServeError> {
+        self.run_with(price_batches)
+    }
+
+    /// [`DlrmServer::run`] with the batches priced by `price`.
+    fn run_with(&self, price: PriceBatches) -> Result<DlrmServeReport, ServeError> {
         let requests = query_stream(&self.config.stream)?;
         let batches = assemble(&requests, &self.config.batching)?;
 
-        let mesh = Multipod::new(self.config.slice.clone());
+        let mesh = slice_mesh(&self.config.slice)?;
         let chips = mesh.num_chips();
         let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
         let dim = self.config.embedding_dim;
@@ -160,7 +229,13 @@ impl DlrmServer {
         ];
         let placement = Placement::plan(&specs, chips, self.config.replication_budget_bytes);
         let emb = ShardedEmbedding::init(placement, self.config.table_seed)?;
-        let mut cache = EmbeddingCache::new(chips, self.config.cache_rows_per_chip);
+        let priced = price(
+            &emb,
+            &mut net,
+            &requests,
+            &batches,
+            self.config.cache_rows_per_chip,
+        )?;
 
         let tpu = TpuV3::new();
         let workload = catalog::dlrm();
@@ -170,14 +245,7 @@ impl DlrmServer {
         // → all-to-all (ICI) → dense (MXU), each stage priced up front.
         let mut graph = TaskGraph::new();
         let mut stages = Vec::with_capacity(batches.len());
-        for (i, b) in batches.iter().enumerate() {
-            let indices: Vec<&Vec<usize>> = b
-                .requests
-                .iter()
-                .flat_map(|&r| &requests[r].samples)
-                .collect();
-            let cost = emb.price(&mut net, &indices, SimTime::ZERO, Some(&mut cache))?;
-            net.reset();
+        for (i, (b, cost)) in batches.iter().zip(&priced.costs).enumerate() {
             remote_rows += cost.remote_rows as u64;
             let all_to_all_s = cost.time.seconds();
             let local_row_bytes =
@@ -249,8 +317,8 @@ impl DlrmServer {
                 / batches.len() as f64,
             latency: DistSummary::of(latencies),
             phase_means: means,
-            cache_hit_rate: cache.hit_rate(),
-            cache_hits: cache.hits(),
+            cache_hit_rate: priced.cache_hit_rate,
+            cache_hits: priced.cache_hits,
             remote_rows,
             achieved_qps: requests.len() as f64 / makespan.max(f64::MIN_POSITIVE),
             makespan_seconds: makespan,
@@ -267,6 +335,73 @@ impl DlrmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multipod_embedding::LruCache;
+    use proptest::prelude::*;
+
+    /// The per-batch loop `price_batches` replaced: every host's LRU
+    /// probed batch by batch, in stream order.
+    fn price_batches_oracle(
+        emb: &ShardedEmbedding,
+        net: &mut Network,
+        requests: &[Request],
+        batches: &[Batch],
+        rows_per_host: usize,
+    ) -> Result<Priced, ServeError> {
+        let chips = emb.placement().chips();
+        let mut caches: Vec<LruCache> = (0..chips).map(|_| LruCache::new(rows_per_host)).collect();
+        let mut costs = Vec::with_capacity(batches.len());
+        for b in batches {
+            let indices: Vec<&Vec<usize>> = b
+                .requests
+                .iter()
+                .flat_map(|&r| &requests[r].samples)
+                .collect();
+            costs.push(emb.price(net, &indices, SimTime::ZERO, |_, home, t, row| {
+                caches[home].access(t, row)
+            })?);
+            net.reset();
+        }
+        let hits: u64 = caches.iter().map(LruCache::hits).sum();
+        let total = hits + caches.iter().map(LruCache::misses).sum::<u64>();
+        Ok(Priced {
+            costs,
+            cache_hits: hits,
+            cache_hit_rate: if total == 0 {
+                0.0
+            } else {
+                hits as f64 / total as f64
+            },
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Replaying the caches host by host reports exactly what probing
+        /// them batch by batch reports, on small random replicas whose
+        /// batches outnumber their chips and whose caches evict.
+        #[test]
+        fn run_reports_what_per_batch_probing_reports(
+            (x, y) in (1u32..5, 1u32..5),
+            queries in 1u32..160,
+            seed in 0u64..1000,
+            tables in 1usize..5,
+            rows_per_table in 1usize..3000,
+            budget in prop::sample::select(vec![0u64, 1024, 1 << 20]),
+            cache_rows in prop::sample::select(vec![0usize, 1, 2, 64]),
+            max_batch_samples in 8usize..64,
+        ) {
+            let mut c = DlrmServeConfig::demo(MultipodConfig::mesh(x, y, false), queries, seed);
+            c.stream.tables = tables;
+            c.stream.rows_per_table = rows_per_table;
+            c.stream.max_samples = 8;
+            c.batching.max_batch_samples = max_batch_samples;
+            c.replication_budget_bytes = budget;
+            c.cache_rows_per_chip = cache_rows;
+            let server = DlrmServer::new(c);
+            prop_assert_eq!(server.run().unwrap(), server.run_with(price_batches_oracle).unwrap());
+        }
+    }
 
     fn demo(queries: u32, seed: u64) -> DlrmServeConfig {
         let mut c = DlrmServeConfig::demo(MultipodConfig::mesh(4, 4, false), queries, seed);
@@ -332,6 +467,18 @@ mod tests {
         let report = DlrmServer::new(c).run().expect("serving run");
         assert_eq!(report.cache_hits, 0);
         assert_eq!(report.cache_hit_rate, 0.0);
+    }
+
+    #[test]
+    fn zero_extent_slice_is_a_typed_error() {
+        let c = DlrmServeConfig::demo(MultipodConfig::mesh(0, 4, false), 50, 1);
+        assert!(matches!(
+            DlrmServer::new(c).run(),
+            Err(ServeError::InvalidConfig {
+                field: "slice",
+                value
+            }) if value == 0.0
+        ));
     }
 
     #[test]

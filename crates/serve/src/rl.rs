@@ -18,9 +18,10 @@ use multipod_core::StepOptions;
 use multipod_models::{catalog, TpuV3};
 use multipod_simnet::{EventQueue, Network, NetworkConfig, SimTime};
 use multipod_telemetry::{DistSummary, MetricId, Obs, Subsystem};
-use multipod_topology::{ChipId, Multipod, MultipodConfig};
+use multipod_topology::{ChipId, MultipodConfig};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
+use crate::dlrm::slice_mesh;
 use crate::ServeError;
 
 /// RL co-location parameters.
@@ -122,11 +123,12 @@ impl RlServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] when the learner claims the whole
-    /// slice (or more), or a rate parameter is out of range; pricing and
-    /// routing errors from the underlying models otherwise.
+    /// [`ServeError::InvalidConfig`] when the slice has a zero extent, the
+    /// learner claims the whole slice (or more), or a rate parameter is
+    /// out of range; pricing and routing errors from the underlying models
+    /// otherwise.
     pub fn run(&self) -> Result<RlServeReport, ServeError> {
-        let mesh = Multipod::new(self.config.slice.clone());
+        let mesh = slice_mesh(&self.config.slice)?;
         let total_chips = mesh.num_chips() as u32;
         if self.config.learner_chips == 0 || self.config.learner_chips >= total_chips {
             return Err(ServeError::InvalidConfig {
@@ -346,6 +348,18 @@ mod tests {
     fn rl_run_is_deterministic() {
         let run = || RlServer::new(demo()).run().expect("rl run");
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn zero_extent_slice_is_a_typed_error() {
+        let c = RlServeConfig::demo(MultipodConfig::mesh(8, 0, false));
+        assert!(matches!(
+            RlServer::new(c).run(),
+            Err(ServeError::InvalidConfig {
+                field: "slice",
+                value
+            }) if value == 0.0
+        ));
     }
 
     #[test]

@@ -117,7 +117,8 @@ fn main() {
         // Exercise the interaction layer too (its masked layout feeds the
         // top MLP in the full model).
         let _ = masked_self_interaction(&out.embeddings, 4).expect("width divides dim");
-        acc.accumulate(&preds, &labels);
+        acc.accumulate(&preds, &labels)
+            .expect("one label per prediction");
     }
     let (preds, labels) = acc.drain_to_host();
     println!(

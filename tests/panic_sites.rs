@@ -19,8 +19,7 @@ const KNOWN: &[(&str, usize)] = &[
     ("crates/bench/src/repros/analytic.rs", 2),
     ("crates/ckpt/src/interval.rs", 1),
     ("crates/core/src/graphs.rs", 7),
-    ("crates/embedding/src/placement.rs", 2),
-    ("crates/embedding/src/sharded.rs", 1),
+    ("crates/embedding/src/placement.rs", 1),
     ("crates/faults/src/plan.rs", 4),
     ("crates/framework/src/dispatch.rs", 1),
     ("crates/metrics/src/accuracy.rs", 4),
