@@ -103,22 +103,12 @@ impl ShardPlacement {
         if elems == 0 {
             return Err(CkptError::EmptyState);
         }
-        let mut live: Vec<ChipId> = mesh
-            .chips()
-            .filter(|c| !dead.contains(&c.index()) && !mesh.is_isolated(*c))
-            .collect();
+        // The trainer's survivor-ring order keeps the restore broadcast
+        // routable on degraded meshes.
+        let live = mesh.survivor_order(|c| !dead.contains(&c.index()) && !mesh.is_isolated(c));
         if live.is_empty() {
             return Err(CkptError::EmptyPlacement);
         }
-        // Column-major shard order, matching the trainer's survivor
-        // rings: consecutive same-column chips can detour around a dead
-        // chip over the torus Y wrap, which the dimension-ordered router
-        // cannot do for same-row pairs. This keeps the restore broadcast
-        // routable on degraded meshes.
-        live.sort_by_key(|&c| {
-            let coord = mesh.coord_of(c);
-            (coord.x, coord.y)
-        });
         let shards = live.len();
         let mut hosts: Vec<HostShards> = Vec::new();
         for (i, &chip) in live.iter().enumerate() {

@@ -2,19 +2,16 @@
 //!
 //! The routing layer silently detours around failed links (§2: sparse
 //! routing on the cross-pod optical network), which keeps collectives
-//! *correct* but hides the fact that they got *slower*. The graceful
-//! variants here compare every ring edge's actual route against the route
-//! a healthy mesh would use and surface the difference as a typed
-//! [`Degradation`] instead of absorbing it, so callers (the trainer, fault
-//! campaigns, benches) can observe the degraded window explicitly.
+//! *correct* but hides the fact that they got *slower*.
+//! [`ring_degradation`] compares every ring edge's actual route against
+//! the route a healthy mesh would use and surfaces the difference as a
+//! typed [`Degradation`] instead of absorbing it. The trainer runs it as
+//! its step pre-flight and reports the result as the step's `degraded`
+//! flag.
 
-use multipod_simnet::{Network, SimTime};
-use multipod_tensor::Tensor;
 use multipod_topology::{ChipId, Multipod, Ring};
-use multipod_trace::{SpanCategory, SpanEvent};
 
-use crate::ring::{self, CollectiveOutput};
-use crate::{chip_track, CollectiveError, Precision};
+use crate::CollectiveError;
 
 /// How far a ring's routing has strayed from the healthy-mesh plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,24 +20,6 @@ pub struct Degradation {
     pub broken_edges: usize,
     /// Total extra hops across all edges, relative to a healthy mesh.
     pub extra_hops: usize,
-}
-
-/// A collective result annotated with whether (and how badly) the ring was
-/// degraded by failed links while it ran.
-#[derive(Clone, Debug)]
-pub struct Graceful<T> {
-    /// The collective's output; numerically identical to the fault-free
-    /// result (detours change timing, not membership).
-    pub output: T,
-    /// `Some` when at least one ring edge detoured around a failed link.
-    pub degradation: Option<Degradation>,
-}
-
-impl<T> Graceful<T> {
-    /// Whether the collective ran over any detoured edge.
-    pub fn is_degraded(&self) -> bool {
-        self.degradation.is_some()
-    }
 }
 
 /// Hops of the `from → to` route on a mesh with no failed link: the
@@ -93,50 +72,12 @@ pub fn ring_degradation(
     Ok((degradation.broken_edges > 0).then_some(degradation))
 }
 
-/// [`ring::all_reduce`] with a typed degradation report.
-///
-/// When the ring runs over detoured edges, the result carries a
-/// [`Degradation`] and a `degraded-collective` fault span is emitted on
-/// the ring's first member so campaigns can see the slow window in the
-/// Chrome-trace export.
-///
-/// # Errors
-///
-/// See [`ring::all_reduce`]; additionally fails with
-/// [`CollectiveError::Network`] when an edge is fully unroutable.
-pub fn all_reduce_graceful(
-    net: &mut Network,
-    ring: &Ring,
-    inputs: &[Tensor],
-    precision: Precision,
-    start: SimTime,
-) -> Result<Graceful<CollectiveOutput>, CollectiveError> {
-    let degradation = ring_degradation(net.mesh(), ring)?;
-    let output = ring::all_reduce(net, ring, inputs, precision, start)?;
-    if let Some(d) = degradation {
-        net.obs().span(|| {
-            SpanEvent::new(
-                chip_track(net, ring.members()[0]),
-                SpanCategory::Fault,
-                "degraded-collective",
-                start,
-                output.time,
-            )
-            .with_arg("broken_edges", d.broken_edges as f64)
-            .with_arg("extra_hops", d.extra_hops as f64)
-        });
-    }
-    Ok(Graceful {
-        output,
-        degradation,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multipod_simnet::NetworkConfig;
-    use multipod_tensor::Shape;
+    use crate::{ring, Precision};
+    use multipod_simnet::{Network, NetworkConfig, SimTime};
+    use multipod_tensor::{Shape, Tensor};
     use multipod_topology::{Multipod, MultipodConfig};
     use proptest::prelude::*;
 
@@ -149,8 +90,7 @@ mod tests {
         if ring.len() < 2 {
             return Ok(None);
         }
-        let mut healthy = mesh.clone();
-        healthy.heal_all_links();
+        let healthy = Multipod::new(mesh.config().clone());
         let mut degradation = Degradation::default();
         let members = ring.members();
         let n = members.len();
@@ -221,12 +161,11 @@ mod tests {
     #[test]
     fn healthy_ring_reports_no_degradation() {
         let (mut net, ring) = column_net(4);
+        assert_eq!(ring_degradation(net.mesh(), &ring), Ok(None));
         let ins = inputs(4, 8);
-        let out =
-            all_reduce_graceful(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
-        assert!(!out.is_degraded());
+        let out = ring::all_reduce(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
         let reference = Tensor::sum_all(&ins).unwrap();
-        for o in &out.output.outputs {
+        for o in &out.outputs {
             assert_eq!(o, &reference);
         }
     }
@@ -243,51 +182,27 @@ mod tests {
         let reference = Tensor::sum_all(&ins).unwrap();
 
         net.fail_link(wrap_a, wrap_b, SimTime::ZERO);
-        let degraded =
-            all_reduce_graceful(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
-        let d = degraded.degradation.expect("wrap edge must be degraded");
+        let d = ring_degradation(net.mesh(), &ring)
+            .unwrap()
+            .expect("wrap edge must be degraded");
         assert!(d.broken_edges >= 1);
         assert!(d.extra_hops >= 1);
-        for o in &degraded.output.outputs {
+        let degraded =
+            ring::all_reduce(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
+        for o in &degraded.outputs {
             assert_eq!(o, &reference, "detour must not change the sum");
         }
 
         net.heal_link(wrap_a, wrap_b, SimTime::ZERO);
+        assert_eq!(ring_degradation(net.mesh(), &ring), Ok(None));
         let healed =
-            all_reduce_graceful(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
-        assert!(!healed.is_degraded());
+            ring::all_reduce(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
         assert!(
-            degraded.output.time > healed.output.time,
+            degraded.time > healed.time,
             "detour must cost time: degraded={} healed={}",
-            degraded.output.time,
-            healed.output.time
+            degraded.time,
+            healed.time
         );
-    }
-
-    #[test]
-    fn degraded_collective_emits_a_fault_span() {
-        use multipod_telemetry::Obs;
-        use multipod_trace::{Recorder, SpanCategory, TraceEvent};
-        let mesh = Multipod::new(MultipodConfig::mesh(2, 4, true));
-        let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
-        let recorder = Recorder::shared();
-        net.set_obs(Obs::new(Some(recorder.clone()), None));
-        let ring = net.mesh().y_ring(0);
-        let wrap_a = *ring.members().last().unwrap();
-        let wrap_b = ring.members()[0];
-        net.fail_link(wrap_a, wrap_b, SimTime::ZERO);
-        let ins = inputs(4, 8);
-        all_reduce_graceful(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO).unwrap();
-        let fault_spans: Vec<String> = recorder
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                TraceEvent::Span(s) if s.category == SpanCategory::Fault => Some(s.name),
-                _ => None,
-            })
-            .collect();
-        assert!(fault_spans.contains(&"link-down".to_string()));
-        assert!(fault_spans.contains(&"degraded-collective".to_string()));
     }
 
     #[test]
@@ -300,9 +215,13 @@ mod tests {
         let a = ring.members()[1];
         let b = ring.members()[2];
         net.fail_link(a, b, SimTime::ZERO);
+        assert!(matches!(
+            ring_degradation(net.mesh(), &ring),
+            Err(CollectiveError::Network(_))
+        ));
         let ins = inputs(4, 8);
         assert!(matches!(
-            all_reduce_graceful(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO),
+            ring::all_reduce(&mut net, &ring, &ins, Precision::F32, SimTime::ZERO),
             Err(CollectiveError::Network(_))
         ));
     }

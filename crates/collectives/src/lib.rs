@@ -53,7 +53,7 @@ mod error;
 mod precision;
 mod schedule;
 
-pub use degraded::{Degradation, Graceful};
+pub use degraded::Degradation;
 pub use error::CollectiveError;
 pub use precision::Precision;
 pub use schedule::{ChunkMove, Schedule};

@@ -76,11 +76,6 @@ impl Schedule {
         })
     }
 
-    /// Ring size.
-    pub fn num_members(self) -> usize {
-        self.n.get()
-    }
-
     /// Number of steps: `n - 1`.
     pub fn num_steps(self) -> usize {
         self.n.get() - 1

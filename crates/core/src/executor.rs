@@ -10,7 +10,6 @@ use multipod_models::{TpuV3, Workload};
 use multipod_simnet::{Network, NetworkConfig};
 use multipod_topology::{Multipod, MultipodConfig};
 
-use crate::overlap::{overlapped_step, OverlapConfig, OverlappedStep};
 use crate::step::{step_breakdown, StepBreakdown, StepError, StepOptions};
 
 /// A benchmark configuration: what Table 1 calls a row.
@@ -109,15 +108,6 @@ impl Executor {
             train_seconds,
             eval_seconds,
         })
-    }
-
-    /// Schedules the preset's step as a deferred task graph
-    /// ([`crate::overlap::overlapped_step`]) instead of the serial
-    /// analytic sum — with `overlap.overlap` off, the result's makespan
-    /// reproduces [`Executor::run`]'s step total bit for bit.
-    pub fn run_overlapped(&self, overlap: &OverlapConfig) -> Result<OverlappedStep, StepError> {
-        let p = &self.preset;
-        overlapped_step(&p.workload, p.chips, &p.options, overlap)
     }
 }
 
@@ -282,18 +272,6 @@ mod tests {
         assert_eq!(
             err,
             crate::step::StepError::InvalidSliceShape { chips: 100 }
-        );
-    }
-
-    #[test]
-    fn overlapped_run_beats_the_serial_step() {
-        let exec = Executor::new(presets::bert(4096));
-        let serial = exec.run().unwrap();
-        let overlapped = exec.run_overlapped(&OverlapConfig::default()).unwrap();
-        assert!(overlapped.step_seconds() < serial.step.total());
-        assert_eq!(
-            overlapped.analytic.total().to_bits(),
-            serial.step.total().to_bits()
         );
     }
 

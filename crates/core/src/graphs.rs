@@ -126,8 +126,10 @@ impl RepresentativeModel {
             .expect("representative graph partitions")
     }
 
-    /// [`Self::comm_bytes_per_core_per_sample`] and
-    /// [`Self::collectives_per_step`], read off one partitioned program.
+    /// Per-step model-parallel bytes one core sends for one sample, and
+    /// the per-step collective count on the critical path (per sample
+    /// batch, not per sample: collectives batch over the replica's
+    /// samples), read off one partitioned program.
     pub(crate) fn comm_per_step(&self, parts: usize) -> (f64, f64) {
         let stats = self.partition(parts).comm_stats();
         let bytes = stats.bytes_per_core as f64
@@ -138,17 +140,6 @@ impl RepresentativeModel {
             * self.profile.layers as f64
             * self.profile.fwd_bwd_mult;
         (bytes, collectives)
-    }
-
-    /// Per-step model-parallel bytes sent by one core, for one sample.
-    pub fn comm_bytes_per_core_per_sample(&self, parts: usize) -> f64 {
-        self.comm_per_step(parts).0
-    }
-
-    /// Per-step collective count on the critical path (per sample batch,
-    /// not per sample — collectives batch over the replica's samples).
-    pub fn collectives_per_step(&self, parts: usize) -> f64 {
-        self.comm_per_step(parts).1
     }
 
     /// Per-core compute FLOPs for one sample (through the partitioned
@@ -207,12 +198,8 @@ mod tests {
     #[test]
     fn comm_bytes_grow_with_parts_for_feature_sharding() {
         let w = catalog::transformer();
-        let b2 = representative(&w, 2)
-            .unwrap()
-            .comm_bytes_per_core_per_sample(2);
-        let b4 = representative(&w, 4)
-            .unwrap()
-            .comm_bytes_per_core_per_sample(4);
+        let b2 = representative(&w, 2).unwrap().comm_per_step(2).0;
+        let b4 = representative(&w, 4).unwrap().comm_per_step(4).0;
         // The all-reduced activation is the same size; ring all-reduce
         // bytes per core are ~2x payload regardless of parts, so bytes do
         // not shrink with parts (communication does not parallelize —
@@ -225,8 +212,8 @@ mod tests {
         let w = catalog::maskrcnn();
         let rep2 = representative(&w, 2).unwrap();
         let rep4 = representative(&w, 4).unwrap();
-        let b2 = rep2.comm_bytes_per_core_per_sample(2);
-        let b4 = rep4.comm_bytes_per_core_per_sample(4);
+        let b2 = rep2.comm_per_step(2).0;
+        let b4 = rep4.comm_per_step(4).0;
         // Halo width is fixed by the kernel; per-core halo bytes are
         // constant in the partition count.
         assert!((b2 / b4 - 1.0).abs() < 0.05, "b2={b2} b4={b4}");

@@ -31,19 +31,14 @@ use serde::{Deserialize, Serialize};
 
 use multipod_collectives::degraded::ring_degradation;
 use multipod_collectives::ring;
-use multipod_collectives::twod::{
-    bucketed_two_dim_all_reduce_time, shard_index, two_dim_all_reduce,
-};
+use multipod_collectives::twod::{shard_index, two_dim_all_reduce};
 use multipod_collectives::{CollectiveError, Precision};
 use multipod_optim::{LayerStats, LrSchedule, Optimizer, StateKey};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
-use multipod_taskgraph::{Resource, TaskGraph, TaskKind, TaskSchedule};
 use multipod_telemetry::Obs;
 use multipod_tensor::Tensor;
 use multipod_topology::{ChipId, MultipodConfig, Ring};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
-
-use crate::step::StepError;
 
 /// Timing of one trainer step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -349,21 +344,9 @@ impl<O: Optimizer> DataParallelTrainer<O> {
     }
 
     fn survivors(&self) -> Vec<ChipId> {
-        let mesh = self.net.mesh();
-        let mut chips: Vec<ChipId> = mesh
-            .chips()
-            .filter(|c| !self.dead.contains(&c.index()))
-            .collect();
-        // Column-major ring order: consecutive same-column survivors can
-        // detour the long way around the torus Y wrap when the chip between
-        // them is dead. Row-major order would pair same-row survivors whose
-        // only connecting row passes through the dead chip, and the
-        // dimension-ordered router has no dogleg through an adjacent row.
-        chips.sort_by_key(|&c| {
-            let coord = mesh.coord_of(c);
-            (coord.x, coord.y)
-        });
-        chips
+        self.net
+            .mesh()
+            .survivor_order(|c| !self.dead.contains(&c.index()))
     }
 
     /// Marks replicas on isolated chips as dead, emitting one
@@ -391,68 +374,6 @@ impl<O: Optimizer> DataParallelTrainer<O> {
             });
         }
         count
-    }
-
-    /// Projects what the deferred task-graph runtime would make of a step
-    /// on **this trainer's mesh**: `compute_seconds` of backprop split
-    /// into `buckets` segments, with each bucket's share of an
-    /// `elems`-element gradient running the bucketed 2-D schedule as soon
-    /// as its segment retires. Returns the executed schedule, so callers
-    /// can compare its makespan against the serial
-    /// `compute_seconds + comm` sum (and against the measured
-    /// [`TrainStepStats::comm_seconds`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StepError::Collective`] when a ring of the trainer's (possibly
-    /// degraded) mesh fails to route.
-    pub fn projected_overlap(
-        &self,
-        compute_seconds: f64,
-        elems: usize,
-        buckets: u32,
-    ) -> Result<TaskSchedule, StepError> {
-        let buckets = buckets.max(1) as usize;
-        let costs = bucketed_two_dim_all_reduce_time(&self.net, elems, self.precision, 1, buckets)?;
-        let segment = compute_seconds.max(0.0) / buckets as f64;
-        let mut g = TaskGraph::new();
-        let mut prev = None;
-        for (i, cost) in costs.iter().enumerate() {
-            let bucket = i as u32;
-            let deps: Vec<_> = prev.into_iter().collect();
-            let bwd = g.add(
-                TaskKind::LayerBackprop { layer: bucket },
-                Resource::Mxu,
-                segment,
-                &deps,
-            )?;
-            prev = Some(bwd);
-            let yrs = g.add(
-                TaskKind::reduce_scatter_y(bucket),
-                Resource::Ici,
-                cost.y_reduce_scatter,
-                &[bwd],
-            )?;
-            let xrs = g.add(
-                TaskKind::reduce_scatter_x(bucket),
-                Resource::Ici,
-                cost.x_reduce_scatter,
-                &[yrs],
-            )?;
-            let xag = g.add(
-                TaskKind::all_gather_x(bucket),
-                Resource::Ici,
-                cost.x_all_gather,
-                &[xrs],
-            )?;
-            g.add(
-                TaskKind::all_gather_y(bucket),
-                Resource::Ici,
-                cost.y_all_gather,
-                &[xag],
-            )?;
-        }
-        Ok(g.run())
     }
 
     fn emit_sim_fault(&self, name: &str, start: SimTime, end: SimTime, args: &[(&str, f64)]) {
@@ -796,28 +717,6 @@ mod tests {
         let before = recorder.len();
         trainer.step(&mut w, &grads).unwrap();
         assert_eq!(recorder.len(), before, "detached sink must see nothing");
-    }
-
-    #[test]
-    fn projected_overlap_stays_within_the_resource_bounds() {
-        let trainer = DataParallelTrainer::new(
-            MultipodConfig::mesh(8, 8, true),
-            SgdMomentum::new(1.0, 0.0),
-            LrSchedule::Constant { lr: 0.1 },
-        );
-        let compute = 5.0e-3;
-        let serial = trainer.projected_overlap(compute, 334_000_000, 1).unwrap();
-        let overlapped = trainer.projected_overlap(compute, 334_000_000, 8).unwrap();
-        let comm = overlapped.comm_seconds();
-        let m = overlapped.makespan.seconds();
-        assert!(m >= compute.max(comm) * (1.0 - 1e-12));
-        assert!(m <= (compute + comm) * (1.0 + 1e-12));
-        // Bucketing exposes overlap the single-shot schedule cannot.
-        assert!(
-            m < serial.makespan.seconds(),
-            "{m} vs {}",
-            serial.makespan.seconds()
-        );
     }
 
     #[test]

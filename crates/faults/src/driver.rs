@@ -14,7 +14,7 @@ use crate::plan::{FaultAction, FaultEvent, FaultPlan};
 /// come — link and chip faults go straight to the network's fault
 /// wrappers (which invalidate cached routes and emit `link-down` /
 /// `link-up` / `chip-down` spans); straggler windows are tracked here and
-/// exposed through [`slowdown_of`](FaultDriver::slowdown_of) for the
+/// exposed through [`max_slowdown`](FaultDriver::max_slowdown) for the
 /// campaign runner to fold into host compute time.
 #[derive(Debug)]
 pub struct FaultDriver {
@@ -62,11 +62,6 @@ impl FaultDriver {
             }
         }
         fired
-    }
-
-    /// The current slowdown factor of `host` (1.0 when healthy).
-    pub fn slowdown_of(&self, host: u32) -> f64 {
-        self.stragglers.get(&host).copied().unwrap_or(1.0)
     }
 
     /// The worst slowdown across all currently active stragglers (1.0
@@ -137,7 +132,6 @@ mod tests {
         let mut driver = FaultDriver::new(plan);
         assert_eq!(driver.max_slowdown(), 1.0);
         driver.advance(&mut net, SimTime::from_seconds(0.1));
-        assert_eq!(driver.slowdown_of(3), 2.5);
         assert_eq!(driver.max_slowdown(), 2.5);
         assert_eq!(driver.active_stragglers(), vec![(3, 2.5)]);
         driver.advance(&mut net, SimTime::from_seconds(0.2));

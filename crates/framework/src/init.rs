@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use multipod_topology::{Multipod, CHIPS_PER_HOST};
+use multipod_topology::CHIPS_PER_HOST;
 
 /// Which framework's control plane drives the pod.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -122,16 +122,6 @@ impl InitModel {
     /// Total initialization seconds.
     pub fn init_seconds(&self, kind: FrameworkKind, profile: &ModelInitProfile, chips: u32) -> f64 {
         self.init_breakdown(kind, profile, chips).total()
-    }
-
-    /// Convenience over a concrete topology.
-    pub fn init_seconds_on(
-        &self,
-        kind: FrameworkKind,
-        profile: &ModelInitProfile,
-        mesh: &Multipod,
-    ) -> f64 {
-        self.init_seconds(kind, profile, mesh.num_chips() as u32)
     }
 }
 

@@ -135,11 +135,6 @@ impl Instr {
             | Instr::HaloExchange { out, .. } => *out,
         }
     }
-
-    /// Whether this instruction communicates between cores.
-    pub fn is_collective(&self) -> bool {
-        !matches!(self, Instr::Compute { .. })
-    }
 }
 
 /// Aggregate communication statistics of a program.
@@ -482,7 +477,6 @@ mod tests {
             input: ValueId(2),
         };
         assert_eq!(i.out(), ValueId(3));
-        assert!(i.is_collective());
         let c = Instr::Compute {
             out: ValueId(0),
             op: ComputeOp::Apply {
@@ -490,6 +484,6 @@ mod tests {
                 operands: vec![ValueId(1)],
             },
         };
-        assert!(!c.is_collective());
+        assert_eq!(c.out(), ValueId(0));
     }
 }

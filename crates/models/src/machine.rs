@@ -67,24 +67,6 @@ impl TpuV3 {
         }
     }
 
-    /// Matmul-bound compute time for `flops` at a given MXU utilization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidEfficiency`] when `efficiency` is
-    /// not in (0, 1].
-    pub fn compute_time(&self, flops: f64, efficiency: f64) -> Result<f64, ModelError> {
-        if !(efficiency > 0.0 && efficiency <= 1.0) {
-            return Err(ModelError::InvalidEfficiency { efficiency });
-        }
-        Ok(self.step_overhead + flops / (self.peak_matmul_flops * efficiency))
-    }
-
-    /// Vector-unit time for `flops` of elementwise/optimizer math.
-    pub fn vector_time(&self, flops: f64) -> f64 {
-        flops / self.vector_flops
-    }
-
     /// Matmul-bound compute time for `flops` on a single TensorCore
     /// (half the chip's MXUs).
     ///
@@ -173,8 +155,8 @@ mod tests {
     #[test]
     fn compute_time_scales_inversely_with_efficiency() {
         let tpu = TpuV3::new();
-        let fast = tpu.compute_time(1e12, 0.8).unwrap();
-        let slow = tpu.compute_time(1e12, 0.2).unwrap();
+        let fast = tpu.core_compute_time(1e12, 0.8).unwrap();
+        let slow = tpu.core_compute_time(1e12, 0.2).unwrap();
         assert!(slow > 3.0 * fast - tpu.step_overhead * 4.0);
         assert!(fast > tpu.step_overhead);
     }
@@ -183,10 +165,6 @@ mod tests {
     fn compute_time_rejects_out_of_range_efficiency() {
         let tpu = TpuV3::new();
         for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            assert!(matches!(
-                tpu.compute_time(1e12, bad),
-                Err(ModelError::InvalidEfficiency { .. })
-            ));
             assert!(matches!(
                 tpu.core_compute_time(1e12, bad),
                 Err(ModelError::InvalidEfficiency { .. })
@@ -199,13 +177,9 @@ mod tests {
         let v3 = TpuV3::new();
         let v4 = TpuV3::v4_projection();
         assert!(v4.peak_matmul_flops > 2.0 * v3.peak_matmul_flops);
-        assert!(v4.compute_time(1e12, 0.5).unwrap() < v3.compute_time(1e12, 0.5).unwrap());
+        assert!(
+            v4.core_compute_time(1e12, 0.5).unwrap() < v3.core_compute_time(1e12, 0.5).unwrap()
+        );
         assert!(v4.optimizer_update_time(1 << 20, 20) < v3.optimizer_update_time(1 << 20, 20));
-    }
-
-    #[test]
-    fn vector_time_is_linear() {
-        let tpu = TpuV3::new();
-        assert!((tpu.vector_time(2e12) - 1.0).abs() < 1e-9);
     }
 }

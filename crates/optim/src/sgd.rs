@@ -33,11 +33,6 @@ impl SgdMomentum {
             velocity: HashMap::new(),
         }
     }
-
-    /// The learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 impl Optimizer for SgdMomentum {

@@ -203,9 +203,10 @@ struct Path {
 ///
 /// `paths` and `hops` fill in first-use order, so a lockstep collective
 /// that repeats its first pass walks both sequentially. Valid only for
-/// the [`Multipod::version`] it was built against:
-/// [`Network::sync_topology`] drops the whole store on any topology
-/// mutation, so a stale path can never time a transfer.
+/// the link set it was built against: the mesh changes only through
+/// [`Network::fail_link`], [`Network::heal_link`] and
+/// [`Network::fail_chip`], and each drops the whole store when the link
+/// set changed, so a stale path can never time a transfer.
 #[derive(Clone, Debug, Default)]
 struct RouteStore {
     /// `(from, to)` → index into `paths`.
@@ -235,8 +236,6 @@ pub struct Network {
     config: NetworkConfig,
     links: LinkTable,
     routes: RouteStore,
-    /// The [`Multipod::version`] the cached state was computed against.
-    mesh_version: u64,
     obs: Obs,
 }
 
@@ -274,13 +273,11 @@ fn trace_class(
 impl Network {
     /// Builds a quiescent network over `mesh`.
     pub fn new(mesh: Multipod, config: NetworkConfig) -> Network {
-        let mesh_version = mesh.version();
         Network {
             mesh,
             config,
             links: LinkTable::default(),
             routes: RouteStore::default(),
-            mesh_version,
             obs: Obs::default(),
         }
     }
@@ -305,28 +302,12 @@ impl Network {
         &self.mesh
     }
 
-    /// Mutable access to the topology (e.g. to fail links mid-simulation).
-    ///
-    /// Mutations are detected via [`Multipod::version`]: the next transfer
-    /// notices the bump and drops cached routes and link occupancy, so a
-    /// manual [`Network::reset`] is no longer required. Prefer
-    /// [`Network::fail_link`] / [`Network::heal_link`] / ...
-    /// [`Network::fail_chip`], which also emit fault trace spans.
-    pub fn mesh_mut(&mut self) -> &mut Multipod {
-        &mut self.mesh
-    }
-
-    /// Reconciles cached state with the mesh: when the topology has been
-    /// mutated since the cache was built (its version counter moved), drops
-    /// memoized paths and in-flight link occupancy. Called lazily at the
-    /// start of every transfer, so callers mutating the mesh through
-    /// [`Network::mesh_mut`] never observe stale routing.
-    pub fn sync_topology(&mut self) {
-        if self.mesh_version != self.mesh.version() {
-            self.routes = RouteStore::default();
-            self.links.reset_free();
-            self.mesh_version = self.mesh.version();
-        }
+    /// Drops what was derived from the old link set after the mesh changed:
+    /// memoized paths and in-flight link occupancy. Link ids and their
+    /// byte counters stay.
+    fn sync_topology(&mut self) {
+        self.routes = RouteStore::default();
+        self.links.reset_free();
     }
 
     fn emit_fault_span(&self, name: &str, at: SimTime, args: &[(&str, f64)]) {
@@ -344,9 +325,7 @@ impl Network {
     /// zero-duration `link-down` fault span is emitted (when the link was
     /// actually up and a sink is attached).
     pub fn fail_link(&mut self, a: ChipId, b: ChipId, at: SimTime) {
-        let before = self.mesh.version();
-        self.mesh.fail_link(a, b);
-        if self.mesh.version() != before {
+        if self.mesh.fail_link(a, b) {
             self.sync_topology();
             self.emit_fault_span("link-down", at, &[("a", a.0 as f64), ("b", b.0 as f64)]);
         }
@@ -355,9 +334,7 @@ impl Network {
     /// Heals the undirected link `a — b` at sim time `at`, emitting a
     /// `link-up` fault span when the link was actually down.
     pub fn heal_link(&mut self, a: ChipId, b: ChipId, at: SimTime) {
-        let before = self.mesh.version();
-        self.mesh.heal_link(a, b);
-        if self.mesh.version() != before {
+        if self.mesh.heal_link(a, b) {
             self.sync_topology();
             self.emit_fault_span("link-up", at, &[("a", a.0 as f64), ("b", b.0 as f64)]);
         }
@@ -366,9 +343,7 @@ impl Network {
     /// Takes a whole chip down at sim time `at` by failing every link
     /// incident to it, emitting a single `chip-down` fault span.
     pub fn fail_chip(&mut self, chip: ChipId, at: SimTime) {
-        let before = self.mesh.version();
-        self.mesh.fail_chip(chip);
-        if self.mesh.version() != before {
+        if self.mesh.fail_chip(chip) {
             self.sync_topology();
             self.emit_fault_span("chip-down", at, &[("chip", chip.0 as f64)]);
         }
@@ -537,7 +512,6 @@ impl Network {
         bytes: u64,
         start: SimTime,
     ) -> Result<Transfer, NetworkError> {
-        self.sync_topology();
         if from == to {
             return Ok(Transfer {
                 finish: start,
@@ -626,13 +600,11 @@ mod tests {
         free: Vec<SimTime>,
         bytes: Vec<u64>,
         routes: HashMap<(u32, u32), (Vec<u32>, f64)>,
-        mesh_version: u64,
     }
 
     impl MapNetwork {
         fn new(mesh: Multipod, config: NetworkConfig) -> MapNetwork {
             MapNetwork {
-                mesh_version: mesh.version(),
                 mesh,
                 config,
                 link_ids: HashMap::new(),
@@ -642,12 +614,10 @@ mod tests {
             }
         }
 
+        /// Called when a mesh mutation reports that the link set changed.
         fn sync_topology(&mut self) {
-            if self.mesh_version != self.mesh.version() {
-                self.routes.clear();
-                self.free.fill(SimTime::ZERO);
-                self.mesh_version = self.mesh.version();
-            }
+            self.routes.clear();
+            self.free.fill(SimTime::ZERO);
         }
 
         fn build_path(&mut self, from: ChipId, to: ChipId) -> Result<(), NetworkError> {
@@ -682,7 +652,6 @@ mod tests {
             bytes: u64,
             start: SimTime,
         ) -> Result<Transfer, NetworkError> {
-            self.sync_topology();
             if from == to {
                 return Ok(Transfer {
                     finish: start,
@@ -820,19 +789,25 @@ mod tests {
                     11 => {
                         if let Some(b) = live_neighbour(flat.mesh(), a, b_sel) {
                             flat.fail_link(a, b, at);
-                            map.mesh.fail_link(a, b);
+                            if map.mesh.fail_link(a, b) {
+                                map.sync_topology();
+                            }
                         }
                     }
                     12 => {
                         let failed = flat.mesh().failed_links();
                         if let Some(&(a, b)) = failed.get(a_sel % failed.len().max(1)) {
                             flat.heal_link(a, b, at);
-                            map.mesh.heal_link(a, b);
+                            if map.mesh.heal_link(a, b) {
+                                map.sync_topology();
+                            }
                         }
                     }
                     _ => {
                         flat.fail_chip(a, at);
-                        map.mesh.fail_chip(a);
+                        if map.mesh.fail_chip(a) {
+                            map.sync_topology();
+                        }
                     }
                 }
                 prop_assert_eq!(flat.traffic_by_dimension(), map.traffic_by_dimension());
@@ -1165,7 +1140,7 @@ mod tests {
         let a = n.mesh().chip_at(Coord::new(0, 0));
         let x_next = n.mesh().chip_at(Coord::new(1, 0));
         let dst = n.mesh().chip_at(Coord::new(1, 1));
-        n.mesh_mut().fail_link(a, x_next);
+        n.fail_link(a, x_next, SimTime::ZERO);
         // X-first is blocked at the first hop; Y-then-X succeeds.
         let t = n.transfer(a, dst, 1000, SimTime::ZERO).unwrap();
         assert_eq!(t.num_hops, 2);
@@ -1287,8 +1262,8 @@ mod tests {
         // route with a slow transfer.
         let direct = n.transfer(a, dst, 70_000_000, SimTime::ZERO).unwrap();
         assert_eq!(direct.num_hops, 2);
-        // Mutate the mesh through raw access — no manual reset.
-        n.mesh_mut().fail_link(a, x_next);
+        // Mutate the mesh through the one door — no manual reset.
+        n.fail_link(a, x_next, SimTime::ZERO);
         let rerouted = n.transfer(a, dst, 1000, SimTime::ZERO).unwrap();
         assert_eq!(rerouted.num_hops, 2, "Y-then-X detour");
         // Occupancy was dropped with the stale routes, so the rerouted
@@ -1320,6 +1295,38 @@ mod tests {
             })
             .collect();
         assert_eq!(spans, vec!["link-down".to_string(), "link-up".to_string()]);
+    }
+
+    #[test]
+    fn mutations_that_change_no_link_keep_the_warm_store_and_trace_nothing() {
+        let mut n = net(4, 4);
+        let (a, b) = (ChipId(0), ChipId(1));
+        n.fail_link(a, b, SimTime::ZERO);
+        let victim = ChipId(10);
+        n.fail_chip(victim, SimTime::ZERO);
+        let pairs = [(ChipId(0), ChipId(15)), (ChipId(4), ChipId(7))];
+        for &(from, to) in &pairs {
+            n.transfer(from, to, 1000, SimTime::ZERO).unwrap();
+        }
+        let (paths, hops, busy) = (
+            n.routes.paths.len(),
+            n.routes.hops.len(),
+            n.links.occupancy.clone(),
+        );
+        let recorder = Recorder::shared();
+        n.set_obs(Obs::new(Some(recorder.clone()), None));
+        // Already down, already up, already isolated: no link changes.
+        n.fail_link(b, a, SimTime::ZERO);
+        n.heal_link(ChipId(2), ChipId(3), SimTime::ZERO);
+        n.fail_chip(victim, SimTime::ZERO);
+        assert_eq!(recorder.len(), 0, "no fault span");
+        assert_eq!(n.links.occupancy, busy, "occupancy kept");
+        n.set_obs(Obs::default());
+        for &(from, to) in &pairs {
+            n.transfer(from, to, 1000, SimTime::ZERO).unwrap();
+        }
+        assert_eq!(n.routes.paths.len(), paths, "warm: nothing interned");
+        assert_eq!(n.routes.hops.len(), hops);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Content, Serialize};
 
 /// The subsystem a metric belongs to. The variant order fixes the sorted
@@ -351,29 +350,36 @@ impl Telemetry {
         Arc::new(Telemetry::new())
     }
 
+    /// The registry, locked. A holder panicking mid-record leaves at worst
+    /// one sample half-counted, which a report can still carry, so a
+    /// poisoned lock is taken as it is.
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Adds `by` to a counter.
     pub fn inc_counter(&self, id: MetricId, by: u64) {
-        self.inner.lock().inc_counter(id, by);
+        self.registry().inc_counter(id, by);
     }
 
     /// Sets a gauge.
     pub fn set_gauge(&self, id: MetricId, value: f64) {
-        self.inner.lock().set_gauge(id, value);
+        self.registry().set_gauge(id, value);
     }
 
     /// Records a histogram observation.
     pub fn observe(&self, id: MetricId, value: f64) {
-        self.inner.lock().observe(id, value);
+        self.registry().observe(id, value);
     }
 
     /// Clones the current registry state out.
     pub fn snapshot(&self) -> Registry {
-        self.inner.lock().clone()
+        self.registry().clone()
     }
 
     /// Discards all recorded metrics.
     pub fn clear(&self) {
-        *self.inner.lock() = Registry::new();
+        *self.registry() = Registry::new();
     }
 }
 

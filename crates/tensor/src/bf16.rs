@@ -27,8 +27,6 @@ pub struct Bf16(u16);
 impl Bf16 {
     /// Positive zero.
     pub const ZERO: Bf16 = Bf16(0);
-    /// One.
-    pub const ONE: Bf16 = Bf16(0x3f80);
     /// The machine epsilon of the format (2⁻⁷).
     pub const EPSILON: f32 = 1.0 / 128.0;
 
@@ -167,7 +165,6 @@ mod tests {
     fn zero_and_one_round_trip_exactly() {
         assert_eq!(Bf16::from_f32(0.0).to_f32(), 0.0);
         assert_eq!(Bf16::from_f32(1.0).to_f32(), 1.0);
-        assert_eq!(Bf16::ONE.to_f32(), 1.0);
         assert_eq!(Bf16::ZERO.to_f32(), 0.0);
     }
 

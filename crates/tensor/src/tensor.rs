@@ -18,11 +18,11 @@ use crate::{Bf16, Shape, TensorError};
 /// * [`Tensor::clone`] is O(1): it bumps the `Arc` refcount and shares the
 ///   underlying buffer with the original. Ring collectives exploit this to
 ///   move chunks by handle instead of copying payload bytes on every hop.
-/// * Shared storage is never mutated. [`Tensor::data_mut`] and
-///   [`Tensor::at_mut`] go through [`Arc::make_mut`], which detaches
-///   (deep-copies) the buffer first *iff* it is shared; a uniquely owned
-///   tensor mutates in place with no copy. Holders of other handles can
-///   therefore never observe a write through this one.
+/// * Shared storage is never mutated. [`Tensor::data_mut`] goes through
+///   [`Arc::make_mut`], which detaches (deep-copies) the buffer first
+///   *iff* it is shared; a uniquely owned tensor mutates in place with no
+///   copy. Holders of other handles can therefore never observe a write
+///   through this one.
 /// * Reads ([`Tensor::data`], [`Tensor::at`]) never copy or detach.
 /// * [`Tensor::reshape`] only rewrites the shape; the buffer (and any
 ///   sharing) is preserved. [`Tensor::split`] and [`Tensor::concat`]
@@ -112,12 +112,6 @@ impl Tensor {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor and returns its flat storage, copying only if
-    /// the buffer is shared with another handle.
-    pub fn into_data(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Whether two tensors share the same underlying buffer (a
     /// copy-on-write alias). Diagnostic; numerics never depend on this.
     pub fn shares_storage(&self, other: &Tensor) -> bool {
@@ -131,16 +125,6 @@ impl Tensor {
     /// Panics when the index is out of bounds (see [`Shape::offset`]).
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
-    }
-
-    /// Mutable element access by multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index is out of bounds.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut Arc::make_mut(&mut self.data)[off]
     }
 
     /// Reinterprets the tensor with a new shape of equal element count.
@@ -250,11 +234,6 @@ impl Tensor {
         let mut data = (*self.data).clone();
         Bf16::quantize_slice(&mut data);
         Tensor::new(self.shape.clone(), data)
-    }
-
-    /// Payload size in bytes at the given element width.
-    pub fn size_bytes(&self, bytes_per_element: usize) -> usize {
-        self.len() * bytes_per_element
     }
 }
 
@@ -373,13 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn size_bytes_scales_with_width() {
-        let t = Tensor::zeros(Shape::of(&[100]));
-        assert_eq!(t.size_bytes(4), 400);
-        assert_eq!(t.size_bytes(2), 200);
-    }
-
-    #[test]
     fn clone_shares_storage() {
         let t = iota(&[4, 4]);
         let c = t.clone();
@@ -398,10 +370,6 @@ mod tests {
         assert!(!t.shares_storage(&c));
         assert_eq!(t.data()[0], 0.0, "original must not see the write");
         assert_eq!(c.data()[0], 99.0);
-        let mut d = t.clone();
-        *d.at_mut(&[1]) = -1.0;
-        assert_eq!(t.data()[1], 1.0);
-        assert_eq!(d.data()[1], -1.0);
     }
 
     #[test]
@@ -410,18 +378,5 @@ mod tests {
         let before = t.data().as_ptr();
         t.data_mut()[2] = 7.0;
         assert_eq!(t.data().as_ptr(), before, "unshared mutation is in place");
-    }
-
-    #[test]
-    fn into_data_avoids_copy_when_unique() {
-        let t = iota(&[3]);
-        let ptr = t.data().as_ptr();
-        let v = t.into_data();
-        assert_eq!(v.as_ptr(), ptr);
-        // Shared: falls back to a copy, original unaffected.
-        let t = iota(&[3]);
-        let c = t.clone();
-        let v = c.into_data();
-        assert_eq!(v, t.data());
     }
 }

@@ -31,5 +31,5 @@ mod routing;
 pub use chip::{ChipId, Coord, CoreId, HostId, CHIPS_PER_HOST, CORES_PER_CHIP};
 pub use link::{Link, LinkClass};
 pub use mesh::{Multipod, MultipodConfig, TopologyError};
-pub use rings::{ModelTile, Ring, RingDirection};
+pub use rings::{ModelTile, Ring};
 pub use routing::{Route, RoutingTable, ROUTING_TABLE_CAPACITY};

@@ -68,21 +68,6 @@ impl Link {
     pub fn new(from: ChipId, to: ChipId, class: LinkClass) -> Link {
         Link { from, to, class }
     }
-
-    /// The same link in the opposite direction.
-    pub fn reversed(self) -> Link {
-        Link {
-            from: self.to,
-            to: self.from,
-            class: self.class,
-        }
-    }
-
-    /// A canonical key identifying the *directed* link (used by the
-    /// event-driven network to track per-direction occupancy).
-    pub fn directed_key(self) -> (u32, u32) {
-        (self.from.0, self.to.0)
-    }
 }
 
 #[cfg(test)]
@@ -98,16 +83,6 @@ mod tests {
         assert!(
             LinkClass::TorusWrap.latency_multiplier() > LinkClass::IntraPod.latency_multiplier()
         );
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let l = Link::new(ChipId(1), ChipId(2), LinkClass::IntraPod);
-        let r = l.reversed();
-        assert_eq!(r.from, ChipId(2));
-        assert_eq!(r.to, ChipId(1));
-        assert_eq!(r.class, l.class);
-        assert_ne!(l.directed_key(), r.directed_key());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ChipId, Coord, HostId, Link, LinkClass, CHIPS_PER_HOST, CORES_PER_CHIP};
+use crate::{ChipId, Coord, Link, LinkClass, CHIPS_PER_HOST};
 
 /// Error raised by topology construction and queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,11 +146,6 @@ pub struct Multipod {
     y_len: u32,
     /// Canonical failed links, stored as ordered chip-id pairs.
     failed_links: Vec<(ChipId, ChipId)>,
-    /// Bumped on every link mutation so consumers caching topology-derived
-    /// state (routes, link occupancy) can detect staleness. Serialized like
-    /// any other field: a deserialized mesh resumes at the recorded count,
-    /// which is just as valid a staleness baseline as zero.
-    version: u64,
 }
 
 impl Multipod {
@@ -180,7 +175,6 @@ impl Multipod {
             x_len,
             y_len,
             failed_links: Vec::new(),
-            version: 0,
         })
     }
 
@@ -207,11 +201,6 @@ impl Multipod {
     /// Number of chips.
     pub fn num_chips(&self) -> usize {
         (self.x_len * self.y_len) as usize
-    }
-
-    /// Number of TensorCores.
-    pub fn num_cores(&self) -> usize {
-        self.num_chips() * CORES_PER_CHIP
     }
 
     /// Number of input hosts.
@@ -251,11 +240,6 @@ impl Multipod {
     /// The pod index (0-based along X) a chip belongs to.
     pub fn pod_of(&self, chip: ChipId) -> u32 {
         self.coord_of(chip).x / self.config.pod_x_len
-    }
-
-    /// The host feeding a chip.
-    pub fn host_of(&self, chip: ChipId) -> HostId {
-        HostId::of_chip(chip)
     }
 
     /// Classifies the link between two chips, or `None` when they are not
@@ -331,56 +315,46 @@ impl Multipod {
     /// Marks the (undirected) link between `a` and `b` as failed.
     ///
     /// Subsequent [`Multipod::link_between`] / [`Multipod::neighbors`] calls
-    /// no longer see it; routing must detour.
-    pub fn fail_link(&mut self, a: ChipId, b: ChipId) {
+    /// no longer see it; routing must detour. Returns whether the link set
+    /// changed (`false` when the link was already down), which is when
+    /// anything derived from the topology must be dropped.
+    pub fn fail_link(&mut self, a: ChipId, b: ChipId) -> bool {
         let key = if a <= b { (a, b) } else { (b, a) };
-        if !self.failed_links.contains(&key) {
-            self.failed_links.push(key);
-            self.version += 1;
+        if self.failed_links.contains(&key) {
+            return false;
         }
+        self.failed_links.push(key);
+        true
     }
 
     /// Marks every link incident to `chip` as failed (whole-chip loss:
-    /// the chip is still addressable but unreachable).
-    pub fn fail_chip(&mut self, chip: ChipId) {
+    /// the chip is still addressable but unreachable). Returns whether the
+    /// link set changed (`false` when the chip was already isolated).
+    pub fn fail_chip(&mut self, chip: ChipId) -> bool {
         let neighbors: Vec<ChipId> = self.neighbors(chip).into_iter().map(|(c, _)| c).collect();
-        for other in neighbors {
+        for &other in &neighbors {
             self.fail_link(chip, other);
         }
+        !neighbors.is_empty()
     }
 
     /// Restores the (undirected) link between `a` and `b`, leaving every
-    /// other failed link down — the per-link counterpart of
-    /// [`Multipod::heal_all_links`], so a fault campaign can heal one
-    /// repaired link without resurrecting the rest of its failure set.
-    pub fn heal_link(&mut self, a: ChipId, b: ChipId) {
+    /// other failed link down, so a fault campaign can heal one repaired
+    /// link without resurrecting the rest of its failure set. Returns
+    /// whether the link set changed (`false` when the link was up).
+    pub fn heal_link(&mut self, a: ChipId, b: ChipId) -> bool {
         let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(pos) = self.failed_links.iter().position(|&k| k == key) {
-            self.failed_links.remove(pos);
-            self.version += 1;
-        }
-    }
-
-    /// Restores all failed links.
-    pub fn heal_all_links(&mut self) {
-        if !self.failed_links.is_empty() {
-            self.failed_links.clear();
-            self.version += 1;
-        }
+        let Some(pos) = self.failed_links.iter().position(|&k| k == key) else {
+            return false;
+        };
+        self.failed_links.remove(pos);
+        true
     }
 
     /// The currently-failed links as canonical (min, max) chip-id pairs,
     /// in failure order.
     pub fn failed_links(&self) -> &[(ChipId, ChipId)] {
         &self.failed_links
-    }
-
-    /// Monotone counter bumped by every effective link mutation
-    /// ([`Multipod::fail_link`], [`Multipod::heal_link`],
-    /// [`Multipod::heal_all_links`]). Consumers caching topology-derived
-    /// state compare versions to invalidate automatically.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Whether `chip` has no live links left (e.g. after
@@ -410,7 +384,6 @@ mod tests {
         assert_eq!(m.num_chips(), 4096);
         assert_eq!(m.x_len(), 128);
         assert_eq!(m.y_len(), 32);
-        assert_eq!(m.num_cores(), 8192);
         assert_eq!(m.num_hosts(), 1024);
         assert!(m.torus_y());
     }
@@ -503,12 +476,26 @@ mod tests {
         let a = m.chip_at(Coord::new(0, 0));
         let b = m.chip_at(Coord::new(1, 0));
         assert!(m.link_between(a, b).is_some());
-        m.fail_link(a, b);
+        assert!(m.fail_link(a, b));
+        assert!(!m.fail_link(b, a), "already down: the link set stays");
         assert!(m.link_between(a, b).is_none());
         assert!(m.link_between(b, a).is_none());
         assert!(!m.neighbors(a).iter().any(|(c, _)| *c == b));
-        m.heal_all_links();
+        assert!(m.heal_link(b, a));
+        assert!(!m.heal_link(a, b), "already up: the link set stays");
         assert!(m.link_between(a, b).is_some());
+        assert!(m.failed_links().is_empty());
+    }
+
+    #[test]
+    fn fail_chip_reports_a_change_only_while_the_chip_has_live_links() {
+        let mut m = Multipod::new(MultipodConfig::mesh(3, 3, false));
+        let center = m.chip_at(Coord::new(1, 1));
+        assert!(m.fail_chip(center));
+        assert!(m.is_isolated(center));
+        assert_eq!(m.failed_links().len(), 4);
+        assert!(!m.fail_chip(center), "already isolated");
+        assert_eq!(m.failed_links().len(), 4);
     }
 
     #[test]

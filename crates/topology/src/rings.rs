@@ -17,15 +17,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::{ChipId, Coord, Multipod};
 
-/// Direction of travel around a ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RingDirection {
-    /// Increasing member index.
-    Forward,
-    /// Decreasing member index.
-    Backward,
-}
-
 /// An ordered set of chips traversed by a ring (or open-chain) collective.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Ring {
@@ -78,16 +69,6 @@ impl Ring {
     pub fn stride(&self) -> u32 {
         self.stride
     }
-
-    /// The neighbour of `idx` in the given direction (wrapping logically;
-    /// on open chains the caller is responsible for honouring the ends).
-    pub fn neighbor(&self, idx: usize, dir: RingDirection) -> usize {
-        let n = self.members.len();
-        match dir {
-            RingDirection::Forward => (idx + 1) % n,
-            RingDirection::Backward => (idx + n - 1) % n,
-        }
-    }
 }
 
 /// A tile of `width` neighbouring chips along X sharing model-parallel
@@ -119,12 +100,6 @@ impl ModelTile {
     /// Panics when `peer >= width()`.
     pub fn peer(&self, peer: usize) -> ChipId {
         self.members[peer]
-    }
-
-    /// The short within-tile ring used for forward/backward-pass
-    /// all-reduces of partial matmul results (black ring in Figure 4).
-    pub fn forward_ring(&self) -> Ring {
-        Ring::new(self.members.clone(), false, 1)
     }
 }
 
@@ -200,6 +175,24 @@ impl Multipod {
             }
         }
         Ring::new(members, false, 1)
+    }
+
+    /// The chips `live` keeps, in the order a ring over a degraded mesh
+    /// visits them: column-major, by `x` then `y`.
+    ///
+    /// Consecutive same-column survivors can detour the long way round the
+    /// torus Y wrap when the chip between them is dead. Row-major order
+    /// would pair same-row survivors whose only connecting row passes
+    /// through the dead chip, and the dimension-ordered router has no
+    /// dogleg through an adjacent row. The trainer's survivor ring and the
+    /// checkpoint shard placement both take this order, so a restore
+    /// broadcast routes wherever the survivor ring does.
+    pub fn survivor_order(&self, mut live: impl FnMut(ChipId) -> bool) -> Vec<ChipId> {
+        (0..self.x_len())
+            .flat_map(|x| (0..self.y_len()).map(move |y| Coord::new(x, y)))
+            .map(|coord| self.chip_at(coord))
+            .filter(|&chip| live(chip))
+            .collect()
     }
 
     /// Partitions the mesh into model-parallel tiles of `width` neighbouring
@@ -299,19 +292,13 @@ mod tests {
 
     #[test]
     fn tile_forward_ring_is_contiguous() {
+        // The within-tile forward ring (black ring in Figure 4) runs over
+        // the tile's members in order, one physical hop apart.
         let m = pod();
         let t = &m.model_tiles(4)[1];
-        let r = t.forward_ring();
-        for w in r.members().windows(2) {
+        for w in t.members().windows(2) {
             assert!(m.link_between(w[0], w[1]).is_some());
         }
-    }
-
-    #[test]
-    fn ring_neighbor_wraps_logically() {
-        let r = Ring::new(vec![ChipId(0), ChipId(1), ChipId(2)], true, 1);
-        assert_eq!(r.neighbor(2, RingDirection::Forward), 0);
-        assert_eq!(r.neighbor(0, RingDirection::Backward), 2);
     }
 
     #[test]
@@ -336,6 +323,22 @@ mod tests {
         seen.insert(*r.members().last().unwrap());
         assert_eq!(seen.len(), m.num_chips());
         assert!(!r.wraps());
+    }
+
+    #[test]
+    fn survivor_order_is_column_major_over_the_kept_chips() {
+        let m = pod();
+        let dead = m.chip_at(Coord::new(2, 1));
+        let order = m.survivor_order(|c| c != dead);
+        assert_eq!(order.len(), m.num_chips() - 1);
+        assert!(!order.contains(&dead));
+        let coords: Vec<(u32, u32)> = order
+            .iter()
+            .map(|&c| (m.coord_of(c).x, m.coord_of(c).y))
+            .collect();
+        assert!(coords.windows(2).all(|w| w[0] < w[1]), "sorted by (x, y)");
+        assert_eq!(&coords[..5], &[(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]);
+        assert!(m.survivor_order(|_| false).is_empty());
     }
 
     #[test]

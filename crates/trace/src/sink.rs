@@ -1,8 +1,7 @@
 //! Trace sinks: where instrumentation hooks deliver events.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{LinkClass, LinkTransferEvent, SpanCategory, SpanEvent, TraceEvent};
@@ -105,31 +104,37 @@ impl Recorder {
         Arc::new(Recorder::new())
     }
 
+    /// The event log, locked. Every holder only pushes or reads whole
+    /// events, so a lock poisoned by a panicking holder still guards a
+    /// consistent log and is taken as it is.
+    fn log(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.log().len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.log().is_empty()
     }
 
     /// Discards all recorded events.
     pub fn clear(&self) {
-        self.events.lock().clear();
+        self.log().clear();
     }
 
     /// A copy of the events in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.log().clone()
     }
 
     /// Latest event end time, seconds (0 when empty). This is the horizon
     /// used for utilization fractions.
     pub fn horizon_seconds(&self) -> f64 {
-        self.events
-            .lock()
+        self.log()
             .iter()
             .map(|e| e.end().seconds())
             .fold(0.0, f64::max)
@@ -137,7 +142,7 @@ impl Recorder {
 
     /// Per-directed-link aggregation, sorted by `(src, dst)`.
     pub fn link_summaries(&self) -> Vec<LinkSummary> {
-        let events = self.events.lock();
+        let events = self.log();
         let mut by_link: std::collections::BTreeMap<(u32, u32), LinkSummary> =
             std::collections::BTreeMap::new();
         for event in events.iter() {
@@ -160,17 +165,9 @@ impl Recorder {
         by_link.into_values().collect()
     }
 
-    /// Total payload bytes per directed link, keyed `(src, dst)`.
-    pub fn link_bytes(&self) -> std::collections::BTreeMap<(u32, u32), u64> {
-        self.link_summaries()
-            .into_iter()
-            .map(|s| ((s.src, s.dst), s.bytes))
-            .collect()
-    }
-
     /// Span aggregation by `(category, name)`, sorted the same way.
     pub fn span_totals(&self) -> Vec<SpanTotal> {
-        let events = self.events.lock();
+        let events = self.log();
         let mut by_name: std::collections::BTreeMap<(&'static str, String), SpanTotal> =
             std::collections::BTreeMap::new();
         for event in events.iter() {
@@ -227,11 +224,11 @@ impl Recorder {
 
 impl TraceSink for Recorder {
     fn record_link(&self, event: LinkTransferEvent) {
-        self.events.lock().push(TraceEvent::Link(event));
+        self.log().push(TraceEvent::Link(event));
     }
 
     fn record_span(&self, event: SpanEvent) {
-        self.events.lock().push(TraceEvent::Span(event));
+        self.log().push(TraceEvent::Span(event));
     }
 }
 
@@ -271,7 +268,7 @@ mod tests {
         assert_eq!(summaries[0].transfers, 2);
         assert!((summaries[0].busy_seconds - 0.75).abs() < 1e-12);
         assert!((summaries[0].utilization(r.horizon_seconds()) - 0.375).abs() < 1e-12);
-        assert_eq!(r.link_bytes()[&(1, 2)], 10);
+        assert_eq!(summaries[1].bytes, 10);
     }
 
     #[test]

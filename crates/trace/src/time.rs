@@ -48,11 +48,6 @@ impl SimTime {
         self.0
     }
 
-    /// The time in milliseconds.
-    pub fn millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// The time in microseconds.
     pub fn micros(self) -> f64 {
         self.0 * 1e6
@@ -150,7 +145,6 @@ mod tests {
         let t = SimTime::ZERO + 0.5 + 0.25;
         assert_eq!(t.seconds(), 0.75);
         assert_eq!(t - SimTime::from_seconds(0.25), 0.5);
-        assert_eq!(t.millis(), 750.0);
         assert_eq!(SimTime::from_seconds(2e-6).micros(), 2.0);
     }
 
