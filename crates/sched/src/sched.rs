@@ -20,6 +20,7 @@
 //! — the property `repro sched --check-determinism` gates in CI.
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 use std::mem;
 
 use serde::{Deserialize, Serialize};
@@ -181,17 +182,13 @@ impl JobModel {
     }
 
     /// One deterministic training step: the gradient is a pure function
-    /// of the job id and step index.
-    fn advance(&mut self, spec: &JobSpec, step: u64) -> Result<(), SchedError> {
-        let g = spec
-            .id
-            .wrapping_mul(0x94d0_49bb_1331_11eb)
-            .wrapping_add(step);
-        let grad = Tensor::fill(
-            self.weights.shape().clone(),
-            ((g >> 40) as f32 / (1u64 << 24) as f32) - 0.5,
-        );
-        Ok(self.opt.step(0, &mut self.weights, &grad)?)
+    /// of the job id and step index, written into `grad` (the weights'
+    /// shape) in place.
+    fn advance(&mut self, job: u64, step: u64, grad: &mut Tensor) -> Result<(), SchedError> {
+        let g = job.wrapping_mul(0x94d0_49bb_1331_11eb).wrapping_add(step);
+        grad.data_mut()
+            .fill(((g >> 40) as f32 / (1u64 << 24) as f32) - 0.5);
+        Ok(self.opt.step(0, &mut self.weights, grad)?)
     }
 
     fn bundle(&self, steps_done: u64) -> Result<StateBundle, SchedError> {
@@ -210,10 +207,11 @@ impl JobModel {
     }
 }
 
-/// Where a job is in its lifecycle. Two containment invariants hang on
-/// it (`PodScheduler::consistent` checks both after every event in debug
-/// builds): exactly the `Queued` jobs are in `pending`, and exactly the
-/// `Running` and `Draining` jobs own allocator cells.
+/// Where a job is in its lifecycle. Three containment invariants hang on
+/// it (`PodScheduler::consistent` checks them after every event in debug
+/// builds): exactly the `Queued` jobs are in `pending`, exactly the
+/// `Running` jobs are in `running`, and exactly the `Running` and
+/// `Draining` jobs own allocator cells.
 enum Phase {
     /// Waiting in `pending` since `since`.
     Queued { since: SimTime },
@@ -240,7 +238,9 @@ struct Running {
 /// One row of the job table; the row index is the job's `spec.id`.
 struct Job {
     spec: JobSpec,
-    model: JobModel,
+    /// Built on first use and released at `Done`: a fresh model is a pure
+    /// function of the job id, so only jobs that have run hold one.
+    model: Option<JobModel>,
     steps_done: u64,
     /// Last checkpoint (from a preemption save), if any.
     ckpt: Option<Checkpoint>,
@@ -255,14 +255,64 @@ struct Job {
 }
 
 impl Job {
-    /// Trains the model forward to `steps_done == target`.
-    fn advance_to(&mut self, target: u64) -> Result<(), SchedError> {
-        for s in self.steps_done..target {
-            self.model.advance(&self.spec, s)?;
+    /// The job's model, built fresh on first use.
+    fn model(&mut self, config: &SchedConfig) -> &mut JobModel {
+        let spec = &self.spec;
+        self.model
+            .get_or_insert_with(|| JobModel::fresh(spec, config.state_elems, config.lr))
+    }
+
+    /// Trains the model forward to `steps_done == target`, every step
+    /// through one gradient buffer.
+    fn advance_to(&mut self, target: u64, config: &SchedConfig) -> Result<(), SchedError> {
+        if target > self.steps_done {
+            let (first, id) = (self.steps_done, self.spec.id);
+            let model = self.model(config);
+            let mut grad = Tensor::zeros(model.weights.shape().clone());
+            for s in first..target {
+                model.advance(id, s, &mut grad)?;
+            }
         }
         self.steps_done = target;
         Ok(())
     }
+}
+
+/// A `Queued` row as the round orders it: the order's keys and the
+/// slice size, so ordering and backfill never touch the job table.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Waiting {
+    priority: u8,
+    tenant: u32,
+    arrival: SimTime,
+    chips: u32,
+    job: usize,
+}
+
+impl Waiting {
+    fn of(spec: &JobSpec) -> Waiting {
+        Waiting {
+            priority: spec.priority,
+            tenant: spec.tenant,
+            arrival: spec.arrival,
+            chips: spec.chips,
+            job: spec.id as usize,
+        }
+    }
+}
+
+/// Queue order: priority, then fair-share usage (lighter tenants first),
+/// then arrival, then id — a total order, so scheduling is deterministic.
+/// `usage` is the chip-seconds billed so far, indexed by tenant.
+fn queue_order(pending: &mut [Waiting], usage: &[f64]) {
+    let used = |w: &Waiting| usage.get(w.tenant as usize).copied().unwrap_or(0.0);
+    pending.sort_by(|a, b| {
+        a.priority
+            .cmp(&b.priority)
+            .then(used(a).total_cmp(&used(b)))
+            .then(a.arrival.cmp(&b.arrival))
+            .then(a.job.cmp(&b.job))
+    });
 }
 
 /// Runtime state of one long-lived service reservation.
@@ -293,9 +343,14 @@ pub struct PodScheduler {
     /// The job table, in arrival order.
     jobs: Vec<Job>,
     /// The `Queued` rows of `jobs`, in the last round's queue order.
-    pending: Vec<usize>,
+    pending: Vec<Waiting>,
+    /// The `Running` rows of `jobs` as `(priority, started, id)`: the
+    /// last is the most expendable.
+    running: BTreeSet<(u8, SimTime, usize)>,
     services: Vec<ServiceRun>,
-    tenant_usage: BTreeMap<u32, f64>,
+    /// Chip-seconds billed per tenant, indexed by tenant; a tenant past
+    /// the end has not been billed yet.
+    tenant_usage: Vec<f64>,
     /// Memoized per-(kind, chips) step seconds.
     step_cache: BTreeMap<(JobKind, u32), f64>,
     /// Memoized per-shape checkpoint pricing networks.
@@ -326,8 +381,9 @@ impl PodScheduler {
             queue: EventQueue::new(),
             jobs: Vec::new(),
             pending: Vec::new(),
+            running: BTreeSet::new(),
             services: Vec::new(),
-            tenant_usage: BTreeMap::new(),
+            tenant_usage: Vec::new(),
             step_cache: BTreeMap::new(),
             shape_cache: BTreeMap::new(),
             pcie: PcieCost::criteo(),
@@ -403,23 +459,6 @@ impl PodScheduler {
                 Ok(slot.insert(ShapeCtx { net, placement }))
             }
         }
-    }
-
-    /// Queue order: priority, then fair-share usage (lighter tenants
-    /// first), then arrival, then id — a total order, so scheduling is
-    /// deterministic.
-    fn queue_order(&mut self) {
-        let jobs = &self.jobs;
-        let usage = &self.tenant_usage;
-        let used = |spec: &JobSpec| usage.get(&spec.tenant).copied().unwrap_or(0.0);
-        self.pending.sort_by(|&a, &b| {
-            let (ja, jb) = (&jobs[a].spec, &jobs[b].spec);
-            ja.priority
-                .cmp(&jb.priority)
-                .then(used(ja).total_cmp(&used(jb)))
-                .then(ja.arrival.cmp(&jb.arrival))
-                .then(a.cmp(&b))
-        });
     }
 
     /// Runs the campaign to completion, consuming the scheduler: its
@@ -503,7 +542,7 @@ impl PodScheduler {
                         if matches!(self.jobs[v].phase, Phase::Draining) {
                             self.jobs[v].phase = Phase::Queued { since: now };
                             self.allocator.free(v as u64);
-                            self.pending.push(v);
+                            self.pending.push(Waiting::of(&self.jobs[v].spec));
                         }
                     }
                 }
@@ -526,9 +565,9 @@ impl PodScheduler {
     fn admit(&mut self, spec: JobSpec, now: SimTime) {
         debug_assert_eq!(spec.id, self.jobs.len() as u64, "ids are row indexes");
         self.count("arrivals", 1);
-        self.pending.push(self.jobs.len());
+        self.pending.push(Waiting::of(&spec));
         self.jobs.push(Job {
-            model: JobModel::fresh(&spec, self.config.state_elems, self.config.lr),
+            model: None,
             spec,
             steps_done: 0,
             ckpt: None,
@@ -636,25 +675,28 @@ impl PodScheduler {
                 });
             }
         }
-        self.queue_order();
-        let mut blocked_shapes: Vec<u32> = Vec::new();
-        let queued = mem::take(&mut self.pending);
-        self.pending.reserve(queued.len());
-        for job in queued {
-            let chips = self.jobs[job].spec.chips;
-            if !blocked_shapes.contains(&chips) {
-                if let Some(slice) = self.allocator.allocate(job as u64, chips)? {
-                    self.dispatch(job, slice, now)?;
+        queue_order(&mut self.pending, &self.tenant_usage);
+        // Slice sizes (powers of two, so one bit each) that failed this
+        // round: later dispatches only take space, so they stay failed.
+        let mut blocked: u32 = 0;
+        let mut kept = 0;
+        for i in 0..self.pending.len() {
+            let waiting = self.pending[i];
+            if blocked & waiting.chips == 0 {
+                if let Some(slice) = self.allocator.allocate(waiting.job as u64, waiting.chips)? {
+                    self.dispatch(waiting.job, slice, now)?;
                     continue;
                 }
-                blocked_shapes.push(chips);
+                blocked |= waiting.chips;
             }
-            self.pending.push(job);
+            self.pending[kept] = waiting;
+            kept += 1;
         }
+        self.pending.truncate(kept);
         // What is left is blocked, most urgent first.
-        if let Some(&job) = self.pending.first() {
-            let spec = &self.jobs[job].spec;
-            self.preempt_to_fit(job as u64, spec.chips, Some(spec.priority), now)?;
+        if let Some(&waiting) = self.pending.first() {
+            let (job, chips, priority) = (waiting.job, waiting.chips, waiting.priority);
+            self.preempt_to_fit(job as u64, chips, Some(priority), now)?;
         }
         Ok(())
     }
@@ -691,9 +733,10 @@ impl PodScheduler {
                 self.observe("preemption_overhead_seconds", overhead);
             }
         } else if self.jobs[job].lost_state {
-            // Fault-killed with no checkpoint: restart from scratch.
+            // Fault-killed with no checkpoint: restart from scratch (the
+            // next use builds a fresh model).
             let j = &mut self.jobs[job];
-            j.model = JobModel::fresh(&j.spec, self.config.state_elems, self.config.lr);
+            j.model = None;
             j.steps_done = 0;
             j.lost_state = false;
         }
@@ -702,6 +745,7 @@ impl PodScheduler {
         let token = self.next_token;
         let j = &mut self.jobs[job];
         j.queue_waits.push(wait);
+        self.running.insert((j.spec.priority, now, job));
         let remaining = j.spec.steps.saturating_sub(j.steps_done);
         let finish = compute_from + step_seconds * remaining as f64;
         j.phase = Phase::Running(Running {
@@ -725,19 +769,27 @@ impl PodScheduler {
         let Phase::Running(running) = mem::replace(&mut j.phase, next) else {
             return None;
         };
-        *self.tenant_usage.entry(j.spec.tenant).or_insert(0.0) +=
-            f64::from(j.spec.chips) * (now - running.started);
+        self.running
+            .remove(&(j.spec.priority, running.started, job));
+        let tenant = j.spec.tenant as usize;
+        if tenant >= self.tenant_usage.len() {
+            self.tenant_usage.resize(tenant + 1, 0.0);
+        }
+        self.tenant_usage[tenant] += f64::from(j.spec.chips) * (now - running.started);
         Some(running)
     }
 
     /// Completes running `job` at `now`: advance its model through the
-    /// steps it ran, bill its tenant, free the slice.
+    /// steps it ran, bill its tenant, free the slice. The finished job
+    /// releases its model and its last checkpoint.
     fn complete_job(&mut self, job: usize, now: SimTime) -> Result<(), SchedError> {
         let Some(running) = self.stop(job, now, Phase::Done { at: now }) else {
             return Ok(());
         };
         let j = &mut self.jobs[job];
-        j.advance_to(j.spec.steps)?;
+        j.advance_to(j.spec.steps, &self.config)?;
+        j.model = None;
+        j.ckpt = None;
         let (chips, steps) = (j.spec.chips, j.spec.steps);
         self.allocator.free(job as u64);
         self.count("jobs_completed", 1);
@@ -758,10 +810,10 @@ impl PodScheduler {
     /// owner id) fit. Candidates are the running jobs of strictly lower
     /// priority than `outranks` — every running job for `None`, a service
     /// — taken cheapest first (lowest priority, then latest started, then
-    /// highest id: a total order) and freed on a trial copy of the
-    /// allocator until the claim fits. Exactly that prefix checkpoints;
-    /// the slices free together when the slowest save completes. Returns
-    /// whether a victim set was found.
+    /// highest id: a total order, read off the back of `running`) and
+    /// freed in a trial on the allocator itself until the claim fits.
+    /// Exactly that prefix checkpoints; the slices free together when the
+    /// slowest save completes. Returns whether a victim set was found.
     fn preempt_to_fit(
         &mut self,
         claimant: u64,
@@ -769,36 +821,32 @@ impl PodScheduler {
         outranks: Option<u8>,
         now: SimTime,
     ) -> Result<bool, SchedError> {
-        let mut candidates: Vec<(u8, SimTime, usize)> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter_map(|(id, j)| match &j.phase {
-                Phase::Running(r) if outranks.is_none_or(|p| j.spec.priority > p) => {
-                    Some((j.spec.priority, r.started, id))
-                }
-                _ => None,
-            })
-            .collect();
-        if candidates.is_empty() {
+        let expendable = |priority: u8| outranks.is_none_or(|p| priority > p);
+        if !self.running.last().is_some_and(|&(p, _, _)| expendable(p)) {
             return Ok(false);
         }
-        candidates.sort_by(|a, b| b.cmp(a));
-        let mut trial = self.allocator.clone();
-        let mut victims = Vec::new();
-        for (_, _, v) in candidates {
-            trial.free(v as u64);
-            victims.push(v);
-            if trial.allocate(claimant, chips)?.is_some() {
-                let mut latest = now;
-                for &v in &victims {
-                    latest = latest.max(self.preempt(v, now)?);
-                }
-                self.queue.schedule(latest, Event::SliceFreed { victims });
-                return Ok(true);
-            }
+        let candidates = self
+            .running
+            .iter()
+            .rev()
+            .take_while(|&&(p, _, _)| expendable(p))
+            .map(|&(_, _, job)| job as u64);
+        let Some(needed) = self.allocator.victims_needed(claimant, chips, candidates)? else {
+            return Ok(false);
+        };
+        let victims: Vec<usize> = self
+            .running
+            .iter()
+            .rev()
+            .take(needed)
+            .map(|r| r.2)
+            .collect();
+        let mut latest = now;
+        for &v in &victims {
+            latest = latest.max(self.preempt(v, now)?);
         }
-        Ok(false)
+        self.queue.schedule(latest, Event::SliceFreed { victims });
+        Ok(true)
     }
 
     /// Preempts running `job` at `now`: advance its model for the steps
@@ -815,8 +863,8 @@ impl PodScheduler {
         let ran = (elapsed / running.step_seconds).floor().max(0.0) as u64;
         let j = &mut self.jobs[job];
         let steps_done = j.steps_done.saturating_add(ran).min(j.spec.steps);
-        j.advance_to(steps_done)?;
-        let bundle = j.model.bundle(steps_done)?;
+        j.advance_to(steps_done, &self.config)?;
+        let bundle = j.model(&self.config).bundle(steps_done)?;
         let pcie = self.pcie;
         let ctx = self.shape_ctx(running.slice.shape())?;
         let outcome = save_checkpoint(&mut ctx.net, &ctx.placement, &bundle, &pcie, now)?;
@@ -856,13 +904,15 @@ impl PodScheduler {
         let outcome = restore_checkpoint(&mut ctx.net, &ctx.placement, ckpt, &pcie, now)?;
         let cost = outcome.finish - now;
         let j = &mut self.jobs[job];
+        let (lost_state, steps_done) = (j.lost_state, j.steps_done);
+        let model = j.model(&self.config);
         // The PR 4 guarantee, enforced per event: restoring onto the new
         // slice must reproduce the saved state bit for bit. (After a fault
         // kill the in-memory state it would be compared with is gone.)
-        if !j.lost_state && outcome.bundle != j.model.bundle(j.steps_done)? {
-            return Err(SchedError::RestoreMismatch { job: j.spec.id });
+        if !lost_state && outcome.bundle != model.bundle(steps_done)? {
+            return Err(SchedError::RestoreMismatch { job: job as u64 });
         }
-        j.model.load(&outcome.bundle)?;
+        model.load(&outcome.bundle)?;
         j.steps_done = outcome.bundle.step;
         j.lost_state = false;
         self.restores += 1;
@@ -909,34 +959,44 @@ impl PodScheduler {
         j.lost_state = true;
         // Roll the step counter back to the last durable state.
         j.steps_done = j.ckpt.as_ref().map_or(0, |c| c.manifest.step);
-        self.pending.push(job);
+        self.pending.push(Waiting::of(&j.spec));
         self.fault_kills += 1;
         self.count("fault_kills", 1);
     }
 
-    /// The containment invariants of [`Phase`], plus token uniqueness: no
-    /// two running jobs wait on the same `Completion`.
+    /// The containment invariants of [`Phase`], plus token uniqueness (no
+    /// two running jobs wait on the same `Completion`), the allocator's
+    /// counts and owner index against its cells, and no model kept past
+    /// `Done`.
     #[cfg(debug_assertions)]
     fn consistent(&self) -> bool {
-        use std::collections::BTreeSet;
         let placed = |i: usize| self.services[i].slice.map(|_| SERVICE_ID_BASE + i as u64);
         let mut on_mesh: BTreeSet<u64> = (0..self.services.len()).filter_map(placed).collect();
-        let (mut queued, mut tokens) = (BTreeSet::new(), BTreeSet::new());
+        let (mut queued, mut tokens, mut running) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
         let mut ok = true;
         for (id, j) in self.jobs.iter().enumerate() {
             ok &= match &j.phase {
                 Phase::Queued { .. } => queued.insert(id),
-                Phase::Running(r) => on_mesh.insert(id as u64) && tokens.insert(r.token),
+                Phase::Running(r) => {
+                    running.insert((j.spec.priority, r.started, id));
+                    on_mesh.insert(id as u64) && tokens.insert(r.token)
+                }
                 Phase::Draining => on_mesh.insert(id as u64),
-                Phase::Done { .. } => true,
+                Phase::Done { .. } => j.model.is_none(),
             };
         }
         let owners: BTreeSet<u64> = (0..self.mesh_chips)
             .filter_map(|c| self.allocator.owner(ChipId(c)))
             .collect();
         ok && owners == on_mesh
+            && running == self.running
+            && self.allocator.accounting_consistent()
             && self.pending.len() == queued.len()
-            && self.pending.iter().all(|p| queued.contains(p))
+            && self
+                .pending
+                .iter()
+                .all(|w| queued.contains(&w.job) && *w == Waiting::of(&self.jobs[w.job].spec))
     }
 }
 
@@ -957,6 +1017,85 @@ fn mean(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use multipod_simnet::SimTime;
+    use proptest::prelude::*;
+
+    /// The queue order before `Waiting` carried its keys, kept as the
+    /// oracle: specs read from the job table and usage looked up in a
+    /// per-tenant map on every comparison.
+    fn queue_order_by_table(pending: &mut [usize], specs: &[JobSpec], usage: &BTreeMap<u32, f64>) {
+        let used = |spec: &JobSpec| usage.get(&spec.tenant).copied().unwrap_or(0.0);
+        pending.sort_by(|&a, &b| {
+            let (ja, jb) = (&specs[a], &specs[b]);
+            ja.priority
+                .cmp(&jb.priority)
+                .then(used(ja).total_cmp(&used(jb)))
+                .then(ja.arrival.cmp(&jb.arrival))
+                .then(a.cmp(&b))
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random priorities, tenants, bills and arrivals, all with
+        /// ties, and any subset of the jobs queued in any order, the keyed
+        /// order equals the table order.
+        #[test]
+        fn keyed_queue_order_matches_the_table_order(
+            jobs in proptest::collection::vec((0u8..4, 0u32..5, 0u32..4, 0u64..1000, proptest::bool::ANY), 0..40),
+            bills in proptest::collection::vec(0usize..5, 0..5),
+        ) {
+            const BILLS: [f64; 5] = [0.0, -0.0, 1.0, 2.5, 2.5];
+            let specs: Vec<JobSpec> = jobs
+                .iter()
+                .enumerate()
+                .map(|(id, &(priority, tenant, arrival, _, _))| JobSpec {
+                    id: id as u64,
+                    kind: JobKind::Eval,
+                    tenant,
+                    priority,
+                    chips: 2,
+                    steps: 1,
+                    arrival: SimTime::from_seconds(f64::from(arrival) * 0.5),
+                })
+                .collect();
+            // Tenants past the end of `bills` were never billed.
+            let usage: Vec<f64> = bills.iter().map(|&b| BILLS[b]).collect();
+            let by_tenant: BTreeMap<u32, f64> =
+                usage.iter().enumerate().map(|(t, &u)| (t as u32, u)).collect();
+            // A random subset, in an order set by a random key per job.
+            let mut queued: Vec<usize> = (0..specs.len()).filter(|&i| jobs[i].4).collect();
+            queued.sort_by_key(|&i| jobs[i].3);
+            let mut keyed: Vec<Waiting> = queued.iter().map(|&i| Waiting::of(&specs[i])).collect();
+            queue_order_by_table(&mut queued, &specs, &by_tenant);
+            queue_order(&mut keyed, &usage);
+            let keyed: Vec<usize> = keyed.iter().map(|w| w.job).collect();
+            prop_assert_eq!(keyed, queued);
+        }
+    }
+
+    #[test]
+    fn a_saved_bundle_is_unchanged_by_later_steps() {
+        let spec = arrival_stream(&ArrivalConfig::heavy(1, 5)).remove(0);
+        let mut model = JobModel::fresh(&spec, 64, 0.05);
+        let mut grad = Tensor::zeros(Shape::vector(64));
+        model.advance(spec.id, 0, &mut grad).unwrap();
+        let saved = model.bundle(1).unwrap();
+        let bits = |b: &StateBundle| -> Vec<u32> {
+            let tensors = std::iter::once(&b.weights).chain(b.optim.iter().map(|(_, t)| t));
+            tensors
+                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let before = bits(&saved);
+        model.advance(spec.id, 1, &mut grad).unwrap();
+        assert_eq!(
+            bits(&saved),
+            before,
+            "the step wrote through a shared buffer"
+        );
+        assert_ne!(bits(&model.bundle(2).unwrap()), before);
+    }
 
     fn small_config(jobs: u32, seed: u64) -> SchedConfig {
         SchedConfig {

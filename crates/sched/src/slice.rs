@@ -9,6 +9,10 @@
 //! that covers them. Determinism is what makes whole scheduling campaigns
 //! byte-reproducible.
 
+use std::collections::BTreeMap;
+use std::mem;
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use multipod_topology::{ChipId, Multipod};
@@ -43,6 +47,15 @@ impl Slice {
     pub fn shape(&self) -> (u32, u32) {
         (self.w, self.h)
     }
+
+    /// The row-major cell ranges the slice covers on a mesh `x_len` chips
+    /// wide, one per row.
+    fn rows(self, x_len: u32) -> impl Iterator<Item = Range<usize>> {
+        (self.y0..self.y0 + self.h).map(move |y| {
+            let start = (y * x_len + self.x0) as usize;
+            start..start + self.w as usize
+        })
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,20 +72,28 @@ enum Cell {
 /// shape, anchors aligned to the shape itself (buddy alignment — slices
 /// of one shape tile the mesh exactly, which keeps fragmentation at
 /// zero when the job mix is power-of-two, as TPU slices are).
-#[derive(Clone, Debug)]
+///
+/// Beside the cells it keeps the busy and dead counts and each owner's
+/// slices, updated by `allocate`, `free` and `mark_dead`: the counts are
+/// O(1) and a free touches only the owner's rectangles.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SliceAllocator {
     x_len: u32,
     y_len: u32,
     cells: Vec<Cell>,
+    /// `Busy` cells.
+    busy: u32,
+    /// `Dead` cells.
+    dead: u32,
+    /// Every owner's slices in allocation order, dead cells and all.
+    owned: BTreeMap<u64, Vec<Slice>>,
 }
 
 impl SliceAllocator {
     /// Builds an allocator over `mesh`, marking already-isolated chips
     /// dead.
     pub fn new(mesh: &Multipod) -> SliceAllocator {
-        let x_len = mesh.x_len();
-        let y_len = mesh.y_len();
-        let cells = mesh
+        let cells: Vec<Cell> = mesh
             .chips()
             .map(|c| {
                 if mesh.is_isolated(c) {
@@ -83,14 +104,13 @@ impl SliceAllocator {
             })
             .collect();
         SliceAllocator {
-            x_len,
-            y_len,
+            x_len: mesh.x_len(),
+            y_len: mesh.y_len(),
+            busy: 0,
+            dead: cells.iter().filter(|c| **c == Cell::Dead).count() as u32,
             cells,
+            owned: BTreeMap::new(),
         }
-    }
-
-    fn idx(&self, x: u32, y: u32) -> usize {
-        (y * self.x_len + x) as usize
     }
 
     /// Candidate `(w, h)` shapes for a slice of `chips`, most-square
@@ -121,32 +141,25 @@ impl SliceAllocator {
         Ok(shapes)
     }
 
-    fn rect_free(&self, x0: u32, y0: u32, w: u32, h: u32) -> bool {
-        for y in y0..y0 + h {
-            for x in x0..x0 + w {
-                if self.cells[self.idx(x, y)] != Cell::Free {
-                    return false;
-                }
-            }
-        }
-        true
+    fn rect_free(&self, slice: Slice) -> bool {
+        slice
+            .rows(self.x_len)
+            .all(|row| self.cells[row].iter().all(|c| *c == Cell::Free))
     }
 
-    /// First free shape-aligned anchor for a `w × h` rectangle, scanning
-    /// rows outward then columns (y-major), or `None` when nothing fits.
-    fn find_anchor(&self, w: u32, h: u32) -> Option<(u32, u32)> {
-        let mut y0 = 0;
-        while y0 + h <= self.y_len {
-            let mut x0 = 0;
-            while x0 + w <= self.x_len {
-                if self.rect_free(x0, y0, w, h) {
-                    return Some((x0, y0));
-                }
-                x0 += w;
-            }
-            y0 += h;
-        }
-        None
+    /// First free shape-aligned `w × h` rectangle, scanning rows outward
+    /// then columns (y-major), or `None` when nothing fits.
+    fn find_anchor(&self, w: u32, h: u32) -> Option<Slice> {
+        (0..self.y_len / h)
+            .flat_map(|j| {
+                (0..self.x_len / w).map(move |i| Slice {
+                    x0: i * w,
+                    y0: j * h,
+                    w,
+                    h,
+                })
+            })
+            .find(|&slice| self.rect_free(slice))
     }
 
     /// Allocates a slice of `chips` for `job`: the first buddy-aligned
@@ -158,83 +171,154 @@ impl SliceAllocator {
     /// [`SchedError::UnplaceableJob`] when no shape of this area can
     /// *ever* fit the mesh (as opposed to not fitting right now).
     pub fn allocate(&mut self, job: u64, chips: u32) -> Result<Option<Slice>, SchedError> {
-        for (w, h) in self.shapes_for(job, chips)? {
-            if let Some((x0, y0)) = self.find_anchor(w, h) {
-                let slice = Slice { x0, y0, w, h };
-                for y in y0..y0 + h {
-                    for x in x0..x0 + w {
-                        let i = self.idx(x, y);
-                        debug_assert_eq!(self.cells[i], Cell::Free);
-                        self.cells[i] = Cell::Busy(job);
-                    }
-                }
-                return Ok(Some(slice));
+        let shapes = self.shapes_for(job, chips)?;
+        let Some(slice) = shapes.into_iter().find_map(|(w, h)| self.find_anchor(w, h)) else {
+            return Ok(None);
+        };
+        for row in slice.rows(self.x_len) {
+            for cell in &mut self.cells[row] {
+                debug_assert_eq!(*cell, Cell::Free);
+                *cell = Cell::Busy(job);
             }
         }
-        Ok(None)
+        self.busy += slice.chips();
+        self.owned.entry(job).or_default().push(slice);
+        Ok(Some(slice))
     }
 
     /// Frees every cell `job` occupies (dead cells stay dead). Returns
     /// the number of chips released.
     pub fn free(&mut self, job: u64) -> u32 {
         let mut released = 0;
-        for cell in &mut self.cells {
-            if *cell == Cell::Busy(job) {
-                *cell = Cell::Free;
-                released += 1;
+        for slice in self.owned.remove(&job).unwrap_or_default() {
+            for row in slice.rows(self.x_len) {
+                for cell in &mut self.cells[row] {
+                    if *cell == Cell::Busy(job) {
+                        *cell = Cell::Free;
+                        released += 1;
+                    }
+                }
             }
         }
+        self.busy -= released;
         released
+    }
+
+    /// How many of `candidates`, freed in order, a claim of `chips` by
+    /// `claimant` needs before one of its shapes fits, or `None` when it
+    /// does not fit even with all of them gone. The trial frees the
+    /// candidates' cells in place and puts every one back before it
+    /// returns, so the allocator is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`SliceAllocator::shapes_for`], before any cell is touched.
+    pub(crate) fn victims_needed(
+        &mut self,
+        claimant: u64,
+        chips: u32,
+        candidates: impl IntoIterator<Item = u64>,
+    ) -> Result<Option<usize>, SchedError> {
+        let shapes = self.shapes_for(claimant, chips)?;
+        let mut undo: Vec<(usize, u64)> = Vec::new();
+        let mut needed = None;
+        for (k, owner) in candidates.into_iter().enumerate() {
+            for slice in self.owned.get(&owner).into_iter().flatten() {
+                for i in slice.rows(self.x_len).flatten() {
+                    if self.cells[i] == Cell::Busy(owner) {
+                        self.cells[i] = Cell::Free;
+                        undo.push((i, owner));
+                    }
+                }
+            }
+            if shapes
+                .iter()
+                .any(|&(w, h)| self.find_anchor(w, h).is_some())
+            {
+                needed = Some(k + 1);
+                break;
+            }
+        }
+        for (i, owner) in undo {
+            self.cells[i] = Cell::Busy(owner);
+        }
+        Ok(needed)
     }
 
     /// Marks a chip dead. Returns the job occupying it, if any; the
     /// caller is responsible for killing that job (its remaining cells
-    /// free via [`SliceAllocator::free`], this one stays dead).
+    /// free via [`SliceAllocator::free`], this one stays dead). A chip
+    /// off the mesh is left alone and reports no occupant.
     pub fn mark_dead(&mut self, chip: ChipId) -> Option<u64> {
-        let i = chip.index();
-        let previous = self.cells[i];
-        self.cells[i] = Cell::Dead;
-        match previous {
-            Cell::Busy(job) => Some(job),
-            _ => None,
+        let cell = self.cells.get_mut(chip.index())?;
+        match mem::replace(cell, Cell::Dead) {
+            Cell::Dead => None,
+            Cell::Free => {
+                self.dead += 1;
+                None
+            }
+            Cell::Busy(job) => {
+                self.dead += 1;
+                self.busy -= 1;
+                Some(job)
+            }
         }
     }
 
     /// Chips not dead.
     pub fn live_chips(&self) -> u32 {
-        self.cells.iter().filter(|c| **c != Cell::Dead).count() as u32
+        self.cells.len() as u32 - self.dead
     }
 
     /// Chips currently allocated to jobs.
     pub fn busy_chips(&self) -> u32 {
-        self.cells
-            .iter()
-            .filter(|c| matches!(c, Cell::Busy(_)))
-            .count() as u32
+        self.busy
     }
 
-    /// The job occupying `chip`, if any.
+    /// The job occupying `chip`, if any (`None` off the mesh).
     pub fn owner(&self, chip: ChipId) -> Option<u64> {
-        match self.cells[chip.index()] {
-            Cell::Busy(job) => Some(job),
+        match self.cells.get(chip.index()) {
+            Some(Cell::Busy(job)) => Some(*job),
             _ => None,
         }
     }
 
-    /// Whether `chip` is dead.
+    /// Whether `chip` is dead (`false` off the mesh).
     pub fn is_dead(&self, chip: ChipId) -> bool {
-        self.cells[chip.index()] == Cell::Dead
+        self.cells.get(chip.index()) == Some(&Cell::Dead)
     }
 
     /// Chip ids covered by `slice` in row-major order.
     pub fn slice_chips(&self, slice: &Slice) -> Vec<ChipId> {
-        let mut out = Vec::with_capacity(slice.chips() as usize);
-        for y in slice.y0..slice.y0 + slice.h {
-            for x in slice.x0..slice.x0 + slice.w {
-                out.push(ChipId(y * self.x_len + x));
+        slice
+            .rows(self.x_len)
+            .flatten()
+            .map(|i| ChipId(i as u32))
+            .collect()
+    }
+
+    /// The counts and the owner index against a full scan of the cells:
+    /// every cell of an owner's slices is that owner's or dead, and
+    /// together they cover every busy cell.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn accounting_consistent(&self) -> bool {
+        let count = |want: fn(&Cell) -> bool| self.cells.iter().filter(|c| want(c)).count();
+        let mut indexed = 0;
+        let mut ok = true;
+        for (&owner, slices) in &self.owned {
+            ok &= !slices.is_empty();
+            for i in slices.iter().flat_map(|s| s.rows(self.x_len).flatten()) {
+                match self.cells[i] {
+                    Cell::Busy(o) if o == owner => indexed += 1,
+                    Cell::Dead => {}
+                    _ => ok = false,
+                }
             }
         }
-        out
+        let busy = count(|c| matches!(c, Cell::Busy(_)));
+        ok && indexed == busy
+            && self.busy as usize == busy
+            && self.dead as usize == count(|c| *c == Cell::Dead)
     }
 }
 
@@ -242,6 +326,7 @@ impl SliceAllocator {
 mod tests {
     use super::*;
     use multipod_topology::MultipodConfig;
+    use proptest::prelude::*;
 
     fn allocator(x: u32, y: u32) -> SliceAllocator {
         SliceAllocator::new(&Multipod::new(MultipodConfig::mesh(x, y, true)))
@@ -308,6 +393,86 @@ mod tests {
             a.allocate(9, 3),
             Err(SchedError::UnplaceableJob { job: 9, chips: 3 })
         ));
+    }
+
+    #[test]
+    fn off_mesh_chips_have_no_owner_and_never_die() {
+        let mut a = allocator(4, 4);
+        a.allocate(1, 16).unwrap().unwrap();
+        let before = a.clone();
+        for chip in [ChipId(16), ChipId(u32::MAX)] {
+            assert_eq!(a.owner(chip), None);
+            assert!(!a.is_dead(chip));
+            assert_eq!(a.mark_dead(chip), None);
+        }
+        assert_eq!(a, before, "an off-mesh mark_dead is a no-op");
+        assert_eq!((a.live_chips(), a.busy_chips()), (16, 16));
+    }
+
+    #[test]
+    fn one_free_releases_every_slice_of_an_owner() {
+        let mut a = allocator(8, 4);
+        a.allocate(3, 8).unwrap().unwrap();
+        a.allocate(3, 4).unwrap().unwrap();
+        a.allocate(4, 2).unwrap().unwrap();
+        assert_eq!(a.free(3), 12);
+        assert_eq!(a.busy_chips(), 2);
+        assert!(a.accounting_consistent());
+    }
+
+    /// The victim trial the scheduler ran before the in-place one, kept as
+    /// its oracle: free each candidate on a copy of the allocator, by a
+    /// scan of every cell, until the claim fits.
+    fn victims_needed_by_clone(
+        a: &SliceAllocator,
+        claimant: u64,
+        chips: u32,
+        candidates: &[u64],
+    ) -> Result<Option<usize>, SchedError> {
+        let mut trial = a.clone();
+        for (k, &v) in candidates.iter().enumerate() {
+            for cell in &mut trial.cells {
+                if *cell == Cell::Busy(v) {
+                    *cell = Cell::Free;
+                }
+            }
+            if trial.allocate(claimant, chips)?.is_some() {
+                return Ok(Some(k + 1));
+            }
+        }
+        Ok(None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On any occupancy (owners holding one slice or two, dead chips
+        /// inside and outside slices), candidate order and claim size, the
+        /// in-place trial needs as many victims as the copying one, and
+        /// leaves the allocator exactly as it found it.
+        #[test]
+        fn in_place_trial_matches_the_copying_trial(
+            x in 1u32..17,
+            y in 1u32..17,
+            grants in proptest::collection::vec((0u64..10, 1u32..7), 0..24),
+            dead in proptest::collection::vec(0u32..256, 0..6),
+            candidates in proptest::collection::vec(0u64..12, 1..12),
+            claim in 1u32..9,
+        ) {
+            let mut a = allocator(x, y);
+            for (owner, log) in grants {
+                let _ = a.allocate(owner, 1 << log);
+            }
+            for chip in dead {
+                a.mark_dead(ChipId(chip));
+            }
+            prop_assert!(a.accounting_consistent());
+            let before = a.clone();
+            let want = victims_needed_by_clone(&a, 99, 1 << claim, &candidates).ok();
+            let got = a.victims_needed(99, 1 << claim, candidates.iter().copied()).ok();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&a, &before);
+        }
     }
 
     #[test]

@@ -24,6 +24,9 @@ use proptest::prelude::*;
 enum Op {
     /// A job arrives wanting `2^log_chips` chips.
     Arrive { log_chips: u32 },
+    /// The `sel`-th live job (mod live count) takes a second slice of
+    /// `2^log_chips` chips under the same owner id.
+    Grow { sel: usize, log_chips: u32 },
     /// The `sel`-th live job (mod live count) completes.
     Complete { sel: usize },
     /// Chip `sel % num_chips` dies.
@@ -33,6 +36,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1u32..6).prop_map(|log_chips| Op::Arrive { log_chips }),
+        (0usize..64, 1u32..4).prop_map(|(sel, log_chips)| Op::Grow { sel, log_chips }),
         (0usize..64).prop_map(|sel| Op::Complete { sel }),
         (0usize..256).prop_map(|sel| Op::Fault { sel }),
     ]
@@ -41,10 +45,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Under any interleaving of arrivals, completions and chip faults,
-    /// every allocated slice covers only chips the allocator still
-    /// considers owned by that job, no chip is owned by two jobs, and no
-    /// allocation ever lands on a dead chip.
+    /// Under any interleaving of arrivals, second slices, completions and
+    /// chip faults, every allocated slice covers only chips the allocator
+    /// still considers owned by that job, no chip is owned by two jobs, no
+    /// allocation ever lands on a dead chip, and one free releases every
+    /// slice its owner holds.
     #[test]
     fn allocator_never_double_books_or_uses_dead_chips(
         ops in proptest::collection::vec(op_strategy(), 1..120),
@@ -52,17 +57,25 @@ proptest! {
         let mesh = Multipod::new(MultipodConfig::mesh(16, 8, true));
         let mut alloc = SliceAllocator::new(&mesh);
         let mut next_job = 0u64;
-        // job -> chips of its slice
+        // job -> chips of its slices
         let mut live: BTreeMap<u64, Vec<ChipId>> = BTreeMap::new();
         let mut dead: Vec<ChipId> = Vec::new();
         let num_chips = 16 * 8;
 
         for op in ops {
             match op {
-                Op::Arrive { log_chips } => {
+                Op::Arrive { .. } | Op::Grow { .. } => {
+                    let (job, log_chips) = match op {
+                        Op::Grow { sel, log_chips } if !live.is_empty() => {
+                            (*live.keys().nth(sel % live.len()).unwrap(), log_chips)
+                        }
+                        Op::Arrive { log_chips } => {
+                            next_job += 1;
+                            (next_job - 1, log_chips)
+                        }
+                        _ => continue,
+                    };
                     let chips = 1u32 << log_chips;
-                    let job = next_job;
-                    next_job += 1;
                     if let Some(slice) = alloc.allocate(job, chips).unwrap() {
                         prop_assert_eq!(slice.chips(), chips);
                         let owned = alloc.slice_chips(&slice);
@@ -77,7 +90,7 @@ proptest! {
                             }
                             prop_assert_eq!(alloc.owner(c), Some(job));
                         }
-                        live.insert(job, owned);
+                        live.entry(job).or_default().extend(owned);
                     }
                 }
                 Op::Complete { sel } => {
@@ -85,9 +98,10 @@ proptest! {
                     let job = *live.keys().nth(sel % live.len()).unwrap();
                     let owned = live.remove(&job).unwrap();
                     let released = alloc.free(job);
-                    // Every non-dead chip of the slice comes back.
+                    // Every non-dead chip of every slice comes back.
                     let expect = owned.iter().filter(|c| !dead.contains(c)).count() as u32;
                     prop_assert_eq!(released, expect);
+                    prop_assert_eq!(alloc.free(job), 0, "a second free finds nothing");
                     for c in owned {
                         if !dead.contains(&c) {
                             prop_assert_eq!(alloc.owner(c), None);
