@@ -52,23 +52,29 @@ pub fn ring_degradation(
     if ring.len() < 2 {
         return Ok(None);
     }
-    let mut degradation = Degradation::default();
     let members = ring.members();
     let n = members.len();
-    // Ring schedules move chunks along every logical edge, including the
-    // wrap edge of open chains (which the network routes across the mesh),
-    // so all n edges are inspected.
-    for i in 0..n {
-        let from = members[i];
-        let to = members[(i + 1) % n];
-        let mut actual = 0;
-        mesh.for_each_hop(from, to, |_, _, _| actual += 1)?;
-        let nominal = healthy_hops(mesh, from, to);
+    let mut degradation = Degradation::default();
+    let mut tally = |edge: usize, actual: usize| {
+        let nominal = healthy_hops(mesh, members[edge], members[(edge + 1) % n]);
         if actual > nominal {
             degradation.broken_edges += 1;
             degradation.extra_hops += actual - nominal;
         }
-    }
+    };
+    // Ring schedules move chunks along every logical edge, including the
+    // wrap edge of open chains (which the network routes across the mesh),
+    // so all n edges are inspected. An edge the walk never visits joins a
+    // chip to itself: no hops, none expected.
+    let (mut edge_now, mut actual) = (0, 0);
+    mesh.for_each_ring_hop(ring, |edge, _, _, _| {
+        if edge != edge_now {
+            tally(edge_now, actual);
+            (edge_now, actual) = (edge, 0);
+        }
+        actual += 1;
+    })?;
+    tally(edge_now, actual);
     Ok((degradation.broken_edges > 0).then_some(degradation))
 }
 
@@ -113,28 +119,49 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// On random failed-link sets, every Y ring, X line and strided
-        /// X line (whose edges are multi-hop, and whose wrap edge crosses
-        /// the whole line) degrades exactly as the clone-and-heal version
-        /// says — or fails with the same error.
+        /// On random failed-link sets and a dead chip, every Y ring, X
+        /// line, strided X line (whose edges are multi-hop, and whose wrap
+        /// edge crosses the whole line), snake and survivor ring degrades
+        /// exactly as the clone-and-heal version — which routes each edge
+        /// on its own, twice — says, or fails with the same error.
         #[test]
         fn degradation_matches_the_clone_and_heal_version(
-            x_len in 1u32..9,
+            pods in 1u32..4,
+            pod_x_len in 1u32..9,
             y_len in 1u32..9,
             torus_y in any::<bool>(),
             failed in prop::collection::vec(0usize..10_000, 0..6),
+            dead_chip in prop::collection::vec(0usize..10_000, 0..2),
         ) {
-            let mut mesh = Multipod::new(MultipodConfig::mesh(x_len, y_len, torus_y));
+            let mut mesh = Multipod::new(MultipodConfig {
+                pods,
+                pod_x_len,
+                pod_y_len: y_len,
+                torus_y,
+            });
             let links = mesh.links();
             for sel in failed {
                 if let Some(link) = links.get(sel % links.len().max(1)) {
                     mesh.fail_link(link.from, link.to);
                 }
             }
+            let dead: Vec<ChipId> = dead_chip
+                .iter()
+                .map(|sel| ChipId((sel % mesh.num_chips()) as u32))
+                .collect();
+            for &chip in &dead {
+                mesh.fail_chip(chip);
+            }
+            let x_len = mesh.x_len();
             let mut rings: Vec<Ring> = (0..x_len).map(|x| mesh.y_ring(x)).collect();
             rings.extend((0..y_len).map(|y| mesh.x_line(y)));
-            if x_len % 2 == 0 {
+            if x_len.is_multiple_of(2) {
                 rings.extend((0..y_len).map(|y| mesh.x_line_strided(y, 1, 2)));
+            }
+            rings.push(mesh.snake_ring());
+            let survivors = mesh.survivor_order(|c| !dead.contains(&c));
+            if !survivors.is_empty() {
+                rings.push(Ring::new(survivors, mesh.torus_y(), 1));
             }
             for ring in &rings {
                 prop_assert_eq!(

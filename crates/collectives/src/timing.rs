@@ -71,20 +71,23 @@ impl RingCosts {
                 beta: cfg.link_bandwidth,
             });
         }
-        let mesh = net.mesh();
-        let path_latency = |a, b| -> Result<f64, CollectiveError> {
-            let mut latency = 0.0;
-            mesh.for_each_hop(a, b, |_, _, class| {
-                latency += cfg.hop_latency * class.latency_multiplier();
-            })?;
-            Ok(latency)
-        };
-        let members = ring.members();
-        let mut worst_step = 0.0f64;
-        for w in members.windows(2) {
-            worst_step = worst_step.max(path_latency(w[0], w[1])?);
-        }
-        let wrap_latency = path_latency(members[n - 1], members[0])?;
+        // Each edge's latency is summed in hop order from 0.0; the worst
+        // of edges 0..n−1 is the step, the closing edge the wrap.
+        let last = n - 1;
+        let (mut worst_step, mut step, mut step_edge, mut wrap_latency) = (0.0f64, 0.0, 0, 0.0);
+        net.mesh().for_each_ring_hop(ring, |edge, _, _, class| {
+            let hop = cfg.hop_latency * class.latency_multiplier();
+            if edge == last {
+                wrap_latency += hop;
+                return;
+            }
+            if edge != step_edge {
+                worst_step = worst_step.max(step);
+                (step, step_edge) = (0.0, edge);
+            }
+            step += hop;
+        })?;
+        let worst_step = worst_step.max(step);
         let (alpha_path, wrap_penalty) = if ring.wraps() {
             (worst_step.max(wrap_latency), 0.0)
         } else {
@@ -159,11 +162,126 @@ impl RingCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multipod_simnet::NetworkConfig;
-    use multipod_topology::{Multipod, MultipodConfig};
+    use multipod_simnet::{NetworkConfig, SimTime};
+    use multipod_topology::{ChipId, Multipod, MultipodConfig};
+    use proptest::prelude::*;
 
     fn net(cfg: MultipodConfig) -> Network {
         Network::new(Multipod::new(cfg), NetworkConfig::tpu_v3())
+    }
+
+    /// `RingCosts::from_ring` before the ring walk, kept as its oracle:
+    /// one `for_each_hop` per member-to-member edge, then one for the
+    /// closing edge.
+    fn from_ring_per_edge(
+        net: &Network,
+        ring: &Ring,
+        concurrent_offsets: u32,
+    ) -> Result<RingCosts, CollectiveError> {
+        if concurrent_offsets == 0 {
+            return Err(CollectiveError::ZeroContentionFactor);
+        }
+        let cfg = net.config();
+        let n = ring.len();
+        if n < 2 {
+            return Ok(RingCosts {
+                n,
+                alpha: 0.0,
+                wrap_penalty: 0.0,
+                beta: cfg.link_bandwidth,
+            });
+        }
+        let mesh = net.mesh();
+        let path_latency = |a, b| -> Result<f64, CollectiveError> {
+            let mut latency = 0.0;
+            mesh.for_each_hop(a, b, |_, _, class| {
+                latency += cfg.hop_latency * class.latency_multiplier();
+            })?;
+            Ok(latency)
+        };
+        let members = ring.members();
+        let mut worst_step = 0.0f64;
+        for w in members.windows(2) {
+            worst_step = worst_step.max(path_latency(w[0], w[1])?);
+        }
+        let wrap_latency = path_latency(members[n - 1], members[0])?;
+        let (alpha_path, wrap_penalty) = if ring.wraps() {
+            (worst_step.max(wrap_latency), 0.0)
+        } else {
+            (worst_step, wrap_latency)
+        };
+        Ok(RingCosts {
+            n,
+            alpha: cfg.message_overhead + alpha_path,
+            wrap_penalty,
+            beta: cfg.link_bandwidth / concurrent_offsets as f64,
+        })
+    }
+
+    /// A `RingCosts` as the bits of its fields.
+    fn bits(costs: Result<RingCosts, CollectiveError>) -> Result<[u64; 4], CollectiveError> {
+        costs.map(|c| {
+            [
+                c.n as u64,
+                c.alpha.to_bits(),
+                c.wrap_penalty.to_bits(),
+                c.beta.to_bits(),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On one- and two-pod meshes with failed links and a dead chip,
+        /// every ring the collectives price — Y rings, strided X lines,
+        /// the snake, the survivor ring, and rings whose edges repeat a
+        /// chip or leave the mesh — costs the same bits as pricing it one
+        /// edge at a time, or fails with the same error.
+        #[test]
+        fn ring_costs_equal_the_per_edge_oracle_to_the_bit(
+            pods in 1u32..4,
+            pod_x_len in 1u32..9,
+            pod_y_len in 1u32..9,
+            torus_y in any::<bool>(),
+            failed in prop::collection::vec(0usize..10_000, 0..4),
+            dead_chip in prop::collection::vec(0usize..10_000, 0..2),
+            concurrent_offsets in 0u32..5,
+        ) {
+            let mut n = net(MultipodConfig { pods, pod_x_len, pod_y_len, torus_y });
+            let links = n.mesh().links();
+            for sel in failed {
+                if let Some(link) = links.get(sel % links.len().max(1)) {
+                    n.fail_link(link.from, link.to, SimTime::ZERO);
+                }
+            }
+            let dead: Vec<ChipId> = dead_chip
+                .iter()
+                .map(|sel| ChipId((sel % n.mesh().num_chips()) as u32))
+                .collect();
+            for &chip in &dead {
+                n.fail_chip(chip, SimTime::ZERO);
+            }
+            let m = n.mesh();
+            let mut rings: Vec<Ring> = (0..m.x_len()).map(|x| m.y_ring(x)).collect();
+            for stride in (1..=4).filter(|&s| m.x_len().is_multiple_of(s)) {
+                rings.extend((0..m.y_len()).map(|y| m.x_line_strided(y, 0, stride)));
+            }
+            rings.push(m.snake_ring());
+            let survivors = m.survivor_order(|c| !dead.contains(&c));
+            if !survivors.is_empty() {
+                rings.push(Ring::new(survivors, m.torus_y(), 1));
+            }
+            let off_mesh = ChipId(m.num_chips() as u32);
+            rings.push(Ring::new(vec![ChipId(0), ChipId(0), off_mesh], true, 1));
+            for ring in &rings {
+                prop_assert_eq!(
+                    bits(RingCosts::from_ring(&n, ring, concurrent_offsets)),
+                    bits(from_ring_per_edge(&n, ring, concurrent_offsets)),
+                    "{:?}", ring
+                );
+            }
+        }
     }
 
     #[test]

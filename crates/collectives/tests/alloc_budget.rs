@@ -5,13 +5,14 @@
 //! `n(n−1)` chunk moves or the `n²` chunks. An all-gather assembles one
 //! row and hands out `n` handles to it: its count does not grow with `n`
 //! at all, and its bytes are the row, not `n` rows. The α–β cost model
-//! walks its rings hop by hop and keeps only sums, so it allocates nothing
-//! of its own. This is the regression guard behind the ledger's
-//! `host.allocs_per_op` and `alloc_mb_per_op`.
+//! and the degradation check walk their rings hop by hop and keep only
+//! sums, so they allocate nothing of their own. This is the regression
+//! guard behind the ledger's `host.allocs_per_op` and `alloc_mb_per_op`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use multipod_collectives::degraded::ring_degradation;
 use multipod_collectives::timing::RingCosts;
 use multipod_collectives::twod::two_dim_all_reduce_time;
 use multipod_collectives::{ring, Precision};
@@ -161,6 +162,10 @@ fn pricing_a_ring_allocates_nothing() {
         RingCosts::from_ring(&net, &snake, 1).unwrap();
     });
     assert_eq!(priced.calls, 0, "{priced:?}");
+    let checked = count(&mut || {
+        ring_degradation(net.mesh(), &snake).unwrap();
+    });
+    assert_eq!(checked.calls, 0, "{checked:?}");
 }
 
 #[test]

@@ -7,6 +7,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use multipod_collectives::Precision;
+use multipod_core::ablate::summation_ablation;
+use multipod_core::overlap::{overlapped_step, OverlapConfig};
 use multipod_core::step::{step_breakdown, StepOptions};
 use multipod_models::catalog;
 
@@ -49,12 +52,51 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
 #[test]
 fn a_4096_chip_step_breakdown_allocates_a_handful() {
     let bert = catalog::bert();
     let options = StepOptions::default();
-    let before = ALLOCS.with(Cell::get);
-    step_breakdown(&bert, 4096, &options).unwrap();
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocations(|| {
+        step_breakdown(&bert, 4096, &options).unwrap();
+    });
     assert!(allocs <= 8, "{allocs} allocations");
+}
+
+#[test]
+fn an_overlapped_4096_chip_step_allocates_its_graph_and_schedule() {
+    // The task graph (a `Vec` of tasks, one `deps` vector per task with
+    // dependencies), the scheduler's flat per-task arrays, ready heaps
+    // and event groups, and the schedule. Pinned: a count that moves is
+    // a change to read, not slack to absorb.
+    let bert = catalog::bert();
+    let options = StepOptions::default();
+    let allocs = [1, 8, 20, 32].map(|buckets| {
+        let overlap = OverlapConfig {
+            buckets,
+            ..OverlapConfig::default()
+        };
+        allocations(|| {
+            overlapped_step(&bert, 4096, &options, &overlap).unwrap();
+        })
+    });
+    // At buckets 1/8/20/32; per-node `BTreeSet`s and dependents
+    // vectors made them 44/165/376/590.
+    assert_eq!(allocs, [38, 124, 271, 417]);
+}
+
+#[test]
+fn the_summation_ablation_allocates_its_ring_members_and_rows() {
+    // Per slice: the snake ring's members, and the Y ring's and the X
+    // line's that price the 2-D summation; plus the row vector.
+    let allocs = allocations(|| {
+        summation_ablation(25_600_000, Precision::F32, &[64, 256, 1024, 4096]).unwrap();
+    });
+    assert_eq!(allocs, 13);
 }

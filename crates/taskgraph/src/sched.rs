@@ -1,6 +1,7 @@
 //! The deterministic list scheduler.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,14 +58,30 @@ impl TaskGraph {
     pub fn run(&self) -> TaskSchedule {
         let n = self.tasks.len();
         let mut remaining: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, t) in self.tasks.iter().enumerate() {
+        // Dependents in one compressed array: task `d`'s are
+        // `dependents[first[d]..first[d + 1]]`, ascending. `first` is
+        // counted, summed to range ends, and filled back to front.
+        let mut first: Vec<usize> = vec![0; n + 1];
+        for t in &self.tasks {
             for d in &t.deps {
-                dependents[d.0].push(i);
+                first[d.0] += 1;
+            }
+        }
+        let mut end = 0;
+        for f in &mut first {
+            end += *f;
+            *f = end;
+        }
+        let mut dependents: Vec<usize> = vec![0; end];
+        for (i, t) in self.tasks.iter().enumerate().rev() {
+            for d in &t.deps {
+                first[d.0] -= 1;
+                dependents[first[d.0]] = i;
             }
         }
 
-        let mut ready: [BTreeSet<usize>; 4] = Default::default();
+        // Min-heaps by id, so the lowest ready id starts first.
+        let mut ready: [BinaryHeap<Reverse<usize>>; 4] = Default::default();
         let mut running: [Option<usize>; 4] = [None; 4];
         let mut started: Vec<bool> = vec![false; n];
         let mut starts: Vec<SimTime> = vec![SimTime::ZERO; n];
@@ -76,13 +93,13 @@ impl TaskGraph {
                 if t.release > SimTime::ZERO {
                     queue.schedule(t.release, i);
                 } else {
-                    ready[t.resource.index()].insert(i);
+                    ready[t.resource.index()].push(Reverse(i));
                 }
             }
         }
 
         let dispatch = |now: SimTime,
-                        ready: &mut [BTreeSet<usize>; 4],
+                        ready: &mut [BinaryHeap<Reverse<usize>>; 4],
                         running: &mut [Option<usize>; 4],
                         started: &mut Vec<bool>,
                         queue: &mut EventQueue<usize>,
@@ -93,10 +110,9 @@ impl TaskGraph {
                 if running[slot].is_some() {
                     continue;
                 }
-                let Some(&next) = ready[slot].first() else {
+                let Some(Reverse(next)) = ready[slot].pop() else {
                     continue;
                 };
-                ready[slot].remove(&next);
                 let end = now + self.tasks[next].seconds;
                 starts[next] = now;
                 ends[next] = end;
@@ -123,18 +139,18 @@ impl TaskGraph {
                     // Release event: dependencies were already satisfied,
                     // the task was only waiting for sim-time to reach its
                     // release. It now contends for its resource.
-                    ready[self.tasks[i].resource.index()].insert(i);
+                    ready[self.tasks[i].resource.index()].push(Reverse(i));
                     continue;
                 }
                 running[self.tasks[i].resource.index()] = None;
-                for &d in &dependents[i] {
+                for &d in &dependents[first[i]..first[i + 1]] {
                     remaining[d] -= 1;
                     if remaining[d] == 0 {
                         let release = self.tasks[d].release;
                         if release > now {
                             queue.schedule(release, d);
                         } else {
-                            ready[self.tasks[d].resource.index()].insert(d);
+                            ready[self.tasks[d].resource.index()].push(Reverse(d));
                         }
                     }
                 }

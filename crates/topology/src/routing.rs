@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ChipId, Coord, LinkClass, Multipod, TopologyError};
+use crate::{ChipId, Coord, LinkClass, Multipod, Ring, TopologyError};
 
 /// Hardware routing-table capacity of a TPU-v3 chip.
 pub const ROUTING_TABLE_CAPACITY: usize = 1024;
@@ -135,15 +135,27 @@ impl Walk {
         hop: &mut impl FnMut(ChipId, ChipId, LinkClass) -> bool,
     ) -> bool {
         let row = cur.y * self.x_len;
+        let pod = self.pod_x_len;
+        let right = self.dst.x > cur.x;
+        // X neighbours straddle a pod boundary exactly when the higher of
+        // the two is a pod's first column. `boundary` is the next such
+        // column the walk meets (at or left of `cur` when walking left),
+        // so no hop divides.
+        let mut boundary = (cur.x / pod + u32::from(right)) * pod;
         while cur.x != self.dst.x {
-            let next_x = if self.dst.x > cur.x {
-                cur.x + 1
+            let (next_x, higher) = if right {
+                (cur.x + 1, cur.x + 1)
             } else {
-                cur.x - 1
+                (cur.x - 1, cur.x)
             };
-            // X neighbours straddle a pod boundary exactly when the higher
-            // of the two is a pod's first column.
-            let class = if cur.x.max(next_x) % self.pod_x_len == 0 {
+            let class = if higher == boundary {
+                // Walking left never steps off column 0, so here
+                // `boundary ≥ pod`.
+                if right {
+                    boundary += pod;
+                } else {
+                    boundary -= pod;
+                }
                 LinkClass::CrossPodOptical
             } else {
                 LinkClass::IntraPod
@@ -163,11 +175,14 @@ impl Walk {
         hop: &mut impl FnMut(ChipId, ChipId, LinkClass) -> bool,
     ) -> bool {
         // Pick the direction once (recomputing per hop would oscillate
-        // when walking the long way around).
+        // when walking the long way around). Going down covers
+        // `(dst − cur) mod y_len` rows, going up the rest of the column.
         let go_down = if self.torus_y {
-            let up_dist = (cur.y + self.y_len - self.dst.y) % self.y_len;
-            let down_dist = (self.dst.y + self.y_len - cur.y) % self.y_len;
-            (down_dist <= up_dist) != long_y
+            let mut down = self.dst.y + self.y_len - cur.y;
+            if down >= self.y_len {
+                down -= self.y_len;
+            }
+            (down <= self.y_len - down) != long_y
         } else {
             self.dst.y > cur.y
         };
@@ -227,21 +242,69 @@ impl Multipod {
         &self,
         from: ChipId,
         to: ChipId,
+        visit: impl FnMut(ChipId, ChipId, LinkClass),
+    ) -> Result<(), TopologyError> {
+        let src = self.checked_coord(from)?;
+        let dst = self.checked_coord(to)?;
+        self.walk_edge((from, src), (to, dst), visit)
+    }
+
+    /// Visits every hop of every logical edge of `ring` — member `i` to
+    /// member `i + 1`, then the closing edge from the last member back to
+    /// the first, whether or not the ring wraps — as `visit(edge, previous
+    /// chip, next chip, class)`, where `edge` is the index of the edge's
+    /// first member. Each edge is walked exactly as
+    /// [`Multipod::for_each_hop`] walks it, but each member's coordinate
+    /// is computed once, not once for each of its two edges.
+    ///
+    /// # Errors
+    ///
+    /// The first edge's [`Multipod::for_each_hop`] error, members checked
+    /// in ring order. Every hop of the edges before it has been visited by
+    /// then; none of the failing edge's has.
+    pub fn for_each_ring_hop(
+        &self,
+        ring: &Ring,
+        mut visit: impl FnMut(usize, ChipId, ChipId, LinkClass),
+    ) -> Result<(), TopologyError> {
+        let Some((&first, rest)) = ring.members().split_first() else {
+            return Ok(());
+        };
+        let start = (first, self.checked_coord(first)?);
+        let mut from = start;
+        for (edge, &to) in rest.iter().enumerate() {
+            let to = (to, self.checked_coord(to)?);
+            self.walk_edge(from, to, |a, b, class| visit(edge, a, b, class))?;
+            from = to;
+        }
+        self.walk_edge(from, start, |a, b, class| visit(rest.len(), a, b, class))
+    }
+
+    /// The coordinate of `chip`, or the error naming it off the mesh.
+    fn checked_coord(&self, chip: ChipId) -> Result<Coord, TopologyError> {
+        let num_chips = self.num_chips();
+        if chip.index() >= num_chips {
+            return Err(TopologyError::ChipOutOfRange { chip, num_chips });
+        }
+        Ok(Coord::new(chip.0 % self.x_len(), chip.0 / self.x_len()))
+    }
+
+    /// Walks one edge between on-mesh chips, given with their coordinates,
+    /// in the first order of [`WALK_ORDERS`] that reaches `to`: both doors
+    /// above come through here.
+    fn walk_edge(
+        &self,
+        (from, src): (ChipId, Coord),
+        (to, dst): (ChipId, Coord),
         mut visit: impl FnMut(ChipId, ChipId, LinkClass),
     ) -> Result<(), TopologyError> {
-        let num_chips = self.num_chips();
-        for chip in [from, to] {
-            if chip.index() >= num_chips {
-                return Err(TopologyError::ChipOutOfRange { chip, num_chips });
-            }
-        }
         let walk = Walk {
             x_len: self.x_len(),
             y_len: self.y_len(),
             pod_x_len: self.config().pod_x_len,
             torus_y: self.torus_y(),
-            src: self.coord_of(from),
-            dst: self.coord_of(to),
+            src,
+            dst,
         };
         let order = if self.failed_links().is_empty() {
             WALK_ORDERS[0]
@@ -380,7 +443,7 @@ mod tests {
         /// `link_between` reports — so every hop it emits is live.
         #[test]
         fn walker_matches_the_materializing_cascade(
-            pods in 1u32..3,
+            pods in 1u32..4,
             pod_x_len in 1u32..10,
             pod_y_len in 1u32..10,
             torus_y in any::<bool>(),
@@ -418,6 +481,77 @@ mod tests {
                 }
             }
         }
+
+        /// Every ring the collectives build — Y rings, X lines at every
+        /// stride that divides the row, the snake, the survivor ring round
+        /// a dead chip, and a ring naming an off-mesh chip — is walked by
+        /// the ring door hop for hop as one `for_each_hop` per logical
+        /// edge walks it, closing edge included, and fails on the same
+        /// edge with the same error.
+        #[test]
+        fn ring_walk_matches_one_walk_per_edge(
+            pods in 1u32..4,
+            pod_x_len in 1u32..9,
+            pod_y_len in 1u32..6,
+            torus_y in any::<bool>(),
+            failed in prop::collection::vec(0usize..10_000, 0..4),
+            dead_chip in prop::collection::vec(0usize..10_000, 0..2),
+        ) {
+            let mut m = Multipod::new(MultipodConfig { pods, pod_x_len, pod_y_len, torus_y });
+            let links = m.links();
+            for sel in failed {
+                if let Some(link) = links.get(sel % links.len().max(1)) {
+                    m.fail_link(link.from, link.to);
+                }
+            }
+            let dead: Vec<ChipId> = dead_chip
+                .iter()
+                .map(|sel| ChipId((sel % m.num_chips()) as u32))
+                .collect();
+            for &chip in &dead {
+                m.fail_chip(chip);
+            }
+            let mut rings: Vec<Ring> = (0..m.x_len()).map(|x| m.y_ring(x)).collect();
+            for stride in (1..=8).filter(|&s| m.x_len().is_multiple_of(s)) {
+                for y in 0..m.y_len() {
+                    rings.push(m.x_line_strided(y, stride - 1, stride));
+                }
+            }
+            rings.push(m.snake_ring());
+            let survivors = m.survivor_order(|c| !dead.contains(&c));
+            if !survivors.is_empty() {
+                rings.push(Ring::new(survivors, m.torus_y(), 1));
+            }
+            let off_mesh = ChipId(m.num_chips() as u32);
+            rings.push(Ring::new(vec![ChipId(0), off_mesh, ChipId(0)], false, 1));
+            for ring in &rings {
+                let mut walked = Vec::new();
+                let result = m.for_each_ring_hop(ring, |edge, a, b, class| {
+                    walked.push((edge, a, b, class));
+                });
+                let (per_edge, expected) = walk_each_edge(&m, ring);
+                prop_assert_eq!(result, expected, "{:?}", ring);
+                prop_assert_eq!(walked, per_edge, "{:?}", ring);
+            }
+        }
+    }
+
+    type EdgeHops = Vec<(usize, ChipId, ChipId, LinkClass)>;
+
+    /// The hops of `ring`'s logical edges, one `for_each_hop` per edge,
+    /// up to the first edge that fails and its error.
+    fn walk_each_edge(m: &Multipod, ring: &Ring) -> (EdgeHops, Result<(), TopologyError>) {
+        let members = ring.members();
+        let n = members.len();
+        let mut hops = Vec::new();
+        for edge in 0..n {
+            let (from, to) = (members[edge], members[(edge + 1) % n]);
+            let walked = m.for_each_hop(from, to, |a, b, class| hops.push((edge, a, b, class)));
+            if walked.is_err() {
+                return (hops, walked);
+            }
+        }
+        (hops, Ok(()))
     }
 
     #[test]
