@@ -1,25 +1,30 @@
 //! Numeric ring collectives.
 //!
 //! These functions execute ring collectives **for real**: payload chunks
-//! move between ring members step by step, reductions happen elementwise,
+//! travel the ring hop by hop, reductions happen elementwise,
 //! and every message is timed on the simulated network (so link contention
 //! — e.g. a peer-hopping ring crossing occupied links — shows up in the
 //! returned time). They are the ground truth for the α–β models in
 //! [`crate::timing`] and for every property test.
 //!
-//! A reduce-scatter runs over one flat `f32` arena laid out
-//! `[member][chunk][elem]`: a chunk is an offset range, a move is a slice
-//! kernel between two ranges, and the [`Schedule`] that drives it is
-//! arithmetic — nothing is allocated per step, per move or per chunk. An
-//! all-gather moves no payload at all: every member provably ends with the
-//! same row, so the row is assembled once, shared by `n` handles, and the
-//! schedule is only *timed* — message for message as if the chunks had
-//! moved. [`Tensor`]s exist only at the function boundary.
+//! A reduce-scatter folds chunk by chunk: chunk `c` enters the ring at
+//! member `c` and makes `n − 1` hops downstream to its owner, each
+//! receiver adding its own copy of the chunk to the partial sum it was
+//! sent. So a shard is one buffer carried through those hops, every input
+//! element is read once, and nothing is copied into an arena or allocated
+//! per hop; the [`Schedule`] supplies the neighbours. An all-gather moves
+//! no payload at all: every member provably ends with the same row, so
+//! the row is assembled once and shared by `n` handles. Either way the
+//! network is timed message for message as if the chunks had moved, and
+//! since every step of a ring sends the same `n` messages, the steps are
+//! one batch issued `n − 1` times ([`Network::repeated_transfers`], which
+//! looks each path up once). [`Tensor`]s exist only at the function
+//! boundary.
 //!
-//! A bf16 wire rounds in two places. A reduce move rounds the payload it
-//! sends and leaves the sender's partial sum alone, so a reduce-scatter
-//! shard (and a weight update applied to it) is an f32 sum of rounded
-//! contributions. An all-gather rounds the whole row where it is
+//! A bf16 wire rounds in two places. A reduce hop rounds the partial sum
+//! it sends, and the receiver adds its own unrounded chunk to that, so a
+//! reduce-scatter shard (and a weight update applied to it) is an f32 sum
+//! of rounded contributions. An all-gather rounds the whole row where it is
 //! assembled — the owner's own chunk included — so every replica leaves
 //! with the same bits; rounding is idempotent, so re-rounding per hop
 //! would change nothing.
@@ -29,7 +34,7 @@ use std::ops::Range;
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::{Network, SimTime};
-use multipod_tensor::{kernels, Bf16, Shape, Tensor};
+use multipod_tensor::{Bf16, Shape, Tensor};
 use multipod_topology::{ChipId, Ring};
 use multipod_trace::SpanCategory;
 
@@ -82,7 +87,10 @@ fn validate(inputs: &[Tensor], ring: &Ring) -> Result<(), CollectiveError> {
 /// `bytes`-sized message per step, all of a step concurrent, a step
 /// starting when the previous one's slowest message lands — and returns
 /// when the last step has landed. This is all of a ring collective the
-/// simulated network sees, whatever happens to the payload.
+/// simulated network sees, whatever happens to the payload. Every step
+/// sends the same `n` messages, member `i` to its downstream neighbour
+/// (only the chunks they carry differ), so the steps are one batch
+/// repeated.
 fn time_schedule(
     net: &mut Network,
     ring: &Ring,
@@ -91,73 +99,42 @@ fn time_schedule(
     start: SimTime,
 ) -> Result<SimTime, CollectiveError> {
     let members = ring.members();
-    let mut msgs: Vec<(ChipId, ChipId, u64)> = Vec::with_capacity(members.len());
-    let mut t = start;
-    for s in 0..schedule.num_steps() {
-        msgs.clear();
-        msgs.extend(
-            schedule
-                .step(s)
-                .map(|mv| (members[mv.from], members[mv.to], bytes)),
-        );
-        t = net.parallel_transfers(&msgs, t)?;
-    }
-    Ok(t)
+    let msgs: Vec<(ChipId, ChipId, u64)> = (0..members.len())
+        .map(|i| (members[i], members[schedule.downstream(i)], bytes))
+        .collect();
+    Ok(net.repeated_transfers(&msgs, schedule.num_steps(), start)?)
 }
 
-/// Runs the reduce-scatter `schedule` over `arena`, the whole ring's
-/// payload laid out `[member][chunk][elem]` (`n` rows of `n` equal
-/// chunks), and returns when the last step's slowest message lands. A move
-/// is an `axpy` between two chunk ranges; a bf16 wire rounds the payload
-/// through one reused scratch chunk, leaving the sender's own partial sum
-/// unrounded.
-fn run_ring(
-    net: &mut Network,
-    ring: &Ring,
-    schedule: Schedule,
-    arena: &mut [f32],
-    precision: Precision,
-    start: SimTime,
-) -> Result<SimTime, CollectiveError> {
-    let row = arena.len() / ring.len();
-    let chunk_elems = row / ring.len();
-    let bytes = precision.wire_bytes(chunk_elems);
-    let end = time_schedule(net, ring, schedule, bytes, start)?;
-    let mut wire = vec![0.0f32; chunk_elems];
-    for s in 0..schedule.num_steps() {
-        for mv in schedule.step(s) {
-            // All moves of a step are concurrent: each must read its
-            // source as it stood when the step began. No snapshot is
-            // needed because the chunk a member receives is never the one
-            // it sends in the same step, so no source range is written
-            // during the step and moves can be applied in place, in order.
-            debug_assert_ne!(schedule.sent_by(mv.to, s).chunk, mv.chunk);
-            let at = mv.chunk * chunk_elems;
-            let (src, dst) = src_dst(arena, mv.from * row + at, mv.to * row + at, chunk_elems);
-            let payload: &[f32] = match precision {
-                Precision::F32 => src,
-                Precision::Bf16 => {
-                    wire.copy_from_slice(src);
-                    Bf16::quantize_slice(&mut wire);
-                    &wire
+/// Reduces chunk `chunk` of every row (the members' flat payloads, in
+/// ring order) the way the ring moves it. The chunk enters the ring at the
+/// member whose index it bears and makes `n − 1` hops downstream, ending
+/// at its owner; each receiver adds its own copy of the chunk to the
+/// partial sum it was sent, which a bf16 wire rounds first (the sum a
+/// member keeps is never rounded). So the owner's shard is one buffer
+/// carried through the hops — 2 KB on the 128×32 Y rings, in L1 all the
+/// way — and every input element is read once.
+fn fold_chunk(rows: &[&[f32]], schedule: Schedule, chunk: usize, precision: Precision) -> Vec<f32> {
+    let len = rows[chunk].len() / rows.len();
+    let at = chunk * len;
+    let mut sum = rows[chunk][at..at + len].to_vec();
+    let mut member = chunk;
+    for _ in 1..rows.len() {
+        member = schedule.downstream(member);
+        let own = &rows[member][at..at + len];
+        match precision {
+            Precision::F32 => {
+                for (s, &x) in sum.iter_mut().zip(own) {
+                    *s += x;
                 }
-            };
-            kernels::axpy(dst, 1.0, payload);
+            }
+            Precision::Bf16 => {
+                for (s, &x) in sum.iter_mut().zip(own) {
+                    *s = Bf16::round_trip(*s) + x;
+                }
+            }
         }
     }
-    Ok(end)
-}
-
-/// `arena[src..src + len]` shared and `arena[dst..dst + len]` mutable; the
-/// two ranges must not overlap.
-fn src_dst(arena: &mut [f32], src: usize, dst: usize, len: usize) -> (&[f32], &mut [f32]) {
-    if src < dst {
-        let (lo, hi) = arena.split_at_mut(dst);
-        (&lo[src..src + len], &mut hi[..len])
-    } else {
-        let (lo, hi) = arena.split_at_mut(src);
-        (&hi[..len], &mut lo[dst..dst + len])
-    }
+    sum
 }
 
 /// Ring reduce-scatter: after the call, member `i` holds the elementwise
@@ -183,22 +160,18 @@ pub fn reduce_scatter(
         return Err(CollectiveError::IndivisiblePayload { elems, parts: n });
     }
     let chunk_elems = elems / n;
-    // A member's flat payload *is* its `[chunk][elem]` row.
-    let mut arena = Vec::with_capacity(n * elems);
-    for input in inputs {
-        arena.extend_from_slice(input.data());
-    }
-    let time = run_ring(net, ring, schedule, &mut arena, precision, start)?;
+    let chunk_bytes = precision.wire_bytes(chunk_elems);
+    let time = time_schedule(net, ring, schedule, chunk_bytes, start)?;
     let (phase, bytes) = (SpanCategory::CollectivePhase, precision.wire_bytes(elems));
     emit_ring_span(net, ring, phase, "reduce-scatter", start, time, bytes);
+    // A member's flat payload *is* its `[chunk][elem]` row.
+    let rows: Vec<&[f32]> = inputs.iter().map(Tensor::data).collect();
     let chunk_of_member: Vec<usize> = (0..n).map(|i| schedule.owned_chunk(i)).collect();
-    // Cut each member's owned shard out of its row; the rest is stale.
     let shards = chunk_of_member
         .iter()
-        .enumerate()
-        .map(|(i, &owned)| {
-            let at = i * elems + owned * chunk_elems;
-            Tensor::from_slice(&arena[at..at + chunk_elems])
+        .map(|&chunk| {
+            let shard = fold_chunk(&rows, schedule, chunk, precision);
+            Tensor::new(Shape::vector(chunk_elems), shard)
         })
         .collect();
     Ok(ScatterOutput {
@@ -419,8 +392,8 @@ pub fn broadcast(
 #[cfg(test)]
 /// The seed executor — every chunk of every member its own heap
 /// [`Tensor`], a quantized snapshot per step — kept as the observational
-/// reference the arena executor is tested against: same output bits, same
-/// times, same trace events.
+/// reference the chunk-folding executor is tested against: same output
+/// bits, same times, same trace events.
 pub(crate) mod oracle {
     use super::*;
     use crate::ChunkMove;
@@ -953,6 +926,18 @@ mod tests {
         /// recorded event.
         type Observed = (Vec<(Shape, Vec<u32>)>, Vec<usize>, SimTime, Vec<TraceEvent>);
 
+        /// An output element's bits, every NaN read as the one canonical
+        /// quiet NaN: IEEE 754 leaves which NaN operand an add propagates
+        /// unspecified, and a compiler may commute an add's operands, so
+        /// a NaN's payload is not an answer either executor owns.
+        fn answer_bits(v: f32) -> u32 {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        }
+
         fn observe<T>(
             n: usize,
             call: impl FnOnce(&mut Network, &Ring) -> Result<T, CollectiveError>,
@@ -966,7 +951,7 @@ mod tests {
             let bits = tensors
                 .iter()
                 .map(|t| {
-                    let bits = t.data().iter().map(|v| v.to_bits()).collect();
+                    let bits = t.data().iter().map(|&v| answer_bits(v)).collect();
                     (t.shape().clone(), bits)
                 })
                 .collect();
@@ -981,61 +966,134 @@ mod tests {
             (out.shards, out.chunk_of_member, out.time)
         }
 
+        /// Values a sum must carry through untouched or poison on
+        /// schedule: both zeros, subnormals (one below bf16's reach),
+        /// both infinities (whose sum is NaN) and NaN.
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -3.0e-39,
+            1.0e-45,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+
+        /// `n` members' `[2n, k]` inputs, uniform in ±8; with `specials`,
+        /// about one element in six is drawn from [`SPECIAL`] instead.
+        fn ring_inputs(n: usize, k: usize, seed: u64, specials: bool) -> Vec<Tensor> {
+            let mut rng = TensorRng::seed(seed);
+            (0..n)
+                .map(|_| {
+                    let mut t = rng.uniform(Shape::of(&[2 * n, k]), -8.0, 8.0);
+                    if specials {
+                        for v in t.data_mut() {
+                            let pick = rng.index(6 * SPECIAL.len());
+                            if pick < SPECIAL.len() {
+                                *v = SPECIAL[pick];
+                            }
+                        }
+                    }
+                    t
+                })
+                .collect()
+        }
+
+        /// Every public ring collective against the seed executor: same
+        /// output bits (an all-gather assembled once equals `n(n−1)`
+        /// chunks moved hop by hop), same placement, same times, same
+        /// trace events.
+        fn matches_the_seed_executor(
+            n: usize,
+            ins: &[Tensor],
+            precision: Precision,
+            dir: Direction,
+        ) -> Result<(), TestCaseError> {
+            let t0 = SimTime::ZERO;
+            let new = observe(
+                n,
+                |net, ring| reduce_scatter(net, ring, ins, precision, dir, t0),
+                scattered,
+            );
+            let old = observe(
+                n,
+                |net, ring| oracle::reduce_scatter(net, ring, ins, precision, dir, t0),
+                scattered,
+            );
+            prop_assert!(n < 2 || !new.3.is_empty(), "transfers must be recorded");
+            prop_assert_eq!(new, old);
+
+            let new = observe(
+                n,
+                |net, ring| all_gather(net, ring, ins, precision, dir, t0),
+                full,
+            );
+            let old = observe(
+                n,
+                |net, ring| oracle::all_gather(net, ring, ins, precision, dir, t0),
+                full,
+            );
+            prop_assert_eq!(new, old);
+
+            let new = observe(
+                n,
+                |net, ring| all_gather_ordered(net, ring, ins, precision, dir, t0),
+                full,
+            );
+            let old = observe(
+                n,
+                |net, ring| oracle::all_gather_ordered(net, ring, ins, precision, dir, t0),
+                full,
+            );
+            prop_assert_eq!(new, old);
+
+            let new = observe(
+                n,
+                |net, ring| all_reduce(net, ring, ins, precision, t0),
+                full,
+            );
+            let old = observe(
+                n,
+                |net, ring| oracle::all_reduce(net, ring, ins, precision, t0),
+                full,
+            );
+            prop_assert_eq!(new, old);
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// The arena executor is bit-invisible next to the seed
-            /// executor: same output bits (an all-gather assembled once
-            /// equals `n(n−1)` chunks moved hop by hop), same times, same
-            /// trace events, for every public ring collective it backs.
+            /// The chunk-folding executor is bit-invisible next to the
+            /// seed executor, on ordinary values and on zeros, subnormals,
+            /// infinities and NaNs.
             #[test]
-            fn arena_executor_matches_the_seed_executor(
+            fn ring_executor_matches_the_seed_executor(
                 n in 1usize..10,
                 k in 1usize..4,
                 forward in any::<bool>(),
                 bf16 in any::<bool>(),
+                specials in any::<bool>(),
                 seed in 0u64..10_000,
             ) {
                 let dir = if forward { Direction::Forward } else { Direction::Backward };
                 let precision = if bf16 { Precision::Bf16 } else { Precision::F32 };
-                let mut rng = TensorRng::seed(seed);
-                let ins: Vec<Tensor> = (0..n)
-                    .map(|_| rng.uniform(Shape::of(&[2 * n, k]), -8.0, 8.0))
-                    .collect();
-                let t0 = SimTime::ZERO;
+                let ins = ring_inputs(n, k, seed, specials);
+                matches_the_seed_executor(n, &ins, precision, dir)?;
+            }
+        }
 
-                let new = observe(
-                    n, |net, ring| reduce_scatter(net, ring, &ins, precision, dir, t0), scattered,
-                );
-                let old = observe(
-                    n, |net, ring| oracle::reduce_scatter(net, ring, &ins, precision, dir, t0),
-                    scattered,
-                );
-                prop_assert!(n < 2 || !new.3.is_empty(), "transfers must be recorded");
-                prop_assert_eq!(new, old);
-
-                let shards = &ins[..];
-                let new = observe(
-                    n, |net, ring| all_gather(net, ring, shards, precision, dir, t0), full,
-                );
-                let old = observe(
-                    n, |net, ring| oracle::all_gather(net, ring, shards, precision, dir, t0), full,
-                );
-                prop_assert_eq!(new, old);
-
-                let new = observe(
-                    n, |net, ring| all_gather_ordered(net, ring, shards, precision, dir, t0), full,
-                );
-                let old = observe(
-                    n, |net, ring| oracle::all_gather_ordered(net, ring, shards, precision, dir, t0),
-                    full,
-                );
-                prop_assert_eq!(new, old);
-
-                let new = observe(n, |net, ring| all_reduce(net, ring, &ins, precision, t0), full);
-                let old =
-                    observe(n, |net, ring| oracle::all_reduce(net, ring, &ins, precision, t0), full);
-                prop_assert_eq!(new, old);
+        /// The Y-ring size of the 128×32 summation: 31 hops per chunk.
+        #[test]
+        fn a_32_member_ring_matches_the_seed_executor() {
+            for (seed, specials) in [(32, false), (33, true)] {
+                let ins = ring_inputs(32, 3, seed, specials);
+                for precision in [Precision::F32, Precision::Bf16] {
+                    for dir in [Direction::Forward, Direction::Backward] {
+                        matches_the_seed_executor(32, &ins, precision, dir).unwrap();
+                    }
+                }
             }
         }
     }

@@ -4,7 +4,7 @@
 //! independent of payload contents. The pattern is arithmetic in
 //! `(n, direction, step, member)`, so a schedule is a three-field `Copy`
 //! value and its steps are iterators — nothing is stored per move. The
-//! numeric executor ([`crate::ring`]) moves real payload chunks along it,
+//! numeric executor ([`crate::ring`]) folds real payload chunks along it,
 //! the pipelined timer ([`crate::pipelined`]) chains transfers along it,
 //! and [`crate::twod::shard_index`] reads shard ownership from it. Keeping
 //! the pattern in one place guarantees they all model the same algorithm.
@@ -35,7 +35,7 @@ pub struct ChunkMove {
 /// In every step each member sends exactly one chunk to its ring
 /// neighbour and receives exactly one from the other side; the chunk a
 /// member sends is never the chunk it receives in the same step (for
-/// `n ≥ 2`), which is what lets an executor apply a step's moves in place.
+/// `n ≥ 2`), so a step's moves can be applied in place, in any order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Schedule {
     n: NonZeroUsize,
@@ -93,20 +93,15 @@ impl Schedule {
         (0..self.n.get()).map(move |from| self.move_from(from, rotation))
     }
 
-    /// The one move `member` sends in step `s` (element `member` of
-    /// [`Schedule::step`]`(s)`).
-    pub(crate) fn sent_by(self, member: usize, s: usize) -> ChunkMove {
-        self.move_from(member % self.n, self.rotation(s))
-    }
-
     /// The chunk member `i` owns after a reduce-scatter (equivalently, must
     /// hold before an all-gather): the index of its downstream neighbour.
     pub fn owned_chunk(self, member: usize) -> usize {
-        self.next(member % self.n)
+        self.downstream(member % self.n)
     }
 
-    /// Downstream neighbour of member `i < n`.
-    fn next(self, i: usize) -> usize {
+    /// Downstream neighbour of member `i < n`: where everything member `i`
+    /// sends goes, in every step.
+    pub(crate) fn downstream(self, i: usize) -> usize {
         let n = self.n.get();
         match self.direction {
             Direction::Forward => wrap(i + 1, n),
@@ -128,7 +123,7 @@ impl Schedule {
     /// all-gather sender ships the one its *receiver's* index rotates to
     /// (at step 0 that is the sender's owned chunk).
     fn move_from(self, from: usize, rotation: usize) -> ChunkMove {
-        let to = self.next(from);
+        let to = self.downstream(from);
         let base = if self.reduce { from } else { to };
         ChunkMove {
             from,
@@ -145,6 +140,15 @@ fn wrap(v: usize, n: usize) -> usize {
         v - n
     } else {
         v
+    }
+}
+
+#[cfg(test)]
+impl Schedule {
+    /// The one move `member` sends in step `s` (element `member` of
+    /// [`Schedule::step`]`(s)`).
+    fn sent_by(self, member: usize, s: usize) -> ChunkMove {
+        self.move_from(member % self.n, self.rotation(s))
     }
 }
 
@@ -332,9 +336,9 @@ mod tests {
         }
     }
 
-    /// What lets the executor apply a step in place: the chunk a member
-    /// receives is never the chunk it sends in the same step, and every
-    /// member receives exactly once.
+    /// What lets a step be applied in place: the chunk a member receives
+    /// is never the chunk it sends in the same step, and every member
+    /// receives exactly once.
     #[test]
     fn no_member_sends_the_chunk_it_receives() {
         for n in 2..=9usize {

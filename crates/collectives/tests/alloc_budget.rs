@@ -1,13 +1,16 @@
 //! Allocation budget of the numeric ring executor.
 //!
-//! A reduce-scatter works in a single arena, so its allocation count may
-//! grow with the ring size `n` (one shard per member) but never with the
-//! `n(n−1)` chunk moves or the `n²` chunks. An all-gather assembles one
-//! row and hands out `n` handles to it: its count does not grow with `n`
-//! at all, and its bytes are the row, not `n` rows. The α–β cost model
-//! and the degradation check walk their rings hop by hop and keep only
-//! sums, so they allocate nothing of their own. This is the regression
-//! guard behind the ledger's `host.allocs_per_op` and `alloc_mb_per_op`.
+//! A reduce-scatter folds each chunk in the buffer that becomes its
+//! shard, so its allocation count may grow with the ring size `n` (one
+//! shard per member) but never with the `n − 1` rounds, the `n(n−1)`
+//! hops or the `n²` chunks, and its bytes are the shards plus a few words
+//! per member — never a copy of the `n` inputs. An all-gather assembles
+//! one row and hands out `n` handles to it: its count does not grow with
+//! `n` at all, and its bytes are the row, not `n` rows. The α–β cost
+//! model and the degradation check walk their rings hop by hop and keep
+//! only sums, so they allocate nothing of their own. This is the
+//! regression guard behind the ledger's `host.allocs_per_op` and
+//! `alloc_mb_per_op`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,6 +129,32 @@ fn ring_call_allocations_are_linear_in_ring_size() {
 }
 
 #[test]
+fn a_reduce_scatter_allocates_its_shards_and_no_arena() {
+    // Per shard: its buffer, the buffer's `Arc` and its shape. Per call:
+    // the shard and placement vectors, the input views, the message list
+    // and the network's path list — none per round, hop or chunk.
+    const PER_CALL: u64 = 8;
+    // Bytes beside the shards' own, per member: the `Arc` and shape, one
+    // entry in each per-call list.
+    const PER_MEMBER_BYTES: u64 = 192;
+    for precision in [Precision::F32, Precision::Bf16] {
+        for n in [8u64, 16, 32] {
+            let (scatter, _) = allocs(n as usize, precision);
+            assert!(
+                scatter.calls <= 3 * n + PER_CALL,
+                "{precision:?} reduce-scatter at n={n}: {scatter:?}"
+            );
+            let shards = n * CHUNK as u64 * 4;
+            // A copy of the inputs would add `n` times as much again.
+            assert!(
+                scatter.bytes <= shards + n * PER_MEMBER_BYTES,
+                "{precision:?} reduce-scatter at n={n}: {scatter:?} against {shards} bytes of shards"
+            );
+        }
+    }
+}
+
+#[test]
 fn an_all_gather_allocates_one_row_whatever_the_ring_size() {
     // The payload is assembled once and shared. A handle is a `Tensor`
     // in the output vector plus its one-extent shape; nothing else may be
@@ -140,7 +169,7 @@ fn an_all_gather_allocates_one_row_whatever_the_ring_size() {
             );
             let row = n * CHUNK as u64 * 4;
             let handle = (size_of::<Tensor>() + size_of::<usize>()) as u64;
-            // A second row of headroom covers the per-step message list
+            // A second row of headroom covers the message list, the path list
             // and the `Arc` header — never a row per member.
             assert!(
                 gather.bytes <= 2 * row + n * handle,

@@ -435,13 +435,32 @@ impl Network {
         Ok(path)
     }
 
-    /// The timing hot loop: reserves every link of a memoized path for
-    /// one message and returns the transfer outcome. Touches only dense
-    /// vectors — no hashing, no allocation.
-    fn reserve(&mut self, path: Path, bytes: u64, start: SimTime) -> Transfer {
+    /// The memoized path `from → to` (distinct chips), walked and interned
+    /// on first use.
+    #[inline(always)]
+    fn path(&mut self, from: ChipId, to: ChipId) -> Result<Path, NetworkError> {
+        let key = pair_key(from.0, to.0);
+        match self.routes.index.get(key) {
+            Some(id) => Ok(self.routes.paths[id as usize]),
+            None => self.intern_route(from, to, key),
+        }
+    }
+
+    /// How long `bytes` hold a link.
+    fn serialization(&self, bytes: u64) -> f64 {
+        bytes as f64 / self.config.link_bandwidth
+    }
+
+    /// The timing hot loop, and the only place link arithmetic happens:
+    /// reserves every link of a memoized path for one message of `bytes`
+    /// (which occupy a link for `serialization`) issued at `start`, and
+    /// returns when it lands. Touches only dense vectors — no hashing, no
+    /// allocation. Forced inline: with three call sites the compiler
+    /// would otherwise keep it out of line, a call per warm transfer.
+    #[inline(always)]
+    fn reserve(&mut self, path: Path, bytes: u64, serialization: f64, start: SimTime) -> SimTime {
         let links = &self.routes.hops[path.start as usize..][..path.len as usize];
         let occupancy = &mut self.links.occupancy;
-        let serialization = bytes as f64 / self.config.link_bandwidth;
         let mut depart = start + self.config.message_overhead;
         for &id in links {
             depart = depart.max(occupancy[id as usize].0);
@@ -453,11 +472,23 @@ impl Network {
             *free = busy_until;
             *carried += bytes;
         }
+        if !self.obs.is_off() {
+            self.record(path, bytes, serialization, start, depart);
+        }
+        finish
+    }
+
+    /// What an attached [`Obs`] sees of one reservation: a link event per
+    /// hop and the transfer's metrics. Out of line, so the untraced
+    /// `reserve` stays small.
+    #[cold]
+    fn record(&self, path: Path, bytes: u64, serialization: f64, start: SimTime, depart: SimTime) {
+        let busy_until = depart + serialization;
         if let Some(sink) = self.obs.sink() {
             // Cut-through: the message holds every link of the route for
             // the same serialization window, so each hop gets the same
             // [depart, busy_until] occupancy the contention model charged.
-            for &id in links {
+            for &id in &self.routes.hops[path.start as usize..][..path.len as usize] {
                 let (src, dst) = self.links.endpoints[id as usize];
                 sink.record_link(LinkTransferEvent {
                     src,
@@ -486,11 +517,6 @@ impl Network {
                 MetricId::new(Subsystem::Simnet, "serialization_seconds"),
                 serialization,
             );
-        }
-        Transfer {
-            finish,
-            num_hops: path.len as usize,
-            bytes,
         }
     }
 
@@ -522,12 +548,13 @@ impl Network {
         if bytes == 0 {
             return Err(NetworkError::EmptyTransfer { from, to });
         }
-        let key = pair_key(from.0, to.0);
-        let path = match self.routes.index.get(key) {
-            Some(id) => self.routes.paths[id as usize],
-            None => self.intern_route(from, to, key)?,
-        };
-        Ok(self.reserve(path, bytes, start))
+        let path = self.path(from, to)?;
+        let finish = self.reserve(path, bytes, self.serialization(bytes), start);
+        Ok(Transfer {
+            finish,
+            num_hops: path.len as usize,
+            bytes,
+        })
     }
 
     /// Issues a batch of transfers at the same instant and returns the time
@@ -547,13 +574,55 @@ impl Network {
         messages: &[(ChipId, ChipId, u64)],
         start: SimTime,
     ) -> Result<SimTime, NetworkError> {
+        self.repeated_transfers(messages, 1, start)
+    }
+
+    /// Issues the batch `messages` `rounds` times over — a round as
+    /// [`Network::parallel_transfers`] issues it, each round at the instant
+    /// the previous one's last message lands — and returns when the last
+    /// round lands (`start` when `rounds == 0`). This is a ring
+    /// collective's timing: every step sends the same `n` messages.
+    ///
+    /// Bit for bit the same as `rounds` chained `parallel_transfers` calls
+    /// — finish time, link occupancy and traffic, recorded events and
+    /// metrics — but each message's path is looked up, and its
+    /// serialization time computed, once: in round 0, which reserves as it
+    /// goes.
+    ///
+    /// # Errors
+    ///
+    /// Fails if any non-empty message has no route. Only round 0 can fail,
+    /// and it leaves the state the first chained call would: the messages
+    /// before the failing one reserved.
+    pub fn repeated_transfers(
+        &mut self,
+        messages: &[(ChipId, ChipId, u64)],
+        rounds: usize,
+        start: SimTime,
+    ) -> Result<SimTime, NetworkError> {
+        if rounds == 0 {
+            return Ok(start);
+        }
+        // Only a batch that repeats keeps its paths.
+        let mut routed = Vec::with_capacity(if rounds > 1 { messages.len() } else { 0 });
         let mut finish = start;
         for &(from, to, bytes) in messages {
-            if bytes == 0 {
+            // Neither puts anything on the wire (see `transfer`).
+            if bytes == 0 || from == to {
                 continue;
             }
-            let t = self.transfer(from, to, bytes, start)?;
-            finish = finish.max(t.finish);
+            let path = self.path(from, to)?;
+            let serialization = self.serialization(bytes);
+            finish = finish.max(self.reserve(path, bytes, serialization, start));
+            if rounds > 1 {
+                routed.push((path, bytes, serialization));
+            }
+        }
+        for _ in 1..rounds {
+            let round_start = finish;
+            for &(path, bytes, serialization) in &routed {
+                finish = finish.max(self.reserve(path, bytes, serialization, round_start));
+            }
         }
         Ok(finish)
     }
@@ -816,6 +885,103 @@ mod tests {
                 prop_assert_eq!(
                     flat.link_traffic(link.from, link.to),
                     map.link_traffic(link.from, link.to)
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `repeated_transfers(m, r, t)` is `r` chained `parallel_transfers`
+        /// calls, the next starting where the last finished: the same
+        /// finish bits or the same `Err` (the chain stops at its first),
+        /// the same occupancy and traffic on every link — so the same next
+        /// transfer — and, traced, the same recorded events and metrics.
+        /// Batches mix one-hop messages that share links, multi-hop,
+        /// zero-byte and self messages and off-mesh chips, on a two-pod
+        /// mesh carrying foreign traffic, with failed links or a failed
+        /// chip.
+        #[test]
+        fn repeated_rounds_equal_chained_batches(
+            rounds in 0usize..5,
+            batch in prop::collection::vec((0usize..1000, 0u32..6, 0usize..1000, 0u64..4), 0..12),
+            foreign in prop::collection::vec((0usize..1000, 0usize..1000, 1u64..100_000), 0..6),
+            faults in prop::collection::vec((0usize..1000, 0usize..1000, any::<bool>()), 0..3),
+            micros in 0u32..20,
+            traced in any::<bool>(),
+        ) {
+            let mut base = Network::new(
+                Multipod::new(MultipodConfig {
+                    pods: 2,
+                    pod_x_len: 4,
+                    pod_y_len: 4,
+                    torus_y: true,
+                }),
+                NetworkConfig::tpu_v3(),
+            );
+            let chips = base.mesh().num_chips();
+            let chip = |sel: usize| ChipId((sel % chips) as u32);
+            for &(a, b_sel, whole_chip) in &faults {
+                if whole_chip {
+                    base.fail_chip(chip(a), SimTime::ZERO);
+                } else if let Some(b) = live_neighbour(base.mesh(), chip(a), b_sel) {
+                    base.fail_link(chip(a), b, SimTime::ZERO);
+                }
+            }
+            for &(a, b, bytes) in &foreign {
+                // Unroutable foreign traffic just leaves nothing behind.
+                let _ = base.transfer(chip(a), chip(b), bytes, SimTime::ZERO);
+            }
+            let messages: Vec<(ChipId, ChipId, u64)> = batch
+                .iter()
+                .map(|&(a, kind, b_sel, size)| {
+                    let from = chip(a);
+                    let to = match kind {
+                        0..=2 => live_neighbour(base.mesh(), from, b_sel).unwrap_or(from),
+                        3 => chip(b_sel),
+                        4 => from,
+                        _ => ChipId((chips + b_sel % 3) as u32),
+                    };
+                    (from, to, 4096 * size)
+                })
+                .collect();
+            let at = SimTime::from_seconds(f64::from(micros) * 1e-6);
+            let (mut once, mut chained) = (base.clone(), base);
+            let observe = |net: &mut Network| {
+                let recorder = Recorder::shared();
+                let telemetry = multipod_telemetry::Telemetry::shared();
+                if traced {
+                    net.set_obs(Obs::new(Some(recorder.clone()), Some(telemetry.clone())));
+                }
+                (recorder, telemetry)
+            };
+            let (once_events, once_metrics) = observe(&mut once);
+            let (chained_events, chained_metrics) = observe(&mut chained);
+
+            let repeated = once.repeated_transfers(&messages, rounds, at);
+            let mut chain = Ok(at);
+            for _ in 0..rounds {
+                let Ok(t) = chain else { break };
+                chain = chained.parallel_transfers(&messages, t);
+            }
+            prop_assert_eq!(&repeated, &chain);
+            prop_assert_eq!(&once.links.endpoints, &chained.links.endpoints);
+            prop_assert_eq!(&once.links.occupancy, &chained.links.occupancy);
+            prop_assert_eq!(&once.routes.hops, &chained.routes.hops);
+            for link in once.mesh().links() {
+                prop_assert_eq!(
+                    once.link_traffic(link.from, link.to),
+                    chained.link_traffic(link.from, link.to)
+                );
+            }
+            prop_assert_eq!(once_events.events(), chained_events.events());
+            prop_assert_eq!(once_metrics.snapshot(), chained_metrics.snapshot());
+            let next = repeated.unwrap_or(at);
+            for &(from, to, _) in &messages {
+                prop_assert_eq!(
+                    once.transfer(from, to, 512, next),
+                    chained.transfer(from, to, 512, next)
                 );
             }
         }

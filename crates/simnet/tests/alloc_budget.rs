@@ -2,7 +2,9 @@
 //!
 //! Memoized routes live in three flat vectors and one open-addressed
 //! table, so a warm transfer allocates nothing, and interning a route may
-//! only ever cost a vector doubling — never a heap block of its own. The
+//! only ever cost a vector doubling — never a heap block of its own. A
+//! warm batch allocates nothing either, and a batch repeated over rounds
+//! keeps one list of its paths, however many rounds it runs. The
 //! queue keeps one FIFO per pending instant, so an event costs no block of
 //! its own either: an instant pays its FIFO's doublings and a map slot.
 
@@ -88,6 +90,33 @@ fn warm_transfers_allocate_nothing() {
         }
     });
     assert_eq!(allocs, 0, "over 1 M warm transfers");
+}
+
+#[test]
+fn warm_batches_allocate_nothing_and_rounds_one_path_list() {
+    let mesh = Multipod::new(MultipodConfig::mesh(32, 32, true));
+    let batch: Vec<(ChipId, ChipId, u64)> = ring_neighbours(&mesh)
+        .into_iter()
+        .map(|(from, to)| (from, to, 4096))
+        .collect();
+    let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
+    net.parallel_transfers(&batch, SimTime::ZERO).unwrap();
+    net.reset();
+    let mut at = SimTime::ZERO;
+    let allocs = count(|| {
+        for _ in 0..64 {
+            at = net.parallel_transfers(&batch, at).unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "over 64 warm batches of {}", batch.len());
+    // A ring collective's `n − 1` steps are one batch repeated: the list
+    // of its paths is all it allocates, at 2 rounds as at 64.
+    for rounds in [2, 64] {
+        let allocs = count(|| {
+            at = net.repeated_transfers(&batch, rounds, at).unwrap();
+        });
+        assert_eq!(allocs, 1, "{rounds} rounds of {} messages", batch.len());
+    }
 }
 
 #[test]

@@ -30,25 +30,9 @@ impl Bf16 {
     /// The machine epsilon of the format (2⁻⁷).
     pub const EPSILON: f32 = 1.0 / 128.0;
 
-    /// Branch-free bf16 bit pattern of an `f32` bit pattern: the
-    /// round-to-nearest-even path and the quiet-NaN path are both
-    /// computed and selected by mask, so the quantize loop vectorizes as
-    /// straight integer arithmetic.
-    #[inline]
-    fn demote_bits(bits: u32) -> u16 {
-        // NaN: exponent all ones, non-zero mantissa. Preserve the payload
-        // and force a quiet bit that survives truncation.
-        let is_nan_mask = 0u32.wrapping_sub(((bits & 0x7fff_ffff) > 0x7f80_0000) as u32);
-        let nan = (bits >> 16) | 0x0040;
-        // Round to nearest even on the 16 discarded bits.
-        let lsb = (bits >> 16) & 1;
-        let rne = bits.wrapping_add(0x0000_7fff + lsb) >> 16;
-        ((nan & is_nan_mask) | (rne & !is_nan_mask)) as u16
-    }
-
     /// Converts an `f32` to `Bf16` with round-to-nearest-even.
     pub fn from_f32(value: f32) -> Bf16 {
-        Bf16(Bf16::demote_bits(value.to_bits()))
+        Bf16((Bf16::round_trip(value).to_bits() >> 16) as u16)
     }
 
     /// Converts back to `f32` (exact; bf16 values are a subset of f32).
@@ -74,25 +58,28 @@ impl Bf16 {
     /// Rounds an `f32` through bf16 precision and back.
     ///
     /// This is the operation applied to every element of a gradient buffer
-    /// when the all-reduce payload is demoted to bf16.
+    /// when the all-reduce payload is demoted to bf16, and the format's one
+    /// rounding definition ([`Bf16::from_f32`] keeps the top half of its
+    /// result). It stays on 32-bit lanes and is branch-free: the
+    /// round-to-nearest-even path and the quiet-NaN path are both computed
+    /// and selected by mask, then the discarded low half is cleared, so a
+    /// loop over it vectorizes as straight integer arithmetic.
+    #[inline]
     pub fn round_trip(value: f32) -> f32 {
-        Bf16::from_f32(value).to_f32()
+        let bits = value.to_bits();
+        // NaN: exponent all ones, non-zero mantissa. Preserve the payload
+        // and force a quiet bit that survives truncation.
+        let is_nan_mask = 0u32.wrapping_sub(((bits & 0x7fff_ffff) > 0x7f80_0000) as u32);
+        let nan = bits | 0x0040_0000;
+        // Round to nearest even on the 16 discarded bits.
+        let lsb = (bits >> 16) & 1;
+        let rne = bits.wrapping_add(0x0000_7fff + lsb);
+        f32::from_bits(((nan & is_nan_mask) | (rne & !is_nan_mask)) & 0xffff_0000)
     }
 
     /// Applies [`Bf16::round_trip`] to every element of a slice in place.
-    ///
-    /// This is the inner loop of every payload demotion on the collective
-    /// hot path; it runs [`Bf16::demote_bits`] over fixed-width chunks so
-    /// the branch-free integer rounding vectorizes.
     pub fn quantize_slice(values: &mut [f32]) {
-        const LANES: usize = 8;
-        let mut chunks = values.chunks_exact_mut(LANES);
-        for c in chunks.by_ref() {
-            for v in c.iter_mut() {
-                *v = f32::from_bits((Bf16::demote_bits(v.to_bits()) as u32) << 16);
-            }
-        }
-        for v in chunks.into_remainder() {
+        for v in values {
             *v = Bf16::round_trip(*v);
         }
     }
@@ -243,6 +230,35 @@ mod tests {
                 };
                 assert_eq!(Bf16::from_f32(v).to_bits(), reference, "bits={bits:#010x}");
             }
+        }
+    }
+
+    /// The narrow demotion `round_trip` replaced: the same mask select,
+    /// computed on the top half-word and widened back.
+    fn narrow_demote_bits(bits: u32) -> u16 {
+        let is_nan_mask = 0u32.wrapping_sub(((bits & 0x7fff_ffff) > 0x7f80_0000) as u32);
+        let nan = (bits >> 16) | 0x0040;
+        let lsb = (bits >> 16) & 1;
+        let rne = bits.wrapping_add(0x0000_7fff + lsb) >> 16;
+        ((nan & is_nan_mask) | (rne & !is_nan_mask)) as u16
+    }
+
+    #[test]
+    fn wide_round_trip_matches_the_narrow_demotion() {
+        // Every high half-word (NaN payloads, infinities, subnormals and
+        // both zeros among them) against the discarded low halves that
+        // decide a rounding: round_trip's bits are the narrow result
+        // widened, and quantize_slice is round_trip.
+        for hi in 0..=u16::MAX {
+            let bits = [0u16, 1, 0x7fff, 0x8000, 0x8001, 0xffff]
+                .map(|lo| (u32::from(hi) << 16) | u32::from(lo));
+            let want = bits.map(|b| u32::from(narrow_demote_bits(b)) << 16);
+            let mut row = bits.map(f32::from_bits);
+            for ((&v, &b), &w) in row.iter().zip(&bits).zip(&want) {
+                assert_eq!(Bf16::round_trip(v).to_bits(), w, "bits={b:#010x}");
+            }
+            Bf16::quantize_slice(&mut row);
+            assert_eq!(row.map(f32::to_bits), want, "high half {hi:#06x}");
         }
     }
 
