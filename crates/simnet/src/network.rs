@@ -451,17 +451,27 @@ impl Network {
         bytes as f64 / self.config.link_bandwidth
     }
 
-    /// The timing hot loop, and the only place link arithmetic happens:
-    /// reserves every link of a memoized path for one message of `bytes`
-    /// (which occupy a link for `serialization`) issued at `start`, and
-    /// returns when it lands. Touches only dense vectors — no hashing, no
-    /// allocation. Forced inline: with three call sites the compiler
-    /// would otherwise keep it out of line, a call per warm transfer.
+    /// The timing hot loop, and the only place link arithmetic happens
+    /// per message: reserves every link of a memoized path for one message
+    /// of `bytes` (which occupy a link for `serialization`) issued at
+    /// `start`, and returns when it lands and whether it was *wait-free*:
+    /// departed at exactly `start + message_overhead`, with a hold that
+    /// does not round away (`depart + serialization > depart`). Touches
+    /// only dense vectors — no hashing, no allocation. Forced inline: with
+    /// three call sites the compiler would otherwise keep it out of line,
+    /// a call per warm transfer.
     #[inline(always)]
-    fn reserve(&mut self, path: Path, bytes: u64, serialization: f64, start: SimTime) -> SimTime {
+    fn reserve(
+        &mut self,
+        path: Path,
+        bytes: u64,
+        serialization: f64,
+        start: SimTime,
+    ) -> (SimTime, bool) {
         let links = &self.routes.hops[path.start as usize..][..path.len as usize];
         let occupancy = &mut self.links.occupancy;
-        let mut depart = start + self.config.message_overhead;
+        let ready = start + self.config.message_overhead;
+        let mut depart = ready;
         for &id in links {
             depart = depart.max(occupancy[id as usize].0);
         }
@@ -475,7 +485,7 @@ impl Network {
         if !self.obs.is_off() {
             self.record(path, bytes, serialization, start, depart);
         }
-        finish
+        (finish, depart == ready && busy_until > depart)
     }
 
     /// What an attached [`Obs`] sees of one reservation: a link event per
@@ -549,7 +559,7 @@ impl Network {
             return Err(NetworkError::EmptyTransfer { from, to });
         }
         let path = self.path(from, to)?;
-        let finish = self.reserve(path, bytes, self.serialization(bytes), start);
+        let (finish, _) = self.reserve(path, bytes, self.serialization(bytes), start);
         Ok(Transfer {
             finish,
             num_hops: path.len as usize,
@@ -589,6 +599,30 @@ impl Network {
     /// serialization time computed, once: in round 0, which reserves as it
     /// goes.
     ///
+    /// Once a round is *wait-free* — every message departs at exactly
+    /// `round_start + message_overhead` and holds its links for a time
+    /// that does not round away — the rounds after it reserve nothing
+    /// hop by hop. Such a round proves three things:
+    ///
+    /// * No two of the batch's paths share a directed link: the later
+    ///   message would have found the earlier one's hold and waited.
+    /// * Each link is next free at its own message's
+    ///   `busy_until = depart + serialization ≤ finish ≤` the next round's
+    ///   start (the overhead and every hop latency being non-negative,
+    ///   and rounded addition monotone).
+    /// * So every message of the next round departs on time too (the
+    ///   paths stay disjoint), and by induction of every later round.
+    ///
+    /// The remaining rounds are then only their start-time chain,
+    /// `depart = round_start + overhead` and `finish = finish.max(depart +
+    /// latency + serialization)` over the batch's non-dominated
+    /// `(latency, serialization)` pairs — the same float operations in the
+    /// same order as the per-message reservation, so the same bits — and
+    /// one write-back per link. A round that waited (paths sharing a link,
+    /// or foreign traffic still holding one in round 0) is reserved hop by
+    /// hop and the next round tested again; with an [`Obs`] attached every
+    /// round is, since each reservation is recorded.
+    ///
     /// # Errors
     ///
     /// Fails if any non-empty message has no route. Only round 0 can fail,
@@ -606,6 +640,7 @@ impl Network {
         // Only a batch that repeats keeps its paths.
         let mut routed = Vec::with_capacity(if rounds > 1 { messages.len() } else { 0 });
         let mut finish = start;
+        let mut wait_free = true;
         for &(from, to, bytes) in messages {
             // Neither puts anything on the wire (see `transfer`).
             if bytes == 0 || from == to {
@@ -613,18 +648,91 @@ impl Network {
             }
             let path = self.path(from, to)?;
             let serialization = self.serialization(bytes);
-            finish = finish.max(self.reserve(path, bytes, serialization, start));
+            let (landed, on_time) = self.reserve(path, bytes, serialization, start);
+            finish = finish.max(landed);
+            wait_free &= on_time;
             if rounds > 1 {
                 routed.push((path, bytes, serialization));
             }
         }
-        for _ in 1..rounds {
+        let mut may_chain = self.obs.is_off()
+            && !routed.is_empty()
+            && self.config.message_overhead >= 0.0
+            && self.config.hop_latency >= 0.0;
+        for round in 1..rounds {
+            if may_chain && wait_free {
+                match self.chain(&routed, rounds - round, finish) {
+                    Some(last) => return Ok(last),
+                    None => may_chain = false,
+                }
+            }
             let round_start = finish;
+            wait_free = true;
             for &(path, bytes, serialization) in &routed {
-                finish = finish.max(self.reserve(path, bytes, serialization, round_start));
+                let (landed, on_time) = self.reserve(path, bytes, serialization, round_start);
+                finish = finish.max(landed);
+                wait_free &= on_time;
             }
         }
         Ok(finish)
+    }
+
+    /// Runs `rounds` more rounds of the link-disjoint batch `routed`, the
+    /// first starting at `start`, as their start-time chain (see
+    /// [`Network::repeated_transfers`]), and leaves every link of the
+    /// batch as the last round's reservation would: free at its message's
+    /// `depart + serialization`, `rounds × bytes` more carried. `None`,
+    /// touching nothing, when the batch has more non-dominated
+    /// `(latency, serialization)` pairs than the chain keeps — a ring's
+    /// messages differ in at most a routed closing edge and a one-element
+    /// chunk remainder.
+    fn chain(
+        &mut self,
+        routed: &[(Path, u64, f64)],
+        rounds: usize,
+        start: SimTime,
+    ) -> Option<SimTime> {
+        // Rounded addition is monotone, so a pair no later and no longer
+        // than another never sets a round's finish.
+        let mut front = [(0.0f64, 0.0f64); 4];
+        let mut len = 0;
+        for &(path, _, serialization) in routed {
+            let (latency, hold) = (path.latency, serialization);
+            if front[..len].iter().any(|&(l, s)| l >= latency && s >= hold) {
+                continue;
+            }
+            let mut kept = 0;
+            for i in 0..len {
+                let (l, s) = front[i];
+                if l > latency || s > hold {
+                    front[kept] = front[i];
+                    kept += 1;
+                }
+            }
+            if kept == front.len() {
+                return None;
+            }
+            front[kept] = (latency, hold);
+            len = kept + 1;
+        }
+        count_chained(rounds);
+        let mut finish = start;
+        let mut depart = start;
+        for _ in 0..rounds {
+            depart = finish + self.config.message_overhead;
+            for &(latency, serialization) in &front[..len] {
+                finish = finish.max(depart + latency + serialization);
+            }
+        }
+        for &(path, bytes, serialization) in routed {
+            let busy_until = depart + serialization;
+            for &id in &self.routes.hops[path.start as usize..][..path.len as usize] {
+                let (free, carried) = &mut self.links.occupancy[id as usize];
+                *free = busy_until;
+                *carried += rounds as u64 * bytes;
+            }
+        }
+        Some(finish)
     }
 
     /// Pure (state-free) time for a contention-free message over `hops`
@@ -639,6 +747,21 @@ impl Network {
     pub fn hop_latency(&self, class: LinkClass) -> f64 {
         self.config.hop_latency * class.latency_multiplier()
     }
+}
+
+/// Counts the rounds [`Network::chain`] replays: on this thread, under
+/// test, so a test can pin which path a batch takes; otherwise nothing.
+#[cfg(not(test))]
+fn count_chained(_rounds: usize) {}
+
+#[cfg(test)]
+thread_local! {
+    static CHAINED_ROUNDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_chained(rounds: usize) {
+    CHAINED_ROUNDS.with(|chained| chained.set(chained.get() + rounds));
 }
 
 #[cfg(test)]
@@ -890,21 +1013,93 @@ mod tests {
         }
     }
 
+    /// Holds `repeated_transfers(messages, rounds, at)` on a clone of
+    /// `base` to `rounds` chained `parallel_transfers` calls on another,
+    /// the next starting where the last finished: the same finish bits or
+    /// the same `Err` (the chain stops at its first), the same occupancy
+    /// and traffic on every link — so the same next transfer — and,
+    /// `traced`, the same recorded events and metrics.
+    fn assert_rounds_equal_chain(
+        base: Network,
+        messages: &[(ChipId, ChipId, u64)],
+        rounds: usize,
+        at: SimTime,
+        traced: bool,
+    ) -> Result<(), TestCaseError> {
+        let (mut once, mut chained) = (base.clone(), base);
+        let observe = |net: &mut Network| {
+            let recorder = Recorder::shared();
+            let telemetry = multipod_telemetry::Telemetry::shared();
+            if traced {
+                net.set_obs(Obs::new(Some(recorder.clone()), Some(telemetry.clone())));
+            }
+            (recorder, telemetry)
+        };
+        let (once_events, once_metrics) = observe(&mut once);
+        let (chained_events, chained_metrics) = observe(&mut chained);
+
+        let repeated = once.repeated_transfers(messages, rounds, at);
+        let mut chain = Ok(at);
+        for _ in 0..rounds {
+            let Ok(t) = chain else { break };
+            chain = chained.parallel_transfers(messages, t);
+        }
+        prop_assert_eq!(&repeated, &chain);
+        prop_assert_eq!(&once.links.endpoints, &chained.links.endpoints);
+        prop_assert_eq!(&once.links.occupancy, &chained.links.occupancy);
+        prop_assert_eq!(&once.routes.hops, &chained.routes.hops);
+        for link in once.mesh().links() {
+            prop_assert_eq!(
+                once.link_traffic(link.from, link.to),
+                chained.link_traffic(link.from, link.to)
+            );
+        }
+        prop_assert_eq!(once_events.events(), chained_events.events());
+        prop_assert_eq!(once_metrics.snapshot(), chained_metrics.snapshot());
+        let next = repeated.unwrap_or(at);
+        for &(from, to, _) in messages {
+            prop_assert_eq!(
+                once.transfer(from, to, 512, next),
+                chained.transfer(from, to, 512, next)
+            );
+        }
+        Ok(())
+    }
+
+    /// Round counts from the empty batch to a 256-member ring's steps.
+    fn ring_rounds() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..5, Just(31), Just(127), Just(255)]
+    }
+
+    /// Unroutable foreign traffic just leaves nothing behind.
+    fn preload(net: &mut Network, foreign: &[(usize, usize, u64)]) {
+        let chips = net.mesh().num_chips();
+        for &(a, b, bytes) in foreign {
+            let (a, b) = (ChipId((a % chips) as u32), ChipId((b % chips) as u32));
+            let _ = net.transfer(a, b, bytes, SimTime::ZERO);
+        }
+    }
+
+    /// One step of a ring collective over `members`: each sends to the
+    /// next, the last back to the first.
+    fn ring_batch(members: &[ChipId], bytes: u64) -> Vec<(ChipId, ChipId, u64)> {
+        let n = members.len();
+        (0..n)
+            .map(|i| (members[i], members[(i + 1) % n], bytes))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `repeated_transfers(m, r, t)` is `r` chained `parallel_transfers`
-        /// calls, the next starting where the last finished: the same
-        /// finish bits or the same `Err` (the chain stops at its first),
-        /// the same occupancy and traffic on every link — so the same next
-        /// transfer — and, traced, the same recorded events and metrics.
-        /// Batches mix one-hop messages that share links, multi-hop,
-        /// zero-byte and self messages and off-mesh chips, on a two-pod
-        /// mesh carrying foreign traffic, with failed links or a failed
-        /// chip.
+        /// `repeated_transfers` is chained `parallel_transfers` (see
+        /// [`assert_rounds_equal_chain`]). Batches mix one-hop messages
+        /// that share links, multi-hop, zero-byte and self messages and
+        /// off-mesh chips, on a two-pod mesh carrying foreign traffic,
+        /// with failed links or a failed chip.
         #[test]
         fn repeated_rounds_equal_chained_batches(
-            rounds in 0usize..5,
+            rounds in ring_rounds(),
             batch in prop::collection::vec((0usize..1000, 0u32..6, 0usize..1000, 0u64..4), 0..12),
             foreign in prop::collection::vec((0usize..1000, 0usize..1000, 1u64..100_000), 0..6),
             faults in prop::collection::vec((0usize..1000, 0usize..1000, any::<bool>()), 0..3),
@@ -929,10 +1124,7 @@ mod tests {
                     base.fail_link(chip(a), b, SimTime::ZERO);
                 }
             }
-            for &(a, b, bytes) in &foreign {
-                // Unroutable foreign traffic just leaves nothing behind.
-                let _ = base.transfer(chip(a), chip(b), bytes, SimTime::ZERO);
-            }
+            preload(&mut base, &foreign);
             let messages: Vec<(ChipId, ChipId, u64)> = batch
                 .iter()
                 .map(|&(a, kind, b_sel, size)| {
@@ -947,44 +1139,160 @@ mod tests {
                 })
                 .collect();
             let at = SimTime::from_seconds(f64::from(micros) * 1e-6);
-            let (mut once, mut chained) = (base.clone(), base);
-            let observe = |net: &mut Network| {
-                let recorder = Recorder::shared();
-                let telemetry = multipod_telemetry::Telemetry::shared();
-                if traced {
-                    net.set_obs(Obs::new(Some(recorder.clone()), Some(telemetry.clone())));
-                }
-                (recorder, telemetry)
-            };
-            let (once_events, once_metrics) = observe(&mut once);
-            let (chained_events, chained_metrics) = observe(&mut chained);
+            assert_rounds_equal_chain(base, &messages, rounds, at, traced)?;
+        }
+    }
 
-            let repeated = once.repeated_transfers(&messages, rounds, at);
-            let mut chain = Ok(at);
-            for _ in 0..rounds {
-                let Ok(t) = chain else { break };
-                chain = chained.parallel_transfers(&messages, t);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The same at ring scale, on the batches the 2-D summation sends:
+        /// a whole Y ring, an open X line with its routed closing edge, X
+        /// lines strided by 2 and 4, a survivor Y ring detoured round a
+        /// failed link, and a stride-2 line's two offsets in one batch
+        /// (which share links) — each with and without foreign traffic
+        /// pre-loaded, traced and untraced, chunks a few bytes apart.
+        #[test]
+        fn ring_rounds_equal_chained_batches(
+            pod in prop::sample::select(vec![4u32, 8]),
+            kind in 0u32..6,
+            line in 0u32..64,
+            cut in 0usize..64,
+            rounds in ring_rounds(),
+            bytes in 1u64..1 << 20,
+            spread in 0u64..3,
+            foreign in prop::collection::vec((0usize..1000, 0usize..1000, 1u64..100_000), 0..6),
+            traced in any::<bool>(),
+        ) {
+            let mut base = Network::new(
+                Multipod::new(MultipodConfig {
+                    pods: 2,
+                    pod_x_len: pod,
+                    pod_y_len: pod,
+                    torus_y: true,
+                }),
+                NetworkConfig::tpu_v3(),
+            );
+            let mesh = base.mesh().clone();
+            let (x, y) = (line % mesh.x_len(), line % mesh.y_len());
+            let members: Vec<ChipId> = match kind {
+                0 | 4 => mesh.y_ring(x).members().to_vec(),
+                1 => mesh.x_line(y).members().to_vec(),
+                2 => mesh.x_line_strided(y, 1, 2).members().to_vec(),
+                3 => mesh.x_line_strided(y, 3, 4).members().to_vec(),
+                _ => {
+                    let mut both = mesh.x_line_strided(y, 0, 2).members().to_vec();
+                    both.extend_from_slice(mesh.x_line_strided(y, 1, 2).members());
+                    both
+                }
+            };
+            if kind == 4 {
+                let k = cut % members.len();
+                base.fail_link(members[k], members[(k + 1) % members.len()], SimTime::ZERO);
             }
-            prop_assert_eq!(&repeated, &chain);
-            prop_assert_eq!(&once.links.endpoints, &chained.links.endpoints);
-            prop_assert_eq!(&once.links.occupancy, &chained.links.occupancy);
-            prop_assert_eq!(&once.routes.hops, &chained.routes.hops);
-            for link in once.mesh().links() {
-                prop_assert_eq!(
-                    once.link_traffic(link.from, link.to),
-                    chained.link_traffic(link.from, link.to)
-                );
+            let mut messages = if kind == 5 {
+                let half = members.len() / 2;
+                let mut batch = ring_batch(&members[..half], bytes);
+                batch.extend(ring_batch(&members[half..], bytes));
+                batch
+            } else {
+                ring_batch(&members, bytes)
+            };
+            // A chunk remainder: the last members send a little more.
+            let len = messages.len();
+            for message in &mut messages[len - spread as usize..] {
+                message.2 += 4;
             }
-            prop_assert_eq!(once_events.events(), chained_events.events());
-            prop_assert_eq!(once_metrics.snapshot(), chained_metrics.snapshot());
-            let next = repeated.unwrap_or(at);
-            for &(from, to, _) in &messages {
-                prop_assert_eq!(
-                    once.transfer(from, to, 512, next),
-                    chained.transfer(from, to, 512, next)
-                );
+            preload(&mut base, &foreign);
+            assert_rounds_equal_chain(base, &messages, rounds, SimTime::ZERO, traced)?;
+        }
+    }
+
+    /// Which path a batch takes is pinned, so an edit that disables the
+    /// chain cannot pass unnoticed: every batch of the healthy 2-D
+    /// summation (Y rings, then X lines at strides 1, 2 and 4) chains
+    /// every round after the first — the first after the second for a
+    /// strided line offset behind another, whose round 0 waits for the
+    /// line before it — while two messages over one link, a batch with
+    /// more non-dominated `(latency, serialization)` pairs than the chain
+    /// keeps, or an attached `Obs`, reserve every round hop by hop.
+    #[test]
+    fn wait_free_batches_chain_and_contended_or_traced_ones_do_not() {
+        let chained = || CHAINED_ROUNDS.with(std::cell::Cell::get);
+        let mesh = Multipod::new(MultipodConfig {
+            pods: 2,
+            pod_x_len: 8,
+            pod_y_len: 8,
+            torus_y: true,
+        });
+        for stride in [1, 2, 4] {
+            let mut net = Network::new(mesh.clone(), NetworkConfig::tpu_v3());
+            let mut phase_end = SimTime::ZERO;
+            for x in 0..mesh.x_len() {
+                let batch = ring_batch(mesh.y_ring(x).members(), 4096);
+                let before = chained();
+                let rounds = batch.len() - 1;
+                let t = net
+                    .repeated_transfers(&batch, rounds, SimTime::ZERO)
+                    .unwrap();
+                phase_end = phase_end.max(t);
+                assert_eq!(chained() - before, rounds - 1, "Y ring {x}");
+            }
+            for y in 0..mesh.y_len() {
+                for offset in 0..stride {
+                    let line = mesh.x_line_strided(y, offset, stride);
+                    let batch = ring_batch(line.members(), 4096);
+                    let before = chained();
+                    let rounds = batch.len() - 1;
+                    net.repeated_transfers(&batch, rounds, phase_end).unwrap();
+                    let waited = usize::from(offset > 0);
+                    assert_eq!(
+                        chained() - before,
+                        rounds - 1 - waited,
+                        "row {y} stride {stride} offset {offset}"
+                    );
+                }
             }
         }
+
+        let (a, b) = (
+            mesh.chip_at(Coord::new(0, 0)),
+            mesh.chip_at(Coord::new(1, 0)),
+        );
+        let mut net = Network::new(mesh.clone(), NetworkConfig::tpu_v3());
+        let before = chained();
+        net.repeated_transfers(&[(a, b, 4096), (a, b, 4096)], 31, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(chained(), before, "two messages over one link");
+
+        // Row-disjoint messages, each longer and lighter than the last:
+        // wait-free, and four of them chain, but five are more
+        // non-dominated pairs than the chain keeps, so every round stays
+        // on the loop — either way the chained calls' bits.
+        let staircase: Vec<(ChipId, ChipId, u64)> = (0..5u32)
+            .map(|row| {
+                let from = mesh.chip_at(Coord::new(0, row));
+                let to = mesh.chip_at(Coord::new(row + 1, row));
+                (from, to, 4096 * u64::from(6 - row))
+            })
+            .collect();
+        for (steps, chains) in [(4, 30), (5, 0)] {
+            let net = Network::new(mesh.clone(), NetworkConfig::tpu_v3());
+            let before = chained();
+            assert_rounds_equal_chain(net, &staircase[..steps], 31, SimTime::ZERO, false).unwrap();
+            assert_eq!(chained() - before, chains, "{steps}-step staircase");
+        }
+        let before = chained();
+
+        let mut net = Network::new(mesh.clone(), NetworkConfig::tpu_v3());
+        net.set_obs(Obs::new(Some(Recorder::shared()), None));
+        net.repeated_transfers(
+            &ring_batch(mesh.y_ring(0).members(), 4096),
+            7,
+            SimTime::ZERO,
+        )
+        .unwrap();
+        assert_eq!(chained(), before, "traced");
     }
 
     /// `0x9E37_79B9_7F4A_7C15⁻¹ mod 2⁶⁴`, by Newton iteration: the key

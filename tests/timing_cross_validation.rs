@@ -245,27 +245,34 @@ fn recorder_sees_collective_and_phase_spans() {
 
 /// Attaching observability must not perturb the simulation: identical
 /// outputs and identical finish time with a sink, a registry, or both as
-/// with the off-by-default handle.
+/// with the off-by-default handle — at either precision, over plain and
+/// model-strided X rings (an untraced network chains a ring's wait-free
+/// rounds; a traced one reserves each round hop by hop).
 #[test]
 fn tracing_does_not_perturb_simulated_time() {
     let elems = 1 << 12;
     let ins = inputs(16, elems, 21);
 
-    let mut plain = net(4, 4);
-    let untraced = two_dim_all_reduce(&mut plain, &ins, Precision::F32, 1, None).unwrap();
+    for precision in [Precision::F32, Precision::Bf16] {
+        for stride in [1, 2] {
+            let mut plain = net(4, 4);
+            let untraced = two_dim_all_reduce(&mut plain, &ins, precision, stride, None).unwrap();
 
-    for obs in [
-        Obs::new(Some(Recorder::shared()), None),
-        Obs::new(None, Some(Telemetry::shared())),
-        Obs::new(Some(Recorder::shared()), Some(Telemetry::shared())),
-    ] {
-        let mut observed_net = net(4, 4);
-        observed_net.set_obs(obs.clone());
-        let observed =
-            two_dim_all_reduce(&mut observed_net, &ins, Precision::F32, 1, None).unwrap();
-        assert_eq!(untraced.time, observed.time, "{obs:?}");
-        assert_eq!(untraced.outputs, observed.outputs, "{obs:?}");
-        assert_eq!(untraced.breakdown, observed.breakdown, "{obs:?}");
+            for obs in [
+                Obs::new(Some(Recorder::shared()), None),
+                Obs::new(None, Some(Telemetry::shared())),
+                Obs::new(Some(Recorder::shared()), Some(Telemetry::shared())),
+            ] {
+                let mut observed_net = net(4, 4);
+                observed_net.set_obs(obs.clone());
+                let observed =
+                    two_dim_all_reduce(&mut observed_net, &ins, precision, stride, None).unwrap();
+                let case = format!("{precision:?} stride {stride} {obs:?}");
+                assert_eq!(untraced.time, observed.time, "{case}");
+                assert_eq!(untraced.outputs, observed.outputs, "{case}");
+                assert_eq!(untraced.breakdown, observed.breakdown, "{case}");
+            }
+        }
     }
 }
 
