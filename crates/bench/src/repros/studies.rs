@@ -6,6 +6,7 @@ use std::time::Instant;
 use multipod_collectives::Precision;
 use multipod_core::ablate::{precision_ablation, summation_ablation, wus_ablation};
 use multipod_core::step::{step_breakdown, StepOptions};
+use multipod_faults::{run_campaign, CampaignConfig, FaultPlan};
 use multipod_input::dlrm::{DlrmInputConfig, ParseGranularity, PcieLayout};
 use multipod_input::host_pipeline::{simulate_run, HostPipelineConfig};
 use multipod_input::shuffle::{
@@ -13,6 +14,7 @@ use multipod_input::shuffle::{
 };
 use multipod_metrics::auc::{auc_exact, auc_fast, auc_naive};
 use multipod_models::{catalog, Workload};
+use multipod_topology::MultipodConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
@@ -28,11 +30,20 @@ fn bert_4k_batch() -> Workload {
 }
 
 /// Ablations of the paper's design choices (DESIGN.md index): 1-D vs 2-D
-/// gradient summation, f32 vs bf16 payloads, weight-update sharding.
+/// gradient summation, f32 vs bf16 payloads (their time, and the loss a
+/// short training run reaches on each wire), weight-update sharding.
 pub fn ablations(_: &Args) -> Result<Outcome, ReproError> {
     let summation = summation_ablation(25_600_000, Precision::F32, &[64, 256, 1024, 4096])?;
     let precision = precision_ablation(334_000_000, &[256, 1024, 4096])?;
     let wus = wus_ablation(&bert_4k_batch(), &[256, 512, 1024])?;
+    let final_loss = |bf16_gradients| {
+        let config = CampaignConfig {
+            bf16_gradients,
+            ..CampaignConfig::demo(MultipodConfig::mesh(4, 4, true))
+        };
+        run_campaign(&config, &FaultPlan::new(), None).map(|report| report.final_loss)
+    };
+    let (f32_loss, bf16_loss) = (final_loss(false)?, final_loss(true)?);
 
     let mut text = String::new();
     header(
@@ -67,6 +78,16 @@ pub fn ablations(_: &Args) -> Result<Outcome, ReproError> {
     }
     header(
         &mut text,
+        "Ablation: gradient payload precision in training (fault-free demo campaign, 4x4)",
+        &["f32 final loss", "bf16 final loss", "bf16 / f32"],
+    );
+    outln!(
+        text,
+        "{f32_loss:.6} | {bf16_loss:.6} | {:.4}",
+        bf16_loss / f32_loss
+    );
+    header(
+        &mut text,
         "Ablation: weight-update sharding (BERT at a ~4k global batch)",
         &[
             "Chips",
@@ -90,6 +111,10 @@ pub fn ablations(_: &Args) -> Result<Outcome, ReproError> {
         section: Some(json!({
             "summation_1d_vs_2d": summation,
             "payload_precision": precision,
+            "training_precision": json!({
+                "f32_final_loss": f32_loss,
+                "bf16_final_loss": bf16_loss,
+            }),
             "weight_update_sharding": wus,
         })),
         ..Default::default()

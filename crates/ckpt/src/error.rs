@@ -55,8 +55,6 @@ pub enum CkptError {
     Network(NetworkError),
     /// A tensor reshape/split/concat on the (de)sharding path failed.
     Tensor(TensorError),
-    /// The step model under a pipelined save failed.
-    Step(multipod_core::StepError),
 }
 
 impl fmt::Display for CkptError {
@@ -92,7 +90,6 @@ impl fmt::Display for CkptError {
             CkptError::Collective(e) => write!(f, "restore collective failed: {e}"),
             CkptError::Network(e) => write!(f, "checkpoint transfer failed: {e}"),
             CkptError::Tensor(e) => write!(f, "checkpoint tensor op failed: {e}"),
-            CkptError::Step(e) => write!(f, "pipelined save step failed: {e}"),
         }
     }
 }
@@ -103,7 +100,6 @@ impl std::error::Error for CkptError {
             CkptError::Collective(e) => Some(e),
             CkptError::Network(e) => Some(e),
             CkptError::Tensor(e) => Some(e),
-            CkptError::Step(e) => Some(e),
             _ => None,
         }
     }
@@ -130,12 +126,6 @@ impl From<TopologyError> for CkptError {
 impl From<TensorError> for CkptError {
     fn from(e: TensorError) -> CkptError {
         CkptError::Tensor(e)
-    }
-}
-
-impl From<multipod_core::StepError> for CkptError {
-    fn from(e: multipod_core::StepError) -> CkptError {
-        CkptError::Step(e)
     }
 }
 

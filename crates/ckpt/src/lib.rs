@@ -23,10 +23,6 @@
 //!   checkpoint onto the survivor mesh and replays the lost window.
 //! * [`young_daly_interval`] turns measured checkpoint cost and
 //!   campaign failure rates into the classic optimal-interval analysis.
-//! * [`pipelined_save_step`] prices a save with the task-graph step
-//!   model ([`multipod_core::overlap`]) instead of stopping the world:
-//!   shard writes start as their weights finish updating and hide in
-//!   the step's idle PCIe time.
 //!
 //! Everything is deterministic: identical runs produce byte-identical
 //! checkpoints, manifests, and traces.
@@ -35,7 +31,6 @@ pub mod checkpoint;
 pub mod error;
 pub mod interval;
 pub mod manifest;
-pub mod pipelined;
 pub mod placement;
 pub mod rollback;
 
@@ -46,6 +41,5 @@ pub use checkpoint::{
 pub use error::CkptError;
 pub use interval::{interval_curve, overhead_fraction, young_daly_interval, IntervalPoint};
 pub use manifest::{fnv1a, hash_tensor, Manifest, ShardEntry, CKPT_FORMAT_VERSION};
-pub use pipelined::{checkpoint_overlap, pipelined_save_step, PipelinedSave};
 pub use placement::{HostShards, ShardPlacement, ShardRange};
 pub use rollback::{run_rollback_campaign, RollbackConfig, RollbackReport, RollbackStep};

@@ -23,10 +23,10 @@ use multipod_optim::{LrSchedule, SgdMomentum};
 use multipod_simnet::SimTime;
 use multipod_telemetry::{MetricId, Obs, Subsystem};
 use multipod_tensor::{Shape, Tensor, TensorRng};
-use multipod_topology::{Multipod, MultipodConfig, TopologyError};
+use multipod_topology::MultipodConfig;
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
-use multipod_faults::{FaultAction, FaultDriver, FaultPlan};
+use multipod_faults::{FaultDriver, FaultPlan};
 
 use crate::checkpoint::{restore_checkpoint, save_checkpoint, Checkpoint, PcieCost, StateBundle};
 use crate::error::CkptError;
@@ -124,8 +124,8 @@ pub struct RollbackReport {
 /// # Errors
 ///
 /// A mesh with a zero extent, or a plan naming a chip the mesh does not
-/// have, is [`CkptError::Network`] ([`TopologyError::InvalidDimensions`],
-/// [`TopologyError::ChipOutOfRange`]). Checkpoint-layer failures surface
+/// have, is [`CkptError::Network`] (see [`FaultPlan::check`]).
+/// Checkpoint-layer failures surface
 /// as their [`CkptError`] variants;
 /// trainer errors other than the escalated chip-loss signal (which the
 /// campaign handles by rolling back) are wrapped in
@@ -137,7 +137,8 @@ pub fn run_rollback_campaign(
     plan: &FaultPlan,
     obs: Option<Obs>,
 ) -> Result<RollbackReport, CkptError> {
-    check_plan(&config.mesh, plan).map_err(|e| CkptError::Network(e.into()))?;
+    plan.check(&config.mesh)
+        .map_err(|e| CkptError::Network(e.into()))?;
     let policy = FaultPolicy {
         recovery: RecoveryMode::Rollback,
         ..config.fault_policy
@@ -300,28 +301,6 @@ pub fn run_rollback_campaign(
         replayed_steps,
         steps,
     })
-}
-
-/// Whether `mesh` has every chip `plan` names (a link's two ends, a lost
-/// chip).
-///
-/// # Errors
-///
-/// [`TopologyError::InvalidDimensions`] when `mesh` has a zero extent,
-/// [`TopologyError::ChipOutOfRange`] for the first chip off it.
-fn check_plan(mesh: &MultipodConfig, plan: &FaultPlan) -> Result<(), TopologyError> {
-    let num_chips = Multipod::try_new(mesh.clone())?.num_chips();
-    for event in plan.events() {
-        let (a, b) = match event.action {
-            FaultAction::LinkDown { a, b } | FaultAction::LinkUp { a, b } => (a, b),
-            FaultAction::ChipDown { chip } => (chip, chip),
-            FaultAction::StragglerStart { .. } | FaultAction::StragglerEnd { .. } => continue,
-        };
-        if let Some(chip) = [a, b].into_iter().find(|chip| chip.index() >= num_chips) {
-            return Err(TopologyError::ChipOutOfRange { chip, num_chips });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 //!   implementations the tests verify against scalar references.
 //! * **The 2-D schedule** ([`twod`]) — the paper's optimized global
 //!   summation: reduce-scatter along the torus Y rings, then along the X
-//!   lines (payload 1/32nd), an optional weight-update at the shard owner,
-//!   then broadcast X and Y. Supports the model-parallel variant whose X
-//!   rings hop over model-parallelism neighbours.
+//!   lines (payload 1/32nd), then broadcast X and Y — as two halves, so
+//!   the shard owners can update their weights between them. Supports the
+//!   model-parallel variant whose X rings hop over model-parallelism
+//!   neighbours.
 //! * **Halo exchange** ([`halo`]) — boundary exchange for spatially
 //!   partitioned convolutions (§3.1).
 //! * **All-to-all** ([`alltoall`]) — the bisection-bound exchange behind

@@ -5,22 +5,26 @@
 //! 1. reduce-scatter along the torus **Y** rings (bulk of the payload),
 //! 2. reduce-scatter along the **X** lines on the Y-shards (payload is
 //!    `1/y_len`, i.e. 32× smaller on the paper's machine),
-//! 3. an optional **weight update** computed by the shard owner
-//!    (weight-update sharding, §3.2),
+//! 3. the **weight update**, computed by each shard owner on its reduced
+//!    shard (weight-update sharding, §3.2),
 //! 4. broadcast of the updated shards: all-gather along X, then Y.
 //!
 //! With model parallelism, the X-phase rings *hop over* the
 //! model-parallelism neighbours (`stride = tile width`): only chips holding
 //! the same weight shard sum their gradients (dotted blue rings in Fig. 4).
 //!
-//! The numeric entry point is [`two_dim_all_reduce`]; the α–β counterpart
-//! is [`two_dim_all_reduce_time`].
+//! The numeric entry points are the two halves, [`two_dim_reduce_scatter`]
+//! (phases 1–2) and [`two_dim_all_gather`] (phase 4), with the update
+//! between them; [`two_dim_all_reduce`] runs them back to back. The α–β
+//! counterpart is [`two_dim_all_reduce_time`].
+
+use std::convert::Infallible;
 
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::{Network, SimTime};
 use multipod_telemetry::{MetricId, Subsystem};
-use multipod_tensor::Tensor;
+use multipod_tensor::{Shape, Tensor};
 use multipod_topology::{ChipId, Multipod, Ring};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
@@ -48,10 +52,6 @@ impl TwoDimBreakdown {
     }
 }
 
-/// A weight-update hook applied at each shard owner between the reduce
-/// and broadcast halves (weight-update sharding, §3.2).
-pub type ShardUpdateFn<'a> = &'a mut dyn FnMut(ChipId, &mut Tensor);
-
 /// Result of the numeric 2-D all-reduce.
 #[derive(Clone, Debug)]
 pub struct TwoDimOutput {
@@ -64,77 +64,116 @@ pub struct TwoDimOutput {
     pub breakdown: TwoDimBreakdown,
 }
 
-/// Executes the 2-D gradient summation numerically over one tensor per
-/// chip (chip-id order), with an optional weight-update applied at each
-/// shard owner between the reduce and broadcast halves.
+/// The reduce half of the 2-D schedule: what each shard owner holds when
+/// [`two_dim_reduce_scatter`] returns, and what [`two_dim_all_gather`]
+/// needs to finish the schedule.
+#[derive(Clone, Debug)]
+pub struct TwoDimShards {
+    /// Per-chip shard in chip-id order: chip `c` holds slice
+    /// [`shard_index`]`(c)` of its replica group's flattened sum. Replace
+    /// them (same length each) with the updated weight shards before the
+    /// all-gather.
+    pub shards: Vec<Tensor>,
+    /// When the X reduce-scatter ends: every owner holds its shard.
+    pub time: SimTime,
+    y_reduce_scatter_end: SimTime,
+    shape: Shape,
+    precision: Precision,
+}
+
+/// Phases 1–2 of the 2-D summation over one tensor per chip (chip-id
+/// order): reduce-scatter along Y, then along the `model_stride`-strided
+/// X lines, all starting at `SimTime::ZERO`.
 ///
 /// `model_stride` is the model-parallel tile width: 1 for pure data
 /// parallelism; `k > 1` makes the X-phase rings hop over model peers so
 /// that only same-shard chips reduce together.
-///
-/// All chips of a replica group end with bit-identical outputs on either
-/// wire, and the chips of one Y ring share storage (see
-/// [`ring::all_gather`]).
 ///
 /// # Errors
 ///
 /// Fails when `model_stride` is zero or does not divide the mesh X extent,
 /// `inputs.len()` differs from the chip count, payloads do not divide
 /// evenly across ring members, or shapes disagree.
-pub fn two_dim_all_reduce(
+pub fn two_dim_reduce_scatter(
     net: &mut Network,
     inputs: &[Tensor],
     precision: Precision,
     model_stride: u32,
-    mut shard_update: Option<ShardUpdateFn<'_>>,
-) -> Result<TwoDimOutput, CollectiveError> {
-    use RingOp::{Gather, Scatter};
+) -> Result<TwoDimShards, CollectiveError> {
+    use RingOp::Scatter;
     let mesh = net.mesh().clone();
     check_stride(&mesh, model_stride)?;
-    if inputs.len() != mesh.num_chips() {
-        return Err(CollectiveError::ParticipantMismatch {
-            inputs: inputs.len(),
-            members: mesh.num_chips(),
-        });
-    }
-    let shape = inputs[0].shape().clone();
-    let y_len = mesh.y_len();
-    let mesh = &mesh;
-    let y_rings = || (0..mesh.x_len()).map(|x| mesh.y_ring(x));
-    let x_rings = || {
-        (0..y_len).flat_map(move |y| {
-            (0..model_stride).map(move |offset| mesh.x_line_strided(y, offset, model_stride))
-        })
-    };
-
-    // One tensor per chip, rewritten in place by each phase. Phases 1–2
-    // reduce-scatter along Y (all columns concurrent) then X (strided over
-    // model peers); phase 3 lets each shard owner update its slice
-    // (weight-update sharding); phases 4a–4b all-gather along X then Y.
+    check_participants(&mesh, inputs.len())?;
+    // One tensor per chip, rewritten in place by each phase.
     let mut state = inputs.to_vec();
-    let start = SimTime::ZERO;
-    let y_rs_end = phase(net, y_rings(), &mut state, Scatter, precision, start)?;
-    let x_rs_end = phase(net, x_rings(), &mut state, Scatter, precision, y_rs_end)?;
-    if let Some(update) = shard_update.as_mut() {
-        for chip in mesh.chips() {
-            update(chip, &mut state[chip.index()]);
-        }
-    }
-    let x_ag_end = phase(net, x_rings(), &mut state, Gather, precision, x_rs_end)?;
-    let y_ag_end = phase(net, y_rings(), &mut state, Gather, precision, x_ag_end)?;
+    let (y_rings, x_rings) = (y_rings(&mesh), x_rings(&mesh, model_stride));
+    let y_end = phase(net, y_rings, &mut state, Scatter, precision, SimTime::ZERO)?;
+    let x_end = phase(net, x_rings, &mut state, Scatter, precision, y_end)?;
+    Ok(TwoDimShards {
+        shards: state,
+        time: x_end,
+        y_reduce_scatter_end: y_end,
+        shape: inputs[0].shape().clone(),
+        precision,
+    })
+}
+
+/// Phase 4 of the 2-D summation: all-gathers `reduced.shards` along X,
+/// then Y, starting when the reduce half ended, and records the
+/// schedule's phase spans and metrics (the reduce half's included) on
+/// the network's observer.
+///
+/// `precision` is this half's wire and may differ from the reduce half's;
+/// `model_stride` must be the one the reduce half ran with. All chips of
+/// a replica group end with bit-identical outputs of the input shape on
+/// either wire, and the chips of one Y ring share storage (see
+/// [`ring::all_gather`]).
+///
+/// # Errors
+///
+/// Fails when `model_stride` is zero or does not divide the mesh X extent,
+/// the shard count differs from the chip count, or shard lengths disagree
+/// within a ring.
+pub fn two_dim_all_gather(
+    net: &mut Network,
+    reduced: TwoDimShards,
+    precision: Precision,
+    model_stride: u32,
+) -> Result<TwoDimOutput, CollectiveError> {
+    use RingOp::Gather;
+    let mesh = net.mesh().clone();
+    check_stride(&mesh, model_stride)?;
+    check_participants(&mesh, reduced.shards.len())?;
+    let TwoDimShards {
+        shards: mut state,
+        time: x_rs,
+        y_reduce_scatter_end: y_rs,
+        shape,
+        precision: rs,
+    } = reduced;
+    let (y_rings, x_rings) = (y_rings(&mesh), x_rings(&mesh, model_stride));
+    let x_ag = phase(net, x_rings, &mut state, Gather, precision, x_rs)?;
+    let y_ag = phase(net, y_rings, &mut state, Gather, precision, x_ag)?;
 
     // Machine-wide phase spans on the simulation track, with the α/β
-    // attribution the analytic model assigns to each phase. The same
-    // per-phase numbers flow into the metrics registry when attached.
+    // attribution the analytic model assigns to each phase on its wire.
+    // The same per-phase numbers flow into the metrics registry when
+    // attached.
     let obs = net.obs();
     if !obs.is_off() {
-        let elems = inputs[0].len();
-        let x_elems = elems.div_ceil(y_len.max(1) as usize);
+        let elems = shape.len();
+        let x_elems = elems.div_ceil(mesh.y_len().max(1) as usize);
         let (y_costs, x_costs) = ring_costs(net, model_stride)?;
-        let phase = |name: &str, s: SimTime, e: SimTime, costs: &RingCosts, phase_elems: usize| {
+        let (t0, ag) = (SimTime::ZERO, precision);
+        for (name, s, e, costs, phase_elems, wire) in [
+            ("y-reduce-scatter", t0, y_rs, &y_costs, elems, rs),
+            ("x-reduce-scatter", y_rs, x_rs, &x_costs, x_elems, rs),
+            ("x-all-gather", x_rs, x_ag, &x_costs, x_elems, ag),
+            ("y-all-gather", x_ag, y_ag, &y_costs, elems, ag),
+        ] {
             let alpha = costs.phase_alpha_seconds();
-            let beta = costs.phase_beta_seconds(phase_elems, precision, false);
-            let bytes = precision.wire_bytes(phase_elems);
+            let beta = costs.phase_beta_seconds(phase_elems, wire, false);
+            let bytes = wire.wire_bytes(phase_elems);
             obs.span(|| {
                 SpanEvent::new(Track::Sim, SpanCategory::CollectivePhase, name, s, e)
                     .with_bytes(bytes)
@@ -148,26 +187,22 @@ pub fn two_dim_all_reduce(
                 metrics.observe(id("model_alpha_seconds"), alpha);
                 metrics.observe(id("model_beta_seconds"), beta);
             }
-        };
-        phase("y-reduce-scatter", SimTime::ZERO, y_rs_end, &y_costs, elems);
-        phase("x-reduce-scatter", y_rs_end, x_rs_end, &x_costs, x_elems);
-        phase("x-all-gather", x_rs_end, x_ag_end, &x_costs, x_elems);
-        phase("y-all-gather", x_ag_end, y_ag_end, &y_costs, elems);
+        }
         obs.span(|| {
             SpanEvent::new(
                 Track::Sim,
                 SpanCategory::Collective,
                 "2d-all-reduce",
-                SimTime::ZERO,
-                y_ag_end,
+                t0,
+                y_ag,
             )
-            .with_bytes(precision.wire_bytes(elems))
+            .with_bytes(rs.wire_bytes(elems))
             .with_arg("model_stride", model_stride as f64)
         });
         obs.count(MetricId::new(Subsystem::Collectives, "all_reduces"), 1);
         obs.observe(
             MetricId::new(Subsystem::Collectives, "all_reduce_seconds"),
-            y_ag_end - SimTime::ZERO,
+            y_ag - t0,
         );
     }
 
@@ -177,17 +212,59 @@ pub fn two_dim_all_reduce(
         .collect::<Result<Vec<Tensor>, _>>()?;
     Ok(TwoDimOutput {
         outputs,
-        time: y_ag_end,
+        time: y_ag,
         breakdown: TwoDimBreakdown {
-            y_reduce_scatter: y_rs_end - SimTime::ZERO,
-            x_reduce_scatter: x_rs_end - y_rs_end,
-            x_all_gather: x_ag_end - x_rs_end,
-            y_all_gather: y_ag_end - x_ag_end,
+            y_reduce_scatter: y_rs - SimTime::ZERO,
+            x_reduce_scatter: x_rs - y_rs,
+            x_all_gather: x_ag - x_rs,
+            y_all_gather: y_ag - x_ag,
         },
     })
 }
 
-/// The ring collective one phase of [`two_dim_all_reduce`] runs.
+/// The whole 2-D summation: [`two_dim_reduce_scatter`] and
+/// [`two_dim_all_gather`] back to back on one wire, with nothing between
+/// them. Every chip ends with the sum over its replica group.
+///
+/// The last argument is always `None` (its type has no value). To update
+/// shards between the halves — weight-update sharding — call the halves.
+///
+/// # Errors
+///
+/// See [`two_dim_reduce_scatter`].
+pub fn two_dim_all_reduce(
+    net: &mut Network,
+    inputs: &[Tensor],
+    precision: Precision,
+    model_stride: u32,
+    _shard_update: Option<Infallible>,
+) -> Result<TwoDimOutput, CollectiveError> {
+    let reduced = two_dim_reduce_scatter(net, inputs, precision, model_stride)?;
+    two_dim_all_gather(net, reduced, precision, model_stride)
+}
+
+fn check_participants(mesh: &Multipod, inputs: usize) -> Result<(), CollectiveError> {
+    if inputs != mesh.num_chips() {
+        return Err(CollectiveError::ParticipantMismatch {
+            inputs,
+            members: mesh.num_chips(),
+        });
+    }
+    Ok(())
+}
+
+/// The Y rings, one per column.
+fn y_rings(mesh: &Multipod) -> impl Iterator<Item = Ring> + '_ {
+    (0..mesh.x_len()).map(|x| mesh.y_ring(x))
+}
+
+/// The X lines, `model_stride` interleaved ones per row.
+fn x_rings(mesh: &Multipod, model_stride: u32) -> impl Iterator<Item = Ring> + '_ {
+    (0..mesh.y_len()).flat_map(move |y| {
+        (0..model_stride).map(move |offset| mesh.x_line_strided(y, offset, model_stride))
+    })
+}
+/// The ring collective one phase of the 2-D schedule runs.
 #[derive(Clone, Copy)]
 enum RingOp {
     /// [`ring::reduce_scatter`]: each member keeps one reduced shard.
@@ -239,8 +316,8 @@ fn phase(
 }
 
 /// The index of the (flattened) payload chunk that `chip` owns between
-/// the reduce and broadcast halves of [`two_dim_all_reduce`] — i.e. which
-/// slice of `payload.split(0, shards)` a weight-update closure receives.
+/// the halves, [`two_dim_reduce_scatter`] and [`two_dim_all_gather`] —
+/// i.e. which slice of `payload.split(0, shards)` the chip's shard is.
 /// Total shards = `y_len × (x_len / model_stride)`.
 ///
 /// # Errors
@@ -253,7 +330,7 @@ pub fn shard_index(
     model_stride: u32,
 ) -> Result<usize, CollectiveError> {
     check_stride(mesh, model_stride)?;
-    // What `two_dim_all_reduce`'s forward reduce-scatters leave member
+    // What `two_dim_reduce_scatter`'s forward reduce-scatters leave member
     // `i` of an `n`-ring holding (chunk 0 of 1 when the ring is trivial).
     let owned = |n: usize, i: usize| {
         Schedule::reduce_scatter(n, Direction::Forward).map_or(0, |s| s.owned_chunk(i))
@@ -446,23 +523,23 @@ mod tests {
 
     #[test]
     fn shard_index_names_the_owned_slice() {
-        // The closure's shard must equal payload.split(shards)[shard_index].
+        // A chip's reduced shard must equal payload.split(shards)[shard_index].
         let mut net = setup(4, 4);
         let mesh = net.mesh().clone();
         let n = mesh.num_chips();
         let ins = random_inputs(n, 64, 12);
         let reference = Tensor::sum_all(&ins).unwrap();
         let expected = reference.split(0, n).unwrap();
+        let reduced = two_dim_reduce_scatter(&mut net, &ins, Precision::F32, 1).unwrap();
         let mut seen = std::collections::HashSet::new();
-        let mut check = |chip: ChipId, shard: &mut Tensor| {
+        for chip in mesh.chips() {
             let idx = shard_index(&mesh, chip, 1).unwrap();
             assert!(
-                shard.max_abs_diff(&expected[idx]) < 1e-4,
+                reduced.shards[chip.index()].max_abs_diff(&expected[idx]) < 1e-4,
                 "chip {chip} does not own shard {idx}"
             );
             assert!(seen.insert(idx), "shard {idx} owned twice");
-        };
-        two_dim_all_reduce(&mut net, &ins, Precision::F32, 1, Some(&mut check)).unwrap();
+        }
         assert_eq!(seen.len(), n);
     }
 
@@ -479,15 +556,16 @@ mod tests {
             let elems = 3 * shards;
             let ramp = Tensor::new(Shape::vector(elems), (0..elems).map(|p| p as f32).collect());
             let ins = vec![ramp; mesh.num_chips()];
+            let reduced = two_dim_reduce_scatter(&mut net, &ins, Precision::F32, stride).unwrap();
             let mut seen = vec![0u32; shards];
-            let mut check = |chip: ChipId, shard: &mut Tensor| {
+            for chip in mesh.chips() {
+                let shard = &reduced.shards[chip.index()];
                 assert_eq!(shard.len(), elems / shards);
                 let observed = (shard.data()[0] / group) as usize / shard.len();
                 let named = shard_index(&mesh, chip, stride).unwrap();
                 assert_eq!(named, observed, "chip {chip}");
                 seen[observed] += 1;
-            };
-            two_dim_all_reduce(&mut net, &ins, Precision::F32, stride, Some(&mut check)).unwrap();
+            }
             // One owner per shard in each of the `stride` replica groups.
             assert!(
                 seen.iter().all(|&owners| owners == stride),
@@ -612,6 +690,13 @@ mod tests {
         }
     }
 
+    /// Scales every chip's reduced shard by `factor` between the halves.
+    fn scale_shards(reduced: &mut TwoDimShards, factor: f32) {
+        for shard in &mut reduced.shards {
+            *shard = shard.scale(factor);
+        }
+    }
+
     #[test]
     fn bf16_replicas_agree_after_a_sharded_weight_update() {
         // WUS on a bf16 wire: the owner updates its f32 shard, and the
@@ -620,15 +705,39 @@ mod tests {
         let n = net.mesh().num_chips();
         let ins = random_inputs(n, 64, 24);
         let reference = Tensor::sum_all(&ins).unwrap().scale(2.0);
-        let mut update = |_chip: ChipId, shard: &mut Tensor| {
-            *shard = shard.scale(2.0);
-        };
-        let out =
-            two_dim_all_reduce(&mut net, &ins, Precision::Bf16, 1, Some(&mut update)).unwrap();
+        let mut reduced = two_dim_reduce_scatter(&mut net, &ins, Precision::Bf16, 1).unwrap();
+        scale_shards(&mut reduced, 2.0);
+        let out = two_dim_all_gather(&mut net, reduced, Precision::Bf16, 1).unwrap();
         for o in &out.outputs {
             assert_eq!(bits(o), bits(&out.outputs[0]));
         }
         assert!(out.outputs[0].max_abs_diff(&reference) < 0.25);
+    }
+
+    #[test]
+    fn an_f32_all_gather_after_a_bf16_reduce_scatter_rounds_no_shard() {
+        // The trainer's wire: gradients sum over bf16, the updated f32
+        // shards come back over f32, so every chip holds every owner's
+        // shard exactly as the owner left it.
+        let mut net = setup(4, 4);
+        let mesh = net.mesh().clone();
+        let ins = random_inputs(mesh.num_chips(), 64, 26);
+        let reduced = two_dim_reduce_scatter(&mut net, &ins, Precision::Bf16, 1).unwrap();
+        let mut in_shard_order = reduced.shards.clone();
+        for chip in mesh.chips() {
+            let s = shard_index(&mesh, chip, 1).unwrap();
+            in_shard_order[s] = reduced.shards[chip.index()].clone();
+        }
+        let want = Tensor::concat(&in_shard_order, 0).unwrap();
+        assert_ne!(
+            want,
+            want.to_bf16_precision(),
+            "the owners' sums are not bf16 values"
+        );
+        let out = two_dim_all_gather(&mut net, reduced, Precision::F32, 1).unwrap();
+        for o in &out.outputs {
+            assert_eq!(bits(o), bits(&want));
+        }
     }
 
     #[test]
@@ -640,6 +749,11 @@ mod tests {
             let bad = CollectiveError::InvalidModelStride { stride, x_len: 8 };
             let numeric = two_dim_all_reduce(&mut net, &ins, Precision::F32, stride, None);
             assert_eq!(numeric.unwrap_err(), bad);
+            let reduce = two_dim_reduce_scatter(&mut net, &ins, Precision::F32, stride);
+            assert_eq!(reduce.unwrap_err(), bad);
+            let reduced = two_dim_reduce_scatter(&mut net, &ins, Precision::F32, 1).unwrap();
+            let gather = two_dim_all_gather(&mut net, reduced, Precision::F32, stride);
+            assert_eq!(gather.unwrap_err(), bad);
             let timed = two_dim_all_reduce_time(&net, 1 << 10, Precision::F32, stride);
             assert_eq!(timed.unwrap_err(), bad);
             let bucketed =
@@ -661,10 +775,9 @@ mod tests {
         let n = net.mesh().num_chips();
         let ins = random_inputs(n, 64, 10);
         let reference = Tensor::sum_all(&ins).unwrap().scale(2.0);
-        let mut update = |_chip: ChipId, shard: &mut Tensor| {
-            *shard = shard.scale(2.0);
-        };
-        let out = two_dim_all_reduce(&mut net, &ins, Precision::F32, 1, Some(&mut update)).unwrap();
+        let mut reduced = two_dim_reduce_scatter(&mut net, &ins, Precision::F32, 1).unwrap();
+        scale_shards(&mut reduced, 2.0);
+        let out = two_dim_all_gather(&mut net, reduced, Precision::F32, 1).unwrap();
         for o in &out.outputs {
             assert!(o.max_abs_diff(&reference) < 1e-4);
         }
@@ -744,6 +857,13 @@ mod tests {
         let ins = random_inputs(3, 16, 1);
         assert!(matches!(
             two_dim_all_reduce(&mut net, &ins, Precision::F32, 1, None),
+            Err(CollectiveError::ParticipantMismatch { .. })
+        ));
+        let ins = random_inputs(4, 16, 1);
+        let mut reduced = two_dim_reduce_scatter(&mut net, &ins, Precision::F32, 1).unwrap();
+        reduced.shards.pop();
+        assert!(matches!(
+            two_dim_all_gather(&mut net, reduced, Precision::F32, 1),
             Err(CollectiveError::ParticipantMismatch { .. })
         ));
     }

@@ -40,3 +40,6 @@ pub use overlap::{CheckpointOverlap, OverlapConfig, OverlappedStep};
 pub use scaling::SweepError;
 pub use step::{record_step, StepBreakdown, StepError, StepOptions};
 pub use trainer::{DataParallelTrainer, FaultPolicy, RecoveryMode, TrainStepStats};
+
+#[cfg(test)]
+mod wus;

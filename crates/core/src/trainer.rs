@@ -1,9 +1,9 @@
 //! A reusable data-parallel training loop over the simulated multipod.
 //!
-//! Packages the §3.2 + §3.3 pattern the examples spell out by hand:
-//! per-chip local gradients go through the 2-D gradient summation, the
-//! optimizer step runs **sharded** at the shard owners (trust-ratio norms
-//! reconstructed from per-shard partials), and the broadcast phases leave
+//! Packages the §3.2 + §3.3 pattern: per-chip local gradients go through
+//! the 2-D reduce-scatter, the optimizer step runs **sharded** at the
+//! shard owners on the reduced gradient shards (trust-ratio norms
+//! reconstructed from per-shard partials), and the all-gather leaves
 //! every replica with identical updated weights. A [`multipod_optim::LrSchedule`]
 //! drives the rate.
 //!
@@ -31,12 +31,12 @@ use serde::{Deserialize, Serialize};
 
 use multipod_collectives::degraded::ring_degradation;
 use multipod_collectives::ring;
-use multipod_collectives::twod::{shard_index, two_dim_all_reduce};
+use multipod_collectives::twod::{shard_index, two_dim_all_gather, two_dim_reduce_scatter};
 use multipod_collectives::{CollectiveError, Precision};
 use multipod_optim::{LayerStats, LrSchedule, Optimizer, StateKey};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_telemetry::Obs;
-use multipod_tensor::Tensor;
+use multipod_tensor::{Shape, Tensor};
 use multipod_topology::{ChipId, MultipodConfig, Ring};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
@@ -385,8 +385,12 @@ impl<O: Optimizer> DataParallelTrainer<O> {
         });
     }
 
-    /// The fault-free dataflow: 2-D gradient summation with the sharded
-    /// optimizer update applied at the shard owners (§3.2 + §3.3).
+    /// The fault-free dataflow (§3.2 + §3.3): the 2-D reduce-scatter
+    /// leaves each chip one shard of the summed gradient, each owner
+    /// updates its weight shard from it, and the all-gather hands every
+    /// replica the updated weights. The all-gather runs at f32 whatever
+    /// the gradient wire: master weights stay f32, only gradients ride
+    /// bf16.
     fn full_step(
         &mut self,
         weights: &mut Tensor,
@@ -395,56 +399,20 @@ impl<O: Optimizer> DataParallelTrainer<O> {
         start: SimTime,
     ) -> Result<SimTime, CollectiveError> {
         let n = self.replicas();
-        // Phase A (local to this host-side driver): advance optimizer
-        // state per shard and gather the global layer statistics the
-        // trust-ratio optimizers need (the scalar all-reduce of §3.2).
-        let grad_sum = Tensor::sum_all(local_grads)?;
-        let w_shards = weights.split(0, n)?;
-        let g_shards = grad_sum.split(0, n)?;
-        let mut global = LayerStats::default();
-        let mut updates = Vec::with_capacity(n);
-        for s in 0..n {
-            let (u, stats) = self
-                .optimizer
-                .prepare(StateKey { layer: 0, shard: s }, &w_shards[s], &g_shards[s])
-                .map_err(CollectiveError::from)?;
-            global = global.merge(stats);
-            updates.push(u);
-        }
-
-        // Phase B: the simulated 2-D summation; each shard owner applies
-        // its slice of the update before the broadcast half. The owner's
-        // slice index comes from the schedule itself, and the owner's f32
-        // result is rounded with everyone else's copy where the broadcast
-        // half assembles it, so on a bf16 wire every replica still leaves
-        // with the same weights.
-        let optimizer = &self.optimizer;
+        let mut reduced = two_dim_reduce_scatter(&mut self.net, local_grads, self.precision, 1)?;
         let mesh = self.net.mesh();
-        let shard_of: Vec<usize> = mesh
-            .chips()
-            .map(|chip| shard_index(mesh, chip, 1))
-            .collect::<Result<_, _>>()?;
-        // The apply callback cannot return an error through the collective;
-        // capture the first failure and surface it after the reduce.
-        let mut apply_err: Option<multipod_optim::OptimError> = None;
-        let mut apply = |chip: ChipId, shard: &mut Tensor| {
-            let s = shard_of[chip.index()];
-            let mut w_shard = w_shards[s].clone();
-            if let Err(e) = optimizer.apply(&mut w_shard, &updates[s], global) {
-                apply_err.get_or_insert(e);
-            }
-            *shard = w_shard;
-        };
-        let out = two_dim_all_reduce(
-            &mut self.net,
-            local_grads,
-            self.precision,
-            1,
-            Some(&mut apply),
-        )?;
-        if let Some(e) = apply_err {
-            return Err(e.into());
+        let mut owner = vec![0; n];
+        for chip in mesh.chips() {
+            owner[shard_index(mesh, chip, 1)?] = chip.index();
         }
+        let grad_shards = owner.iter().map(|&c| &reduced.shards[c]);
+        let updated = self.update_shards(weights, grad_shards)?;
+        for (w_shard, &c) in updated.into_iter().zip(&owner) {
+            reduced.shards[c] = w_shard;
+        }
+        // The owners update in no simulated time, when the reduce half ends.
+        let update_at = reduced.time;
+        let out = two_dim_all_gather(&mut self.net, reduced, Precision::F32, 1)?;
         debug_assert!(
             out.outputs.iter().all(|o| {
                 let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -454,12 +422,6 @@ impl<O: Optimizer> DataParallelTrainer<O> {
         );
         *weights = out.outputs[0].clone().reshape(weights.shape().clone())?;
         self.net.obs().span(|| {
-            // The sharded optimizer update runs at the shard owners
-            // between the reduce and broadcast halves; the driver models
-            // it as instantaneous in simulated time.
-            let update_at = SimTime::from_seconds(
-                out.breakdown.y_reduce_scatter + out.breakdown.x_reduce_scatter,
-            );
             SpanEvent::new(
                 Track::Sim,
                 SpanCategory::Optimizer,
@@ -470,9 +432,33 @@ impl<O: Optimizer> DataParallelTrainer<O> {
             .with_arg("shards", n as f64)
             .with_arg("lr", lr as f64)
         });
-        // `two_dim_all_reduce` times its phases from SimTime::ZERO; shift
-        // by the step's (backoff-delayed) start.
+        // The 2-D schedule times its phases from SimTime::ZERO; shift by
+        // the step's (backoff-delayed) start.
         Ok(start + out.time.seconds())
+    }
+
+    /// The owners' half of weight-update sharding: `prepare` every shard
+    /// of the flattened `weights` with its gradient shard, in shard order,
+    /// merge the layer statistics (the scalar all-reduce LARS and LAMB
+    /// need, untimed), then `apply` each. Returns the updated shards.
+    fn update_shards<'g>(
+        &mut self,
+        weights: &Tensor,
+        grad_shards: impl ExactSizeIterator<Item = &'g Tensor>,
+    ) -> Result<Vec<Tensor>, CollectiveError> {
+        let flat = weights.clone().reshape(Shape::vector(weights.len()))?;
+        let mut w_shards = flat.split(0, grad_shards.len())?;
+        let mut global = LayerStats::default();
+        let mut updates = Vec::with_capacity(w_shards.len());
+        for (shard, (w, g)) in w_shards.iter().zip(grad_shards).enumerate() {
+            let (u, stats) = self.optimizer.prepare(StateKey { layer: 0, shard }, w, g)?;
+            global = global.merge(stats);
+            updates.push(u);
+        }
+        for (w, u) in w_shards.iter_mut().zip(&updates) {
+            self.optimizer.apply(w, u, global)?;
+        }
+        Ok(w_shards)
     }
 
     /// The degraded dataflow after replica loss: gradients of the
@@ -521,33 +507,10 @@ impl<O: Optimizer> DataParallelTrainer<O> {
         };
         let scale = n as f32 / s as f32;
         let grad_sum = Tensor::sum_all(&survivor_grads)?.scale(scale);
-        let w_shards = weights.split(0, n)?;
-        let g_shards = grad_sum.split(0, n)?;
-        let mut global = LayerStats::default();
-        let mut updates = Vec::with_capacity(n);
-        for idx in 0..n {
-            let (u, stats) = self
-                .optimizer
-                .prepare(
-                    StateKey {
-                        layer: 0,
-                        shard: idx,
-                    },
-                    &w_shards[idx],
-                    &g_shards[idx],
-                )
-                .map_err(CollectiveError::from)?;
-            global = global.merge(stats);
-            updates.push(u);
-        }
-        let mut updated = Vec::with_capacity(n);
-        for idx in 0..n {
-            let mut w_shard = w_shards[idx].clone();
-            self.optimizer
-                .apply(&mut w_shard, &updates[idx], global)
-                .map_err(CollectiveError::from)?;
-            updated.push(w_shard);
-        }
+        let g_shards = grad_sum
+            .reshape(Shape::vector(weights.len()))?
+            .split(0, n)?;
+        let updated = self.update_shards(weights, g_shards.iter())?;
         *weights = Tensor::concat(&updated, 0)?.reshape(weights.shape().clone())?;
         self.emit_sim_fault(
             "degraded-update",
@@ -624,8 +587,8 @@ mod tests {
     fn bf16_replicas_stay_in_step_on_a_4x4_mesh() {
         // Each healthy step `debug_assert!`s that all 16 replicas left the
         // summation with the same bits. Seen from outside: the weights the
-        // trainer keeps are chip 0's, and chip 0 owns one shard of them —
-        // which must have been rounded like every shard it received.
+        // trainer keeps are chip 0's, and the all-gather brought them back
+        // at f32 — master weights keep the bits a bf16 wire would drop.
         let n = 16usize;
         let elems = 64usize;
         let mut rng = TensorRng::seed(8);
@@ -640,11 +603,68 @@ mod tests {
         for step in 0..5 {
             let g = w.sub(&target).unwrap().scale(1.0 / n as f32);
             trainer.step(&mut w, &vec![g; n]).unwrap();
-            assert_eq!(w, w.to_bf16_precision(), "step {step}");
+            assert_ne!(w, w.to_bf16_precision(), "step {step}");
         }
         // Five halvings of the error, less what the bf16 wire loses.
         let err = w.sub(&target).unwrap().norm2() / target.norm2();
         assert!(err < 0.15, "relative error {err}");
+    }
+
+    #[test]
+    fn bf16_sgd_steps_on_the_gradient_the_network_summed() {
+        // SGD at lr 1 from zero weights: the new weights are minus the
+        // gradient the optimizer saw. On a bf16 wire that is the 2-D
+        // reduce-scatter's sum (bf16 partial sums, f32 at the owner),
+        // brought back unrounded — not the f32 host sum.
+        let n = 16usize;
+        let elems = 64usize;
+        let mut rng = TensorRng::seed(31);
+        let grads: Vec<Tensor> = (0..n)
+            .map(|_| rng.uniform(Shape::vector(elems), -1.0, 1.0))
+            .collect();
+        let mesh = MultipodConfig::mesh(4, 4, true);
+        let mut net = Network::new(
+            multipod_topology::Multipod::new(mesh.clone()),
+            NetworkConfig::tpu_v3(),
+        );
+        let reduced = two_dim_reduce_scatter(&mut net, &grads, Precision::Bf16, 1).unwrap();
+        let network_sum = two_dim_all_gather(&mut net, reduced, Precision::F32, 1)
+            .unwrap()
+            .outputs[0]
+            .clone();
+        let host_sum = Tensor::sum_all(&grads).unwrap();
+        assert_ne!(network_sum, host_sum, "the inputs must tell the sums apart");
+        assert_ne!(
+            network_sum.scale(-1.0),
+            host_sum.scale(-1.0).to_bf16_precision()
+        );
+
+        let mut trainer = DataParallelTrainer::new(
+            mesh,
+            SgdMomentum::new(1.0, 0.0),
+            LrSchedule::Constant { lr: 1.0 },
+        )
+        .with_bf16_gradients();
+        let mut w = Tensor::zeros(Shape::vector(elems));
+        trainer.step(&mut w, &grads).unwrap();
+        assert_eq!(w, network_sum.scale(-1.0));
+    }
+
+    #[test]
+    fn single_member_ring_degenerates() {
+        // One replica: no ring communicates, the owner updates the whole
+        // layer, and the step costs no simulated time.
+        let mut trainer = DataParallelTrainer::new(
+            MultipodConfig::mesh(1, 1, true),
+            SgdMomentum::new(1.0, 0.0),
+            LrSchedule::Constant { lr: 0.1 },
+        );
+        let mut w = Tensor::fill(Shape::vector(8), 1.0);
+        let stats = trainer
+            .step(&mut w, &[Tensor::fill(Shape::vector(8), 1.0)])
+            .unwrap();
+        assert!((w.data()[0] - 0.9).abs() < 1e-6);
+        assert_eq!(stats.comm_seconds, 0.0);
     }
 
     #[test]

@@ -15,11 +15,11 @@ use multipod_optim::{LrSchedule, SgdMomentum};
 use multipod_simnet::SimTime;
 use multipod_telemetry::Obs;
 use multipod_tensor::{Shape, Tensor, TensorRng};
-use multipod_topology::{Multipod, MultipodConfig, TopologyError};
+use multipod_topology::MultipodConfig;
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::driver::FaultDriver;
-use crate::plan::{FaultAction, FaultPlan};
+use crate::plan::FaultPlan;
 
 /// What to train while the faults land.
 #[derive(Clone, Debug)]
@@ -131,9 +131,9 @@ fn mean<'a>(steps: impl Iterator<Item = &'a StepReport>) -> Option<f64> {
 ///
 /// # Errors
 ///
-/// * [`TopologyError::InvalidDimensions`] for a mesh with a zero extent,
-///   and [`TopologyError::ChipOutOfRange`] for a plan naming a chip the
-///   mesh does not have (both as [`CollectiveError::Network`]).
+/// * [`FaultPlan::check`]'s errors for a mesh with a zero extent or a
+///   plan naming a chip the mesh does not have (as
+///   [`CollectiveError::Network`]).
 /// * Trainer errors, e.g. when the mesh stays unroutable past the retry
 ///   budget or the payload does not shard evenly.
 pub fn run_campaign(
@@ -141,7 +141,7 @@ pub fn run_campaign(
     plan: &FaultPlan,
     obs: Option<Obs>,
 ) -> Result<CampaignReport, CollectiveError> {
-    check_plan(&config.mesh, plan)?;
+    plan.check(&config.mesh)?;
     let mut trainer = DataParallelTrainer::new(
         config.mesh.clone(),
         SgdMomentum::new(1.0, 0.0),
@@ -216,28 +216,6 @@ pub fn run_campaign(
         degraded_steps: steps.iter().filter(|s| s.degraded).count(),
         steps,
     })
-}
-
-/// Whether `mesh` has every chip `plan` names (a link's two ends, a lost
-/// chip).
-///
-/// # Errors
-///
-/// [`TopologyError::InvalidDimensions`] when `mesh` has a zero extent,
-/// [`TopologyError::ChipOutOfRange`] for the first chip off it.
-fn check_plan(mesh: &MultipodConfig, plan: &FaultPlan) -> Result<(), TopologyError> {
-    let num_chips = Multipod::try_new(mesh.clone())?.num_chips();
-    for event in plan.events() {
-        let (a, b) = match event.action {
-            FaultAction::LinkDown { a, b } | FaultAction::LinkUp { a, b } => (a, b),
-            FaultAction::ChipDown { chip } => (chip, chip),
-            FaultAction::StragglerStart { .. } | FaultAction::StragglerEnd { .. } => continue,
-        };
-        if let Some(chip) = [a, b].into_iter().find(|chip| chip.index() >= num_chips) {
-            return Err(TopologyError::ChipOutOfRange { chip, num_chips });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

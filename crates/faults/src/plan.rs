@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::SimTime;
-use multipod_topology::{ChipId, Coord, Multipod};
+use multipod_topology::{ChipId, Coord, Multipod, MultipodConfig, TopologyError};
 
 /// One scheduled fault (or repair) on the simulated machine.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -146,12 +146,33 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+
+    /// Whether `mesh` has every chip the plan names (a link's two ends, a
+    /// lost chip).
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::InvalidDimensions`] when `mesh` has a zero extent,
+    /// [`TopologyError::ChipOutOfRange`] for the first chip off it.
+    pub fn check(&self, mesh: &MultipodConfig) -> Result<(), TopologyError> {
+        let num_chips = Multipod::try_new(mesh.clone())?.num_chips();
+        for event in &self.events {
+            let (a, b) = match event.action {
+                FaultAction::LinkDown { a, b } | FaultAction::LinkUp { a, b } => (a, b),
+                FaultAction::ChipDown { chip } => (chip, chip),
+                FaultAction::StragglerStart { .. } | FaultAction::StragglerEnd { .. } => continue,
+            };
+            if let Some(chip) = [a, b].into_iter().find(|chip| chip.index() >= num_chips) {
+                return Err(TopologyError::ChipOutOfRange { chip, num_chips });
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multipod_topology::MultipodConfig;
 
     #[test]
     fn wrap_outage_targets_the_wrap_link() {

@@ -41,8 +41,8 @@ impl From<TensorError> for OptimError {
     }
 }
 
-/// Collective drivers (weight-update sharding, the data-parallel trainer)
-/// surface optimizer failures through their existing error type.
+/// The data-parallel trainer surfaces optimizer failures through the
+/// collectives' error type.
 impl From<OptimError> for CollectiveError {
     fn from(e: OptimError) -> CollectiveError {
         match e {

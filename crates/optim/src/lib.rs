@@ -1,4 +1,4 @@
-//! Optimizers and weight-update sharding.
+//! Optimizers with a shardable step.
 //!
 //! The paper trains with layerwise-adaptive large-batch optimizers — LARS
 //! for ResNet-50 (You et al. 2017) and LAMB for BERT (You et al. 2019) —
@@ -12,9 +12,10 @@
 //! two-phase API ([`Optimizer::prepare`] / [`Optimizer::apply`]) that makes
 //! the sharded step expressible: per-shard partial norms are combined
 //! globally (a scalar all-reduce) before the trust ratio is applied, so the
-//! sharded update is **numerically identical** to the replicated one — the
-//! property the paper's correctness implicitly relies on, and which this
-//! crate's tests verify.
+//! sharded update equals the replicated one up to summation order — the
+//! property the paper's correctness implicitly relies on. The sharded step
+//! itself is `multipod_core::trainer::DataParallelTrainer`'s, and its
+//! proptests hold it to a replicated oracle.
 //!
 //! ```
 //! use multipod_optim::{Optimizer, SgdMomentum};
@@ -33,7 +34,6 @@ mod lars;
 mod optimizer;
 mod schedule;
 mod sgd;
-pub mod wus;
 
 pub use error::OptimError;
 pub use lamb::Lamb;

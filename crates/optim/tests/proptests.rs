@@ -1,93 +1,9 @@
-//! Property tests: weight-update sharding is numerically identical to the
-//! replicated update for every optimizer, ring size and payload.
+//! Property tests of the learning-rate schedules.
 
-use multipod_collectives::Precision;
-use multipod_optim::wus::{replicated_step, sharded_step};
-use multipod_optim::{Lamb, Lars, Optimizer, SgdMomentum};
-use multipod_simnet::{Network, NetworkConfig, SimTime};
-use multipod_tensor::{Shape, Tensor, TensorRng};
-use multipod_topology::{Multipod, MultipodConfig};
 use proptest::prelude::*;
-
-fn setup(n: u32) -> (Network, multipod_topology::Ring) {
-    let mesh = Multipod::new(MultipodConfig::mesh(1, n, true));
-    let net = Network::new(mesh, NetworkConfig::tpu_v3());
-    let ring = net.mesh().y_ring(0);
-    (net, ring)
-}
-
-fn check(make: impl Fn() -> Box<dyn Optimizer>, n: u32, chunk: usize, steps: usize, seed: u64) {
-    let elems = chunk * n as usize;
-    let mut rng = TensorRng::seed(seed);
-    let w0 = rng.uniform(Shape::vector(elems), -1.0, 1.0);
-    let grads: Vec<Vec<Tensor>> = (0..steps)
-        .map(|_| {
-            (0..n)
-                .map(|_| rng.uniform(Shape::vector(elems), -0.2, 0.2))
-                .collect()
-        })
-        .collect();
-
-    let (mut net_r, ring_r) = setup(n);
-    let mut opt_r = make();
-    let mut w_r: Vec<Tensor> = (0..n).map(|_| w0.clone()).collect();
-    for g in &grads {
-        replicated_step(
-            &mut net_r,
-            &ring_r,
-            opt_r.as_mut(),
-            0,
-            &mut w_r,
-            g,
-            Precision::F32,
-            SimTime::ZERO,
-        )
-        .unwrap();
-    }
-
-    let (mut net_s, ring_s) = setup(n);
-    let mut opt_s = make();
-    let mut w_s: Vec<Tensor> = (0..n).map(|_| w0.clone()).collect();
-    for g in &grads {
-        sharded_step(
-            &mut net_s,
-            &ring_s,
-            opt_s.as_mut(),
-            0,
-            &mut w_s,
-            g,
-            Precision::F32,
-            SimTime::ZERO,
-        )
-        .unwrap();
-    }
-
-    for (a, b) in w_r.iter().zip(&w_s) {
-        assert!(
-            a.max_abs_diff(b) < 2e-4,
-            "diverged by {} (n={n}, chunk={chunk}, steps={steps})",
-            a.max_abs_diff(b)
-        );
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn sgd_wus_equivalence(n in 2u32..7, chunk in 1usize..6, steps in 1usize..4, seed in 0u64..10_000) {
-        check(|| Box::new(SgdMomentum::new(0.1, 0.8)), n, chunk * 2, steps, seed);
-    }
-
-    #[test]
-    fn lars_wus_equivalence(n in 2u32..7, chunk in 1usize..6, steps in 1usize..4, seed in 0u64..10_000) {
-        check(|| Box::new(Lars::new(0.1, 0.9, 1e-3)), n, chunk * 2, steps, seed);
-    }
-
-    #[test]
-    fn lamb_wus_equivalence(n in 2u32..7, chunk in 1usize..6, steps in 1usize..4, seed in 0u64..10_000) {
-        check(|| Box::new(Lamb::new(0.02, 0.01)), n, chunk * 2, steps, seed);
-    }
 
     /// The schedule is monotone within warmup and within decay for any
     /// parameterization.

@@ -1,7 +1,8 @@
 //! A complete data-parallel training loop on the simulated pod: per-chip
-//! data shards, real local gradients, the 2-D gradient summation with a
-//! weight-update-sharded LAMB step, and a warmup+decay schedule — the
-//! whole §3.2/§3.3 stack working together until the model converges.
+//! data shards, real local gradients, and a `DataParallelTrainer` that
+//! sums them with the 2-D schedule, runs a weight-update-sharded LAMB step
+//! at the shard owners and follows a warmup+decay schedule — the whole
+//! §3.2/§3.3 stack working together until the model converges.
 //!
 //! The task is linear regression (so convergence is checkable), but every
 //! distributed mechanism is exactly what a real model would use.
@@ -10,17 +11,21 @@
 //! cargo run --example data_parallel_training
 //! ```
 
-use multipod::collectives::twod::two_dim_all_reduce;
-use multipod::collectives::Precision;
-use multipod::optim::{Lamb, LayerStats, LrSchedule, Optimizer, StateKey};
-use multipod::simnet::{Network, NetworkConfig};
+use multipod::core::trainer::DataParallelTrainer;
+use multipod::optim::{Lamb, LrSchedule};
 use multipod::tensor::{Shape, Tensor, TensorRng};
-use multipod::topology::{Multipod, MultipodConfig};
+use multipod::topology::MultipodConfig;
 
 fn main() {
-    let mesh = Multipod::new(MultipodConfig::mesh(4, 4, true));
-    let mut net = Network::new(mesh.clone(), NetworkConfig::tpu_v3());
-    let chips = mesh.num_chips();
+    // Replicated weights (identical on every chip) and a LAMB optimizer
+    // with the BERT-style warmup + linear-decay schedule.
+    let steps = 120u64;
+    let mut trainer = DataParallelTrainer::new(
+        MultipodConfig::mesh(4, 4, true),
+        Lamb::new(1.0, 0.0), // lr applied via the schedule
+        LrSchedule::lamb_bert(0.5, 10, steps),
+    );
+    let chips = trainer.replicas();
     let dim = 64usize;
     let samples_per_chip = 8usize;
 
@@ -42,12 +47,7 @@ fn main() {
         })
         .collect();
 
-    // Replicated weights (identical on every chip) and a LAMB optimizer
-    // with the BERT-style warmup + linear-decay schedule.
     let mut weights = Tensor::zeros(Shape::vector(dim));
-    let steps = 120u64;
-    let schedule = LrSchedule::lamb_bert(0.5, 10, steps);
-    let mut optimizer = Lamb::new(1.0, 0.0); // lr applied via the schedule
 
     let loss = |w: &Tensor, shards: &[(Tensor, Tensor)]| -> f32 {
         let wm = w.clone().reshape(Shape::of(&[dim, 1])).expect("column");
@@ -87,51 +87,18 @@ fn main() {
             .collect();
 
         // 2-D gradient summation with the LAMB update applied at the
-        // shard owners (weight-update sharding). LAMB's trust ratio needs
-        // whole-layer norms, reconstructed from per-shard partials just
-        // like `multipod::optim::wus` does.
-        let lr = schedule.at(step);
-        let grad_sum = Tensor::sum_all(&local_grads).expect("same-shape gradients");
-        let n_shards = chips;
-        let w_shards = weights.split(0, n_shards).unwrap();
-        let g_shards = grad_sum.split(0, n_shards).unwrap();
-        let mut probe = optimizer.clone();
-        let mut global = LayerStats::default();
-        let mut prepared = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let (u, st) = probe
-                .prepare(StateKey { layer: 0, shard: s }, &w_shards[s], &g_shards[s])
-                .expect("same-shape gradient shards");
-            global = global.merge(st);
-            prepared.push(u);
-        }
-        optimizer = probe; // keep the advanced Adam state
-        let mut update = |_chip, shard: &mut Tensor| {
-            let s = (0..n_shards)
-                .find(|&s| shard.max_abs_diff(&g_shards[s]) < 1e-6)
-                .expect("shard is a gradient slice");
-            let mut w_shard = w_shards[s].clone();
-            // Scale the trust-ratio step by the scheduled rate.
-            let scaled = prepared[s].scale(lr);
-            optimizer
-                .apply(&mut w_shard, &scaled, global)
-                .expect("same-shape update shards");
-            *shard = w_shard;
-        };
-        let out = two_dim_all_reduce(&mut net, &local_grads, Precision::F32, 1, Some(&mut update))
-            .expect("gradient summation");
-        comm_seconds += out.time.seconds();
-        net.reset();
-        // All chips now hold the identical updated weights.
-        weights = out.outputs[0].clone();
-        for o in &out.outputs[1..] {
-            assert!(o.max_abs_diff(&weights) < 1e-6, "replicas must agree");
-        }
+        // shard owners (weight-update sharding); every replica leaves
+        // with the same updated weights. LAMB's trust ratio needs
+        // whole-layer norms, merged from the owners' per-shard partials.
+        let stats = trainer
+            .step(&mut weights, &local_grads)
+            .expect("training step");
+        comm_seconds += stats.comm_seconds;
         if step % 30 == 29 {
             println!(
                 "step {:>3}: lr={:.3} loss={:.5}",
-                step + 1,
-                lr,
+                stats.step,
+                stats.lr,
                 loss(&weights, &shards)
             );
         }

@@ -6,7 +6,7 @@
 //! cargo run --example gradient_summation
 //! ```
 
-use multipod::collectives::twod::two_dim_all_reduce;
+use multipod::collectives::twod::{two_dim_all_gather, two_dim_all_reduce, two_dim_reduce_scatter};
 use multipod::collectives::Precision;
 use multipod::simnet::{Network, NetworkConfig};
 use multipod::tensor::{Shape, Tensor, TensorRng};
@@ -32,15 +32,17 @@ fn main() {
         .collect();
     let reference = Tensor::sum_all(&grads).expect("same-shape gradients");
 
-    // Weight-update sharding: each shard owner scales its slice by the
-    // learning rate before the broadcast phases (a stand-in for the
-    // LAMB/LARS math that `multipod::optim` implements in full).
+    // Weight-update sharding: the reduce half leaves each chip one shard
+    // of the sum, each shard owner scales its slice by the learning rate
+    // (a stand-in for the LAMB/LARS math the trainer runs in full), and
+    // the broadcast half hands every chip the whole result.
     let lr = 0.1f32;
-    let mut update = |_chip, shard: &mut Tensor| {
+    let mut reduced =
+        two_dim_reduce_scatter(&mut net, &grads, Precision::F32, 1).expect("2-D reduce-scatter");
+    for shard in &mut reduced.shards {
         *shard = shard.scale(-lr);
-    };
-    let out = two_dim_all_reduce(&mut net, &grads, Precision::F32, 1, Some(&mut update))
-        .expect("2-D all-reduce");
+    }
+    let out = two_dim_all_gather(&mut net, reduced, Precision::F32, 1).expect("2-D all-gather");
 
     // Every chip ends with -lr * (sum of all gradients).
     let expect = reference.scale(-lr);

@@ -1,99 +1,60 @@
 //! Cross-crate numeric consistency: the real-math layers (collectives,
 //! optimizers, partitioner) compose without losing correctness.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use multipod::collectives::twod::two_dim_all_reduce;
 use multipod::collectives::{ring, Precision};
+use multipod::core::trainer::DataParallelTrainer;
 use multipod::hlo::{HloBuilder, Sharding, SpmdPartitioner};
-use multipod::optim::{Lamb, Optimizer, StateKey};
+use multipod::optim::{Lamb, LrSchedule, Optimizer};
 use multipod::simnet::{Network, NetworkConfig, SimTime};
 use multipod::tensor::{Shape, Tensor, TensorRng};
-use multipod::topology::{ChipId, Multipod, MultipodConfig};
+use multipod::topology::{Multipod, MultipodConfig};
 
 /// Full data-parallel training step on a simulated 4x4 pod: per-chip
-/// gradients → 2-D all-reduce with a *sharded LAMB update* applied at the
-/// shard owners → all replicas end with identical, correctly updated
-/// weights (the §3.2 + §3.3 composition).
+/// gradients → 2-D reduce-scatter → a *sharded LAMB update* at the shard
+/// owners → 2-D all-gather, through `DataParallelTrainer` → all replicas
+/// end with identical, correctly updated weights (the §3.2 + §3.3
+/// composition).
 #[test]
 fn sharded_lamb_inside_2d_allreduce_matches_replicated_reference() {
-    let mesh = Multipod::new(MultipodConfig::mesh(4, 4, true));
-    let mut net = Network::new(mesh.clone(), NetworkConfig::tpu_v3());
     let elems = 256usize;
     let mut rng = TensorRng::seed(21);
     let w0 = rng.uniform(Shape::vector(elems), -1.0, 1.0);
-    let grads: Vec<Tensor> = (0..mesh.num_chips())
+    let mut trainer = DataParallelTrainer::new(
+        MultipodConfig::mesh(4, 4, true),
+        Lamb::new(0.01, 0.01),
+        LrSchedule::Constant { lr: 0.01 },
+    );
+    let grads: Vec<Tensor> = (0..trainer.replicas())
         .map(|_| rng.uniform(Shape::vector(elems), -0.1, 0.1))
         .collect();
 
-    // Reference: replicated LAMB on the summed gradient.
+    // Reference: replicated LAMB on the host-summed gradient.
     let summed = Tensor::sum_all(&grads).unwrap();
     let mut ref_opt = Lamb::new(0.01, 0.01);
     let mut ref_w = w0.clone();
     ref_opt.step(0, &mut ref_w, &summed).unwrap();
 
-    // Sharded: the 2-D schedule leaves each chip one shard of summed
-    // gradients; each owner updates its weight shard with per-shard LAMB
-    // state, then the broadcast phases distribute the updated shards.
-    //
-    // LAMB's trust ratio needs whole-layer norms; precompute them from
-    // the reference (in production this is the scalar all-reduce of
-    // `multipod::optim::wus`).
-    let chips_count = mesh.num_chips();
-    let shards_total = chips_count; // 16 shards of 16 elems
-    let shard_elems = elems / shards_total;
-    let mut shard_opt = Lamb::new(0.01, 0.01);
-    // Stats pass: accumulate global norms from per-shard prepares on a
-    // scratch optimizer.
-    let mut probe = Lamb::new(0.01, 0.01);
-    let mut global = multipod::optim::LayerStats::default();
-    let w_shards = w0.split(0, shards_total).unwrap();
-    let g_shards = summed.split(0, shards_total).unwrap();
-    for s in 0..shards_total {
-        let (_u, stats) = probe
-            .prepare(StateKey { layer: 0, shard: s }, &w_shards[s], &g_shards[s])
-            .unwrap();
-        global = global.merge(stats);
-    }
-
-    // The shard a chip owns is determined by the 2-D schedule itself; let
-    // the update closure compute the right slice from the shard length.
-    let mut shard_index = HashMap::new();
-    let mut update = |chip: ChipId, shard: &mut Tensor| {
-        // Identify which global shard this is by matching contents
-        // against the summed gradient slices (robust to schedule
-        // internals).
-        let idx = (0..shards_total)
-            .find(|&s| shard.max_abs_diff(&g_shards[s]) < 1e-4)
-            .expect("shard corresponds to a slice of the summed gradient");
-        shard_index.insert(chip, idx);
-        let mut w_shard = w_shards[idx].clone();
-        let (u, stats) = shard_opt
-            .prepare(
-                StateKey {
-                    layer: 0,
-                    shard: idx,
-                },
-                &w_shard,
-                shard,
-            )
-            .unwrap();
-        let _ = stats; // replaced by the globally merged norms
-        shard_opt.apply(&mut w_shard, &u, global).unwrap();
-        *shard = w_shard;
-        assert_eq!(shard.len(), shard_elems);
-    };
-    let out = two_dim_all_reduce(&mut net, &grads, Precision::F32, 1, Some(&mut update))
-        .expect("2-D all-reduce with WUS");
-
-    for (i, o) in out.outputs.iter().enumerate() {
-        assert!(
-            o.max_abs_diff(&ref_w) < 1e-3,
-            "chip {i}: sharded update diverged by {}",
-            o.max_abs_diff(&ref_w)
-        );
-    }
-    assert_eq!(shard_index.len(), mesh.num_chips());
+    // Sharded: each owner prepares its weight shard from the shard of the
+    // network's sum it holds, with per-shard LAMB state; the trust ratio
+    // uses the whole-layer norms merged from the owners' partials.
+    let mut w = w0.clone();
+    trainer.step(&mut w, &grads).expect("sharded LAMB step");
+    assert!(
+        w.max_abs_diff(&ref_w) < 1e-3,
+        "sharded update diverged by {}",
+        w.max_abs_diff(&ref_w)
+    );
+    // One LAMB state slot per owner's shard, none for the whole layer.
+    let shards: BTreeSet<usize> = trainer
+        .optimizer()
+        .export_state()
+        .iter()
+        .map(|slot| slot.key.shard)
+        .collect();
+    assert_eq!(shards, (0..trainer.replicas()).collect());
 }
 
 /// Model parallelism (§3.1) composed with cross-replica gradient rings
