@@ -257,7 +257,9 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let single = net.uncontended_time(1, Precision::F32.wire_bytes(8 * 64));
+        let cfg = net.config();
+        let bytes = Precision::F32.wire_bytes(8 * 64) as f64;
+        let single = cfg.message_overhead + cfg.hop_latency + bytes / cfg.link_bandwidth;
         assert!(out.time.seconds() < 3.0 * single, "time={}", out.time);
     }
 

@@ -17,13 +17,15 @@
 //!   partitioned convolutions (§3.1).
 //! * **All-to-all** ([`alltoall`]) — the bisection-bound exchange behind
 //!   DLRM's partitioned embedding lookups (§4.6).
-//! * **Pipelined execution** ([`pipelined`]) — non-barrier timing of the
-//!   same schedules, where chunks are forwarded the moment they arrive
-//!   (how hardware collectives actually run).
+//! * **Payload-free ring timing** ([`pipelined`]) — the time a ring
+//!   all-reduce takes, from the same executed schedule as [`ring`], with
+//!   no payload to fold.
 //! * **α–β timing** ([`timing`]) — closed-form, topology-aware cost models
 //!   for the same schedules, used at 4096-chip scale where materializing
 //!   per-chip tensors is pointless. Parameters come from the same
-//!   [`multipod_simnet::NetworkConfig`] the numeric layer uses.
+//!   [`multipod_simnet::NetworkConfig`] the numeric layer uses, and on a
+//!   healthy ring the executed time is the α–β time plus the open line's
+//!   closing edge paid at every step (see [`timing::RingCosts`]).
 //!
 //! ```
 //! use multipod_tensor::{Shape, Tensor};
@@ -57,7 +59,7 @@ mod schedule;
 pub use degraded::Degradation;
 pub use error::CollectiveError;
 pub use precision::Precision;
-pub use schedule::{ChunkMove, Schedule};
+pub(crate) use schedule::Schedule;
 
 /// Track for spans attributed to `chip`, grouped under the chip's pod in
 /// the exported trace.

@@ -12,7 +12,7 @@
 //! receiver adding its own copy of the chunk to the partial sum it was
 //! sent. So a shard is one buffer carried through those hops, every input
 //! element is read once, and nothing is copied into an arena or allocated
-//! per hop; the [`Schedule`] supplies the neighbours. An all-gather moves
+//! per hop; the ring's schedule supplies the neighbours. An all-gather moves
 //! no payload at all: every member provably ends with the same row, so
 //! the row is assembled once and shared by `n` handles. Either way the
 //! network is timed message for message as if the chunks had moved, and
@@ -61,10 +61,11 @@ pub struct CollectiveOutput {
 /// Result of a reduce-scatter: every member holds one reduced shard.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScatterOutput {
-    /// Per-member shard, in ring order (member `i` holds the chunk
-    /// [`Schedule::owned_chunk`]`(i)` of the flattened payload).
+    /// Per-member shard, in ring order (member `i` holds chunk
+    /// `chunk_of_member[i]` of the flattened payload).
     pub shards: Vec<Tensor>,
-    /// Index of the payload chunk each member holds.
+    /// Index of the payload chunk each member holds: its downstream
+    /// neighbour's member index.
     pub chunk_of_member: Vec<usize>,
     /// Completion time of the slowest member.
     pub time: SimTime,
@@ -91,7 +92,7 @@ fn validate(inputs: &[Tensor], ring: &Ring) -> Result<(), CollectiveError> {
 /// sends the same `n` messages, member `i` to its downstream neighbour
 /// (only the chunks they carry differ), so the steps are one batch
 /// repeated.
-fn time_schedule(
+pub(crate) fn time_schedule(
     net: &mut Network,
     ring: &Ring,
     schedule: Schedule,
@@ -154,7 +155,7 @@ pub fn reduce_scatter(
 ) -> Result<ScatterOutput, CollectiveError> {
     validate(inputs, ring)?;
     let n = ring.len();
-    let schedule = Schedule::reduce_scatter(n, direction)?;
+    let schedule = Schedule::new(n, direction)?;
     let elems = inputs[0].len();
     if !elems.is_multiple_of(n) {
         return Err(CollectiveError::IndivisiblePayload { elems, parts: n });
@@ -181,9 +182,10 @@ pub fn reduce_scatter(
     })
 }
 
-/// Ring all-gather: member `i` contributes `shards[i]` as payload chunk
-/// [`Schedule::owned_chunk`]`(i)`; every member ends with the concatenation
-/// of all chunks in payload order.
+/// Ring all-gather: member `i` contributes `shards[i]` as the payload chunk
+/// a [`reduce_scatter`] in the same direction leaves it
+/// ([`ScatterOutput::chunk_of_member`]); every member ends with the
+/// concatenation of all chunks in payload order.
 ///
 /// Every member ends with the same bits on either wire, so the outputs are
 /// handles to one buffer (copy-on-write: mutating one detaches it). A bf16
@@ -240,7 +242,7 @@ fn gather(
 ) -> Result<CollectiveOutput, CollectiveError> {
     validate(shards, ring)?;
     let n = ring.len();
-    let schedule = Schedule::all_gather(n, direction)?;
+    let schedule = Schedule::new(n, direction)?;
     let chunk_elems = shards[0].len();
     let mut row = vec![0.0f32; n * chunk_elems];
     for (i, shard) in shards.iter().enumerate() {
@@ -396,12 +398,13 @@ pub fn broadcast(
 /// bits, same times, same trace events.
 pub(crate) mod oracle {
     use super::*;
-    use crate::ChunkMove;
+    use crate::schedule::ChunkMove;
 
     fn run_schedule(
         net: &mut Network,
         ring: &Ring,
         schedule: Schedule,
+        reduce: bool,
         chunks: &mut [Vec<Tensor>],
         precision: Precision,
         start: SimTime,
@@ -409,7 +412,7 @@ pub(crate) mod oracle {
         let members = ring.members();
         let mut t = start;
         for s in 0..schedule.num_steps() {
-            let step: Vec<ChunkMove> = schedule.step(s).collect();
+            let step: Vec<ChunkMove> = schedule.step(s, reduce).collect();
             // Numerics first, on a snapshot, so concurrent moves are coherent.
             let payloads: Vec<Tensor> = step
                 .iter()
@@ -472,8 +475,8 @@ pub(crate) mod oracle {
         validate(inputs, ring)?;
         let n = ring.len();
         let mut chunks = flatten_chunks(inputs, n)?;
-        let schedule = Schedule::reduce_scatter(n, direction)?;
-        let time = run_schedule(net, ring, schedule, &mut chunks, precision, start)?;
+        let schedule = Schedule::new(n, direction)?;
+        let time = run_schedule(net, ring, schedule, true, &mut chunks, precision, start)?;
         let bytes = precision.wire_bytes(inputs[0].len());
         let phase = SpanCategory::CollectivePhase;
         emit_ring_span(net, ring, phase, "reduce-scatter", start, time, bytes);
@@ -500,7 +503,7 @@ pub(crate) mod oracle {
     ) -> Result<CollectiveOutput, CollectiveError> {
         validate(shards, ring)?;
         let n = ring.len();
-        let schedule = Schedule::all_gather(n, direction)?;
+        let schedule = Schedule::new(n, direction)?;
         let chunk_elems = shards[0].len();
         let mut chunks: Vec<Vec<Tensor>> = Vec::with_capacity(n);
         for (i, shard) in shards.iter().map(|s| precision.quantize(s)).enumerate() {
@@ -508,7 +511,7 @@ pub(crate) mod oracle {
             row[schedule.owned_chunk(i)] = shard.clone().reshape(Shape::vector(chunk_elems))?;
             chunks.push(row);
         }
-        let time = run_schedule(net, ring, schedule, &mut chunks, precision, start)?;
+        let time = run_schedule(net, ring, schedule, false, &mut chunks, precision, start)?;
         let bytes = precision.wire_bytes(n * chunk_elems);
         let phase = SpanCategory::CollectivePhase;
         emit_ring_span(net, ring, phase, "all-gather", start, time, bytes);
@@ -532,7 +535,7 @@ pub(crate) mod oracle {
         if n < 2 {
             return Ok(raw);
         }
-        let schedule = Schedule::all_gather(n, direction)?;
+        let schedule = Schedule::new(n, direction)?;
         let mut outputs = Vec::with_capacity(raw.outputs.len());
         for t in raw.outputs {
             let chunks = t.split(0, n)?;
@@ -610,6 +613,77 @@ pub(crate) mod oracle {
         }
         emit_ring_span(net, ring, whole, "all-reduce", start, time, bytes);
         Ok(CollectiveOutput { outputs, time })
+    }
+
+    /// `pipelined::all_reduce_time` as it was before it ran the executed
+    /// schedule: an event-driven recurrence, one `Network::transfer` per
+    /// move, in which a member sends its step-`s` chunk as soon as it and
+    /// its receiver have finished their step-`(s−1)` receives,
+    ///
+    /// ```text
+    /// done[i][s] = max(done[send(i)][s−1], done[i][s−1], link_free) + α + chunk/β
+    /// ```
+    ///
+    /// and each member starts its all-gather when its own reduce-scatter
+    /// ends, not at a barrier. Kept as the reference the barrier-stepped
+    /// run is held to: bit for bit on a ring whose messages share no link
+    /// (its steps are data-dependency lockstep), never faster otherwise.
+    pub(crate) fn pipelined_all_reduce_time(
+        net: &mut Network,
+        ring: &Ring,
+        elems: usize,
+        precision: Precision,
+        direction: Direction,
+        start: SimTime,
+    ) -> Result<SimTime, CollectiveError> {
+        let n = ring.len();
+        let schedule = Schedule::new(n, direction)?;
+        let starts = vec![start; n];
+        let per_member = run_pipelined(net, ring, schedule, true, elems, precision, &starts)?;
+        let done = run_pipelined(net, ring, schedule, false, elems, precision, &per_member)?;
+        let t = done.into_iter().fold(start, SimTime::max);
+        let (whole, bytes) = (SpanCategory::Collective, precision.wire_bytes(elems));
+        emit_ring_span(net, ring, whole, "pipelined-all-reduce", start, t, bytes);
+        Ok(t)
+    }
+
+    /// One phase of [`pipelined_all_reduce_time`] from per-member start
+    /// times; returns per-member completion times.
+    fn run_pipelined(
+        net: &mut Network,
+        ring: &Ring,
+        schedule: Schedule,
+        reduce: bool,
+        elems: usize,
+        precision: Precision,
+        starts: &[SimTime],
+    ) -> Result<Vec<SimTime>, CollectiveError> {
+        let n = ring.len();
+        if n < 2 {
+            return Ok(starts.to_vec());
+        }
+        if !elems.is_multiple_of(n) {
+            return Err(CollectiveError::IndivisiblePayload { elems, parts: n });
+        }
+        let chunk_bytes = precision.wire_bytes(elems / n);
+        let members = ring.members();
+        // done[i] = when member i finished receiving its chunk for the
+        // current step (before step 0: its own start time); prev is the
+        // same for the step before.
+        let mut done = starts.to_vec();
+        let mut prev = done.clone();
+        for s in 0..schedule.num_steps() {
+            std::mem::swap(&mut prev, &mut done);
+            for mv in schedule.step(s, reduce) {
+                // A member may send once it has finished its own previous
+                // receive; the receiver must also be done with its previous
+                // step (single in-flight receive per member).
+                let ready = prev[mv.from].max(prev[mv.to]);
+                let t = net.transfer(members[mv.from], members[mv.to], chunk_bytes, ready)?;
+                done[mv.to] = t.finish;
+            }
+        }
+        Ok(done)
     }
 }
 

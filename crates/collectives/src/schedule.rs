@@ -1,34 +1,23 @@
 //! Pure ring-collective schedules.
 //!
 //! A [`Schedule`] is the communication pattern of a ring collective,
-//! independent of payload contents. The pattern is arithmetic in
-//! `(n, direction, step, member)`, so a schedule is a three-field `Copy`
-//! value and its steps are iterators — nothing is stored per move. The
-//! numeric executor ([`crate::ring`]) folds real payload chunks along it,
-//! the pipelined timer ([`crate::pipelined`]) chains transfers along it,
-//! and [`crate::twod::shard_index`] reads shard ownership from it. Keeping
-//! the pattern in one place guarantees they all model the same algorithm.
+//! independent of payload contents: in each of its `n − 1` steps every
+//! member sends one message to its downstream neighbour, and a reduce-scatter
+//! and an all-gather differ only in which chunk a message carries. The
+//! pattern is arithmetic in `(n, direction)`, so a schedule is a two-field
+//! `Copy` value and nothing is stored per move. The numeric executor
+//! ([`crate::ring`]) folds payload chunks along it and times its steps on
+//! the network, [`crate::pipelined::all_reduce_time`] times the same steps
+//! without a payload, and [`crate::twod::shard_index`] reads shard
+//! ownership from it. Keeping the pattern in one place guarantees they all
+//! model the same algorithm. The per-move expansion — which chunk each
+//! member sends in each step — is walked only by the seed executor kept as
+//! a test oracle, so it is compiled for tests only.
 
 use std::num::NonZeroUsize;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ring::Direction;
 use crate::CollectiveError;
-
-/// One chunk transfer between ring members within a step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChunkMove {
-    /// Sending member index.
-    pub from: usize,
-    /// Receiving member index.
-    pub to: usize,
-    /// Which of the `n` payload chunks moves.
-    pub chunk: usize,
-    /// `true` when the receiver accumulates (reduce-scatter) rather than
-    /// stores (all-gather).
-    pub reduce: bool,
-}
 
 /// The step-by-step pattern of a ring collective over `n` members.
 ///
@@ -36,66 +25,34 @@ pub struct ChunkMove {
 /// neighbour and receives exactly one from the other side; the chunk a
 /// member sends is never the chunk it receives in the same step (for
 /// `n ≥ 2`), so a step's moves can be applied in place, in any order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Schedule {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Schedule {
     n: NonZeroUsize,
     direction: Direction,
-    reduce: bool,
 }
 
 impl Schedule {
-    /// The classic `n-1`-step ring reduce-scatter.
-    ///
-    /// After execution, member `i` owns the fully reduced chunk
-    /// [`Schedule::owned_chunk`]`(i)`.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectiveError::EmptyRing`] when `n == 0`.
-    pub fn reduce_scatter(n: usize, direction: Direction) -> Result<Schedule, CollectiveError> {
-        Schedule::new(n, direction, true)
-    }
-
-    /// The `n-1`-step ring all-gather. Member `i` is expected to start with
-    /// chunk [`Schedule::owned_chunk`]`(i)` (i.e. the reduce-scatter
-    /// output), and every member ends with all chunks.
+    /// The `n − 1`-step ring reduce-scatter or all-gather over `n`
+    /// members. After a reduce-scatter, member `i` owns the fully reduced
+    /// chunk [`Schedule::owned_chunk`]`(i)`; an all-gather expects member
+    /// `i` to start with that chunk, and every member ends with all chunks.
     ///
     /// # Errors
     ///
     /// [`CollectiveError::EmptyRing`] when `n == 0`.
-    pub fn all_gather(n: usize, direction: Direction) -> Result<Schedule, CollectiveError> {
-        Schedule::new(n, direction, false)
-    }
-
-    fn new(n: usize, direction: Direction, reduce: bool) -> Result<Schedule, CollectiveError> {
+    pub(crate) fn new(n: usize, direction: Direction) -> Result<Schedule, CollectiveError> {
         let n = NonZeroUsize::new(n).ok_or(CollectiveError::EmptyRing)?;
-        Ok(Schedule {
-            n,
-            direction,
-            reduce,
-        })
+        Ok(Schedule { n, direction })
     }
 
     /// Number of steps: `n - 1`.
-    pub fn num_steps(self) -> usize {
+    pub(crate) fn num_steps(self) -> usize {
         self.n.get() - 1
-    }
-
-    /// Travel direction.
-    pub fn direction(self) -> Direction {
-        self.direction
-    }
-
-    /// The moves of step `s`, one per member in sender order. All moves
-    /// within a step are concurrent.
-    pub fn step(self, s: usize) -> impl Iterator<Item = ChunkMove> {
-        let rotation = self.rotation(s);
-        (0..self.n.get()).map(move |from| self.move_from(from, rotation))
     }
 
     /// The chunk member `i` owns after a reduce-scatter (equivalently, must
     /// hold before an all-gather): the index of its downstream neighbour.
-    pub fn owned_chunk(self, member: usize) -> usize {
+    pub(crate) fn owned_chunk(self, member: usize) -> usize {
         self.downstream(member % self.n)
     }
 
@@ -107,6 +64,41 @@ impl Schedule {
             Direction::Forward => wrap(i + 1, n),
             Direction::Backward => wrap(i + n - 1, n),
         }
+    }
+}
+
+/// `v mod n` for `v < 2n`, without a division.
+fn wrap(v: usize, n: usize) -> usize {
+    if v >= n {
+        v - n
+    } else {
+        v
+    }
+}
+
+/// One chunk transfer between ring members within a step.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ChunkMove {
+    /// Sending member index.
+    pub from: usize,
+    /// Receiving member index.
+    pub to: usize,
+    /// Which of the `n` payload chunks moves.
+    pub chunk: usize,
+    /// `true` when the receiver accumulates (reduce-scatter) rather than
+    /// stores (all-gather).
+    pub reduce: bool,
+}
+
+#[cfg(test)]
+impl Schedule {
+    /// The moves of step `s` of a reduce-scatter (`reduce`) or an
+    /// all-gather, one per member in sender order. All moves within a
+    /// step are concurrent.
+    pub(crate) fn step(self, s: usize, reduce: bool) -> impl Iterator<Item = ChunkMove> {
+        let rotation = self.rotation(s);
+        (0..self.n.get()).map(move |from| self.move_from(from, rotation, reduce))
     }
 
     /// How far step `s` has rotated the chunk indices, in `0..n`: a
@@ -122,33 +114,21 @@ impl Schedule {
     /// A reduce-scatter sender ships the chunk its own index rotates to; an
     /// all-gather sender ships the one its *receiver's* index rotates to
     /// (at step 0 that is the sender's owned chunk).
-    fn move_from(self, from: usize, rotation: usize) -> ChunkMove {
+    fn move_from(self, from: usize, rotation: usize, reduce: bool) -> ChunkMove {
         let to = self.downstream(from);
-        let base = if self.reduce { from } else { to };
+        let base = if reduce { from } else { to };
         ChunkMove {
             from,
             to,
             chunk: wrap(base + rotation, self.n.get()),
-            reduce: self.reduce,
+            reduce,
         }
     }
-}
 
-/// `v mod n` for `v < 2n`, without a division.
-fn wrap(v: usize, n: usize) -> usize {
-    if v >= n {
-        v - n
-    } else {
-        v
-    }
-}
-
-#[cfg(test)]
-impl Schedule {
     /// The one move `member` sends in step `s` (element `member` of
-    /// [`Schedule::step`]`(s)`).
-    fn sent_by(self, member: usize, s: usize) -> ChunkMove {
-        self.move_from(member % self.n, self.rotation(s))
+    /// [`Schedule::step`]`(s, reduce)`).
+    fn sent_by(self, member: usize, s: usize, reduce: bool) -> ChunkMove {
+        self.move_from(member % self.n, self.rotation(s), reduce)
     }
 }
 
@@ -160,7 +140,7 @@ mod tests {
     /// with contribution sets {i} per chunk; at the end the owned chunk
     /// must contain all n contributions.
     fn verify_rs(n: usize, dir: Direction) {
-        let sched = Schedule::reduce_scatter(n, dir).unwrap();
+        let sched = Schedule::new(n, dir).unwrap();
         // contrib[member][chunk] = set of source members already summed in.
         let mut contrib: Vec<Vec<Vec<bool>>> = (0..n)
             .map(|i| {
@@ -175,7 +155,7 @@ mod tests {
             .collect();
         for s in 0..sched.num_steps() {
             let snapshot = contrib.clone();
-            for mv in sched.step(s) {
+            for mv in sched.step(s, true) {
                 assert!(mv.reduce);
                 let incoming = snapshot[mv.from][mv.chunk].clone();
                 for (dst, src) in contrib[mv.to][mv.chunk].iter_mut().zip(&incoming) {
@@ -195,7 +175,7 @@ mod tests {
     /// Replays an all-gather schedule symbolically: each member starts
     /// holding only its owned chunk; at the end it must hold all chunks.
     fn verify_ag(n: usize, dir: Direction) {
-        let sched = Schedule::all_gather(n, dir).unwrap();
+        let sched = Schedule::new(n, dir).unwrap();
         let mut has: Vec<Vec<bool>> = (0..n)
             .map(|i| {
                 let mut v = vec![false; n];
@@ -205,7 +185,7 @@ mod tests {
             .collect();
         for s in 0..sched.num_steps() {
             let snapshot = has.clone();
-            for mv in sched.step(s) {
+            for mv in sched.step(s, false) {
                 assert!(!mv.reduce);
                 assert!(
                     snapshot[mv.from][mv.chunk],
@@ -242,32 +222,22 @@ mod tests {
     #[test]
     fn step_counts_are_n_minus_one() {
         let steps = |s: Result<Schedule, CollectiveError>| s.unwrap().num_steps();
-        assert_eq!(steps(Schedule::reduce_scatter(8, Direction::Forward)), 7);
-        assert_eq!(steps(Schedule::all_gather(8, Direction::Backward)), 7);
-        assert_eq!(steps(Schedule::reduce_scatter(1, Direction::Forward)), 0);
+        assert_eq!(steps(Schedule::new(8, Direction::Forward)), 7);
+        assert_eq!(steps(Schedule::new(8, Direction::Backward)), 7);
+        assert_eq!(steps(Schedule::new(1, Direction::Forward)), 0);
     }
 
     #[test]
     fn empty_ring_is_a_typed_error_not_a_panic() {
         for dir in [Direction::Forward, Direction::Backward] {
-            assert_eq!(
-                Schedule::reduce_scatter(0, dir),
-                Err(CollectiveError::EmptyRing)
-            );
-            assert_eq!(
-                Schedule::all_gather(0, dir),
-                Err(CollectiveError::EmptyRing)
-            );
+            assert_eq!(Schedule::new(0, dir), Err(CollectiveError::EmptyRing));
         }
-        // A stored schedule cannot smuggle a zero modulus in either.
-        let zero = r#"{"n":0,"direction":"Forward","reduce":true}"#;
-        assert!(serde_json::from_str::<Schedule>(zero).is_err());
     }
 
     #[test]
     fn owned_chunks_are_a_permutation() {
         for dir in [Direction::Forward, Direction::Backward] {
-            let sched = Schedule::reduce_scatter(8, dir).unwrap();
+            let sched = Schedule::new(8, dir).unwrap();
             let mut owned: Vec<usize> = (0..8).map(|i| sched.owned_chunk(i)).collect();
             owned.sort_unstable();
             assert_eq!(owned, (0..8).collect::<Vec<_>>());
@@ -276,10 +246,10 @@ mod tests {
 
     #[test]
     fn forward_and_backward_use_disjoint_directed_edges() {
-        let f = Schedule::reduce_scatter(6, Direction::Forward).unwrap();
-        let b = Schedule::reduce_scatter(6, Direction::Backward).unwrap();
-        let fe: Vec<(usize, usize)> = f.step(0).map(|m| (m.from, m.to)).collect();
-        for mv in b.step(0) {
+        let f = Schedule::new(6, Direction::Forward).unwrap();
+        let b = Schedule::new(6, Direction::Backward).unwrap();
+        let fe: Vec<(usize, usize)> = f.step(0, true).map(|m| (m.from, m.to)).collect();
+        for mv in b.step(0, true) {
             assert!(!fe.contains(&(mv.from, mv.to)));
         }
     }
@@ -303,9 +273,8 @@ mod tests {
                     Direction::Forward => (i + 1 + n - s % n) % n,
                     Direction::Backward => (i + n - 1 + s) % n,
                 };
-                let rs = Schedule::reduce_scatter(n, dir).unwrap();
-                let ag = Schedule::all_gather(n, dir).unwrap();
-                for s in 0..rs.num_steps() {
+                let sched = Schedule::new(n, dir).unwrap();
+                for s in 0..sched.num_steps() {
                     let want_rs: Vec<ChunkMove> = (0..n)
                         .map(|from| ChunkMove {
                             from,
@@ -322,15 +291,17 @@ mod tests {
                             reduce: false,
                         })
                         .collect();
-                    assert_eq!(rs.step(s).collect::<Vec<_>>(), want_rs, "n={n} {dir:?}");
-                    assert_eq!(ag.step(s).collect::<Vec<_>>(), want_ag, "n={n} {dir:?}");
+                    let rs: Vec<ChunkMove> = sched.step(s, true).collect();
+                    let ag: Vec<ChunkMove> = sched.step(s, false).collect();
+                    assert_eq!(rs, want_rs, "n={n} {dir:?}");
+                    assert_eq!(ag, want_ag, "n={n} {dir:?}");
                     for i in 0..n {
-                        assert_eq!(rs.sent_by(i, s), want_rs[i]);
-                        assert_eq!(ag.sent_by(i, s), want_ag[i]);
+                        assert_eq!(sched.sent_by(i, s, true), want_rs[i]);
+                        assert_eq!(sched.sent_by(i, s, false), want_ag[i]);
                     }
                 }
                 for i in 0..n {
-                    assert_eq!(rs.owned_chunk(i), next(i));
+                    assert_eq!(sched.owned_chunk(i), next(i));
                 }
             }
         }
@@ -343,14 +314,12 @@ mod tests {
     fn no_member_sends_the_chunk_it_receives() {
         for n in 2..=9usize {
             for dir in [Direction::Forward, Direction::Backward] {
-                for sched in [
-                    Schedule::reduce_scatter(n, dir).unwrap(),
-                    Schedule::all_gather(n, dir).unwrap(),
-                ] {
+                let sched = Schedule::new(n, dir).unwrap();
+                for reduce in [true, false] {
                     for s in 0..sched.num_steps() {
                         let mut received = vec![0usize; n];
-                        for mv in sched.step(s) {
-                            assert_ne!(sched.sent_by(mv.to, s).chunk, mv.chunk);
+                        for mv in sched.step(s, reduce) {
+                            assert_ne!(sched.sent_by(mv.to, s, reduce).chunk, mv.chunk);
                             received[mv.to] += 1;
                         }
                         assert!(received.iter().all(|&r| r == 1));

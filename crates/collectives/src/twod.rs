@@ -332,9 +332,8 @@ pub fn shard_index(
     check_stride(mesh, model_stride)?;
     // What `two_dim_reduce_scatter`'s forward reduce-scatters leave member
     // `i` of an `n`-ring holding (chunk 0 of 1 when the ring is trivial).
-    let owned = |n: usize, i: usize| {
-        Schedule::reduce_scatter(n, Direction::Forward).map_or(0, |s| s.owned_chunk(i))
-    };
+    let owned =
+        |n: usize, i: usize| Schedule::new(n, Direction::Forward).map_or(0, |s| s.owned_chunk(i));
     let c = mesh.coord_of(chip);
     let x_members = (mesh.x_len() / model_stride) as usize;
     let y_chunk = owned(mesh.y_len() as usize, c.y as usize);

@@ -226,7 +226,7 @@ struct RouteStore {
 /// contention between overlapping transfers (e.g. peer-hopping gradient
 /// rings crossing model-parallel tiles, §3.3).
 ///
-/// Repeated collective phases hit the memoized [`RouteStore`]: after the
+/// Repeated collective phases hit the memoized route store: after the
 /// first iteration over a route, a transfer is one table probe plus a
 /// walk over the dense occupancy vector — no route recomputation, no
 /// per-hop adjacency queries, no allocation.
@@ -734,19 +734,6 @@ impl Network {
         }
         Some(finish)
     }
-
-    /// Pure (state-free) time for a contention-free message over `hops`
-    /// intra-pod links; used by analytic fast paths and tests.
-    pub fn uncontended_time(&self, hops: usize, bytes: u64) -> f64 {
-        self.config.message_overhead
-            + hops as f64 * self.config.hop_latency
-            + bytes as f64 / self.config.link_bandwidth
-    }
-
-    /// Latency multiplier-aware hop latency of a single link.
-    pub fn hop_latency(&self, class: LinkClass) -> f64 {
-        self.config.hop_latency * class.latency_multiplier()
-    }
 }
 
 /// Counts the rounds [`Network::chain`] replays: on this thread, under
@@ -779,6 +766,13 @@ mod tests {
             Multipod::new(MultipodConfig::mesh(x, y, true)),
             NetworkConfig::tpu_v3(),
         )
+    }
+
+    /// When a `bytes` message over one free intra-pod link lands, issued
+    /// at zero.
+    fn one_hop(n: &Network, bytes: u64) -> f64 {
+        let cfg = n.config();
+        cfg.message_overhead + cfg.hop_latency + bytes as f64 / cfg.link_bandwidth
     }
 
     /// The layout `Network` had before the flat store — a SipHash map from
@@ -1580,7 +1574,7 @@ mod tests {
         let t = n
             .transfer(ChipId(0), ChipId(1), 1000, SimTime::ZERO)
             .unwrap();
-        assert!((t.finish.seconds() - n.uncontended_time(1, 1000)).abs() < 1e-15);
+        assert!((t.finish.seconds() - one_hop(&n, 1000)).abs() < 1e-15);
     }
 
     #[test]
@@ -1603,7 +1597,7 @@ mod tests {
         let t = n
             .transfer(ChipId(2), ChipId(3), 1000, SimTime::ZERO)
             .unwrap();
-        assert!((t.finish.seconds() - n.uncontended_time(1, 1000)).abs() < 1e-15);
+        assert!((t.finish.seconds() - one_hop(&n, 1000)).abs() < 1e-15);
         assert_eq!(n.link_traffic(ChipId(2), ChipId(3)), 1000);
     }
 
@@ -1819,12 +1813,5 @@ mod tests {
         let far = n.mesh().chip_at(Coord::new(2, 2));
         assert!(n.transfer(corner, far, 100, SimTime::ZERO).is_ok());
         assert_eq!(recorder.span_totals().len(), 1, "one chip-down span");
-    }
-
-    #[test]
-    fn uncontended_time_formula() {
-        let n = net(2, 2);
-        let t = n.uncontended_time(3, 70_000_000);
-        assert!((t - (1.5e-6 + 3e-6 + 1e-3)).abs() < 1e-12);
     }
 }
