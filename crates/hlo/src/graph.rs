@@ -192,7 +192,8 @@ impl HloBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`HloError::ShapeMismatch`] for a bad axis or zero extent.
+    /// Returns [`HloError::ShapeMismatch`] for a bad axis, zero extent or an
+    /// input already at [`Shape::MAX_RANK`].
     pub fn broadcast_axis(
         &mut self,
         input: NodeId,

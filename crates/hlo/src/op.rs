@@ -175,7 +175,8 @@ impl OpKind {
             }
             OpKind::Transpose => rank2(a).then(|| Shape::of(&[a.dim(1), a.dim(0)])),
             OpKind::BroadcastAxis { axis, extent } => {
-                (axis <= a.rank() && extent > 0).then(|| with_axis(a, axis, extent))
+                (axis <= a.rank() && a.rank() < Shape::MAX_RANK && extent > 0)
+                    .then(|| with_axis(a, axis, extent))
             }
             OpKind::Rot180 => rank2(a).then(|| a.clone()),
             OpKind::ConvKernelGrad { kh, kw } => {
@@ -459,6 +460,21 @@ mod tests {
         }
         assert!(OpKind::MatMul.infer_shape(&[&a]).is_err());
         assert!(OpKind::Relu.infer_shape(&[&a, &a]).is_err());
+    }
+
+    #[test]
+    fn broadcast_past_the_rank_cap_is_a_shape_error_not_a_panic() {
+        let op = OpKind::BroadcastAxis { axis: 0, extent: 2 };
+        let below = Shape::of(&[1; Shape::MAX_RANK - 1]);
+        assert_eq!(op.infer_shape(&[&below]).unwrap().rank(), Shape::MAX_RANK);
+        let at_cap = Shape::of(&[1; Shape::MAX_RANK]);
+        assert!(matches!(
+            op.infer_shape(&[&at_cap]),
+            Err(HloError::ShapeMismatch {
+                op: "broadcast_axis",
+                ..
+            })
+        ));
     }
 
     #[test]

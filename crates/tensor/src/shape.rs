@@ -2,11 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 /// The extents of a tensor, one entry per dimension.
 ///
-/// Rank-0 (scalar) shapes are allowed and have one element.
+/// Rank-0 (scalar) shapes are allowed and have one element. The extents
+/// live inline, up to [`Shape::MAX_RANK`] of them, so building or cloning
+/// a shape — and so cloning a [`Tensor`](crate::Tensor) — never allocates.
 ///
 /// ```
 /// use multipod_tensor::Shape;
@@ -15,33 +17,50 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.len(), 96);
 /// assert_eq!(s.rank(), 3);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct Shape(Vec<usize>);
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
+pub struct Shape {
+    rank: u8,
+    /// Slots at or above `rank` stay zero, so the derived `Eq` and `Hash`
+    /// see only the live extents.
+    dims: [usize; Shape::MAX_RANK],
+}
 
 impl Shape {
+    /// The largest rank a shape holds.
+    pub const MAX_RANK: usize = 3;
+
     /// Builds a shape from a slice of extents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims.len() > Shape::MAX_RANK`.
     pub fn of(dims: &[usize]) -> Shape {
-        Shape(dims.to_vec())
+        let rank = dims.len();
+        assert!(rank <= Shape::MAX_RANK, "rank {rank} exceeds MAX_RANK");
+        let mut shape = Shape::scalar();
+        shape.rank = rank as u8;
+        shape.dims[..rank].copy_from_slice(dims);
+        shape
     }
 
     /// The scalar (rank-0) shape.
     pub fn scalar() -> Shape {
-        Shape(Vec::new())
+        Shape::default()
     }
 
     /// A rank-1 shape of the given length.
     pub fn vector(len: usize) -> Shape {
-        Shape(vec![len])
+        Shape::of(&[len])
     }
 
     /// The extents as a slice.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank()]
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        usize::from(self.rank)
     }
 
     /// Extent of one dimension.
@@ -50,12 +69,12 @@ impl Shape {
     ///
     /// Panics if `axis >= self.rank()`.
     pub fn dim(&self, axis: usize) -> usize {
-        self.0[axis]
+        self.dims()[axis]
     }
 
     /// Total number of elements (product of extents; 1 for scalars).
     pub fn len(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Whether the shape contains zero elements.
@@ -63,29 +82,14 @@ impl Shape {
         self.len() == 0
     }
 
-    /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.rank()];
-        for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+    /// Converts a multi-index into a flat row-major offset, or `None` when
+    /// `index` has the wrong rank or a coordinate is out of bounds.
+    pub fn offset(&self, index: &[usize]) -> Option<usize> {
+        if index.len() != self.rank() {
+            return None;
         }
-        strides
-    }
-
-    /// Converts a multi-index into a flat row-major offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` has the wrong rank or any coordinate is out of
-    /// bounds.
-    pub fn offset(&self, index: &[usize]) -> usize {
-        assert_eq!(index.len(), self.rank(), "index rank mismatch");
-        let mut off = 0usize;
-        for (axis, (&i, &d)) in index.iter().zip(self.0.iter()).enumerate() {
-            assert!(i < d, "index {i} out of bounds for axis {axis} (dim {d})");
-            off = off * d + i;
-        }
-        off
+        let mut coords = index.iter().zip(self.dims());
+        coords.try_fold(0, |off, (&i, &d)| (i < d).then(|| off * d + i))
     }
 
     /// Returns a copy with `axis` replaced by `extent`.
@@ -94,48 +98,48 @@ impl Shape {
     ///
     /// Panics if `axis >= self.rank()`.
     pub fn with_dim(&self, axis: usize, extent: usize) -> Shape {
-        let mut dims = self.0.clone();
-        dims[axis] = extent;
-        Shape(dims)
+        let mut shape = self.clone();
+        shape.dims[..self.rank()][axis] = extent;
+        shape
     }
 
     /// Splits `axis` into `parts` equal chunks, returning the chunk shape.
     ///
     /// Returns `None` when the extent is not divisible by `parts`.
     pub fn split_axis(&self, axis: usize, parts: usize) -> Option<Shape> {
-        if axis >= self.rank() || parts == 0 || !self.0[axis].is_multiple_of(parts) {
-            return None;
-        }
-        Some(self.with_dim(axis, self.0[axis] / parts))
+        let extent = *self.dims().get(axis)?;
+        (parts > 0 && extent.is_multiple_of(parts)).then(|| self.with_dim(axis, extent / parts))
     }
 }
 
-impl From<Vec<usize>> for Shape {
-    fn from(dims: Vec<usize>) -> Shape {
-        Shape(dims)
+/// A plain array of extents, as `Vec<usize>` would serialize.
+impl Serialize for Shape {
+    fn ser(&self) -> Content {
+        self.dims().ser()
     }
 }
 
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Shape {
-        Shape(dims.to_vec())
+impl Deserialize for Shape {
+    fn de(content: &Content) -> Result<Shape, DeError> {
+        let dims = Vec::<usize>::de(content)?;
+        let rank = dims.len();
+        (rank <= Shape::MAX_RANK)
+            .then(|| Shape::of(&dims))
+            .ok_or_else(|| DeError::msg(format_args!("rank {rank} exceeds MAX_RANK")))
     }
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.0)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, "×")?;
-            }
-            write!(f, "{d}")?;
+        for (i, d) in self.dims().iter().enumerate() {
+            write!(f, "{}{d}", if i > 0 { "×" } else { "" })?;
         }
         write!(f, "]")
     }
@@ -162,24 +166,20 @@ mod tests {
     }
 
     #[test]
-    fn strides_are_row_major() {
-        assert_eq!(Shape::of(&[2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::of(&[5]).strides(), vec![1]);
-        assert!(Shape::scalar().strides().is_empty());
-    }
-
-    #[test]
     fn offset_matches_strides() {
         let s = Shape::of(&[2, 3, 4]);
-        assert_eq!(s.offset(&[0, 0, 0]), 0);
-        assert_eq!(s.offset(&[1, 2, 3]), 23);
-        assert_eq!(s.offset(&[1, 0, 2]), 14);
+        assert_eq!(s.offset(&[0, 0, 0]), Some(0));
+        assert_eq!(s.offset(&[1, 2, 3]), Some(23));
+        assert_eq!(s.offset(&[1, 0, 2]), Some(14));
+        assert_eq!(Shape::scalar().offset(&[]), Some(0));
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn offset_panics_out_of_bounds() {
-        Shape::of(&[2, 2]).offset(&[0, 2]);
+    fn offset_is_none_out_of_bounds_or_rank() {
+        assert_eq!(Shape::of(&[2, 2]).offset(&[0, 2]), None);
+        assert_eq!(Shape::of(&[2, 2]).offset(&[1, usize::MAX]), None);
+        assert_eq!(Shape::of(&[2, 2]).offset(&[1]), None);
+        assert_eq!(Shape::of(&[2, 2]).offset(&[0, 0, 0]), None);
     }
 
     #[test]
@@ -196,5 +196,24 @@ mod tests {
     fn display_uses_times_sign() {
         assert_eq!(Shape::of(&[2, 3]).to_string(), "[2×3]");
         assert_eq!(Shape::scalar().to_string(), "[]");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_RANK")]
+    fn a_rank_past_the_cap_panics_in_of() {
+        Shape::of(&[1; Shape::MAX_RANK + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn with_dim_past_the_rank_panics() {
+        Shape::of(&[2, 3]).with_dim(2, 1);
+    }
+
+    #[test]
+    fn deserializing_a_rank_past_the_cap_is_a_typed_error() {
+        let json = Content::Seq(vec![Content::U64(1); Shape::MAX_RANK + 1]);
+        let err = Shape::de(&json).unwrap_err();
+        assert!(err.0.contains("exceeds MAX_RANK"), "{err}");
     }
 }

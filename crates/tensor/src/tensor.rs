@@ -118,13 +118,10 @@ impl Tensor {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// Element access by multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index is out of bounds (see [`Shape::offset`]).
-    pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
+    /// Element access by multi-index, or `None` when the index has the
+    /// wrong rank or is out of bounds (see [`Shape::offset`]).
+    pub fn at(&self, index: &[usize]) -> Option<f32> {
+        self.shape.offset(index).map(|i| self.data[i])
     }
 
     /// Reinterprets the tensor with a new shape of equal element count.
@@ -155,17 +152,12 @@ impl Tensor {
     /// Returns an error when `axis` is out of range or the extent is not
     /// divisible by `parts`.
     pub fn split(&self, axis: usize, parts: usize) -> Result<Vec<Tensor>, TensorError> {
-        if axis >= self.shape.rank() {
-            return Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.shape.rank(),
-            });
-        }
-        let extent = self.shape.dim(axis);
-        if parts == 0 || !extent.is_multiple_of(parts) {
-            return Err(TensorError::NotDivisible { dim: extent, parts });
-        }
-        let chunk_shape = self.shape.with_dim(axis, extent / parts);
+        let rank = self.shape.rank();
+        let Some(&extent) = self.shape.dims().get(axis) else {
+            return Err(TensorError::AxisOutOfRange { axis, rank });
+        };
+        let not_divisible = TensorError::NotDivisible { dim: extent, parts };
+        let chunk_shape = self.shape.split_axis(axis, parts).ok_or(not_divisible)?;
         let outer: usize = self.shape.dims()[..axis].iter().product();
         let inner: usize = self.shape.dims()[axis + 1..].iter().product();
         let chunk_extent = extent / parts;
@@ -280,10 +272,12 @@ mod tests {
     #[test]
     fn indexing_is_row_major() {
         let t = iota(&[2, 3]);
-        assert_eq!(t.at(&[0, 0]), 0.0);
-        assert_eq!(t.at(&[0, 2]), 2.0);
-        assert_eq!(t.at(&[1, 0]), 3.0);
-        assert_eq!(t.at(&[1, 2]), 5.0);
+        assert_eq!(t.at(&[0, 0]), Some(0.0));
+        assert_eq!(t.at(&[0, 2]), Some(2.0));
+        assert_eq!(t.at(&[1, 0]), Some(3.0));
+        assert_eq!(t.at(&[1, 2]), Some(5.0));
+        assert_eq!(t.at(&[2, 0]), None);
+        assert_eq!(t.at(&[1]), None);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property tests for the tensor substrate.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use multipod_tensor::{Bf16, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -7,7 +10,55 @@ fn small_dims() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..6, 1..4)
 }
 
+/// Extents of rank 0 to `Shape::MAX_RANK`, small enough that two draws
+/// are often equal.
+fn any_dims() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..4, 0..Shape::MAX_RANK + 1)
+}
+
+fn hash_of(shape: &Shape) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    shape.hash(&mut hasher);
+    hasher.finish()
+}
+
 proptest! {
+    /// An inline `Shape` behaves as the `Vec<usize>` of its extents: the
+    /// same accessors, the same derived shapes, equality (and so hashing)
+    /// exactly when the extents are equal, the same text and the same
+    /// JSON.
+    #[test]
+    fn shape_behaves_as_its_extents(
+        v in any_dims(), w in any_dims(), axis in 0usize..4, parts in 0usize..4, extent in 0usize..9
+    ) {
+        let s = Shape::of(&v);
+        prop_assert_eq!(s.dims(), &v[..]);
+        prop_assert_eq!(s.rank(), v.len());
+        prop_assert_eq!(s.len(), v.iter().product::<usize>());
+        if axis < v.len() {
+            let mut with = v.clone();
+            with[axis] = extent;
+            prop_assert_eq!(s.with_dim(axis, extent).dims().to_vec(), with);
+        }
+        let split = (axis < v.len() && parts > 0 && v[axis] % parts == 0).then(|| {
+            let mut chunk = v.clone();
+            chunk[axis] /= parts;
+            Shape::of(&chunk)
+        });
+        prop_assert_eq!(s.split_axis(axis, parts), split);
+        let t = Shape::of(&w);
+        prop_assert_eq!(s == t, v == w);
+        if s == t {
+            prop_assert_eq!(hash_of(&s), hash_of(&t));
+        }
+        let text: Vec<String> = v.iter().map(usize::to_string).collect();
+        prop_assert_eq!(s.to_string(), format!("[{}]", text.join("×")));
+        prop_assert_eq!(format!("{s:?}"), format!("Shape{v:?}"));
+        let json = serde_json::to_string(&s).unwrap();
+        prop_assert_eq!(&json, &serde_json::to_string(&v).unwrap());
+        prop_assert_eq!(serde_json::from_str::<Shape>(&json).unwrap(), s);
+    }
+
     /// bf16 round-trip never increases relative error beyond epsilon/2.
     #[test]
     fn bf16_relative_error_bounded(x in -1e30f32..1e30f32) {

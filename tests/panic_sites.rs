@@ -34,7 +34,7 @@ const KNOWN: &[(&str, usize)] = &[
     ("crates/tensor/src/kernels.rs", 3),
     ("crates/tensor/src/ops.rs", 1),
     ("crates/tensor/src/rng.rs", 2),
-    ("crates/tensor/src/shape.rs", 2),
+    ("crates/tensor/src/shape.rs", 1),
     ("crates/tensor/src/tensor.rs", 1),
     ("crates/topology/src/chip.rs", 1),
     ("crates/topology/src/mesh.rs", 4),
