@@ -19,7 +19,7 @@ use multipod_collectives::{ring, Precision};
 use multipod_optim::{Optimizer, StateKey, StateSlot};
 use multipod_simnet::{Network, SimTime};
 use multipod_telemetry::{MetricId, Subsystem};
-use multipod_tensor::Tensor;
+use multipod_tensor::{Shape, Tensor};
 use multipod_topology::{ChipId, HostId, Ring};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
@@ -112,11 +112,7 @@ impl StateBundle {
             // export_state is (name, key)-sorted, so the group is already
             // in shard order; flatten regardless of per-shard rank (LAMB's
             // step counter exports rank-0 scalars).
-            let mut data = Vec::new();
-            for slot in &group {
-                data.extend_from_slice(slot.tensor.data());
-            }
-            optim.push((name, Tensor::from_slice(&data)));
+            optim.push((name, concat_flat(group.iter().map(|s| s.tensor.data()))));
             i += count;
         }
         Ok(StateBundle {
@@ -372,6 +368,17 @@ pub fn save_checkpoint(
     })
 }
 
+/// The views concatenated into one rank-1 tensor, built in place.
+fn concat_flat<'a>(parts: impl Iterator<Item = &'a [f32]> + Clone) -> Tensor {
+    let mut flat = Tensor::zeros(Shape::vector(parts.clone().map(<[f32]>::len).sum()));
+    let (data, mut at) = (flat.data_mut(), 0);
+    for part in parts {
+        data[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    flat
+}
+
 /// Restores `ckpt` onto `target` — possibly a smaller survivor mesh —
 /// verifying version and shard integrity first, then timing hosts
 /// streaming shards up over PCIe, routed ICI transfers into the restore
@@ -420,10 +427,7 @@ pub fn restore_checkpoint(
 
     // Re-assemble the global bundle: shards are contiguous in shard
     // order, so this is pure concatenation.
-    let mut weights = Vec::with_capacity(manifest.elems);
-    for shard in &ckpt.shards {
-        weights.extend_from_slice(shard.weights.data());
-    }
+    let weights = concat_flat(ckpt.shards.iter().map(|s| s.weights.data()));
     if weights.len() != manifest.elems {
         return Err(CkptError::StateSizeMismatch {
             expected: manifest.elems,
@@ -431,16 +435,13 @@ pub fn restore_checkpoint(
         });
     }
     let mut optim = Vec::with_capacity(manifest.optim_slots.len());
-    for (i, (name, len)) in manifest.optim_slots.iter().enumerate() {
-        let mut data = Vec::with_capacity(*len);
-        for shard in &ckpt.shards {
-            data.extend_from_slice(shard.optim[i].1.data());
-        }
-        optim.push((name.clone(), Tensor::from_slice(&data)));
+    for (i, (name, _)) in manifest.optim_slots.iter().enumerate() {
+        let slot = concat_flat(ckpt.shards.iter().map(|s| s.optim[i].1.data()));
+        optim.push((name.clone(), slot));
     }
     let bundle = StateBundle {
         step: manifest.step,
-        weights: Tensor::from_slice(&weights),
+        weights,
         optim,
     };
 

@@ -107,21 +107,26 @@ pub(crate) fn time_schedule(
 }
 
 /// Reduces chunk `chunk` of every row (the members' flat payloads, in
-/// ring order) the way the ring moves it. The chunk enters the ring at the
-/// member whose index it bears and makes `n − 1` hops downstream, ending
-/// at its owner; each receiver adds its own copy of the chunk to the
-/// partial sum it was sent, which a bf16 wire rounds first (the sum a
-/// member keeps is never rounded). So the owner's shard is one buffer
-/// carried through the hops — 2 KB on the 128×32 Y rings, in L1 all the
-/// way — and every input element is read once.
-fn fold_chunk(rows: &[&[f32]], schedule: Schedule, chunk: usize, precision: Precision) -> Vec<f32> {
-    let len = rows[chunk].len() / rows.len();
-    let at = chunk * len;
-    let mut sum = rows[chunk][at..at + len].to_vec();
+/// ring order) into `sum` the way the ring moves it. The chunk enters the
+/// ring at the member whose index it bears and makes `n − 1` hops
+/// downstream, ending at its owner; each receiver adds its own copy of the
+/// chunk to the partial sum it was sent, which a bf16 wire rounds first
+/// (the sum a member keeps is never rounded). So the owner's shard is the
+/// one block it is handed out in, carried through the hops — 2 KB on the
+/// 128×32 Y rings, in L1 all the way — and every input element is read once.
+fn fold_chunk(
+    sum: &mut [f32],
+    rows: &[&[f32]],
+    schedule: Schedule,
+    chunk: usize,
+    precision: Precision,
+) {
+    let at = chunk * sum.len();
+    sum.copy_from_slice(&rows[chunk][at..at + sum.len()]);
     let mut member = chunk;
     for _ in 1..rows.len() {
         member = schedule.downstream(member);
-        let own = &rows[member][at..at + len];
+        let own = &rows[member][at..at + sum.len()];
         match precision {
             Precision::F32 => {
                 for (s, &x) in sum.iter_mut().zip(own) {
@@ -135,7 +140,6 @@ fn fold_chunk(rows: &[&[f32]], schedule: Schedule, chunk: usize, precision: Prec
             }
         }
     }
-    sum
 }
 
 /// Ring reduce-scatter: after the call, member `i` holds the elementwise
@@ -171,8 +175,9 @@ pub fn reduce_scatter(
     let shards = chunk_of_member
         .iter()
         .map(|&chunk| {
-            let shard = fold_chunk(&rows, schedule, chunk, precision);
-            Tensor::new(Shape::vector(chunk_elems), shard)
+            let mut shard = Tensor::zeros(Shape::vector(chunk_elems));
+            fold_chunk(shard.data_mut(), &rows, schedule, chunk, precision);
+            shard
         })
         .collect();
     Ok(ScatterOutput {
@@ -244,7 +249,8 @@ fn gather(
     let n = ring.len();
     let schedule = Schedule::new(n, direction)?;
     let chunk_elems = shards[0].len();
-    let mut row = vec![0.0f32; n * chunk_elems];
+    let mut gathered = Tensor::zeros(Shape::vector(n * chunk_elems));
+    let row = gathered.data_mut();
     for (i, shard) in shards.iter().enumerate() {
         let chunk = match member_order {
             true => i,
@@ -253,13 +259,12 @@ fn gather(
         row[chunk * chunk_elems..][..chunk_elems].copy_from_slice(shard.data());
     }
     if precision == Precision::Bf16 {
-        Bf16::quantize_slice(&mut row);
+        Bf16::quantize_slice(row);
     }
     let chunk_bytes = precision.wire_bytes(chunk_elems);
     let time = time_schedule(net, ring, schedule, chunk_bytes, start)?;
     let (phase, bytes) = (SpanCategory::CollectivePhase, chunk_bytes * n as u64);
     emit_ring_span(net, ring, phase, "all-gather", start, time, bytes);
-    let gathered = Tensor::new(Shape::vector(row.len()), row);
     Ok(CollectiveOutput {
         outputs: vec![gathered; n],
         time,

@@ -1,8 +1,8 @@
 //! Allocation budget of the numeric ring executor.
 //!
 //! A reduce-scatter folds each chunk in the buffer that becomes its
-//! shard, so its allocation count may grow with the ring size `n` (two
-//! blocks per shard: its buffer and the buffer's `Arc`) but never with the
+//! shard, so its allocation count may grow with the ring size `n` (one
+//! block per shard: the `Arc<[f32]>` the sum is folded in) but never with the
 //! `n − 1` rounds, the `n(n−1)` hops or the `n²` chunks, and its bytes are
 //! the shards plus a few words per member — never a copy of the `n`
 //! inputs. An all-gather assembles one row and hands out `n` handles to
@@ -131,18 +131,18 @@ fn ring_call_allocations_are_linear_in_ring_size() {
 
 #[test]
 fn a_reduce_scatter_allocates_its_shards_and_no_arena() {
-    // Per shard: its buffer and the buffer's `Arc`. Per call:
+    // Per shard: the one block its sum is folded in. Per call:
     // the shard and placement vectors, the input views, the message list
     // and the network's path list — none per round, hop or chunk.
     const PER_CALL: u64 = 8;
-    // Bytes beside the shards' own, per member: the `Arc`, one entry in
-    // each per-call list.
+    // Bytes beside the shards' own, per member: the block's reference
+    // counts, one entry in each per-call list.
     const PER_MEMBER_BYTES: u64 = 192;
     for precision in [Precision::F32, Precision::Bf16] {
         for n in [8u64, 16, 32] {
             let (scatter, _) = allocs(n as usize, precision);
             assert!(
-                scatter.calls <= 2 * n + PER_CALL,
+                scatter.calls <= n + PER_CALL,
                 "{precision:?} reduce-scatter at n={n}: {scatter:?}"
             );
             let shards = n * CHUNK as u64 * 4;
@@ -171,7 +171,7 @@ fn an_all_gather_allocates_one_row_whatever_the_ring_size() {
             let row = n * CHUNK as u64 * 4;
             let handle = size_of::<Tensor>() as u64;
             // A second row of headroom covers the message list, the path list
-            // and the `Arc` header — never a row per member.
+            // and the row's reference counts — never a row per member.
             assert!(
                 gather.bytes <= 2 * row + n * handle,
                 "{precision:?} all-gather at n={n}: {gather:?} against a {row}-byte row"

@@ -100,19 +100,12 @@ impl Optimizer for Lamb {
         let mc = 1.0 - self.beta1.powi(slot.t as i32);
         let vc = 1.0 - self.beta2.powi(slot.t as i32);
         let eps = self.epsilon;
-        let u_data: Vec<f32> = slot
-            .m
-            .data()
-            .iter()
-            .zip(slot.v.data())
-            .zip(weights.data())
-            .map(|((&m, &v), &w)| {
-                let mhat = m / mc;
-                let vhat = v / vc;
-                mhat / (vhat.sqrt() + eps) + self.weight_decay * w
-            })
-            .collect();
-        let u = Tensor::new(weights.shape().clone(), u_data);
+        let (m, v, w) = (slot.m.data(), slot.v.data(), weights.data());
+        let u = Tensor::from_fn(weights.shape().clone(), |i| {
+            let mhat = m[i] / mc;
+            let vhat = v[i] / vc;
+            mhat / (vhat.sqrt() + eps) + self.weight_decay * w[i]
+        });
         let stats = LayerStats {
             weight_sq: weights
                 .data()

@@ -165,18 +165,16 @@ struct JobModel {
 impl JobModel {
     fn fresh(spec: &JobSpec, elems: usize, lr: f32) -> JobModel {
         // Deterministic per-job initialization.
-        let data: Vec<f32> = (0..elems)
-            .map(|i| {
-                let h = spec
-                    .id
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(i as u64)
-                    .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-            })
-            .collect();
+        let weights = Tensor::from_fn(Shape::vector(elems), |i| {
+            let h = spec
+                .id
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(i as u64)
+                .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
+        });
         JobModel {
-            weights: Tensor::new(Shape::vector(elems), data),
+            weights,
             opt: SgdMomentum::new(lr, 0.9),
         }
     }
@@ -721,9 +719,12 @@ impl PodScheduler {
         let step_seconds = self.step_seconds(kind, chips)?;
         let mut compute_from = now;
         // Only a preemption save writes a checkpoint, and every dispatch
-        // after one — requeued or fault-killed — resumes from it.
-        if let Some(ckpt) = self.jobs[job].ckpt.clone() {
-            let restore_cost = self.restore_job(job, &ckpt, slice.shape(), now)?;
+        // after one — requeued or fault-killed — resumes from it, so it
+        // goes back in place once this restore has read it.
+        if let Some(ckpt) = self.jobs[job].ckpt.take() {
+            let restored = self.restore_job(job, &ckpt, slice.shape(), now);
+            self.jobs[job].ckpt = Some(ckpt);
+            let restore_cost = restored?;
             compute_from = now + restore_cost;
             // Preemption overhead per event: this restore plus the save
             // that evicted the job.

@@ -7,6 +7,7 @@ use crate::Shape;
 
 /// Error returned by fallible tensor operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum TensorError {
     /// Two operands had incompatible shapes for the attempted operation.
     ShapeMismatch {
@@ -31,6 +32,13 @@ pub enum TensorError {
         /// The requested number of parts.
         parts: usize,
     },
+    /// A tensor's data did not hold exactly as many elements as its shape.
+    LengthMismatch {
+        /// The shape the data was meant to fill.
+        shape: Shape,
+        /// How many elements the data held.
+        len: usize,
+    },
     /// An operation that needs at least one tensor received none.
     EmptyInput {
         /// Name of the operation that failed.
@@ -49,6 +57,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::NotDivisible { dim, parts } => {
                 write!(f, "dimension {dim} not divisible into {parts} parts")
+            }
+            TensorError::LengthMismatch { shape, len } => {
+                write!(f, "data length {len} does not match shape {shape}")
             }
             TensorError::EmptyInput { op } => {
                 write!(f, "{op} requires at least one input tensor")

@@ -12,8 +12,8 @@
 //!   [`scale_into`], [`zip_into`]): every output element depends on exactly
 //!   one input element, so lane width cannot change results. Collective
 //!   golden tests pin these bits.
-//! * **Fixed reassociation** — reductions ([`sum`], [`sum_squares`],
-//!   [`dot`]): the sequential fold is reassociated into [`LANES`] partial
+//! * **Fixed reassociation** — reductions ([`sum`], [`sum_squares`]): the
+//!   sequential fold is reassociated into [`LANES`] partial
 //!   accumulators combined in a fixed tree. Results can differ from the
 //!   sequential fold by rounding ulps but are identical run to run and
 //!   across platforms.
@@ -42,39 +42,34 @@ pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     }
 }
 
-/// Appends `a[i] * alpha` to `out`. Bit-exact under chunking.
-pub fn scale_into(out: &mut Vec<f32>, a: &[f32], alpha: f32) {
-    out.reserve(a.len());
-    let mut c = a.chunks_exact(LANES);
-    for ac in c.by_ref() {
-        for &v in ac {
-            out.push(v * alpha);
-        }
-    }
-    for &v in c.remainder() {
-        out.push(v * alpha);
-    }
+/// Writes `a[i] * alpha` to `out[i]`. Bit-exact under chunking.
+pub fn scale_into(out: &mut [f32], a: &[f32], alpha: f32) {
+    zip_into(out, a, a, |v, _| v * alpha);
 }
 
-/// Appends `f(a[i], b[i])` to `out` for every element pair. Bit-exact
+/// Writes `f(a[i], b[i])` to `out[i]` for every element pair. Bit-exact
 /// under chunking for any pure elementwise `f`.
 ///
 /// # Panics
 ///
 /// Panics when the slices differ in length (caller validates shapes).
 #[inline]
-pub fn zip_into(out: &mut Vec<f32>, a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32 + Copy) {
-    assert_eq!(a.len(), b.len(), "zip length mismatch");
-    out.reserve(a.len());
+pub fn zip_into(out: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32 + Copy) {
+    assert!(
+        a.len() == b.len() && out.len() == a.len(),
+        "zip length mismatch"
+    );
+    let mut co = out.chunks_exact_mut(LANES);
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
-    for (ac, bc) in ca.by_ref().zip(cb.by_ref()) {
+    for ((oc, ac), bc) in co.by_ref().zip(ca.by_ref()).zip(cb.by_ref()) {
         for i in 0..LANES {
-            out.push(f(ac[i], bc[i]));
+            oc[i] = f(ac[i], bc[i]);
         }
     }
-    for (&av, &bv) in ca.remainder().iter().zip(cb.remainder()) {
-        out.push(f(av, bv));
+    let tails = ca.remainder().iter().zip(cb.remainder());
+    for (o, (&av, &bv)) in co.into_remainder().iter_mut().zip(tails) {
+        *o = f(av, bv);
     }
 }
 
@@ -125,28 +120,6 @@ pub fn sum_squares(values: &[f32]) -> f64 {
     fold_lanes_f64(acc) + tail
 }
 
-/// Dot product accumulated in f64, in [`LANES`] partial accumulators.
-///
-/// # Panics
-///
-/// Panics when the slices differ in length (caller validates shapes).
-pub fn dot(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let mut acc = [0.0f64; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (ac, bc) in ca.by_ref().zip(cb.by_ref()) {
-        for i in 0..LANES {
-            acc[i] += (ac[i] as f64) * (bc[i] as f64);
-        }
-    }
-    let mut tail = 0.0f64;
-    for (&av, &bv) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += (av as f64) * (bv as f64);
-    }
-    fold_lanes_f64(acc) + tail
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,11 +147,11 @@ mod tests {
         for n in [3, 8, 17] {
             let a: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
             let b: Vec<f32> = (0..n).map(|i| 1.0 - i as f32).collect();
-            let mut out = Vec::new();
+            let mut out = vec![0.0; n];
             zip_into(&mut out, &a, &b, |x, y| x * y);
             let expect: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
             assert_eq!(out, expect);
-            let mut scaled = Vec::new();
+            let mut scaled = vec![0.0; n];
             scale_into(&mut scaled, &a, 2.5);
             let expect: Vec<f32> = a.iter().map(|x| x * 2.5).collect();
             assert_eq!(scaled, expect);
@@ -192,8 +165,6 @@ mod tests {
         assert!((sum(&values) - seq).abs() <= 1e-3 * seq.abs().max(1.0));
         let seq_sq: f64 = values.iter().map(|&v| (v as f64) * (v as f64)).sum();
         assert!((sum_squares(&values) - seq_sq).abs() <= 1e-9 * seq_sq);
-        let seq_dot: f64 = values.iter().map(|&v| (v as f64) * (v as f64)).sum();
-        assert!((dot(&values, &values) - seq_dot).abs() <= 1e-9 * seq_dot.abs());
     }
 
     #[test]

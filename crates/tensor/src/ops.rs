@@ -53,15 +53,15 @@ impl Tensor {
 
     /// Returns `self * alpha`.
     pub fn scale(&self, alpha: f32) -> Tensor {
-        let mut data = Vec::new();
-        kernels::scale_into(&mut data, self.data(), alpha);
-        Tensor::new(self.shape().clone(), data)
+        let mut out = Tensor::zeros(self.shape().clone());
+        kernels::scale_into(out.data_mut(), self.data(), alpha);
+        out
     }
 
     /// Applies a function to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let data = self.data().iter().map(|&v| f(v)).collect();
-        Tensor::new(self.shape().clone(), data)
+        let data = self.data();
+        Tensor::from_fn(self.shape().clone(), |i| f(data[i]))
     }
 
     /// Sum of all elements (chunked lane accumulators; deterministic, may
@@ -77,22 +77,6 @@ impl Tensor {
     /// order.
     pub fn norm2(&self) -> f32 {
         kernels::sum_squares(self.data()).sqrt() as f32
-    }
-
-    /// Dot product of two same-shape tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn dot(&self, rhs: &Tensor) -> Result<f32, TensorError> {
-        if self.shape() != rhs.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "dot",
-                lhs: self.shape().clone(),
-                rhs: rhs.shape().clone(),
-            });
-        }
-        Ok(kernels::dot(self.data(), rhs.data()) as f32)
     }
 
     /// Rank-2 matrix multiplication.
@@ -119,7 +103,8 @@ impl Tensor {
         }
         let (m, k) = (self.shape().dim(0), self.shape().dim(1));
         let n = rhs.shape().dim(1);
-        let mut out = vec![0.0f32; m * n];
+        let mut product = Tensor::zeros(Shape::of(&[m, n]));
+        let out = product.data_mut();
         let a = self.data();
         let b = rhs.data();
         for i in 0..m {
@@ -133,7 +118,7 @@ impl Tensor {
                 kernels::axpy(&mut out[i * n..(i + 1) * n], aip, &b[p * n..(p + 1) * n]);
             }
         }
-        Ok(Tensor::new(Shape::of(&[m, n]), out))
+        Ok(product)
     }
 
     /// Sums a list of same-shape tensors; the scalar reference that every
@@ -181,9 +166,9 @@ impl Tensor {
                 rhs: rhs.shape().clone(),
             });
         }
-        let mut data = Vec::new();
-        kernels::zip_into(&mut data, self.data(), rhs.data(), f);
-        Ok(Tensor::new(self.shape().clone(), data))
+        let mut out = Tensor::zeros(self.shape().clone());
+        kernels::zip_into(out.data_mut(), self.data(), rhs.data(), f);
+        Ok(out)
     }
 }
 
@@ -205,7 +190,7 @@ mod tests {
         let a = Tensor::from_slice(&[1.0]);
         let b = Tensor::from_slice(&[1.0, 2.0]);
         assert!(a.add(&b).is_err());
-        assert!(a.dot(&b).is_err());
+        assert!(a.mul(&b).is_err());
     }
 
     #[test]
@@ -220,7 +205,7 @@ mod tests {
     fn norms_and_dot() {
         let a = Tensor::from_slice(&[3.0, 4.0]);
         assert!((a.norm2() - 5.0).abs() < 1e-6);
-        assert_eq!(a.dot(&a).unwrap(), 25.0);
+        assert_eq!(a.mul(&a).unwrap().sum(), 25.0);
         assert_eq!(a.sum(), 7.0);
     }
 

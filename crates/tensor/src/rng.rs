@@ -39,22 +39,7 @@ impl TensorRng {
     /// Panics if `lo >= hi`.
     pub fn uniform(&mut self, shape: Shape, lo: f32, hi: f32) -> Tensor {
         assert!(lo < hi, "uniform requires lo < hi");
-        let len = shape.len();
-        let data = (0..len).map(|_| self.rng.gen_range(lo..hi)).collect();
-        Tensor::new(shape, data)
-    }
-
-    /// A tensor with approximately standard-normal elements
-    /// (12-uniform-sum approximation; adequate for synthetic workloads).
-    pub fn normal(&mut self, shape: Shape, mean: f32, std: f32) -> Tensor {
-        let len = shape.len();
-        let data = (0..len)
-            .map(|_| {
-                let s: f32 = (0..12).map(|_| self.rng.gen_range(0.0f32..1.0)).sum();
-                mean + std * (s - 6.0)
-            })
-            .collect();
-        Tensor::new(shape, data)
+        Tensor::from_fn(shape, |_| self.rng.gen_range(lo..hi))
     }
 
     /// A single uniform value in `[0, 1)`.
@@ -99,19 +84,5 @@ mod tests {
     fn uniform_respects_bounds() {
         let t = TensorRng::seed(3).uniform(Shape::of(&[1000]), -2.0, 5.0);
         assert!(t.data().iter().all(|&v| (-2.0..5.0).contains(&v)));
-    }
-
-    #[test]
-    fn normal_has_reasonable_moments() {
-        let t = TensorRng::seed(4).normal(Shape::of(&[20000]), 1.0, 2.0);
-        let mean = t.sum() / t.len() as f32;
-        assert!((mean - 1.0).abs() < 0.1, "mean={mean}");
-        let var = t
-            .data()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / t.len() as f32;
-        assert!((var.sqrt() - 2.0).abs() < 0.2, "std={}", var.sqrt());
     }
 }

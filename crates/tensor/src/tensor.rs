@@ -3,15 +3,20 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::{Bf16, Shape, TensorError};
 
 /// A dense, row-major `f32` tensor.
 ///
 /// `Tensor` is the numeric currency of the workspace: collective payloads,
-/// optimizer state and evaluation buffers are all `Tensor`s. Storage is a
-/// flat `Arc<Vec<f32>>` with copy-on-write semantics.
+/// optimizer state and evaluation buffers are all `Tensor`s. Storage is
+/// one `Arc<[f32]>` block (reference counts and elements) beside an inline
+/// [`Shape`]: a 48-byte handle, one allocation per tensor. Every
+/// constructor but [`Tensor::new`] writes the elements straight into that
+/// block, and a producer that folds or assembles a buffer does it in a
+/// fresh [`Tensor::zeros`]'s [`Tensor::data_mut`]; `new` moves a caller's
+/// `Vec` into a new block, so it is the one door that copies.
 ///
 /// # Copy-on-write invariants
 ///
@@ -30,10 +35,10 @@ use crate::{Bf16, Shape, TensorError};
 ///
 /// Numerics are unaffected: detaching copies bits verbatim, so CoW tensors
 /// are bit-identical to the eagerly copied representation they replaced.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Tensor {
     shape: Shape,
-    data: Arc<Vec<f32>>,
+    data: Arc<[f32]>,
 }
 
 impl PartialEq for Tensor {
@@ -44,44 +49,58 @@ impl PartialEq for Tensor {
 }
 
 impl Tensor {
-    /// Creates a tensor from a shape and matching data vector.
+    /// Creates a tensor from a shape and matching data vector, copying the
+    /// elements into the tensor's own block.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != shape.len()`.
     pub fn new(shape: Shape, data: Vec<f32>) -> Tensor {
-        assert_eq!(
-            data.len(),
-            shape.len(),
-            "data length {} does not match shape {shape}",
-            data.len()
-        );
-        Tensor {
-            shape,
-            data: Arc::new(data),
+        Tensor::checked(shape, data).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Tensor::new`]'s length check, shared with deserialization.
+    fn checked(shape: Shape, data: Vec<f32>) -> Result<Tensor, TensorError> {
+        match data.len() == shape.len() {
+            true => Ok(Tensor {
+                data: data.into(),
+                shape,
+            }),
+            false => Err(TensorError::LengthMismatch {
+                len: data.len(),
+                shape,
+            }),
         }
+    }
+
+    /// A tensor whose element at flat (row-major) index `i` is `f(i)`,
+    /// built in place in one allocation.
+    pub fn from_fn(shape: Shape, f: impl FnMut(usize) -> f32) -> Tensor {
+        let data = (0..shape.len()).map(f).collect();
+        Tensor { shape, data }
     }
 
     /// A tensor of zeros.
     pub fn zeros(shape: Shape) -> Tensor {
-        let len = shape.len();
-        Tensor::new(shape, vec![0.0; len])
+        Tensor::fill(shape, 0.0)
     }
 
     /// A tensor filled with a constant.
     pub fn fill(shape: Shape, value: f32) -> Tensor {
-        let len = shape.len();
-        Tensor::new(shape, vec![value; len])
+        Tensor::from_fn(shape, |_| value)
     }
 
     /// A rank-1 tensor from a slice.
     pub fn from_slice(values: &[f32]) -> Tensor {
-        Tensor::new(Shape::vector(values.len()), values.to_vec())
+        Tensor {
+            shape: Shape::vector(values.len()),
+            data: values.into(),
+        }
     }
 
     /// A rank-0 tensor holding one value.
     pub fn scalar(value: f32) -> Tensor {
-        Tensor::new(Shape::scalar(), vec![value])
+        Tensor::fill(Shape::scalar(), value)
     }
 
     /// The tensor's shape.
@@ -109,7 +128,7 @@ impl Tensor {
     /// Detaches (deep-copies) the buffer first when it is shared with other
     /// handles, so writes are never visible through another `Tensor`.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        Arc::make_mut(&mut self.data)
     }
 
     /// Whether two tensors share the same underlying buffer (a
@@ -158,17 +177,16 @@ impl Tensor {
         };
         let not_divisible = TensorError::NotDivisible { dim: extent, parts };
         let chunk_shape = self.shape.split_axis(axis, parts).ok_or(not_divisible)?;
-        let outer: usize = self.shape.dims()[..axis].iter().product();
         let inner: usize = self.shape.dims()[axis + 1..].iter().product();
-        let chunk_extent = extent / parts;
+        let run = extent / parts * inner;
         let mut out = Vec::with_capacity(parts);
         for p in 0..parts {
-            let mut data = Vec::with_capacity(chunk_shape.len());
-            for o in 0..outer {
-                let base = (o * extent + p * chunk_extent) * inner;
-                data.extend_from_slice(&self.data[base..base + chunk_extent * inner]);
+            let mut part = Tensor::zeros(chunk_shape.clone());
+            for (o, dst) in part.data_mut().chunks_mut(run.max(1)).enumerate() {
+                let base = o * extent * inner + p * run;
+                dst.copy_from_slice(&self.data[base..base + run]);
             }
-            out.push(Tensor::new(chunk_shape.clone(), data));
+            out.push(part);
         }
         Ok(out)
     }
@@ -182,7 +200,7 @@ impl Tensor {
     pub fn concat(parts: &[Tensor], axis: usize) -> Result<Tensor, TensorError> {
         let first = parts
             .first()
-            .ok_or(TensorError::NotDivisible { dim: 0, parts: 0 })?;
+            .ok_or(TensorError::EmptyInput { op: "concat" })?;
         let rank = first.shape.rank();
         if axis >= rank {
             return Err(TensorError::AxisOutOfRange { axis, rank });
@@ -207,15 +225,16 @@ impl Tensor {
         let out_shape = first.shape.with_dim(axis, total_axis);
         let outer: usize = first.shape.dims()[..axis].iter().product();
         let inner: usize = first.shape.dims()[axis + 1..].iter().product();
-        let mut data = Vec::with_capacity(out_shape.len());
+        let mut out = Tensor::zeros(out_shape);
+        let (data, mut at) = (out.data_mut(), 0);
         for o in 0..outer {
             for p in parts {
-                let e = p.shape.dim(axis);
-                let base = o * e * inner;
-                data.extend_from_slice(&p.data[base..base + e * inner]);
+                let run = p.shape.dim(axis) * inner;
+                data[at..at + run].copy_from_slice(&p.data[o * run..][..run]);
+                at += run;
             }
         }
-        Ok(Tensor::new(out_shape, data))
+        Ok(out)
     }
 
     /// Quantizes every element through bf16 and back (lossy).
@@ -223,9 +242,9 @@ impl Tensor {
     /// Models demoting a gradient buffer to bfloat16 for the all-reduce
     /// payload (§3.3).
     pub fn to_bf16_precision(&self) -> Tensor {
-        let mut data = (*self.data).clone();
-        Bf16::quantize_slice(&mut data);
-        Tensor::new(self.shape.clone(), data)
+        let mut quantized = self.clone();
+        Bf16::quantize_slice(quantized.data_mut());
+        quantized
     }
 }
 
@@ -242,6 +261,28 @@ impl fmt::Debug for Tensor {
                 self.data[0]
             )
         }
+    }
+}
+
+impl Serialize for Tensor {
+    fn ser(&self) -> Content {
+        Content::Map(vec![
+            ("shape".to_string(), self.shape.ser()),
+            ("data".to_string(), self.data.ser()),
+        ])
+    }
+}
+
+/// Goes through [`Tensor::new`]'s length check, so data that does not
+/// fill its shape is an error ([`TensorError::LengthMismatch`]), never a
+/// tensor whose `len()` disagrees with its shape.
+impl Deserialize for Tensor {
+    fn de(content: &Content) -> Result<Tensor, DeError> {
+        let field = |name| {
+            let missing = || DeError::msg(format_args!("missing field `{name}` in Tensor"));
+            content.get(name).ok_or_else(missing)
+        };
+        Tensor::checked(Shape::de(field("shape")?)?, Vec::de(field("data")?)?).map_err(DeError::msg)
     }
 }
 
@@ -267,6 +308,21 @@ mod tests {
     #[should_panic(expected = "does not match shape")]
     fn new_rejects_wrong_length() {
         Tensor::new(Shape::of(&[2, 2]), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn json_is_shape_then_data_and_a_short_buffer_is_an_error() {
+        let t = Tensor::new(Shape::of(&[2, 1]), vec![1.0, -2.5]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(json, r#"{"shape":[2,1],"data":[1.0,-2.5]}"#);
+        assert_eq!(serde_json::from_str::<Tensor>(&json).unwrap(), t);
+        let short = serde_json::from_str::<Tensor>(r#"{"shape":[2,2],"data":[1.0]}"#);
+        let want = TensorError::LengthMismatch {
+            shape: Shape::of(&[2, 2]),
+            len: 1,
+        };
+        assert!(short.unwrap_err().to_string().contains(&want.to_string()));
+        assert!(serde_json::from_str::<Tensor>(r#"{"data":[1.0]}"#).is_err());
     }
 
     #[test]
@@ -325,7 +381,10 @@ mod tests {
         let a = iota(&[2, 2]);
         let b = iota(&[3, 3]);
         assert!(Tensor::concat(&[a, b], 0).is_err());
-        assert!(Tensor::concat(&[], 0).is_err());
+        assert_eq!(
+            Tensor::concat(&[], 0),
+            Err(TensorError::EmptyInput { op: "concat" })
+        );
     }
 
     #[test]

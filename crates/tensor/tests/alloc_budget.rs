@@ -1,9 +1,12 @@
-//! Allocation budget of a shape and of a tensor handle.
+//! Allocation budget of a shape and of a tensor.
 //!
 //! A `Shape` holds its extents inline, so building, cloning or reshaping
 //! one allocates nothing, and cloning a `Tensor` only bumps its buffer's
-//! reference count. The ring executor, the 2-D summation, the optimizers
-//! and `Tensor::split` clone shapes and handles per shard and per chunk;
+//! reference count. A tensor's storage is one `Arc<[f32]>` block, written
+//! in place by every constructor, so building one costs exactly one
+//! allocation and writing through a uniquely owned one costs none. The
+//! ring executor, the 2-D summation, the optimizers and `Tensor::split`
+//! build and clone shapes, shards and handles per shard and per chunk;
 //! this is the guard behind `host.allocs_per_op` of the ledger's
 //! `fault_recovery` and `paper_sweep` workloads.
 
@@ -81,9 +84,33 @@ fn building_and_reshaping_a_shape_allocates_nothing() {
 #[test]
 fn a_tensor_handle_costs_its_buffer_count_only() {
     let (shape, data) = (Shape::of(&[4, 8, 3]), vec![1.0f32; 96]);
-    // The `Arc` round the buffer; the shape rides inline.
+    // The vector's elements move into one new block; the shape rides
+    // inline.
     let mut tensor = None;
     assert_eq!(allocs(|| tensor = Some(Tensor::new(shape, data))), 1);
-    let tensor = tensor.unwrap();
+    let mut tensor = tensor.unwrap();
     assert_eq!(allocs(|| black_box(&tensor).clone()), 0);
+    assert_eq!(allocs(|| black_box(tensor.data_mut())[0] = 2.0), 0);
+}
+
+#[test]
+fn every_constructor_builds_its_block_in_place() {
+    let shape = Shape::of(&[4, 8, 3]);
+    let values = [0.5f32; 96];
+    let cases: [(&str, &dyn Fn() -> Tensor); 5] = [
+        ("zeros", &|| Tensor::zeros(black_box(shape.clone()))),
+        ("fill", &|| Tensor::fill(black_box(shape.clone()), 1.5)),
+        ("from_fn", &|| Tensor::from_fn(shape.clone(), |i| i as f32)),
+        ("from_slice", &|| Tensor::from_slice(black_box(&values))),
+        ("scalar", &|| Tensor::scalar(black_box(3.0))),
+    ];
+    for (name, case) in cases {
+        assert_eq!(allocs(case), 1, "Tensor::{name}");
+    }
+    // A rank-1 split: the parts' vector, then one block per part.
+    let flat = Tensor::from_slice(&values);
+    for parts in [1, 4, 96] {
+        let split = allocs(|| flat.split(0, black_box(parts)).unwrap());
+        assert_eq!(split, 1 + parts as u64, "split into {parts}");
+    }
 }

@@ -59,6 +59,41 @@ proptest! {
         prop_assert_eq!(serde_json::from_str::<Shape>(&json).unwrap(), s);
     }
 
+    /// Reading a tensor back goes through the length check: JSON whose
+    /// data fills its shape with finite values round-trips bit for bit
+    /// (and re-serializes to the same bytes); any other data length, or a
+    /// non-finite value (written as `null`), is an error — never a tensor
+    /// whose `len()` disagrees with its shape.
+    #[test]
+    fn tensor_json_round_trips_or_is_an_error(
+        dims in any_dims(),
+        bits in prop::collection::vec(0u32..u32::MAX, 30..31),
+        fill in prop::bool::ANY,
+        len in 0usize..30,
+    ) {
+        // Half the draws fill the shape (at most 27 elements); the rest
+        // take any length.
+        let len = if fill { dims.iter().product() } else { len };
+        let values: Vec<f32> = bits[..len].iter().map(|&b| f32::from_bits(b)).collect();
+        let json = format!(
+            r#"{{"shape":{},"data":{}}}"#,
+            serde_json::to_string(&dims).unwrap(),
+            serde_json::to_string(&values).unwrap()
+        );
+        let fills = values.len() == dims.iter().product::<usize>();
+        match serde_json::from_str::<Tensor>(&json) {
+            Ok(t) => {
+                prop_assert!(fills && values.iter().all(|v| v.is_finite()), "{}", json);
+                prop_assert_eq!(t.shape().dims(), &dims[..]);
+                let got: Vec<u32> = t.data().iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(serde_json::to_string(&t).unwrap(), json);
+            }
+            Err(_) => prop_assert!(!fills || values.iter().any(|v| !v.is_finite()), "{}", json),
+        }
+    }
+
     /// bf16 round-trip never increases relative error beyond epsilon/2.
     #[test]
     fn bf16_relative_error_bounded(x in -1e30f32..1e30f32) {

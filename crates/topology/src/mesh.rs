@@ -273,31 +273,32 @@ impl Multipod {
 
     /// All physical neighbours of a chip with their link classes.
     pub fn neighbors(&self, chip: ChipId) -> Vec<(ChipId, LinkClass)> {
+        self.live_links(chip).collect()
+    }
+
+    /// The live links of a chip, walked without allocating: the at most
+    /// four chips one step away in X and in Y (round the wrap on a Y
+    /// torus) whose link to `chip` is up.
+    fn live_links(&self, chip: ChipId) -> impl Iterator<Item = (ChipId, LinkClass)> + '_ {
         let c = self.coord_of(chip);
-        let mut out = Vec::with_capacity(4);
-        let mut push = |coord: Coord| {
-            let other = self.chip_at(coord);
-            if let Some(class) = self.link_between(chip, other) {
-                out.push((other, class));
-            }
+        let wrap = self.torus_y();
+        let down = match c.y {
+            0 => wrap.then(|| Coord::new(c.x, self.y_len - 1)),
+            y => Some(Coord::new(c.x, y - 1)),
         };
-        if c.x > 0 {
-            push(Coord::new(c.x - 1, c.y));
-        }
-        if c.x + 1 < self.x_len {
-            push(Coord::new(c.x + 1, c.y));
-        }
-        if c.y > 0 {
-            push(Coord::new(c.x, c.y - 1));
-        } else if self.torus_y() {
-            push(Coord::new(c.x, self.y_len - 1));
-        }
-        if c.y + 1 < self.y_len {
-            push(Coord::new(c.x, c.y + 1));
-        } else if self.torus_y() && self.y_len > 1 && c.y == self.y_len - 1 {
-            push(Coord::new(c.x, 0));
-        }
-        out
+        let up = match c.y + 1 {
+            y if y < self.y_len => Some(Coord::new(c.x, y)),
+            _ => (wrap && self.y_len > 1).then(|| Coord::new(c.x, 0)),
+        };
+        let left = (c.x > 0).then(|| Coord::new(c.x - 1, c.y));
+        let right = (c.x + 1 < self.x_len).then(|| Coord::new(c.x + 1, c.y));
+        [left, right, down, up]
+            .into_iter()
+            .flatten()
+            .filter_map(move |coord| {
+                let other = self.chip_at(coord);
+                self.link_between(chip, other).map(|class| (other, class))
+            })
     }
 
     /// All directed links in the mesh.
@@ -360,7 +361,7 @@ impl Multipod {
     /// Whether `chip` has no live links left (e.g. after
     /// [`Multipod::fail_chip`]); single-chip meshes are trivially isolated.
     pub fn is_isolated(&self, chip: ChipId) -> bool {
-        self.neighbors(chip).is_empty()
+        self.live_links(chip).next().is_none()
     }
 
     fn is_failed(&self, a: ChipId, b: ChipId) -> bool {

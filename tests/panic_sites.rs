@@ -31,7 +31,7 @@ const KNOWN: &[(&str, usize)] = &[
     ("crates/telemetry/src/fit.rs", 1),
     ("crates/telemetry/src/profiler.rs", 2),
     ("crates/telemetry/src/report.rs", 1),
-    ("crates/tensor/src/kernels.rs", 3),
+    ("crates/tensor/src/kernels.rs", 2),
     ("crates/tensor/src/ops.rs", 1),
     ("crates/tensor/src/rng.rs", 2),
     ("crates/tensor/src/shape.rs", 1),
