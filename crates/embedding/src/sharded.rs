@@ -138,17 +138,14 @@ impl ShardedEmbedding {
         if row >= rows {
             return Err(EmbeddingError::RowOutOfRange { table, row, rows });
         }
-        let data = self.values(table, row).collect();
-        Ok(Tensor::new(Shape::vector(self.dim), data))
+        let shape = Shape::vector(self.dim);
+        Ok(Tensor::from_fn(shape, self.values(table, row)))
     }
 
-    /// The current values of one (in-range) row.
-    fn values(&self, table: usize, row: usize) -> impl Iterator<Item = f32> + '_ {
+    /// The current values of one (in-range) row, by column.
+    fn values(&self, table: usize, row: usize) -> impl Fn(usize) -> f32 + '_ {
         let updated = self.updated.get(&(table, row));
-        (0..self.dim).map(move |col| match updated {
-            Some(values) => values[col],
-            None => value(self.seed, table, row, col),
-        })
+        move |col| updated.map_or_else(|| value(self.seed, table, row, col), |v| v[col])
     }
 
     /// Executes a batch lookup: `indices[sample][table]` selects one row
@@ -358,12 +355,17 @@ impl ShardedEmbedding {
     /// The numeric half of a lookup over already-checked `indices`.
     fn gather(&self, indices: &[Vec<usize>], cost: LookupCost) -> LookupOutcome {
         let width = self.placement.num_tables() * self.dim;
-        let mut out = Vec::with_capacity(indices.len() * width);
-        for (t, &row) in indices.iter().flat_map(|ids| ids.iter().enumerate()) {
-            out.extend(self.values(t, row));
+        let mut out = Tensor::zeros(Shape::of(&[indices.len(), width]));
+        let rows = indices.iter().flat_map(|ids| ids.iter().enumerate());
+        // One chunk per row looked up (none when the tables are 0 wide).
+        for (chunk, (t, &row)) in out.data_mut().chunks_exact_mut(self.dim.max(1)).zip(rows) {
+            let values = self.values(t, row);
+            for (col, v) in chunk.iter_mut().enumerate() {
+                *v = values(col);
+            }
         }
         LookupOutcome {
-            embeddings: Tensor::new(Shape::of(&[indices.len(), width]), out),
+            embeddings: out,
             time: cost.time,
             remote_rows: cost.remote_rows,
             local_rows: cost.local_rows,

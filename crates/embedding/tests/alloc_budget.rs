@@ -4,7 +4,8 @@
 //! O(tables) bytes; pricing a batch allocates a fixed handful of buffers
 //! sized by the batch — nothing per row; and replaying a stream's caches
 //! holds one host's LRU and the hit bits, however many hosts there are.
-//! This is the regression guard behind the ledger's `embedding.init_ms`
+//! A row or a looked-up batch is built in its one tensor block, not
+//! copied there from a staging buffer. This is the regression guard behind the ledger's `embedding.init_ms`
 //! and `heap_peak_mb`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -190,6 +191,46 @@ fn pricing_a_batch_allocates_per_batch_not_per_row() {
     for (bytes, rows) in [(small_bytes, small_rows), (large_bytes, large_rows)] {
         assert!(bytes <= 96 * rows as u64, "{bytes} bytes for {rows} rows");
     }
+}
+
+#[test]
+fn a_row_and_a_lookup_are_each_built_in_one_block() {
+    let (mut emb, _) = serve_layout();
+    // A row read from its seed and one read from an applied update.
+    let indices: Vec<Vec<usize>> = (0..64)
+        .map(|s| {
+            (0..TABLES)
+                .map(|t| (s * 7919 + t * 104_729) % 100_000)
+                .collect()
+        })
+        .collect();
+    let grads = multipod_tensor::Tensor::fill(multipod_tensor::Shape::of(&[1, TABLES * 32]), 0.5);
+    emb.scatter_update(&indices[..1], &grads, 0.1).unwrap();
+    for (table, row) in [(3, 17), (0, indices[0][0])] {
+        let (got, allocs, _) = count(|| emb.row(table, row).unwrap());
+        assert_eq!(allocs, 1, "row ({table}, {row})");
+        assert_eq!(got.len(), 32);
+    }
+
+    let mesh = Multipod::new(MultipodConfig::mesh(16, 16, false));
+    let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
+    // Warm the route cache, so the two measured passes start equal.
+    emb.price(&mut net, &indices, SimTime::ZERO, |_, _, _, _| false)
+        .unwrap();
+    net.reset();
+    let (cost, priced, _) = count(|| {
+        emb.price(&mut net, &indices, SimTime::ZERO, |_, _, _, _| false)
+            .unwrap()
+    });
+    net.reset();
+    let (out, looked_up, _) = count(|| emb.lookup(&mut net, &indices, SimTime::ZERO).unwrap());
+    assert_eq!(looked_up, priced + 1, "the gathered batch is one block");
+    assert_eq!(out.remote_rows, cost.remote_rows);
+    assert_eq!(out.embeddings.shape().dims(), &[64, TABLES * 32]);
+    assert_eq!(
+        &out.embeddings.data()[..32],
+        emb.row(0, indices[0][0]).unwrap().data()
+    );
 }
 
 /// Bytes a host's LRU spends per row it has room for: a 32-byte arena

@@ -6,7 +6,7 @@ use std::fmt;
 use multipod_ckpt::CkptError;
 use multipod_core::StepError;
 use multipod_optim::OptimError;
-use multipod_topology::{ChipId, TopologyError};
+use multipod_topology::ChipId;
 
 /// A scheduling campaign failed.
 #[derive(Debug)]
@@ -33,8 +33,6 @@ pub enum SchedError {
     Step(StepError),
     /// A job's optimizer update failed (shape drift in model state).
     Optim(OptimError),
-    /// The mesh configuration itself was invalid.
-    Topology(TopologyError),
     /// A long-lived service reservation could not be placed on the mesh
     /// (at campaign start, or after a fault when no migration target
     /// exists even with every job preempted).
@@ -78,7 +76,6 @@ impl fmt::Display for SchedError {
             }
             SchedError::Step(e) => write!(f, "step-time model rejected a job: {e}"),
             SchedError::Optim(e) => write!(f, "job model update failed: {e}"),
-            SchedError::Topology(e) => write!(f, "invalid mesh: {e}"),
             SchedError::ServiceUnplaceable { service, chips } => {
                 write!(
                     f,
@@ -101,7 +98,6 @@ impl Error for SchedError {
             SchedError::Ckpt(e) => Some(e),
             SchedError::Step(e) => Some(e),
             SchedError::Optim(e) => Some(e),
-            SchedError::Topology(e) => Some(e),
             _ => None,
         }
     }
@@ -122,11 +118,5 @@ impl From<StepError> for SchedError {
 impl From<OptimError> for SchedError {
     fn from(e: OptimError) -> SchedError {
         SchedError::Optim(e)
-    }
-}
-
-impl From<TopologyError> for SchedError {
-    fn from(e: TopologyError) -> SchedError {
-        SchedError::Topology(e)
     }
 }

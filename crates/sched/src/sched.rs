@@ -154,9 +154,9 @@ enum Event {
 }
 
 /// A job's mutable model state: the "real training" the checkpoint
-/// protocol protects. Small on purpose — thousands of jobs run per
-/// campaign — but advanced with genuine optimizer updates so state
-/// divergence would be caught by the bit-identity check.
+/// protocol protects, advanced with genuine optimizer updates so state
+/// divergence would be caught by the bit-identity check. Only a
+/// preemption save reads it, so only preempted jobs build and train one.
 struct JobModel {
     weights: Tensor,
     opt: SgdMomentum,
@@ -164,6 +164,7 @@ struct JobModel {
 
 impl JobModel {
     fn fresh(spec: &JobSpec, elems: usize, lr: f32) -> JobModel {
+        count_training(spec.id, 1, 0);
         // Deterministic per-job initialization.
         let weights = Tensor::from_fn(Shape::vector(elems), |i| {
             let h = spec
@@ -183,6 +184,7 @@ impl JobModel {
     /// of the job id and step index, written into `grad` (the weights'
     /// shape) in place.
     fn advance(&mut self, job: u64, step: u64, grad: &mut Tensor) -> Result<(), SchedError> {
+        count_training(job, 0, 1);
         let g = job.wrapping_mul(0x94d0_49bb_1331_11eb).wrapping_add(step);
         grad.data_mut()
             .fill(((g >> 40) as f32 / (1u64 << 24) as f32) - 0.5);
@@ -236,8 +238,8 @@ struct Running {
 /// One row of the job table; the row index is the job's `spec.id`.
 struct Job {
     spec: JobSpec,
-    /// Built on first use and released at `Done`: a fresh model is a pure
-    /// function of the job id, so only jobs that have run hold one.
+    /// Built when a preemption first reads it and released at `Done`, so
+    /// only preempted jobs that have not finished hold one.
     model: Option<JobModel>,
     steps_done: u64,
     /// Last checkpoint (from a preemption save), if any.
@@ -253,7 +255,7 @@ struct Job {
 }
 
 impl Job {
-    /// The job's model, built fresh on first use.
+    /// The job's model, built fresh when a preemption or restore first asks.
     fn model(&mut self, config: &SchedConfig) -> &mut JobModel {
         let spec = &self.spec;
         self.model
@@ -261,18 +263,18 @@ impl Job {
     }
 
     /// Trains the model forward to `steps_done == target`, every step
-    /// through one gradient buffer.
-    fn advance_to(&mut self, target: u64, config: &SchedConfig) -> Result<(), SchedError> {
-        if target > self.steps_done {
-            let (first, id) = (self.steps_done, self.spec.id);
-            let model = self.model(config);
+    /// through one gradient buffer, and bundles it for a checkpoint save.
+    fn bundle_at(&mut self, target: u64, config: &SchedConfig) -> Result<StateBundle, SchedError> {
+        let (first, id) = (self.steps_done, self.spec.id);
+        self.steps_done = target;
+        let model = self.model(config);
+        if target > first {
             let mut grad = Tensor::zeros(model.weights.shape().clone());
             for s in first..target {
                 model.advance(id, s, &mut grad)?;
             }
         }
-        self.steps_done = target;
-        Ok(())
+        model.bundle(target)
     }
 }
 
@@ -489,7 +491,7 @@ impl PodScheduler {
             });
         }
         for spec in arrival_stream(&self.config.arrivals) {
-            self.allocator.shapes_for(spec.id, spec.chips)?;
+            let _ = self.allocator.shapes_for(spec.id, spec.chips)?;
             self.queue.schedule(spec.arrival, Event::Arrival(spec));
         }
         for fault in plan.events() {
@@ -529,7 +531,7 @@ impl PodScheduler {
                     if !matches!(&self.jobs[job].phase, Phase::Running(r) if r.token == token) {
                         continue;
                     }
-                    self.complete_job(job, now)?;
+                    self.complete_job(job, now);
                 }
                 Event::SliceFreed { victims } => {
                     for v in victims {
@@ -780,15 +782,15 @@ impl PodScheduler {
         Some(running)
     }
 
-    /// Completes running `job` at `now`: advance its model through the
-    /// steps it ran, bill its tenant, free the slice. The finished job
-    /// releases its model and its last checkpoint.
-    fn complete_job(&mut self, job: usize, now: SimTime) -> Result<(), SchedError> {
+    /// Completes running `job` at `now`: count its steps done, bill its
+    /// tenant, free the slice. No step is trained: nothing reads a finished
+    /// job's model, which is released with its last checkpoint.
+    fn complete_job(&mut self, job: usize, now: SimTime) {
         let Some(running) = self.stop(job, now, Phase::Done { at: now }) else {
-            return Ok(());
+            return;
         };
         let j = &mut self.jobs[job];
-        j.advance_to(j.spec.steps, &self.config)?;
+        j.steps_done = j.spec.steps;
         j.model = None;
         j.ckpt = None;
         let (chips, steps) = (j.spec.chips, j.spec.steps);
@@ -804,15 +806,15 @@ impl PodScheduler {
                 ("steps", steps as f64),
             ],
         );
-        Ok(())
     }
 
     /// Preempts running jobs so that `chips` for `claimant` (an allocator
     /// owner id) fit. Candidates are the running jobs of strictly lower
     /// priority than `outranks` — every running job for `None`, a service
     /// — taken cheapest first (lowest priority, then latest started, then
-    /// highest id: a total order, read off the back of `running`) and
-    /// freed in a trial on the allocator itself until the claim fits.
+    /// highest id: a total order, read off the back of `running`), and a
+    /// read-only trial on the allocator finds the shortest prefix whose
+    /// cells make the claim fit.
     /// Exactly that prefix checkpoints; the slices free together when the
     /// slowest save completes. Returns whether a victim set was found.
     fn preempt_to_fit(
@@ -864,8 +866,7 @@ impl PodScheduler {
         let ran = (elapsed / running.step_seconds).floor().max(0.0) as u64;
         let j = &mut self.jobs[job];
         let steps_done = j.steps_done.saturating_add(ran).min(j.spec.steps);
-        j.advance_to(steps_done, &self.config)?;
-        let bundle = j.model(&self.config).bundle(steps_done)?;
+        let bundle = j.bundle_at(steps_done, &self.config)?;
         let pcie = self.pcie;
         let ctx = self.shape_ctx(running.slice.shape())?;
         let outcome = save_checkpoint(&mut ctx.net, &ctx.placement, &bundle, &pcie, now)?;
@@ -1014,6 +1015,25 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+/// Counts `job`'s model builds and trained steps under test; otherwise nothing.
+#[cfg(not(test))]
+fn count_training(_job: u64, _models: u64, _steps: u64) {}
+
+#[cfg(test)]
+thread_local! {
+    static TRAINING: std::cell::RefCell<BTreeMap<u64, (u64, u64)>> =
+        const { std::cell::RefCell::new(BTreeMap::new()) };
+}
+
+#[cfg(test)]
+fn count_training(job: u64, models: u64, steps: u64) {
+    TRAINING.with(|t| {
+        let mut t = t.borrow_mut();
+        let (m, s) = t.entry(job).or_default();
+        (*m, *s) = (*m + models, *s + steps);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1160,6 +1180,51 @@ mod tests {
             report.queue_wait.count,
             60 + report.preemptions + report.fault_kills
         );
+    }
+
+    #[test]
+    fn only_preempted_jobs_build_and_train_a_model() {
+        use multipod_trace::{Recorder, TraceEvent};
+        use std::sync::Arc;
+        // The report, every job's `(models built, steps trained)`, and
+        // every preempted job's last checkpoint step off its spans.
+        let campaign = |config: SchedConfig| {
+            let recorder = Recorder::shared();
+            let mut sched = PodScheduler::new(config);
+            sched.set_obs(Obs::new(Some(Arc::clone(&recorder) as _), None));
+            TRAINING.with(|t| t.borrow_mut().clear());
+            let report = sched.run().expect("campaign");
+            let mut saved = BTreeMap::new();
+            for event in recorder.events() {
+                let TraceEvent::Span(span) = event else {
+                    continue;
+                };
+                let arg = |k: &str| {
+                    span.args
+                        .iter()
+                        .find(|(key, _)| key == k)
+                        .map(|a| a.1 as u64)
+                };
+                if span.name == "job-preempt" {
+                    saved.insert(arg("job").unwrap(), arg("steps_done").unwrap());
+                }
+            }
+            (report, TRAINING.with(|t| t.take()), saved)
+        };
+        let mut quiet = fitted_config(20, 11);
+        quiet.arrivals.mean_interarrival_seconds = 10.0;
+        let (report, trained, saved) = campaign(quiet);
+        assert_eq!((report.completed, report.preemptions), (20, 0));
+        assert!(trained.is_empty() && saved.is_empty(), "{trained:?}");
+
+        let (report, trained, saved) = campaign(fitted_config(60, 11));
+        assert_eq!(report.completed, 60);
+        assert!(report.preemptions as usize >= saved.len() && !saved.is_empty());
+        // One model per preempted job, trained from scratch to its last
+        // checkpoint and not a step further.
+        let want: BTreeMap<u64, (u64, u64)> =
+            saved.iter().map(|(&job, &step)| (job, (1, step))).collect();
+        assert_eq!(trained, want);
     }
 
     #[test]

@@ -114,52 +114,60 @@ impl SliceAllocator {
     }
 
     /// Candidate `(w, h)` shapes for a slice of `chips`, most-square
-    /// first, every one a power-of-two rectangle that fits the mesh.
+    /// first, every one a power-of-two rectangle that fits the mesh. The
+    /// shapes are generated in order, so asking allocates nothing.
     ///
     /// # Errors
     ///
     /// [`SchedError::UnplaceableJob`] when `chips` is not a power of two
     /// ≥ 2 or no rectangle of that area fits the mesh at all.
-    pub fn shapes_for(&self, job: u64, chips: u32) -> Result<Vec<(u32, u32)>, SchedError> {
+    pub fn shapes_for(
+        &self,
+        job: u64,
+        chips: u32,
+    ) -> Result<impl Iterator<Item = (u32, u32)> + Clone, SchedError> {
         if !(chips.is_power_of_two() && chips >= 2) {
             return Err(SchedError::UnplaceableJob { job, chips });
         }
-        let mut shapes: Vec<(u32, u32)> = Vec::new();
-        let mut w = 1u32;
-        while w <= chips {
-            let h = chips / w;
-            if w <= self.x_len && h <= self.y_len {
-                shapes.push((w, h));
-            }
-            w *= 2;
-        }
-        if shapes.is_empty() {
+        let (k, x_len, y_len) = (chips.trailing_zeros(), self.x_len, self.y_len);
+        // Sides `2^a × 2^(k−a)` by `d = |2a − k|`, the wider of each pair
+        // first (for powers of two, the order of `(|w − h|, wider first)`);
+        // an even `k`'s square comes twice at `d = 0`, so one is skipped.
+        let shapes = (k % 2..=k)
+            .step_by(2)
+            .flat_map(move |d| [(k + d) / 2, (k - d) / 2])
+            .skip(usize::from(k % 2 == 0))
+            .map(move |a| (1 << a, chips >> a))
+            .filter(move |&(w, h)| w <= x_len && h <= y_len);
+        if shapes.clone().next().is_none() {
             return Err(SchedError::UnplaceableJob { job, chips });
         }
-        // Most-square first; ties broken wider-first so the order is total.
-        shapes.sort_by_key(|&(w, h)| (w.abs_diff(h), std::cmp::Reverse(w)));
         Ok(shapes)
     }
 
-    fn rect_free(&self, slice: Slice) -> bool {
-        slice
-            .rows(self.x_len)
-            .all(|row| self.cells[row].iter().all(|c| *c == Cell::Free))
-    }
-
-    /// First free shape-aligned `w × h` rectangle, scanning rows outward
-    /// then columns (y-major), or `None` when nothing fits.
-    fn find_anchor(&self, w: u32, h: u32) -> Option<Slice> {
-        (0..self.y_len / h)
-            .flat_map(|j| {
-                (0..self.x_len / w).map(move |i| Slice {
+    /// The first rectangle whose every cell is `usable`, trying `shapes`
+    /// in order and, within a shape, anchors aligned to it, scanning rows
+    /// outward then columns (y-major); `None` when nothing fits.
+    fn find_slice(
+        &self,
+        mut shapes: impl Iterator<Item = (u32, u32)>,
+        usable: impl Fn(Cell) -> bool,
+    ) -> Option<Slice> {
+        shapes.find_map(|(w, h)| {
+            let anchors =
+                (0..self.y_len / h).flat_map(|j| (0..self.x_len / w).map(move |i| (i, j)));
+            anchors
+                .map(|(i, j)| Slice {
                     x0: i * w,
                     y0: j * h,
                     w,
                     h,
                 })
-            })
-            .find(|&slice| self.rect_free(slice))
+                .find(|&slice| {
+                    let mut cells = slice.rows(self.x_len).flat_map(|row| &self.cells[row]);
+                    cells.all(|&c| usable(c))
+                })
+        })
     }
 
     /// Allocates a slice of `chips` for `job`: the first buddy-aligned
@@ -172,7 +180,7 @@ impl SliceAllocator {
     /// *ever* fit the mesh (as opposed to not fitting right now).
     pub fn allocate(&mut self, job: u64, chips: u32) -> Result<Option<Slice>, SchedError> {
         let shapes = self.shapes_for(job, chips)?;
-        let Some(slice) = shapes.into_iter().find_map(|(w, h)| self.find_anchor(w, h)) else {
+        let Some(slice) = self.find_slice(shapes, |c| c == Cell::Free) else {
             return Ok(None);
         };
         for row in slice.rows(self.x_len) {
@@ -206,43 +214,38 @@ impl SliceAllocator {
 
     /// How many of `candidates`, freed in order, a claim of `chips` by
     /// `claimant` needs before one of its shapes fits, or `None` when it
-    /// does not fit even with all of them gone. The trial frees the
-    /// candidates' cells in place and puts every one back before it
-    /// returns, so the allocator is left as it was.
+    /// does not fit even with all of them gone. Read-only: it searches
+    /// with the candidates' cells counted usable, all of them first, then
+    /// each prefix in turn (freeing more never un-fits a claim).
     ///
     /// # Errors
     ///
-    /// As [`SliceAllocator::shapes_for`], before any cell is touched.
+    /// As [`SliceAllocator::shapes_for`].
     pub(crate) fn victims_needed(
-        &mut self,
+        &self,
         claimant: u64,
         chips: u32,
         candidates: impl IntoIterator<Item = u64>,
     ) -> Result<Option<usize>, SchedError> {
         let shapes = self.shapes_for(claimant, chips)?;
-        let mut undo: Vec<(usize, u64)> = Vec::new();
-        let mut needed = None;
-        for (k, owner) in candidates.into_iter().enumerate() {
-            for slice in self.owned.get(&owner).into_iter().flatten() {
-                for i in slice.rows(self.x_len).flatten() {
-                    if self.cells[i] == Cell::Busy(owner) {
-                        self.cells[i] = Cell::Free;
-                        undo.push((i, owner));
-                    }
-                }
-            }
-            if shapes
-                .iter()
-                .any(|&(w, h)| self.find_anchor(w, h).is_some())
-            {
-                needed = Some(k + 1);
-                break;
-            }
-        }
-        for (i, owner) in undo {
-            self.cells[i] = Cell::Busy(owner);
-        }
-        Ok(needed)
+        // Each candidate owner's first place in the order, sorted by owner.
+        let mut rank = Vec::with_capacity(self.owned.len());
+        rank.extend(candidates.into_iter().enumerate().map(|(k, o)| (o, k)));
+        let n = rank.len();
+        rank.sort_unstable();
+        rank.dedup_by_key(|&mut (owner, _)| owner);
+        let place = |o| rank.binary_search_by_key(&o, |r| r.0).map(|i| rank[i].1);
+        // Whether the claim fits with the first `k` candidates' cells free.
+        let fits = |k| {
+            let usable = |cell| match cell {
+                Cell::Free => true,
+                Cell::Dead => false,
+                Cell::Busy(o) => place(o).is_ok_and(|p| p < k),
+            };
+            self.find_slice(shapes.clone(), usable).is_some()
+        };
+        // One search when nothing fits even with every candidate gone.
+        Ok(fits(n).then(|| (1..=n).find(|&k| fits(k))).flatten())
     }
 
     /// Marks a chip dead. Returns the job occupying it, if any; the
@@ -335,9 +338,33 @@ mod tests {
     #[test]
     fn shapes_are_most_square_first() {
         let a = allocator(8, 8);
-        let shapes = a.shapes_for(0, 16).unwrap();
-        assert_eq!(shapes[0], (4, 4));
-        assert!(shapes.contains(&(8, 2)) && shapes.contains(&(2, 8)));
+        let shapes: Vec<_> = a.shapes_for(0, 16).unwrap().collect();
+        assert_eq!(shapes, [(4, 4), (8, 2), (2, 8)]);
+    }
+
+    /// The order `shapes_for` generated by sorting every fitting
+    /// power-of-two rectangle, kept as the oracle of its generator.
+    fn shapes_by_sort(x_len: u32, y_len: u32, chips: u32) -> Vec<(u32, u32)> {
+        let mut shapes: Vec<(u32, u32)> = (0..=chips.trailing_zeros())
+            .map(|a| (1 << a, chips >> a))
+            .filter(|&(w, h)| w <= x_len && h <= y_len)
+            .collect();
+        shapes.sort_by_key(|&(w, h)| (w.abs_diff(h), std::cmp::Reverse(w)));
+        shapes
+    }
+
+    #[test]
+    fn generated_shapes_are_the_sorted_shapes() {
+        for (x, y) in [(8, 8), (128, 32), (32, 128), (3, 5), (16, 1), (1, 1)] {
+            let a = allocator(x, y);
+            for k in 1..16 {
+                let want = shapes_by_sort(x, y, 1 << k);
+                match a.shapes_for(0, 1 << k) {
+                    Ok(shapes) => assert_eq!(shapes.collect::<Vec<_>>(), want, "{x}x{y}, 2^{k}"),
+                    Err(_) => assert!(want.is_empty(), "{x}x{y}, 2^{k}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -420,8 +447,8 @@ mod tests {
         assert!(a.accounting_consistent());
     }
 
-    /// The victim trial the scheduler ran before the in-place one, kept as
-    /// its oracle: free each candidate on a copy of the allocator, by a
+    /// The victim trial the scheduler ran before the read-only one, kept
+    /// as its oracle: free each candidate on a copy of the allocator, by a
     /// scan of every cell, until the claim fits.
     fn victims_needed_by_clone(
         a: &SliceAllocator,
@@ -447,29 +474,32 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// On any occupancy (owners holding one slice or two, dead chips
-        /// inside and outside slices), candidate order and claim size, the
-        /// in-place trial needs as many victims as the copying one, and
-        /// leaves the allocator exactly as it found it.
+        /// inside and outside slices), candidate order and claim size up to
+        /// the whole mesh, the read-only trial needs as many victims as the
+        /// copying one, and leaves the allocator exactly as it found it.
         #[test]
-        fn in_place_trial_matches_the_copying_trial(
+        fn read_only_trial_matches_the_copying_trial(
             x in 1u32..17,
             y in 1u32..17,
             grants in proptest::collection::vec((0u64..10, 1u32..7), 0..24),
             dead in proptest::collection::vec(0u32..256, 0..6),
-            candidates in proptest::collection::vec(0u64..12, 1..12),
-            claim in 1u32..9,
+            candidates in proptest::collection::vec(0u64..12, 0..12),
+            claim in 0u32..64,
         ) {
             let mut a = allocator(x, y);
             for (owner, log) in grants {
                 let _ = a.allocate(owner, 1 << log);
             }
             for chip in dead {
-                a.mark_dead(ChipId(chip));
+                a.mark_dead(ChipId(chip % (x * y)));
             }
             prop_assert!(a.accounting_consistent());
+            // 2 chips up to the largest power of two the mesh holds.
+            let top = (x * y).ilog2().max(1);
+            let claim = 1 << (1 + claim % top);
             let before = a.clone();
-            let want = victims_needed_by_clone(&a, 99, 1 << claim, &candidates).ok();
-            let got = a.victims_needed(99, 1 << claim, candidates.iter().copied()).ok();
+            let want = victims_needed_by_clone(&a, 99, claim, &candidates).ok();
+            let got = a.victims_needed(99, claim, candidates.iter().copied()).ok();
             prop_assert_eq!(got, want);
             prop_assert_eq!(&a, &before);
         }
