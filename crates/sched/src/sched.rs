@@ -303,16 +303,34 @@ impl Waiting {
 
 /// Queue order: priority, then fair-share usage (lighter tenants first),
 /// then arrival, then id — a total order, so scheduling is deterministic.
-/// `usage` is the chip-seconds billed so far, indexed by tenant.
-fn queue_order(pending: &mut [Waiting], usage: &[f64]) {
+/// `usage` is the chip-seconds billed so far, indexed by tenant (0.0 past it).
+fn queue_cmp(a: &Waiting, b: &Waiting, usage: &[f64]) -> std::cmp::Ordering {
     let used = |w: &Waiting| usage.get(w.tenant as usize).copied().unwrap_or(0.0);
-    pending.sort_by(|a, b| {
-        a.priority
-            .cmp(&b.priority)
-            .then(used(a).total_cmp(&used(b)))
-            .then(a.arrival.cmp(&b.arrival))
-            .then(a.job.cmp(&b.job))
-    });
+    a.priority
+        .cmp(&b.priority)
+        .then(used(a).total_cmp(&used(b)))
+        .then(a.arrival.cmp(&b.arrival))
+        .then(a.job.cmp(&b.job))
+}
+
+/// Inserts `waiting` into `pending`, which is in queue order, at its
+/// place: the order is total, so that is where a push and a sort put it.
+fn enqueue(pending: &mut Vec<Waiting>, waiting: Waiting, usage: &[f64]) {
+    let at = pending.partition_point(|w| queue_cmp(w, &waiting, usage).is_lt());
+    pending.insert(at, waiting);
+}
+
+/// Bills `tenant` and returns whether that changed how it compares with
+/// another tenant, an unbilled one (0.0) included: no other bill can take
+/// a queue out of queue order.
+fn bill(usage: &mut Vec<f64>, tenant: usize, chip_seconds: f64) -> bool {
+    if tenant >= usage.len() {
+        usage.resize(tenant + 1, 0.0);
+    }
+    let (old, new) = (usage[tenant], usage[tenant] + chip_seconds);
+    usage[tenant] = new;
+    let moved = |u: &f64| old.total_cmp(u) != new.total_cmp(u);
+    moved(&0.0) || (0..usage.len()).any(|t| t != tenant && moved(&usage[t]))
 }
 
 /// Runtime state of one long-lived service reservation.
@@ -342,8 +360,14 @@ pub struct PodScheduler {
     queue: EventQueue<Event>,
     /// The job table, in arrival order.
     jobs: Vec<Job>,
-    /// The `Queued` rows of `jobs`, in the last round's queue order.
+    /// The `Queued` rows of `jobs`, in queue order.
     pending: Vec<Waiting>,
+    /// Slice sizes (one bit each) with no `Free` rectangle: `Free` cells
+    /// only disappear until [`PodScheduler::free`] clears this.
+    blocked: u32,
+    /// The last queue head's `(priority, chips)` claim if it found no
+    /// victim set: its usable cells only shrink until the next `free`.
+    no_victims: Option<(u8, u32)>,
     /// The `Running` rows of `jobs` as `(priority, started, id)`: the
     /// last is the most expendable.
     running: BTreeSet<(u8, SimTime, usize)>,
@@ -381,6 +405,8 @@ impl PodScheduler {
             queue: EventQueue::new(),
             jobs: Vec::new(),
             pending: Vec::new(),
+            blocked: 0,
+            no_victims: None,
             running: BTreeSet::new(),
             services: Vec::new(),
             tenant_usage: Vec::new(),
@@ -541,8 +567,9 @@ impl PodScheduler {
                         // jobs still draining.
                         if matches!(self.jobs[v].phase, Phase::Draining) {
                             self.jobs[v].phase = Phase::Queued { since: now };
-                            self.allocator.free(v as u64);
-                            self.pending.push(Waiting::of(&self.jobs[v].spec));
+                            self.free(v as u64);
+                            let waiting = Waiting::of(&self.jobs[v].spec);
+                            enqueue(&mut self.pending, waiting, &self.tenant_usage);
                         }
                     }
                 }
@@ -565,7 +592,7 @@ impl PodScheduler {
     fn admit(&mut self, spec: JobSpec, now: SimTime) {
         debug_assert_eq!(spec.id, self.jobs.len() as u64, "ids are row indexes");
         self.count("arrivals", 1);
-        self.pending.push(Waiting::of(&spec));
+        enqueue(&mut self.pending, Waiting::of(&spec), &self.tenant_usage);
         self.jobs.push(Job {
             model: None,
             spec,
@@ -675,28 +702,30 @@ impl PodScheduler {
                 });
             }
         }
-        queue_order(&mut self.pending, &self.tenant_usage);
-        // Slice sizes (powers of two, so one bit each) that failed this
-        // round: later dispatches only take space, so they stay failed.
-        let mut blocked: u32 = 0;
         let mut kept = 0;
         for i in 0..self.pending.len() {
             let waiting = self.pending[i];
-            if blocked & waiting.chips == 0 {
-                if let Some(slice) = self.allocator.allocate(waiting.job as u64, waiting.chips)? {
+            if self.blocked & waiting.chips == 0 {
+                let slice = self.allocator.allocate(waiting.job as u64, waiting.chips)?;
+                log_alloc(Some((waiting.chips, slice.is_some())));
+                if let Some(slice) = slice {
                     self.dispatch(waiting.job, slice, now)?;
                     continue;
                 }
-                blocked |= waiting.chips;
+                self.blocked |= waiting.chips;
             }
             self.pending[kept] = waiting;
             kept += 1;
         }
         self.pending.truncate(kept);
         // What is left is blocked, most urgent first.
-        if let Some(&waiting) = self.pending.first() {
-            let (job, chips, priority) = (waiting.job, waiting.chips, waiting.priority);
-            self.preempt_to_fit(job as u64, chips, Some(priority), now)?;
+        if let Some(&w) = self.pending.first() {
+            let claim = Some((w.priority, w.chips));
+            if self.no_victims != claim
+                && !self.preempt_to_fit(w.job as u64, w.chips, Some(w.priority), now)?
+            {
+                self.no_victims = claim;
+            }
         }
         Ok(())
     }
@@ -765,8 +794,9 @@ impl PodScheduler {
 
     /// Takes `job` off the clock at `now` and moves it to `next`. If it
     /// was running, its tenant is billed the chip-seconds since dispatch
-    /// and the occupancy it held is returned; the slice itself stays
-    /// allocated until the caller frees it.
+    /// (re-sorting `pending` if the bill reorders tenants) and the
+    /// occupancy it held is returned; the slice itself stays allocated
+    /// until the caller frees it.
     fn stop(&mut self, job: usize, now: SimTime, next: Phase) -> Option<Running> {
         let j = &mut self.jobs[job];
         let Phase::Running(running) = mem::replace(&mut j.phase, next) else {
@@ -774,11 +804,12 @@ impl PodScheduler {
         };
         self.running
             .remove(&(j.spec.priority, running.started, job));
-        let tenant = j.spec.tenant as usize;
-        if tenant >= self.tenant_usage.len() {
-            self.tenant_usage.resize(tenant + 1, 0.0);
+        let chip_seconds = f64::from(j.spec.chips) * (now - running.started);
+        if bill(&mut self.tenant_usage, j.spec.tenant as usize, chip_seconds) {
+            // A total order: an unstable sort is the stable one, and allocates nothing.
+            self.pending
+                .sort_unstable_by(|a, b| queue_cmp(a, b, &self.tenant_usage));
         }
-        self.tenant_usage[tenant] += f64::from(j.spec.chips) * (now - running.started);
         Some(running)
     }
 
@@ -794,7 +825,7 @@ impl PodScheduler {
         j.model = None;
         j.ckpt = None;
         let (chips, steps) = (j.spec.chips, j.spec.steps);
-        self.allocator.free(job as u64);
+        self.free(job as u64);
         self.count("jobs_completed", 1);
         self.span(
             "job-run",
@@ -806,6 +837,14 @@ impl PodScheduler {
                 ("steps", steps as f64),
             ],
         );
+    }
+
+    /// Frees every cell `owner` holds: the one way cells return to `Free`,
+    /// so what the rounds learned from their absence is forgotten.
+    fn free(&mut self, owner: u64) {
+        self.allocator.free(owner);
+        (self.blocked, self.no_victims) = (0, None);
+        log_alloc(None);
     }
 
     /// Preempts running jobs so that `chips` for `claimant` (an allocator
@@ -824,26 +863,22 @@ impl PodScheduler {
         outranks: Option<u8>,
         now: SimTime,
     ) -> Result<bool, SchedError> {
-        let expendable = |priority: u8| outranks.is_none_or(|p| priority > p);
-        if !self.running.last().is_some_and(|&(p, _, _)| expendable(p)) {
-            return Ok(false);
-        }
-        let candidates = self
-            .running
-            .iter()
-            .rev()
-            .take_while(|&&(p, _, _)| expendable(p))
-            .map(|&(_, _, job)| job as u64);
-        let Some(needed) = self.allocator.victims_needed(claimant, chips, candidates)? else {
+        let expendable = |r: &&(u8, SimTime, usize)| outranks.is_none_or(|p| r.0 > p);
+        let candidates = self.running.iter().rev().take_while(expendable).copied();
+        // Every running job keyed at or after a candidate is one too.
+        let key = |o: u64| match &self.jobs.get(o as usize)?.phase {
+            Phase::Running(r) => Some((self.jobs[o as usize].spec.priority, r.started, o as usize)),
+            _ => None,
+        };
+        let needed = self
+            .allocator
+            .victims_needed(claimant, chips, candidates.clone(), key)?;
+        let Some(needed) = needed else {
             return Ok(false);
         };
-        let victims: Vec<usize> = self
-            .running
-            .iter()
-            .rev()
-            .take(needed)
-            .map(|r| r.2)
-            .collect();
+        // Sized exactly: the list rides in the `SliceFreed` event until the saves finish.
+        let mut victims = Vec::with_capacity(needed);
+        victims.extend(candidates.take(needed).map(|r| r.2));
         let mut latest = now;
         for &v in &victims {
             latest = latest.max(self.preempt(v, now)?);
@@ -934,7 +969,7 @@ impl PodScheduler {
         let Some(owner) = self.allocator.mark_dead(chip) else {
             return;
         };
-        self.allocator.free(owner);
+        self.free(owner);
         if owner >= SERVICE_ID_BASE {
             let svc = (owner - SERVICE_ID_BASE) as usize;
             self.services[svc].slice = None;
@@ -961,15 +996,15 @@ impl PodScheduler {
         j.lost_state = true;
         // Roll the step counter back to the last durable state.
         j.steps_done = j.ckpt.as_ref().map_or(0, |c| c.manifest.step);
-        self.pending.push(Waiting::of(&j.spec));
+        enqueue(&mut self.pending, Waiting::of(&j.spec), &self.tenant_usage);
         self.fault_kills += 1;
         self.count("fault_kills", 1);
     }
 
     /// The containment invariants of [`Phase`], plus token uniqueness (no
     /// two running jobs wait on the same `Completion`), the allocator's
-    /// counts and owner index against its cells, and no model kept past
-    /// `Done`.
+    /// counts and owner index against its cells, no model kept past
+    /// `Done`, and every fact the rounds remember.
     #[cfg(debug_assertions)]
     fn consistent(&self) -> bool {
         let placed = |i: usize| self.services[i].slice.map(|_| SERVICE_ID_BASE + i as u64);
@@ -991,7 +1026,18 @@ impl PodScheduler {
         let owners: BTreeSet<u64> = (0..self.mesh_chips)
             .filter_map(|c| self.allocator.owner(ChipId(c)))
             .collect();
+        let in_order = |a: &Waiting, b: &Waiting| queue_cmp(a, b, &self.tenant_usage).is_lt();
+        let no_room = |chips| matches!(self.allocator.clone().allocate(0, chips), Ok(None));
+        // The remembered claim fails even with every expendable job's cells freed.
+        let no_victims = |(p, chips)| {
+            let mut trial = self.allocator.clone();
+            (self.running.iter().filter(|r| r.0 > p)).for_each(|r| _ = trial.free(r.2 as u64));
+            matches!(trial.allocate(0, chips), Ok(None))
+        };
         ok && owners == on_mesh
+            && self.pending.is_sorted_by(in_order)
+            && (0..32).all(|b| self.blocked >> b & 1 == 0 || no_room(1 << b))
+            && self.no_victims.is_none_or(no_victims)
             && running == self.running
             && self.allocator.accounting_consistent()
             && self.pending.len() == queued.len()
@@ -1019,10 +1065,25 @@ fn mean(xs: &[f64]) -> f64 {
 #[cfg(not(test))]
 fn count_training(_job: u64, _models: u64, _steps: u64) {}
 
+/// Logs a job's slice search `(chips, found)` or a free (`None`) under test.
+#[cfg(not(test))]
+fn log_alloc(_search: Option<(u32, bool)>) {}
+
 #[cfg(test)]
 thread_local! {
     static TRAINING: std::cell::RefCell<BTreeMap<u64, (u64, u64)>> =
         const { std::cell::RefCell::new(BTreeMap::new()) };
+}
+
+#[cfg(test)]
+thread_local! {
+    static ALLOC_LOG: std::cell::RefCell<Vec<Option<(u32, bool)>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+fn log_alloc(search: Option<(u32, bool)>) {
+    ALLOC_LOG.with(|log| log.borrow_mut().push(search));
 }
 
 #[cfg(test)]
@@ -1060,13 +1121,19 @@ mod tests {
 
         /// Over random priorities, tenants, bills and arrivals, all with
         /// ties, and any subset of the jobs queued in any order, the keyed
-        /// order equals the table order.
+        /// order equals the table order. Then the other jobs arrive by
+        /// ordered insertion between random bills, unbilled tenants among
+        /// the billed, and `bill` re-sorts only when a tenant comparison
+        /// changes: after every step the queue is still in table order.
         #[test]
         fn keyed_queue_order_matches_the_table_order(
             jobs in proptest::collection::vec((0u8..4, 0u32..5, 0u32..4, 0u64..1000, proptest::bool::ANY), 0..40),
             bills in proptest::collection::vec(0usize..5, 0..5),
+            steps in proptest::collection::vec((0usize..6, 0usize..5), 0..40),
         ) {
             const BILLS: [f64; 5] = [0.0, -0.0, 1.0, 2.5, 2.5];
+            // Chip-seconds of a later bill; the last entry is an arrival.
+            const LATER: [f64; 4] = [0.0, 0.5, 1.0, 2.5];
             let specs: Vec<JobSpec> = jobs
                 .iter()
                 .enumerate()
@@ -1081,17 +1148,39 @@ mod tests {
                 })
                 .collect();
             // Tenants past the end of `bills` were never billed.
-            let usage: Vec<f64> = bills.iter().map(|&b| BILLS[b]).collect();
-            let by_tenant: BTreeMap<u32, f64> =
-                usage.iter().enumerate().map(|(t, &u)| (t as u32, u)).collect();
+            let mut usage: Vec<f64> = bills.iter().map(|&b| BILLS[b]).collect();
+            let by_table = |queued: &[usize], usage: &[f64]| {
+                let by_tenant: BTreeMap<u32, f64> =
+                    usage.iter().enumerate().map(|(t, &u)| (t as u32, u)).collect();
+                let mut queued = queued.to_vec();
+                queue_order_by_table(&mut queued, &specs, &by_tenant);
+                queued
+            };
+            let ids = |keyed: &[Waiting]| keyed.iter().map(|w| w.job).collect::<Vec<_>>();
             // A random subset, in an order set by a random key per job.
-            let mut queued: Vec<usize> = (0..specs.len()).filter(|&i| jobs[i].4).collect();
+            let (mut queued, mut later): (Vec<usize>, Vec<usize>) =
+                (0..specs.len()).partition(|&i| jobs[i].4);
             queued.sort_by_key(|&i| jobs[i].3);
+            later.sort_by_key(|&i| jobs[i].3);
             let mut keyed: Vec<Waiting> = queued.iter().map(|&i| Waiting::of(&specs[i])).collect();
-            queue_order_by_table(&mut queued, &specs, &by_tenant);
-            queue_order(&mut keyed, &usage);
-            let keyed: Vec<usize> = keyed.iter().map(|w| w.job).collect();
-            prop_assert_eq!(keyed, queued);
+            keyed.sort_by(|a, b| queue_cmp(a, b, &usage));
+            prop_assert_eq!(ids(&keyed), by_table(&queued, &usage));
+            let mut later = later.into_iter();
+            for (tenant, step) in steps {
+                match LATER.get(step) {
+                    Some(&chip_seconds) => {
+                        if bill(&mut usage, tenant, chip_seconds) {
+                            keyed.sort_unstable_by(|a, b| queue_cmp(a, b, &usage));
+                        }
+                    }
+                    None => {
+                        let Some(i) = later.next() else { continue };
+                        enqueue(&mut keyed, Waiting::of(&specs[i]), &usage);
+                        queued.push(i);
+                    }
+                }
+                prop_assert_eq!(ids(&keyed), by_table(&queued, &usage));
+            }
         }
     }
 
@@ -1225,6 +1314,42 @@ mod tests {
         let want: BTreeMap<u64, (u64, u64)> =
             saved.iter().map(|(&job, &step)| (job, (1, step))).collect();
         assert_eq!(trained, want);
+    }
+
+    #[test]
+    fn a_size_without_room_is_not_searched_again_before_a_free() {
+        // Completions, preemptions, a service migration and a fault kill:
+        // every kind of free.
+        let config = with_service(fitted_config(60, 11), "dlrm-serve", 256);
+        let plan = FaultPlan::new()
+            .chip_down(SimTime::from_seconds(0.05), ChipId(0))
+            .chip_down(SimTime::from_seconds(0.06), ChipId(33 * 16));
+        ALLOC_LOG.with(|log| log.borrow_mut().clear());
+        let report = PodScheduler::new(config).run_with_faults(&plan);
+        assert!(report.is_ok_and(|r| r.preemptions > 0 && r.fault_kills > 0));
+        // Sizes found without room since the last free.
+        let (mut blocked, mut sizes) = (0u32, 0u32);
+        let (mut frees, mut no_room) = (0, 0);
+        for entry in ALLOC_LOG.with(|log| log.take()) {
+            let Some((chips, found)) = entry else {
+                (frees, blocked) = (frees + 1, 0);
+                continue;
+            };
+            assert_eq!(
+                blocked & chips,
+                0,
+                "{chips} chips searched again before a free"
+            );
+            sizes |= chips;
+            if !found {
+                (no_room, blocked) = (no_room + 1, blocked | chips);
+            }
+        }
+        assert!(no_room > 0);
+        assert!(
+            no_room <= (frees + 1) * sizes.count_ones(),
+            "{no_room} {frees} {sizes:b}"
+        );
     }
 
     #[test]

@@ -212,40 +212,39 @@ impl SliceAllocator {
         released
     }
 
-    /// How many of `candidates`, freed in order, a claim of `chips` by
+    /// How many candidates, freed in order, a claim of `chips` by
     /// `claimant` needs before one of its shapes fits, or `None` when it
-    /// does not fit even with all of them gone. Read-only: it searches
-    /// with the candidates' cells counted usable, all of them first, then
-    /// each prefix in turn (freeing more never un-fits a claim).
+    /// does not fit even with all of them gone. `candidates` yields their
+    /// keys in descending order and `key` an owner's, so an owner is among
+    /// the first `k` when its key is at least the `k`-th's. Read-only and
+    /// allocation-free: it searches with those owners' cells counted usable,
+    /// all candidates first, then each prefix (freeing more never un-fits).
     ///
     /// # Errors
     ///
     /// As [`SliceAllocator::shapes_for`].
-    pub(crate) fn victims_needed(
+    pub(crate) fn victims_needed<K: Ord>(
         &self,
         claimant: u64,
         chips: u32,
-        candidates: impl IntoIterator<Item = u64>,
+        mut candidates: impl Iterator<Item = K> + Clone,
+        key: impl Fn(u64) -> Option<K>,
     ) -> Result<Option<usize>, SchedError> {
         let shapes = self.shapes_for(claimant, chips)?;
-        // Each candidate owner's first place in the order, sorted by owner.
-        let mut rank = Vec::with_capacity(self.owned.len());
-        rank.extend(candidates.into_iter().enumerate().map(|(k, o)| (o, k)));
-        let n = rank.len();
-        rank.sort_unstable();
-        rank.dedup_by_key(|&mut (owner, _)| owner);
-        let place = |o| rank.binary_search_by_key(&o, |r| r.0).map(|i| rank[i].1);
-        // Whether the claim fits with the first `k` candidates' cells free.
-        let fits = |k| {
+        // Whether the claim fits with every owner keyed at least `last` freed.
+        let fits = |last: &K| {
             let usable = |cell| match cell {
                 Cell::Free => true,
                 Cell::Dead => false,
-                Cell::Busy(o) => place(o).is_ok_and(|p| p < k),
+                Cell::Busy(o) => key(o).is_some_and(|k| k >= *last),
             };
             self.find_slice(shapes.clone(), usable).is_some()
         };
         // One search when nothing fits even with every candidate gone.
-        Ok(fits(n).then(|| (1..=n).find(|&k| fits(k))).flatten())
+        if !candidates.clone().last().is_some_and(|last| fits(&last)) {
+            return Ok(None);
+        }
+        Ok(candidates.position(|kth| fits(&kth)).map(|i| i + 1))
     }
 
     /// Marks a chip dead. Returns the job occupying it, if any; the
@@ -330,6 +329,7 @@ mod tests {
     use super::*;
     use multipod_topology::MultipodConfig;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     fn allocator(x: u32, y: u32) -> SliceAllocator {
         SliceAllocator::new(&Multipod::new(MultipodConfig::mesh(x, y, true)))
@@ -499,7 +499,10 @@ mod tests {
             let claim = 1 << (1 + claim % top);
             let before = a.clone();
             let want = victims_needed_by_clone(&a, 99, claim, &candidates).ok();
-            let got = a.victims_needed(99, claim, candidates.iter().copied()).ok();
+            // An owner's key is its first place in the candidate order,
+            // reversed to descend.
+            let key = |o| candidates.iter().position(|&c| c == o).map(Reverse);
+            let got = a.victims_needed(99, claim, (0..candidates.len()).map(Reverse), key).ok();
             prop_assert_eq!(got, want);
             prop_assert_eq!(&a, &before);
         }

@@ -29,12 +29,14 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `seconds` is NaN or negative.
+    #[inline]
     pub fn from_seconds(seconds: f64) -> SimTime {
         // `-0.0` passes the range check; adding `0.0` turns it into `+0.0`
         // and changes no other value, so one instant has one bit pattern.
         SimTime::checked(seconds + 0.0)
     }
 
+    #[inline]
     fn checked(seconds: f64) -> SimTime {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
@@ -44,6 +46,7 @@ impl SimTime {
     }
 
     /// The time in seconds.
+    #[inline]
     pub fn seconds(self) -> f64 {
         self.0
     }
@@ -54,6 +57,7 @@ impl SimTime {
     }
 
     /// The later of two times.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
@@ -68,18 +72,21 @@ impl SimTime {
 // `==`, `partial_cmp` and `cmp` are all this one comparison, so a map or
 // heap keyed by `SimTime` never disagrees with `==` about what a tie is.
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl PartialEq for SimTime {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other).is_eq()
     }
@@ -89,6 +96,7 @@ impl Eq for SimTime {}
 
 impl Add<f64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: f64) -> SimTime {
         // No `-0.0` to fold here: a sum rounds to `-0.0` only when both
         // addends are `-0.0`, and `self` never is.
@@ -97,6 +105,7 @@ impl Add<f64> for SimTime {
 }
 
 impl AddAssign<f64> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: f64) {
         *self = *self + rhs;
     }
@@ -104,6 +113,7 @@ impl AddAssign<f64> for SimTime {
 
 impl Sub for SimTime {
     type Output = f64;
+    #[inline]
     fn sub(self, rhs: SimTime) -> f64 {
         self.0 - rhs.0
     }
