@@ -8,8 +8,29 @@ use std::str::FromStr;
 
 use multipod_topology::MultipodConfig;
 
+/// Every flag `repro` reads, as (flag, value placeholder — empty for a
+/// bare switch, help). [`crate::usage`] prints this list and
+/// [`Args::new`] rejects any flag outside it.
+#[rustfmt::skip]
+pub(crate) const FLAGS: &[(&str, &str, &str)] = &[
+    ("--mesh", "<WxH>", "mesh instead of the 128x32 multipod (campaign rows)"),
+    ("--json", "<path>", "the row's BENCH_*.json envelope (default: the committed one)"),
+    ("--trace", "<path>", "also export a Chrome trace"),
+    ("--profile", "<path>", "also export a flight-recorder report"),
+    ("--check-determinism", "", "run twice; fail unless text, reports and trace agree"),
+    ("--steps", "<n>", "training steps (faults, ckpt)"),
+    ("--interval", "<n>", "steps between checkpoints (ckpt)"),
+    ("--jobs", "<n>", "jobs submitted (sched, serve)"),
+    ("--queries", "<n>", "DLRM queries (serve)"),
+    ("--seed", "<n>", "arrival-stream seed (sched, serve)"),
+    ("--chips", "<n>", "slice size (overlap)"),
+    ("--buckets", "<n>", "gradient buckets (overlap)"),
+    ("--quick", "", "2M samples instead of 20M (auc)"),
+];
+
 /// The flags after `repro <name>`. A flag is `--name value` or
-/// `--name=value`; flags an entry does not read are ignored.
+/// `--name=value` (a bare switch is just `--name`); flags an entry does
+/// not read are ignored, flags no entry reads are rejected.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     argv: Vec<String>,
@@ -20,11 +41,37 @@ pub struct Args {
 
 impl Args {
     /// Wraps the arguments that follow the reproduction name.
-    pub fn new(argv: Vec<String>) -> Args {
-        Args {
+    ///
+    /// # Errors
+    ///
+    /// [`ReproError::UnknownFlag`] for an argument that is not one of the
+    /// flags [`crate::usage`] lists, in its form (a value flag with its
+    /// value, a bare switch without one).
+    pub fn new(argv: Vec<String>) -> Result<Args, ReproError> {
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            let unknown = || ReproError::UnknownFlag(arg.clone());
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, _)) => (name, true),
+                None => (arg.as_str(), false),
+            };
+            let (_, value, _) = FLAGS
+                .iter()
+                .find(|(flag, ..)| *flag == name)
+                .ok_or_else(unknown)?;
+            match (value.is_empty(), inline) {
+                // `--flag value`: the next argument is the value.
+                (false, false) => {
+                    rest.next();
+                }
+                (true, true) => return Err(unknown()),
+                _ => {}
+            }
+        }
+        Ok(Args {
             argv,
             summary: false,
-        }
+        })
     }
 
     /// The raw value of `--flag`, if given.
@@ -109,8 +156,8 @@ pub enum ReproError {
         /// Its unparseable value.
         value: String,
     },
-    /// `--check-regression` on a reproduction with no regression gate.
-    NoRegressionGate(&'static str),
+    /// An argument that is not one of the flags `repro` reads.
+    UnknownFlag(String),
     /// The simulation, or reading or writing a file, failed.
     Failed(Box<dyn Error>),
 }
@@ -151,9 +198,7 @@ impl fmt::Display for ReproError {
             ReproError::BadFlag { flag, value } => {
                 write!(f, "{flag} expects an integer, got '{value}'")
             }
-            ReproError::NoRegressionGate(name) => {
-                write!(f, "'{name}' declares no --check-regression gate")
-            }
+            ReproError::UnknownFlag(arg) => write!(f, "unknown flag '{arg}'"),
             ReproError::Failed(e) => write!(f, "{e}"),
         }
     }

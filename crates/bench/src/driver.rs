@@ -5,28 +5,18 @@ use std::path::PathBuf;
 
 use serde_json::Value;
 
+use crate::cli::FLAGS;
 use crate::repros::{find, Outcome, Replay, Repro, REPROS};
-use crate::{committed_measurement, flight_report, write_profile, write_trace, Args, ReproError};
+use crate::{flight_report, write_profile, write_trace, Args, ReproError};
 
-/// The usage text: the command shape, the shared flags and every name.
+/// The usage text: the command shape, every flag and every name.
 pub fn usage() -> String {
     let names: Vec<_> = REPROS.iter().map(|r| r.name).collect();
-    format!(
-        "usage: repro <name|all|--list> [flags]
-  --mesh <WxH>               mesh instead of the 128x32 multipod (campaign rows)
-  --json <path>              where to write the row's BENCH_*.json envelope
-                             (default: its committed artifact)
-  --trace <path>             also export a Chrome trace
-  --profile <path>           also export a flight-recorder report
-  --check-determinism        run the row twice; fail unless text, envelope,
-                             domain report and recorded trace are identical
-  --check-regression <path>  fail if the row's gated measurement moved past
-                             its ceiling against a committed envelope
-  row flags: --steps --interval (faults, ckpt) --jobs --queries --seed (sched,
-             serve) --chips --buckets (overlap) --quick (auc)
-names: {}",
-        names.join(" ")
-    )
+    let mut text = String::from("usage: repro <name|all|--list> [flags]\n");
+    for (flag, value, help) in FLAGS {
+        text += &format!("  {:<27}{help}\n", format!("{flag} {value}"));
+    }
+    text + &format!("names: {}", names.join(" "))
 }
 
 /// Runs `repro <argv...>`, printing to stdout; `Ok(false)` means a gate
@@ -39,7 +29,7 @@ names: {}",
 pub fn run_cli(argv: Vec<String>) -> Result<bool, ReproError> {
     let mut argv = argv.into_iter();
     let name = argv.next().ok_or(ReproError::MissingName)?;
-    let args = Args::new(argv.collect());
+    let args = Args::new(argv.collect())?;
     match name.as_str() {
         "--list" => {
             for r in REPROS {
@@ -81,12 +71,6 @@ pub fn run_all(args: &Args) -> Result<(Value, Replay), ReproError> {
 }
 
 fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
-    // Reject a gate the row does not declare before simulating anything.
-    let regression = match (args.value("--check-regression"), repro.regression) {
-        (None, _) => None,
-        (Some(_), None) => return Err(ReproError::NoRegressionGate(repro.name)),
-        (Some(committed), Some(gate)) => Some((committed, gate)),
-    };
     let mut outcome = (repro.run)(args)?;
     let mut deterministic = None;
     if args.has("--check-determinism") {
@@ -113,9 +97,6 @@ fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
     }
     for path in export(&outcome.replay, args)? {
         println!("wrote {}", path.display());
-    }
-    if let Some((committed, (measurement, max_ratio))) = regression {
-        passed &= within_ceiling(&outcome, committed, measurement, max_ratio)?;
     }
     Ok(passed)
 }
@@ -168,41 +149,4 @@ fn export(replay: &Replay, args: &Args) -> Result<Vec<PathBuf>, ReproError> {
         }
     }
     Ok(written)
-}
-
-/// The `--check-regression` gate: the row's declared measurement against
-/// the same measurement of the committed envelope at `committed`.
-fn within_ceiling(
-    outcome: &Outcome,
-    committed: &str,
-    measurement: &str,
-    max_ratio: f64,
-) -> Result<bool, ReproError> {
-    let read = |doc: Option<Value>, whose: &str| {
-        doc.and_then(|v| v.as_f64()).ok_or_else(|| {
-            ReproError::failed(format!("{whose} report has no `{measurement}` measurement"))
-        })
-    };
-    let text = std::fs::read_to_string(committed)
-        .map_err(|e| ReproError::failed(format!("read {committed}: {e}")))?;
-    let prior = read(
-        committed_measurement(&serde_json::from_str(&text)?, measurement),
-        committed,
-    )?;
-    let current = read(
-        outcome
-            .report
-            .as_ref()
-            .and_then(|r| r.measured(measurement))
-            .cloned(),
-        "current",
-    )?;
-    let ceiling = prior * max_ratio;
-    println!(
-        "regression gate: {measurement} {current:.4} vs committed {prior:.4} (ceiling {ceiling:.4})"
-    );
-    if current > ceiling {
-        eprintln!("FAIL: {measurement} regressed past its ceiling");
-    }
-    Ok(current <= ceiling)
 }

@@ -5,9 +5,10 @@
 //! JSON document behind EXPERIMENTS.md. A row computes its numbers once
 //! and renders them twice — the printed table and the JSON section — and
 //! the driver owns every shared flag (`--mesh`, `--json`, `--trace`,
-//! `--profile`, `--check-determinism`, `--check-regression`). [`paper`]
-//! records the published numbers so the tables print paper-vs-measured
-//! side by side.
+//! `--profile`, `--check-determinism`) and rejects any flag no row reads.
+//! [`paper`] records the published numbers so the tables print
+//! paper-vs-measured side by side. The root `GOLDEN.txt` pins the bytes
+//! every row exports (`tests/golden.rs` regenerates and compares it).
 //!
 //! Host wall-clock questions belong to `benchmark/`, not here: apart from
 //! `repro auc` (whose subject *is* host time, §4.6) everything below is a
@@ -221,14 +222,6 @@ impl BenchReport {
         self.gates.iter().all(|(_, g)| *g != Some(false))
     }
 
-    /// Reads one measurement back (for `--check-regression` style gates).
-    pub fn measured(&self, name: &str) -> Option<&Value> {
-        self.measurements
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-    }
-
     /// Overwrites the value of a gate recorded earlier, keeping its
     /// position (the driver fills `deterministic` in after comparing two
     /// runs).
@@ -275,11 +268,6 @@ impl Serialize for BenchReport {
     }
 }
 
-/// Reads a measurement from a committed `BENCH_*.json` document.
-pub fn committed_measurement(doc: &Value, name: &str) -> Option<Value> {
-    doc.get("measurements")?.get(name).cloned()
-}
-
 /// Appends a markdown-ish table header to `out`.
 pub fn header(out: &mut String, title: &str, columns: &[&str]) {
     outln!(out, "\n== {title} ==");
@@ -323,7 +311,10 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).expect("json");
         let reparsed: Value = serde_json::from_str(&json).expect("reparse");
         assert_eq!(
-            committed_measurement(&reparsed, "speedup").and_then(|v| v.as_f64()),
+            reparsed
+                .get("measurements")
+                .and_then(|m| m.get("speedup"))
+                .and_then(|v| v.as_f64()),
             Some(2.5)
         );
         assert!(json.contains("\"name\": \"collectives\""));

@@ -57,9 +57,6 @@ pub struct Repro {
     pub artifact: Option<&'static str>,
     /// The key of this row's section in the `repro all` document.
     pub in_all: Option<&'static str>,
-    /// `--check-regression`: a measurement of the envelope, and the
-    /// largest current/committed ratio that still passes.
-    pub regression: Option<(&'static str, f64)>,
     /// Runs it once.
     pub run: fn(&Args) -> Result<Outcome, ReproError>,
 }
@@ -74,7 +71,6 @@ const fn row(
         name,
         artifact,
         in_all,
-        regression: None,
         run,
     }
 }
@@ -98,12 +94,7 @@ pub const REPROS: &[Repro] = &[
     row("input", None, None, studies::input),
     row("auc", None, None, studies::auc),
     row("ckpt", Some("BENCH_ckpt.json"), Some("checkpointing"), campaigns::ckpt),
-    Repro {
-        // Simulated time only, so the ratio is stable across machines; a
-        // >10% move toward 1.0 (= no overlap) fails.
-        regression: Some(("overlap_ratio", 1.1)),
-        ..row("overlap", Some("BENCH_overlap.json"), Some("overlap"), overlap::overlap)
-    },
+    row("overlap", Some("BENCH_overlap.json"), Some("overlap"), overlap::overlap),
     row("sched", Some("BENCH_sched.json"), Some("sched"), campaigns::sched),
     row("serve", Some("BENCH_serve.json"), Some("serve"), campaigns::serve),
     row("faults", Some("BENCH_faults.json"), None, campaigns::faults),

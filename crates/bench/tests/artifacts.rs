@@ -2,11 +2,12 @@
 //! envelope, and carry only gates that were checked and passed.
 //!
 //! Every row of [`REPROS`] with an `artifact` commits that file at the
-//! repo root as the reference for EXPERIMENTS.md and for CI regression
-//! checks. A missing artifact (a new row landed without one), a stale
-//! format, or a gate committed unchecked fails here, in plain `cargo
-//! test`, before any CI regression step would silently compare against
-//! nothing.
+//! repo root as the reference for EXPERIMENTS.md and for the byte-for-byte
+//! regeneration checks (`tests/golden.rs` for `overlap`, CI for the
+//! full-scale campaigns). A missing artifact (a new row landed without
+//! one), a stale format, or a gate committed unchecked fails here, in
+//! plain `cargo test`, before any regeneration check would silently
+//! compare against nothing.
 //!
 //! [`BenchReport`]: multipod_bench::BenchReport
 

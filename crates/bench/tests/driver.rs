@@ -1,5 +1,5 @@
-//! The `repro` driver: one table, typed command-line errors, and a
-//! byte-deterministic `repro all`.
+//! The `repro` driver: one table, typed command-line errors, and the
+//! sections of `repro all`.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -35,15 +35,25 @@ fn bad_command_lines_are_typed_usage_errors() {
             "--jobs expects an integer",
         ),
         (
-            &["table1", "--check-regression", "BENCH_overlap.json"],
-            "no --check-regression gate",
+            &["overlap", "--check-regression", "BENCH_overlap.json"],
+            "unknown flag '--check-regression'",
         ),
+        (
+            &["faults", "--check-determinsm"],
+            "unknown flag '--check-determinsm'",
+        ),
+        (&["auc", "--quick=yes"], "unknown flag '--quick=yes'"),
+        (&["table1", "extra"], "unknown flag 'extra'"),
     ] {
         let e = cli(argv).expect_err("bad command line");
         assert!(e.is_usage(), "{argv:?}: {e}");
         assert!(e.to_string().contains(expect), "{argv:?}: {e}");
     }
     assert!(matches!(cli(&["fig12"]), Err(ReproError::UnknownRepro(_))));
+    assert!(matches!(
+        cli(&["sched", "--jobs=3", "--check-regression"]),
+        Err(ReproError::UnknownFlag(_))
+    ));
     assert!(matches!(
         cli(&["ckpt", "--mesh", "x"]),
         Err(ReproError::BadMesh(_))
@@ -62,17 +72,23 @@ fn a_usage_error_exits_2_and_lists_the_names() {
     for r in REPROS {
         assert!(stderr.contains(r.name), "usage omits {}", r.name);
     }
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["overlap", "--check-regression", "BENCH_overlap.json"])
+        .output()
+        .expect("run repro overlap");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a flag no row reads is a usage error"
+    );
+    assert!(out.stdout.is_empty(), "rejected before running anything");
 }
 
+/// Byte determinism of `repro all` is `GOLDEN.txt`'s `all.stdout` line
+/// (`tests/golden.rs`); this holds its schema.
 #[test]
-fn repro_all_is_byte_deterministic_and_has_no_wall_clock_section() {
-    let render = || {
-        let (doc, _) = run_all(&Args::default()).expect("repro all");
-        serde_json::to_string_pretty(&doc).expect("json")
-    };
-    let first = render();
-    assert_eq!(first, render(), "repro all must be byte-identical");
-    let doc: serde_json::Value = serde_json::from_str(&first).expect("reparse");
+fn repro_all_has_every_section_and_no_wall_clock_section() {
+    let (doc, _) = run_all(&Args::default()).expect("repro all");
     assert!(doc.get("simnet").is_none());
     for key in REPROS.iter().filter_map(|r| r.in_all) {
         assert!(doc.get(key).is_some(), "missing section {key}");

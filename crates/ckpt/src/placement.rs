@@ -1,10 +1,16 @@
 //! Shard placement: which live chip owns which slice of the global
 //! state, and which host stores it.
 //!
-//! The placement mirrors weight-update sharding (§3.2): every live chip
-//! owns one contiguous shard of the flattened model + optimizer state, in
-//! chip-id order, so the chip that applies a weight shard's update is the
-//! chip that serializes it. Shards are grouped by host ([`HostId::of_chip`],
+//! Every live chip owns one contiguous shard of the flattened model +
+//! optimizer state, in the trainer's survivor-ring order
+//! ([`Multipod::survivor_order`], column-major over the mesh). That is
+//! neither chip-id order (ids are row-major, `y * x_len + x`) nor the
+//! weight-update-sharding owner order of §3.2, which
+//! `multipod_collectives::twod::shard_index` derives from each chip's
+//! position in its Y ring and X line: on a 2×2 mesh chip (0, 0) holds
+//! placement shard 0 but trainer shard 3. So the chip that serializes a
+//! shard is in general not the chip that applied its update. Shards are
+//! grouped by host ([`HostId::of_chip`],
 //! one host per [`multipod_topology::CHIPS_PER_HOST`] chips): each host
 //! designates its first live chip as the **gather chip** through which the
 //! host's shards funnel over ICI before streaming to host memory over
@@ -60,8 +66,8 @@ pub struct HostShards {
     /// First live chip of the host: ICI gather point on save, scatter
     /// point on restore.
     pub gather_chip: ChipId,
-    /// Live chips of this host, in chip-id order (aligned with
-    /// `shards`).
+    /// Live chips of this host, in shard-index (survivor-ring) order,
+    /// aligned with `shards`.
     pub chips: Vec<ChipId>,
     /// One shard per live chip.
     pub shards: Vec<ShardRange>,
