@@ -46,7 +46,8 @@ impl Args {
     ///
     /// [`ReproError::UnknownFlag`] for an argument that is not one of the
     /// flags [`crate::usage`] lists, in its form (a value flag with its
-    /// value, a bare switch without one).
+    /// value, a bare switch without one); [`ReproError::MissingValue`]
+    /// for a value flag that ends the command line.
     pub fn new(argv: Vec<String>) -> Result<Args, ReproError> {
         let mut rest = argv.iter();
         while let Some(arg) = rest.next() {
@@ -55,14 +56,14 @@ impl Args {
                 Some((name, _)) => (name, true),
                 None => (arg.as_str(), false),
             };
-            let (_, value, _) = FLAGS
+            let (flag, value, _) = FLAGS
                 .iter()
                 .find(|(flag, ..)| *flag == name)
                 .ok_or_else(unknown)?;
             match (value.is_empty(), inline) {
                 // `--flag value`: the next argument is the value.
                 (false, false) => {
-                    rest.next();
+                    rest.next().ok_or(ReproError::MissingValue(flag))?;
                 }
                 (true, true) => return Err(unknown()),
                 _ => {}
@@ -158,6 +159,11 @@ pub enum ReproError {
     },
     /// An argument that is not one of the flags `repro` reads.
     UnknownFlag(String),
+    /// A value flag given last, with no value after it.
+    MissingValue(&'static str),
+    /// `(flag, row)`: a flag the row rejects, as ignoring it would not do
+    /// what the command line asks.
+    NotRead(&'static str, &'static str),
     /// The simulation, or reading or writing a file, failed.
     Failed(Box<dyn Error>),
 }
@@ -199,6 +205,8 @@ impl fmt::Display for ReproError {
                 write!(f, "{flag} expects an integer, got '{value}'")
             }
             ReproError::UnknownFlag(arg) => write!(f, "unknown flag '{arg}'"),
+            ReproError::MissingValue(flag) => write!(f, "{flag} expects a value"),
+            ReproError::NotRead(flag, row) => write!(f, "`repro {row}` does not read {flag}"),
             ReproError::Failed(e) => write!(f, "{e}"),
         }
     }

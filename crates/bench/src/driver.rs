@@ -38,24 +38,34 @@ pub fn run_cli(argv: Vec<String>) -> Result<bool, ReproError> {
             Ok(true)
         }
         "all" => {
-            let (doc, replay) = run_all(&args)?;
-            println!("{}", serde_json::to_string_pretty(&doc)?);
-            for path in export(&replay, &args)? {
+            // The document is stdout; there is no envelope to write.
+            if args.value("--json").is_some() {
+                return Err(ReproError::NotRead("--json", "all"));
+            }
+            let outcome = run_all(&args)?;
+            let deterministic = !args.has("--check-determinism") || {
+                let same = same(&outcome, &run_all(&args)?)?;
+                eprintln!("determinism: {}", verdict(same));
+                same
+            };
+            print!("{}", outcome.text);
+            for path in export(&outcome.replay, &args)? {
                 eprintln!("wrote {}", path.display());
             }
-            Ok(true)
+            Ok(deterministic)
         }
         name => run_one(find(name)?, &args),
     }
 }
 
 /// Runs every `in_all` row in its summary configuration and collects the
-/// sections into one document; also returns the first row's replay.
+/// sections into one document: the outcome's section, and its text
+/// pretty-printed. The replay is the first row's.
 ///
 /// # Errors
 ///
 /// The first row error.
-pub fn run_all(args: &Args) -> Result<(Value, Replay), ReproError> {
+pub fn run_all(args: &Args) -> Result<Outcome, ReproError> {
     let mut args = args.clone();
     args.summary = true;
     let mut doc = Vec::new();
@@ -67,7 +77,13 @@ pub fn run_all(args: &Args) -> Result<(Value, Replay), ReproError> {
             replay.get_or_insert(outcome.replay);
         }
     }
-    Ok((Value::Map(doc), replay.unwrap_or_default()))
+    let doc = Value::Map(doc);
+    Ok(Outcome {
+        text: serde_json::to_string_pretty(&doc)? + "\n",
+        section: Some(doc),
+        replay: replay.unwrap_or_default(),
+        ..Outcome::default()
+    })
 }
 
 fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
@@ -75,14 +91,7 @@ fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
     let mut deterministic = None;
     if args.has("--check-determinism") {
         let same = same(&outcome, &(repro.run)(args)?)?;
-        println!(
-            "determinism: {}",
-            if same {
-                "identical text, report and recorded trace"
-            } else {
-                "MISMATCH — the two runs differ"
-            }
-        );
+        println!("determinism: {}", verdict(same));
         deterministic = Some(same);
     }
     print!("{}", outcome.text);
@@ -99,6 +108,15 @@ fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
         println!("wrote {}", path.display());
     }
     Ok(passed)
+}
+
+/// The `determinism:` line's verdict on two runs.
+fn verdict(same: bool) -> &'static str {
+    if same {
+        "identical text, report and recorded trace"
+    } else {
+        "MISMATCH — the two runs differ"
+    }
 }
 
 /// Whether two runs agree on everything that must not move: the text,

@@ -88,7 +88,8 @@ fn a_usage_error_exits_2_and_lists_the_names() {
 /// (`tests/golden.rs`); this holds its schema.
 #[test]
 fn repro_all_has_every_section_and_no_wall_clock_section() {
-    let (doc, _) = run_all(&Args::default()).expect("repro all");
+    let outcome = run_all(&Args::default()).expect("repro all");
+    let doc = outcome.section.expect("the document");
     assert!(doc.get("simnet").is_none());
     for key in REPROS.iter().filter_map(|r| r.in_all) {
         assert!(doc.get(key).is_some(), "missing section {key}");
@@ -128,4 +129,53 @@ fn profile_flag_writes_a_campaign_flight_report_with_metrics() {
         counter("simnet.transfers") > Some(0),
         "ckpt traffic metered"
     );
+}
+
+#[test]
+fn a_value_flag_given_last_is_a_usage_error_and_writes_nothing() {
+    let e = cli(&["overlap", "--json"]).expect_err("--json without a path");
+    assert!(matches!(e, ReproError::MissingValue("--json")), "{e}");
+    assert!(e.is_usage());
+    assert_eq!(e.to_string(), "--json expects a value");
+    // Before it was rejected, the committed artifact's name was used in
+    // the current directory instead.
+    let dir = std::env::temp_dir().join("multipod-bench-missing-value");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["overlap", "--json"])
+        .output()
+        .expect("run repro overlap --json");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "rejected before running anything");
+    let written: Vec<_> = std::fs::read_dir(&dir).expect("read temp dir").collect();
+    assert!(written.is_empty(), "wrote {written:?}");
+}
+
+#[test]
+fn repro_all_rejects_json_rather_than_ignore_it() {
+    let e = cli(&["all", "--json", "all.json"]).expect_err("all writes no envelope");
+    assert!(matches!(e, ReproError::NotRead("--json", "all")), "{e}");
+    assert!(e.is_usage());
+}
+
+#[test]
+fn repro_all_checks_determinism_without_touching_stdout() {
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("all")
+            .args(extra)
+            .output()
+            .expect("run repro all")
+    };
+    let (plain, checked) = (run(&[]), run(&["--check-determinism"]));
+    assert!(plain.status.success() && checked.status.success());
+    assert_eq!(checked.stdout, plain.stdout, "stdout stays the document");
+    let stderr = String::from_utf8(checked.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("determinism: identical text, report and recorded trace"),
+        "{stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&plain.stderr).contains("determinism"));
 }

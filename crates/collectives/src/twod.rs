@@ -163,13 +163,13 @@ pub fn two_dim_all_gather(
     if !obs.is_off() {
         let elems = shape.len();
         let x_elems = elems.div_ceil(mesh.y_len().max(1) as usize);
-        let (y_costs, x_costs) = ring_costs(net, model_stride)?;
+        let rings = TwoDimRings::new(net, model_stride)?;
         let (t0, ag) = (SimTime::ZERO, precision);
         for (name, s, e, costs, phase_elems, wire) in [
-            ("y-reduce-scatter", t0, y_rs, &y_costs, elems, rs),
-            ("x-reduce-scatter", y_rs, x_rs, &x_costs, x_elems, rs),
-            ("x-all-gather", x_rs, x_ag, &x_costs, x_elems, ag),
-            ("y-all-gather", x_ag, y_ag, &y_costs, elems, ag),
+            ("y-reduce-scatter", t0, y_rs, &rings.y, elems, rs),
+            ("x-reduce-scatter", y_rs, x_rs, &rings.x, x_elems, rs),
+            ("x-all-gather", x_rs, x_ag, &rings.x, x_elems, ag),
+            ("y-all-gather", x_ag, y_ag, &rings.y, elems, ag),
         ] {
             let alpha = costs.phase_alpha_seconds();
             let beta = costs.phase_beta_seconds(phase_elems, wire, false);
@@ -356,51 +356,64 @@ fn check_stride(mesh: &Multipod, model_stride: u32) -> Result<(), CollectiveErro
 }
 
 /// α–β time for the 2-D all-reduce of `elems` gradient elements per
-/// replica, with optional model-parallel stride.
+/// replica, with optional model-parallel stride: [`TwoDimRings::new`]
+/// priced once for one payload.
 ///
 /// Matches the schedule of [`two_dim_all_reduce`] but uses bidirectional
 /// rings (the production configuration) and never materializes tensors.
 ///
 /// # Errors
 ///
-/// [`CollectiveError::InvalidModelStride`] when `model_stride` is zero or
-/// does not divide the mesh X extent. Otherwise see
-/// [`RingCosts::from_ring`]: an unroutable ring hop (degraded mesh)
-/// surfaces as a typed [`CollectiveError`].
+/// See [`TwoDimRings::new`].
 pub fn two_dim_all_reduce_time(
     net: &Network,
     elems: usize,
     precision: Precision,
     model_stride: u32,
 ) -> Result<TwoDimBreakdown, CollectiveError> {
-    let (y_costs, x_costs) = ring_costs(net, model_stride)?;
-    Ok(breakdown(net, &y_costs, &x_costs, elems, precision))
+    Ok(TwoDimRings::new(net, model_stride)?.time(elems, precision))
 }
 
-/// α–β costs of the Y ring and of the `model_stride`-strided X line.
-fn ring_costs(net: &Network, model_stride: u32) -> Result<(RingCosts, RingCosts), CollectiveError> {
-    let mesh = net.mesh();
-    check_stride(mesh, model_stride)?;
-    let y_costs = RingCosts::from_ring(net, &mesh.y_ring(0), 1)?;
-    let x_ring = mesh.x_line_strided(0, 0, model_stride);
-    let x_costs = RingCosts::from_ring(net, &x_ring, model_stride)?;
-    Ok((y_costs, x_costs))
+/// The α–β costs of the Y ring and of the `model_stride`-strided X line:
+/// all that a 2-D summation's time needs from the mesh, walked once and
+/// then priced for any number of payloads — the whole gradient, or each
+/// bucket of a bucketed summation (bucket `i` runs the full Y-then-X
+/// schedule on its own, so more buckets pay more per-phase α).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TwoDimRings {
+    y: RingCosts,
+    x: RingCosts,
+    y_len: u32,
 }
 
-/// One Y-then-X pass over `elems` elements on bidirectional rings.
-fn breakdown(
-    net: &Network,
-    y_costs: &RingCosts,
-    x_costs: &RingCosts,
-    elems: usize,
-    precision: Precision,
-) -> TwoDimBreakdown {
-    let x_elems = elems.div_ceil(net.mesh().y_len().max(1) as usize);
-    TwoDimBreakdown {
-        y_reduce_scatter: y_costs.reduce_scatter_time(elems, precision, true),
-        x_reduce_scatter: x_costs.reduce_scatter_time(x_elems, precision, true),
-        x_all_gather: x_costs.all_gather_time(x_elems, precision, true),
-        y_all_gather: y_costs.all_gather_time(elems, precision, true),
+impl TwoDimRings {
+    /// Walks the network's Y ring 0 and its strided X line 0.
+    ///
+    /// # Errors
+    ///
+    /// [`CollectiveError::InvalidModelStride`] when `model_stride` is zero
+    /// or does not divide the mesh X extent. Otherwise see
+    /// [`RingCosts::from_ring`]: an unroutable ring hop (degraded mesh)
+    /// surfaces as a typed [`CollectiveError`].
+    pub fn new(net: &Network, model_stride: u32) -> Result<TwoDimRings, CollectiveError> {
+        let mesh = net.mesh();
+        check_stride(mesh, model_stride)?;
+        let y = RingCosts::from_ring(net, &mesh.y_ring(0), 1)?;
+        let x_ring = mesh.x_line_strided(0, 0, model_stride);
+        let x = RingCosts::from_ring(net, &x_ring, model_stride)?;
+        let y_len = mesh.y_len();
+        Ok(TwoDimRings { y, x, y_len })
+    }
+
+    /// One Y-then-X pass over `elems` elements on bidirectional rings.
+    pub fn time(&self, elems: usize, precision: Precision) -> TwoDimBreakdown {
+        let x_elems = elems.div_ceil(self.y_len.max(1) as usize);
+        TwoDimBreakdown {
+            y_reduce_scatter: self.y.reduce_scatter_time(elems, precision, true),
+            x_reduce_scatter: self.x.reduce_scatter_time(x_elems, precision, true),
+            x_all_gather: self.x.all_gather_time(x_elems, precision, true),
+            y_all_gather: self.y.all_gather_time(elems, precision, true),
+        }
     }
 }
 
@@ -417,42 +430,28 @@ pub fn bucket_sizes(elems: usize, buckets: usize) -> Vec<usize> {
         .collect()
 }
 
-/// α–β times for a **bucketed** 2-D all-reduce: the gradient payload is
-/// split into `buckets` chunks (see [`bucket_sizes`]) and each chunk runs
-/// the full Y-then-X schedule on its own. This is the chunked schedule
-/// the deferred task-graph runtime overlaps with backprop — bucket `i`
-/// can start its Y reduce-scatter as soon as backprop has produced the
-/// gradients of the layers in bucket `i`, instead of waiting for the
-/// whole backward pass.
-///
-/// More buckets mean more α (per-phase latency) cost: the bucket times
-/// sum to at least the single-shot [`two_dim_all_reduce_time`], and the
-/// gap grows with the bucket count. The payoff is overlap, not raw
-/// collective speed.
-///
-/// # Errors
-///
-/// See [`two_dim_all_reduce_time`].
-pub fn bucketed_two_dim_all_reduce_time(
-    net: &Network,
-    elems: usize,
-    precision: Precision,
-    model_stride: u32,
-    buckets: usize,
-) -> Result<Vec<TwoDimBreakdown>, CollectiveError> {
-    let (y_costs, x_costs) = ring_costs(net, model_stride)?;
-    Ok(bucket_sizes(elems, buckets)
-        .into_iter()
-        .map(|bucket_elems| breakdown(net, &y_costs, &x_costs, bucket_elems, precision))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use multipod_simnet::NetworkConfig;
     use multipod_tensor::{Shape, TensorRng};
     use multipod_topology::{Multipod, MultipodConfig};
+
+    /// Each bucket's time, priced on one ring walk as the overlapped step
+    /// prices them.
+    fn bucketed(
+        net: &Network,
+        elems: usize,
+        precision: Precision,
+        model_stride: u32,
+        buckets: usize,
+    ) -> Vec<TwoDimBreakdown> {
+        let rings = TwoDimRings::new(net, model_stride).unwrap();
+        bucket_sizes(elems, buckets)
+            .into_iter()
+            .map(|bucket| rings.time(bucket, precision))
+            .collect()
+    }
 
     fn setup(x: u32, y: u32) -> Network {
         Network::new(
@@ -755,9 +754,7 @@ mod tests {
             assert_eq!(gather.unwrap_err(), bad);
             let timed = two_dim_all_reduce_time(&net, 1 << 10, Precision::F32, stride);
             assert_eq!(timed.unwrap_err(), bad);
-            let bucketed =
-                bucketed_two_dim_all_reduce_time(&net, 1 << 10, Precision::F32, stride, 4);
-            assert_eq!(bucketed.unwrap_err(), bad);
+            assert_eq!(TwoDimRings::new(&net, stride).unwrap_err(), bad);
             assert_eq!(shard_index(&mesh, ChipId(0), stride).unwrap_err(), bad);
         }
         for stride in [1u32, 2, 4, 8] {
@@ -907,8 +904,7 @@ mod tests {
     fn one_bucket_matches_the_single_shot_schedule() {
         let net = setup(16, 8);
         let single = two_dim_all_reduce_time(&net, 1 << 20, Precision::F32, 1).unwrap();
-        let bucketed =
-            bucketed_two_dim_all_reduce_time(&net, 1 << 20, Precision::F32, 1, 1).unwrap();
+        let bucketed = bucketed(&net, 1 << 20, Precision::F32, 1, 1);
         assert_eq!(bucketed.len(), 1);
         assert_eq!(bucketed[0], single);
     }
@@ -923,12 +919,10 @@ mod tests {
             .total();
         let mut prev_sum = single;
         for buckets in [2usize, 8, 32] {
-            let sum: f64 =
-                bucketed_two_dim_all_reduce_time(&net, elems, Precision::F32, 1, buckets)
-                    .unwrap()
-                    .iter()
-                    .map(TwoDimBreakdown::total)
-                    .sum();
+            let sum: f64 = bucketed(&net, elems, Precision::F32, 1, buckets)
+                .iter()
+                .map(TwoDimBreakdown::total)
+                .sum();
             // More buckets cost more α (the sum grows monotonically with
             // the bucket count) but stay within a small multiple of the
             // single shot — the overlap win must not be eaten by latency.
@@ -944,7 +938,7 @@ mod tests {
     #[test]
     fn bucketed_respects_model_stride() {
         let net = setup(16, 8);
-        let rows = bucketed_two_dim_all_reduce_time(&net, 1 << 18, Precision::Bf16, 4, 4).unwrap();
+        let rows = bucketed(&net, 1 << 18, Precision::Bf16, 4, 4);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.total() > 0.0);

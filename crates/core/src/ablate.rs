@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use multipod_collectives::timing::RingCosts;
-use multipod_collectives::twod::two_dim_all_reduce_time;
+use multipod_collectives::twod::{two_dim_all_reduce_time, TwoDimRings};
 use multipod_collectives::{CollectiveError, Precision};
 use multipod_models::Workload;
 use multipod_simnet::{Network, NetworkConfig};
@@ -103,10 +103,11 @@ pub fn precision_ablation(
                 Multipod::new(MultipodConfig::slice(chips)),
                 NetworkConfig::tpu_v3(),
             );
+            let rings = TwoDimRings::new(&net, 1)?;
             Ok(PrecisionRow {
                 chips,
-                f32_time: two_dim_all_reduce_time(&net, elems, Precision::F32, 1)?.total(),
-                bf16_time: two_dim_all_reduce_time(&net, elems, Precision::Bf16, 1)?.total(),
+                f32_time: rings.time(elems, Precision::F32).total(),
+                bf16_time: rings.time(elems, Precision::Bf16).total(),
             })
         })
         .collect()

@@ -51,24 +51,23 @@ pub fn speedup_curve(
     }
     let tpu = TpuV3::new();
     let cfg = NetworkConfig::tpu_v3();
+    let representative = |cores: u32| {
+        graphs::representative(workload, cores as usize).ok_or_else(|| {
+            SweepError::DataParallelWorkload {
+                workload: workload.name.to_string(),
+            }
+        })
+    };
+    // Representative FLOPs scale to the full model's budget by the
+    // 1-core program's.
+    let scale = workload.flops_per_sample / representative(1)?.flops_per_core_per_sample(1);
     let points: Vec<(u32, f64)> = cores_list
         .iter()
         .map(|&cores| {
-            let rep = graphs::representative(workload, cores as usize).ok_or_else(|| {
-                SweepError::DataParallelWorkload {
-                    workload: workload.name.to_string(),
-                }
-            })?;
+            let rep = representative(cores)?;
             // Compute: partitioned per-core FLOPs, with utilization
             // degrading as the per-core work shrinks.
             let rep_flops = rep.flops_per_core_per_sample(cores as usize) * per_replica_batch;
-            // Scale representative FLOPs to the full model's budget.
-            let full_flops_1 = graphs::representative(workload, 1)
-                .ok_or_else(|| SweepError::DataParallelWorkload {
-                    workload: workload.name.to_string(),
-                })?
-                .flops_per_core_per_sample(1);
-            let scale = workload.flops_per_sample / full_flops_1;
             let flops = rep_flops * scale;
             // Partition-efficiency discount: √(cores) rather than cores
             // (tiles keep large local shapes but lose peak to small

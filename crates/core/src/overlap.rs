@@ -5,10 +5,10 @@
 //! Three overlaps ride on the same scheduler:
 //!
 //! * **gradient summation behind backprop** — the payload is split into
-//!   buckets ([`multipod_collectives::twod::bucketed_two_dim_all_reduce_time`])
-//!   and bucket `i`'s Y reduce-scatter starts as soon as backprop segment
-//!   `i` has produced its gradients, instead of after the whole backward
-//!   pass;
+//!   buckets ([`multipod_collectives::twod::bucket_sizes`], each priced on
+//!   the rings the analytic breakdown walked) and bucket `i`'s Y
+//!   reduce-scatter starts as soon as backprop segment `i` has produced
+//!   its gradients, instead of after the whole backward pass;
 //! * **input prefetch** — the host pipeline fetches the next batch under
 //!   the same scheduler, racing the device instead of stalling it;
 //! * **pipelined checkpoint saves** — PCIe shard writes start as their
@@ -27,11 +27,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use multipod_collectives::twod::{bucket_sizes, bucketed_two_dim_all_reduce_time};
+use multipod_collectives::twod::{bucket_sizes, TwoDimRings};
 use multipod_models::{TpuV3, Workload};
-use multipod_simnet::{Network, NetworkConfig};
+use multipod_simnet::NetworkConfig;
 use multipod_taskgraph::{Resource, SerialPhase, TaskGraph, TaskId, TaskKind, TaskSchedule};
-use multipod_topology::{Multipod, MultipodConfig};
 
 use crate::step::{self, StepBreakdown, StepError, StepOptions};
 
@@ -140,9 +139,12 @@ pub fn overlapped_step_on(
     tpu: &TpuV3,
     net_config: NetworkConfig,
 ) -> Result<OverlappedStep, StepError> {
-    let analytic = step::step_breakdown_on(workload, chips, options, tpu, net_config)?;
+    let (analytic, rings, grad_elems) =
+        step::priced_step(workload, chips, options, tpu, net_config)?;
     let graph = if overlap.overlap {
-        overlapped_graph(workload, chips, options, overlap, &analytic, net_config)?
+        overlapped_graph(
+            workload, chips, options, overlap, &analytic, &rings, grad_elems,
+        )?
     } else {
         serial_graph(&analytic)?
     };
@@ -175,35 +177,23 @@ fn serial_graph(b: &StepBreakdown) -> Result<TaskGraph, StepError> {
     let mut g = TaskGraph::new();
     let mut prev: Option<TaskId> = None;
     for (phase, resource, seconds) in phases {
-        let deps: Vec<TaskId> = prev.into_iter().collect();
-        prev = Some(g.add(TaskKind::Serial { phase }, resource, seconds, &deps)?);
+        let kind = TaskKind::Serial { phase };
+        prev = Some(g.add(kind, resource, seconds, prev.as_slice())?);
     }
     Ok(g)
 }
 
+/// The overlapped graph; `analytic`'s summation was priced on `rings`.
 fn overlapped_graph(
     workload: &Workload,
     chips: u32,
     options: &StepOptions,
     overlap: &OverlapConfig,
     analytic: &StepBreakdown,
-    net_config: NetworkConfig,
+    rings: &TwoDimRings,
+    grad_elems: usize,
 ) -> Result<TaskGraph, StepError> {
-    let mesh = Multipod::new(
-        MultipodConfig::try_slice(chips).map_err(|_| StepError::InvalidSliceShape { chips })?,
-    );
-    let net = Network::new(mesh, net_config);
-    let stride = step::effective_stride(workload, net.mesh());
-    let grad_elems = (workload.params / stride as u64) as usize;
     let buckets = overlap.buckets.max(1) as usize;
-    let bucket_costs = bucketed_two_dim_all_reduce_time(
-        &net,
-        grad_elems,
-        workload.grad_precision,
-        stride,
-        buckets,
-    )?;
-    let elems = bucket_sizes(grad_elems, buckets);
     let total_elems = grad_elems.max(1) as f64;
 
     let batch = workload.global_batch(chips);
@@ -221,12 +211,12 @@ fn overlapped_graph(
     // it is interleaved with the layers and cannot hide behind the
     // gradient rings.
     let forward = analytic.compute / 3.0;
-    let fwd_deps: Vec<TaskId> = if overlap.prefetch_input {
-        Vec::new()
+    let fwd_deps: &[TaskId] = if overlap.prefetch_input {
+        &[]
     } else {
-        vec![fetch]
+        &[fetch]
     };
-    let fwd = g.add(TaskKind::Forward, Resource::Mxu, forward, &fwd_deps)?;
+    let fwd = g.add(TaskKind::Forward, Resource::Mxu, forward, fwd_deps)?;
     let mpc = g.add(
         TaskKind::ModelParallelComm,
         Resource::Mxu,
@@ -237,8 +227,9 @@ fn overlapped_graph(
     let segment = (analytic.compute - forward) / buckets as f64;
     let mut prev_bwd = mpc;
     let mut updates = Vec::with_capacity(buckets);
-    for (i, cost) in bucket_costs.iter().enumerate() {
+    for (i, bucket_elems) in bucket_sizes(grad_elems, buckets).into_iter().enumerate() {
         let bucket = i as u32;
+        let cost = rings.time(bucket_elems, workload.grad_precision);
         let bwd = g.add(
             TaskKind::LayerBackprop { layer: bucket },
             Resource::Mxu,
@@ -258,7 +249,7 @@ fn overlapped_graph(
             cost.x_reduce_scatter,
             &[yrs],
         )?;
-        let update_seconds = analytic.weight_update * elems[i] as f64 / total_elems;
+        let update_seconds = analytic.weight_update * bucket_elems as f64 / total_elems;
         if options.weight_update_sharding {
             // §3.2 order: update the reduce-scattered shard, then
             // all-gather the updated weights.

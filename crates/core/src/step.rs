@@ -16,7 +16,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use multipod_collectives::twod::{two_dim_all_reduce_time, TwoDimBreakdown};
+use multipod_collectives::twod::{TwoDimBreakdown, TwoDimRings};
 use multipod_collectives::CollectiveError;
 use multipod_framework::FrameworkError;
 use multipod_input::dlrm::{DlrmInputConfig, ParseGranularity, PcieLayout};
@@ -217,6 +217,19 @@ pub fn step_breakdown_on(
     tpu: &TpuV3,
     net_config: NetworkConfig,
 ) -> Result<StepBreakdown, StepError> {
+    priced_step(workload, chips, options, tpu, net_config).map(|(breakdown, ..)| breakdown)
+}
+
+/// [`step_breakdown_on`], plus the rings and gradient elements per chip
+/// its gradient summation was priced on, which price the overlapped
+/// step's buckets too.
+pub(crate) fn priced_step(
+    workload: &Workload,
+    chips: u32,
+    options: &StepOptions,
+    tpu: &TpuV3,
+    net_config: NetworkConfig,
+) -> Result<(StepBreakdown, TwoDimRings, usize), StepError> {
     let mesh = Multipod::new(
         MultipodConfig::try_slice(chips).map_err(|_| StepError::InvalidSliceShape { chips })?,
     );
@@ -237,8 +250,8 @@ pub fn step_breakdown_on(
     // Gradient summation: each chip contributes its share of the
     // (possibly sharded) weights; X-phase rings hop over model peers.
     let grad_elems_per_chip = (workload.params / stride as u64) as usize;
-    let gradient_comm =
-        two_dim_all_reduce_time(&net, grad_elems_per_chip, workload.grad_precision, stride)?;
+    let rings = TwoDimRings::new(&net, stride)?;
+    let gradient_comm = rings.time(grad_elems_per_chip, workload.grad_precision);
 
     // Weight update: sharded updates divide the optimizer math by the
     // number of shards in the replica set (§3.2).
@@ -256,16 +269,17 @@ pub fn step_breakdown_on(
     // Host input pipeline.
     let device_time =
         compute + model_parallel_comm + gradient_comm.total() + weight_update + embedding;
-    let input_stall = input_stall(workload, chips, batch, device_time, options);
+    let input_stall = (host_input_time(workload, chips, batch, options) - device_time).max(0.0);
 
-    Ok(StepBreakdown {
+    let breakdown = StepBreakdown {
         compute,
         model_parallel_comm,
         gradient_comm,
         weight_update,
         embedding,
         input_stall,
-    })
+    };
+    Ok((breakdown, rings, grad_elems_per_chip))
 }
 
 fn model_comm_time(workload: &Workload, net: &Network, batch: u32, chips: u32) -> f64 {
@@ -325,16 +339,6 @@ pub fn host_input_time(workload: &Workload, chips: u32, batch: u32, options: &St
         };
         samples_per_host * pipeline.mean_sample_seconds() / pipeline.workers as f64
     }
-}
-
-fn input_stall(
-    workload: &Workload,
-    chips: u32,
-    batch: u32,
-    device_time: f64,
-    options: &StepOptions,
-) -> f64 {
-    (host_input_time(workload, chips, batch, options) - device_time).max(0.0)
 }
 
 /// Records one step on `obs`, starting at `start`, and returns the step's
@@ -398,12 +402,6 @@ pub fn record_step(
         observe("step_seconds", breakdown.total());
     }
     end
-}
-
-/// Devices per replica and replica count at a chip count (convenience for
-/// reports).
-pub fn replicas(workload: &Workload, chips: u32) -> u32 {
-    (chips * 2) / workload.parallelism.cores_per_replica()
 }
 
 #[cfg(test)]

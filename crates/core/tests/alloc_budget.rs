@@ -71,10 +71,12 @@ fn a_4096_chip_step_breakdown_allocates_a_handful() {
 
 #[test]
 fn an_overlapped_4096_chip_step_allocates_its_graph_and_schedule() {
-    // The task graph (a `Vec` of tasks, one `deps` vector per task with
-    // dependencies), the scheduler's flat per-task arrays, ready heaps
-    // and event groups, and the schedule. Pinned: a count that moves is
-    // a change to read, not slack to absorb.
+    // The analytic breakdown (whose rings also price every bucket), the
+    // task graph (a `Vec` of tasks and one dependency arena, each grown
+    // by doubling), the bucket sizes and update ids, the scheduler's flat
+    // per-task arrays, ready heaps, one event FIFO and batch buffer, and
+    // the schedule. Pinned: a count that moves is a change to read, not
+    // slack to absorb.
     let bert = catalog::bert();
     let options = StepOptions::default();
     let allocs = [1, 8, 20, 32].map(|buckets| {
@@ -87,8 +89,10 @@ fn an_overlapped_4096_chip_step_allocates_its_graph_and_schedule() {
         })
     });
     // At buckets 1/8/20/32; per-node `BTreeSet`s and dependents
-    // vectors made them 44/165/376/590.
-    assert_eq!(allocs, [38, 124, 271, 417]);
+    // vectors made them 44/165/376/590, and a `deps` vector per task, a
+    // FIFO per instant and a second mesh, network and pair of rings
+    // 38/124/271/417.
+    assert_eq!(allocs, [22, 32, 43, 57]);
 }
 
 #[test]

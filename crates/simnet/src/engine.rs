@@ -1,14 +1,16 @@
 //! A deterministic discrete-event queue.
 //!
 //! [`EventQueue`] is an ordered map from each pending instant to the FIFO
-//! of events scheduled for it. It is the queue behind the simulator's hot
-//! loops (task-graph scheduling, the pod scheduler, the serving tier, the
-//! event replay of `tests/replay_golden.rs`). Its contract — earliest time
-//! first, FIFO among ties whatever traffic surrounds them, bit-stable
-//! across runs — is pinned against the seed `BinaryHeap` queue, which
-//! survives as the oracle of this module's tests.
+//! of events scheduled for it, plus one spare FIFO that the next new
+//! instant takes over. It is the queue behind the simulator's hot loops
+//! (task-graph scheduling, the pod scheduler, the serving tier, the
+//! event replay of `tests/replay_golden.rs`). Its contract — earliest
+//! time first, FIFO among ties whatever traffic surrounds them,
+//! bit-stable across runs — is pinned against the seed `BinaryHeap`
+//! queue, which survives as the oracle of this module's tests.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::mem::take;
 
 use crate::SimTime;
 
@@ -36,6 +38,10 @@ pub struct QueueStats {
 /// instant (same bytes, same hops, no contention skew), so the map holds
 /// a handful of keys and each event is one sequential push and pop.
 ///
+/// A drained group's `VecDeque` becomes the one spare, the FIFO of the
+/// next new instant: an instant costs no allocation once a buffer of its
+/// size has grown, and the spare capacity is one instant's at most.
+///
 /// ```
 /// use multipod_simnet::{EventQueue, SimTime};
 ///
@@ -48,6 +54,8 @@ pub struct QueueStats {
 pub struct EventQueue<T> {
     /// Invariant: no group is empty.
     groups: BTreeMap<SimTime, VecDeque<T>>,
+    /// Invariant: empty; the buffer of the group that drained last.
+    spare: VecDeque<T>,
     scheduled: u64,
     popped: u64,
     max_depth: usize,
@@ -58,6 +66,7 @@ impl<T> EventQueue<T> {
     pub fn new() -> EventQueue<T> {
         EventQueue {
             groups: BTreeMap::new(),
+            spare: VecDeque::new(),
             scheduled: 0,
             popped: 0,
             max_depth: 0,
@@ -66,7 +75,9 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` at `time`.
     pub fn schedule(&mut self, time: SimTime, payload: T) {
-        self.groups.entry(time).or_default().push_back(payload);
+        let spare = &mut self.spare;
+        let group = self.groups.entry(time).or_insert_with(|| take(spare));
+        group.push_back(payload);
         self.scheduled += 1;
         self.max_depth = self.max_depth.max(self.len());
     }
@@ -78,20 +89,25 @@ impl<T> EventQueue<T> {
         // Groups are never empty, so this `?` never fires.
         let payload = first.get_mut().pop_front()?;
         if first.get().is_empty() {
-            first.remove();
+            self.spare = first.remove();
         }
         self.popped += 1;
         Some((time, payload))
     }
 
-    /// Removes and returns every event scheduled for the earliest pending
-    /// instant, in insertion order. Schedulers use this to process all
+    /// Moves every event scheduled for the earliest pending instant into
+    /// `out` (cleared first, also when this returns `None`), in insertion
+    /// order, and returns that instant. Schedulers use this to process all
     /// completions at a timestamp before dispatching new work, so the
-    /// dispatch decision sees the full set of freed resources.
-    pub fn pop_batch(&mut self) -> Option<(SimTime, Vec<T>)> {
-        let (time, group) = self.groups.pop_first()?;
+    /// dispatch decision sees the full set of freed resources; one `out`
+    /// serves a whole run.
+    pub fn pop_batch(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
+        out.clear();
+        let (time, mut group) = self.groups.pop_first()?;
         self.popped += group.len() as u64;
-        Some((time, group.into()))
+        out.extend(group.drain(..));
+        self.spare = group;
+        Some(time)
     }
 
     /// Lifetime scheduling statistics.
@@ -220,6 +236,13 @@ mod tests {
         }
     }
 
+    /// The queue's batch and the instant it drained, as the oracle's
+    /// `pop_batch` returns them.
+    fn pop_batch<T>(q: &mut EventQueue<T>) -> Option<(SimTime, Vec<T>)> {
+        let mut out = Vec::new();
+        q.pop_batch(&mut out).map(|time| (time, out))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -246,7 +269,7 @@ mod tests {
                 heap.schedule(time, i);
                 match after {
                     1 => prop_assert_eq!(q.pop(), heap.pop()),
-                    2 => prop_assert_eq!(q.pop_batch(), heap.pop_batch()),
+                    2 => prop_assert_eq!(pop_batch(&mut q), heap.pop_batch()),
                     _ => {}
                 }
                 prop_assert_eq!(q.len(), heap.heap.len());
@@ -359,14 +382,14 @@ mod tests {
         q.schedule(SimTime::from_seconds(2.0), "later");
         q.schedule(t1, "a");
         q.schedule(t1, "b");
-        let (time, batch) = q.pop_batch().unwrap();
-        assert_eq!(time, t1);
+        let mut batch = vec!["stale"];
+        assert_eq!(q.pop_batch(&mut batch), Some(t1));
         assert_eq!(batch, vec!["a", "b"]);
         assert_eq!(q.len(), 1);
-        let (time, batch) = q.pop_batch().unwrap();
-        assert_eq!(time, SimTime::from_seconds(2.0));
+        assert_eq!(q.pop_batch(&mut batch), Some(SimTime::from_seconds(2.0)));
         assert_eq!(batch, vec!["later"]);
-        assert!(q.pop_batch().is_none());
+        assert_eq!(q.pop_batch(&mut batch), None);
+        assert!(batch.is_empty());
     }
 
     #[test]
@@ -424,7 +447,10 @@ mod tests {
         q.schedule(SimTime::from_seconds(-0.0), 'a');
         q.schedule(SimTime::from_seconds(0.0), 'b');
         q.schedule(SimTime::from_seconds(-0.0), 'c');
-        assert_eq!(q.pop_batch(), Some((SimTime::ZERO, vec!['a', 'b', 'c'])));
+        assert_eq!(
+            pop_batch(&mut q),
+            Some((SimTime::ZERO, vec!['a', 'b', 'c']))
+        );
         assert!(q.is_empty());
     }
 

@@ -45,16 +45,18 @@ impl fmt::Display for TaskGraphError {
 
 impl Error for TaskGraphError {}
 
-/// A DAG of typed tasks, built in topological order.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// A DAG of typed tasks, built in topological order. Every dependency
+/// list lives in one arena, `deps`; a task holds the range of its own.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TaskGraph {
     pub(crate) tasks: Vec<Task>,
+    pub(crate) deps: Vec<TaskId>,
 }
 
 impl TaskGraph {
     /// An empty graph.
     pub fn new() -> TaskGraph {
-        TaskGraph { tasks: Vec::new() }
+        TaskGraph::default()
     }
 
     /// Adds a task that starts once every task in `deps` has finished.
@@ -103,12 +105,14 @@ impl TaskGraph {
         if let Some(&dep) = deps.iter().find(|d| d.0 >= task) {
             return Err(TaskGraphError::UnknownDependency { task, dep });
         }
+        let start = self.deps.len();
+        self.deps.extend_from_slice(deps);
         self.tasks.push(Task {
             kind,
             resource,
             seconds,
             release,
-            deps: deps.to_vec(),
+            deps: start..self.deps.len(),
         });
         Ok(TaskId(task))
     }
@@ -123,9 +127,12 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
-    /// The task behind an id, if it exists.
-    pub fn task(&self, id: TaskId) -> Option<&Task> {
-        self.tasks.get(id.0)
+    /// The tasks that must finish before `id` starts, in the order they
+    /// were given to [`TaskGraph::add`]; empty for an id not in the graph.
+    pub fn deps(&self, id: TaskId) -> &[TaskId] {
+        self.tasks
+            .get(id.0)
+            .map_or(&[], |t| &self.deps[t.deps.clone()])
     }
 
     /// All tasks in id order.
@@ -181,6 +188,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(g.len(), 2);
-        assert_eq!(g.task(b).unwrap().deps, vec![a]);
+        assert_eq!(g.deps(a), []);
+        assert_eq!(g.deps(b), [a]);
+        assert_eq!(g.deps(TaskId(2)), []);
     }
 }

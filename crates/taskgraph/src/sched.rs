@@ -53,8 +53,9 @@ impl TaskGraph {
     /// its resource's ready set only once sim-time reaches the release:
     /// the event queue carries both completion events (for tasks that
     /// have started) and release events (for tasks whose dependencies
-    /// are done but whose release lies in the future), distinguished by
-    /// a per-task `started` flag.
+    /// are done but whose release lies in the future): an event is a
+    /// completion exactly when its task is the one running on its
+    /// resource.
     pub fn run(&self) -> TaskSchedule {
         let n = self.tasks.len();
         let mut remaining: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
@@ -62,10 +63,8 @@ impl TaskGraph {
         // `dependents[first[d]..first[d + 1]]`, ascending. `first` is
         // counted, summed to range ends, and filled back to front.
         let mut first: Vec<usize> = vec![0; n + 1];
-        for t in &self.tasks {
-            for d in &t.deps {
-                first[d.0] += 1;
-            }
+        for d in &self.deps {
+            first[d.0] += 1;
         }
         let mut end = 0;
         for f in &mut first {
@@ -74,16 +73,16 @@ impl TaskGraph {
         }
         let mut dependents: Vec<usize> = vec![0; end];
         for (i, t) in self.tasks.iter().enumerate().rev() {
-            for d in &t.deps {
+            for d in &self.deps[t.deps.clone()] {
                 first[d.0] -= 1;
                 dependents[first[d.0]] = i;
             }
         }
 
-        // Min-heaps by id, so the lowest ready id starts first.
+        // Min-heaps by id, so the lowest ready id starts first; slots are
+        // in `Resource::ALL` order.
         let mut ready: [BinaryHeap<Reverse<usize>>; 4] = Default::default();
         let mut running: [Option<usize>; 4] = [None; 4];
-        let mut started: Vec<bool> = vec![false; n];
         let mut starts: Vec<SimTime> = vec![SimTime::ZERO; n];
         let mut ends: Vec<SimTime> = vec![SimTime::ZERO; n];
         let mut queue: EventQueue<usize> = EventQueue::new();
@@ -98,51 +97,36 @@ impl TaskGraph {
             }
         }
 
-        let dispatch = |now: SimTime,
-                        ready: &mut [BinaryHeap<Reverse<usize>>; 4],
-                        running: &mut [Option<usize>; 4],
-                        started: &mut Vec<bool>,
-                        queue: &mut EventQueue<usize>,
-                        starts: &mut Vec<SimTime>,
-                        ends: &mut Vec<SimTime>| {
-            for r in Resource::ALL {
-                let slot = r.index();
-                if running[slot].is_some() {
+        // Instants pop in time order, so the last one is the makespan.
+        let mut now = SimTime::ZERO;
+        let mut done: Vec<usize> = Vec::new();
+        loop {
+            for (slot, running) in running.iter_mut().enumerate() {
+                if running.is_some() {
                     continue;
                 }
                 let Some(Reverse(next)) = ready[slot].pop() else {
                     continue;
                 };
-                let end = now + self.tasks[next].seconds;
                 starts[next] = now;
-                ends[next] = end;
-                started[next] = true;
-                running[slot] = Some(next);
-                queue.schedule(end, next);
+                ends[next] = now + self.tasks[next].seconds;
+                *running = Some(next);
+                queue.schedule(ends[next], next);
             }
-        };
-
-        dispatch(
-            SimTime::ZERO,
-            &mut ready,
-            &mut running,
-            &mut started,
-            &mut queue,
-            &mut starts,
-            &mut ends,
-        );
-        let mut makespan = SimTime::ZERO;
-        while let Some((now, done)) = queue.pop_batch() {
-            makespan = makespan.max(now);
-            for i in done {
-                if !started[i] {
+            let Some(at) = queue.pop_batch(&mut done) else {
+                break;
+            };
+            now = at;
+            for &i in &done {
+                let slot = self.tasks[i].resource.index();
+                if running[slot] != Some(i) {
                     // Release event: dependencies were already satisfied,
                     // the task was only waiting for sim-time to reach its
                     // release. It now contends for its resource.
-                    ready[self.tasks[i].resource.index()].push(Reverse(i));
+                    ready[slot].push(Reverse(i));
                     continue;
                 }
-                running[self.tasks[i].resource.index()] = None;
+                running[slot] = None;
                 for &d in &dependents[first[i]..first[i + 1]] {
                     remaining[d] -= 1;
                     if remaining[d] == 0 {
@@ -155,15 +139,6 @@ impl TaskGraph {
                     }
                 }
             }
-            dispatch(
-                now,
-                &mut ready,
-                &mut running,
-                &mut started,
-                &mut queue,
-                &mut starts,
-                &mut ends,
-            );
         }
 
         let tasks = self
@@ -179,7 +154,10 @@ impl TaskGraph {
                 end: ends[i],
             })
             .collect();
-        TaskSchedule { tasks, makespan }
+        TaskSchedule {
+            tasks,
+            makespan: now,
+        }
     }
 }
 

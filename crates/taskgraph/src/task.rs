@@ -232,7 +232,7 @@ impl Resource {
 }
 
 /// One node of a [`crate::TaskGraph`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Task {
     /// What the task does.
     pub kind: TaskKind,
@@ -245,6 +245,7 @@ pub struct Task {
     /// "as soon as dependencies allow"; open-loop serving workloads use
     /// non-zero releases to model request arrival times.
     pub release: SimTime,
-    /// Tasks that must finish first (all ids precede this task's).
-    pub deps: Vec<TaskId>,
+    /// This task's slice of the graph's dependency arena; read it
+    /// through [`crate::TaskGraph::deps`].
+    pub(crate) deps: std::ops::Range<usize>,
 }

@@ -31,7 +31,7 @@ fn naive_list_schedule(g: &TaskGraph) -> TaskSchedule {
     let mut ends = vec![SimTime::ZERO; n];
     let mut running: [Option<usize>; 4] = [None; 4];
     let slot = |r: Resource| Resource::ALL.iter().position(|&x| x == r).unwrap();
-    let deps_done = |done: &[bool], i: usize| tasks[i].deps.iter().all(|d| done[d.0]);
+    let deps_done = |done: &[bool], i: usize| g.deps(TaskId(i)).iter().all(|d| done[d.0]);
 
     let mut now = SimTime::ZERO;
     let mut makespan = SimTime::ZERO;
@@ -146,9 +146,10 @@ proptest! {
         specs in prop::collection::vec(spec(), 1..30),
         scale in 0.01f64..1.0,
     ) {
+        let exact = build(&specs);
         let mut g = TaskGraph::new();
-        for (i, t) in build(&specs).tasks().iter().enumerate() {
-            g.add_released(t.kind, t.resource, t.seconds * scale, t.release, &t.deps)
+        for (i, t) in exact.tasks().iter().enumerate() {
+            g.add_released(t.kind, t.resource, t.seconds * scale, t.release, exact.deps(TaskId(i)))
                 .unwrap_or_else(|e| panic!("task {i}: {e}"));
         }
         prop_assert_eq!(g.run(), naive_list_schedule(&g));
