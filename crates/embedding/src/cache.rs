@@ -229,8 +229,6 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
 pub struct CacheReplay {
     tables: usize,
     bits: Vec<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl CacheReplay {
@@ -239,8 +237,6 @@ impl CacheReplay {
         CacheReplay {
             tables,
             bits: vec![0; (samples * tables).div_ceil(64)],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -248,11 +244,6 @@ impl CacheReplay {
     pub(crate) fn record(&mut self, sample: usize, table: usize, hit: bool) {
         let at = sample * self.tables + table;
         self.bits[at / 64] |= u64::from(hit) << (at % 64);
-    }
-
-    /// Takes the hit/miss totals of the cache that produced the outcomes.
-    pub(crate) fn set_totals(&mut self, cache: &LruCache) {
-        (self.hits, self.misses) = (cache.hits(), cache.misses());
     }
 
     /// Whether the remote row at `(sample, table)` — `sample` indexing the
@@ -265,22 +256,6 @@ impl CacheReplay {
                 .bits
                 .get(at / 64)
                 .is_some_and(|w| w >> (at % 64) & 1 == 1)
-    }
-
-    /// Remote rows served from a cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Remote rows that missed (and crossed the mesh).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate over every remote row (0 when there were none), computed
-    /// as [`EmbeddingCache::hit_rate`] computes it.
-    pub fn hit_rate(&self) -> f64 {
-        hit_rate(self.hits, self.misses)
     }
 }
 

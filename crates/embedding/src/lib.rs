@@ -41,4 +41,4 @@ pub use cache::{CacheReplay, EmbeddingCache, LruCache};
 pub use error::EmbeddingError;
 pub use interaction::{masked_self_interaction, InteractionOutput};
 pub use placement::{EmbeddingSpec, Placement, TablePlacement};
-pub use sharded::{EvalAccumulator, LookupCost, LookupOutcome, ShardedEmbedding};
+pub use sharded::{EvalAccumulator, LookupCost, LookupOutcome, RowId, ShardedEmbedding};

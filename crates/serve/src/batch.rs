@@ -6,12 +6,14 @@
 //! batcher is a pure function of the request log, so the batch plan is
 //! deterministic.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::SimTime;
 
 use crate::stream::Request;
-use crate::ServeError;
+use crate::{check, ServeError};
 
 /// Batching policy.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -56,62 +58,78 @@ pub struct Batch {
 ///
 /// # Errors
 ///
-/// * [`ServeError::InvalidConfig`] for a non-positive cap or a
-///   non-finite/negative window.
+/// * [`ServeError::InvalidConfig`] for a non-positive cap, a
+///   non-finite/negative window, or a window that pushes a dispatch past
+///   the finite range (both on `window_seconds`).
 /// * [`ServeError::RequestExceedsBatchCap`] when a single request could
 ///   never fit any batch.
 pub fn assemble(requests: &[Request], config: &BatchingConfig) -> Result<Vec<Batch>, ServeError> {
-    if config.max_batch_samples == 0 {
-        return Err(ServeError::InvalidConfig {
-            field: "max_batch_samples",
-            value: 0.0,
+    let mut batches = Vec::new();
+    let log = requests.iter().map(|r| (r.id, r.arrival, r.samples.len()));
+    plan(log, config, |members, samples, opened_at, dispatch| {
+        let requests = members.collect();
+        batches.push(Batch {
+            requests,
+            samples,
+            opened_at,
+            dispatch,
         });
-    }
-    if !(config.window_seconds.is_finite() && config.window_seconds >= 0.0) {
-        return Err(ServeError::InvalidConfig {
-            field: "window_seconds",
-            value: config.window_seconds,
-        });
-    }
-    let cap = config.max_batch_samples;
-    let mut batches: Vec<Batch> = Vec::new();
-    // The accumulating batch; nothing is open while it holds no request.
-    let mut open = Batch::default();
-    let mut close = |open: &mut Batch, dispatch: SimTime| {
-        open.dispatch = dispatch;
-        batches.push(std::mem::take(open));
+    })?;
+    Ok(batches)
+}
+
+/// The batching policy over `(id, arrival, samples)` per request in
+/// arrival order: calls `close(requests, samples, opened_at, dispatch)`
+/// once per batch, in opening order, its members a run of log positions.
+/// Errors as [`assemble`].
+pub(crate) fn plan(
+    log: impl IntoIterator<Item = (u64, SimTime, usize)>,
+    config: &BatchingConfig,
+    mut close: impl FnMut(Range<usize>, usize, SimTime, SimTime),
+) -> Result<(), ServeError> {
+    let (cap, window) = (config.max_batch_samples, config.window_seconds);
+    check(cap > 0, "max_batch_samples", 0.0)?;
+    let window_ok = window.is_finite() && window >= 0.0;
+    check(window_ok, "window_seconds", window)?;
+    let deadline = |opened_at: SimTime| {
+        let finite = (opened_at.seconds() + window).is_finite();
+        check(finite, "window_seconds", window).map(|()| opened_at + window)
     };
-    for (i, r) in requests.iter().enumerate() {
-        let n = r.samples.len();
+    // The open batch: requests `first..next`, `samples` in all; nothing is
+    // open while `first == next`.
+    let (mut first, mut next, mut samples, mut opened_at) = (0, 0, 0, SimTime::ZERO);
+    for (id, arrival, n) in log {
         if n > cap {
             return Err(ServeError::RequestExceedsBatchCap {
-                request: r.id,
+                request: id,
                 samples: n,
                 cap,
             });
         }
         // Close the open batch if its window expired before this arrival,
         // or if this request does not fit (it then waits out its window).
-        let deadline = open.opened_at + config.window_seconds;
-        if !open.requests.is_empty() && (r.arrival >= deadline || open.samples + n > cap) {
-            close(&mut open, deadline);
+        if first < next {
+            let deadline = deadline(opened_at)?;
+            if arrival >= deadline || samples + n > cap {
+                close(first..next, samples, opened_at, deadline);
+                (first, samples) = (next, 0);
+            }
         }
-        if open.requests.is_empty() {
-            open.opened_at = r.arrival;
+        if first == next {
+            opened_at = arrival;
         }
-        open.requests.push(i);
-        open.samples += n;
+        (next, samples) = (next + 1, samples + n);
         // A full batch dispatches immediately on the filling arrival.
-        if open.samples == cap {
-            close(&mut open, r.arrival);
+        if samples == cap {
+            close(first..next, samples, opened_at, arrival);
+            (first, samples) = (next, 0);
         }
     }
-    if !open.requests.is_empty() {
+    if first < next {
         // The stream ended; the replica still waits out the window.
-        let deadline = open.opened_at + config.window_seconds;
-        close(&mut open, deadline);
+        close(first..next, samples, opened_at, deadline(opened_at)?);
     }
-    Ok(batches)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -203,5 +221,25 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_dispatch_past_the_finite_range_is_a_typed_error() {
+        // Each deadline is finite on its own terms; their sum is not.
+        let requests = vec![request(0, 1e308, 1), request(1, 1.5e308, 1)];
+        let config = BatchingConfig {
+            max_batch_samples: 8,
+            window_seconds: 1e308,
+        };
+        assert!(matches!(
+            assemble(&requests, &config),
+            Err(ServeError::InvalidConfig {
+                field: "window_seconds",
+                ..
+            })
+        ));
+        // The same window is fine for a batch that opens at zero.
+        let batches = assemble(&[request(0, 0.0, 1)], &config).unwrap();
+        assert_eq!(batches[0].dispatch, SimTime::from_seconds(1e308));
     }
 }

@@ -16,7 +16,7 @@ use multipod_topology::MultipodConfig;
 
 use crate::dlrm::{DlrmServeConfig, DlrmServeReport, DlrmServer};
 use crate::rl::{RlServeConfig, RlServeReport, RlServer};
-use crate::ServeError;
+use crate::{check, ServeError};
 
 /// The full co-scheduled scenario: one training campaign plus two
 /// serving reservations.
@@ -99,24 +99,15 @@ impl ServeCampaign {
     /// exactly the two expected reservations or a granted slice came
     /// back empty; scheduler and serving errors pass through.
     pub fn run(&self) -> Result<ServeCampaignReport, ServeError> {
-        if self.config.sched.services.len() != 2 {
-            return Err(ServeError::InvalidConfig {
-                field: "sched.services",
-                value: self.config.sched.services.len() as f64,
-            });
-        }
+        let services = self.config.sched.services.len();
+        check(services == 2, "sched.services", services as f64)?;
         let mut scheduler = PodScheduler::new(self.config.sched.clone());
         scheduler.set_obs(self.obs.clone());
         let sched_report = scheduler.run()?;
 
         let granted = |i: usize| -> Result<MultipodConfig, ServeError> {
             let (w, h) = sched_report.services[i].shape;
-            if w == 0 || h == 0 {
-                return Err(ServeError::InvalidConfig {
-                    field: "sched.services.shape",
-                    value: i as f64,
-                });
-            }
+            check(w > 0 && h > 0, "sched.services.shape", i as f64)?;
             Ok(MultipodConfig::mesh(w, h, false))
         };
 

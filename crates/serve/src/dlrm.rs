@@ -15,6 +15,8 @@
 //! the host/ICI/MXU pipeline to drain, and per-request latency decomposes
 //! exactly into batch-wait / queue / lookup / all-to-all / dense.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use multipod_embedding::{EmbeddingSpec, LookupCost, Placement, ShardedEmbedding};
@@ -24,9 +26,9 @@ use multipod_taskgraph::{Resource, TaskGraph, TaskKind};
 use multipod_telemetry::{DistSummary, MetricId, Obs, Subsystem};
 use multipod_topology::{Multipod, MultipodConfig};
 
-use crate::batch::{assemble, Batch, BatchingConfig};
-use crate::stream::{query_stream, QueryStreamConfig, Request};
-use crate::ServeError;
+use crate::batch::{plan, BatchingConfig};
+use crate::stream::{QueryLog, QueryStreamConfig};
+use crate::{check, ServeError};
 
 /// Fixed host-side cost per batch lookup: probe the cache, build the
 /// gather lists, launch the kernels.
@@ -121,55 +123,39 @@ pub(crate) fn slice_mesh(slice: &MultipodConfig) -> Result<Multipod, ServeError>
     })
 }
 
-/// Every batch's lookup cost, in batch order, and the caches' totals.
-struct Priced {
-    costs: Vec<LookupCost>,
-    cache_hits: u64,
-    cache_hit_rate: f64,
-}
+/// How a run prices its batches: `(embedding, slice network, log, each
+/// batch's run of flat samples, cache rows per host)` → costs in order.
+type PriceBatches = fn(
+    &ShardedEmbedding,
+    &mut Network,
+    &QueryLog,
+    &[Range<usize>],
+    usize,
+) -> Result<Vec<LookupCost>, ServeError>;
 
-/// How a run prices its batches: `(embedding, slice network, request
-/// log, batches, cache rows per host)`.
-type PriceBatches =
-    fn(&ShardedEmbedding, &mut Network, &[Request], &[Batch], usize) -> Result<Priced, ServeError>;
-
-/// Prices every batch in two passes over the whole stream: the hosts'
-/// caches are replayed first (a host sees only its own samples, so one
-/// host at a time), then each batch's all-to-all is timed from the
-/// recorded outcomes.
+/// Prices every batch in two passes over the log's flat block: the
+/// hosts' caches are replayed first (a host sees only its own samples, so
+/// one host at a time), then each batch's all-to-all is timed from the
+/// recorded outcomes. A batch's samples are one contiguous run of the
+/// block, so nothing is copied.
 fn price_batches(
     emb: &ShardedEmbedding,
     net: &mut Network,
-    requests: &[Request],
-    batches: &[Batch],
+    log: &QueryLog,
+    batches: &[Range<usize>],
     rows_per_host: usize,
-) -> Result<Priced, ServeError> {
-    let mut samples: Vec<&[usize]> = Vec::with_capacity(batches.iter().map(|b| b.samples).sum());
-    let mut ranges = Vec::with_capacity(batches.len());
-    for b in batches {
-        let start = samples.len();
-        samples.extend(
-            b.requests
-                .iter()
-                .flat_map(|&r| requests[r].samples.iter().map(Vec::as_slice)),
-        );
-        ranges.push(start..samples.len());
-    }
-    let replay = emb.replay_caches(&samples, &ranges, rows_per_host)?;
+) -> Result<Vec<LookupCost>, ServeError> {
+    let stream = 0..batches.last().map_or(0, |b| b.end);
+    let replay = emb.replay_caches(log.rows(&stream), batches, rows_per_host)?;
     let mut costs = Vec::with_capacity(batches.len());
-    for range in &ranges {
-        let base = range.start;
-        let indices = &samples[range.clone()];
-        costs.push(emb.price(net, indices, SimTime::ZERO, |s, _, t, _| {
-            replay.hit(base + s, t)
+    for range in batches {
+        let rows = log.rows(range);
+        costs.push(emb.price(net, rows, SimTime::ZERO, |s, _, t, _| {
+            replay.hit(range.start + s, t)
         })?);
         net.reset();
     }
-    Ok(Priced {
-        costs,
-        cache_hits: replay.hits(),
-        cache_hit_rate: replay.hit_rate(),
-    })
+    Ok(costs)
 }
 
 /// The DLRM serving replica simulator.
@@ -207,19 +193,21 @@ impl DlrmServer {
 
     /// [`DlrmServer::run`] with the batches priced by `price`.
     fn run_with(&self, price: PriceBatches) -> Result<DlrmServeReport, ServeError> {
-        let requests = query_stream(&self.config.stream)?;
-        let batches = assemble(&requests, &self.config.batching)?;
+        let log = QueryLog::new(&self.config.stream)?;
+        // Each batch as its run of requests and its dispatch, beside its
+        // run of flat samples (the runs follow one another).
+        let (mut batches, mut samples) = (Vec::new(), Vec::<Range<usize>>::new());
+        plan(log.sizes(), &self.config.batching, |requests, n, _, at| {
+            let start = samples.last().map_or(0, |s| s.end);
+            samples.push(start..start + n);
+            batches.push((requests, at));
+        })?;
 
         let mesh = slice_mesh(&self.config.slice)?;
         let chips = mesh.num_chips();
         let mut net = Network::new(mesh, NetworkConfig::tpu_v3());
         let dim = self.config.embedding_dim;
-        if dim == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "embedding_dim",
-                value: 0.0,
-            });
-        }
+        check(dim > 0, "embedding_dim", 0.0)?;
         let specs = vec![
             EmbeddingSpec {
                 rows: self.config.stream.rows_per_table,
@@ -229,31 +217,29 @@ impl DlrmServer {
         ];
         let placement = Placement::plan(&specs, chips, self.config.replication_budget_bytes);
         let emb = ShardedEmbedding::init(placement, self.config.table_seed)?;
-        let priced = price(
-            &emb,
-            &mut net,
-            &requests,
-            &batches,
-            self.config.cache_rows_per_chip,
-        )?;
+        let rows_per_host = self.config.cache_rows_per_chip;
+        let costs = price(&emb, &mut net, &log, &samples, rows_per_host)?;
 
         let tpu = TpuV3::new();
         let workload = catalog::dlrm();
-        let mut remote_rows = 0u64;
+        // Every remote row either hit its host's cache or crossed the mesh.
+        let (mut cache_hits, mut remote_rows) = (0u64, 0u64);
 
         // Build one released task graph over every batch: lookup (host)
         // → all-to-all (ICI) → dense (MXU), each stage priced up front.
         let mut graph = TaskGraph::new();
         let mut stages = Vec::with_capacity(batches.len());
-        for (i, (b, cost)) in batches.iter().zip(&priced.costs).enumerate() {
+        let members = batches.iter().zip(&samples).zip(&costs);
+        for (i, ((&(_, dispatch), flat), cost)) in members.enumerate() {
+            cache_hits += cost.cache_hits as u64;
             remote_rows += cost.remote_rows as u64;
             let all_to_all_s = cost.time.seconds();
             let local_row_bytes =
                 ((cost.local_rows + cost.cache_hits) * dim * 4) as f64 / chips as f64;
             let lookup_s = LOOKUP_OVERHEAD_SECONDS + local_row_bytes / tpu.hbm_bandwidth;
-            let per_core_batch = (b.samples as f64 / chips as f64).max(1.0);
+            let per_core_batch = (flat.len() as f64 / chips as f64).max(1.0);
             let eff = workload.efficiency.at(per_core_batch)?;
-            let dense_flops = b.samples as f64 * workload.flops_per_sample / chips as f64;
+            let dense_flops = flat.len() as f64 * workload.flops_per_sample / chips as f64;
             let dense_s = tpu.core_compute_time(dense_flops, eff)?;
 
             let batch_id = i as u32;
@@ -261,7 +247,7 @@ impl DlrmServer {
                 TaskKind::ServeLookup { batch: batch_id },
                 Resource::Host,
                 lookup_s,
-                b.dispatch,
+                dispatch,
                 &[],
             )?;
             let a2a = graph.add(
@@ -283,26 +269,26 @@ impl DlrmServer {
         schedule.record(&self.obs, SimTime::ZERO);
 
         // Decompose every request's latency into the five phases.
-        let mut latencies = Vec::with_capacity(requests.len());
+        let id = |name| MetricId::new(Subsystem::Serve, name);
+        let requests = log.arrivals.len();
+        let mut latencies = Vec::with_capacity(requests);
         let mut means = PhaseMeans::default();
-        for (b, &(lookup, a2a, dense)) in batches.iter().zip(&stages) {
+        for ((members, dispatch), &(lookup, a2a, dense)) in batches.iter().zip(&stages) {
             let lk = &schedule.tasks[lookup.0];
             let aa = &schedule.tasks[a2a.0];
             let de = &schedule.tasks[dense.0];
-            for &r in &b.requests {
-                let arrival = requests[r].arrival;
-                means.batch_wait += b.dispatch - arrival;
-                means.queue += lk.start - b.dispatch;
+            for &arrival in &log.arrivals[members.clone()] {
+                means.batch_wait += *dispatch - arrival;
+                means.queue += lk.start - *dispatch;
                 means.lookup += lk.end - lk.start;
                 means.all_to_all += aa.end - lk.end;
                 means.dense += de.end - aa.end;
                 let latency = de.end - arrival;
-                self.obs
-                    .observe(MetricId::new(Subsystem::Serve, "latency_seconds"), latency);
+                self.obs.observe(id("latency_seconds"), latency);
                 latencies.push(latency);
             }
         }
-        let n = requests.len() as f64;
+        let n = requests as f64;
         means.batch_wait /= n;
         means.queue /= n;
         means.lookup /= n;
@@ -311,19 +297,21 @@ impl DlrmServer {
 
         let makespan = schedule.makespan.seconds();
         let report = DlrmServeReport {
-            requests: requests.len() as u64,
+            requests: requests as u64,
             batches: batches.len() as u64,
-            mean_batch_samples: batches.iter().map(|b| b.samples as f64).sum::<f64>()
+            mean_batch_samples: samples.iter().map(|b| b.len() as f64).sum::<f64>()
                 / batches.len() as f64,
             latency: DistSummary::of(latencies),
             phase_means: means,
-            cache_hit_rate: priced.cache_hit_rate,
-            cache_hits: priced.cache_hits,
+            cache_hit_rate: match cache_hits + remote_rows {
+                0 => 0.0,
+                looked => cache_hits as f64 / looked as f64,
+            },
+            cache_hits,
             remote_rows,
-            achieved_qps: requests.len() as f64 / makespan.max(f64::MIN_POSITIVE),
+            achieved_qps: n / makespan.max(f64::MIN_POSITIVE),
             makespan_seconds: makespan,
         };
-        let id = |name| MetricId::new(Subsystem::Serve, name);
         self.obs.gauge(id("cache_hit_rate"), report.cache_hit_rate);
         self.obs.gauge(id("achieved_qps"), report.achieved_qps);
         self.obs.count(id("requests"), report.requests);
@@ -343,35 +331,24 @@ mod tests {
     fn price_batches_oracle(
         emb: &ShardedEmbedding,
         net: &mut Network,
-        requests: &[Request],
-        batches: &[Batch],
+        log: &QueryLog,
+        batches: &[Range<usize>],
         rows_per_host: usize,
-    ) -> Result<Priced, ServeError> {
+    ) -> Result<Vec<LookupCost>, ServeError> {
         let chips = emb.placement().chips();
         let mut caches: Vec<LruCache> = (0..chips).map(|_| LruCache::new(rows_per_host)).collect();
         let mut costs = Vec::with_capacity(batches.len());
         for b in batches {
-            let indices: Vec<&Vec<usize>> = b
-                .requests
-                .iter()
-                .flat_map(|&r| &requests[r].samples)
+            let indices: Vec<Vec<usize>> = log
+                .rows(b)
+                .map(|s| s.iter().map(|&row| row as usize).collect())
                 .collect();
             costs.push(emb.price(net, &indices, SimTime::ZERO, |_, home, t, row| {
                 caches[home].access(t, row)
             })?);
             net.reset();
         }
-        let hits: u64 = caches.iter().map(LruCache::hits).sum();
-        let total = hits + caches.iter().map(LruCache::misses).sum::<u64>();
-        Ok(Priced {
-            costs,
-            cache_hits: hits,
-            cache_hit_rate: if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            },
-        })
+        Ok(costs)
     }
 
     proptest! {

@@ -44,6 +44,13 @@ pub enum ServeError {
     Sched(SchedError),
 }
 
+/// `Ok` when `ok` holds, else [`ServeError::InvalidConfig`] naming
+/// `field` and the rejected `value`.
+pub(crate) fn check(ok: bool, field: &'static str, value: f64) -> Result<(), ServeError> {
+    ok.then_some(())
+        .ok_or(ServeError::InvalidConfig { field, value })
+}
+
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -82,38 +89,22 @@ impl Error for ServeError {
     }
 }
 
-impl From<EmbeddingError> for ServeError {
-    fn from(e: EmbeddingError) -> ServeError {
-        ServeError::Embedding(e)
-    }
+/// `From` for each wrapped layer error, so `?` lifts it.
+macro_rules! wrap {
+    ($($variant:ident($source:ty)),*) => {$(
+        impl From<$source> for ServeError {
+            fn from(e: $source) -> ServeError {
+                ServeError::$variant(e)
+            }
+        }
+    )*};
 }
 
-impl From<ModelError> for ServeError {
-    fn from(e: ModelError) -> ServeError {
-        ServeError::Model(e)
-    }
-}
-
-impl From<StepError> for ServeError {
-    fn from(e: StepError) -> ServeError {
-        ServeError::Step(e)
-    }
-}
-
-impl From<TaskGraphError> for ServeError {
-    fn from(e: TaskGraphError) -> ServeError {
-        ServeError::TaskGraph(e)
-    }
-}
-
-impl From<NetworkError> for ServeError {
-    fn from(e: NetworkError) -> ServeError {
-        ServeError::Network(e)
-    }
-}
-
-impl From<SchedError> for ServeError {
-    fn from(e: SchedError) -> ServeError {
-        ServeError::Sched(e)
-    }
-}
+wrap!(
+    Embedding(EmbeddingError),
+    Model(ModelError),
+    Step(StepError),
+    TaskGraph(TaskGraphError),
+    Network(NetworkError),
+    Sched(SchedError)
+);

@@ -37,6 +37,7 @@ pub mod stream;
 pub use batch::{assemble, Batch, BatchingConfig};
 pub use campaign::{ServeCampaign, ServeCampaignConfig, ServeCampaignReport};
 pub use dlrm::{DlrmServeConfig, DlrmServeReport, DlrmServer, PhaseMeans};
+pub(crate) use error::check;
 pub use error::ServeError;
 pub use rl::{RlServeConfig, RlServeReport, RlServer};
-pub use stream::{query_stream, QueryStreamConfig, Request};
+pub use stream::{query_stream, QueryLog, QueryStreamConfig, Request};

@@ -22,7 +22,7 @@ use multipod_topology::{ChipId, MultipodConfig};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::dlrm::slice_mesh;
-use crate::ServeError;
+use crate::{check, ServeError};
 
 /// RL co-location parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -130,24 +130,11 @@ impl RlServer {
     pub fn run(&self) -> Result<RlServeReport, ServeError> {
         let mesh = slice_mesh(&self.config.slice)?;
         let total_chips = mesh.num_chips() as u32;
-        if self.config.learner_chips == 0 || self.config.learner_chips >= total_chips {
-            return Err(ServeError::InvalidConfig {
-                field: "learner_chips",
-                value: f64::from(self.config.learner_chips),
-            });
-        }
-        if self.config.broadcast_every == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "broadcast_every",
-                value: 0.0,
-            });
-        }
-        if !(self.config.actor_flops.is_finite() && self.config.actor_flops > 0.0) {
-            return Err(ServeError::InvalidConfig {
-                field: "actor_flops",
-                value: self.config.actor_flops,
-            });
-        }
+        let (learner, flops) = (self.config.learner_chips, self.config.actor_flops);
+        let learner_ok = learner > 0 && learner < total_chips;
+        check(learner_ok, "learner_chips", f64::from(learner))?;
+        check(self.config.broadcast_every > 0, "broadcast_every", 0.0)?;
+        check(flops.is_finite() && flops > 0.0, "actor_flops", flops)?;
 
         // The learner owns the first chips in row-major order; its corner
         // chip is the rendezvous for observations and broadcasts.
@@ -170,6 +157,11 @@ impl RlServer {
         let tpu = TpuV3::new();
         let actor_compute = tpu.core_compute_time(self.config.actor_flops, 0.1)?;
 
+        let id = |name| MetricId::new(Subsystem::Serve, name);
+        let span = |name, start, end| {
+            self.obs
+                .span(|| SpanEvent::new(Track::Sim, SpanCategory::Serve, name, start, end));
+        };
         let mut queue: EventQueue<RlEvent> = EventQueue::new();
         for (i, _) in actor_chips.iter().enumerate() {
             queue.schedule(SimTime::ZERO, RlEvent::Actor { actor: i, round: 0 });
@@ -201,19 +193,8 @@ impl RlServer {
                     )?;
                     let finish = reply.finish;
                     latencies.push(finish - now);
-                    self.obs.observe(
-                        MetricId::new(Subsystem::Serve, "actor_round_seconds"),
-                        finish - now,
-                    );
-                    self.obs.span(|| {
-                        SpanEvent::new(
-                            Track::Sim,
-                            SpanCategory::Serve,
-                            "rl-actor-round",
-                            now,
-                            finish,
-                        )
-                    });
+                    self.obs.observe(id("actor_round_seconds"), finish - now);
+                    span("rl-actor-round", now, finish);
                     makespan = makespan.max(finish);
                     if round + 1 < self.config.actor_rounds {
                         queue.schedule(
@@ -246,15 +227,7 @@ impl RlServer {
                         .map(|&c| (learner_corner, c, self.config.param_bytes))
                         .collect();
                     let end = net.parallel_transfers(&messages, now)?;
-                    self.obs.span(|| {
-                        SpanEvent::new(
-                            Track::Sim,
-                            SpanCategory::Serve,
-                            "rl-param-broadcast",
-                            now,
-                            end,
-                        )
-                    });
+                    span("rl-param-broadcast", now, end);
                     broadcasts += 1;
                     learner_done = learner_done.max(end);
                     makespan = makespan.max(end);
@@ -276,14 +249,9 @@ impl RlServer {
                 / learner_done.seconds().max(f64::MIN_POSITIVE),
             makespan_seconds: makespan.seconds(),
         };
-        self.obs.gauge(
-            MetricId::new(Subsystem::Serve, "learner_throughput"),
-            report.learner_throughput,
-        );
-        self.obs.count(
-            MetricId::new(Subsystem::Serve, "param_broadcasts"),
-            broadcasts,
-        );
+        self.obs
+            .gauge(id("learner_throughput"), report.learner_throughput);
+        self.obs.count(id("param_broadcasts"), broadcasts);
         Ok(report)
     }
 }
