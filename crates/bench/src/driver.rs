@@ -1,6 +1,7 @@
 //! The `repro` driver: dispatch over [`REPROS`] and the one
 //! implementation of every shared flag ([`usage`] lists them).
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 use serde_json::Value;
@@ -20,22 +21,31 @@ pub fn usage() -> String {
 }
 
 /// Runs `repro <argv...>`, printing to stdout; `Ok(false)` means a gate
-/// failed.
+/// failed, or stdout closed before the output was written (`repro … |
+/// head`), which ends the run without a message.
 ///
 /// # Errors
 ///
 /// A usage error ([`ReproError::is_usage`]) for a bad command line, or
-/// [`ReproError::Failed`] when the run or an export fails.
+/// [`ReproError::Failed`] when the run, an export or printing fails.
 pub fn run_cli(argv: Vec<String>) -> Result<bool, ReproError> {
+    let broken_pipe = |e: &io::Error| e.kind() == io::ErrorKind::BrokenPipe;
+    match dispatch(argv, &mut io::stdout().lock()) {
+        Err(ReproError::Failed(e)) if e.downcast_ref().is_some_and(broken_pipe) => Ok(false),
+        result => result,
+    }
+}
+
+fn dispatch(argv: Vec<String>, out: &mut impl Write) -> Result<bool, ReproError> {
     let mut argv = argv.into_iter();
     let name = argv.next().ok_or(ReproError::MissingName)?;
     let args = Args::new(argv.collect())?;
-    match name.as_str() {
+    let passed = match name.as_str() {
         "--list" => {
             for r in REPROS {
-                println!("{}", r.name);
+                writeln!(out, "{}", r.name)?;
             }
-            Ok(true)
+            true
         }
         "all" => {
             // The document is stdout; there is no envelope to write.
@@ -48,14 +58,16 @@ pub fn run_cli(argv: Vec<String>) -> Result<bool, ReproError> {
                 eprintln!("determinism: {}", verdict(same));
                 same
             };
-            print!("{}", outcome.text);
+            out.write_all(outcome.text.as_bytes())?;
             for path in export(&outcome.replay, &args)? {
                 eprintln!("wrote {}", path.display());
             }
-            Ok(deterministic)
+            deterministic
         }
-        name => run_one(find(name)?, &args),
-    }
+        name => run_one(find(name)?, &args, out)?,
+    };
+    out.flush()?;
+    Ok(passed)
 }
 
 /// Runs every `in_all` row in its summary configuration and collects the
@@ -86,26 +98,27 @@ pub fn run_all(args: &Args) -> Result<Outcome, ReproError> {
     })
 }
 
-fn run_one(repro: &Repro, args: &Args) -> Result<bool, ReproError> {
+fn run_one(repro: &Repro, args: &Args, out: &mut impl Write) -> Result<bool, ReproError> {
     let mut outcome = (repro.run)(args)?;
     let mut deterministic = None;
     if args.has("--check-determinism") {
         let same = same(&outcome, &(repro.run)(args)?)?;
-        println!("determinism: {}", verdict(same));
+        writeln!(out, "determinism: {}", verdict(same))?;
         deterministic = Some(same);
     }
-    print!("{}", outcome.text);
+    out.write_all(outcome.text.as_bytes())?;
     let mut passed = deterministic != Some(false);
     if let Some(report) = &mut outcome.report {
         report.set_gate("deterministic", deterministic);
         let json = args.value("--json").or(repro.artifact);
         if let Some(path) = json {
             report.write(path)?;
+            writeln!(out, "wrote {path}")?;
         }
         passed &= report.passed();
     }
     for path in export(&outcome.replay, args)? {
-        println!("wrote {}", path.display());
+        writeln!(out, "wrote {}", path.display())?;
     }
     Ok(passed)
 }
@@ -121,21 +134,18 @@ fn verdict(same: bool) -> &'static str {
 
 /// Whether two runs agree on everything that must not move: the text,
 /// the envelope, the domain report, the flight report and the recorded
-/// events. The trace export is a pure function of those events, and they
-/// are compared directly because two serialized 128×32 campaign traces do
-/// not fit in memory side by side.
+/// events, compared in place. The trace export is a pure function of
+/// those events.
 fn same(a: &Outcome, b: &Outcome) -> Result<bool, ReproError> {
     let envelope = |o: &Outcome| o.report.as_ref().map(serde_json::to_string).transpose();
-    let recorded = |o: &Outcome| match &o.replay {
-        Replay::Recorded(recorder, telemetry, drift) => {
-            Some((recorder.events(), telemetry.snapshot(), drift.clone()))
+    let replays = match (&a.replay, &b.replay) {
+        (Replay::Recorded(ra, ta, da), Replay::Recorded(rb, tb, db)) => {
+            *ra.events() == *rb.events() && ta.snapshot() == tb.snapshot() && da == db
         }
-        _ => None,
+        (Replay::Recorded(..), _) | (_, Replay::Recorded(..)) => false,
+        _ => true,
     };
-    Ok(a.text == b.text
-        && a.witness == b.witness
-        && envelope(a)? == envelope(b)?
-        && recorded(a) == recorded(b))
+    Ok(a.text == b.text && a.witness == b.witness && envelope(a)? == envelope(b)? && replays)
 }
 
 /// Writes the `--trace` and `--profile` exports `replay` can provide and

@@ -231,7 +231,7 @@ impl BenchReport {
         }
     }
 
-    /// Writes the pretty-JSON rendering to `path` and echoes the path.
+    /// Writes the pretty-JSON rendering to `path`.
     ///
     /// # Errors
     ///
@@ -239,9 +239,7 @@ impl BenchReport {
     pub fn write(&self, path: &str) -> Result<(), ReproError> {
         let body = serde_json::to_string_pretty(self)?;
         std::fs::write(path, body + "\n")
-            .map_err(|e| ReproError::failed(format!("write {path}: {e}")))?;
-        println!("wrote {path}");
-        Ok(())
+            .map_err(|e| ReproError::failed(format!("write {path}: {e}")))
     }
 }
 

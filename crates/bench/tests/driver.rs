@@ -179,3 +179,17 @@ fn repro_all_checks_determinism_without_touching_stdout() {
     );
     assert!(!String::from_utf8_lossy(&plain.stderr).contains("determinism"));
 }
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly_with_exit_1() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table1")
+        .stdout(writer)
+        .output()
+        .expect("run repro table1");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -636,7 +636,7 @@ mod tests {
         restore_checkpoint(&mut net, &placement, &saved.checkpoint, &pcie, saved.finish).unwrap();
         let spans: Vec<String> = recorder
             .events()
-            .into_iter()
+            .iter()
             .filter_map(|e| match e {
                 TraceEvent::Span(s) if s.category == SpanCategory::Checkpoint => {
                     Some(s.name.to_string())

@@ -358,7 +358,7 @@ mod tests {
         // The rollback window is visible as a traced span.
         let rollback_spans = recorder
             .events()
-            .into_iter()
+            .iter()
             .filter(|e| {
                 matches!(e, TraceEvent::Span(s)
                     if s.category == SpanCategory::Checkpoint && s.name == "rollback")

@@ -1034,7 +1034,8 @@ mod tests {
                     (t.shape().clone(), bits)
                 })
                 .collect();
-            (bits, placement, time, recorder.events())
+            let events = recorder.events().to_vec();
+            (bits, placement, time, events)
         }
 
         fn full(out: CollectiveOutput) -> (Vec<Tensor>, Vec<usize>, SimTime) {

@@ -788,9 +788,9 @@ mod tests {
 
         let fault_names: Vec<String> = recorder
             .events()
-            .into_iter()
+            .iter()
             .filter_map(|e| match e {
-                TraceEvent::Span(s) if s.category == SpanCategory::Fault => Some(s.name),
+                TraceEvent::Span(s) if s.category == SpanCategory::Fault => Some(s.name.clone()),
                 _ => None,
             })
             .collect();
@@ -831,7 +831,7 @@ mod tests {
         assert_eq!(trainer.dead_replicas(), vec![5]);
         assert_eq!(w, w_before);
         assert_eq!(trainer.current_step(), 0);
-        let escalated = recorder.events().into_iter().any(|e| {
+        let escalated = recorder.events().iter().any(|e| {
             matches!(e, TraceEvent::Span(s)
                 if s.category == SpanCategory::Fault && s.name == "rollback-required")
         });

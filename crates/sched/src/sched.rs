@@ -1284,7 +1284,7 @@ mod tests {
             TRAINING.with(|t| t.borrow_mut().clear());
             let report = sched.run().expect("campaign");
             let mut saved = BTreeMap::new();
-            for event in recorder.events() {
+            for event in recorder.events().iter() {
                 let TraceEvent::Span(span) = event else {
                     continue;
                 };

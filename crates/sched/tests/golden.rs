@@ -126,7 +126,7 @@ fn fault_inside_a_draining_slice_requeues_the_victim_once() {
 fn sched_span_lines(recorder: &Recorder) -> Vec<String> {
     recorder
         .events()
-        .into_iter()
+        .iter()
         .filter_map(|event| match event {
             TraceEvent::Span(span) if span.category == SpanCategory::Sched => Some(span),
             _ => None,

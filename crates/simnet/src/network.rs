@@ -1048,7 +1048,7 @@ mod tests {
                 chained.link_traffic(link.from, link.to)
             );
         }
-        prop_assert_eq!(once_events.events(), chained_events.events());
+        prop_assert_eq!(&*once_events.events(), &*chained_events.events());
         prop_assert_eq!(once_metrics.snapshot(), chained_metrics.snapshot());
         let next = repeated.unwrap_or(at);
         for &(from, to, _) in messages {
@@ -1422,7 +1422,7 @@ mod tests {
                 assert_eq!(sent.num_hops, route.num_hops());
                 let seen: Vec<_> = recorder
                     .events()
-                    .into_iter()
+                    .iter()
                     .map(|e| match e {
                         TraceEvent::Link(l) => (l.src, l.dst, l.class),
                         TraceEvent::Span(s) => panic!("unexpected span {s:?}"),
@@ -1756,9 +1756,9 @@ mod tests {
         assert!(n.mesh().failed_links().is_empty());
         let spans: Vec<_> = recorder
             .events()
-            .into_iter()
+            .iter()
             .filter_map(|e| match e {
-                TraceEvent::Span(s) if s.category == SpanCategory::Fault => Some(s.name),
+                TraceEvent::Span(s) if s.category == SpanCategory::Fault => Some(s.name.clone()),
                 _ => None,
             })
             .collect();

@@ -86,7 +86,7 @@ pub fn collective_samples(events: &[TraceEvent], name: &str) -> Vec<(f64, f64)> 
             _ => None,
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("trace times are never NaN"));
+    samples.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     samples
 }
 

@@ -21,7 +21,7 @@
 
 use serde::{Content, Serialize};
 
-use multipod_trace::{SpanCategory, SpanEvent, TraceEvent};
+use multipod_trace::{SimTime, SpanCategory, SpanEvent, TraceEvent};
 
 /// Span classes for the step decomposition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +46,7 @@ fn classify(span: &SpanEvent) -> SpanClass {
 /// Sorts and merges intervals into a disjoint union (empty intervals
 /// dropped). All set operations below require this normal form.
 fn normalize(mut intervals: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    intervals.sort_by(|a, b| a.partial_cmp(b).expect("trace times are never NaN"));
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let mut merged: Vec<(f64, f64)> = Vec::new();
     for (start, end) in intervals {
         if end <= start {
@@ -164,22 +164,14 @@ impl ProfileReport {
     }
 }
 
-/// Deterministic sort key so the profile is invariant under recording order.
-fn span_key(s: &SpanEvent) -> (f64, f64, &'static str, &str) {
-    (
-        s.start.seconds(),
-        s.end.seconds(),
-        s.category.label(),
-        s.name.as_str(),
-    )
+/// Deterministic sort key so the profile is invariant under recording
+/// order (`SimTime` orders by `total_cmp`).
+fn span_key(s: &SpanEvent) -> (SimTime, SimTime, &'static str, &str) {
+    (s.start, s.end, s.category.label(), s.name.as_str())
 }
 
 fn sort_spans(spans: &mut [SpanEvent]) {
-    spans.sort_by(|a, b| {
-        span_key(a)
-            .partial_cmp(&span_key(b))
-            .expect("trace times are never NaN")
-    });
+    spans.sort_by(|a, b| span_key(a).cmp(&span_key(b)));
 }
 
 /// Longest chain of dependent spans plus per-span slack.

@@ -1,9 +1,8 @@
 //! The sim-time metrics registry: counters, gauges, and log-bucketed
 //! mergeable histograms, keyed by a typed [`MetricId`].
 //!
-//! Unlike the string-keyed [`multipod_trace::MetricsRegistry`] (a small
-//! export convenience), this registry is the instrumentation substrate the
-//! simulator's subsystems write into while a run executes: every hook site
+//! This is the simulator's one metrics registry, the instrumentation
+//! substrate its subsystems write into while a run executes: every hook site
 //! names its metric with a `(subsystem, name[, label])` triple so collisions
 //! are impossible and reports group naturally. All state is ordinary
 //! `BTreeMap`s, so snapshots serialize in sorted key order and two runs of

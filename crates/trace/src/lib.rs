@@ -13,17 +13,18 @@
 //!   default handle holds no sink at all, so untraced runs pay only a
 //!   branch; [`NoopSink`] exists when an object is required, and
 //!   [`Recorder`] appends every event in deterministic order.
-//! * [`MetricsRegistry`] — serde-serializable counters, gauges, and
-//!   histograms; [`Recorder::metrics`] aggregates per-link bytes and busy
-//!   time into utilization plus per-span time totals.
-//! * [`chrome_trace`] — Chrome trace-event JSON (Perfetto-loadable), with
-//!   pods as processes, chips and directed links as threads, and
-//!   byte-identical output for identical simulations.
+//! * [`Recorder::link_summaries`] and [`Recorder::span_totals`] — per-link
+//!   bytes and busy time (utilization over [`Recorder::horizon_seconds`])
+//!   and per-span time totals; [`Recorder::events`] lends the log itself.
+//! * [`write_chrome_trace`] — Chrome trace-event JSON (Perfetto-loadable),
+//!   streamed to any writer, with pods as processes, chips and directed
+//!   links as threads, a summary of the same events under `otherData`,
+//!   and byte-identical output for identical simulations.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use multipod_trace::{
-//!     LinkClass, LinkTransferEvent, Recorder, SimTime, TraceSink,
+//!     write_chrome_trace, LinkClass, LinkTransferEvent, Recorder, SimTime, TraceSink,
 //! };
 //!
 //! let recorder = Recorder::shared();
@@ -38,18 +39,17 @@
 //! });
 //! let links = recorder.link_summaries();
 //! assert_eq!(links[0].bytes, 1 << 20);
-//! let trace = recorder.chrome_trace().unwrap();
-//! assert!(trace.get("traceEvents").is_some());
+//! let mut trace = Vec::new();
+//! write_chrome_trace(&mut trace, &recorder.events()).unwrap();
+//! assert!(trace.starts_with(br#"{"displayTimeUnit":"ms","traceEvents":["#));
 //! ```
 
 mod chrome;
 mod event;
-mod metrics;
 mod sink;
 mod time;
 
-pub use chrome::{chrome_trace, chrome_trace_with_metrics, write_json};
+pub use chrome::write_chrome_trace;
 pub use event::{LinkClass, LinkTransferEvent, SpanCategory, SpanEvent, TraceEvent, Track};
-pub use metrics::{Histogram, MetricsRegistry, BUCKET_BOUNDS};
 pub use sink::{LinkSummary, NoopSink, Recorder, SpanTotal, TraceSink};
 pub use time::SimTime;

@@ -1,11 +1,12 @@
 //! Trace sinks: where instrumentation hooks deliver events.
 
+use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
 use crate::event::{LinkClass, LinkTransferEvent, SpanCategory, SpanEvent, TraceEvent};
-use crate::metrics::MetricsRegistry;
 
 /// Receiver for trace events.
 ///
@@ -85,8 +86,8 @@ pub struct SpanTotal {
 }
 
 /// A recording sink: appends events in arrival order (which the
-/// single-threaded simulator makes deterministic) and aggregates them into
-/// per-link and per-span summaries on demand.
+/// single-threaded simulator makes deterministic), lends the log, and
+/// aggregates it into per-link and per-span summaries on demand.
 #[derive(Debug, Default)]
 pub struct Recorder {
     events: Mutex<Vec<TraceEvent>>,
@@ -126,100 +127,89 @@ impl Recorder {
         self.log().clear();
     }
 
-    /// A copy of the events in recording order.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.log().clone()
+    /// The events in recording order, borrowed: the log stays locked
+    /// until the returned guard drops. Hold it across no other call on
+    /// this recorder — a second lock on the same thread never returns.
+    pub fn events(&self) -> impl Deref<Target = [TraceEvent]> + '_ {
+        Events(self.log())
     }
 
     /// Latest event end time, seconds (0 when empty). This is the horizon
     /// used for utilization fractions.
     pub fn horizon_seconds(&self) -> f64 {
-        self.log()
-            .iter()
-            .map(|e| e.end().seconds())
-            .fold(0.0, f64::max)
+        horizon_seconds(&self.log())
     }
 
     /// Per-directed-link aggregation, sorted by `(src, dst)`.
     pub fn link_summaries(&self) -> Vec<LinkSummary> {
-        let events = self.log();
-        let mut by_link: std::collections::BTreeMap<(u32, u32), LinkSummary> =
-            std::collections::BTreeMap::new();
-        for event in events.iter() {
-            if let TraceEvent::Link(e) = event {
-                let entry = by_link
-                    .entry((e.src, e.dst))
-                    .or_insert_with(|| LinkSummary {
-                        src: e.src,
-                        dst: e.dst,
-                        class: e.class,
-                        transfers: 0,
-                        bytes: 0,
-                        busy_seconds: 0.0,
-                    });
-                entry.transfers += 1;
-                entry.bytes += e.bytes;
-                entry.busy_seconds += e.busy_seconds();
-            }
-        }
-        by_link.into_values().collect()
+        link_summaries(&self.log())
     }
 
     /// Span aggregation by `(category, name)`, sorted the same way.
     pub fn span_totals(&self) -> Vec<SpanTotal> {
-        let events = self.log();
-        let mut by_name: std::collections::BTreeMap<(&'static str, String), SpanTotal> =
-            std::collections::BTreeMap::new();
-        for event in events.iter() {
-            if let TraceEvent::Span(s) = event {
-                let entry = by_name
-                    .entry((s.category.label(), s.name.clone()))
-                    .or_insert_with(|| SpanTotal {
-                        category: s.category,
-                        name: s.name.clone(),
-                        count: 0,
-                        total_seconds: 0.0,
-                        bytes: 0,
-                    });
-                entry.count += 1;
-                entry.total_seconds += s.seconds();
-                entry.bytes += s.bytes;
-            }
-        }
-        by_name.into_values().collect()
+        span_totals(&self.log())
     }
+}
 
-    /// Builds the canonical metrics view of everything recorded:
-    ///
-    /// * `link.{src}->{dst}.bytes` / `.busy_seconds` / `.utilization`
-    ///   gauges per directed link, plus `link.class.{label}.bytes`
-    ///   counters per link class;
-    /// * `span.{category}.{name}.seconds` gauges and `.count` counters;
-    /// * `trace.events` / `trace.horizon_seconds` totals;
-    /// * a `link.busy_seconds` histogram over per-link busy time.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        let horizon = self.horizon_seconds();
-        registry.set_gauge("trace.horizon_seconds", horizon);
-        registry.inc_counter("trace.events", self.len() as u64);
-        for link in self.link_summaries() {
-            let key = format!("link.{}->{}", link.src, link.dst);
-            registry.set_gauge(&format!("{key}.bytes"), link.bytes as f64);
-            registry.set_gauge(&format!("{key}.busy_seconds"), link.busy_seconds);
-            registry.set_gauge(&format!("{key}.utilization"), link.utilization(horizon));
-            registry.inc_counter(
-                &format!("link.class.{}.bytes", link.class.label()),
-                link.bytes,
-            );
-            registry.observe("link.busy_seconds", link.busy_seconds);
-        }
-        for span in self.span_totals() {
-            let key = format!("span.{}.{}", span.category.label(), span.name);
-            registry.set_gauge(&format!("{key}.seconds"), span.total_seconds);
-            registry.inc_counter(&format!("{key}.count"), span.count);
-        }
-        registry
+/// A locked log seen as the slice of its events.
+struct Events<'a>(MutexGuard<'a, Vec<TraceEvent>>);
+
+impl Deref for Events<'_> {
+    type Target = [TraceEvent];
+
+    fn deref(&self) -> &[TraceEvent] {
+        &self.0
     }
+}
+
+/// See [`Recorder::horizon_seconds`].
+pub(crate) fn horizon_seconds(events: &[TraceEvent]) -> f64 {
+    events.iter().map(|e| e.end().seconds()).fold(0.0, f64::max)
+}
+
+/// See [`Recorder::link_summaries`].
+pub(crate) fn link_summaries(events: &[TraceEvent]) -> Vec<LinkSummary> {
+    let mut by_link: BTreeMap<(u32, u32), LinkSummary> = BTreeMap::new();
+    for event in events {
+        if let TraceEvent::Link(e) = event {
+            let entry = by_link
+                .entry((e.src, e.dst))
+                .or_insert_with(|| LinkSummary {
+                    src: e.src,
+                    dst: e.dst,
+                    class: e.class,
+                    transfers: 0,
+                    bytes: 0,
+                    busy_seconds: 0.0,
+                });
+            entry.transfers += 1;
+            entry.bytes += e.bytes;
+            entry.busy_seconds += e.busy_seconds();
+        }
+    }
+    by_link.into_values().collect()
+}
+
+/// See [`Recorder::span_totals`].
+pub(crate) fn span_totals(events: &[TraceEvent]) -> Vec<SpanTotal> {
+    let mut by_name: BTreeMap<(&'static str, &str), SpanTotal> = BTreeMap::new();
+    for event in events {
+        if let TraceEvent::Span(s) = event {
+            let entry = by_name
+                .entry((s.category.label(), &s.name))
+                .or_insert_with(|| SpanTotal {
+                    category: s.category,
+                    name: s.name.clone(),
+                    count: 0,
+                    total_seconds: 0.0,
+                    bytes: 0,
+                });
+            entry.count += 1;
+            entry.total_seconds += s.seconds();
+            entry.bytes += s.bytes;
+        }
+    }
+    by_name.into_values().collect()
 }
 
 impl TraceSink for Recorder {
@@ -287,8 +277,5 @@ mod tests {
         assert_eq!(totals.len(), 1);
         assert_eq!(totals[0].count, 3);
         assert!((totals[0].total_seconds - 1.5).abs() < 1e-12);
-        let metrics = r.metrics();
-        assert_eq!(metrics.counter("span.step.train-step.count"), 3);
-        assert!((metrics.gauge("span.step.train-step.seconds").unwrap() - 1.5).abs() < 1e-12);
     }
 }

@@ -1,7 +1,8 @@
 //! Profiling a simulated run: attach a trace recorder to the network, run
 //! the paper's 2-D gradient summation on the full 128×32 multipod, and
-//! export a Perfetto-loadable Chrome trace with an embedded metrics
-//! summary.
+//! export a Perfetto-loadable Chrome trace of its collective phases and
+//! of the link transfers among the first 32 chips, with a summary of the
+//! exported events embedded.
 //!
 //! ```sh
 //! cargo run --release --example profiled_training
@@ -17,7 +18,7 @@ use multipod::simnet::{Network, NetworkConfig};
 use multipod::telemetry::Obs;
 use multipod::tensor::{Shape, Tensor, TensorRng};
 use multipod::topology::{Multipod, MultipodConfig};
-use multipod::trace::{chrome_trace_with_metrics, write_json, Recorder, TraceEvent};
+use multipod::trace::{Recorder, TraceEvent, TraceSink};
 
 fn main() {
     // The full machine: 4 pods side by side = a 128x32 mesh with torus Y
@@ -79,24 +80,26 @@ fn main() {
 
     // Chrome trace: all collective spans, plus the link events among the
     // first 32 chips so the exported file stays small (the full machine
-    // records hundreds of thousands of link transfers; the metrics summary
-    // embedded under `otherData` covers all of them).
-    let events = recorder.events();
-    let kept: Vec<TraceEvent> = events
-        .iter()
-        .filter(|e| match e {
-            TraceEvent::Span(_) => true,
-            TraceEvent::Link(l) => l.src < 32 && l.dst < 32,
-        })
-        .cloned()
-        .collect();
-    let trace =
-        chrome_trace_with_metrics(&kept, Some(&recorder.metrics())).expect("trace serializes");
-    write_json("profiled_training.trace.json", &trace).expect("write trace");
+    // records hundreds of thousands of link transfers). The summary
+    // embedded under `otherData` covers the exported events.
+    let kept = Recorder::new();
+    for event in recorder.events().iter() {
+        match event {
+            TraceEvent::Span(s) => kept.record_span(s.clone()),
+            TraceEvent::Link(l) if l.src < 32 && l.dst < 32 => kept.record_link(l.clone()),
+            TraceEvent::Link(_) => {}
+        }
+    }
+    assert!(
+        !kept.link_summaries().is_empty() && kept.len() < recorder.len(),
+        "the export keeps some link events and drops the rest"
+    );
+    kept.write_chrome_trace("profiled_training.trace.json")
+        .expect("write trace");
     println!(
         "wrote profiled_training.trace.json ({} of {} events exported)",
         kept.len(),
-        events.len()
+        recorder.len()
     );
     println!("open it at https://ui.perfetto.dev");
 }

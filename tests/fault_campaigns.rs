@@ -8,15 +8,16 @@ use multipod::simnet::{Network, NetworkConfig, SimTime};
 use multipod::telemetry::Obs;
 use multipod::tensor::{Shape, Tensor, TensorRng};
 use multipod::topology::{Coord, Multipod, MultipodConfig};
-use multipod::trace::Recorder;
+use multipod::trace::{write_chrome_trace, Recorder};
 
 fn demo_4x4() -> CampaignConfig {
     CampaignConfig::demo(MultipodConfig::mesh(4, 4, true))
 }
 
 fn chrome_export(recorder: &Recorder) -> String {
-    serde_json::to_string(&recorder.chrome_trace().expect("chrome trace serializes"))
-        .expect("chrome trace serializes")
+    let mut out = Vec::new();
+    write_chrome_trace(&mut out, &recorder.events()).expect("chrome trace writes");
+    String::from_utf8(out).expect("chrome trace is UTF-8")
 }
 
 /// Same `FaultPlan`, same config → byte-identical Chrome-trace export.

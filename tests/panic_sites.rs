@@ -28,8 +28,6 @@ const KNOWN: &[(&str, usize)] = &[
     ("crates/optim/src/lamb.rs", 3),
     ("crates/optim/src/lars.rs", 3),
     ("crates/optim/src/sgd.rs", 3),
-    ("crates/telemetry/src/fit.rs", 1),
-    ("crates/telemetry/src/profiler.rs", 2),
     ("crates/telemetry/src/report.rs", 1),
     ("crates/tensor/src/kernels.rs", 2),
     ("crates/tensor/src/ops.rs", 1),
